@@ -22,12 +22,14 @@ import numpy as np
 from . import __version__
 from .calculus import MeasureFunctional, chain_rule_check, identity_map, mean_shift_map
 from .conditions import (
+    ConditionError,
     check_anti_assumption,
     check_disp_condition,
     check_disp_sufficient,
     check_f_monotone,
     check_ll_condition,
     check_matrix1,
+    control_coupling,
     make_condition_samples,
 )
 from .config import ConfigError, ExperimentConfig
@@ -109,6 +111,15 @@ def _plot_script(out_dir: Path, kind: str, csv_name: str) -> Path:
     return path
 
 
+def _coupling(model, checker: str) -> float:
+    """c of a control-coupled model, which the matrix1 and disp_sufficient
+    checkers need; any other model is a config error."""
+    c = control_coupling(model)
+    if c is None:
+        raise ConfigError(f"checker {checker!r} needs b0 = (1, 0, 0) and f0 = (0, 0, 0, c)")
+    return c
+
+
 def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int, jobs: int) -> int:
     model = cfg.model()
     which = cfg.check_section.get("which", "envelope").split()
@@ -121,18 +132,19 @@ def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int, jobs: int) -> int
         if name == "envelope":
             reports.append(verify_envelope_identities(model, sample_count=200, seed=seed))
         elif name == "matrix1":
-            params = model.params
-            bmean = params["b1_mean"]
-            reports.append(check_matrix1(
-                params["c"], params["q1"], params["q2"], bmean[1], bmean[2]))
+            bmean = model.B.coeffs
+            try:
+                reports.append(check_matrix1(_coupling(model, name), model.q1, model.q2,
+                                             bmean[1], bmean[2]))
+            except ConditionError as err:
+                raise ConfigError(f"checker {name!r}: {err}") from err
         elif name == "ll":
             reports.append(check_ll_condition(model, samples))
         elif name == "disp":
             reports.append(check_disp_condition(model, lam, samples))
         elif name == "disp_sufficient":
-            params = model.params
-            bmean = params["b1_mean"]
-            c0 = abs(params["cbar"] * bmean[2] - params["chat"])
+            c = _coupling(model, name)
+            c0 = abs((model.B.coeffs[2] - c) / (1.0 - c))
             reports.append(check_disp_sufficient(model, lam, c0, samples))
         elif name == "anti":
             anti = cfg.anti_section
@@ -214,7 +226,7 @@ def run_propagate(cfg: ExperimentConfig, out_dir: Path, seed: int, jobs: int) ->
     picard = cfg.picard()
     flow = solve_mfgc(model, cfg.initial_cloud(), grid, picard, seed=seed)
     access = ValueAccess(model, grid, picard, seed=seed, base_flow=flow, sweeps=6)
-    result = propagation_experiment(model, flow, access, prop)
+    result = propagation_experiment(model, flow, access, prop, gate)
     csv_path = out_dir / "trace.csv"
     traces_to_csv(csv_path, result.traces)
     payload = {
@@ -328,7 +340,7 @@ def main(argv=None) -> int:
         code = RUNNERS[args.command](cfg, out_dir, seed, max(1, args.jobs))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except GateError as err:
         print(f"gate violation: {err}", file=sys.stderr)
         code = EXIT_HYPOTHESIS

@@ -20,14 +20,13 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import JointEmpiricalMeasure
-from .models import ModelSpec, hat_derivative_table
+from .models import Model, hat_derivative_table
 from .monotonicity import LambdaVec
 from .reports import ConditionReport
 
 PASS_SLACK = 1e-12
-CLOSED_FORM_REL_TOL = 1e-8
-FD_REL_TOL = 1e-4
+# Relative slack of the sampled forms; the hat derivatives are exact.
+REL_TOL = 1e-8
 
 
 class ConditionError(ValueError):
@@ -65,10 +64,10 @@ class QuadraticFormSample:
     def n(self) -> int:
         return self.xi.shape[0]
 
-    def frozen_law(self) -> JointEmpiricalMeasure:
+    def table(self, model: Model):
+        """Hat derivatives over the frozen law of (xi, phi(xi))."""
         momenta = np.asarray(self.phi_map(self.xi), dtype=float).reshape(-1)
-        n = self.n
-        return JointEmpiricalMeasure(self.xi[:, None], momenta[:, None], np.full(n, 1.0 / n))
+        return hat_derivative_table(model, self.xi, momenta)
 
 
 def affine_feedback(intercept: float, slope: float) -> Callable:
@@ -110,15 +109,14 @@ def make_condition_samples(n_samples: int, n_atoms: int = 16, seed: int = 0) -> 
     return samples
 
 
-def _ll_form_value(model: ModelSpec, sample: QuadraticFormSample) -> float:
+def _ll_form_value(model: Model, sample: QuadraticFormSample) -> float:
     """Left-hand side of the Lasry-Lions propagation condition.
 
     Double sums run over all atom pairs (self-pairs included) through the
     weight vectors; [i, j] entries of the derivative tables put the base
     point at atom i and the support atom at j.
     """
-    rho = sample.frozen_law()
-    table = hat_derivative_table(model, rho)
+    table = sample.table(model)
     w = np.full(sample.n, 1.0 / sample.n)
     eta, gamma, zeta = sample.eta, sample.gamma, sample.zeta
     gz = gamma + zeta
@@ -130,10 +128,9 @@ def _ll_form_value(model: ModelSpec, sample: QuadraticFormSample) -> float:
     return term_pp - cross_x - cross_p
 
 
-def _disp_form_value(model: ModelSpec, sample: QuadraticFormSample, lam: float) -> float:
+def _disp_form_value(model: Model, sample: QuadraticFormSample, lam: float) -> float:
     """Left-hand side of the displacement lambda propagation condition."""
-    rho = sample.frozen_law()
-    table = hat_derivative_table(model, rho)
+    table = sample.table(model)
     n = sample.n
     w = np.full(n, 1.0 / n)
     eta, gamma, zeta = sample.eta, sample.gamma, sample.zeta
@@ -173,9 +170,8 @@ def _rank_one_worst(form: Callable, xi: np.ndarray, phi_map: Callable) -> Quadra
                                phi_map)
 
 
-def _form_report(condition: str, model: ModelSpec, samples: list, form: Callable,
+def _form_report(condition: str, samples: list, form: Callable,
                  tol: float | None) -> ConditionReport:
-    rel = CLOSED_FORM_REL_TOL if model.hat_closed is not None else FD_REL_TOL
     battery = list(samples)
     if battery:
         battery.append(_rank_one_worst(form, battery[0].xi, battery[0].phi_map))
@@ -187,7 +183,7 @@ def _form_report(condition: str, model: ModelSpec, samples: list, form: Callable
         scale = max(1.0, abs(value),
                     float(np.mean(sample.eta**2) + np.mean(sample.gamma**2)
                           + np.mean(sample.zeta**2)))
-        threshold = tol if tol is not None else rel * scale
+        threshold = tol if tol is not None else REL_TOL * scale
         margin = threshold - value
         values.append(value)
         if margin < worst_margin:
@@ -206,25 +202,25 @@ def _form_report(condition: str, model: ModelSpec, samples: list, form: Callable
         n_samples=len(battery),
         worst_margin=float(worst_margin),
         passed=bool(passed),
-        tolerance=tol if tol is not None else rel,
+        tolerance=tol if tol is not None else REL_TOL,
         witness=None if passed else witness,
         details={"max_value": float(np.max(values)) if values else 0.0},
     )
 
 
-def check_ll_condition(model: ModelSpec, samples: list,
+def check_ll_condition(model: Model, samples: list,
                        tol: float | None = None) -> ConditionReport:
     """Sampled test of the Lasry-Lions quadratic-form condition (pass: <= tol)."""
-    return _form_report("lasry_lions_hamiltonian", model, samples,
+    return _form_report("lasry_lions_hamiltonian", samples,
                         lambda s: _ll_form_value(model, s), tol)
 
 
-def check_disp_condition(model: ModelSpec, lam: float, samples: list,
+def check_disp_condition(model: Model, lam: float, samples: list,
                          tol: float | None = None) -> ConditionReport:
     """Sampled test of the displacement lambda quadratic-form condition."""
     if lam < 0:
         raise ConditionError("lambda must be nonnegative")
-    return _form_report("displacement_hamiltonian", model, samples,
+    return _form_report("displacement_hamiltonian", samples,
                         lambda s: _disp_form_value(model, s, lam), tol)
 
 
@@ -235,10 +231,10 @@ def matrix1_assemble(c1: float, c2: float, c3: float, db1_dm1: float,
     chat1 = c1 / (1.0 - c1)
     cbar1 = 1.0 / (1.0 - c1)
     chat3 = c3 / (1.0 - c1)
-    beta = cbar1 * db1_dm2 - chat1
+    h_prho2 = cbar1 * db1_dm2 - chat1
     return np.array([
-        [1.0 - beta, 0.0, 0.5 * (chat3 - db1_dm1)],
-        [0.0, beta, 0.5 * (chat3 + db1_dm1)],
+        [1.0 - h_prho2, 0.0, 0.5 * (chat3 - db1_dm1)],
+        [0.0, h_prho2, 0.5 * (chat3 + db1_dm1)],
         [0.5 * (chat3 - db1_dm1), 0.5 * (chat3 + db1_dm1), c2],
     ])
 
@@ -262,25 +258,31 @@ def check_matrix1(c1: float, c2: float, c3: float, db1_dm1: float,
     )
 
 
-def check_disp_sufficient(model: ModelSpec, lam: float, c0: float, samples: list,
+def control_coupling(model: Model) -> float | None:
+    """c when the model has the control-coupled form b0 = (1, 0, 0),
+    f0 = (0, 0, 0, c) of the ll/disp/anti presets, else None."""
+    if model.b0 == (1.0, 0.0, 0.0) and model.f0[:3] == (0.0, 0.0, 0.0):
+        return model.f0[3]
+    return None
+
+
+def check_disp_sufficient(model: Model, lam: float, c0: float, samples: list,
                           tol: float | None = None) -> ConditionReport:
     """Single-variable sufficient condition for the displacement form.
 
     Hypotheses checked first on every sample: |Hhat_{p rho2}| <= c0 and
     Hhat_pp < -c0.  Then the (xi, eta)-only inequality with the
-    inverse-square-root normalisation must be >= -tol.  For the built-in
-    mean-coupled family the scalar parameter inequality is evaluated exactly
-    and reported alongside.
+    inverse-square-root normalisation must be >= -tol.  For a control-coupled
+    model the scalar parameter inequality is evaluated exactly and reported
+    alongside.
     """
     if c0 < 0:
         raise ConditionError("c0 must be nonnegative")
-    rel = CLOSED_FORM_REL_TOL if model.hat_closed is not None else FD_REL_TOL
     worst_margin = np.inf
     witness = None
     hypothesis_fail = None
     for idx, sample in enumerate(samples):
-        rho = sample.frozen_law()
-        table = hat_derivative_table(model, rho)
+        table = sample.table(model)
         n = sample.n
         w = np.full(n, 1.0 / n)
         if np.max(np.abs(table.h_prho2)) > c0 + 1e-9:
@@ -300,13 +302,13 @@ def check_disp_sufficient(model: ModelSpec, lam: float, c0: float, samples: list
                                       * eta[None, :]) @ w)
                  - 0.25 * float(np.mean(lam_vec**2)))
         scale = max(1.0, abs(value), float(np.mean(eta**2)))
-        threshold = tol if tol is not None else rel * scale
+        threshold = tol if tol is not None else REL_TOL * scale
         margin = value + threshold
         if margin < worst_margin:
             worst_margin = margin
             witness = {"sample": idx, "value": value, "eta": eta.tolist()}
     details: dict = {}
-    if model.closed_form_tag in ("disp_example", "anti_example", "ll_example"):
+    if control_coupling(model) is not None:
         details["scalar_inequality"] = _scalar_disp_inequality(model, c0)
     if hypothesis_fail is not None:
         return ConditionReport(
@@ -314,7 +316,7 @@ def check_disp_sufficient(model: ModelSpec, lam: float, c0: float, samples: list
             n_samples=len(samples),
             worst_margin=-np.inf,
             passed=False,
-            tolerance=tol if tol is not None else rel,
+            tolerance=tol if tol is not None else REL_TOL,
             witness=hypothesis_fail,
             failure_kind="hypothesis",
             details=details,
@@ -325,21 +327,20 @@ def check_disp_sufficient(model: ModelSpec, lam: float, c0: float, samples: list
         n_samples=len(samples),
         worst_margin=float(worst_margin),
         passed=bool(passed and details.get("scalar_inequality", {}).get("holds", True)),
-        tolerance=tol if tol is not None else rel,
+        tolerance=tol if tol is not None else REL_TOL,
         witness=None if passed else witness,
         details=details,
     )
 
 
-def _scalar_disp_inequality(model: ModelSpec, c0: float) -> dict:
-    """Exact parameter form of the sufficient condition for the mean-coupled
-    family: curvature of the x-cost must dominate the state coupling plus the
+def _scalar_disp_inequality(model: Model, c0: float) -> dict:
+    """Exact parameter form of the sufficient condition for a control-coupled
+    model: curvature of the x-cost must dominate the state coupling plus the
     normalised square of the momentum couplings."""
-    params = model.params
-    chat = params["chat"]
-    q1 = params.get("q1", 0.0)
-    q2 = params.get("q2", 0.0)
-    bmean = np.asarray(params["b1_mean"])
+    c = control_coupling(model)
+    chat = c / (1.0 - c)
+    q1, q2 = model.q1, model.q2
+    bmean = np.asarray(model.B.coeffs)
     if np.any(bmean[3:] != 0.0):
         # nonlinear mean coupling: derivative sup over a sampled box
         grid = np.linspace(-3.0, 3.0, 25)
@@ -347,12 +348,9 @@ def _scalar_disp_inequality(model: ModelSpec, c0: float) -> dict:
         d1 = np.abs(bmean[1] + 2 * bmean[3] * m1g + bmean[4] * m2g).max()
     else:
         d1 = abs(bmean[1])
-    f1_dd = np.polynomial.polynomial.polyder(np.asarray(params["f1_x"]), 2) \
-        if len(params["f1_x"]) > 2 else np.zeros(1)
     xs = np.linspace(-6.0, 6.0, 121)
-    kappa = float(np.min(np.polynomial.polynomial.polyval(xs, f1_dd)))
-    if model.closed_form_tag == "anti_example":
-        kappa += -params["gamma"] * params["l0"]
+    poly = np.polynomial.polynomial
+    kappa = float(np.min(poly.polyval(xs, poly.polyder(model.f1_x, 2))))
     rhs = abs(q1) + (d1 + (1.0 + chat) * abs(q2)) ** 2 / (4.0 * (1.0 - c0)) \
         if c0 < 1.0 else np.inf
     return {
@@ -398,7 +396,7 @@ def anti_theta1(lvec: LambdaVec, gamma_lo: float, gamma_hi: float,
     return float(gamma_hi * (1.0 + lu_xx) / np.sqrt(4.0 * (gamma_lo * lvec.l0 + 2.0 * lvec.l3)))
 
 
-def check_anti_assumption(model: ModelSpec, lvec: LambdaVec, l0: float,
+def check_anti_assumption(model: Model, lvec: LambdaVec, l0: float,
                           gamma_lo: float, gamma_hi: float, l_bar: float,
                           lu_xx: float, n_samples: int = 30, n_atoms: int = 8,
                           seed: int = 0) -> ConditionReport:
@@ -416,10 +414,8 @@ def check_anti_assumption(model: ModelSpec, lvec: LambdaVec, l0: float,
     bound_margins = []
     witness = None
     for idx in range(n_samples):
-        states = rng.normal(0.0, 1.0, (n_atoms, 1))
-        momenta = rng.normal(0.0, 1.0, (n_atoms, 1))
-        rho = JointEmpiricalMeasure(states, momenta, np.full(n_atoms, 1.0 / n_atoms))
-        table = hat_derivative_table(model, rho)
+        states = rng.normal(0.0, 1.0, n_atoms)
+        table = hat_derivative_table(model, states, rng.normal(0.0, 1.0, n_atoms))
         checks = {
             "abs_h_xp<=gamma_hi*l0": gamma_hi * l0 - float(np.max(np.abs(table.h_xp))),
             "abs_h_xx<=gamma_hi*l0": gamma_hi * l0 - float(np.max(np.abs(table.h_xx))),
@@ -475,27 +471,22 @@ def check_anti_assumption(model: ModelSpec, lvec: LambdaVec, l0: float,
     )
 
 
-def check_f_monotone(model: ModelSpec, pairs: list,
+def check_f_monotone(model: Model, pairs: list,
                      tol: float = 1e-10) -> ConditionReport:
     """Four-term cross-difference monotonicity of the running cost in the
     joint law, under the hypothesis b(x, a, nu) = a.
 
     ``pairs`` is a list of ((xi1, alpha1), (xi2, alpha2)) coupled atom arrays.
     """
-    rng = np.random.default_rng(0)
-    probe = JointEmpiricalMeasure(rng.normal(size=(4, 1)), rng.normal(size=(4, 1)),
-                                  np.full(4, 0.25))
-    for _ in range(8):
-        x = float(rng.normal())
-        a = float(rng.normal())
-        if abs(float(model.b_eval(x, a, probe)) - a) > 1e-10:
-            return ConditionReport(
-                condition="cost_cross_monotonicity", n_samples=len(pairs),
-                worst_margin=-np.inf, passed=False, tolerance=tol,
-                witness={"x": x, "a": a, "b": float(model.b_eval(x, a, probe))},
-                failure_kind="hypothesis",
-                details={"reason": "drift is not the identity in the control"},
-            )
+    if (model.b0, model.b1_x, model.B.coeffs) != ((-1.0, 0.0, 0.0), (0.0,), (0.0,) * 6):
+        return ConditionReport(
+            condition="cost_cross_monotonicity", n_samples=len(pairs),
+            worst_margin=-np.inf, passed=False, tolerance=tol,
+            witness={"b0": list(model.b0), "b1_x": list(model.b1_x),
+                     "b1_mean": list(model.B.coeffs)},
+            failure_kind="hypothesis",
+            details={"reason": "drift is not the identity in the control"},
+        )
     worst_margin = np.inf
     witness = None
     for idx, ((xi1, a1), (xi2, a2)) in enumerate(pairs):
@@ -503,13 +494,11 @@ def check_f_monotone(model: ModelSpec, pairs: list,
         a1 = np.asarray(a1, dtype=float).reshape(-1)
         xi2 = np.asarray(xi2, dtype=float).reshape(-1)
         a2 = np.asarray(a2, dtype=float).reshape(-1)
-        n = xi1.shape[0]
-        w = np.full(n, 1.0 / n)
-        law1 = JointEmpiricalMeasure(xi1[:, None], a1[:, None], w)
-        law2 = JointEmpiricalMeasure(xi2[:, None], a2[:, None], w)
+        law1 = (float(np.mean(xi1)), float(np.mean(a1)))
+        law2 = (float(np.mean(xi2)), float(np.mean(a2)))
         value = float(
-            np.mean(model.f_eval(xi1, a1, law1)) + np.mean(model.f_eval(xi2, a2, law2))
-            - np.mean(model.f_eval(xi1, a1, law2)) - np.mean(model.f_eval(xi2, a2, law1))
+            np.mean(model.cost(xi1, a1, *law1)) + np.mean(model.cost(xi2, a2, *law2))
+            - np.mean(model.cost(xi1, a1, *law2)) - np.mean(model.cost(xi2, a2, *law1))
         )
         margin = value + tol
         if margin < worst_margin:

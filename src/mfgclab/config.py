@@ -4,6 +4,20 @@ One experiment per file.  Everything an experiment needs — model family and
 parameters, grid, particle count, Picard settings, monotonicity kind and
 weights, direction battery, seed, tolerances — is validated here before any
 solve starts.
+
+Each ``[model] family`` is a preset of the one control-averaged model of
+``models.py`` (numbers in parentheses are the defaults of absent keys):
+
+    family        b0            f0                b1_x      B        f1_x                     q1  q2
+    separable     (-1, 0, 0)    0                 0         0        f1_x                     q1  0
+    ll_example    (1, 0, 0)     (0, 0, 0, c1)     b2_x      b1_mean  f1_x                     c2  c3
+    disp_example  (1, 0, 0)     (0, 0, 0, c)      0         b1_mean  f1_x                     q1  q2
+    anti_example  (1, 0, 0)     (0, 0, 0, c)      (0, -l0)  b1_mean  f1_x - gamma l0 x^2/2    q1  q2
+    meanfield_1d  b0 (1 0 0)    f0 (0 0 0 0)      b1_x      b1_mean  f1_x                     q1  q2
+
+c1 and c (0.5 by default) must satisfy 0 <= c < 1, the anti family needs
+gamma > 0 and l0 > 0 (both 1 by default), and every model needs
+df0/dm2 <= 1 - CONTRACTION_EPS.  Absent coefficients are zero.
 """
 from __future__ import annotations
 
@@ -13,19 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import EmpiricalMeasure, gaussian_quantile_cloud, uniform_grid_cloud
-from .models import (
-    MeanPoly2,
-    ModelError,
-    ModelSpec,
-    QuadraticTerminalCost,
-    anti_example_model,
-    disp_example_model,
-    ll_example_model,
-    meanfield_model,
-    separable_model,
-)
+from .models import MeanPoly2, Model, ModelError, QuadraticTerminalCost
 from .monotonicity import LambdaVec, MonotonicityError
-from .propagation import PropagationConfig
+from .propagation import GateError, PropagationConfig
 from .solver import Grid, PicardSettings, SolverError
 
 KINDS = ("check", "solve", "mono", "propagate", "chain")
@@ -40,6 +44,51 @@ def _floats(text: str) -> tuple:
         return tuple(float(v) for v in text.split())
     except ValueError as err:
         raise ConfigError(f"expected a list of numbers, got {text!r}") from err
+
+
+def _preset(family: str, sec: dict) -> dict:
+    """Model coefficients of one INI family; see the table in the module docstring."""
+    def num(key: str, default: str = "0") -> float:
+        return float(sec.get(key, default))
+
+    def poly(key: str, default: str = "0") -> tuple:
+        return _floats(sec.get(key, default))
+
+    if family == "separable":
+        return dict(b0=(-1.0, 0.0, 0.0), f1_x=poly("f1_x"), q1=num("q1"))
+    B = MeanPoly2(poly("b1_mean"))
+    if family == "meanfield_1d":
+        return dict(b0=poly("b0", "1 0 0"), f0=poly("f0", "0 0 0 0"), b1_x=poly("b1_x"),
+                    B=B, f1_x=poly("f1_x"), q1=num("q1"), q2=num("q2"))
+    f1_x, b1_x = poly("f1_x"), (0.0,)
+    if family == "ll_example":
+        c, b1_x, q1, q2 = num("c1", "0.5"), poly("b2_x"), num("c2"), num("c3")
+    elif family in ("disp_example", "anti_example"):
+        c, q1, q2 = num("c", "0.5"), num("q1"), num("q2")
+    else:
+        raise ConfigError(f"unknown model family {family!r}")
+    if family == "anti_example":
+        gamma, l0 = num("gamma", "1"), num("l0", "1")
+        if gamma <= 0 or l0 <= 0:
+            raise ModelError("anti-monotone family needs gamma > 0 and l0 > 0")
+        b1_x = (0.0, -l0)
+        f1_x = f1_x + (0.0,) * (3 - len(f1_x))
+        f1_x = f1_x[:2] + (f1_x[2] - 0.5 * gamma * l0,) + f1_x[3:]
+    if not 0.0 <= c < 1.0:
+        raise ModelError(f"control-averaging weight must satisfy 0 <= c < 1, got {c}")
+    return dict(b0=(1.0, 0.0, 0.0), f0=(0.0, 0.0, 0.0, c), b1_x=b1_x, B=B, f1_x=f1_x,
+                q1=q1, q2=q2)
+
+
+def preset_model(sec: dict, g: QuadraticTerminalCost | None = None) -> Model:
+    """The model of one ``[model]`` section, with terminal cost g."""
+    try:
+        coeffs = _preset(sec.get("family", "").strip(), sec)
+        return Model(**coeffs, g=g if g is not None else QuadraticTerminalCost())
+    except ConfigError:
+        raise
+    except ValueError as err:
+        raise ConfigError(f"invalid model parameters: {err}") from err
 
 
 @dataclass
@@ -99,58 +148,8 @@ class ExperimentConfig:
         except ValueError as err:
             raise ConfigError(f"bad terminal cost entry: {err}") from err
 
-    def model(self) -> ModelSpec:
-        sec = self.model_section
-        family = sec.get("family", "").strip()
-        terminal = self.terminal_cost()
-        try:
-            if family == "separable":
-                return separable_model(
-                    f1_x=_floats(sec.get("f1_x", "0")),
-                    q1=float(sec.get("q1", "0")),
-                    terminal=terminal,
-                )
-            if family == "meanfield_1d":
-                return meanfield_model(
-                    b0=_floats(sec.get("b0", "1 0 0")),
-                    f0=_floats(sec.get("f0", "0 0 0 0")),
-                    b1_x=_floats(sec.get("b1_x", "0")),
-                    b1_mean=MeanPoly2(_floats(sec.get("b1_mean", "0"))),
-                    f1_x=_floats(sec.get("f1_x", "0")),
-                    q1=float(sec.get("q1", "0")), q2=float(sec.get("q2", "0")),
-                    contraction_eps=float(sec.get("contraction_eps", "1e-3")),
-                    terminal=terminal,
-                )
-            if family == "ll_example":
-                return ll_example_model(
-                    c1=float(sec.get("c1", "0.5")), c2=float(sec.get("c2", "0")),
-                    c3=float(sec.get("c3", "0")),
-                    b1=MeanPoly2(_floats(sec.get("b1_mean", "0"))),
-                    b2_x=_floats(sec.get("b2_x", "0")),
-                    f1_x=_floats(sec.get("f1_x", "0")),
-                    terminal=terminal,
-                )
-            if family == "disp_example":
-                return disp_example_model(
-                    c=float(sec.get("c", "0.5")),
-                    b1=MeanPoly2(_floats(sec.get("b1_mean", "0"))),
-                    f1_x=_floats(sec.get("f1_x", "0")),
-                    q1=float(sec.get("q1", "0")), q2=float(sec.get("q2", "0")),
-                    terminal=terminal,
-                )
-            if family == "anti_example":
-                return anti_example_model(
-                    c=float(sec.get("c", "0.5")),
-                    gamma=float(sec.get("gamma", "1")),
-                    l0=float(sec.get("l0", "1")),
-                    b1=MeanPoly2(_floats(sec.get("b1_mean", "0"))),
-                    f1_x=_floats(sec.get("f1_x", "0")),
-                    q1=float(sec.get("q1", "0")), q2=float(sec.get("q2", "0")),
-                    terminal=terminal,
-                )
-        except (ValueError, ModelError) as err:
-            raise ConfigError(f"invalid model parameters: {err}") from err
-        raise ConfigError(f"unknown model family {family!r}")
+    def model(self) -> Model:
+        return preset_model(self.model_section, self.terminal_cost())
 
     def grid(self) -> Grid:
         sec = self.grid_section
@@ -180,10 +179,10 @@ class ExperimentConfig:
                                           float(sec.get("hi", "1")))
             if kind == "atoms":
                 atoms = np.asarray(_floats(sec.get("values", "")))
-                return EmpiricalMeasure(atoms[:, None], np.full(len(atoms), 1.0 / len(atoms)))
-        except (ValueError, Exception) as err:
-            if isinstance(err, ConfigError):
-                raise
+                return EmpiricalMeasure(atoms[:, None], None)  # uniform weights
+        except ConfigError:
+            raise
+        except ValueError as err:  # includes MeasureError
             raise ConfigError(f"invalid particle section: {err}") from err
         raise ConfigError(f"unknown particle cloud kind {sec.get('kind')!r}")
 
@@ -232,9 +231,9 @@ class ExperimentConfig:
                 anti_l_bar=float(anti.get("l_bar", "0")),
                 anti_lu_xx=float(anti.get("lu_xx", "0")),
             )
-        except (ValueError, Exception) as err:
-            if isinstance(err, ConfigError):
-                raise
+        except ConfigError:
+            raise
+        except (ValueError, GateError) as err:
             raise ConfigError(f"invalid monotonicity section: {err}") from err
 
     def validate(self) -> None:

@@ -57,11 +57,6 @@ class EmpiricalMeasure:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def from_points(cls, points, weights=None) -> "EmpiricalMeasure":
-        pts = _as_points(points)
-        return cls(pts, _as_weights(weights, pts.shape[0]))
-
     @property
     def n(self) -> int:
         return self.points.shape[0]
@@ -114,11 +109,6 @@ class JointEmpiricalMeasure:
         object.__setattr__(self, "seconds", a)
         object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def from_pairs(cls, states, seconds, weights=None) -> "JointEmpiricalMeasure":
-        s = _as_points(states)
-        return cls(s, _as_points(seconds), _as_weights(weights, s.shape[0]))
-
     @property
     def n(self) -> int:
         return self.states.shape[0]
@@ -139,52 +129,11 @@ class JointEmpiricalMeasure:
             raise MeasureError("flat view requires d = 1")
         return self.seconds[:, 0]
 
-    def state_mean(self, coordinate: int = 0) -> float:
-        # cached: the cloud is immutable and the solver queries means per call
-        cache = self.__dict__.get("_mean_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_mean_cache", cache)
-        key = ("s", coordinate)
-        if key not in cache:
-            cache[key] = float(self.weights @ self.states[:, coordinate])
-        return cache[key]
-
     def second_mean(self, coordinate: int = 0) -> float:
-        cache = self.__dict__.get("_mean_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_mean_cache", cache)
-        key = ("a", coordinate)
-        if key not in cache:
-            cache[key] = float(self.weights @ self.seconds[:, coordinate])
-        return cache[key]
-
-    def second_marginal(self) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.seconds, self.weights)
+        return float(self.weights @ self.seconds[:, coordinate])
 
     def with_seconds(self, seconds) -> "JointEmpiricalMeasure":
         return JointEmpiricalMeasure(self.states, _as_points(seconds), self.weights)
-
-    def is_uniform(self) -> bool:
-        return bool(np.all(np.abs(self.weights - 1.0 / self.n) <= WEIGHT_TOL))
-
-
-def _trusted_joint(states: np.ndarray, seconds: np.ndarray,
-                   weights: np.ndarray) -> JointEmpiricalMeasure:
-    """Validation-free constructor for solver-internal arrays of known shape."""
-    m = object.__new__(JointEmpiricalMeasure)
-    object.__setattr__(m, "states", states)
-    object.__setattr__(m, "seconds", seconds)
-    object.__setattr__(m, "weights", weights)
-    return m
-
-
-def _trusted_measure(points: np.ndarray, weights: np.ndarray) -> EmpiricalMeasure:
-    m = object.__new__(EmpiricalMeasure)
-    object.__setattr__(m, "points", points)
-    object.__setattr__(m, "weights", weights)
-    return m
 
 
 def first_marginal(joint: JointEmpiricalMeasure) -> EmpiricalMeasure:
@@ -238,6 +187,13 @@ def mixture(a, b, weight_b: float):
     return EmpiricalMeasure(np.concatenate([a.points, b.points]), w)
 
 
+def _levels(n: int) -> np.ndarray:
+    """Midpoint quantile levels (i + 1/2)/n of an n-atom cloud."""
+    if n < 1:
+        raise MeasureError(f"a cloud needs at least one atom, got n = {n}")
+    return (np.arange(n) + 0.5) / n
+
+
 def resample_quantile(m: EmpiricalMeasure, n: int) -> EmpiricalMeasure:
     """Stratified inverse-CDF resampling of a d=1 cloud back to n uniform atoms.
 
@@ -250,7 +206,7 @@ def resample_quantile(m: EmpiricalMeasure, n: int) -> EmpiricalMeasure:
     order = np.argsort(m.x, kind="stable")
     xs = m.x[order]
     cum = np.cumsum(m.weights[order])
-    levels = (np.arange(n) + 0.5) / n
+    levels = _levels(n)
     idx = np.searchsorted(cum, levels, side="left")
     idx = np.clip(idx, 0, m.n - 1)
     return EmpiricalMeasure(xs[idx][:, None], np.full(n, 1.0 / n))
@@ -258,12 +214,12 @@ def resample_quantile(m: EmpiricalMeasure, n: int) -> EmpiricalMeasure:
 
 def gaussian_quantile_cloud(n: int, mean: float = 0.0, sd: float = 1.0) -> EmpiricalMeasure:
     """Deterministic Gaussian cloud: stratified quantiles of N(mean, sd^2)."""
-    levels = (np.arange(n) + 0.5) / n
+    levels = _levels(n)
     return EmpiricalMeasure((mean + sd * ndtri(levels))[:, None], np.full(n, 1.0 / n))
 
 
 def uniform_grid_cloud(n: int, lo: float, hi: float) -> EmpiricalMeasure:
-    levels = (np.arange(n) + 0.5) / n
+    levels = _levels(n)
     return EmpiricalMeasure((lo + (hi - lo) * levels)[:, None], np.full(n, 1.0 / n))
 
 

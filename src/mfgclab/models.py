@@ -1,86 +1,70 @@
-"""Mean-field-game-of-controls problem instances.
+"""Mean field games of controls: one control-averaged coefficient model.
 
-A model bundles the drift b(x, a, nu), running cost f(x, a, nu), terminal
-cost g(x, mu), the pointwise minimiser phi of the pre-Hamiltonian, and the
-fixed point Phi mapping a (state, momentum) law to the consistent
-(state, control) law.  Built-in families carry closed-form Hamiltonians and
-closed-form derivatives of the reduced Hamiltonian
+Every model sees the joint law nu of (state, control) only through its two
+means m1 = E_nu[xi] and m2 = E_nu[alpha]:
 
-    Hhat(x, p, rho) = H(x, p, Phi(rho)),
+    b(x, a, nu) = -B0(x, m1) a + b1_x(x) + B(m1, m2),
+    f(x, a, nu) = a^2/2 - a f0(x, m1, m2) + f1_x(x) + x (q1 m1 + q2 m2),
+    g(x, mu)    = (gxx/2) x^2 + gxm x E_mu[xi] + gx x + gm2 E_mu[xi]^2,
 
-against which a finite-difference fallback is cross-checked.  All built-in
-families are one-dimensional in state and control.
+with B0 = b0c + b0x x + b0m m1, f0 = f0c + f0x x + f0mu m1 + f0m m2, b1_x and
+f1_x polynomials in x, and B a polynomial of total degree <= 2 in (m1, m2).
+Everything is in closed form, vectorised over (x, p) arrays and the moments:
+
+- the minimiser a* = f0 + p B0 of a -> p b + f, and the Hamiltonian
+  H = -a*^2/2 + p (b1_x + B) + f1_x + x (q1 m1 + q2 m2), with H_p = b(x, a*);
+- the control-law fixed point Phi mapping a (state, momentum) law rho to the
+  consistent (state, control) law.  Its control mean solves a linear
+  equation, well posed while f0m <= 1 - CONTRACTION_EPS;
+- the derivatives of the reduced Hamiltonian Hhat(x, p, rho) = H(x, p, Phi(rho)).
+
+States and controls are one-dimensional; laws are uniform particle clouds
+given by their atoms.  The INI families of ``config.py`` are presets:
+
+    family        b0          f0             b1_x      B        f1_x                    q1  q2
+    separable     (-1, 0, 0)  0              0         0        f1_x                    q1  0
+    ll_example    (1, 0, 0)   (0, 0, 0, c1)  b2_x      b1_mean  f1_x                    c2  c3
+    disp_example  (1, 0, 0)   (0, 0, 0, c)   0         b1_mean  f1_x                    q1  q2
+    anti_example  (1, 0, 0)   (0, 0, 0, c)   (0, -l0)  b1_mean  f1_x - gamma l0 x^2/2   q1  q2
+    meanfield_1d  b0          f0             b1_x      b1_mean  f1_x                    q1  q2
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (
-    EmpiricalMeasure,
-    JointEmpiricalMeasure,
-    _trusted_joint,
-    first_marginal,
-    flow_distance,
-)
+from .measures import EmpiricalMeasure
 from .reports import ConditionReport
 
-# Finite-difference steps: relative steps for point variables, absolute-ish
-# steps for single-particle perturbations (those carry an extra factor N and
-# amplify round-off, hence the larger step).  Second-order point derivatives
-# divide by h^2, so they need the quarter-power step to stay below round-off.
+# Relative step of the central difference in p that checks H_p against H.
 FD_STEP_POINT = 1e-5
-FD_STEP_SECOND = 1e-4
-FD_STEP_PARTICLE = 1e-4
+# The control-law fixed point needs df0/dm2 <= 1 - CONTRACTION_EPS.
+CONTRACTION_EPS = 1e-3
 
 
 class ModelError(ValueError):
-    """Raised for ill-posed model evaluations (bad minimiser, bad family parameters)."""
+    """Raised for ill-posed model coefficients."""
 
 
-class FixedPointError(RuntimeError):
-    """Raised when the control-law fixed point iteration fails to converge."""
-
-    def __init__(self, message: str, iterations: int, residual: float):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
-
-
-# ---------------------------------------------------------------------------
-# small polynomial helpers
-# ---------------------------------------------------------------------------
-
-def poly_val(coeffs, x):
-    return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), np.asarray(coeffs, dtype=float))
+def _coeffs(values) -> tuple:
+    """Float polynomial coefficients, lowest degree first, trailing zeros dropped."""
+    c = [float(v) for v in values]
+    while len(c) > 1 and c[-1] == 0.0:
+        c.pop()
+    return tuple(c) or (0.0,)
 
 
-def poly_der(coeffs, order: int = 1) -> np.ndarray:
-    return np.polynomial.polynomial.polyder(np.asarray(coeffs, dtype=float), order)
+def _poly(coeffs: tuple, x):
+    """Horner evaluation of sum_k coeffs[k] x^k; a float for a constant polynomial."""
+    out = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out = out * x + c
+    return out
 
 
-def _poly_closure(coeffs):
-    """Specialised evaluator for low-degree polynomials (hot solver path)."""
-    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    if c.size == 0:
-        return lambda x: 0.0 * np.asarray(x, dtype=float)
-    if c.size == 1:
-        a0 = float(c[0])
-        return lambda x: a0 + 0.0 * np.asarray(x, dtype=float)
-    if c.size == 2:
-        a0, a1 = (float(v) for v in c)
-        return lambda x: a0 + a1 * np.asarray(x, dtype=float)
-    if c.size == 3:
-        a0, a1, a2 = (float(v) for v in c)
-
-        def quad(x):
-            xv = np.asarray(x, dtype=float)
-            return (a2 * xv + a1) * xv + a0
-
-        return quad
-    return lambda x: poly_val(c, x)
+def _der(coeffs: tuple) -> tuple:
+    return tuple(k * coeffs[k] for k in range(1, len(coeffs))) or (0.0,)
 
 
 @dataclass(frozen=True)
@@ -147,22 +131,8 @@ class QuadraticTerminalCost:
 
 
 @dataclass(frozen=True)
-class HatDerivatives:
-    """Derivative record of the reduced Hamiltonian at one evaluation point."""
-
-    h_p: float
-    h_pp: float
-    h_xx: float
-    h_xp: float
-    h_xrho1: float
-    h_xrho2: float
-    h_prho1: float
-    h_prho2: float
-
-
-@dataclass(frozen=True)
 class HatTable:
-    """Vectorised hat-derivatives over the atoms of one (state, momentum) law.
+    """Hat derivatives over the atoms of one (state, momentum) law.
 
     Per-atom arrays have shape (n,); the measure-derivative entries are
     (n, n) with [i, j] = derivative at base atom i, support atom j.
@@ -178,291 +148,123 @@ class HatTable:
     h_prho2: np.ndarray
 
 
-@dataclass
-class ModelSpec:
-    """A mean field game of controls problem instance.
+@dataclass(frozen=True)
+class Model:
+    """Coefficients of the control-averaged model; see the module docstring.
 
-    The point arguments of ``b_eval``, ``f_eval``, ``g_eval`` and ``phi_eval``
-    broadcast over numpy arrays; measure arguments are fixed cloud objects.
-    Closed-form hooks are optional; generic fallbacks (golden-section
-    minimisation, finite differences) cover their absence.
+    b0 = (b0c, b0x, b0m), f0 = (f0c, f0x, f0mu, f0m); b1_x and f1_x list
+    polynomial coefficients, lowest degree first.
     """
 
-    b_eval: Callable
-    f_eval: Callable
-    g_eval: Callable
-    phi_eval: Callable | None = None
-    beta: float = 0.0
-    closed_form_tag: str | None = None
-    params: dict = field(default_factory=dict)
-    a_max: float = 12.0
-    h_closed: Callable | None = None
-    hat_closed: Callable | None = None      # (x, p, rho, x_t, p_t) -> HatDerivatives
-    fixed_point_closed: Callable | None = None  # rho -> JointEmpiricalMeasure
-    terminal: QuadraticTerminalCost | None = None
+    b0: tuple = (1.0, 0.0, 0.0)
+    f0: tuple = (0.0, 0.0, 0.0, 0.0)
+    b1_x: tuple = (0.0,)
+    B: MeanPoly2 = MeanPoly2.zero()
+    f1_x: tuple = (0.0,)
+    q1: float = 0.0
+    q2: float = 0.0
+    g: QuadraticTerminalCost = QuadraticTerminalCost()
+
+    def __post_init__(self):
+        b0 = tuple(float(v) for v in self.b0)
+        f0 = tuple(float(v) for v in self.f0)
+        if len(b0) != 3 or len(f0) != 4:
+            raise ModelError(f"b0 takes 3 and f0 takes 4 coefficients, got {len(b0)} and {len(f0)}")
+        if f0[3] > 1.0 - CONTRACTION_EPS:
+            raise ModelError(
+                f"contraction bound violated: df0/dm = {f0[3]} > 1 - {CONTRACTION_EPS}")
+        for name, value in (("b0", b0), ("f0", f0), ("b1_x", _coeffs(self.b1_x)),
+                            ("f1_x", _coeffs(self.f1_x)), ("q1", float(self.q1)),
+                            ("q2", float(self.q2))):
+            object.__setattr__(self, name, value)
+
+    def control(self, x, p, m1, m2):
+        """The minimiser a* = f0(x, m1, m2) + p B0(x, m1) of a -> p b + f."""
+        b0c, b0x, b0m = self.b0
+        f0c, f0x, f0mu, f0m = self.f0
+        return f0c + f0mu * m1 + f0m * m2 + f0x * x + p * (b0c + b0m * m1 + b0x * x)
+
+    def drift(self, x, a, m1, m2):
+        b0c, b0x, b0m = self.b0
+        return -(b0c + b0m * m1 + b0x * x) * a + _poly(self.b1_x, x) + self.B(m1, m2)
+
+    def cost(self, x, a, m1, m2):
+        f0c, f0x, f0mu, f0m = self.f0
+        return (0.5 * a * a - a * (f0c + f0mu * m1 + f0m * m2 + f0x * x)
+                + _poly(self.f1_x, x) + x * (self.q1 * m1 + self.q2 * m2))
 
 
-# ---------------------------------------------------------------------------
-# core operations
-# ---------------------------------------------------------------------------
-
-def _golden_section_min(fun, lo: float, hi: float, iters: int = 90):
-    """Vectorised golden-section minimisation of a -> fun(a) on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a = lo
-    b = hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = fun(c)
-    fd = fun(d)
-    a = np.full_like(np.asarray(fc, dtype=float), lo)
-    b = np.full_like(a, hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = fun(c)
-    fd = fun(d)
-    for _ in range(iters):
-        take_left = fc < fd
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc = fun(c)
-        fd = fun(d)
-    return 0.5 * (a + b)
+def hamiltonian(model: Model, x, p, m1: float, m2: float):
+    """H(x, p, nu) = inf_a [p b(x, a, nu) + f(x, a, nu)] for nu with means (m1, m2)."""
+    a = model.control(x, p, m1, m2)
+    return (-0.5 * a**2 + p * (_poly(model.b1_x, x) + model.B(m1, m2))
+            + _poly(model.f1_x, x) + x * (model.q1 * m1 + model.q2 * m2))
 
 
-def minimizer_phi(model: ModelSpec, x, p, nu: JointEmpiricalMeasure):
-    """Unique minimiser a* of a -> p*b(x,a,nu) + f(x,a,nu)."""
-    if model.phi_eval is not None:
-        a_star = np.asarray(model.phi_eval(x, p, nu), dtype=float)
-        if not np.all(np.isfinite(a_star)):
-            raise ModelError("closed-form minimiser returned non-finite controls")
-        return a_star
-
-    xb, pb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
-
-    def objective(a):
-        return pb * model.b_eval(xb, a, nu) + model.f_eval(xb, a, nu)
-
-    a_star = _golden_section_min(objective, -model.a_max, model.a_max)
-    if not np.all(np.isfinite(a_star)):
-        raise ModelError("numeric minimisation produced non-finite controls")
-    edge = 1e-6 * 2.0 * model.a_max
-    if np.any(a_star < -model.a_max + edge) or np.any(a_star > model.a_max - edge):
-        raise ModelError(
-            "minimiser landed on the control bracket boundary; the model is "
-            f"unbounded or a_max={model.a_max} is too small"
-        )
-    return a_star
+def hamiltonian_dp(model: Model, x, p, m1: float, m2: float):
+    """dH/dp = b(x, a*, nu), the optimal drift."""
+    return model.drift(x, model.control(x, p, m1, m2), m1, m2)
 
 
-def hamiltonian(model: ModelSpec, x, p, nu: JointEmpiricalMeasure):
-    """H(x, p, nu) = inf_a [p*b(x,a,nu) + f(x,a,nu)], vectorised over x and p."""
-    if nu.n < 1:
-        raise ModelError("Hamiltonian needs a nonempty interaction law")
-    if model.h_closed is not None:
-        # closed forms are finite whenever their inputs are; the solver checks
-        # the value grid level by level
-        return model.h_closed(x, p, nu)
-    a_star = minimizer_phi(model, x, p, nu)
-    value = np.asarray(p, dtype=float) * model.b_eval(x, a_star, nu) + model.f_eval(x, a_star, nu)
-    if not np.all(np.isfinite(value)):
-        raise ModelError("Hamiltonian evaluation is non-finite")
-    return value
+def _means(model: Model, x: np.ndarray, p: np.ndarray):
+    """(m1, e, m2*): the state and momentum means of the uniform law of the
+    atoms (x_i, p_i) and the control mean of its fixed point; the last axis
+    runs over atoms."""
+    b0c, b0x, b0m = model.b0
+    f0c, f0x, f0mu, f0m = model.f0
+    w = np.full(x.shape[-1], 1.0 / x.shape[-1])
+    m1, e, s = x @ w, p @ w, (x * p) @ w
+    return m1, e, (f0c + (f0x + f0mu) * m1 + (b0c + b0m * m1) * e + b0x * s) / (1.0 - f0m)
 
 
-def hamiltonian_dp(model: ModelSpec, x, p, nu: JointEmpiricalMeasure, step: float = FD_STEP_POINT):
-    """dH/dp by central differences, vectorised."""
-    pv = np.asarray(p, dtype=float)
-    h = step * np.maximum(1.0, np.abs(pv))
-    return (hamiltonian(model, x, pv + h, nu) - hamiltonian(model, x, pv - h, nu)) / (2.0 * h)
+def fixed_point_phi(model: Model, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Controls of Phi(rho) for the uniform law rho of the atoms (x_i, p_i).
 
-
-def fixed_point_phi(model: ModelSpec, rho: JointEmpiricalMeasure) -> JointEmpiricalMeasure:
-    """Consistent (state, control) law Phi(rho) for a (state, momentum) law rho."""
-    if model.fixed_point_closed is None:
-        raise ModelError(
-            "model does not support the control-law fixed point; use a built-in "
-            "family or supply fixed_point_closed"
-        )
-    nu = model.fixed_point_closed(rho)
-    if nu.states is not rho.states and not np.array_equal(nu.states, rho.states):
-        raise ModelError("fixed point must preserve the state marginal atoms")
-    return nu
-
-
-def fixed_point_residual(model: ModelSpec, rho: JointEmpiricalMeasure,
-                         nu: JointEmpiricalMeasure) -> float:
-    """Distance between nu and its image under the consistency map at momenta rho.
-
-    Applies a -> phi(xi, eta, nu) atomwise and measures the control-marginal
-    flow distance to nu itself; zero at the fixed point.
+    Each atom keeps its state and takes the control f0(x_i, m1, m2*) +
+    p_i B0(x_i); leading axes of x and p are independent laws.
     """
-    controls = minimizer_phi(model, rho.x, rho.a, nu)
-    image = JointEmpiricalMeasure(rho.states, np.asarray(controls)[:, None], rho.weights)
-    return flow_distance(image.second_marginal(), nu.second_marginal())
+    m1, _, m2 = _means(model, x, p)
+    return model.control(x, p, np.expand_dims(m1, -1), np.expand_dims(m2, -1))
 
 
-def _contraction_fixed_point(psi, m0: float, tol: float = 1e-12, max_iter: int = 200,
-                             damping: float = 1.0) -> float:
-    m = float(m0)
-    residual = np.inf
-    for iteration in range(max_iter):
-        value = float(psi(m))
-        residual = abs(value - m)
-        if not np.isfinite(value):
-            raise FixedPointError("scalar fixed-point iteration diverged", iteration, residual)
-        if residual <= tol:
-            return value
-        m = m + damping * (value - m)
-    raise FixedPointError(
-        f"scalar fixed-point iteration did not reach tol={tol} after {max_iter} "
-        "iterations; contraction hypothesis violated",
-        max_iter,
-        residual,
-    )
+def hat_derivative_table(model: Model, x: np.ndarray, p: np.ndarray) -> HatTable:
+    """Derivatives of Hhat over every (base atom, support atom) pair of the
+    uniform law of the atoms (x_i, p_i).
 
-
-def hat_hamiltonian(model: ModelSpec, x, p, rho: JointEmpiricalMeasure):
-    """Reduced Hamiltonian Hhat(x, p, rho) = H(x, p, Phi(rho))."""
-    return hamiltonian(model, x, p, fixed_point_phi(model, rho))
-
-
-def _perturbed_joint(rho: JointEmpiricalMeasure, j: int, delta: float, component: int) -> JointEmpiricalMeasure:
-    states = rho.states.copy()
-    seconds = rho.seconds.copy()
-    if component == 0:
-        states[j, 0] += delta
-    else:
-        seconds[j, 0] += delta
-    return JointEmpiricalMeasure(states, seconds, rho.weights)
-
-
-def _support_index(rho: JointEmpiricalMeasure, x_t: float, p_t: float) -> int:
-    match = np.flatnonzero(
-        (np.abs(rho.x - x_t) <= 1e-9 * np.maximum(1.0, np.abs(x_t)))
-        & (np.abs(rho.a - p_t) <= 1e-9 * np.maximum(1.0, np.abs(p_t)))
-    )
-    if match.size == 0:
-        raise ModelError("measure-derivative evaluation point is not a support atom of rho")
-    return int(match[0])
-
-
-def _hat_derivatives_fd(model: ModelSpec, x: float, p: float, rho: JointEmpiricalMeasure,
-                        x_t: float, p_t: float) -> HatDerivatives:
-    if not rho.is_uniform():
-        raise ModelError("finite-difference measure derivatives need uniform weights")
-    j = _support_index(rho, x_t, p_t)
-    n = rho.n
-
-    def hh(xx, pp, rr):
-        return float(hat_hamiltonian(model, xx, pp, rr))
-
-    hx = FD_STEP_SECOND * max(1.0, abs(x))
-    hp = FD_STEP_SECOND * max(1.0, abs(p))
-    h1 = FD_STEP_POINT * max(1.0, abs(p))
-    e = FD_STEP_PARTICLE
-
-    base = hh(x, p, rho)
-    h_p = (hh(x, p + h1, rho) - hh(x, p - h1, rho)) / (2 * h1)
-    h_pp = (hh(x, p + hp, rho) - 2 * base + hh(x, p - hp, rho)) / hp**2
-    h_xx = (hh(x + hx, p, rho) - 2 * base + hh(x - hx, p, rho)) / hx**2
-    h_xp = (
-        hh(x + hx, p + hp, rho) - hh(x + hx, p - hp, rho)
-        - hh(x - hx, p + hp, rho) + hh(x - hx, p - hp, rho)
-    ) / (4 * hx * hp)
-
-    out = {}
-    for name, point_step, comp in (
-        ("h_xrho1", hx, 0), ("h_xrho2", hx, 1), ("h_prho1", hp, 0), ("h_prho2", hp, 1),
-    ):
-        in_p = name.startswith("h_p")
-        rp = _perturbed_joint(rho, j, +e, comp)
-        rm = _perturbed_joint(rho, j, -e, comp)
-        if in_p:
-            cross = (
-                hh(x, p + point_step, rp) - hh(x, p - point_step, rp)
-                - hh(x, p + point_step, rm) + hh(x, p - point_step, rm)
-            )
-        else:
-            cross = (
-                hh(x + point_step, p, rp) - hh(x - point_step, p, rp)
-                - hh(x + point_step, p, rm) + hh(x - point_step, p, rm)
-            )
-        out[name] = n * cross / (4 * point_step * e)
-
-    if not all(np.isfinite(v) for v in out.values()):
-        raise ModelError("finite-difference hat derivatives are non-finite")
-    return HatDerivatives(h_p=h_p, h_pp=h_pp, h_xx=h_xx, h_xp=h_xp, **out)
-
-
-def hat_derivatives(model: ModelSpec, x: float, p: float, rho: JointEmpiricalMeasure,
-                    x_t: float, p_t: float) -> HatDerivatives:
-    """Derivatives of Hhat at (x, p, rho), measure entries at support atom (x_t, p_t).
-
-    Closed forms for the built-in families; otherwise central finite
-    differences, with single-particle perturbations carrying the factor N of
-    the empirical projection of measure derivatives.
+    Measure derivatives are the empirical projections (N times the partial
+    derivative in one atom); they depend on the support atom j, through x_j
+    and p_j, only when b0x != 0.
     """
-    if model.hat_closed is not None:
-        return model.hat_closed(float(x), float(p), rho, float(x_t), float(p_t))
-    return _hat_derivatives_fd(model, float(x), float(p), rho, float(x_t), float(p_t))
-
-
-def hat_derivative_table(model: ModelSpec, rho: JointEmpiricalMeasure,
-                         xs=None, ps=None) -> HatTable:
-    """Hat derivatives over every (base atom, support atom) pair of rho.
-
-    ``xs``/``ps`` override the base evaluation points (defaults: the atoms of
-    rho itself, which is the convention used by the quadratic-form conditions
-    and the variational dynamics).
-    """
-    xs = rho.x if xs is None else np.asarray(xs, dtype=float)
-    ps = rho.a if ps is None else np.asarray(ps, dtype=float)
-    n_base = xs.shape[0]
-    n_sup = rho.n
-    if model.hat_closed is not None:
-        # Built-in families have measure derivatives that depend only on the
-        # base point (through x, p) and the moments of rho, not on the
-        # individual support atom; evaluate once per base point and broadcast.
-        recs = [model.hat_closed(float(xs[i]), float(ps[i]), rho, float(rho.x[0]), float(rho.a[0]))
-                for i in range(n_base)]
-        def col(name):
-            return np.array([getattr(r, name) for r in recs])
-        ones = np.ones((n_base, n_sup))
-        return HatTable(
-            h_p=col("h_p"), h_pp=col("h_pp"), h_xx=col("h_xx"), h_xp=col("h_xp"),
-            h_xrho1=col("h_xrho1")[:, None] * ones,
-            h_xrho2=col("h_xrho2")[:, None] * ones,
-            h_prho1=col("h_prho1")[:, None] * ones,
-            h_prho2=col("h_prho2")[:, None] * ones,
-        )
-    point = np.empty((n_base, 4))
-    xr1 = np.empty((n_base, n_sup))
-    xr2 = np.empty_like(xr1)
-    pr1 = np.empty_like(xr1)
-    pr2 = np.empty_like(xr1)
-    for i in range(n_base):
-        for j in range(n_sup):
-            rec = _hat_derivatives_fd(model, float(xs[i]), float(ps[i]), rho,
-                                      float(rho.x[j]), float(rho.a[j]))
-            if j == 0:
-                point[i] = (rec.h_p, rec.h_pp, rec.h_xx, rec.h_xp)
-            xr1[i, j] = rec.h_xrho1
-            xr2[i, j] = rec.h_xrho2
-            pr1[i, j] = rec.h_prho1
-            pr2[i, j] = rec.h_prho2
+    b0c, b0x, b0m = model.b0
+    _, f0x, f0mu, f0m = model.f0
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    m1, e, m2 = _means(model, x, p)
+    b_0 = b0c + b0m * m1 + b0x * x
+    a = model.control(x, p, m1, m2)
+    a_x = f0x + p * b0x
+    d1 = (f0x + f0mu + b0m * e + b0x * p) / (1.0 - f0m)
+    d2 = b_0 / (1.0 - f0m)
+    kx = model.q2 - a_x * f0m
+    kp = model.B.d_m2(m1, m2) - b_0 * f0m
     return HatTable(
-        h_p=point[:, 0], h_pp=point[:, 1], h_xx=point[:, 2], h_xp=point[:, 3],
-        h_xrho1=xr1, h_xrho2=xr2, h_prho1=pr1, h_prho2=pr2,
+        h_p=-a * b_0 + _poly(model.b1_x, x) + model.B(m1, m2),
+        h_pp=-b_0**2,
+        h_xx=-a_x**2 + p * _poly(_der(_der(model.b1_x)), x) + _poly(_der(_der(model.f1_x)), x),
+        h_xp=-a_x * b_0 - a * b0x + _poly(_der(model.b1_x), x),
+        h_xrho1=(model.q1 - a_x * (f0mu + p * b0m))[:, None] + np.outer(kx, d1),
+        h_xrho2=np.outer(kx, d2),
+        h_prho1=(model.B.d_m1(m1, m2) - b_0 * (f0mu + p * b0m) - a * b0m)[:, None]
+        + np.outer(kp, d1),
+        h_prho2=np.outer(kp, d2),
     )
 
 
-def verify_envelope_identities(model: ModelSpec, sample_count: int = 200, seed: int = 0,
+def verify_envelope_identities(model: Model, sample_count: int = 200, seed: int = 0,
                                tol: float = 1e-6, fd_step: float = FD_STEP_POINT,
                                cloud_size: int = 8) -> ConditionReport:
-    """Check b(x, phi, nu) = dH/dp and f(x, phi, nu) = H - p*dH/dp on random triples."""
+    """Check b(x, a*, nu) = dH/dp and f(x, a*, nu) = H - p dH/dp on random
+    triples, with dH/dp a central difference of the closed-form H."""
     rng = np.random.default_rng(seed)
     worst = np.inf
     worst_residual = 0.0
@@ -470,16 +272,14 @@ def verify_envelope_identities(model: ModelSpec, sample_count: int = 200, seed: 
     for k in range(sample_count):
         x = float(rng.normal(0.0, 2.0))
         p = float(rng.normal(0.0, 2.0))
-        nu = JointEmpiricalMeasure(
-            rng.normal(0.0, 1.0, (cloud_size, 1)),
-            rng.normal(0.0, 1.0, (cloud_size, 1)),
-            np.full(cloud_size, 1.0 / cloud_size),
-        )
-        a_star = float(minimizer_phi(model, x, p, nu))
-        h_val = float(hamiltonian(model, x, p, nu))
-        hp = float(hamiltonian_dp(model, x, p, nu, step=fd_step))
-        r_drift = abs(float(model.b_eval(x, a_star, nu)) - hp)
-        r_cost = abs(float(model.f_eval(x, a_star, nu)) - (h_val - p * hp))
+        m1, m2 = (float(np.mean(rng.normal(0.0, 1.0, cloud_size))) for _ in range(2))
+        a_star = float(model.control(x, p, m1, m2))
+        h_val = float(hamiltonian(model, x, p, m1, m2))
+        h = fd_step * max(1.0, abs(p))
+        hp = float(hamiltonian(model, x, p + h, m1, m2)
+                   - hamiltonian(model, x, p - h, m1, m2)) / (2.0 * h)
+        r_drift = abs(float(model.drift(x, a_star, m1, m2)) - hp)
+        r_cost = abs(float(model.cost(x, a_star, m1, m2)) - (h_val - p * hp))
         residual = max(r_drift, r_cost)
         margin = tol - residual
         if margin < worst:
@@ -495,300 +295,4 @@ def verify_envelope_identities(model: ModelSpec, sample_count: int = 200, seed: 
         tolerance=tol,
         witness=None if passed else witness,
         details={"max_residual": worst_residual, "fd_step": fd_step},
-    )
-
-
-# ---------------------------------------------------------------------------
-# built-in family: separable drift/cost
-# ---------------------------------------------------------------------------
-
-def separable_model(f1_x=(0.0,), q1: float = 0.0,
-                    terminal: QuadraticTerminalCost | None = None,
-                    a_max: float = 12.0) -> ModelSpec:
-    """b = a, f = a^2/2 + f1(x) + q1*x*E_mu[xi]; the control law decouples.
-
-    The minimiser phi = -p depends on nu only through its first marginal, so
-    the fixed point is the atomwise map (xi, eta) -> (xi, -eta).
-    """
-    f1c = np.asarray(f1_x, dtype=float)
-    f1_fn = _poly_closure(f1c)
-    terminal = terminal if terminal is not None else QuadraticTerminalCost()
-
-    def b_eval(x, a, nu):
-        return np.asarray(a, dtype=float) + 0.0 * np.asarray(x, dtype=float)
-
-    def f_eval(x, a, nu):
-        xv = np.asarray(x, dtype=float)
-        av = np.asarray(a, dtype=float)
-        return 0.5 * av**2 + f1_fn(xv) + q1 * xv * nu.state_mean()
-
-    def phi_eval(x, p, nu):
-        return -np.asarray(p, dtype=float) + 0.0 * np.asarray(x, dtype=float)
-
-    def h_closed(x, p, nu):
-        xv = np.asarray(x, dtype=float)
-        pv = np.asarray(p, dtype=float)
-        return -0.5 * pv**2 + f1_fn(xv) + q1 * xv * nu.state_mean()
-
-    def fixed_point_closed(rho):
-        return _trusted_joint(rho.states, -rho.seconds, rho.weights)
-
-    f1_dd = poly_der(f1c, 2) if f1c.size > 2 else np.zeros(1)
-
-    def hat_closed(x, p, rho, x_t, p_t):
-        return HatDerivatives(
-            h_p=-p, h_pp=-1.0, h_xx=float(poly_val(f1_dd, x)), h_xp=0.0,
-            h_xrho1=q1, h_xrho2=0.0, h_prho1=0.0, h_prho2=0.0,
-        )
-
-    params = {"q1": q1, "f1_x": tuple(f1c.tolist())}
-    return ModelSpec(
-        b_eval=b_eval, f_eval=f_eval, g_eval=terminal, phi_eval=phi_eval,
-        closed_form_tag="separable", params=params, a_max=a_max,
-        h_closed=h_closed, hat_closed=hat_closed, fixed_point_closed=fixed_point_closed,
-        terminal=terminal,
-    )
-
-
-# ---------------------------------------------------------------------------
-# built-in family: mean-field coupling through the control law (d = 1)
-# ---------------------------------------------------------------------------
-
-def meanfield_model(b0=(1.0, 0.0, 0.0), f0=(0.0, 0.0, 0.0, 0.0),
-                    b1_x=(0.0,), b1_mean: MeanPoly2 | None = None,
-                    f1_x=(0.0,), q1: float = 0.0, q2: float = 0.0,
-                    contraction_eps: float = 1e-3,
-                    f0_override: Callable | None = None,
-                    terminal: QuadraticTerminalCost | None = None,
-                    a_max: float = 12.0) -> ModelSpec:
-    """Control-averaged coupling family.
-
-    b(x, a, nu) = -b0(x, mu) a + b1(x, nu),
-    f(x, a, nu) = a^2/2 - a f0(x, mu, E_nu[alpha]) + f1(x, nu),
-
-    with b0 = b0_c + b0_x x + b0_m E_mu[xi], f0 = f0_c + f0_x x
-    + f0_mu E_mu[xi] + f0_m m, b1 = poly(x) + B(E_nu[xi], E_nu[alpha]) and
-    f1 = poly(x) + x (q1 E_nu[xi] + q2 E_nu[alpha]).  The minimiser is
-    phi = f0 + p b0 and the control-law fixed point reduces to a scalar
-    contraction in m = E_nu[alpha], which requires d f0/dm <= 1 - eps.
-
-    ``f0_override(x, mu_mean, m)`` replaces the affine f0; the contraction
-    bound is then sampled rather than exact, and a violation surfaces as a
-    FixedPointError at fixed-point time.
-    """
-    b0_c, b0_x, b0_m = (float(v) for v in b0)
-    f0_c, f0_x, f0_mu, f0_m = (float(v) for v in f0)
-    if f0_override is None and f0_m > 1.0 - contraction_eps:
-        raise ModelError(
-            f"contraction bound violated: df0/dm = {f0_m} > 1 - {contraction_eps}"
-        )
-    b1c = np.asarray(b1_x, dtype=float)
-    f1c = np.asarray(f1_x, dtype=float)
-    bmean = b1_mean if b1_mean is not None else MeanPoly2.zero()
-    terminal = terminal if terminal is not None else QuadraticTerminalCost()
-
-    def b0_fn(x, mu_mean):
-        return b0_c + b0_x * np.asarray(x, dtype=float) + b0_m * mu_mean
-
-    def f0_fn(x, mu_mean, m):
-        if f0_override is not None:
-            return f0_override(x, mu_mean, m)
-        return f0_c + f0_x * np.asarray(x, dtype=float) + f0_mu * mu_mean + f0_m * m
-
-    def b1_fn(x, nu):
-        return poly_val(b1c, x) + bmean(nu.state_mean(), nu.second_mean())
-
-    def f1_fn(x, nu):
-        xv = np.asarray(x, dtype=float)
-        return poly_val(f1c, xv) + xv * (q1 * nu.state_mean() + q2 * nu.second_mean())
-
-    def b_eval(x, a, nu):
-        return -b0_fn(x, nu.state_mean()) * np.asarray(a, dtype=float) + b1_fn(x, nu)
-
-    def f_eval(x, a, nu):
-        av = np.asarray(a, dtype=float)
-        return 0.5 * av**2 - av * f0_fn(x, nu.state_mean(), nu.second_mean()) + f1_fn(x, nu)
-
-    def phi_eval(x, p, nu):
-        return f0_fn(x, nu.state_mean(), nu.second_mean()) + np.asarray(p, dtype=float) * b0_fn(x, nu.state_mean())
-
-    def h_closed(x, p, nu):
-        a_star = phi_eval(x, p, nu)
-        return -0.5 * a_star**2 + np.asarray(p, dtype=float) * b1_fn(x, nu) + f1_fn(x, nu)
-
-    def fixed_point_closed(rho):
-        mu_mean = rho.state_mean()
-        xi = rho.x
-        eta = rho.a
-        w = rho.weights
-
-        def psi(m):
-            return float(w @ (f0_fn(xi, mu_mean, m) + b0_fn(xi, mu_mean) * eta))
-
-        damping = 1.0 if f0_m >= 0.0 else 1.0 / (1.0 - f0_m)
-        m_star = _contraction_fixed_point(psi, m0=float(w @ eta), damping=damping)
-        controls = f0_fn(xi, mu_mean, m_star) + b0_fn(xi, mu_mean) * eta
-        return JointEmpiricalMeasure(rho.states, np.asarray(controls)[:, None], rho.weights)
-
-    params = {
-        "b0": (b0_c, b0_x, b0_m), "f0": (f0_c, f0_x, f0_mu, f0_m),
-        "b1_x": tuple(b1c.tolist()), "b1_mean": bmean.coeffs,
-        "f1_x": tuple(f1c.tolist()), "q1": q1, "q2": q2,
-    }
-    return ModelSpec(
-        b_eval=b_eval, f_eval=f_eval, g_eval=terminal, phi_eval=phi_eval,
-        closed_form_tag="meanfield_1d", params=params, a_max=a_max,
-        h_closed=h_closed, fixed_point_closed=fixed_point_closed, terminal=terminal,
-    )
-
-
-# ---------------------------------------------------------------------------
-# built-in closed-form families (special cases of the control-averaged family)
-# ---------------------------------------------------------------------------
-
-def _control_coupled_model(c: float, tag: str, drift_x, drift_x_d1, drift_x_d2,
-                           bmean: MeanPoly2, fx, fx_d2, q1: float, q2: float,
-                           params: dict, terminal: QuadraticTerminalCost,
-                           a_max: float) -> ModelSpec:
-    """Shared engine for the families with b = -a + ..., f = a^2/2 - c a E[alpha] + ...
-
-    ``drift_x``/``fx`` are the pure-x parts of the drift and cost,
-    ``bmean(m1, m2)`` the mean coupling of the drift, and (q1, q2) the
-    coefficients of the x * (mean state, mean control) cost couplings.
-    The fixed point has the explicit form alpha = eta + chat * E[eta] with
-    chat = c/(1-c), cbar = 1/(1-c).
-    """
-    if not 0.0 <= c < 1.0:
-        raise ModelError(f"control-averaging weight must satisfy 0 <= c < 1, got {c}")
-    chat = c / (1.0 - c)
-    cbar = 1.0 / (1.0 - c)
-
-    def b_eval(x, a, nu):
-        return -np.asarray(a, dtype=float) + drift_x(x) + bmean(nu.state_mean(), nu.second_mean())
-
-    def f_eval(x, a, nu):
-        xv = np.asarray(x, dtype=float)
-        av = np.asarray(a, dtype=float)
-        m1 = nu.state_mean()
-        m2 = nu.second_mean()
-        return 0.5 * av**2 - c * av * m2 + fx(xv) + xv * (q1 * m1 + q2 * m2)
-
-    def phi_eval(x, p, nu):
-        return np.asarray(p, dtype=float) + c * nu.second_mean() + 0.0 * np.asarray(x, dtype=float)
-
-    def h_closed(x, p, nu):
-        xv = np.asarray(x, dtype=float)
-        pv = np.asarray(p, dtype=float)
-        m1 = nu.state_mean()
-        m2 = nu.second_mean()
-        return (-0.5 * (c * m2 + pv) ** 2 + pv * (drift_x(xv) + bmean(m1, m2))
-                + fx(xv) + xv * (q1 * m1 + q2 * m2))
-
-    def fixed_point_closed(rho):
-        shift = chat * rho.second_mean()
-        return _trusted_joint(rho.states, rho.seconds + shift, rho.weights)
-
-    def hat_closed(x, p, rho, x_t, p_t):
-        m1 = rho.state_mean()
-        m2 = rho.second_mean()
-        return HatDerivatives(
-            h_p=float(-(chat * m2 + p) + drift_x(x) + bmean(m1, cbar * m2)),
-            h_pp=-1.0,
-            h_xx=float(p * drift_x_d2(x) + fx_d2(x)),
-            h_xp=float(drift_x_d1(x)),
-            h_xrho1=q1,
-            h_xrho2=q2 * cbar,
-            h_prho1=float(bmean.d_m1(m1, cbar * m2)),
-            h_prho2=float(cbar * bmean.d_m2(m1, cbar * m2) - chat),
-        )
-
-    params = dict(params)
-    params.update({"c": c, "chat": chat, "cbar": cbar, "q1": q1, "q2": q2,
-                   "b1_mean": bmean.coeffs})
-    return ModelSpec(
-        b_eval=b_eval, f_eval=f_eval, g_eval=terminal, phi_eval=phi_eval,
-        closed_form_tag=tag, params=params, a_max=a_max,
-        h_closed=h_closed, hat_closed=hat_closed, fixed_point_closed=fixed_point_closed,
-        terminal=terminal,
-    )
-
-
-def ll_example_model(c1: float, c2: float, c3: float,
-                     b1: MeanPoly2 | None = None, b2_x=(0.0,), f1_x=(0.0,),
-                     terminal: QuadraticTerminalCost | None = None,
-                     a_max: float = 12.0) -> ModelSpec:
-    """Family with b = -a + b1(E[xi], E[alpha]) + b2(x) and
-    f = a^2/2 - c1 a E[alpha] + c2 x E[xi] + c3 x E[alpha] + f1(x).
-
-    c1 = 0 is admitted (the couplings degenerate gracefully); it gives the
-    uncoupled linear-quadratic instance used as the solver oracle.
-    """
-    b2c = np.asarray(b2_x, dtype=float)
-    f1c = np.asarray(f1_x, dtype=float)
-    b2_d1 = poly_der(b2c, 1) if b2c.size > 1 else np.zeros(1)
-    b2_d2 = poly_der(b2c, 2) if b2c.size > 2 else np.zeros(1)
-    f1_d2 = poly_der(f1c, 2) if f1c.size > 2 else np.zeros(1)
-    bmean = b1 if b1 is not None else MeanPoly2.zero()
-    terminal = terminal if terminal is not None else QuadraticTerminalCost()
-    params = {"c1": c1, "c2": c2, "c3": c3, "b2_x": tuple(b2c.tolist()),
-              "f1_x": tuple(f1c.tolist())}
-    return _control_coupled_model(
-        c=c1, tag="ll_example",
-        drift_x=_poly_closure(b2c),
-        drift_x_d1=_poly_closure(b2_d1),
-        drift_x_d2=_poly_closure(b2_d2),
-        bmean=bmean,
-        fx=_poly_closure(f1c),
-        fx_d2=_poly_closure(f1_d2),
-        q1=c2, q2=c3, params=params, terminal=terminal, a_max=a_max,
-    )
-
-
-def disp_example_model(c: float, b1: MeanPoly2 | None = None, f1_x=(0.0,),
-                       q1: float = 0.0, q2: float = 0.0,
-                       terminal: QuadraticTerminalCost | None = None,
-                       a_max: float = 12.0) -> ModelSpec:
-    """Family with b = -a + b1(E[xi], E[alpha]) and
-    f = a^2/2 - c a E[alpha] + f1(x) + x (q1 E[xi] + q2 E[alpha])."""
-    f1c = np.asarray(f1_x, dtype=float)
-    f1_d2 = poly_der(f1c, 2) if f1c.size > 2 else np.zeros(1)
-    bmean = b1 if b1 is not None else MeanPoly2.zero()
-    terminal = terminal if terminal is not None else QuadraticTerminalCost()
-    zero = lambda x: 0.0 * np.asarray(x, dtype=float)
-    params = {"f1_x": tuple(f1c.tolist())}
-    return _control_coupled_model(
-        c=c, tag="disp_example",
-        drift_x=zero, drift_x_d1=zero, drift_x_d2=zero,
-        bmean=bmean,
-        fx=_poly_closure(f1c),
-        fx_d2=_poly_closure(f1_d2),
-        q1=q1, q2=q2, params=params, terminal=terminal, a_max=a_max,
-    )
-
-
-def anti_example_model(c: float, gamma: float, l0: float,
-                       b1: MeanPoly2 | None = None, f1_x=(0.0,),
-                       q1: float = 0.0, q2: float = 0.0,
-                       terminal: QuadraticTerminalCost | None = None,
-                       a_max: float = 12.0) -> ModelSpec:
-    """Family with b = -a - l0 x + b1(E[xi], E[alpha]) and
-    f = a^2/2 - c a E[alpha] - (gamma l0 / 2) x^2 + f1(x) + x (q1 E[xi] + q2 E[alpha])."""
-    if gamma <= 0 or l0 <= 0:
-        raise ModelError("anti-monotone family needs gamma > 0 and l0 > 0")
-    f1c = np.asarray(f1_x, dtype=float)
-    f1_d2 = poly_der(f1c, 2) if f1c.size > 2 else np.zeros(1)
-    bmean = b1 if b1 is not None else MeanPoly2.zero()
-    terminal = terminal if terminal is not None else QuadraticTerminalCost()
-    params = {"gamma": gamma, "l0": l0, "f1_x": tuple(f1c.tolist())}
-    f1_fn = _poly_closure(f1c)
-    f1_dd_fn = _poly_closure(f1_d2)
-    return _control_coupled_model(
-        c=c, tag="anti_example",
-        drift_x=lambda x: -l0 * np.asarray(x, dtype=float),
-        drift_x_d1=lambda x: -l0 + 0.0 * np.asarray(x, dtype=float),
-        drift_x_d2=lambda x: 0.0 * np.asarray(x, dtype=float),
-        bmean=bmean,
-        fx=lambda x: -0.5 * gamma * l0 * np.asarray(x, dtype=float) ** 2 + f1_fn(x),
-        fx_d2=lambda x: -gamma * l0 + f1_dd_fn(x),
-        q1=q1, q2=q2, params=params, terminal=terminal, a_max=a_max,
     )

@@ -15,19 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import value_measure_gradient
 from .conditions import (
     check_anti_assumption,
     check_disp_condition,
     check_ll_condition,
     make_condition_samples,
 )
-from .measures import EmpiricalMeasure
-from .models import HatTable, ModelSpec, hat_derivative_table
+from .models import HatTable, Model, hat_derivative_table
 from .monotonicity import (
     LambdaVec,
     TestDirection,
     direction_battery,
+    gradient_direction_derivative,
     mon_anti,
     mon_disp,
     mon_ll,
@@ -119,15 +118,7 @@ def traces_to_csv(path, traces: list) -> None:
         writer.writerows(rows)
 
 
-def _ux_solver(access, t: float):
-    def solve(_t, mu):
-        fld = access.field(t, mu)
-        return lambda xq: fld.ux_at(0, xq)
-
-    return solve
-
-
-def simulate_variational(model: ModelSpec, flow: EquilibriumFlow,
+def simulate_variational(model: Model, flow: EquilibriumFlow,
                          direction: TestDirection, access: ValueAccess,
                          fd_eps: float = 1e-3) -> list:
     """Euler trace of the first-variation system along the converged flow.
@@ -156,9 +147,9 @@ def simulate_variational(model: ModelSpec, flow: EquilibriumFlow,
         if np.sqrt(np.mean(delta**2)) < 1e-14:
             upsilon = np.zeros(n)
         else:
-            upsilon = value_measure_gradient(_ux_solver(access, t_k), mu_k, delta,
-                                             x_k, t_k, fd_eps)
-        table = hat_derivative_table(model, flow.rho(k))
+            upsilon = gradient_direction_derivative(access, t_k, mu_k,
+                                                    TestDirection(x_k, delta), fd_eps)
+        table = hat_derivative_table(model, x_k, flow.momenta[k])
         forcing = (table.h_prho1 * delta[None, :]
                    + table.h_prho2 * (gamma + upsilon)[None, :]) @ w
         out.append(VariationalState(
@@ -173,7 +164,7 @@ def simulate_variational(model: ModelSpec, flow: EquilibriumFlow,
     return out
 
 
-def evaluate_rhs_formulas(model: ModelSpec, state: VariationalState,
+def evaluate_rhs_formulas(model: Model, state: VariationalState,
                           lam: float = 0.0, lvec: LambdaVec | None = None) -> dict:
     """Exact quadratic expressions for the time derivatives of the traces.
 
@@ -230,7 +221,7 @@ def evaluate_rhs_formulas(model: ModelSpec, state: VariationalState,
     return out
 
 
-def build_trace(model: ModelSpec, flow: EquilibriumFlow, direction: TestDirection,
+def build_trace(model: Model, flow: EquilibriumFlow, direction: TestDirection,
                 access: ValueAccess, index: int = 0, fd_eps: float = 1e-3,
                 lam: float = 0.0, lvec: LambdaVec | None = None) -> PropagationTrace:
     states = simulate_variational(model, flow, direction, access, fd_eps)
@@ -315,7 +306,7 @@ class PropagationResult:
     details: dict = field(default_factory=dict)
 
 
-def model_gate(model: ModelSpec, config: PropagationConfig) -> ConditionReport:
+def model_gate(model: Model, config: PropagationConfig) -> ConditionReport:
     """The Hamiltonian-condition gate of one experiment kind; runs before any
     solve so a failing configuration can be rejected cheaply."""
     samples = make_condition_samples(config.gate_samples, config.gate_atoms,
@@ -355,24 +346,22 @@ def _terminal_gate(model, flow, access, config: PropagationConfig,
     return ok, values
 
 
-def propagation_experiment(model: ModelSpec, flow: EquilibriumFlow,
-                           access: ValueAccess,
-                           config: PropagationConfig) -> PropagationResult:
+def propagation_experiment(model: Model, flow: EquilibriumFlow,
+                           access: ValueAccess, config: PropagationConfig,
+                           gate: ConditionReport) -> PropagationResult:
     """Gate, trace, and verdict for one propagation theorem at desk scale.
 
-    Gating: the Hamiltonian condition checker for the requested kind must
-    pass and the terminal cost must carry the monotonicity being propagated
-    (for the anti-monotone kind, additionally the curvature bound on the
-    solved field).  The verdict then requires the per-step sign of the trace
-    derivative and the endpoint claim, both within the discretisation
+    Gating: ``gate``, the report of ``model_gate`` for this model and config,
+    must pass, and the terminal cost must carry the monotonicity being
+    propagated (for the anti-monotone kind, additionally the curvature bound
+    on the solved field).  The verdict then requires the per-step sign of the
+    trace derivative and the endpoint claim, both within the discretisation
     tolerance.
     """
     grid = flow.grid
     tol = tolerance_scale(grid.dt, grid.dx, flow.n_particles, config.fd_eps,
                           config.tol_c)
-    gate_reports = []
-    gate = model_gate(model, config)
-    gate_reports.append(gate)
+    gate_reports = [gate]
     if config.enforce_gate and not gate.passed:
         raise GateError(f"Hamiltonian condition gate failed for kind "
                         f"{config.kind!r}", gate)

@@ -1,7 +1,6 @@
 """Report containers shared by the condition checkers and functional evaluators."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 from typing import Any
 
@@ -43,10 +42,6 @@ class ConditionReport:
     def to_dict(self) -> dict[str, Any]:
         return _jsonable(asdict(self))
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 @dataclass
 class MonotonicityReport:
@@ -61,7 +56,3 @@ class MonotonicityReport:
 
     def to_dict(self) -> dict[str, Any]:
         return _jsonable(asdict(self))
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)

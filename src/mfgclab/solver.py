@@ -7,21 +7,17 @@ linear-extrapolation boundary), push particles forward through the
 Euler-Maruyama scheme with the optimal drift, and damp.  Brownian increments
 are drawn once per solve and reused across sweeps, which turns each sweep
 into a deterministic map of the flow and makes the Picard residual
-meaningful.
-
-Only the zero common-noise case is simulated; the diffusion coefficient
-keeps the combined intensity 1 + beta^2 symbolically so the formulas carry
-beta as a parameter.
+meaningful.  The model sees each level's control law through its two means,
+so a sweep passes the per-level moments (m1, m2), not cloud objects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, JointEmpiricalMeasure, _trusted_joint, _trusted_measure
-from .models import ModelSpec, fixed_point_phi, hamiltonian, hamiltonian_dp
+from .measures import EmpiricalMeasure
+from .models import Model, fixed_point_phi, hamiltonian, hamiltonian_dp
 
 CFL_SAFETY = 0.45
 
@@ -58,30 +54,24 @@ class Grid:
             raise SolverError(f"n_x must be at least 16, got {self.n_x}")
         if self.n_t < 8:
             raise SolverError(f"n_t must be at least 8, got {self.n_t}")
-        self.validate_cfl(beta=0.0)
-
-    def validate_cfl(self, beta: float) -> None:
-        beta_hat_sq = 1.0 + beta * beta
-        limit = CFL_SAFETY * self.dx**2 / beta_hat_sq
+        limit = CFL_SAFETY * self.dx**2
         if self.dt > limit * (1 + 1e-12):
             raise SolverError(
-                f"CFL violation: dt = {self.dt:.3e} exceeds {CFL_SAFETY} dx^2 / "
-                f"(1 + beta^2) = {limit:.3e}; increase n_t to at least "
-                f"{self.cfl_steps(self.x_min, self.x_max, self.n_x, self.t0, self.t_end, beta)}"
+                f"CFL violation: dt = {self.dt:.3e} exceeds {CFL_SAFETY} dx^2 = "
+                f"{limit:.3e}; increase n_t to at least "
+                f"{self.cfl_steps(self.x_min, self.x_max, self.n_x, self.t0, self.t_end)}"
             )
 
     @staticmethod
-    def cfl_steps(x_min: float, x_max: float, n_x: int, t0: float, t_end: float,
-                  beta: float = 0.0) -> int:
+    def cfl_steps(x_min: float, x_max: float, n_x: int, t0: float, t_end: float) -> int:
         dx = (x_max - x_min) / (n_x - 1)
-        limit = CFL_SAFETY * dx**2 / (1.0 + beta * beta)
-        return max(8, int(np.ceil((t_end - t0) / limit)))
+        return max(8, int(np.ceil((t_end - t0) / (CFL_SAFETY * dx**2))))
 
     @classmethod
     def with_cfl_steps(cls, x_min: float, x_max: float, n_x: int, t0: float,
-                       t_end: float, beta: float = 0.0) -> "Grid":
+                       t_end: float) -> "Grid":
         return cls(x_min, x_max, n_x, t0, t_end,
-                   cls.cfl_steps(x_min, x_max, n_x, t0, t_end, beta))
+                   cls.cfl_steps(x_min, x_max, n_x, t0, t_end))
 
     @property
     def dx(self) -> float:
@@ -178,8 +168,7 @@ class EquilibriumFlow:
     grid: Grid
     states: np.ndarray    # (levels, n)
     momenta: np.ndarray   # (levels, n): dV/dx(t_k, X_k)
-    controls: np.ndarray  # (levels, n): optimal controls from the fixed point
-    nus: list             # JointEmpiricalMeasure per level, = Phi(rho_k)
+    controls: np.ndarray  # (levels, n): controls of Phi(rho_k), the fixed point
     value_field: ValueField
     picard_iterations: int
     final_residual: float
@@ -194,14 +183,6 @@ class EquilibriumFlow:
     def mu(self, k: int) -> EmpiricalMeasure:
         n = self.n_particles
         return EmpiricalMeasure(self.states[k][:, None], np.full(n, 1.0 / n))
-
-    def rho(self, k: int) -> JointEmpiricalMeasure:
-        n = self.n_particles
-        return JointEmpiricalMeasure(self.states[k][:, None], self.momenta[k][:, None],
-                                     np.full(n, 1.0 / n))
-
-    def nu(self, k: int) -> JointEmpiricalMeasure:
-        return self.nus[k]
 
     def to_csv(self, path) -> None:
         """One row per (time step, particle): t, index, state, control, u_x."""
@@ -237,25 +218,28 @@ def _quantile_dist(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean((np.sort(a) - np.sort(b)) ** 2)))
 
 
-def _uniform_joint(x: np.ndarray, p: np.ndarray,
-                   weights: np.ndarray | None = None) -> JointEmpiricalMeasure:
-    if weights is None:
-        weights = np.full(x.shape[0], 1.0 / x.shape[0])
-    return _trusted_joint(x[:, None], p[:, None], weights)
+def _moments(states: np.ndarray, controls: np.ndarray) -> tuple:
+    """Per-level means (m1, m2) of the uniform (state, control) laws, as lists."""
+    w = np.full(states.shape[1], 1.0 / states.shape[1])
+    return (states @ w).tolist(), (controls @ w).tolist()
 
 
-def _backward_value(model: ModelSpec, xs: np.ndarray, dx: float, dt: float,
-                    nus: list, mu_terminal: EmpiricalMeasure) -> np.ndarray:
-    """Explicit Euler backward sweep of the value grid against a frozen flow."""
-    levels = len(nus)
-    beta_hat_sq = 1.0 + model.beta**2
+def _terminal_law(states: np.ndarray) -> EmpiricalMeasure:
+    n = states.shape[1]
+    return EmpiricalMeasure(states[-1][:, None], np.full(n, 1.0 / n))
+
+
+def _backward_value(model: Model, xs: np.ndarray, dx: float, dt: float,
+                    m1: list, m2: list, mu_terminal: EmpiricalMeasure) -> np.ndarray:
+    """Explicit Euler backward sweep of the value grid against frozen control laws."""
+    levels = len(m1)
     u = np.empty((levels, xs.size))
-    u[-1] = model.g_eval(xs, mu_terminal)
+    u[-1] = model.g(xs, mu_terminal)
     for k in range(levels - 2, -1, -1):
         row = u[k + 1]
         ux = _d1_rows(row, dx)
         uxx = _d2_rows(row, dx)
-        u[k] = row + dt * (0.5 * beta_hat_sq * uxx + hamiltonian(model, xs, ux, nus[k + 1]))
+        u[k] = row + dt * (0.5 * uxx + hamiltonian(model, xs, ux, m1[k + 1], m2[k + 1]))
         if not np.all(np.isfinite(u[k])):
             raise SolverError(
                 f"value sweep produced non-finite values at level {k}; the "
@@ -264,12 +248,12 @@ def _backward_value(model: ModelSpec, xs: np.ndarray, dx: float, dt: float,
     return u
 
 
-def _solve_on_levels(model: ModelSpec, x0: np.ndarray, xs: np.ndarray, dx: float,
+def _solve_on_levels(model: Model, x0: np.ndarray, xs: np.ndarray, dx: float,
                      dt: float, n_steps: int, brownian: np.ndarray,
                      picard: PicardSettings,
                      init_states: np.ndarray | None = None,
                      init_momenta: np.ndarray | None = None):
-    """Core Picard loop; returns (states, momenta, controls, nus, u, iters, history)."""
+    """Core Picard loop; returns (states, momenta, controls, u, iters, history)."""
     n = x0.shape[0]
     levels = n_steps + 1
     sqrt_dt = np.sqrt(dt)
@@ -294,12 +278,9 @@ def _solve_on_levels(model: ModelSpec, x0: np.ndarray, xs: np.ndarray, dx: float
     prop_states = states
     prop_momenta = momenta
 
-    uniform = np.full(n, 1.0 / n)
     for sweep in range(target_sweeps):
-        nus = [fixed_point_phi(model, _uniform_joint(states[k], momenta[k], uniform))
-               for k in range(levels)]
-        mu_T = _trusted_measure(states[-1][:, None], uniform)
-        u = _backward_value(model, xs, dx, dt, nus, mu_T)
+        m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
+        u = _backward_value(model, xs, dx, dt, m1, m2, _terminal_law(states))
         ux_rows = _d1_rows(u, dx)
 
         prop_states = np.empty_like(states)
@@ -307,7 +288,7 @@ def _solve_on_levels(model: ModelSpec, x0: np.ndarray, xs: np.ndarray, dx: float
         for k in range(n_steps):
             xk = prop_states[k]
             p_at = np.interp(xk, xs, ux_rows[k])
-            drift = hamiltonian_dp(model, xk, p_at, nus[k])
+            drift = hamiltonian_dp(model, xk, p_at, m1[k], m2[k])
             prop_states[k + 1] = xk + dt * drift + sqrt_dt * brownian[k]
         if np.any(prop_states < xs[0]) or np.any(prop_states > xs[-1]):
             bad = int(np.argmax(np.any((prop_states < xs[0]) | (prop_states > xs[-1]), axis=1)))
@@ -346,15 +327,13 @@ def _solve_on_levels(model: ModelSpec, x0: np.ndarray, xs: np.ndarray, dx: float
     # were solved against the entering flow (one sweep behind, which is what
     # best_response_gap measures), but the terminal condition is refreshed so
     # that u(T, .) = g(., mu_T) holds exactly for the stored flow.
-    u[-1] = model.g_eval(xs, _trusted_measure(states[-1][:, None], uniform))
+    u[-1] = model.g(xs, _terminal_law(states))
     momenta[-1] = np.interp(states[-1], xs, _d1_rows(u[-1], dx))
-    nus = [fixed_point_phi(model, _uniform_joint(states[k], momenta[k], uniform))
-           for k in range(levels)]
-    controls = np.stack([nu.a for nu in nus])
-    return states, momenta, controls, nus, u, len(history), history
+    controls = fixed_point_phi(model, states, momenta)
+    return states, momenta, controls, u, len(history), history
 
 
-def solve_mfgc(model: ModelSpec, mu0: EmpiricalMeasure, grid: Grid,
+def solve_mfgc(model: Model, mu0: EmpiricalMeasure, grid: Grid,
                picard: PicardSettings | None = None, seed: int = 0,
                init: tuple | None = None) -> EquilibriumFlow:
     """Solve the coupled equilibrium system from the initial state law mu0.
@@ -367,9 +346,6 @@ def solve_mfgc(model: ModelSpec, mu0: EmpiricalMeasure, grid: Grid,
     ``best_response_gap`` measures.
     """
     picard = picard if picard is not None else PicardSettings()
-    if model.beta != 0.0:
-        raise SolverError("common-noise simulation (beta > 0) is not supported")
-    grid.validate_cfl(model.beta)
     if mu0.dim != 1:
         raise SolverError("the solver is one-dimensional")
     margin = max(4.0 * grid.dx, 0.02 * (grid.x_max - grid.x_min))
@@ -385,25 +361,25 @@ def solve_mfgc(model: ModelSpec, mu0: EmpiricalMeasure, grid: Grid,
     brownian = rng.standard_normal((grid.n_t, mu0.n))
     init_states = init[0] if init is not None else None
     init_momenta = init[1] if init is not None else None
-    states, momenta, controls, nus, u, iters, history = _solve_on_levels(
+    states, momenta, controls, u, iters, history = _solve_on_levels(
         model, mu0.x.copy(), grid.xs, grid.dx, grid.dt, grid.n_t, brownian,
         picard, init_states, init_momenta,
     )
     return EquilibriumFlow(
-        grid=grid, states=states, momenta=momenta, controls=controls, nus=nus,
+        grid=grid, states=states, momenta=momenta, controls=controls,
         value_field=ValueField(u, grid.xs, grid.ts),
         picard_iterations=iters, final_residual=history[-1],
         residual_history=history, brownian=brownian, seed=seed,
     )
 
 
-def terminal_field(model: ModelSpec, mu: EmpiricalMeasure, xs: np.ndarray,
+def terminal_field(model: Model, mu: EmpiricalMeasure, xs: np.ndarray,
                    t_end: float) -> ValueField:
     """The exact terminal slice V(T, ., mu) = g(., mu) as a one-level field."""
-    return ValueField(model.g_eval(xs, mu)[None, :], xs, np.array([t_end]))
+    return ValueField(model.g(xs, mu)[None, :], xs, np.array([t_end]))
 
 
-def value_at(model: ModelSpec, mu: EmpiricalMeasure, t: float, grid: Grid,
+def value_at(model: Model, mu: EmpiricalMeasure, t: float, grid: Grid,
              picard: PicardSettings | None = None, seed: int = 0) -> ValueField:
     """V(t, ., mu) as the first slice of a fresh solve on [t, t_end].
 
@@ -420,17 +396,12 @@ def value_at(model: ModelSpec, mu: EmpiricalMeasure, t: float, grid: Grid,
     return flow.value_field
 
 
-def best_response_gap(model: ModelSpec, flow: EquilibriumFlow,
-                      mu0: EmpiricalMeasure | None = None, seed: int | None = None) -> float:
+def best_response_gap(model: Model, flow: EquilibriumFlow) -> float:
     """Sup-norm gap between the stored value grid and a re-solve against the
-    frozen converged control laws; certifies the equilibrium property.
-
-    mu0/seed are accepted for interface symmetry but the re-solve is fully
-    determined by the frozen flow.
-    """
+    frozen converged control laws; certifies the equilibrium property."""
     grid = flow.grid
-    mu_T = flow.mu(len(flow.nus) - 1)
-    u2 = _backward_value(model, grid.xs, grid.dx, grid.dt, flow.nus, mu_T)
+    m1, m2 = _moments(flow.states, flow.controls)
+    u2 = _backward_value(model, grid.xs, grid.dx, grid.dt, m1, m2, _terminal_law(flow.states))
     return float(np.max(np.abs(u2 - flow.value_field.u)))
 
 
@@ -443,7 +414,7 @@ class ValueAccess:
     error and differences of their outputs stay smooth.
     """
 
-    def __init__(self, model: ModelSpec, grid: Grid, picard: PicardSettings | None = None,
+    def __init__(self, model: Model, grid: Grid, picard: PicardSettings | None = None,
                  seed: int = 0, base_flow: EquilibriumFlow | None = None,
                  sweeps: int = 8, damping: float = 1.0, cache_size: int = 128):
         self.model = model
@@ -490,7 +461,7 @@ class ValueAccess:
                 max_iter=self.sweeps, damping=self.damping,
                 tol=self.picard.tol, fixed_sweeps=self.sweeps,
             )
-            _, _, _, _, u, _, _ = _solve_on_levels(
+            _, _, _, u, _, _ = _solve_on_levels(
                 self.model, mu.x.copy(), self.grid.xs, self.grid.dx, self.grid.dt,
                 self.grid.n_t - k, self._brownian_tail(k, mu.n), settings,
                 init_states, init_momenta,
@@ -500,12 +471,3 @@ class ValueAccess:
             self._cache.pop(next(iter(self._cache)))
         self._cache[key] = out
         return out
-
-    def ux_solver(self, t: float) -> Callable:
-        """Adapter for value_measure_gradient: (t, mu) -> (x -> dV/dx(t, x, mu))."""
-
-        def solve(_t, mu):
-            fld = self.field(t, mu)
-            return lambda xq: fld.ux_at(0, xq)
-
-        return solve

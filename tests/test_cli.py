@@ -136,6 +136,26 @@ atoms = 12
 """)
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("model_block", [
+        "family = separable\nq1 = 0.2\n",          # not control-coupled
+        "family = ll_example\nc1 = 0\nc2 = 0.05\nc3 = 0.1\n",  # c1 outside (0, 1)
+    ])
+    def test_matrix1_on_unsupported_model_is_config_error(self, tmp_path, model_block):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"""
+[experiment]
+kind = check
+seed = 1
+
+[model]
+{model_block}
+[check]
+which = matrix1
+""")
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 1
+        assert (out / "manifest.json").exists()
+
     def test_non_convergence_exits_4(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         text = small_model_block().replace("kind = propagate", "kind = solve")

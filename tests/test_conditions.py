@@ -16,15 +16,18 @@ from mfgclab.conditions import (
     matrix1_assemble,
     _ll_form_value,
 )
-from mfgclab.measures import JointEmpiricalMeasure
-from mfgclab.models import (
-    MeanPoly2,
-    ModelSpec,
-    anti_example_model,
-    disp_example_model,
-    ll_example_model,
-)
+from mfgclab.config import preset_model
+from mfgclab.models import MeanPoly2, Model
 from mfgclab.monotonicity import LambdaVec
+
+
+def ll_example_model(c1, c2, c3, b1=None):
+    return Model(b0=(1, 0, 0), f0=(0, 0, 0, c1), B=b1 if b1 is not None else MeanPoly2.zero(),
+                 q1=c2, q2=c3)
+
+
+def disp_example_model(c, b1, f1_x, q1=0.0):
+    return Model(b0=(1, 0, 0), f0=(0, 0, 0, c), B=b1, f1_x=f1_x, q1=q1)
 
 
 def schur_oracle(c1, c2, c3, db1_dm1, db1_dm2):
@@ -177,7 +180,8 @@ class TestAntiAssumption:
     LV = LambdaVec(1.0, 1.0, 1.0, 8.0)
 
     def make_model(self, l0=15.0):
-        return anti_example_model(c=0.5, gamma=1.0, l0=l0)
+        return preset_model({"family": "anti_example", "c": "0.5", "gamma": "1.0",
+                             "l0": str(l0)})
 
     def test_theta1_reference_value(self):
         # gamma_lo = gamma/2 = 0.5, gamma_hi = gamma + 1 = 2, Lu = 1:
@@ -226,14 +230,8 @@ class TestAntiAssumption:
 class TestFMonotone:
     @staticmethod
     def identity_drift_model(sign=1.0):
-        def b_eval(x, a, nu):
-            return np.asarray(a, dtype=float)
-
-        def f_eval(x, a, nu):
-            return sign * np.asarray(x, dtype=float) * nu.state_mean()
-
-        return ModelSpec(b_eval=b_eval, f_eval=f_eval,
-                         g_eval=lambda x, mu: 0.0 * np.asarray(x, dtype=float))
+        """separable: b = a, f = a^2/2 + sign x E[xi]."""
+        return Model(b0=(-1, 0, 0), q1=sign)
 
     @staticmethod
     def coupled_pairs(seed=0, n_pairs=10, n=12):
@@ -247,9 +245,8 @@ class TestFMonotone:
         report = check_f_monotone(model, pairs)
         assert report.passed
         (xi1, _), (xi2, _) = pairs[0]
-        law1 = JointEmpiricalMeasure(xi1[:, None], xi1[:, None] * 0, np.full(12, 1 / 12))
         expected = (xi1.mean() - xi2.mean()) ** 2
-        value = float(np.mean(model.f_eval(xi1, xi1 * 0, law1)))  # smoke: finite eval
+        value = float(np.mean(model.cost(xi1, xi1 * 0, xi1.mean(), 0.0)))  # smoke: finite eval
         assert np.isfinite(value)
         assert expected >= 0
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfgclab.measures import EmpiricalMeasure, gaussian_quantile_cloud
-from mfgclab.models import MeanPoly2, QuadraticTerminalCost, ll_example_model
+from mfgclab.models import MeanPoly2, Model, QuadraticTerminalCost
 from mfgclab.monotonicity import (
     LambdaVec,
     MonotonicityError,
@@ -32,7 +32,7 @@ class TerminalAccess:
 
     def field(self, t, mu):
         class _Model:
-            g_eval = self.terminal
+            g = self.terminal
 
         return terminal_field(_Model, mu, self.xs, t)
 
@@ -181,10 +181,10 @@ class TestBattery:
 
 class TestSweepWithSolver:
     def test_ll_sweep_on_monotone_terminal(self):
-        model = ll_example_model(
-            c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75),
-            f1_x=(0.0, 0.0, 0.125),
-            terminal=QuadraticTerminalCost(xx=0.25, xm=0.1),
+        model = Model(  # the ll_example preset with c1 = 0.5, c2 = 0.05, c3 = 0.1
+            b0=(1, 0, 0), f0=(0, 0, 0, 0.5), B=MeanPoly2.linear(m2=0.75),
+            f1_x=(0.0, 0.0, 0.125), q1=0.05, q2=0.1,
+            g=QuadraticTerminalCost(xx=0.25, xm=0.1),
         )
         grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, 0.25)
         pic = PicardSettings(max_iter=150, tol=1e-9, damping=0.6)

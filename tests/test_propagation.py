@@ -3,13 +3,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from mfgclab.measures import gaussian_quantile_cloud
-from mfgclab.models import (
-    MeanPoly2,
-    QuadraticTerminalCost,
-    anti_example_model,
-    disp_example_model,
-    ll_example_model,
-)
+from mfgclab.config import preset_model
+from mfgclab.models import MeanPoly2, Model, QuadraticTerminalCost
 from mfgclab.monotonicity import LambdaVec, TestDirection, uxx_floor
 from mfgclab.propagation import (
     GateError,
@@ -28,9 +23,22 @@ N = 16
 MU0 = gaussian_quantile_cloud(N, 0.0, 1.0)
 
 
+def disp_example_model():
+    return Model(b0=(1, 0, 0), f0=(0, 0, 0, 0.5), B=MeanPoly2.linear(m2=0.6),
+                 f1_x=(0, 0, 0.25), g=QuadraticTerminalCost(xx=1.0))
+
+
+def anti_example_model():
+    return preset_model({"family": "anti_example", "c": "0.3", "gamma": "1.0", "l0": "10.5"},
+                        QuadraticTerminalCost(xx=-0.5))
+
+
+def run_experiment(model, flow, access, config):
+    return propagation_experiment(model, flow, access, config, model_gate(model, config))
+
+
 def lq_setup(t_end=0.5, n_x=121):
-    model = ll_example_model(c1=0.0, c2=0.0, c3=0.0,
-                             terminal=QuadraticTerminalCost(xx=1.0))
+    model = Model(b0=(1, 0, 0), g=QuadraticTerminalCost(xx=1.0))
     grid = Grid.with_cfl_steps(-6.0, 6.0, n_x, 0.0, t_end)
     pic = PicardSettings(max_iter=40, tol=1e-10, damping=1.0)
     flow = solve_mfgc(model, MU0, grid, pic, seed=42)
@@ -40,8 +48,8 @@ def lq_setup(t_end=0.5, n_x=121):
 
 def ll_setup(t_end=0.25, n_x=81, c2=0.05, terminal=None, seed=7):
     terminal = terminal or QuadraticTerminalCost(xx=0.25, xm=0.1)
-    model = ll_example_model(c1=0.5, c2=c2, c3=0.1, b1=MeanPoly2.linear(m2=0.75),
-                             f1_x=(0.0, 0.0, 0.125), terminal=terminal)
+    model = Model(b0=(1, 0, 0), f0=(0, 0, 0, 0.5), B=MeanPoly2.linear(m2=0.75),
+                  f1_x=(0.0, 0.0, 0.125), q1=c2, q2=0.1, g=terminal)
     grid = Grid.with_cfl_steps(-6.0, 6.0, n_x, 0.0, t_end)
     pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
     flow = solve_mfgc(model, MU0, grid, pic, seed=seed)
@@ -123,8 +131,7 @@ class TestRhsFormulas:
         assert gap.max() <= 1e-3
 
     def test_combined_displacement_formula_matches(self):
-        model = disp_example_model(c=0.5, b1=MeanPoly2.linear(m2=0.6), f1_x=(0, 0, 0.25),
-                                   terminal=QuadraticTerminalCost(xx=1.0))
+        model = disp_example_model()
         grid = Grid.with_cfl_steps(-6.0, 6.0, 81, 0.0, 0.25)
         pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
         flow = solve_mfgc(model, MU0, grid, pic, seed=11)
@@ -154,7 +161,7 @@ class TestPropagationExperiment:
     def test_ll_experiment_passes_and_i_decreases(self):
         model, grid, flow, access = ll_setup()
         config = PropagationConfig(kind="ll", n_directions=4, tol_c=0.05, seed=0)
-        result = propagation_experiment(model, flow, access, config)
+        result = run_experiment(model, flow, access, config)
         assert result.verdict
         assert result.slope_violations == []
         assert result.formula_violations == []
@@ -168,34 +175,32 @@ class TestPropagationExperiment:
         report = model_gate(model, config)
         assert not report.passed
         with pytest.raises(GateError):
-            propagation_experiment(model, flow, access, config)
+            propagation_experiment(model, flow, access, config, report)
 
     def test_negative_control_produces_slope_violation(self):
         model, grid, flow, access = ll_setup(c2=-0.2)
         config = PropagationConfig(kind="ll", n_directions=12, tol_c=0.05, seed=0,
                                    enforce_gate=False)
-        result = propagation_experiment(model, flow, access, config)
+        result = run_experiment(model, flow, access, config)
         assert not result.verdict
         assert len(result.slope_violations) >= 1
         worst = max(v["value"] for v in result.slope_violations if "endpoint" not in v)
         assert worst > result.tolerance
 
     def test_disp_experiment_passes(self):
-        model = disp_example_model(c=0.5, b1=MeanPoly2.linear(m2=0.6), f1_x=(0, 0, 0.25),
-                                   terminal=QuadraticTerminalCost(xx=1.0))
+        model = disp_example_model()
         grid = Grid.with_cfl_steps(-6.0, 6.0, 81, 0.0, 0.25)
         pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
         flow = solve_mfgc(model, MU0, grid, pic, seed=11)
         access = ValueAccess(model, grid, pic, seed=11, base_flow=flow, sweeps=6)
         config = PropagationConfig(kind="disp", lam=0.0, n_directions=4, tol_c=0.05, seed=0)
-        result = propagation_experiment(model, flow, access, config)
+        result = run_experiment(model, flow, access, config)
         assert result.verdict
         # displacement monotone value function: curvature floor is nonnegative
         assert uxx_floor(flow.value_field, 0.0, (-3.0, 3.0)) >= -result.tolerance
 
     def test_anti_experiment_passes_with_vxx_bound(self):
-        model = anti_example_model(c=0.3, gamma=1.0, l0=10.5,
-                                   terminal=QuadraticTerminalCost(xx=-0.5))
+        model = anti_example_model()
         grid = Grid.with_cfl_steps(-1.5, 1.5, 61, 0.0, 0.1)
         pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
         mu0 = gaussian_quantile_cloud(N, 0.0, 0.35)
@@ -205,7 +210,7 @@ class TestPropagationExperiment:
         config = PropagationConfig(kind="anti", lvec=lv, n_directions=4, tol_c=0.05,
                                    seed=0, anti_l0=10.5, anti_gamma_lo=0.5,
                                    anti_gamma_hi=2.0, anti_l_bar=1.0, anti_lu_xx=1.0)
-        result = propagation_experiment(model, flow, access, config)
+        result = run_experiment(model, flow, access, config)
         assert result.verdict
         assert result.details["vxx_max"] <= 1.0
         trace = result.traces[0]
@@ -213,8 +218,7 @@ class TestPropagationExperiment:
         assert trace.xi_vals[0] <= result.tolerance
 
     def test_anti_vxx_violation_is_gate_error(self):
-        model = anti_example_model(c=0.3, gamma=1.0, l0=10.5,
-                                   terminal=QuadraticTerminalCost(xx=-0.5))
+        model = anti_example_model()
         grid = Grid.with_cfl_steps(-1.5, 1.5, 61, 0.0, 0.1)
         pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
         flow = solve_mfgc(model, gaussian_quantile_cloud(N, 0.0, 0.35), grid, pic, seed=13)
@@ -225,12 +229,12 @@ class TestPropagationExperiment:
                                    anti_gamma_hi=2.0, anti_l_bar=1.0,
                                    anti_lu_xx=0.25)  # below the realised curvature
         with pytest.raises(GateError, match="curvature"):
-            propagation_experiment(model, flow, access, config)
+            run_experiment(model, flow, access, config)
 
     def test_trace_csv_export(self, tmp_path):
         model, grid, flow, access = ll_setup()
         config = PropagationConfig(kind="ll", n_directions=2, tol_c=0.05, seed=0)
-        result = propagation_experiment(model, flow, access, config)
+        result = run_experiment(model, flow, access, config)
         path = tmp_path / "trace.csv"
         traces_to_csv(path, result.traces)
         lines = path.read_text().splitlines()

@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from mfgclab.measures import _trusted_joint, flow_distance, gaussian_quantile_cloud
-from mfgclab.models import (
-    MeanPoly2,
-    ModelSpec,
-    QuadraticTerminalCost,
-    fixed_point_phi,
-    ll_example_model,
-    separable_model,
-)
+from mfgclab.measures import gaussian_quantile_cloud
+from mfgclab.models import MeanPoly2, Model, QuadraticTerminalCost, fixed_point_phi
 from mfgclab.solver import (
     Grid,
     PicardError,
@@ -27,13 +20,13 @@ T = 0.5
 
 def lq_model(gxx=1.0):
     """Uncoupled linear-quadratic instance: b = -a, f = a^2/2, H = -p^2/2."""
-    return ll_example_model(c1=0.0, c2=0.0, c3=0.0,
-                            terminal=QuadraticTerminalCost(xx=gxx))
+    return Model(b0=(1, 0, 0), g=QuadraticTerminalCost(xx=gxx))
 
 
 def coupled_model():
-    return ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75),
-                            terminal=QuadraticTerminalCost(xx=0.5, xm=0.1))
+    """The ll_example preset with c1 = 0.5, c2 = 0.05, c3 = 0.1."""
+    return Model(b0=(1, 0, 0), f0=(0, 0, 0, 0.5), B=MeanPoly2.linear(m2=0.75),
+                 q1=0.05, q2=0.1, g=QuadraticTerminalCost(xx=0.5, xm=0.1))
 
 
 def riccati_oracle():
@@ -76,7 +69,7 @@ class TestGrid:
 
 class TestZeroCouplingHeatFlow:
     def setup_method(self):
-        self.model = separable_model()  # b = a, f = a^2/2, g = 0
+        self.model = Model(b0=(-1, 0, 0))  # separable: b = a, f = a^2/2, g = 0
         self.grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, T)
         self.mu0 = gaussian_quantile_cloud(16, 0.0, 1.0)
         self.flow = solve_mfgc(self.model, self.mu0, self.grid,
@@ -133,7 +126,7 @@ class TestFlowStructure:
         self.flow = solve_mfgc(self.model, self.mu0, self.grid, self.pic, seed=7)
 
     def test_terminal_condition_exact(self):
-        g_row = self.model.g_eval(self.grid.xs, self.flow.mu(self.grid.n_t))
+        g_row = self.model.g(self.grid.xs, self.flow.mu(self.grid.n_t))
         assert np.array_equal(self.flow.value_field.u[-1], g_row)
 
     def test_determinism_bit_identical(self):
@@ -145,10 +138,8 @@ class TestFlowStructure:
 
     def test_fixed_point_consistency_each_step(self):
         for k in range(self.grid.n_t + 1):
-            nu_stored = self.flow.nu(k)
-            nu_again = fixed_point_phi(self.model, self.flow.rho(k))
-            dist = flow_distance(nu_stored.second_marginal(), nu_again.second_marginal())
-            assert dist <= 1e-10
+            again = fixed_point_phi(self.model, self.flow.states[k], self.flow.momenta[k])
+            assert np.max(np.abs(self.flow.controls[k] - again)) <= 1e-10
 
     def test_momenta_are_value_gradient_at_states(self):
         vf = self.flow.value_field
@@ -170,7 +161,7 @@ class TestValueAt:
         mu = gaussian_quantile_cloud(16, 0.2, 0.8)
         vf = value_at(model, mu, T, grid)
         assert vf.levels == 1
-        assert np.array_equal(vf.u[0], model.g_eval(grid.xs, mu))
+        assert np.array_equal(vf.u[0], model.g(grid.xs, mu))
 
     def test_time_consistency_against_fresh_resolve(self):
         model = coupled_model()
@@ -196,30 +187,8 @@ class TestValueAt:
         assert gap <= 1e-6
 
     def test_translation_equivariance(self):
-        def translation_invariant_model():
-            def b_eval(x, a, nu):
-                return np.asarray(a, dtype=float)
-
-            def f_eval(x, a, nu):
-                return 0.5 * np.asarray(a, dtype=float) ** 2
-
-            def g_eval(x, mu):
-                return 0.5 * (np.asarray(x, dtype=float) - mu.mean()) ** 2
-
-            def phi_eval(x, p, nu):
-                return -np.asarray(p, dtype=float) + 0.0 * np.asarray(x, dtype=float)
-
-            def h_closed(x, p, nu):
-                return -0.5 * np.asarray(p, dtype=float) ** 2 + 0.0 * np.asarray(x, dtype=float)
-
-            def fixed_point_closed(rho):
-                return _trusted_joint(rho.states, -rho.seconds, rho.weights)
-
-            return ModelSpec(b_eval=b_eval, f_eval=f_eval, g_eval=g_eval,
-                             phi_eval=phi_eval, h_closed=h_closed,
-                             fixed_point_closed=fixed_point_closed)
-
-        model = translation_invariant_model()
+        # separable: b = a, f = a^2/2, g = (x - E[xi])^2 / 2
+        model = Model(b0=(-1, 0, 0), g=QuadraticTerminalCost(xx=1.0, xm=-1.0, m2=0.5))
         shift = 1.0
         mu0 = gaussian_quantile_cloud(16, 0.0, 1.0)
         pic = PicardSettings(max_iter=60, tol=1e-10, damping=1.0)
@@ -245,7 +214,7 @@ class TestBestResponseGap:
         flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid,
                           PicardSettings(max_iter=150, tol=1e-10, damping=0.6), seed=7)
         base_gap = best_response_gap(model, flow)
-        flow.nus = [nu.with_seconds(nu.seconds + 0.1) for nu in flow.nus]
+        flow.controls = flow.controls + 0.1
         assert best_response_gap(model, flow) > max(10.0 * base_gap, 1e-4)
 
     def test_zero_coupling_gap_is_exactly_zero(self):
@@ -273,19 +242,11 @@ class TestErrorPaths:
 
     def test_escaping_particles_reported(self):
         # A steep terminal slope drives the optimal drift far beyond the box.
-        model = ll_example_model(c1=0.0, c2=0.0, c3=0.0,
-                                 terminal=QuadraticTerminalCost(x_lin=40.0))
+        model = Model(b0=(1, 0, 0), g=QuadraticTerminalCost(x_lin=40.0))
         grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, T)
         with pytest.raises(SolverError, match="escaped"):
             solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid,
                        PicardSettings(max_iter=10, tol=1e-9, damping=1.0), seed=1)
-
-    def test_common_noise_not_supported(self):
-        model = lq_model()
-        model.beta = 0.5
-        grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, T)
-        with pytest.raises(SolverError):
-            solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid)
 
 
 class TestCsvExport:
