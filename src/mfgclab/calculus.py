@@ -1,9 +1,8 @@
 """Differential calculus on empirical measures.
 
-Linear functional derivatives, their empirical (particle) projections, the
-chain rule for measure-valued maps, and the one directional measure
-derivative of the value-function gradient that the monotonicity functionals
-consume.  Distribution-valued derivatives are only ever used inside pairings
+Linear functional derivatives, the chain rule for measure-valued maps, and
+the one directional measure derivative of the value-function gradient that
+the monotonicity functionals consume.  Distribution-valued derivatives are only ever used inside pairings
 against test functions, and linear functional derivatives only ever paired
 against mass-zero signed measures, which removes their additive-constant
 ambiguity.
@@ -61,35 +60,6 @@ class MeasureMap:
         if abs(out.weights.sum() - 1.0) > 1e-12:
             raise CalculusError(f"measure map {self.label!r} broke weight normalisation")
         return out
-
-
-def lions_derivative(f: Callable, mu: EmpiricalMeasure, i: int,
-                     step: float = 1e-5) -> np.ndarray:
-    """Empirical projection of the measure derivative of f at atom i.
-
-    For uniform weights 1/N the derivative of a measure functional at the
-    atom x_i is N times the partial derivative of the induced function of
-    particle positions; computed here by central differences, one coordinate
-    at a time.
-    """
-    if not mu.is_uniform():
-        raise CalculusError("empirical measure derivatives need uniform weights")
-    if not 0 <= i < mu.n:
-        raise CalculusError(f"atom index {i} out of range")
-    fun = f.eval if isinstance(f, MeasureFunctional) else f
-    out = np.empty(mu.dim)
-    for c in range(mu.dim):
-        h = step * max(1.0, abs(mu.points[i, c]))
-        plus = mu.points.copy()
-        minus = mu.points.copy()
-        plus[i, c] += h
-        minus[i, c] -= h
-        fp = float(fun(EmpiricalMeasure(plus, mu.weights)))
-        fm = float(fun(EmpiricalMeasure(minus, mu.weights)))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise CalculusError("functional returned a non-finite value under perturbation")
-        out[c] = mu.n * (fp - fm) / (2.0 * h)
-    return out
 
 
 def identity_map() -> MeasureMap:
@@ -178,14 +148,15 @@ def chain_rule_check(u: MeasureFunctional, phi: MeasureMap,
     }
 
 
-def value_measure_gradient(solve: Callable, mu: EmpiricalMeasure, eta,
-                           xs_eval, t: float, fd_eps: float = 1e-3) -> np.ndarray:
-    """Directional measure derivative of the value gradient.
+def value_measure_gradient(access, t: float, mu: EmpiricalMeasure, eta,
+                           fd_eps: float = 1e-3) -> np.ndarray:
+    """Directional measure derivative of the value gradient at the atoms of mu.
 
-    ``solve(t, mu)`` must return a callable x -> dV/dx(t, x, mu).  The cloud
-    is displaced atom-by-atom along +/- eps * eta and the central difference
-    approximates (1/N) sum_j d_x d_mu V(t, x, mu, x_j) eta_j at each
-    evaluation point.
+    ``access.field(t, mu)`` must return a ``ValueField`` whose first slice is
+    V(t, ., mu).  The cloud is displaced atom by atom along +/- eps * eta,
+    with eps = fd_eps / rms(eta), and the central difference of dV/dx
+    approximates D_i = (1/N) sum_j d_x d_mu V(t, x_i, mu, x_j) eta_j at every
+    atom x_i.  A zero direction gives zeros without calling ``access``.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.ndim == 1:
@@ -194,13 +165,11 @@ def value_measure_gradient(solve: Callable, mu: EmpiricalMeasure, eta,
         raise CalculusError(f"direction shape {eta.shape} does not match cloud {mu.points.shape}")
     scale = float(np.sqrt(np.mean(eta**2)))
     if scale == 0.0:
-        return np.zeros_like(np.asarray(xs_eval, dtype=float))
+        return np.zeros(mu.n)
     eps = fd_eps / scale
-    ux_plus = solve(t, mu.shifted(+eps * eta))
-    ux_minus = solve(t, mu.shifted(-eps * eta))
-    xs_eval = np.asarray(xs_eval, dtype=float)
-    diff = (np.asarray(ux_plus(xs_eval), dtype=float)
-            - np.asarray(ux_minus(xs_eval), dtype=float)) / (2.0 * eps)
+    plus = access.field(t, mu.shifted(+eps * eta))
+    minus = access.field(t, mu.shifted(-eps * eta))
+    diff = (plus.ux_at(0, mu.x) - minus.ux_at(0, mu.x)) / (2.0 * eps)
     if not np.all(np.isfinite(diff)):
         raise CalculusError("perturbed value solves produced non-finite gradients")
     return diff

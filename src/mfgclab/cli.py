@@ -120,12 +120,11 @@ def _coupling(model, checker: str) -> float:
     return c
 
 
-def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int, jobs: int) -> int:
+def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     model = cfg.model()
     which = cfg.check_section.get("which", "envelope").split()
-    n_samples = int(cfg.check_section.get("samples", "40"))
-    n_atoms = int(cfg.check_section.get("atoms", "16"))
-    lam = float(cfg.mono_section.get("lambda", "0"))
+    n_samples, n_atoms = cfg.check_sizes()
+    lam = cfg.lam()
     samples = make_condition_samples(n_samples, n_atoms, seed)
     reports = []
     for name in which:
@@ -147,12 +146,8 @@ def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int, jobs: int) -> int
             c0 = abs((model.B.coeffs[2] - c) / (1.0 - c))
             reports.append(check_disp_sufficient(model, lam, c0, samples))
         elif name == "anti":
-            anti = cfg.anti_section
             reports.append(check_anti_assumption(
-                model, cfg.lambda_vec(), float(anti.get("l0", "0")),
-                float(anti.get("gamma_lo", "0")), float(anti.get("gamma_hi", "0")),
-                float(anti.get("l_bar", "0")), float(anti.get("lu_xx", "0")),
-                seed=seed))
+                model, cfg.lambda_vec(), *cfg.anti_constants(), seed=seed))
         elif name == "fmon":
             rng = np.random.default_rng(seed)
             pairs = [((rng.normal(size=n_atoms), rng.normal(size=n_atoms)),
@@ -173,7 +168,7 @@ def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int, jobs: int) -> int
     return EXIT_OK if payload["all_passed"] else EXIT_FAIL
 
 
-def run_solve(cfg: ExperimentConfig, out_dir: Path, seed: int, jobs: int) -> int:
+def run_solve(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     model = cfg.model()
     grid = cfg.grid()
     flow = solve_mfgc(model, cfg.initial_cloud(), grid, cfg.picard(), seed=seed)
@@ -185,19 +180,18 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path, seed: int, jobs: int) -> int
     return EXIT_OK
 
 
-def run_mono(cfg: ExperimentConfig, out_dir: Path, seed: int, jobs: int) -> int:
+def run_mono(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     model = cfg.model()
     grid = cfg.grid()
-    picard = cfg.picard()
-    flow = solve_mfgc(model, cfg.initial_cloud(), grid, picard, seed=seed)
+    flow = solve_mfgc(model, cfg.initial_cloud(), grid, cfg.picard(), seed=seed)
     prop = cfg.propagation()
-    access = ValueAccess(model, grid, picard, seed=seed, base_flow=flow, sweeps=6)
+    access = ValueAccess(model, flow)
     tol = tolerance_scale(grid.dt, grid.dx, flow.n_particles, prop.fd_eps, prop.tol_c)
     report = monotonicity_sweep(
         flow, access, prop.kind, lam=prop.lam, lvec=prop.lvec,
-        slices=int(cfg.mono_section.get("slices", "5")),
+        slices=cfg.slices(),
         battery_size=prop.n_directions, fd_eps=prop.fd_eps,
-        tolerance=tol, seed=seed, jobs=jobs,
+        tolerance=tol, seed=seed,
     )
     samples_path = out_dir / "samples.csv"
     with open(samples_path, "w", newline="") as handle:
@@ -212,7 +206,7 @@ def run_mono(cfg: ExperimentConfig, out_dir: Path, seed: int, jobs: int) -> int:
     return EXIT_OK if report.verdict else EXIT_FAIL
 
 
-def run_propagate(cfg: ExperimentConfig, out_dir: Path, seed: int, jobs: int) -> int:
+def run_propagate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     model = cfg.model()
     prop = cfg.propagation()
     gate = model_gate(model, prop)
@@ -222,10 +216,8 @@ def run_propagate(cfg: ExperimentConfig, out_dir: Path, seed: int, jobs: int) ->
                      "reason": "hamiltonian condition gate failed before solve"})
         print(f"propagate: gate failed ({gate.condition}), no solve attempted")
         return EXIT_HYPOTHESIS
-    grid = cfg.grid()
-    picard = cfg.picard()
-    flow = solve_mfgc(model, cfg.initial_cloud(), grid, picard, seed=seed)
-    access = ValueAccess(model, grid, picard, seed=seed, base_flow=flow, sweeps=6)
+    flow = solve_mfgc(model, cfg.initial_cloud(), cfg.grid(), cfg.picard(), seed=seed)
+    access = ValueAccess(model, flow)
     result = propagation_experiment(model, flow, access, prop, gate)
     csv_path = out_dir / "trace.csv"
     traces_to_csv(csv_path, result.traces)
@@ -261,12 +253,8 @@ def _chain_functional() -> MeasureFunctional:
     return MeasureFunctional(eval=evaluate, label="mixed quadratic", lderiv=lderiv)
 
 
-def run_chain(cfg: ExperimentConfig, out_dir: Path, seed: int, jobs: int) -> int:
-    sec = cfg.chain_section
-    shift_c = float(sec.get("shift_c", "0.5"))
-    n_pairs = int(sec.get("pairs", "20"))
-    n_atoms = int(sec.get("atoms", "16"))
-    tol = float(sec.get("tol", "1e-6"))
+def run_chain(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
+    shift_c, n_pairs, n_atoms, tol = cfg.chain_settings()
     rng = np.random.default_rng(seed)
     functional = _chain_functional()
     rows = []
@@ -319,7 +307,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="max parallel workers for independent evaluations")
+                        help="ignored; evaluations run serially")
     args = parser.parse_args(argv)
 
     started = time.time()
@@ -337,7 +325,7 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
 
     try:
-        code = RUNNERS[args.command](cfg, out_dir, seed, max(1, args.jobs))
+        code = RUNNERS[args.command](cfg, out_dir, seed)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         code = EXIT_CONFIG

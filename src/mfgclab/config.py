@@ -46,6 +46,18 @@ def _floats(text: str) -> tuple:
         raise ConfigError(f"expected a list of numbers, got {text!r}") from err
 
 
+def _number(sec: dict, key: str, default: str, cast=float, least=None):
+    """One numeric INI value; a malformed or out-of-range value is a ConfigError."""
+    raw = sec.get(key, default)
+    try:
+        value = cast(raw)
+    except ValueError as err:
+        raise ConfigError(f"bad {key} = {raw!r}: {err}") from err
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be at least {least}, got {value}")
+    return value
+
+
 def _preset(family: str, sec: dict) -> dict:
     """Model coefficients of one INI family; see the table in the module docstring."""
     def num(key: str, default: str = "0") -> float:
@@ -209,54 +221,72 @@ class ExperimentConfig:
         except MonotonicityError as err:
             raise ConfigError(str(err)) from err
 
+    def lam(self) -> float:
+        return _number(self.mono_section, "lambda", "0", least=0.0)
+
+    def slices(self) -> int:
+        return _number(self.mono_section, "slices", "5", int, 1)
+
+    def check_sizes(self) -> tuple:
+        """(samples, atoms) of the condition checkers' random samples."""
+        sec = self.check_section
+        return _number(sec, "samples", "40", int, 1), _number(sec, "atoms", "16", int, 2)
+
+    def anti_constants(self) -> tuple:
+        """(l0, gamma_lo, gamma_hi, l_bar, lu_xx) of the anti-monotone assumption."""
+        return tuple(_number(self.anti_section, key, "0")
+                     for key in ("l0", "gamma_lo", "gamma_hi", "l_bar", "lu_xx"))
+
+    def chain_settings(self) -> tuple:
+        """(shift_c, pairs, atoms, tol) of the chain-rule table."""
+        sec = self.chain_section
+        return (_number(sec, "shift_c", "0.5"), _number(sec, "pairs", "20", int, 1),
+                _number(sec, "atoms", "16", int, 1), _number(sec, "tol", "1e-6", least=0.0))
+
     def propagation(self) -> PropagationConfig:
         sec = self.mono_section
-        anti = self.anti_section
         kind = sec.get("kind", "ll").strip()
+        gate_samples, gate_atoms = self.check_sizes()
+        l0, gamma_lo, gamma_hi, l_bar, lu_xx = self.anti_constants()
         try:
             return PropagationConfig(
                 kind=kind,
-                lam=float(sec.get("lambda", "0")),
+                lam=self.lam(),
                 lvec=self.lambda_vec() if kind == "anti" else None,
-                n_directions=int(sec.get("directions", "12")),
-                fd_eps=float(sec.get("fd_eps", "1e-3")),
-                tol_c=float(sec.get("tol_c", "0.05")),
-                gate_samples=int(self.check_section.get("samples", "40")),
-                gate_atoms=int(self.check_section.get("atoms", "16")),
+                n_directions=_number(sec, "directions", "12", int, 1),
+                fd_eps=_number(sec, "fd_eps", "1e-3"),
+                tol_c=_number(sec, "tol_c", "0.05"),
+                gate_samples=gate_samples,
+                gate_atoms=gate_atoms,
                 seed=self.seed,
                 enforce_gate=sec.get("force_gate", "true").strip().lower() != "false",
-                anti_l0=float(anti.get("l0", "0")),
-                anti_gamma_lo=float(anti.get("gamma_lo", "0")),
-                anti_gamma_hi=float(anti.get("gamma_hi", "0")),
-                anti_l_bar=float(anti.get("l_bar", "0")),
-                anti_lu_xx=float(anti.get("lu_xx", "0")),
+                anti_l0=l0,
+                anti_gamma_lo=gamma_lo,
+                anti_gamma_hi=gamma_hi,
+                anti_l_bar=l_bar,
+                anti_lu_xx=lu_xx,
             )
-        except ConfigError:
-            raise
-        except (ValueError, GateError) as err:
+        except GateError as err:
             raise ConfigError(f"invalid monotonicity section: {err}") from err
 
     def validate(self) -> None:
-        """Family constraints, admissible lambda weights, CFL: all checked
-        before any solve."""
+        """Family constraints, admissible lambda weights, CFL and every
+        numeric key the experiment's runner reads: all checked before any
+        solve."""
         if self.kind in ("solve", "mono", "propagate"):
             self.model()
             self.grid()
             self.initial_cloud()
             self.picard()
         if self.kind in ("mono", "propagate"):
-            mono_kind = self.mono_section.get("kind", "ll").strip()
-            if mono_kind not in ("ll", "disp", "anti"):
-                raise ConfigError(f"unknown monotonicity kind {mono_kind!r}")
-            if mono_kind == "anti":
-                if self.lambda_vec() is None:
-                    raise ConfigError("anti experiments need lambda_vec")
-                if not self.anti_section:
-                    raise ConfigError("anti experiments need an [anti] section")
-            lam = float(self.mono_section.get("lambda", "0"))
-            if lam < 0:
-                raise ConfigError("lambda must be nonnegative")
+            if self.propagation().kind == "anti" and not self.anti_section:
+                raise ConfigError("anti experiments need an [anti] section")
+        if self.kind == "mono":
+            self.slices()
         if self.kind == "check":
             self.model()
+            self.check_sizes()
+            self.lam()
+            self.anti_constants()
         if self.kind == "chain":
-            float(self.chain_section.get("shift_c", "0.5"))
+            self.chain_settings()

@@ -7,7 +7,6 @@ that Picard damping can mix two clouds without optimal-transport machinery.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,37 +135,6 @@ class JointEmpiricalMeasure:
         return JointEmpiricalMeasure(self.states, _as_points(seconds), self.weights)
 
 
-def first_marginal(joint: JointEmpiricalMeasure) -> EmpiricalMeasure:
-    """Project a joint cloud onto its state components, weights unchanged."""
-    return EmpiricalMeasure(joint.states, joint.weights)
-
-
-def moment(m: EmpiricalMeasure, k: int, coordinate: int = 0) -> float:
-    """Weighted power sum sum_i w_i x_i^k along one coordinate."""
-    if k not in (1, 2):
-        raise MeasureError(f"moment order must be 1 or 2, got {k}")
-    if not 0 <= coordinate < m.dim:
-        raise MeasureError(f"coordinate {coordinate} out of range for d = {m.dim}")
-    return float(m.weights @ m.points[:, coordinate] ** k)
-
-
-def flow_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    """2-Wasserstein distance between two uniform d=1 clouds of equal size.
-
-    Uses the sorted-quantile coupling, which is optimal on the line:
-    sqrt((1/n) sum_i |x_(i) - y_(i)|^2) over order statistics.
-    """
-    if a.dim != 1 or b.dim != 1:
-        raise MeasureError("flow_distance is restricted to d = 1")
-    if a.n != b.n:
-        raise MeasureError(f"flow_distance needs equal particle counts, got {a.n} and {b.n}")
-    if not (a.is_uniform() and b.is_uniform()):
-        raise MeasureError("flow_distance needs uniform weights")
-    xa = np.sort(a.x)
-    xb = np.sort(b.x)
-    return float(np.sqrt(np.mean((xa - xb) ** 2)))
-
-
 def mixture(a, b, weight_b: float):
     """Convex combination (1-w)*a + w*b as a concatenated-support cloud."""
     if not 0.0 <= weight_b <= 1.0:
@@ -194,24 +162,6 @@ def _levels(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
-def resample_quantile(m: EmpiricalMeasure, n: int) -> EmpiricalMeasure:
-    """Stratified inverse-CDF resampling of a d=1 cloud back to n uniform atoms.
-
-    Deterministic: atom i is the weighted empirical quantile at level
-    (i + 1/2)/n.  Resampling a uniform n-cloud onto n atoms reproduces its
-    sorted support exactly.
-    """
-    if m.dim != 1:
-        raise MeasureError("quantile resampling is restricted to d = 1")
-    order = np.argsort(m.x, kind="stable")
-    xs = m.x[order]
-    cum = np.cumsum(m.weights[order])
-    levels = _levels(n)
-    idx = np.searchsorted(cum, levels, side="left")
-    idx = np.clip(idx, 0, m.n - 1)
-    return EmpiricalMeasure(xs[idx][:, None], np.full(n, 1.0 / n))
-
-
 def gaussian_quantile_cloud(n: int, mean: float = 0.0, sd: float = 1.0) -> EmpiricalMeasure:
     """Deterministic Gaussian cloud: stratified quantiles of N(mean, sd^2)."""
     levels = _levels(n)
@@ -222,39 +172,3 @@ def uniform_grid_cloud(n: int, lo: float, hi: float) -> EmpiricalMeasure:
     levels = _levels(n)
     return EmpiricalMeasure((lo + (hi - lo) * levels)[:, None], np.full(n, 1.0 / n))
 
-
-def save_measure_csv(path, m) -> None:
-    """One row per particle; header row is mandatory."""
-    joint = isinstance(m, JointEmpiricalMeasure)
-    d = m.dim
-    header = [f"x_{i}" for i in range(d)]
-    if joint:
-        header += [f"a_{i}" for i in range(d)]
-    header.append("weight")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(m.n):
-            row = list((m.states if joint else m.points)[i])
-            if joint:
-                row += list(m.seconds[i])
-            row.append(m.weights[i])
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def load_measure_csv(path):
-    """Inverse of save_measure_csv; returns a joint cloud when a_* columns exist."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows or header[-1] != "weight":
-        raise MeasureError(f"malformed measure CSV {path!r}")
-    x_cols = [i for i, name in enumerate(header) if name.startswith("x_")]
-    a_cols = [i for i, name in enumerate(header) if name.startswith("a_")]
-    data = np.asarray(rows)
-    weights = data[:, -1]
-    points = data[:, x_cols]
-    if a_cols:
-        return JointEmpiricalMeasure(points, data[:, a_cols], weights)
-    return EmpiricalMeasure(points, weights)

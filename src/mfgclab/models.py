@@ -119,16 +119,6 @@ class QuadraticTerminalCost:
         m1 = mu.mean()
         return 0.5 * self.xx * xv**2 + self.xm * xv * m1 + self.x_lin * xv + self.m2 * m1 * m1
 
-    def dx(self, x, mu: EmpiricalMeasure):
-        return self.xx * np.asarray(x, dtype=float) + self.xm * mu.mean() + self.x_lin
-
-    def dxx(self) -> float:
-        return self.xx
-
-    def dxmu(self) -> float:
-        """Cross derivative in (x, measure); constant for this family."""
-        return self.xm
-
 
 @dataclass(frozen=True)
 class HatTable:

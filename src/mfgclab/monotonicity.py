@@ -2,10 +2,12 @@
 
 Three quadratic functionals of a test pair (xi, eta) — the Lasry-Lions form,
 the displacement lambda-form, and the anti-monotone form — are evaluated on
-V(t, ., mu) for sampled time slices and direction batteries.  The measure
-derivative of the value gradient is obtained by directional particle
-perturbations and re-solves; access to V is abstracted behind an object with
-a ``field(t, mu) -> ValueField`` method whose first slice is V(t, ., mu).
+V(t, ., mu) for sampled time slices and direction batteries.  Access to V
+is an object with a ``field(t, mu) -> ValueField`` method whose first slice
+is V(t, ., mu): ``solver.ValueAccess`` re-solves from a converged flow, and
+a fixed terminal cost or an analytic stand-in serves as well.  The measure
+derivative of the value gradient is the central difference of two such
+fields at directionally displaced clouds (``value_measure_gradient``).
 """
 from __future__ import annotations
 
@@ -72,26 +74,12 @@ def _check_direction(mu: EmpiricalMeasure, direction: TestDirection) -> None:
         raise MonotonicityError("direction atoms must coincide with the cloud atoms")
 
 
-def _ux_solver(access, t: float):
-    def solve(_t, mu):
-        fld = access.field(t, mu)
-        return lambda xq: fld.ux_at(0, xq)
-
-    return solve
-
-
-def gradient_direction_derivative(access, t: float, mu: EmpiricalMeasure,
-                                  direction: TestDirection, fd_eps: float = 1e-3) -> np.ndarray:
-    """D_i = (1/N) sum_j d_x d_mu V(t, x_i, mu, x_j) eta_j at every atom."""
-    _check_direction(mu, direction)
-    return value_measure_gradient(_ux_solver(access, t), mu, direction.eta,
-                                  direction.xi, t, fd_eps)
-
-
 def mon_ll(access, t: float, mu: EmpiricalMeasure, direction: TestDirection,
            fd_eps: float = 1e-3) -> float:
-    """Lasry-Lions form: the empirical mean of <eta_i, D_i>."""
-    d_vals = gradient_direction_derivative(access, t, mu, direction, fd_eps)
+    """Lasry-Lions form: the empirical mean of <eta_i, D_i>, where
+    D_i = (1/N) sum_j d_x d_mu V(t, x_i, mu, x_j) eta_j."""
+    _check_direction(mu, direction)
+    d_vals = value_measure_gradient(access, t, mu, direction.eta, fd_eps)
     return float(np.mean(direction.eta * d_vals))
 
 
@@ -113,7 +101,7 @@ def mon_anti(access, t: float, mu: EmpiricalMeasure, direction: TestDirection,
     _check_direction(mu, direction)
     base = access.field(t, mu)
     vxx = base.uxx_at(0, direction.xi)
-    d_vals = gradient_direction_derivative(access, t, mu, direction, fd_eps)
+    d_vals = value_measure_gradient(access, t, mu, direction.eta, fd_eps)
     eta = direction.eta
     return float(np.mean(
         lvec.l0 * vxx * eta**2
@@ -124,34 +112,15 @@ def mon_anti(access, t: float, mu: EmpiricalMeasure, direction: TestDirection,
     ))
 
 
-def mon_ll_difference_form(access, t: float, cloud1: EmpiricalMeasure,
-                           cloud2: EmpiricalMeasure) -> float:
-    """Four-value cross difference over a coupled pair of clouds.
-
-    The clouds are coupled by index (same index = same sample); the value is
-    the empirical mean of
-    V(t, x1_i, mu1) + V(t, x2_i, mu2) - V(t, x1_i, mu2) - V(t, x2_i, mu1),
-    a solver-level cross-check of mon_ll that needs no measure differencing.
-    """
-    if cloud1.n != cloud2.n:
-        raise MonotonicityError("coupled clouds must have equal particle counts")
-    f1 = access.field(t, cloud1)
-    f2 = access.field(t, cloud2)
-    x1 = cloud1.x
-    x2 = cloud2.x
-    return float(np.mean(
-        f1.value_at(0, x1) + f2.value_at(0, x2)
-        - f2.value_at(0, x1) - f1.value_at(0, x2)
-    ))
-
-
 def direction_battery(mu: EmpiricalMeasure, count: int = 12, seed: int = 0) -> list:
     """Deterministic direction battery over the atoms of mu.
 
-    Polynomial feedbacks eta = psi(x) for psi in {1, x, x^2, x^3}, each in a
-    mean-directed and a mean-free variant and with both signs, plus mean-free
-    i.i.d. noise directions (the mean-free variant of the constant feedback).
-    All directions are normalised to unit root-mean-square.
+    The first ``count`` of the shapes 1, noise, x, x - mean, x^2, x^2 - mean,
+    x^3, x^3 - mean, each followed by its negative, where noise is a mean-free
+    i.i.d. draw (the mean-free variant of the constant feedback) and shapes
+    that vanish on the cloud are skipped; fresh mean-free noise pairs fill any
+    remainder.  The default count of 12 therefore stops before the cubic
+    shapes.  All directions are normalised to unit root-mean-square.
     """
     xs = mu.x
     rng = np.random.default_rng(seed)
@@ -190,18 +159,26 @@ def tolerance_scale(dt: float, dx: float, n_particles: int, fd_eps: float,
     return float(c * (dt + dx**2 + 1.0 / np.sqrt(n_particles) + fd_eps**2))
 
 
+def mon_value(kind: str, access, t: float, mu: EmpiricalMeasure,
+              direction: TestDirection, fd_eps: float, lam: float = 0.0,
+              lvec: LambdaVec | None = None) -> float:
+    """The functional of one kind ("ll", "disp" or "anti") at one (t, direction)."""
+    if kind == "ll":
+        return mon_ll(access, t, mu, direction, fd_eps)
+    if kind == "disp":
+        return mon_disp(access, t, mu, direction, lam, fd_eps)
+    return mon_anti(access, t, mu, direction, lvec, fd_eps)
+
+
 def monotonicity_sweep(flow, access, kind: str, lam: float = 0.0,
                        lvec: LambdaVec | None = None, slices: int = 5,
                        battery_size: int = 12, fd_eps: float = 1e-3,
-                       tolerance: float = 1e-6, seed: int = 0,
-                       jobs: int = 1) -> MonotonicityReport:
+                       tolerance: float = 1e-6, seed: int = 0) -> MonotonicityReport:
     """Evaluate one functional over time slices x direction battery.
 
     Slice times are grid levels of the converged flow, with mu the flow's own
     state law there.  The verdict is min >= -tolerance for the Lasry-Lions
     and displacement kinds, and max <= tolerance for the anti-monotone kind.
-    (t, direction) evaluations are independent; with jobs > 1 they run on a
-    thread pool and are reduced in fixed index order.
     """
     if kind not in ("ll", "disp", "anti"):
         raise MonotonicityError(f"unknown monotonicity kind {kind!r}")
@@ -210,28 +187,12 @@ def monotonicity_sweep(flow, access, kind: str, lam: float = 0.0,
     grid = flow.grid
     levels = [int(round(q * grid.n_t / (slices - 1))) for q in range(slices)] \
         if slices > 1 else [0]
-
-    def evaluate(k: int, d_idx: int, mu_k, direction) -> dict:
-        if kind == "ll":
-            value = mon_ll(access, float(grid.ts[k]), mu_k, direction, fd_eps)
-        elif kind == "disp":
-            value = mon_disp(access, float(grid.ts[k]), mu_k, direction, lam, fd_eps)
-        else:
-            value = mon_anti(access, float(grid.ts[k]), mu_k, direction, lvec, fd_eps)
-        return {"t": float(grid.ts[k]), "level": k, "direction": d_idx, "value": value}
-
-    tasks = []
+    samples = []
     for k in sorted(set(levels)):
-        mu_k = flow.mu(k)
+        t, mu_k = float(grid.ts[k]), flow.mu(k)
         for d_idx, direction in enumerate(direction_battery(mu_k, battery_size, seed)):
-            tasks.append((k, d_idx, mu_k, direction))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            samples = list(pool.map(lambda args: evaluate(*args), tasks))
-    else:
-        samples = [evaluate(*args) for args in tasks]
+            value = mon_value(kind, access, t, mu_k, direction, fd_eps, lam, lvec)
+            samples.append({"t": t, "level": k, "direction": d_idx, "value": value})
     values = np.array([s["value"] for s in samples])
     minimum = float(values.min())
     maximum = float(values.max())
@@ -253,13 +214,3 @@ def monotonicity_sweep(flow, access, kind: str, lam: float = 0.0,
         },
     )
 
-
-def uxx_floor(field, lam: float, x_window: tuple | None = None) -> float:
-    """Smallest grid value of d^2 V/dx^2 + lambda; nonnegative when the
-    displacement lambda-form is nonnegative over a dense direction family."""
-    if x_window is None:
-        vals = field.u_xx
-    else:
-        cols = (field.xs >= x_window[0]) & (field.xs <= x_window[1])
-        vals = field.u_xx[:, cols]
-    return float(np.min(vals) + lam)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .calculus import value_measure_gradient
 from .conditions import (
     check_anti_assumption,
     check_disp_condition,
@@ -26,10 +27,7 @@ from .monotonicity import (
     LambdaVec,
     TestDirection,
     direction_battery,
-    gradient_direction_derivative,
-    mon_anti,
-    mon_disp,
-    mon_ll,
+    mon_value,
     tolerance_scale,
 )
 from .reports import ConditionReport
@@ -147,8 +145,7 @@ def simulate_variational(model: Model, flow: EquilibriumFlow,
         if np.sqrt(np.mean(delta**2)) < 1e-14:
             upsilon = np.zeros(n)
         else:
-            upsilon = gradient_direction_derivative(access, t_k, mu_k,
-                                                    TestDirection(x_k, delta), fd_eps)
+            upsilon = value_measure_gradient(access, t_k, mu_k, delta, fd_eps)
         table = hat_derivative_table(model, x_k, flow.momenta[k])
         forcing = (table.h_prho1 * delta[None, :]
                    + table.h_prho2 * (gamma + upsilon)[None, :]) @ w
@@ -284,7 +281,6 @@ class PropagationConfig:
     anti_gamma_hi: float = 0.0
     anti_l_bar: float = 0.0
     anti_lu_xx: float = 0.0
-    vxx_window: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in ("ll", "disp", "anti"):
@@ -322,23 +318,16 @@ def model_gate(model: Model, config: PropagationConfig) -> ConditionReport:
     )
 
 
-def _terminal_gate(model, flow, access, config: PropagationConfig,
-                   tol: float) -> tuple:
+def _terminal_gate(flow, access, config: PropagationConfig, tol: float) -> tuple:
     """Monotonicity of the terminal cost over the direction battery at t = T."""
     grid = flow.grid
     t_end = grid.t_end
     mu_t = flow.mu(grid.n_t)
-    values = []
-    for direction in direction_battery(mu_t, config.n_directions, config.seed):
-        if config.kind == "ll":
-            values.append(mon_ll(access, t_end, mu_t, direction, config.fd_eps))
-        elif config.kind == "disp":
-            values.append(mon_disp(access, t_end, mu_t, direction, config.lam,
-                                   config.fd_eps))
-        else:
-            values.append(mon_anti(access, t_end, mu_t, direction, config.lvec,
-                                   config.fd_eps))
-    values = np.asarray(values)
+    values = np.array([
+        mon_value(config.kind, access, t_end, mu_t, direction, config.fd_eps,
+                  config.lam, config.lvec)
+        for direction in direction_battery(mu_t, config.n_directions, config.seed)
+    ])
     if config.kind == "anti":
         ok = bool(values.max() <= tol)
     else:
@@ -366,13 +355,13 @@ def propagation_experiment(model: Model, flow: EquilibriumFlow,
         raise GateError(f"Hamiltonian condition gate failed for kind "
                         f"{config.kind!r}", gate)
 
-    terminal_ok, terminal_values = _terminal_gate(model, flow, access, config, tol)
+    terminal_ok, terminal_values = _terminal_gate(flow, access, config, tol)
     details: dict = {"terminal_values": terminal_values.tolist()}
     if config.enforce_gate and not terminal_ok:
         raise GateError("terminal cost does not carry the required monotonicity")
 
     if config.kind == "anti":
-        vxx_max = flow.value_field.max_abs_uxx(config.vxx_window)
+        vxx_max = float(np.max(np.abs(flow.value_field.u_xx)))
         details["vxx_max"] = vxx_max
         details["vxx_bound"] = config.anti_lu_xx
         if config.enforce_gate and vxx_max > config.anti_lu_xx:

@@ -9,6 +9,10 @@ are drawn once per solve and reused across sweeps, which turns each sweep
 into a deterministic map of the flow and makes the Picard residual
 meaningful.  The model sees each level's control law through its two means,
 so a sweep passes the per-level moments (m1, m2), not cloud objects.
+
+One sweep is the Picard map ``_sweep``.  ``solve_mfgc`` iterates it, damped,
+to tolerance; ``ValueAccess`` re-solves V(t, ., mu) for displaced clouds by a
+fixed number of undamped sweeps from the converged base flow.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ from .measures import EmpiricalMeasure
 from .models import Model, fixed_point_phi, hamiltonian, hamiltonian_dp
 
 CFL_SAFETY = 0.45
+RESOLVE_SWEEPS = 6
 
 
 class SolverError(RuntimeError):
@@ -126,25 +131,11 @@ class ValueField:
         self.u_x = _d1_rows(self.u, dx)
         self.u_xx = _d2_rows(self.u, dx)
 
-    @property
-    def levels(self) -> int:
-        return self.ts.size
-
-    def value_at(self, level: int, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.u[level])
-
     def ux_at(self, level: int, x) -> np.ndarray:
         return np.interp(np.asarray(x, dtype=float), self.xs, self.u_x[level])
 
     def uxx_at(self, level: int, x) -> np.ndarray:
         return np.interp(np.asarray(x, dtype=float), self.xs, self.u_xx[level])
-
-    def max_abs_uxx(self, x_window: tuple | None = None) -> float:
-        if x_window is None:
-            return float(np.max(np.abs(self.u_xx)))
-        lo, hi = x_window
-        cols = (self.xs >= lo) & (self.xs <= hi)
-        return float(np.max(np.abs(self.u_xx[:, cols])))
 
 
 @dataclass
@@ -152,7 +143,6 @@ class PicardSettings:
     max_iter: int = 80
     damping: float = 0.5
     tol: float = 1e-9
-    fixed_sweeps: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
@@ -163,7 +153,7 @@ class PicardSettings:
 
 @dataclass
 class EquilibriumFlow:
-    """Converged (or fixed-sweep) equilibrium flow and its value field."""
+    """Converged equilibrium flow and its value field."""
 
     grid: Grid
     states: np.ndarray    # (levels, n)
@@ -214,7 +204,12 @@ class EquilibriumFlow:
 
 
 def _quantile_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """flow_distance on raw equal-size uniform clouds (sorted RMS difference)."""
+    """2-Wasserstein distance of two equal-size uniform d=1 clouds.
+
+    The sorted-quantile coupling is optimal on the line, so this is the RMS
+    difference of the order statistics; the Picard residual is its maximum
+    over levels, for states and for momenta.
+    """
     return float(np.sqrt(np.mean((np.sort(a) - np.sort(b)) ** 2)))
 
 
@@ -248,102 +243,50 @@ def _backward_value(model: Model, xs: np.ndarray, dx: float, dt: float,
     return u
 
 
-def _solve_on_levels(model: Model, x0: np.ndarray, xs: np.ndarray, dx: float,
-                     dt: float, n_steps: int, brownian: np.ndarray,
-                     picard: PicardSettings,
-                     init_states: np.ndarray | None = None,
-                     init_momenta: np.ndarray | None = None):
-    """Core Picard loop; returns (states, momenta, controls, u, iters, history)."""
-    n = x0.shape[0]
-    levels = n_steps + 1
+def _sweep(model: Model, x0: np.ndarray, xs: np.ndarray, dx: float, dt: float,
+           brownian: np.ndarray, states: np.ndarray, momenta: np.ndarray) -> tuple:
+    """One Picard map: control-law moments, backward value sweep, forward
+    particle push from x0 and the escape check.
+
+    Returns the proposed (states, momenta) and the value grid solved against
+    the entering flow.
+    """
+    n_steps = brownian.shape[0]
     sqrt_dt = np.sqrt(dt)
+    m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
+    u = _backward_value(model, xs, dx, dt, m1, m2, _terminal_law(states))
+    ux_rows = _d1_rows(u, dx)
 
-    if init_states is not None:
-        states = np.array(init_states, dtype=float)
-        momenta = np.array(init_momenta, dtype=float)
-        if states.shape != (levels, n) or momenta.shape != (levels, n):
-            raise SolverError("warm-start arrays do not match the solve dimensions")
-        states[0] = x0
-    else:
-        states = np.empty((levels, n))
-        states[0] = x0
-        for k in range(n_steps):
-            states[k + 1] = states[k] + sqrt_dt * brownian[k]
-        momenta = np.zeros((levels, n))
-
-    history: list[float] = []
-    target_sweeps = picard.fixed_sweeps if picard.fixed_sweeps is not None else picard.max_iter
-    converged = False
-    u = None
-    prop_states = states
-    prop_momenta = momenta
-
-    for sweep in range(target_sweeps):
-        m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
-        u = _backward_value(model, xs, dx, dt, m1, m2, _terminal_law(states))
-        ux_rows = _d1_rows(u, dx)
-
-        prop_states = np.empty_like(states)
-        prop_states[0] = x0
-        for k in range(n_steps):
-            xk = prop_states[k]
-            p_at = np.interp(xk, xs, ux_rows[k])
-            drift = hamiltonian_dp(model, xk, p_at, m1[k], m2[k])
-            prop_states[k + 1] = xk + dt * drift + sqrt_dt * brownian[k]
-        if np.any(prop_states < xs[0]) or np.any(prop_states > xs[-1]):
-            bad = int(np.argmax(np.any((prop_states < xs[0]) | (prop_states > xs[-1]), axis=1)))
-            raise SolverError(
-                f"particles escaped the grid at level {bad}; enlarge the domain "
-                "or shrink the horizon"
-            )
-        prop_momenta = np.empty_like(momenta)
-        for k in range(levels):
-            prop_momenta[k] = np.interp(prop_states[k], xs, ux_rows[k])
-
-        residual = 0.0
-        for k in range(levels):
-            residual = max(residual, _quantile_dist(states[k], prop_states[k]),
-                           _quantile_dist(momenta[k], prop_momenta[k]))
-        history.append(residual)
-
-        if picard.fixed_sweeps is None and residual <= picard.tol:
-            converged = True
-            states, momenta = prop_states, prop_momenta
-            break
-        omega = picard.damping
-        states = omega * prop_states + (1.0 - omega) * states
-        momenta = omega * prop_momenta + (1.0 - omega) * momenta
-
-    if picard.fixed_sweeps is not None:
-        states, momenta = prop_states, prop_momenta
-    elif not converged:
-        raise PicardError(
-            f"Picard iteration did not reach tol={picard.tol} within "
-            f"{picard.max_iter} sweeps (last residual {history[-1]:.3e})",
-            history,
+    prop_states = np.empty_like(states)
+    prop_states[0] = x0
+    for k in range(n_steps):
+        xk = prop_states[k]
+        p_at = np.interp(xk, xs, ux_rows[k])
+        drift = hamiltonian_dp(model, xk, p_at, m1[k], m2[k])
+        prop_states[k + 1] = xk + dt * drift + sqrt_dt * brownian[k]
+    if np.any(prop_states < xs[0]) or np.any(prop_states > xs[-1]):
+        bad = int(np.argmax(np.any((prop_states < xs[0]) | (prop_states > xs[-1]), axis=1)))
+        raise SolverError(
+            f"particles escaped the grid at level {bad}; enlarge the domain "
+            "or shrink the horizon"
         )
-
-    # The accepted flow is the final Picard proposal; its interior value rows
-    # were solved against the entering flow (one sweep behind, which is what
-    # best_response_gap measures), but the terminal condition is refreshed so
-    # that u(T, .) = g(., mu_T) holds exactly for the stored flow.
-    u[-1] = model.g(xs, _terminal_law(states))
-    momenta[-1] = np.interp(states[-1], xs, _d1_rows(u[-1], dx))
-    controls = fixed_point_phi(model, states, momenta)
-    return states, momenta, controls, u, len(history), history
+    prop_momenta = np.empty_like(momenta)
+    for k in range(n_steps + 1):
+        prop_momenta[k] = np.interp(prop_states[k], xs, ux_rows[k])
+    return prop_states, prop_momenta, u
 
 
 def solve_mfgc(model: Model, mu0: EmpiricalMeasure, grid: Grid,
-               picard: PicardSettings | None = None, seed: int = 0,
-               init: tuple | None = None) -> EquilibriumFlow:
+               picard: PicardSettings | None = None, seed: int = 0) -> EquilibriumFlow:
     """Solve the coupled equilibrium system from the initial state law mu0.
 
-    The returned flow is the accepted Picard proposal: its momenta equal the
-    value gradient interpolated at its own states, and its per-step control
-    laws are the exact fixed point of its (state, momentum) laws.  The stored
-    value grid is the one the final sweep solved against the previous flow;
-    at tolerance the two coincide up to the Picard residual, which is what
-    ``best_response_gap`` measures.
+    Damped Picard iteration of ``_sweep`` from the uncontrolled flow until
+    the residual reaches ``picard.tol``.  The returned flow is the accepted
+    Picard proposal: its momenta equal the value gradient interpolated at its
+    own states, and its per-step control laws are the exact fixed point of
+    its (state, momentum) laws.  The stored value grid is the one the final
+    sweep solved against the previous flow; at tolerance the two coincide up
+    to the Picard residual, which is what ``best_response_gap`` measures.
     """
     picard = picard if picard is not None else PicardSettings()
     if mu0.dim != 1:
@@ -359,16 +302,48 @@ def solve_mfgc(model: Model, mu0: EmpiricalMeasure, grid: Grid,
 
     rng = np.random.default_rng(seed)
     brownian = rng.standard_normal((grid.n_t, mu0.n))
-    init_states = init[0] if init is not None else None
-    init_momenta = init[1] if init is not None else None
-    states, momenta, controls, u, iters, history = _solve_on_levels(
-        model, mu0.x.copy(), grid.xs, grid.dx, grid.dt, grid.n_t, brownian,
-        picard, init_states, init_momenta,
-    )
+    x0 = mu0.x.copy()
+    xs, dx, dt = grid.xs, grid.dx, grid.dt
+    sqrt_dt = np.sqrt(dt)
+    states = np.empty((grid.n_t + 1, mu0.n))
+    states[0] = x0
+    for k in range(grid.n_t):
+        states[k + 1] = states[k] + sqrt_dt * brownian[k]
+    momenta = np.zeros_like(states)
+
+    history: list[float] = []
+    for _ in range(picard.max_iter):
+        prop_states, prop_momenta, u = _sweep(model, x0, xs, dx, dt, brownian,
+                                              states, momenta)
+        residual = 0.0
+        for k in range(grid.n_t + 1):
+            residual = max(residual, _quantile_dist(states[k], prop_states[k]),
+                           _quantile_dist(momenta[k], prop_momenta[k]))
+        history.append(residual)
+        if residual <= picard.tol:
+            states, momenta = prop_states, prop_momenta
+            break
+        omega = picard.damping
+        states = omega * prop_states + (1.0 - omega) * states
+        momenta = omega * prop_momenta + (1.0 - omega) * momenta
+    else:
+        raise PicardError(
+            f"Picard iteration did not reach tol={picard.tol} within "
+            f"{picard.max_iter} sweeps (last residual {history[-1]:.3e})",
+            history,
+        )
+
+    # The accepted flow is the final Picard proposal; its interior value rows
+    # were solved against the entering flow (one sweep behind, which is what
+    # best_response_gap measures), but the terminal condition is refreshed so
+    # that u(T, .) = g(., mu_T) holds exactly for the stored flow.
+    u[-1] = model.g(xs, _terminal_law(states))
+    momenta[-1] = np.interp(states[-1], xs, _d1_rows(u[-1], dx))
     return EquilibriumFlow(
-        grid=grid, states=states, momenta=momenta, controls=controls,
-        value_field=ValueField(u, grid.xs, grid.ts),
-        picard_iterations=iters, final_residual=history[-1],
+        grid=grid, states=states, momenta=momenta,
+        controls=fixed_point_phi(model, states, momenta),
+        value_field=ValueField(u, xs, grid.ts),
+        picard_iterations=len(history), final_residual=history[-1],
         residual_history=history, brownian=brownian, seed=seed,
     )
 
@@ -377,23 +352,6 @@ def terminal_field(model: Model, mu: EmpiricalMeasure, xs: np.ndarray,
                    t_end: float) -> ValueField:
     """The exact terminal slice V(T, ., mu) = g(., mu) as a one-level field."""
     return ValueField(model.g(xs, mu)[None, :], xs, np.array([t_end]))
-
-
-def value_at(model: Model, mu: EmpiricalMeasure, t: float, grid: Grid,
-             picard: PicardSettings | None = None, seed: int = 0) -> ValueField:
-    """V(t, ., mu) as the first slice of a fresh solve on [t, t_end].
-
-    This re-solve is the only access path to the value function as a function
-    of the measure argument.
-    """
-    if t > grid.t_end + 1e-12 or t < grid.t0 - 1e-12:
-        raise SolverError(f"time {t} outside the grid horizon")
-    if t >= grid.t_end - 1e-12:
-        return terminal_field(model, mu, grid.xs, grid.t_end)
-    n_steps = max(8, int(round((grid.t_end - t) / grid.dt)))
-    sub = Grid(grid.x_min, grid.x_max, grid.n_x, t, grid.t_end, n_steps)
-    flow = solve_mfgc(model, mu, sub, picard, seed)
-    return flow.value_field
 
 
 def best_response_gap(model: Model, flow: EquilibriumFlow) -> float:
@@ -406,68 +364,54 @@ def best_response_gap(model: Model, flow: EquilibriumFlow) -> float:
 
 
 class ValueAccess:
-    """Cached access to V(t_k, ., mu) via warm-started fixed-sweep re-solves.
+    """V(t_k, ., mu) for clouds mu near a converged base flow, by re-solves.
 
-    Bound to a base grid and (optionally) a converged base flow.  Re-solves
-    reuse the base flow's Brownian increments and run a fixed number of
-    undamped sweeps so that paired perturbation solves share their iteration
-    error and differences of their outputs stay smooth.
+    A re-solve at level k starts from the base flow shifted atom by atom,
+    states = base.states[k:] + (mu - base.states[k]) with the momenta
+    base.momenta[k:], reuses the base flow's Brownian increments and runs
+    RESOLVE_SWEEPS undamped Picard sweeps with no residual check.  Paired
+    perturbation solves therefore share their iteration error, and differences
+    of their outputs stay smooth.  Every cloud must be a displacement of the
+    base cloud, so it has the base flow's particle count.
+
+    Callers read only the first slice of a field, so the cache keeps a
+    one-level copy per (level, cloud) for the life of the object; a -eta
+    perturbation asks for exactly the clouds that +eta asked for.
     """
 
-    def __init__(self, model: Model, grid: Grid, picard: PicardSettings | None = None,
-                 seed: int = 0, base_flow: EquilibriumFlow | None = None,
-                 sweeps: int = 8, damping: float = 1.0, cache_size: int = 128):
+    def __init__(self, model: Model, flow: EquilibriumFlow):
         self.model = model
-        self.grid = grid
-        self.picard = picard if picard is not None else PicardSettings()
-        self.seed = seed
-        self.base_flow = base_flow
-        self.sweeps = sweeps
-        self.damping = damping
+        self.flow = flow
         self._cache: dict = {}
-        self._cache_size = cache_size
 
     def level_of(self, t: float) -> int:
-        k = int(round((t - self.grid.t0) / self.grid.dt))
-        if not 0 <= k <= self.grid.n_t:
+        grid = self.flow.grid
+        k = int(round((t - grid.t0) / grid.dt))
+        if not 0 <= k <= grid.n_t:
             raise SolverError(f"time {t} outside the grid horizon")
         return k
 
-    def _brownian_tail(self, k: int, n: int) -> np.ndarray:
-        if self.base_flow is not None and self.base_flow.n_particles == n:
-            return self.base_flow.brownian[k:]
-        rng = np.random.default_rng([self.seed, k])
-        return rng.standard_normal((self.grid.n_t - k, n))
-
-    def _warm_start(self, k: int, mu: EmpiricalMeasure):
-        base = self.base_flow
-        if base is None or base.n_particles != mu.n:
-            return None, None
-        shift = mu.x - base.states[k]
-        return base.states[k:] + shift, base.momenta[k:].copy()
-
     def field(self, t: float, mu: EmpiricalMeasure) -> ValueField:
-        """Value field on [t_k, t_end] from the state law mu at the level of t."""
+        """The one-level field V(t_k, ., mu) at the level k of t."""
         k = self.level_of(t)
         key = (k, mu.points.tobytes(), mu.weights.tobytes())
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        if k == self.grid.n_t:
-            out = terminal_field(self.model, mu, self.grid.xs, self.grid.t_end)
+        base, grid = self.flow, self.flow.grid
+        if mu.n != base.n_particles:
+            raise SolverError(f"cloud of {mu.n} particles cannot be re-solved from a "
+                              f"base flow of {base.n_particles}")
+        if k == grid.n_t:
+            out = terminal_field(self.model, mu, grid.xs, grid.t_end)
         else:
-            init_states, init_momenta = self._warm_start(k, mu)
-            settings = PicardSettings(
-                max_iter=self.sweeps, damping=self.damping,
-                tol=self.picard.tol, fixed_sweeps=self.sweeps,
-            )
-            _, _, _, u, _, _ = _solve_on_levels(
-                self.model, mu.x.copy(), self.grid.xs, self.grid.dx, self.grid.dt,
-                self.grid.n_t - k, self._brownian_tail(k, mu.n), settings,
-                init_states, init_momenta,
-            )
-            out = ValueField(u, self.grid.xs, self.grid.ts[k:])
-        if len(self._cache) >= self._cache_size:
-            self._cache.pop(next(iter(self._cache)))
+            x0 = mu.x.copy()
+            states = base.states[k:] + (x0 - base.states[k])
+            states[0] = x0
+            momenta = base.momenta[k:]
+            for _ in range(RESOLVE_SWEEPS):
+                states, momenta, u = _sweep(self.model, x0, grid.xs, grid.dx, grid.dt,
+                                            base.brownian[k:], states, momenta)
+            out = ValueField(u[:1].copy(), grid.xs, grid.ts[k:k + 1])
         self._cache[key] = out
         return out

@@ -6,11 +6,11 @@ from mfgclab.calculus import (
     MeasureFunctional,
     chain_rule_check,
     identity_map,
-    lions_derivative,
     mean_shift_map,
     value_measure_gradient,
 )
 from mfgclab.measures import EmpiricalMeasure, JointEmpiricalMeasure
+from mfgclab.solver import ValueField
 
 
 def cloud(xs):
@@ -22,43 +22,6 @@ def joint_cloud(rng, n):
     return JointEmpiricalMeasure(
         rng.normal(size=(n, 1)), rng.normal(size=(n, 1)), np.full(n, 1.0 / n)
     )
-
-
-class TestLionsDerivative:
-    def test_mean_functional(self):
-        mu = cloud([0.5, -1.0, 2.0])
-        f = MeasureFunctional(eval=lambda m: m.mean(), label="mean")
-        for i in range(mu.n):
-            assert lions_derivative(f, mu, i)[0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_second_moment_functional(self):
-        mu = cloud([0.5, -1.0, 2.0])
-        f = MeasureFunctional(eval=lambda m: float(m.weights @ m.points[:, 0] ** 2))
-        for i in range(mu.n):
-            assert lions_derivative(f, mu, i)[0] == pytest.approx(2 * mu.x[i], abs=1e-8)
-
-    def test_squared_mean_functional(self):
-        mu = cloud([0.5, -1.0, 2.0, 0.25])
-        f = MeasureFunctional(eval=lambda m: m.mean() ** 2)
-        for i in range(mu.n):
-            assert lions_derivative(f, mu, i)[0] == pytest.approx(2 * mu.mean(), abs=1e-8)
-
-    def test_cylinder_functionals_up_to_cubic(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            mu = cloud(rng.normal(size=6))
-            coeffs = rng.normal(size=4)  # g(m) = c0 + c1 m + c2 m^2 + c3 m^3
-            g = np.polynomial.polynomial.Polynomial(coeffs)
-            gprime = g.deriv()
-            f = MeasureFunctional(eval=lambda m, g=g: float(g(m.mean())))
-            for i in range(mu.n):
-                got = lions_derivative(f, mu, i)[0]
-                assert got == pytest.approx(float(gprime(mu.mean())), abs=1e-6)
-
-    def test_requires_uniform_weights(self):
-        mu = EmpiricalMeasure(np.array([[0.0], [1.0]]), np.array([0.25, 0.75]))
-        with pytest.raises(CalculusError):
-            lions_derivative(MeasureFunctional(eval=lambda m: m.mean()), mu, 0)
 
 
 def second_mean_functional():
@@ -140,55 +103,65 @@ class TestChainRule:
                              joint_cloud(rng, 4), joint_cloud(rng, 4))
 
 
+class AnalyticAccess:
+    """Access object whose field is the one-level grid of an analytic V(x, mu).
+
+    Central differences are exact for quadratics in x, so the field's gradient
+    at the atoms is the analytic dV/dx.
+    """
+
+    def __init__(self, value):
+        self.value = value
+        self.xs = np.linspace(-4.0, 4.0, 161)
+
+    def field(self, t, mu):
+        return ValueField(self.value(self.xs, mu)[None, :], self.xs, np.array([t]))
+
+
 class TestValueMeasureGradient:
     def test_linear_mean_field(self):
         # V(t, x, mu) = x * E[xi]: the gradient derivative along eta is mean(eta).
-        def solve(t, mu):
-            return lambda xs: np.full_like(np.asarray(xs, dtype=float), mu.mean())
-
+        access = AnalyticAccess(lambda xs, mu: xs * mu.mean())
         mu = cloud([0.0, 1.0, -2.0, 0.5])
         eta = np.array([1.0, 2.0, 0.0, -1.0])
-        got = value_measure_gradient(solve, mu, eta, np.array([0.0, 1.0]), t=0.0)
+        got = value_measure_gradient(access, 0.0, mu, eta)
+        assert got.shape == (4,)
         assert np.allclose(got, np.mean(eta), atol=1e-9)
 
     def test_no_measure_dependence(self):
-        def solve(t, mu):
-            return lambda xs: 2.0 * np.asarray(xs, dtype=float)
-
+        access = AnalyticAccess(lambda xs, mu: xs**2)
         mu = cloud([0.0, 1.0])
-        got = value_measure_gradient(solve, mu, np.array([1.0, -3.0]), np.array([0.3]), t=0.0)
-        assert got[0] == 0.0
+        got = value_measure_gradient(access, 0.0, mu, np.array([1.0, -3.0]))
+        assert np.array_equal(got, np.zeros(2))
 
     def test_quadratic_mean_field(self):
         # V = x * E[xi]^2: derivative of dV/dx along eta is 2 E[xi] mean(eta).
-        def solve(t, mu):
-            return lambda xs: np.full_like(np.asarray(xs, dtype=float), mu.mean() ** 2)
-
+        access = AnalyticAccess(lambda xs, mu: xs * mu.mean() ** 2)
         mu = cloud([0.5, 1.5, -1.0, 3.0])
         eta = np.array([0.2, -0.4, 1.0, 0.6])
-        got = value_measure_gradient(solve, mu, eta, np.array([0.0]), t=0.0)
-        assert got[0] == pytest.approx(2 * mu.mean() * np.mean(eta), abs=1e-7)
+        got = value_measure_gradient(access, 0.0, mu, eta)
+        assert np.allclose(got, 2 * mu.mean() * np.mean(eta), atol=1e-7)
 
     def test_linearity_in_direction(self):
-        def solve(t, mu):
-            m = mu.mean()
-            s = float(mu.weights @ mu.points[:, 0] ** 2)
-            return lambda xs: m**2 + s * np.asarray(xs, dtype=float)
+        # V = x E[xi]^2 + x^2 E[xi^2] / 2, so dV/dx = E[xi]^2 + x E[xi^2].
+        def value(xs, mu):
+            return xs * mu.mean() ** 2 + 0.5 * xs**2 * float(mu.weights @ mu.x**2)
 
+        access = AnalyticAccess(value)
         rng = np.random.default_rng(12)
         mu = cloud(rng.normal(size=6))
         e1 = rng.normal(size=6)
         e2 = rng.normal(size=6)
-        xq = np.array([-0.5, 0.4])
-        g1 = value_measure_gradient(solve, mu, e1, xq, t=0.0)
-        g2 = value_measure_gradient(solve, mu, e2, xq, t=0.0)
-        g12 = value_measure_gradient(solve, mu, e1 + e2, xq, t=0.0)
+        g1 = value_measure_gradient(access, 0.0, mu, e1)
+        g2 = value_measure_gradient(access, 0.0, mu, e2)
+        g12 = value_measure_gradient(access, 0.0, mu, e1 + e2)
         assert np.allclose(g12, g1 + g2, atol=2e-6)
 
     def test_zero_direction_short_circuits(self):
-        def solve(t, mu):  # pragma: no cover - must not be called
-            raise AssertionError("solver should not run for a zero direction")
+        class NoAccess:
+            def field(self, t, mu):  # pragma: no cover - must not be called
+                raise AssertionError("no field should be asked for a zero direction")
 
         mu = cloud([0.0, 1.0])
-        got = value_measure_gradient(solve, mu, np.zeros(2), np.array([0.0, 1.0]), t=0.0)
+        got = value_measure_gradient(NoAccess(), 0.0, mu, np.zeros(2))
         assert np.array_equal(got, np.zeros(2))

@@ -1,3 +1,5 @@
+import configparser
+import io
 import json
 from pathlib import Path
 
@@ -57,6 +59,27 @@ tol_c = 0.05
 samples = 20
 atoms = 12
 """
+
+
+def with_key(text, section, key, value):
+    """The INI text with one key of one section set to value."""
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section][key] = value
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()
+
+
+BASE_CONFIGS = {
+    "propagate": small_model_block(),
+    "mono": small_model_block().replace("kind = propagate", "kind = mono"),
+    "check": "[experiment]\nkind = check\n[model]\nfamily = ll_example\n"
+             "[check]\nwhich = ll\n",
+    "chain": "[experiment]\nkind = chain\n[chain]\npairs = 2\natoms = 4\n",
+}
 
 
 class TestExitCodes:
@@ -155,6 +178,29 @@ which = matrix1
         out = tmp_path / "o"
         assert main(["check", "--config", str(cfg), "--out", str(out)]) == 1
         assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("kind,section,key,value", [
+        ("propagate", "monotonicity", "directions", "0"),
+        ("propagate", "monotonicity", "directions", "two"),
+        ("mono", "monotonicity", "slices", "five"),
+        ("mono", "monotonicity", "slices", "0"),
+        ("propagate", "monotonicity", "lambda", "-1"),
+        ("check", "check", "samples", "forty"),
+        ("propagate", "check", "samples", "0"),
+        ("check", "check", "atoms", "1"),
+        ("check", "anti", "l0", "big"),
+        ("chain", "chain", "pairs", "many"),
+        ("chain", "chain", "pairs", "0"),
+        ("chain", "chain", "atoms", "0"),
+        ("chain", "chain", "tol", "-1e-6"),
+        ("chain", "chain", "shift_c", "half"),
+    ])
+    def test_bad_runner_key_is_config_error(self, tmp_path, kind, section, key, value):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_key(BASE_CONFIGS[kind], section, key, value))
+        out = tmp_path / "o"
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1
+        assert not (out / "report.json").exists()  # rejected before any run
 
     def test_non_convergence_exits_4(self, tmp_path):
         cfg = tmp_path / "exp.ini"

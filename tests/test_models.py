@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfgclab.config import preset_model
-from mfgclab.measures import EmpiricalMeasure, JointEmpiricalMeasure, first_marginal, flow_distance
+from mfgclab.measures import EmpiricalMeasure, JointEmpiricalMeasure
 from mfgclab.models import (
     CONTRACTION_EPS,
     MeanPoly2,
@@ -14,6 +14,7 @@ from mfgclab.models import (
     hat_derivative_table,
     verify_envelope_identities,
 )
+from mfgclab.solver import _quantile_dist, terminal_field
 
 # ---------------------------------------------------------------------------
 # Finite-difference oracle for the reduced Hamiltonian Hhat(x, p, rho) =
@@ -252,7 +253,8 @@ class TestFixedPoint:
         xs, ps = random_law(np.random.default_rng(17), n=12)
         rho = JointEmpiricalMeasure(xs[:, None], ps[:, None], None)
         nu = JointEmpiricalMeasure(xs[:, None], fixed_point_phi(model, xs, ps)[:, None], None)
-        assert flow_distance(first_marginal(nu), first_marginal(rho)) == 0.0
+        assert _quantile_dist(nu.x, rho.x) == 0.0
+        assert np.array_equal(nu.weights, rho.weights)
 
     def test_leading_axes_are_independent_laws(self):
         model = preset_model(FULL_MEANFIELD)
@@ -346,11 +348,14 @@ class TestEnvelopeIdentities:
 
 class TestTerminalCost:
     def test_quadratic_terminal_derivatives(self):
+        # The terminal slice's grid derivatives are exact for a quadratic in x:
+        # g_x = xx x + xm E[xi] + x_lin and g_xx = xx.
         g = QuadraticTerminalCost(xx=0.8, xm=0.3, x_lin=-0.2, m2=0.5)
         mu = EmpiricalMeasure(np.array([[0.0], [2.0]]), np.array([0.5, 0.5]))
         xs = np.array([-1.0, 0.5])
+        field = terminal_field(Model(g=g), mu, np.linspace(-4.0, 4.0, 81), 1.0)
         h = 1e-6
         fd_dx = (g(xs + h, mu) - g(xs - h, mu)) / (2 * h)
-        assert np.allclose(g.dx(xs, mu), fd_dx, atol=1e-8)
-        assert g.dxx() == pytest.approx(0.8)
-        assert g.dxmu() == pytest.approx(0.3)
+        assert np.allclose(field.ux_at(0, xs), fd_dx, atol=1e-8)
+        assert np.allclose(field.ux_at(0, xs), 0.8 * xs + 0.3 * mu.mean() - 0.2, atol=1e-12)
+        assert np.allclose(field.uxx_at(0, xs), 0.8, atol=1e-12)

@@ -11,7 +11,6 @@ from mfgclab.monotonicity import (
     mon_anti,
     mon_disp,
     mon_ll,
-    mon_ll_difference_form,
     monotonicity_sweep,
     tolerance_scale,
 )
@@ -130,6 +129,24 @@ class TestMonAntiTerminal:
             LambdaVec(1.0, 0.0, 1.0, -1.0)
 
 
+def mon_ll_difference_form(access, t, cloud1, cloud2):
+    """Four-value cross difference over a coupled pair of clouds.
+
+    The clouds are coupled by index (same index = same sample); the value is
+    the empirical mean of
+    V(t, x1_i, mu1) + V(t, x2_i, mu2) - V(t, x1_i, mu2) - V(t, x2_i, mu1),
+    a cross-check of mon_ll that needs no measure differencing.
+    """
+    f1 = access.field(t, cloud1)
+    f2 = access.field(t, cloud2)
+
+    def v(fld, x):
+        return np.interp(x, fld.xs, fld.u[0])
+
+    x1, x2 = cloud1.x, cloud2.x
+    return float(np.mean(v(f1, x1) + v(f2, x2) - v(f2, x1) - v(f1, x2)))
+
+
 class TestDifferenceForm:
     def test_identical_clouds_give_zero(self):
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=0.5))
@@ -189,7 +206,7 @@ class TestSweepWithSolver:
         grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, 0.25)
         pic = PicardSettings(max_iter=150, tol=1e-9, damping=0.6)
         flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid, pic, seed=7)
-        access = ValueAccess(model, grid, pic, seed=7, base_flow=flow, sweeps=6)
+        access = ValueAccess(model, flow)
         tol = tolerance_scale(grid.dt, grid.dx, 16, 1e-3, c=0.2)
         report = monotonicity_sweep(flow, access, "ll", slices=3, battery_size=6,
                                     fd_eps=1e-3, tolerance=tol, seed=0)

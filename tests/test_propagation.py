@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 from mfgclab.measures import gaussian_quantile_cloud
 from mfgclab.config import preset_model
 from mfgclab.models import MeanPoly2, Model, QuadraticTerminalCost
-from mfgclab.monotonicity import LambdaVec, TestDirection, uxx_floor
+from mfgclab.monotonicity import LambdaVec, TestDirection, direction_battery
 from mfgclab.propagation import (
     GateError,
     PropagationConfig,
@@ -37,13 +37,14 @@ def run_experiment(model, flow, access, config):
     return propagation_experiment(model, flow, access, config, model_gate(model, config))
 
 
-def lq_setup(t_end=0.5, n_x=121):
+@pytest.fixture(scope="module")
+def lq_setup():
+    """Uncoupled LQ flow; shared, so its tests reuse one access cache."""
     model = Model(b0=(1, 0, 0), g=QuadraticTerminalCost(xx=1.0))
-    grid = Grid.with_cfl_steps(-6.0, 6.0, n_x, 0.0, t_end)
+    grid = Grid.with_cfl_steps(-6.0, 6.0, 121, 0.0, 0.5)
     pic = PicardSettings(max_iter=40, tol=1e-10, damping=1.0)
     flow = solve_mfgc(model, MU0, grid, pic, seed=42)
-    access = ValueAccess(model, grid, pic, seed=42, base_flow=flow, sweeps=4)
-    return model, grid, flow, access
+    return model, grid, flow, ValueAccess(model, flow)
 
 
 def ll_setup(t_end=0.25, n_x=81, c2=0.05, terminal=None, seed=7):
@@ -53,8 +54,7 @@ def ll_setup(t_end=0.25, n_x=81, c2=0.05, terminal=None, seed=7):
     grid = Grid.with_cfl_steps(-6.0, 6.0, n_x, 0.0, t_end)
     pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
     flow = solve_mfgc(model, MU0, grid, pic, seed=seed)
-    access = ValueAccess(model, grid, pic, seed=seed, base_flow=flow, sweeps=6)
-    return model, grid, flow, access
+    return model, grid, flow, ValueAccess(model, flow)
 
 
 class TestSimulateVariational:
@@ -68,9 +68,9 @@ class TestSimulateVariational:
             assert np.all(s.upsilon == 0.0)
             assert np.all(s.forcing == 0.0)
 
-    def test_uncoupled_lq_matches_ode_oracle(self):
+    def test_uncoupled_lq_matches_ode_oracle(self, lq_setup):
         # dX' = Hpp * Vxx * dX = -2 P(t) dX with the backward Riccati P.
-        model, grid, flow, access = lq_setup()
+        model, grid, flow, access = lq_setup
         eta = np.ones(N)
         states = simulate_variational(model, flow, TestDirection(flow.states[0], eta), access)
         t_end = grid.t_end
@@ -93,6 +93,17 @@ class TestSimulateVariational:
         for a, b in zip(s1, s2):
             assert np.allclose(2.0 * a.delta_x, b.delta_x, atol=1e-9)
 
+    def test_negated_direction_reuses_every_field(self):
+        # The -eta trace displaces each cloud by exactly the offsets of the
+        # +eta trace, in the other order, so it needs no new re-solve.
+        model, grid, flow, access = ll_setup()
+        eta = direction_battery(flow.mu(0), 1)[0].eta
+        simulate_variational(model, flow, TestDirection(flow.states[0], eta), access)
+        cached = len(access._cache)
+        assert cached > 0
+        simulate_variational(model, flow, TestDirection(flow.states[0], -eta), access)
+        assert len(access._cache) == cached
+
     def test_direction_must_sit_on_initial_states(self):
         model, grid, flow, access = ll_setup()
         with pytest.raises(GateError):
@@ -111,10 +122,10 @@ class TestRhsFormulas:
         assert out["d_deltaX2_rhs"] == 0.0
         assert out["xi_lower_rhs"] == 0.0
 
-    def test_uncoupled_reduction_of_curvature_pairing(self):
+    def test_uncoupled_reduction_of_curvature_pairing(self, lq_setup):
         # No measure coupling: Upsilon = 0 and the curvature-pairing derivative
         # collapses to -E[gamma^2] - Hxx E[dX^2] with Hpp = -1, Hxx = 0.
-        model, grid, flow, access = lq_setup()
+        model, grid, flow, access = lq_setup
         states = simulate_variational(model, flow,
                                       TestDirection(flow.states[0], np.ones(N)), access)
         for s in states[:: max(1, len(states) // 6)]:
@@ -135,7 +146,7 @@ class TestRhsFormulas:
         grid = Grid.with_cfl_steps(-6.0, 6.0, 81, 0.0, 0.25)
         pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
         flow = solve_mfgc(model, MU0, grid, pic, seed=11)
-        access = ValueAccess(model, grid, pic, seed=11, base_flow=flow, sweeps=6)
+        access = ValueAccess(model, flow)
         trace = build_trace(model, flow, TestDirection(flow.states[0], np.ones(N)), access,
                             lam=0.0)
         slope = trace.slope(trace.i_vals + trace.ibar_vals)
@@ -192,12 +203,13 @@ class TestPropagationExperiment:
         grid = Grid.with_cfl_steps(-6.0, 6.0, 81, 0.0, 0.25)
         pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
         flow = solve_mfgc(model, MU0, grid, pic, seed=11)
-        access = ValueAccess(model, grid, pic, seed=11, base_flow=flow, sweeps=6)
+        access = ValueAccess(model, flow)
         config = PropagationConfig(kind="disp", lam=0.0, n_directions=4, tol_c=0.05, seed=0)
         result = run_experiment(model, flow, access, config)
         assert result.verdict
         # displacement monotone value function: curvature floor is nonnegative
-        assert uxx_floor(flow.value_field, 0.0, (-3.0, 3.0)) >= -result.tolerance
+        window = np.abs(flow.value_field.xs) <= 3.0
+        assert np.min(flow.value_field.u_xx[:, window]) >= -result.tolerance
 
     def test_anti_experiment_passes_with_vxx_bound(self):
         model = anti_example_model()
@@ -205,7 +217,7 @@ class TestPropagationExperiment:
         pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
         mu0 = gaussian_quantile_cloud(N, 0.0, 0.35)
         flow = solve_mfgc(model, mu0, grid, pic, seed=13)
-        access = ValueAccess(model, grid, pic, seed=13, base_flow=flow, sweeps=6)
+        access = ValueAccess(model, flow)
         lv = LambdaVec(0.5, 0.5, 4.0, 8.0)
         config = PropagationConfig(kind="anti", lvec=lv, n_directions=4, tol_c=0.05,
                                    seed=0, anti_l0=10.5, anti_gamma_lo=0.5,
@@ -222,7 +234,7 @@ class TestPropagationExperiment:
         grid = Grid.with_cfl_steps(-1.5, 1.5, 61, 0.0, 0.1)
         pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
         flow = solve_mfgc(model, gaussian_quantile_cloud(N, 0.0, 0.35), grid, pic, seed=13)
-        access = ValueAccess(model, grid, pic, seed=13, base_flow=flow, sweeps=6)
+        access = ValueAccess(model, flow)
         lv = LambdaVec(0.5, 0.5, 4.0, 8.0)
         config = PropagationConfig(kind="anti", lvec=lv, n_directions=2, tol_c=0.05,
                                    seed=0, anti_l0=10.5, anti_gamma_lo=0.5,

@@ -12,7 +12,7 @@ from mfgclab.solver import (
     ValueAccess,
     best_response_gap,
     solve_mfgc,
-    value_at,
+    terminal_field,
 )
 
 T = 0.5
@@ -155,12 +155,15 @@ class TestFlowStructure:
 
 
 class TestValueAt:
+    """V(t, ., mu): the terminal slice, a fresh solve on [t_k, T] and the
+    warm-started re-solves of ValueAccess."""
+
     def test_terminal_slice_is_terminal_cost(self):
         model = coupled_model()
         grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, T)
         mu = gaussian_quantile_cloud(16, 0.2, 0.8)
-        vf = value_at(model, mu, T, grid)
-        assert vf.levels == 1
+        vf = terminal_field(model, mu, grid.xs, T)
+        assert vf.u.shape == (1, grid.n_x)
         assert np.array_equal(vf.u[0], model.g(grid.xs, mu))
 
     def test_time_consistency_against_fresh_resolve(self):
@@ -169,7 +172,8 @@ class TestValueAt:
         pic = PicardSettings(max_iter=120, tol=1e-9, damping=0.6)
         flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid, pic, seed=7)
         k = grid.n_t // 2
-        vf = value_at(model, flow.mu(k), grid.ts[k], grid, pic, seed=123)
+        sub = Grid(grid.x_min, grid.x_max, grid.n_x, grid.ts[k], T, grid.n_t - k)
+        vf = solve_mfgc(model, flow.mu(k), sub, pic, seed=123).value_field
         window = np.abs(grid.xs) <= 3.0
         gap = np.max(np.abs(vf.u[0][window] - flow.value_field.u[k][window]))
         assert gap <= 2.0 * 5.0 * (grid.dx**2 + grid.dt)
@@ -179,7 +183,7 @@ class TestValueAt:
         grid = Grid.with_cfl_steps(-6.0, 6.0, 121, 0.0, T)
         pic = PicardSettings(max_iter=120, tol=1e-9, damping=0.6)
         flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid, pic, seed=7)
-        access = ValueAccess(model, grid, pic, seed=7, base_flow=flow, sweeps=8)
+        access = ValueAccess(model, flow)
         k = grid.n_t // 2
         vf = access.field(grid.ts[k], flow.mu(k))
         window = np.abs(grid.xs) <= 3.0
@@ -198,6 +202,32 @@ class TestValueAt:
         f2 = solve_mfgc(model, mu0.shifted(np.full((16, 1), shift)), g2, pic, seed=5)
         assert np.max(np.abs(f1.value_field.u - f2.value_field.u)) <= 1e-10
         assert np.max(np.abs(f1.states + shift - f2.states)) <= 1e-10
+
+
+class TestValueAccess:
+    def setup_method(self):
+        self.model = coupled_model()
+        self.grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, T)
+        self.flow = solve_mfgc(self.model, gaussian_quantile_cloud(16, 0.0, 1.0), self.grid,
+                               PicardSettings(max_iter=120, tol=1e-9, damping=0.6), seed=7)
+        self.access = ValueAccess(self.model, self.flow)
+
+    def test_cached_field_is_one_owned_row(self):
+        # A view of the re-solve's grid would keep every full grid alive.
+        k = self.grid.n_t // 3
+        mu = self.flow.mu(k).shifted(np.full(16, 1e-3))
+        vf = self.access.field(self.grid.ts[k], mu)
+        assert vf.u.shape == (1, self.grid.n_x)
+        assert vf.u.base is None
+        assert self.access.field(self.grid.ts[k], mu) is vf
+
+    def test_cloud_of_another_size_rejected(self):
+        with pytest.raises(SolverError, match="particles"):
+            self.access.field(0.0, gaussian_quantile_cloud(8, 0.0, 1.0))
+
+    def test_time_outside_horizon_rejected(self):
+        with pytest.raises(SolverError, match="horizon"):
+            self.access.field(2 * T, self.flow.mu(0))
 
 
 class TestBestResponseGap:
