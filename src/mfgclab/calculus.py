@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, JointEmpiricalMeasure, MeasureError, mixture
+from .measures import JointEmpiricalMeasure, MeasureError, mixture
 
 
 class CalculusError(ValueError):
@@ -148,28 +148,27 @@ def chain_rule_check(u: MeasureFunctional, phi: MeasureMap,
     }
 
 
-def value_measure_gradient(access, t: float, mu: EmpiricalMeasure, eta,
+def value_measure_gradient(access, t: float, x: np.ndarray, eta,
                            fd_eps: float = 1e-3) -> np.ndarray:
-    """Directional measure derivative of the value gradient at the atoms of mu.
+    """Directional measure derivative of the value gradient at the atoms x.
 
-    ``access.field(t, mu)`` must return a ``ValueField`` whose first slice is
-    V(t, ., mu).  The cloud is displaced atom by atom along +/- eps * eta,
+    ``access.field(t, x)`` must return a ``ValueField`` whose first slice is
+    V(t, ., mu) for the uniform cloud mu of the atoms x.  The direction eta
+    is a 1-D array aligned with x; the cloud is displaced to x +/- eps * eta,
     with eps = fd_eps / rms(eta), and the central difference of dV/dx
     approximates D_i = (1/N) sum_j d_x d_mu V(t, x_i, mu, x_j) eta_j at every
     atom x_i.  A zero direction gives zeros without calling ``access``.
     """
     eta = np.asarray(eta, dtype=float)
-    if eta.ndim == 1:
-        eta = eta[:, None]
-    if eta.shape != mu.points.shape:
-        raise CalculusError(f"direction shape {eta.shape} does not match cloud {mu.points.shape}")
+    if eta.shape != x.shape:
+        raise CalculusError(f"direction shape {eta.shape} does not match cloud {x.shape}")
     scale = float(np.sqrt(np.mean(eta**2)))
     if scale == 0.0:
-        return np.zeros(mu.n)
+        return np.zeros(x.shape[0])
     eps = fd_eps / scale
-    plus = access.field(t, mu.shifted(+eps * eta))
-    minus = access.field(t, mu.shifted(-eps * eta))
-    diff = (plus.ux_at(0, mu.x) - minus.ux_at(0, mu.x)) / (2.0 * eps)
+    plus = access.field(t, x + eps * eta)
+    minus = access.field(t, x - eps * eta)
+    diff = (plus.ux_at(0, x) - minus.ux_at(0, x)) / (2.0 * eps)
     if not np.all(np.isfinite(diff)):
         raise CalculusError("perturbed value solves produced non-finite gradients")
     return diff

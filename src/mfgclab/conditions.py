@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .models import Model, hat_derivative_table
+from .models import HatTable, Model, hat_derivative_table
 from .monotonicity import LambdaVec
 from .reports import ConditionReport
 
@@ -109,16 +109,14 @@ def make_condition_samples(n_samples: int, n_atoms: int = 16, seed: int = 0) -> 
     return samples
 
 
-def _ll_form_value(model: Model, sample: QuadraticFormSample) -> float:
+def ll_form(table: HatTable, eta: np.ndarray, gamma: np.ndarray, zeta: np.ndarray) -> float:
     """Left-hand side of the Lasry-Lions propagation condition.
 
     Double sums run over all atom pairs (self-pairs included) through the
     weight vectors; [i, j] entries of the derivative tables put the base
     point at atom i and the support atom at j.
     """
-    table = sample.table(model)
-    w = np.full(sample.n, 1.0 / sample.n)
-    eta, gamma, zeta = sample.eta, sample.gamma, sample.zeta
+    w = np.full(eta.shape[0], 1.0 / eta.shape[0])
     gz = gamma + zeta
     term_pp = float(np.mean(zeta * table.h_pp * zeta))
     cross_x = float((w * eta) @ (table.h_xrho1 * eta[None, :]
@@ -128,12 +126,10 @@ def _ll_form_value(model: Model, sample: QuadraticFormSample) -> float:
     return term_pp - cross_x - cross_p
 
 
-def _disp_form_value(model: Model, sample: QuadraticFormSample, lam: float) -> float:
+def disp_form(table: HatTable, eta: np.ndarray, gamma: np.ndarray, zeta: np.ndarray,
+              lam: float) -> float:
     """Left-hand side of the displacement lambda propagation condition."""
-    table = sample.table(model)
-    n = sample.n
-    w = np.full(n, 1.0 / n)
-    eta, gamma, zeta = sample.eta, sample.gamma, sample.zeta
+    w = np.full(eta.shape[0], 1.0 / eta.shape[0])
     gz = gamma + zeta
     term_pp = float(np.mean(gz * table.h_pp * gz))
     term_eta_xx = float(np.mean(eta * (table.h_xx - 2.0 * lam * table.h_xp) * eta))
@@ -212,7 +208,7 @@ def check_ll_condition(model: Model, samples: list,
                        tol: float | None = None) -> ConditionReport:
     """Sampled test of the Lasry-Lions quadratic-form condition (pass: <= tol)."""
     return _form_report("lasry_lions_hamiltonian", samples,
-                        lambda s: _ll_form_value(model, s), tol)
+                        lambda s: ll_form(s.table(model), s.eta, s.gamma, s.zeta), tol)
 
 
 def check_disp_condition(model: Model, lam: float, samples: list,
@@ -221,7 +217,8 @@ def check_disp_condition(model: Model, lam: float, samples: list,
     if lam < 0:
         raise ConditionError("lambda must be nonnegative")
     return _form_report("displacement_hamiltonian", samples,
-                        lambda s: _disp_form_value(model, s, lam), tol)
+                        lambda s: disp_form(s.table(model), s.eta, s.gamma, s.zeta,
+                                            lam), tol)
 
 
 def matrix1_assemble(c1: float, c2: float, c3: float, db1_dm1: float,

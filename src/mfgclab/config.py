@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, gaussian_quantile_cloud, uniform_grid_cloud
+from .measures import gaussian_quantile_cloud, uniform_grid_cloud
 from .models import MeanPoly2, Model, ModelError, QuadraticTerminalCost
 from .monotonicity import LambdaVec, MonotonicityError
 from .propagation import GateError, PropagationConfig
@@ -121,7 +121,10 @@ class ExperimentConfig:
     @classmethod
     def from_ini(cls, path) -> "ExperimentConfig":
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as err:  # duplicate key or section, no header
+            raise ConfigError(f"malformed config file {path!r}: {err}") from err
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
         sections = {name: dict(parser[name]) for name in parser.sections()}
@@ -178,7 +181,8 @@ class ExperimentConfig:
         except (ValueError, SolverError) as err:
             raise ConfigError(f"invalid grid: {err}") from err
 
-    def initial_cloud(self) -> EmpiricalMeasure:
+    def initial_cloud(self) -> np.ndarray:
+        """The atoms of the initial state law, a uniform cloud."""
         sec = self.particle_section
         try:
             n = int(sec.get("n", "16"))
@@ -191,7 +195,10 @@ class ExperimentConfig:
                                           float(sec.get("hi", "1")))
             if kind == "atoms":
                 atoms = np.asarray(_floats(sec.get("values", "")))
-                return EmpiricalMeasure(atoms[:, None], None)  # uniform weights
+                if atoms.size == 0 or not np.all(np.isfinite(atoms)):
+                    raise ConfigError("atoms values must be a non-empty list of "
+                                      "finite numbers")
+                return atoms
         except ConfigError:
             raise
         except ValueError as err:  # includes MeasureError
@@ -248,13 +255,16 @@ class ExperimentConfig:
         kind = sec.get("kind", "ll").strip()
         gate_samples, gate_atoms = self.check_sizes()
         l0, gamma_lo, gamma_hi, l_bar, lu_xx = self.anti_constants()
+        fd_eps = _number(sec, "fd_eps", "1e-3")
+        if not fd_eps > 0:
+            raise ConfigError(f"fd_eps must be positive, got {fd_eps}")
         try:
             return PropagationConfig(
                 kind=kind,
                 lam=self.lam(),
                 lvec=self.lambda_vec() if kind == "anti" else None,
                 n_directions=_number(sec, "directions", "12", int, 1),
-                fd_eps=_number(sec, "fd_eps", "1e-3"),
+                fd_eps=fd_eps,
                 tol_c=_number(sec, "tol_c", "0.05"),
                 gate_samples=gate_samples,
                 gate_atoms=gate_atoms,

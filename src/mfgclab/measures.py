@@ -1,9 +1,12 @@
 """Empirical probability measures on state space and on state x control space.
 
-Particle clouds with explicit weights are the computational stand-in for
-square-integrable probability measures.  All shipped experiments run with
-uniform weights and one-dimensional states; weighted supports are kept so
-that Picard damping can mix two clouds without optimal-transport machinery.
+A state law in P2(R) is a uniform cloud of N atoms, held as a 1-D float
+array; its mean is ``np.full(n, 1/n) @ x``.  A test direction eta is a 1-D
+array aligned with the cloud, eta_i attached to atom x_i, and the cloud
+displaced along it is ``x + eps * eta``.
+
+Laws on (state, second component) pairs carry explicit weights, because the
+chain-rule check mixes two clouds into one of unequal weights.
 """
 from __future__ import annotations
 
@@ -41,48 +44,6 @@ def _as_weights(weights, n: int) -> np.ndarray:
     if abs(w.sum() - 1.0) > WEIGHT_TOL:
         raise MeasureError(f"weights sum to {w.sum()!r}, expected 1 within {WEIGHT_TOL}")
     return w
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Weighted particle cloud on R^d."""
-
-    points: np.ndarray   # (n, d)
-    weights: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        pts = _as_points(self.points)
-        w = _as_weights(self.weights if self.weights is not None else None, pts.shape[0])
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def x(self) -> np.ndarray:
-        """Flat coordinate view, only meaningful for d = 1."""
-        if self.dim != 1:
-            raise MeasureError("flat view requires d = 1")
-        return self.points[:, 0]
-
-    def mean(self, coordinate: int = 0) -> float:
-        return float(self.weights @ self.points[:, coordinate])
-
-    def shifted(self, delta) -> "EmpiricalMeasure":
-        """Cloud with every particle moved by its own displacement vector."""
-        d = np.asarray(delta, dtype=float)
-        if d.ndim == 1:
-            d = d[:, None]
-        return EmpiricalMeasure(self.points + d, self.weights)
-
-    def is_uniform(self) -> bool:
-        return bool(np.all(np.abs(self.weights - 1.0 / self.n) <= WEIGHT_TOL))
 
 
 @dataclass(frozen=True)
@@ -135,24 +96,19 @@ class JointEmpiricalMeasure:
         return JointEmpiricalMeasure(self.states, _as_points(seconds), self.weights)
 
 
-def mixture(a, b, weight_b: float):
+def mixture(a: JointEmpiricalMeasure, b: JointEmpiricalMeasure,
+            weight_b: float) -> JointEmpiricalMeasure:
     """Convex combination (1-w)*a + w*b as a concatenated-support cloud."""
     if not 0.0 <= weight_b <= 1.0:
         raise MeasureError(f"mixture weight must lie in [0, 1], got {weight_b}")
     w = np.concatenate([(1.0 - weight_b) * a.weights, weight_b * b.weights])
     # Renormalise away the last-ulp drift so the invariant check stays exact.
     w = w / w.sum()
-    if isinstance(a, JointEmpiricalMeasure):
-        if not isinstance(b, JointEmpiricalMeasure):
-            raise MeasureError("cannot mix joint and plain clouds")
-        return JointEmpiricalMeasure(
-            np.concatenate([a.states, b.states]),
-            np.concatenate([a.seconds, b.seconds]),
-            w,
-        )
-    if isinstance(b, JointEmpiricalMeasure):
-        raise MeasureError("cannot mix joint and plain clouds")
-    return EmpiricalMeasure(np.concatenate([a.points, b.points]), w)
+    return JointEmpiricalMeasure(
+        np.concatenate([a.states, b.states]),
+        np.concatenate([a.seconds, b.seconds]),
+        w,
+    )
 
 
 def _levels(n: int) -> np.ndarray:
@@ -162,13 +118,11 @@ def _levels(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
-def gaussian_quantile_cloud(n: int, mean: float = 0.0, sd: float = 1.0) -> EmpiricalMeasure:
+def gaussian_quantile_cloud(n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
     """Deterministic Gaussian cloud: stratified quantiles of N(mean, sd^2)."""
-    levels = _levels(n)
-    return EmpiricalMeasure((mean + sd * ndtri(levels))[:, None], np.full(n, 1.0 / n))
+    return mean + sd * ndtri(_levels(n))
 
 
-def uniform_grid_cloud(n: int, lo: float, hi: float) -> EmpiricalMeasure:
-    levels = _levels(n)
-    return EmpiricalMeasure((lo + (hi - lo) * levels)[:, None], np.full(n, 1.0 / n))
+def uniform_grid_cloud(n: int, lo: float, hi: float) -> np.ndarray:
+    return lo + (hi - lo) * _levels(n)
 

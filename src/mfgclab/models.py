@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure
 from .reports import ConditionReport
 
 # Relative step of the central difference in p that checks H_p against H.
@@ -114,9 +113,10 @@ class QuadraticTerminalCost:
     x_lin: float = 0.0
     m2: float = 0.0
 
-    def __call__(self, x, mu: EmpiricalMeasure):
+    def __call__(self, x, atoms: np.ndarray):
+        """g at the points x against the uniform cloud of the given atoms."""
         xv = np.asarray(x, dtype=float)
-        m1 = mu.mean()
+        m1 = float(np.full(atoms.shape[0], 1.0 / atoms.shape[0]) @ atoms)
         return 0.5 * self.xx * xv**2 + self.xm * xv * m1 + self.x_lin * xv + self.m2 * m1 * m1
 
 

@@ -2,12 +2,14 @@
 
 Three quadratic functionals of a test pair (xi, eta) — the Lasry-Lions form,
 the displacement lambda-form, and the anti-monotone form — are evaluated on
-V(t, ., mu) for sampled time slices and direction batteries.  Access to V
-is an object with a ``field(t, mu) -> ValueField`` method whose first slice
-is V(t, ., mu): ``solver.ValueAccess`` re-solves from a converged flow, and
-a fixed terminal cost or an analytic stand-in serves as well.  The measure
-derivative of the value gradient is the central difference of two such
-fields at directionally displaced clouds (``value_measure_gradient``).
+V(t, ., mu) for sampled time slices and direction batteries.  The law mu of
+xi is the uniform cloud of the 1-D atom array x, and eta = eta(xi) is a 1-D
+array aligned with it.  Access to V is an object with a
+``field(t, x) -> ValueField`` method whose first slice is V(t, ., mu):
+``solver.ValueAccess`` re-solves from a converged flow, and a fixed terminal
+cost or an analytic stand-in serves as well.  The measure derivative of the
+value gradient is the central difference of two such fields at directionally
+displaced clouds (``value_measure_gradient``).
 """
 from __future__ import annotations
 
@@ -16,37 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import value_measure_gradient
-from .measures import EmpiricalMeasure
 from .reports import MonotonicityReport
 
 
 class MonotonicityError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TestDirection:
-    """A test pair (xi, eta): eta_i is attached to atom x_i, so eta is a
-    function of xi by construction."""
-
-    __test__ = False  # not a pytest class despite the name
-
-    xi: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float).reshape(-1)
-        eta = np.asarray(self.eta, dtype=float).reshape(-1)
-        if xi.shape != eta.shape:
-            raise MonotonicityError("xi and eta must have matching lengths")
-        if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(eta))):
-            raise MonotonicityError("test direction has non-finite entries")
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "eta", eta)
-
-    @property
-    def n(self) -> int:
-        return self.xi.shape[0]
 
 
 @dataclass(frozen=True)
@@ -67,42 +43,29 @@ class LambdaVec:
             )
 
 
-def _check_direction(mu: EmpiricalMeasure, direction: TestDirection) -> None:
-    if direction.n != mu.n:
-        raise MonotonicityError("direction does not match the particle cloud")
-    if not np.array_equal(direction.xi, mu.x):
-        raise MonotonicityError("direction atoms must coincide with the cloud atoms")
-
-
-def mon_ll(access, t: float, mu: EmpiricalMeasure, direction: TestDirection,
+def mon_ll(access, t: float, x: np.ndarray, eta: np.ndarray,
            fd_eps: float = 1e-3) -> float:
     """Lasry-Lions form: the empirical mean of <eta_i, D_i>, where
     D_i = (1/N) sum_j d_x d_mu V(t, x_i, mu, x_j) eta_j."""
-    _check_direction(mu, direction)
-    d_vals = value_measure_gradient(access, t, mu, direction.eta, fd_eps)
-    return float(np.mean(direction.eta * d_vals))
+    d_vals = value_measure_gradient(access, t, x, eta, fd_eps)
+    return float(np.mean(eta * d_vals))
 
 
-def mon_disp(access, t: float, mu: EmpiricalMeasure, direction: TestDirection,
+def mon_disp(access, t: float, x: np.ndarray, eta: np.ndarray,
              lam: float, fd_eps: float = 1e-3) -> float:
     """Displacement lambda-form: Lasry-Lions term plus <Vxx eta, eta> + lam |eta|^2."""
     if lam < 0:
         raise MonotonicityError("displacement parameter lambda must be nonnegative")
-    _check_direction(mu, direction)
-    base = access.field(t, mu)
-    vxx = base.uxx_at(0, direction.xi)
-    ll_term = mon_ll(access, t, mu, direction, fd_eps)
-    return float(ll_term + np.mean(vxx * direction.eta**2) + lam * np.mean(direction.eta**2))
+    vxx = access.field(t, x).uxx_at(0, x)
+    ll_term = mon_ll(access, t, x, eta, fd_eps)
+    return float(ll_term + np.mean(vxx * eta**2) + lam * np.mean(eta**2))
 
 
-def mon_anti(access, t: float, mu: EmpiricalMeasure, direction: TestDirection,
+def mon_anti(access, t: float, x: np.ndarray, eta: np.ndarray,
              lvec: LambdaVec, fd_eps: float = 1e-3) -> float:
     """Anti-monotone form; the verdict direction is value <= tolerance."""
-    _check_direction(mu, direction)
-    base = access.field(t, mu)
-    vxx = base.uxx_at(0, direction.xi)
-    d_vals = value_measure_gradient(access, t, mu, direction.eta, fd_eps)
-    eta = direction.eta
+    vxx = access.field(t, x).uxx_at(0, x)
+    d_vals = value_measure_gradient(access, t, x, eta, fd_eps)
     return float(np.mean(
         lvec.l0 * vxx * eta**2
         + lvec.l1 * d_vals * eta
@@ -112,8 +75,9 @@ def mon_anti(access, t: float, mu: EmpiricalMeasure, direction: TestDirection,
     ))
 
 
-def direction_battery(mu: EmpiricalMeasure, count: int = 12, seed: int = 0) -> list:
-    """Deterministic direction battery over the atoms of mu.
+def direction_battery(xs: np.ndarray, count: int = 12, seed: int = 0) -> list:
+    """Deterministic direction battery over the atoms xs: a list of 1-D
+    arrays eta, each aligned with xs.
 
     The first ``count`` of the shapes 1, noise, x, x - mean, x^2, x^2 - mean,
     x^3, x^3 - mean, each followed by its negative, where noise is a mean-free
@@ -122,7 +86,6 @@ def direction_battery(mu: EmpiricalMeasure, count: int = 12, seed: int = 0) -> l
     remainder.  The default count of 12 therefore stops before the cubic
     shapes.  All directions are normalised to unit root-mean-square.
     """
-    xs = mu.x
     rng = np.random.default_rng(seed)
     shapes = []
     ones = np.ones_like(xs)
@@ -150,7 +113,7 @@ def direction_battery(mu: EmpiricalMeasure, count: int = 12, seed: int = 0) -> l
             if extra > 8:
                 raise MonotonicityError("could not assemble the direction battery")
             continue
-    return [TestDirection(xs, eta) for eta in shapes[:count]]
+    return shapes[:count]
 
 
 def tolerance_scale(dt: float, dx: float, n_particles: int, fd_eps: float,
@@ -159,15 +122,14 @@ def tolerance_scale(dt: float, dx: float, n_particles: int, fd_eps: float,
     return float(c * (dt + dx**2 + 1.0 / np.sqrt(n_particles) + fd_eps**2))
 
 
-def mon_value(kind: str, access, t: float, mu: EmpiricalMeasure,
-              direction: TestDirection, fd_eps: float, lam: float = 0.0,
-              lvec: LambdaVec | None = None) -> float:
+def mon_value(kind: str, access, t: float, x: np.ndarray, eta: np.ndarray,
+              fd_eps: float, lam: float = 0.0, lvec: LambdaVec | None = None) -> float:
     """The functional of one kind ("ll", "disp" or "anti") at one (t, direction)."""
     if kind == "ll":
-        return mon_ll(access, t, mu, direction, fd_eps)
+        return mon_ll(access, t, x, eta, fd_eps)
     if kind == "disp":
-        return mon_disp(access, t, mu, direction, lam, fd_eps)
-    return mon_anti(access, t, mu, direction, lvec, fd_eps)
+        return mon_disp(access, t, x, eta, lam, fd_eps)
+    return mon_anti(access, t, x, eta, lvec, fd_eps)
 
 
 def monotonicity_sweep(flow, access, kind: str, lam: float = 0.0,
@@ -176,8 +138,8 @@ def monotonicity_sweep(flow, access, kind: str, lam: float = 0.0,
                        tolerance: float = 1e-6, seed: int = 0) -> MonotonicityReport:
     """Evaluate one functional over time slices x direction battery.
 
-    Slice times are grid levels of the converged flow, with mu the flow's own
-    state law there.  The verdict is min >= -tolerance for the Lasry-Lions
+    Slice times are grid levels of the converged flow, with the flow's own
+    states there as the cloud.  The verdict is min >= -tolerance for the Lasry-Lions
     and displacement kinds, and max <= tolerance for the anti-monotone kind.
     """
     if kind not in ("ll", "disp", "anti"):
@@ -189,9 +151,9 @@ def monotonicity_sweep(flow, access, kind: str, lam: float = 0.0,
         if slices > 1 else [0]
     samples = []
     for k in sorted(set(levels)):
-        t, mu_k = float(grid.ts[k]), flow.mu(k)
-        for d_idx, direction in enumerate(direction_battery(mu_k, battery_size, seed)):
-            value = mon_value(kind, access, t, mu_k, direction, fd_eps, lam, lvec)
+        t, x_k = float(grid.ts[k]), flow.states[k]
+        for d_idx, eta in enumerate(direction_battery(x_k, battery_size, seed)):
+            value = mon_value(kind, access, t, x_k, eta, fd_eps, lam, lvec)
             samples.append({"t": t, "level": k, "direction": d_idx, "value": value})
     values = np.array([s["value"] for s in samples])
     minimum = float(values.min())

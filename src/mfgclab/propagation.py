@@ -20,12 +20,13 @@ from .conditions import (
     check_anti_assumption,
     check_disp_condition,
     check_ll_condition,
+    disp_form,
+    ll_form,
     make_condition_samples,
 )
 from .models import HatTable, Model, hat_derivative_table
 from .monotonicity import (
     LambdaVec,
-    TestDirection,
     direction_battery,
     mon_value,
     tolerance_scale,
@@ -54,7 +55,6 @@ class VariationalState:
     gamma: np.ndarray     # Vxx(t, X) * dX, recomputed from the value grid
     upsilon: np.ndarray   # measure-derivative field, recomputed each step
     forcing: np.ndarray   # mean-field forcing of the dX dynamics
-    vxx: np.ndarray
     table: HatTable = field(repr=False)
 
 
@@ -71,8 +71,7 @@ class PropagationTrace:
     dt_i_rhs: np.ndarray
     dt_ibar_rhs: np.ndarray
     dt_dx2_rhs: np.ndarray
-    cd_disp_rhs: np.ndarray | None
-    xi_lower_rhs: np.ndarray | None
+    cd_disp_rhs: np.ndarray
 
     def slope(self, series: np.ndarray) -> np.ndarray:
         """Per-step finite-difference slopes: centered inside, one-sided at the ends."""
@@ -85,9 +84,7 @@ class PropagationTrace:
 
     def rows(self) -> list:
         slope_i = self.slope(self.i_vals)
-        slope_comb = None
-        if self.cd_disp_rhs is not None:
-            slope_comb = self.slope(self.i_vals + self.ibar_vals)
+        slope_comb = self.slope(self.i_vals + self.ibar_vals)
         out = []
         for k, t in enumerate(self.ts):
             row = {
@@ -99,8 +96,8 @@ class PropagationTrace:
                 "dtI_rhs": float(self.dt_i_rhs[k]),
                 "dtIbar_rhs": float(self.dt_ibar_rhs[k]),
                 "d_dX2_rhs": float(self.dt_dx2_rhs[k]),
-                "cd_disp_rhs": float(self.cd_disp_rhs[k]) if self.cd_disp_rhs is not None else "",
-                "slope_I_plus_Ibar": float(slope_comb[k]) if slope_comb is not None else "",
+                "cd_disp_rhs": float(self.cd_disp_rhs[k]),
+                "slope_I_plus_Ibar": float(slope_comb[k]),
             }
             out.append(row)
         return out
@@ -116,42 +113,40 @@ def traces_to_csv(path, traces: list) -> None:
         writer.writerows(rows)
 
 
-def simulate_variational(model: Model, flow: EquilibriumFlow,
-                         direction: TestDirection, access: ValueAccess,
-                         fd_eps: float = 1e-3) -> list:
+def simulate_variational(model: Model, flow: EquilibriumFlow, eta: np.ndarray,
+                         access: ValueAccess, fd_eps: float = 1e-3) -> list:
     """Euler trace of the first-variation system along the converged flow.
 
-    The equilibrium states are reused as simulated (they already carry the
-    flow's Brownian increments); dX follows its linear dynamics with the
-    curvature and measure-derivative fields recomputed from the value grid
-    and directional re-solves at every step.
+    The initial sensitivity dX(0) = eta is a 1-D array aligned with the
+    initial particle states.  The equilibrium states are reused as simulated
+    (they already carry the flow's Brownian increments); dX follows its
+    linear dynamics with the curvature and measure-derivative fields
+    recomputed from the value grid and directional re-solves at every step.
     """
     grid = flow.grid
-    if direction.n != flow.n_particles:
-        raise GateError("direction size does not match the flow")
-    if not np.array_equal(direction.xi, flow.states[0]):
-        raise GateError("direction atoms must be the initial particle states")
+    delta = np.array(eta, dtype=float)
+    if delta.shape != (flow.n_particles,):
+        raise GateError(f"direction of shape {delta.shape} does not match the "
+                        f"flow's {flow.n_particles} particles")
     dt = grid.dt
-    delta = direction.eta.astype(float).copy()
     out = []
     n = flow.n_particles
     w = np.full(n, 1.0 / n)
     for k in range(grid.n_t + 1):
         t_k = float(grid.ts[k])
         x_k = flow.states[k]
-        mu_k = flow.mu(k)
         vxx = flow.value_field.uxx_at(k, x_k)
         gamma = vxx * delta
         if np.sqrt(np.mean(delta**2)) < 1e-14:
             upsilon = np.zeros(n)
         else:
-            upsilon = value_measure_gradient(access, t_k, mu_k, delta, fd_eps)
+            upsilon = value_measure_gradient(access, t_k, x_k, delta, fd_eps)
         table = hat_derivative_table(model, x_k, flow.momenta[k])
         forcing = (table.h_prho1 * delta[None, :]
                    + table.h_prho2 * (gamma + upsilon)[None, :]) @ w
         out.append(VariationalState(
             t=t_k, level=k, x=x_k, p=flow.momenta[k], delta_x=delta.copy(),
-            gamma=gamma, upsilon=upsilon, forcing=forcing, vxx=vxx, table=table,
+            gamma=gamma, upsilon=upsilon, forcing=forcing, table=table,
         ))
         if k < grid.n_t:
             delta = delta + dt * (table.h_xp * delta + table.h_pp * (gamma + upsilon)
@@ -162,14 +157,14 @@ def simulate_variational(model: Model, flow: EquilibriumFlow,
 
 
 def evaluate_rhs_formulas(model: Model, state: VariationalState,
-                          lam: float = 0.0, lvec: LambdaVec | None = None) -> dict:
+                          lam: float = 0.0) -> dict:
     """Exact quadratic expressions for the time derivatives of the traces.
 
     Returns the derivative of the Lasry-Lions pairing, of the curvature
-    pairing, of the second moment of dX, the combined displacement-form
-    derivative at the given lambda, and (when a lambda vector is supplied)
-    the lower bound for the derivative of the anti-monotone functional that
-    drops the nonnegative martingale contributions.
+    pairing, of the second moment of dX, and the combined displacement-form
+    derivative at the given lambda.  The first and the last are the gate's
+    forms ``ll_form``/``disp_form`` at (eta, gamma, zeta) = (dX, G, U): the
+    Hamiltonian condition is the time derivative of the functional.
     """
     tbl = state.table
     n = state.x.shape[0]
@@ -179,11 +174,6 @@ def evaluate_rhs_formulas(model: Model, state: VariationalState,
     u = state.upsilon
     gu = g + u
 
-    dt_i = (float(np.mean(u * tbl.h_pp * u))
-            - float((w * d) @ (tbl.h_xrho1 * d[None, :] + tbl.h_xrho2 * gu[None, :]) @ w)
-            - float((w * (g - u)) @ (tbl.h_prho1 * d[None, :]
-                                     + tbl.h_prho2 * gu[None, :]) @ w))
-
     dt_ibar = (float(np.mean(tbl.h_pp * g * g))
                + 2.0 * float(np.mean(tbl.h_pp * g * u))
                + 2.0 * float((w * g) @ (tbl.h_prho1 * d[None, :]
@@ -192,36 +182,14 @@ def evaluate_rhs_formulas(model: Model, state: VariationalState,
 
     dt_dx2 = 2.0 * float(np.mean((tbl.h_xp * d + tbl.h_pp * gu + state.forcing) * d))
 
-    mixed = tbl.h_prho1 + tbl.h_xrho2.T + 2.0 * lam * tbl.h_prho2.T
-    cd_disp = (float(np.mean(gu * tbl.h_pp * gu))
-               + float((w * gu) @ (tbl.h_prho2 * gu[None, :]) @ w)
-               + float((w * gu) @ (mixed * d[None, :]) @ w)
-               + 2.0 * lam * float(np.mean(gu * tbl.h_pp * d))
-               - float((w * d) @ ((tbl.h_xrho1 - 2.0 * lam * tbl.h_prho1)
-                                  * d[None, :]) @ w)
-               - float(np.mean(d * (tbl.h_xx - 2.0 * lam * tbl.h_xp) * d)))
-
-    out = {"dtI_rhs": dt_i, "dtIbar_rhs": dt_ibar, "d_deltaX2_rhs": dt_dx2,
-           "cd_disp_rhs": cd_disp}
-
-    if lvec is not None:
-        vxx = state.vxx
-        k1 = tbl.h_xp + vxx * tbl.h_pp
-        k2 = ((tbl.h_xrho1 * d[None, :] + tbl.h_xrho2 * gu[None, :]) @ w
-              + vxx * state.forcing)
-        kbar1 = (tbl.h_xx - vxx * tbl.h_xp) * d - vxx * state.forcing
-        d_gamma2_lb = 2.0 * float(np.mean(g * (-2.0 * tbl.h_xp * g
-                                               + vxx * tbl.h_pp * u - kbar1)))
-        d_ups2_lb = 2.0 * float(np.mean(u * (-k1 * u - k2)))
-        out["xi_lower_rhs"] = (lvec.l0 * dt_ibar + lvec.l1 * dt_i + d_gamma2_lb
-                               + lvec.l2 * d_ups2_lb - lvec.l3 * dt_dx2)
-    return out
+    return {"dtI_rhs": ll_form(tbl, d, g, u), "dtIbar_rhs": dt_ibar,
+            "d_deltaX2_rhs": dt_dx2, "cd_disp_rhs": disp_form(tbl, d, g, u, lam)}
 
 
-def build_trace(model: Model, flow: EquilibriumFlow, direction: TestDirection,
+def build_trace(model: Model, flow: EquilibriumFlow, eta: np.ndarray,
                 access: ValueAccess, index: int = 0, fd_eps: float = 1e-3,
                 lam: float = 0.0, lvec: LambdaVec | None = None) -> PropagationTrace:
-    states = simulate_variational(model, flow, direction, access, fd_eps)
+    states = simulate_variational(model, flow, eta, access, fd_eps)
     i_vals = np.array([np.mean(s.upsilon * s.delta_x) for s in states])
     ibar_vals = np.array([np.mean(s.gamma * s.delta_x) for s in states])
     dx2_vals = np.array([np.mean(s.delta_x**2) for s in states])
@@ -233,7 +201,7 @@ def build_trace(model: Model, flow: EquilibriumFlow, direction: TestDirection,
             - lvec.l3 * np.mean(s.delta_x**2)
             for s in states
         ])
-    rhs = [evaluate_rhs_formulas(model, s, lam=lam, lvec=lvec) for s in states]
+    rhs = [evaluate_rhs_formulas(model, s, lam=lam) for s in states]
     return PropagationTrace(
         direction=index,
         ts=np.array([s.t for s in states]),
@@ -242,8 +210,6 @@ def build_trace(model: Model, flow: EquilibriumFlow, direction: TestDirection,
         dt_ibar_rhs=np.array([r["dtIbar_rhs"] for r in rhs]),
         dt_dx2_rhs=np.array([r["d_deltaX2_rhs"] for r in rhs]),
         cd_disp_rhs=np.array([r["cd_disp_rhs"] for r in rhs]),
-        xi_lower_rhs=(np.array([r["xi_lower_rhs"] for r in rhs])
-                      if lvec is not None else None),
     )
 
 
@@ -322,11 +288,11 @@ def _terminal_gate(flow, access, config: PropagationConfig, tol: float) -> tuple
     """Monotonicity of the terminal cost over the direction battery at t = T."""
     grid = flow.grid
     t_end = grid.t_end
-    mu_t = flow.mu(grid.n_t)
+    x_t = flow.states[grid.n_t]
     values = np.array([
-        mon_value(config.kind, access, t_end, mu_t, direction, config.fd_eps,
+        mon_value(config.kind, access, t_end, x_t, eta, config.fd_eps,
                   config.lam, config.lvec)
-        for direction in direction_battery(mu_t, config.n_directions, config.seed)
+        for eta in direction_battery(x_t, config.n_directions, config.seed)
     ])
     if config.kind == "anti":
         ok = bool(values.max() <= tol)
@@ -370,14 +336,13 @@ def propagation_experiment(model: Model, flow: EquilibriumFlow,
                 f"{vxx_max:.4f} > {config.anti_lu_xx}"
             )
 
-    mu0 = flow.mu(0)
     traces = []
     slope_violations = []
     formula_violations = []
     endpoint_values = []
-    for idx, direction in enumerate(direction_battery(mu0, config.n_directions,
-                                                      config.seed)):
-        trace = build_trace(model, flow, direction, access, index=idx,
+    for idx, eta in enumerate(direction_battery(flow.states[0], config.n_directions,
+                                                config.seed)):
+        trace = build_trace(model, flow, eta, access, index=idx,
                             fd_eps=config.fd_eps, lam=config.lam, lvec=config.lvec)
         traces.append(trace)
         formula_violations.extend(

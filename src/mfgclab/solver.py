@@ -8,7 +8,8 @@ Euler-Maruyama scheme with the optimal drift, and damp.  Brownian increments
 are drawn once per solve and reused across sweeps, which turns each sweep
 into a deterministic map of the flow and makes the Picard residual
 meaningful.  The model sees each level's control law through its two means,
-so a sweep passes the per-level moments (m1, m2), not cloud objects.
+so a sweep passes the per-level moments (m1, m2).  A state law is a uniform
+cloud given by its 1-D array of atoms.
 
 One sweep is the Picard map ``_sweep``.  ``solve_mfgc`` iterates it, damped,
 to tolerance; ``ValueAccess`` re-solves V(t, ., mu) for displaced clouds by a
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import EmpiricalMeasure
 from .models import Model, fixed_point_phi, hamiltonian, hamiltonian_dp
 
 CFL_SAFETY = 0.45
@@ -170,10 +170,6 @@ class EquilibriumFlow:
     def n_particles(self) -> int:
         return self.states.shape[1]
 
-    def mu(self, k: int) -> EmpiricalMeasure:
-        n = self.n_particles
-        return EmpiricalMeasure(self.states[k][:, None], np.full(n, 1.0 / n))
-
     def to_csv(self, path) -> None:
         """One row per (time step, particle): t, index, state, control, u_x."""
         import csv
@@ -219,17 +215,12 @@ def _moments(states: np.ndarray, controls: np.ndarray) -> tuple:
     return (states @ w).tolist(), (controls @ w).tolist()
 
 
-def _terminal_law(states: np.ndarray) -> EmpiricalMeasure:
-    n = states.shape[1]
-    return EmpiricalMeasure(states[-1][:, None], np.full(n, 1.0 / n))
-
-
 def _backward_value(model: Model, xs: np.ndarray, dx: float, dt: float,
-                    m1: list, m2: list, mu_terminal: EmpiricalMeasure) -> np.ndarray:
+                    m1: list, m2: list, terminal_atoms: np.ndarray) -> np.ndarray:
     """Explicit Euler backward sweep of the value grid against frozen control laws."""
     levels = len(m1)
     u = np.empty((levels, xs.size))
-    u[-1] = model.g(xs, mu_terminal)
+    u[-1] = model.g(xs, terminal_atoms)
     for k in range(levels - 2, -1, -1):
         row = u[k + 1]
         ux = _d1_rows(row, dx)
@@ -254,7 +245,7 @@ def _sweep(model: Model, x0: np.ndarray, xs: np.ndarray, dx: float, dt: float,
     n_steps = brownian.shape[0]
     sqrt_dt = np.sqrt(dt)
     m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
-    u = _backward_value(model, xs, dx, dt, m1, m2, _terminal_law(states))
+    u = _backward_value(model, xs, dx, dt, m1, m2, states[-1])
     ux_rows = _d1_rows(u, dx)
 
     prop_states = np.empty_like(states)
@@ -276,9 +267,9 @@ def _sweep(model: Model, x0: np.ndarray, xs: np.ndarray, dx: float, dt: float,
     return prop_states, prop_momenta, u
 
 
-def solve_mfgc(model: Model, mu0: EmpiricalMeasure, grid: Grid,
+def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
                picard: PicardSettings | None = None, seed: int = 0) -> EquilibriumFlow:
-    """Solve the coupled equilibrium system from the initial state law mu0.
+    """Solve the coupled equilibrium system from the initial cloud of atoms x0.
 
     Damped Picard iteration of ``_sweep`` from the uncontrolled flow until
     the residual reaches ``picard.tol``.  The returned flow is the accepted
@@ -289,23 +280,23 @@ def solve_mfgc(model: Model, mu0: EmpiricalMeasure, grid: Grid,
     to the Picard residual, which is what ``best_response_gap`` measures.
     """
     picard = picard if picard is not None else PicardSettings()
-    if mu0.dim != 1:
-        raise SolverError("the solver is one-dimensional")
+    x0 = np.array(x0, dtype=float)
+    if x0.ndim != 1 or x0.size == 0:
+        raise SolverError(f"the initial cloud must be a non-empty 1-D array of atoms, "
+                          f"got shape {x0.shape}")
     margin = max(4.0 * grid.dx, 0.02 * (grid.x_max - grid.x_min))
-    if np.any(mu0.x < grid.x_min + margin) or np.any(mu0.x > grid.x_max - margin):
+    # Written as "all inside" so that a non-finite atom is rejected too.
+    if not np.all((x0 >= grid.x_min + margin) & (x0 <= grid.x_max - margin)):
         raise SolverError(
             f"initial particles must lie inside [{grid.x_min + margin}, "
             f"{grid.x_max - margin}]"
         )
-    if not mu0.is_uniform():
-        raise SolverError("the solver requires uniform particle weights")
 
     rng = np.random.default_rng(seed)
-    brownian = rng.standard_normal((grid.n_t, mu0.n))
-    x0 = mu0.x.copy()
+    brownian = rng.standard_normal((grid.n_t, x0.size))
     xs, dx, dt = grid.xs, grid.dx, grid.dt
     sqrt_dt = np.sqrt(dt)
-    states = np.empty((grid.n_t + 1, mu0.n))
+    states = np.empty((grid.n_t + 1, x0.size))
     states[0] = x0
     for k in range(grid.n_t):
         states[k + 1] = states[k] + sqrt_dt * brownian[k]
@@ -337,7 +328,7 @@ def solve_mfgc(model: Model, mu0: EmpiricalMeasure, grid: Grid,
     # were solved against the entering flow (one sweep behind, which is what
     # best_response_gap measures), but the terminal condition is refreshed so
     # that u(T, .) = g(., mu_T) holds exactly for the stored flow.
-    u[-1] = model.g(xs, _terminal_law(states))
+    u[-1] = model.g(xs, states[-1])
     momenta[-1] = np.interp(states[-1], xs, _d1_rows(u[-1], dx))
     return EquilibriumFlow(
         grid=grid, states=states, momenta=momenta,
@@ -348,10 +339,11 @@ def solve_mfgc(model: Model, mu0: EmpiricalMeasure, grid: Grid,
     )
 
 
-def terminal_field(model: Model, mu: EmpiricalMeasure, xs: np.ndarray,
+def terminal_field(model: Model, atoms: np.ndarray, xs: np.ndarray,
                    t_end: float) -> ValueField:
-    """The exact terminal slice V(T, ., mu) = g(., mu) as a one-level field."""
-    return ValueField(model.g(xs, mu)[None, :], xs, np.array([t_end]))
+    """The exact terminal slice V(T, ., mu) = g(., mu) as a one-level field,
+    for the uniform cloud mu of the given atoms."""
+    return ValueField(model.g(xs, atoms)[None, :], xs, np.array([t_end]))
 
 
 def best_response_gap(model: Model, flow: EquilibriumFlow) -> float:
@@ -359,23 +351,24 @@ def best_response_gap(model: Model, flow: EquilibriumFlow) -> float:
     frozen converged control laws; certifies the equilibrium property."""
     grid = flow.grid
     m1, m2 = _moments(flow.states, flow.controls)
-    u2 = _backward_value(model, grid.xs, grid.dx, grid.dt, m1, m2, _terminal_law(flow.states))
+    u2 = _backward_value(model, grid.xs, grid.dx, grid.dt, m1, m2, flow.states[-1])
     return float(np.max(np.abs(u2 - flow.value_field.u)))
 
 
 class ValueAccess:
     """V(t_k, ., mu) for clouds mu near a converged base flow, by re-solves.
 
-    A re-solve at level k starts from the base flow shifted atom by atom,
-    states = base.states[k:] + (mu - base.states[k]) with the momenta
-    base.momenta[k:], reuses the base flow's Brownian increments and runs
-    RESOLVE_SWEEPS undamped Picard sweeps with no residual check.  Paired
-    perturbation solves therefore share their iteration error, and differences
-    of their outputs stay smooth.  Every cloud must be a displacement of the
-    base cloud, so it has the base flow's particle count.
+    A cloud is the 1-D array x of its atoms.  A re-solve at level k starts
+    from the base flow shifted atom by atom, states = base.states[k:] +
+    (x - base.states[k]) with the momenta base.momenta[k:], reuses the base
+    flow's Brownian increments and runs RESOLVE_SWEEPS undamped Picard sweeps
+    with no residual check.  Paired perturbation solves therefore share their
+    iteration error, and differences of their outputs stay smooth.  Every
+    cloud must be a displacement of the base cloud, so it has the base flow's
+    particle count.
 
     Callers read only the first slice of a field, so the cache keeps a
-    one-level copy per (level, cloud) for the life of the object; a -eta
+    one-level copy per (level, atom bytes) for the life of the object; a -eta
     perturbation asks for exactly the clouds that +eta asked for.
     """
 
@@ -391,21 +384,22 @@ class ValueAccess:
             raise SolverError(f"time {t} outside the grid horizon")
         return k
 
-    def field(self, t: float, mu: EmpiricalMeasure) -> ValueField:
-        """The one-level field V(t_k, ., mu) at the level k of t."""
+    def field(self, t: float, x: np.ndarray) -> ValueField:
+        """The one-level field V(t_k, ., mu) at the level k of t, for the
+        uniform cloud mu of the atoms x."""
         k = self.level_of(t)
-        key = (k, mu.points.tobytes(), mu.weights.tobytes())
+        key = (k, x.tobytes())
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         base, grid = self.flow, self.flow.grid
-        if mu.n != base.n_particles:
-            raise SolverError(f"cloud of {mu.n} particles cannot be re-solved from a "
-                              f"base flow of {base.n_particles}")
+        if x.shape != (base.n_particles,):
+            raise SolverError(f"cloud of shape {x.shape} cannot be re-solved from a "
+                              f"base flow of {base.n_particles} particles")
         if k == grid.n_t:
-            out = terminal_field(self.model, mu, grid.xs, grid.t_end)
+            out = terminal_field(self.model, x, grid.xs, grid.t_end)
         else:
-            x0 = mu.x.copy()
+            x0 = x.copy()
             states = base.states[k:] + (x0 - base.states[k])
             states[0] = x0
             momenta = base.momenta[k:]

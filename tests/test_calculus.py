@@ -9,13 +9,16 @@ from mfgclab.calculus import (
     mean_shift_map,
     value_measure_gradient,
 )
-from mfgclab.measures import EmpiricalMeasure, JointEmpiricalMeasure
+from mfgclab.measures import JointEmpiricalMeasure
 from mfgclab.solver import ValueField
 
 
 def cloud(xs):
-    xs = np.asarray(xs, dtype=float)
-    return EmpiricalMeasure(xs[:, None], np.full(len(xs), 1.0 / len(xs)))
+    return np.asarray(xs, dtype=float)
+
+
+def mean(x):
+    return float(np.mean(x))
 
 
 def joint_cloud(rng, n):
@@ -104,7 +107,7 @@ class TestChainRule:
 
 
 class AnalyticAccess:
-    """Access object whose field is the one-level grid of an analytic V(x, mu).
+    """Access object whose field is the one-level grid of an analytic V(x, atoms).
 
     Central differences are exact for quadratics in x, so the field's gradient
     at the atoms is the analytic dV/dx.
@@ -114,14 +117,14 @@ class AnalyticAccess:
         self.value = value
         self.xs = np.linspace(-4.0, 4.0, 161)
 
-    def field(self, t, mu):
-        return ValueField(self.value(self.xs, mu)[None, :], self.xs, np.array([t]))
+    def field(self, t, x):
+        return ValueField(self.value(self.xs, x)[None, :], self.xs, np.array([t]))
 
 
 class TestValueMeasureGradient:
     def test_linear_mean_field(self):
         # V(t, x, mu) = x * E[xi]: the gradient derivative along eta is mean(eta).
-        access = AnalyticAccess(lambda xs, mu: xs * mu.mean())
+        access = AnalyticAccess(lambda xs, mu: xs * mean(mu))
         mu = cloud([0.0, 1.0, -2.0, 0.5])
         eta = np.array([1.0, 2.0, 0.0, -1.0])
         got = value_measure_gradient(access, 0.0, mu, eta)
@@ -136,16 +139,16 @@ class TestValueMeasureGradient:
 
     def test_quadratic_mean_field(self):
         # V = x * E[xi]^2: derivative of dV/dx along eta is 2 E[xi] mean(eta).
-        access = AnalyticAccess(lambda xs, mu: xs * mu.mean() ** 2)
+        access = AnalyticAccess(lambda xs, mu: xs * mean(mu) ** 2)
         mu = cloud([0.5, 1.5, -1.0, 3.0])
         eta = np.array([0.2, -0.4, 1.0, 0.6])
         got = value_measure_gradient(access, 0.0, mu, eta)
-        assert np.allclose(got, 2 * mu.mean() * np.mean(eta), atol=1e-7)
+        assert np.allclose(got, 2 * mean(mu) * np.mean(eta), atol=1e-7)
 
     def test_linearity_in_direction(self):
         # V = x E[xi]^2 + x^2 E[xi^2] / 2, so dV/dx = E[xi]^2 + x E[xi^2].
         def value(xs, mu):
-            return xs * mu.mean() ** 2 + 0.5 * xs**2 * float(mu.weights @ mu.x**2)
+            return xs * mean(mu) ** 2 + 0.5 * xs**2 * mean(mu**2)
 
         access = AnalyticAccess(value)
         rng = np.random.default_rng(12)
@@ -159,7 +162,7 @@ class TestValueMeasureGradient:
 
     def test_zero_direction_short_circuits(self):
         class NoAccess:
-            def field(self, t, mu):  # pragma: no cover - must not be called
+            def field(self, t, x):  # pragma: no cover - must not be called
                 raise AssertionError("no field should be asked for a zero direction")
 
         mu = cloud([0.0, 1.0])

@@ -185,6 +185,8 @@ which = matrix1
         ("mono", "monotonicity", "slices", "five"),
         ("mono", "monotonicity", "slices", "0"),
         ("propagate", "monotonicity", "lambda", "-1"),
+        ("propagate", "monotonicity", "fd_eps", "0"),
+        ("mono", "monotonicity", "fd_eps", "0"),
         ("check", "check", "samples", "forty"),
         ("propagate", "check", "samples", "0"),
         ("check", "check", "atoms", "1"),
@@ -201,6 +203,16 @@ which = matrix1
         out = tmp_path / "o"
         assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1
         assert not (out / "report.json").exists()  # rejected before any run
+
+    @pytest.mark.parametrize("text", [
+        small_model_block().replace("[check]\n", "[check]\nsamples = 10\n"),  # key twice
+        small_model_block() + "[check]\natoms = 8\n",                        # section twice
+        "kind = propagate\n" + small_model_block(),                           # no header
+    ], ids=["duplicate_key", "duplicate_section", "missing_header"])
+    def test_malformed_ini_is_config_error(self, tmp_path, text):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
     def test_non_convergence_exits_4(self, tmp_path):
         cfg = tmp_path / "exp.ini"

@@ -12,13 +12,17 @@ from mfgclab.conditions import (
     check_f_monotone,
     check_ll_condition,
     check_matrix1,
+    ll_form,
     make_condition_samples,
     matrix1_assemble,
-    _ll_form_value,
 )
 from mfgclab.config import preset_model
 from mfgclab.models import MeanPoly2, Model
 from mfgclab.monotonicity import LambdaVec
+
+
+def ll_form_value(model, sample):
+    return ll_form(sample.table(model), sample.eta, sample.gamma, sample.zeta)
 
 
 def ll_example_model(c1, c2, c3, b1=None):
@@ -99,7 +103,7 @@ class TestLLCondition:
         zero = np.zeros(8)
         sample = QuadraticFormSample(np.linspace(-1, 1, 8), zero, zero, zero,
                                      affine_feedback(0.0, 1.0))
-        assert _ll_form_value(model, sample) == 0.0
+        assert ll_form_value(model, sample) == 0.0
 
     def test_matrix_pass_implies_form_pass_over_500_samples(self):
         model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
@@ -117,12 +121,12 @@ class TestLLCondition:
         model = ll_example_model(c1=0.4, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.5))
         rng = np.random.default_rng(3)
         sample = make_condition_samples(1, 12, seed=9)[0]
-        value = _ll_form_value(model, sample)
+        value = ll_form_value(model, sample)
         perm = rng.permutation(12)
         shuffled = QuadraticFormSample(sample.xi[perm], sample.eta[perm],
                                        sample.gamma[perm], sample.zeta[perm],
                                        sample.phi_map)
-        assert _ll_form_value(model, shuffled) == pytest.approx(value, abs=1e-14)
+        assert ll_form_value(model, shuffled) == pytest.approx(value, abs=1e-14)
 
 
 class TestDispCondition:

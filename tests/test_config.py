@@ -40,10 +40,9 @@ kind = ll
 
 
 def test_bad_particle_section_is_config_error(tmp_path):
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_ini(write_config(tmp_path, "kind = atoms\nvalues ="))
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_ini(write_config(tmp_path, "n = 0"))
+    for particles in ("kind = atoms\nvalues =", "kind = atoms\nvalues = 0 nan 1", "n = 0"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_ini(write_config(tmp_path, particles))
 
 
 def test_unrelated_exception_is_not_relabelled(tmp_path, monkeypatch):

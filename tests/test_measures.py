@@ -4,18 +4,13 @@ import numpy as np
 import pytest
 
 from mfgclab.measures import (
-    EmpiricalMeasure,
     JointEmpiricalMeasure,
     MeasureError,
     gaussian_quantile_cloud,
     mixture,
 )
+from mfgclab.models import QuadraticTerminalCost
 from mfgclab.solver import _quantile_dist
-
-
-def cloud(xs, weights=None):
-    xs = np.asarray(xs, dtype=float)
-    return EmpiricalMeasure(xs[:, None], weights if weights is None else np.asarray(weights))
 
 
 def joint(xs, sec, weights=None):
@@ -27,43 +22,49 @@ def joint(xs, sec, weights=None):
 class TestInvariants:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(MeasureError):
-            EmpiricalMeasure(np.zeros((2, 1)), np.array([0.5, 0.6]))
+            JointEmpiricalMeasure(np.zeros((2, 1)), np.zeros((2, 1)), np.array([0.5, 0.6]))
 
     def test_nonfinite_points_rejected(self):
         with pytest.raises(MeasureError):
-            cloud([0.0, np.inf])
+            joint([0.0, np.inf], [0.0, 0.0])
+        with pytest.raises(MeasureError):
+            joint([0.0, 0.0], [np.nan, 0.0])
 
     def test_negative_weights_rejected(self):
         with pytest.raises(MeasureError):
-            EmpiricalMeasure(np.zeros((2, 1)), np.array([1.5, -0.5]))
+            JointEmpiricalMeasure(np.zeros((2, 1)), np.zeros((2, 1)), np.array([1.5, -0.5]))
 
     def test_empty_rejected(self):
         with pytest.raises(MeasureError):
-            EmpiricalMeasure(np.zeros((0, 1)), np.zeros(0))
+            JointEmpiricalMeasure(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0))
 
 
-def second_moment(m):
-    return float(m.weights @ m.x**2)
+def mean(x):
+    """A cloud's mean, with the uniform weight vector the package uses."""
+    return float(np.full(x.shape[0], 1.0 / x.shape[0]) @ x)
 
 
 class TestMoment:
     def test_first_moment(self):
-        assert cloud([1.0, 3.0]).mean() == pytest.approx(2.0)
+        # The terminal cost g = x E[xi] reads the mean of its cloud of atoms.
+        g = QuadraticTerminalCost(xm=1.0)
+        assert g(1.0, np.array([1.0, 3.0])) == pytest.approx(2.0)
 
     def test_single_atom(self):
+        g = QuadraticTerminalCost(xm=1.0)
         for c in (-2.5, 0.0, 7.0):
-            assert cloud([c]).mean() == pytest.approx(c)
+            assert g(1.0, np.array([c])) == pytest.approx(c)
 
     def test_linear_in_weights(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
-            a = cloud(rng.normal(size=5))
-            b = cloud(rng.normal(size=4))
+            a = joint(rng.normal(size=5), rng.normal(size=5))
+            b = joint(rng.normal(size=4), rng.normal(size=4))
             w = float(rng.uniform())
             mixed = mixture(a, b, w)
-            assert mixed.mean() == pytest.approx((1 - w) * a.mean() + w * b.mean(), abs=1e-12)
-            expected = (1 - w) * second_moment(a) + w * second_moment(b)
-            assert second_moment(mixed) == pytest.approx(expected, abs=1e-12)
+            for moment in (lambda m: m.second_mean(), lambda m: float(m.weights @ m.x**2)):
+                expected = (1 - w) * moment(a) + w * moment(b)
+                assert moment(mixed) == pytest.approx(expected, abs=1e-12)
 
 
 class TestFlowDistance:
@@ -109,7 +110,7 @@ class TestFlowDistance:
 
 class TestMixtureResample:
     def test_mixture_weights(self):
-        mixed = mixture(cloud([0.0, 1.0]), cloud([5.0]), 0.25)
+        mixed = mixture(joint([0.0, 1.0], [0.0, 0.0]), joint([5.0], [0.0]), 0.25)
         assert mixed.n == 3
         assert mixed.weights.sum() == pytest.approx(1.0)
         assert np.allclose(mixed.weights, [0.375, 0.375, 0.25])
@@ -119,17 +120,18 @@ class TestMixtureResample:
         assert mixed.n == 2
         assert np.allclose(mixed.seconds[:, 0], [1.0, 3.0])
 
-    def test_mixing_kinds_rejected(self):
+    def test_mixture_weight_outside_unit_interval_rejected(self):
         with pytest.raises(MeasureError):
-            mixture(cloud([0.0]), joint([0.0], [0.0]), 0.5)
+            mixture(joint([0.0], [0.0]), joint([1.0], [0.0]), 1.5)
 
 
 class TestQuantileClouds:
     def test_gaussian_cloud_moments(self):
         g = gaussian_quantile_cloud(4096, mean=1.5, sd=2.0)
-        assert g.mean() == pytest.approx(1.5, abs=1e-12)
-        assert second_moment(g) - g.mean() ** 2 == pytest.approx(4.0, rel=5e-3)
+        assert g.shape == (4096,)
+        assert mean(g) == pytest.approx(1.5, abs=1e-12)
+        assert mean(g**2) - mean(g) ** 2 == pytest.approx(4.0, rel=5e-3)
 
     def test_gaussian_cloud_symmetric(self):
         g = gaussian_quantile_cloud(16)
-        assert np.allclose(np.sort(g.x) + np.sort(g.x)[::-1], 0.0, atol=1e-12)
+        assert np.allclose(np.sort(g) + np.sort(g)[::-1], 0.0, atol=1e-12)

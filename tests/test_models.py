@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfgclab.config import preset_model
-from mfgclab.measures import EmpiricalMeasure, JointEmpiricalMeasure
+from mfgclab.measures import JointEmpiricalMeasure
 from mfgclab.models import (
     CONTRACTION_EPS,
     MeanPoly2,
@@ -351,11 +351,11 @@ class TestTerminalCost:
         # The terminal slice's grid derivatives are exact for a quadratic in x:
         # g_x = xx x + xm E[xi] + x_lin and g_xx = xx.
         g = QuadraticTerminalCost(xx=0.8, xm=0.3, x_lin=-0.2, m2=0.5)
-        mu = EmpiricalMeasure(np.array([[0.0], [2.0]]), np.array([0.5, 0.5]))
+        mu = np.array([0.0, 2.0])
         xs = np.array([-1.0, 0.5])
         field = terminal_field(Model(g=g), mu, np.linspace(-4.0, 4.0, 81), 1.0)
         h = 1e-6
         fd_dx = (g(xs + h, mu) - g(xs - h, mu)) / (2 * h)
         assert np.allclose(field.ux_at(0, xs), fd_dx, atol=1e-8)
-        assert np.allclose(field.ux_at(0, xs), 0.8 * xs + 0.3 * mu.mean() - 0.2, atol=1e-12)
+        assert np.allclose(field.ux_at(0, xs), 0.8 * xs + 0.3 * np.mean(mu) - 0.2, atol=1e-12)
         assert np.allclose(field.uxx_at(0, xs), 0.8, atol=1e-12)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from mfgclab.measures import EmpiricalMeasure, gaussian_quantile_cloud
+from mfgclab.calculus import CalculusError
+from mfgclab.measures import gaussian_quantile_cloud
 from mfgclab.models import MeanPoly2, Model, QuadraticTerminalCost
 from mfgclab.monotonicity import (
     LambdaVec,
     MonotonicityError,
-    TestDirection,
     direction_battery,
     mon_anti,
     mon_disp,
@@ -18,8 +18,7 @@ from mfgclab.solver import Grid, PicardSettings, ValueAccess, solve_mfgc, termin
 
 
 def cloud(xs):
-    xs = np.asarray(xs, dtype=float)
-    return EmpiricalMeasure(xs[:, None], np.full(len(xs), 1.0 / len(xs)))
+    return np.asarray(xs, dtype=float)
 
 
 class TerminalAccess:
@@ -29,11 +28,11 @@ class TerminalAccess:
         self.terminal = terminal
         self.xs = np.linspace(-8.0, 8.0, 321) if xs is None else xs
 
-    def field(self, t, mu):
+    def field(self, t, x):
         class _Model:
             g = self.terminal
 
-        return terminal_field(_Model, mu, self.xs, t)
+        return terminal_field(_Model, x, self.xs, t)
 
 
 class TestMonLLTerminal:
@@ -41,29 +40,27 @@ class TestMonLLTerminal:
         # g = a x^2 / 2 + b x E[xi]: the form equals b * mean(eta)^2.
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=1.0))
         mu = cloud([0.4, -0.3, 1.1, 0.2])
-        direction = TestDirection(mu.x, np.ones(4))
-        assert mon_ll(access, 1.0, mu, direction) == pytest.approx(1.0, abs=1e-6)
+        assert mon_ll(access, 1.0, mu, np.ones(4)) == pytest.approx(1.0, abs=1e-6)
 
     def test_mean_free_direction_vanishes(self):
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=1.0))
         mu = cloud([0.4, -0.3, 1.1, 0.2])
         eta = np.array([1.0, -1.0, 0.5, -0.5])
-        direction = TestDirection(mu.x, eta - eta.mean())
-        assert mon_ll(access, 1.0, mu, direction) == pytest.approx(0.0, abs=1e-8)
+        assert mon_ll(access, 1.0, mu, eta - eta.mean()) == pytest.approx(0.0, abs=1e-8)
 
     def test_quadratic_scaling_in_eta(self):
         access = TerminalAccess(QuadraticTerminalCost(xm=0.7))
         mu = cloud([0.0, 0.5, -0.5, 1.0])
         eta = np.array([1.0, 0.4, -0.2, 0.8])
-        base = mon_ll(access, 1.0, mu, TestDirection(mu.x, eta))
-        scaled = mon_ll(access, 1.0, mu, TestDirection(mu.x, 3.0 * eta))
+        base = mon_ll(access, 1.0, mu, eta)
+        scaled = mon_ll(access, 1.0, mu, 3.0 * eta)
         assert scaled == pytest.approx(9.0 * base, rel=2e-4, abs=2e-6)
 
     def test_direction_mismatch_rejected(self):
         access = TerminalAccess(QuadraticTerminalCost(xm=1.0))
         mu = cloud([0.0, 1.0])
-        with pytest.raises(MonotonicityError):
-            mon_ll(access, 1.0, mu, TestDirection(np.array([0.0, 2.0]), np.ones(2)))
+        with pytest.raises(CalculusError, match="direction"):
+            mon_ll(access, 1.0, mu, np.ones(3))
 
 
 class TestMonDispTerminal:
@@ -72,31 +69,30 @@ class TestMonDispTerminal:
         access = TerminalAccess(QuadraticTerminalCost(xx=-1.0))
         mu = cloud([0.3, -0.2, 0.9, 0.0])
         eta = np.array([0.5, -1.0, 0.25, 0.75])
-        value = mon_disp(access, 1.0, mu, TestDirection(mu.x, eta), lam=1.0)
+        value = mon_disp(access, 1.0, mu, eta, lam=1.0)
         assert value == pytest.approx(0.0, abs=1e-7)
 
     def test_marginal_displacement_monotone(self):
         # a = 1, b = -1, eta = 1, lambda = 0: b mean(eta)^2 + a mean(eta^2) = 0.
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=-1.0))
         mu = cloud([0.1, 0.6, -0.4, 0.2])
-        value = mon_disp(access, 1.0, mu, TestDirection(mu.x, np.ones(4)), lam=0.0)
+        value = mon_disp(access, 1.0, mu, np.ones(4), lam=0.0)
         assert value == pytest.approx(0.0, abs=1e-6)
 
     def test_additive_in_lambda_exactly(self):
         access = TerminalAccess(QuadraticTerminalCost(xx=0.5, xm=0.2))
         mu = cloud([0.0, 1.0, -1.0, 0.5])
         eta = np.array([1.0, -0.5, 0.25, 0.0])
-        direction = TestDirection(mu.x, eta)
-        v0 = mon_disp(access, 1.0, mu, direction, lam=0.0)
+        v0 = mon_disp(access, 1.0, mu, eta, lam=0.0)
         for lam in (0.5, 1.0, 2.0):
             expected = v0 + lam * np.mean(eta**2)
-            assert mon_disp(access, 1.0, mu, direction, lam) == pytest.approx(expected, abs=1e-12)
+            assert mon_disp(access, 1.0, mu, eta, lam) == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative_lambda_required(self):
         access = TerminalAccess(QuadraticTerminalCost())
         mu = cloud([0.0, 1.0])
         with pytest.raises(MonotonicityError):
-            mon_disp(access, 1.0, mu, TestDirection(mu.x, np.ones(2)), lam=-0.1)
+            mon_disp(access, 1.0, mu, np.ones(2), lam=-0.1)
 
 
 class TestMonAntiTerminal:
@@ -106,20 +102,20 @@ class TestMonAntiTerminal:
         access = TerminalAccess(QuadraticTerminalCost(xx=-0.5))
         mu = cloud([0.2, -0.7, 0.5, 1.0])
         eta = np.array([1.0, 0.5, -0.5, 2.0])
-        value = mon_anti(access, 1.0, mu, TestDirection(mu.x, eta), LambdaVec(1, 0, 1, 0))
+        value = mon_anti(access, 1.0, mu, eta, LambdaVec(1, 0, 1, 0))
         assert value == pytest.approx(-0.25 * np.mean(eta**2), abs=1e-6)
 
     def test_zero_direction(self):
         access = TerminalAccess(QuadraticTerminalCost(xx=-0.5, xm=0.3))
         mu = cloud([0.0, 1.0, 2.0])
-        value = mon_anti(access, 1.0, mu, TestDirection(mu.x, np.zeros(3)), LambdaVec(1, 1, 1, 0))
+        value = mon_anti(access, 1.0, mu, np.zeros(3), LambdaVec(1, 1, 1, 0))
         assert value == 0.0
 
     def test_large_l3_dominates(self):
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=0.5))
         mu = cloud([0.3, -0.3, 0.8])
         eta = np.array([1.0, 1.0, -0.5])
-        value = mon_anti(access, 1.0, mu, TestDirection(mu.x, eta), LambdaVec(1, 1, 1, 50))
+        value = mon_anti(access, 1.0, mu, eta, LambdaVec(1, 1, 1, 50))
         assert value < 0.0
 
     def test_lambda_vec_validation(self):
@@ -143,7 +139,7 @@ def mon_ll_difference_form(access, t, cloud1, cloud2):
     def v(fld, x):
         return np.interp(x, fld.xs, fld.u[0])
 
-    x1, x2 = cloud1.x, cloud2.x
+    x1, x2 = cloud1, cloud2
     return float(np.mean(v(f1, x1) + v(f2, x2) - v(f2, x1) - v(f1, x2)))
 
 
@@ -160,7 +156,7 @@ class TestDifferenceForm:
         mu1 = cloud([0.5, -0.1, 0.9, 0.3])
         mu2 = cloud([0.1, 0.2, -0.4, 0.0])
         value = mon_ll_difference_form(access, 1.0, mu1, mu2)
-        expected = b * (mu1.mean() - mu2.mean()) ** 2
+        expected = b * (np.mean(mu1) - np.mean(mu2)) ** 2
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_second_order_taylor_matches_mon_ll(self):
@@ -168,9 +164,9 @@ class TestDifferenceForm:
         mu1 = cloud([0.4, -0.3, 1.0, 0.1])
         eta = np.array([1.0, 0.5, -0.25, 0.75])
         eps = 0.05
-        mu2 = mu1.shifted(eps * eta[:, None])
+        mu2 = mu1 + eps * eta
         diff = mon_ll_difference_form(access, 1.0, mu1, mu2)
-        perturbative = mon_ll(access, 1.0, mu1, TestDirection(mu1.x, eta))
+        perturbative = mon_ll(access, 1.0, mu1, eta)
         assert diff == pytest.approx(eps**2 * perturbative, rel=0.2, abs=1e-9)
 
 
@@ -181,14 +177,15 @@ class TestBattery:
         batt2 = direction_battery(mu, 12, seed=3)
         assert len(batt1) == 12
         for d1, d2 in zip(batt1, batt2):
-            assert np.array_equal(d1.eta, d2.eta)
-            assert np.sqrt(np.mean(d1.eta**2)) == pytest.approx(1.0)
+            assert d1.shape == (8,)
+            assert np.array_equal(d1, d2)
+            assert np.sqrt(np.mean(d1**2)) == pytest.approx(1.0)
 
     def test_battery_contains_sign_pairs_and_mean_free(self):
         mu = cloud(np.linspace(-1.0, 2.0, 8))
         batt = direction_battery(mu, 12, seed=0)
-        assert np.array_equal(batt[0].eta, -batt[1].eta)
-        assert abs(batt[2].eta.mean()) <= 1e-12  # noise direction is mean-free
+        assert np.array_equal(batt[0], -batt[1])
+        assert abs(batt[2].mean()) <= 1e-12  # noise direction is mean-free
 
     def test_degenerate_cloud_still_fills_battery(self):
         mu = cloud(np.zeros(6))  # powers of x all vanish

@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 from mfgclab.measures import gaussian_quantile_cloud
 from mfgclab.config import preset_model
 from mfgclab.models import MeanPoly2, Model, QuadraticTerminalCost
-from mfgclab.monotonicity import LambdaVec, TestDirection, direction_battery
+from mfgclab.monotonicity import LambdaVec, direction_battery
 from mfgclab.propagation import (
     GateError,
     PropagationConfig,
@@ -60,8 +60,7 @@ def ll_setup(t_end=0.25, n_x=81, c2=0.05, terminal=None, seed=7):
 class TestSimulateVariational:
     def test_zero_direction_gives_zero_everything(self):
         model, grid, flow, access = ll_setup()
-        states = simulate_variational(model, flow, TestDirection(flow.states[0], np.zeros(N)),
-                                      access)
+        states = simulate_variational(model, flow, np.zeros(N), access)
         for s in states:
             assert np.all(s.delta_x == 0.0)
             assert np.all(s.gamma == 0.0)
@@ -72,7 +71,7 @@ class TestSimulateVariational:
         # dX' = Hpp * Vxx * dX = -2 P(t) dX with the backward Riccati P.
         model, grid, flow, access = lq_setup
         eta = np.ones(N)
-        states = simulate_variational(model, flow, TestDirection(flow.states[0], eta), access)
+        states = simulate_variational(model, flow, eta, access)
         t_end = grid.t_end
         sol = solve_ivp(lambda s, y: [-2.0 * y[0] ** 2, 2.0 * y[0] * y[1]],
                         (0.0, t_end), [0.5, 1.0], rtol=1e-12, atol=1e-14,
@@ -88,8 +87,8 @@ class TestSimulateVariational:
     def test_pathwise_linearity_exact(self):
         model, grid, flow, access = ll_setup()
         eta = np.linspace(-1.0, 1.0, N)
-        s1 = simulate_variational(model, flow, TestDirection(flow.states[0], eta), access)
-        s2 = simulate_variational(model, flow, TestDirection(flow.states[0], 2.0 * eta), access)
+        s1 = simulate_variational(model, flow, eta, access)
+        s2 = simulate_variational(model, flow, 2.0 * eta, access)
         for a, b in zip(s1, s2):
             assert np.allclose(2.0 * a.delta_x, b.delta_x, atol=1e-9)
 
@@ -97,37 +96,34 @@ class TestSimulateVariational:
         # The -eta trace displaces each cloud by exactly the offsets of the
         # +eta trace, in the other order, so it needs no new re-solve.
         model, grid, flow, access = ll_setup()
-        eta = direction_battery(flow.mu(0), 1)[0].eta
-        simulate_variational(model, flow, TestDirection(flow.states[0], eta), access)
+        eta = direction_battery(flow.states[0], 1)[0]
+        simulate_variational(model, flow, eta, access)
         cached = len(access._cache)
         assert cached > 0
-        simulate_variational(model, flow, TestDirection(flow.states[0], -eta), access)
+        simulate_variational(model, flow, -eta, access)
         assert len(access._cache) == cached
 
-    def test_direction_must_sit_on_initial_states(self):
+    def test_direction_of_another_size_rejected(self):
         model, grid, flow, access = ll_setup()
-        with pytest.raises(GateError):
-            simulate_variational(model, flow,
-                                 TestDirection(flow.states[0] + 0.5, np.ones(N)), access)
+        with pytest.raises(GateError, match="particles"):
+            simulate_variational(model, flow, np.ones(N + 1), access)
 
 
 class TestRhsFormulas:
     def test_zero_direction_rhs_all_zero(self):
         model, grid, flow, access = ll_setup()
-        states = simulate_variational(model, flow, TestDirection(flow.states[0], np.zeros(N)),
-                                      access)
-        out = evaluate_rhs_formulas(model, states[0], lvec=LambdaVec(1, 0, 1, 0))
+        states = simulate_variational(model, flow, np.zeros(N), access)
+        out = evaluate_rhs_formulas(model, states[0], lam=1.0)
         assert out["dtI_rhs"] == 0.0
         assert out["dtIbar_rhs"] == 0.0
         assert out["d_deltaX2_rhs"] == 0.0
-        assert out["xi_lower_rhs"] == 0.0
+        assert out["cd_disp_rhs"] == 0.0
 
     def test_uncoupled_reduction_of_curvature_pairing(self, lq_setup):
         # No measure coupling: Upsilon = 0 and the curvature-pairing derivative
         # collapses to -E[gamma^2] - Hxx E[dX^2] with Hpp = -1, Hxx = 0.
         model, grid, flow, access = lq_setup
-        states = simulate_variational(model, flow,
-                                      TestDirection(flow.states[0], np.ones(N)), access)
+        states = simulate_variational(model, flow, np.ones(N), access)
         for s in states[:: max(1, len(states) // 6)]:
             assert np.max(np.abs(s.upsilon)) <= 1e-10
             out = evaluate_rhs_formulas(model, s)
@@ -135,7 +131,7 @@ class TestRhsFormulas:
 
     def test_formula_equality_along_coupled_trace(self):
         model, grid, flow, access = ll_setup()
-        trace = build_trace(model, flow, TestDirection(flow.states[0], np.ones(N)), access)
+        trace = build_trace(model, flow, np.ones(N), access)
         assert formula_match_violations(trace) == []
         slope = trace.slope(trace.i_vals)
         gap = np.abs(slope[1:-1] - trace.dt_i_rhs[1:-1])
@@ -147,8 +143,7 @@ class TestRhsFormulas:
         pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
         flow = solve_mfgc(model, MU0, grid, pic, seed=11)
         access = ValueAccess(model, flow)
-        trace = build_trace(model, flow, TestDirection(flow.states[0], np.ones(N)), access,
-                            lam=0.0)
+        trace = build_trace(model, flow, np.ones(N), access, lam=0.0)
         slope = trace.slope(trace.i_vals + trace.ibar_vals)
         gap = np.abs(slope[1:-1] - trace.cd_disp_rhs[1:-1])
         ref = np.maximum(np.abs(slope[1:-1]), np.abs(trace.cd_disp_rhs[1:-1]))
@@ -157,9 +152,8 @@ class TestRhsFormulas:
     def test_xi_bookkeeping_identity(self):
         model, grid, flow, access = ll_setup()
         lv = LambdaVec(0.5, 1.0, 2.0, 3.0)
-        direction = TestDirection(flow.states[0], np.ones(N))
-        trace = build_trace(model, flow, direction, access, lvec=lv)
-        states = simulate_variational(model, flow, direction, access)
+        trace = build_trace(model, flow, np.ones(N), access, lvec=lv)
+        states = simulate_variational(model, flow, np.ones(N), access)
         for k, s in enumerate(states):
             expected = (lv.l0 * np.mean(s.gamma * s.delta_x)
                         + lv.l1 * np.mean(s.upsilon * s.delta_x)

@@ -83,7 +83,7 @@ class TestZeroCouplingHeatFlow:
 
     def test_particle_mean_preserved_within_mc_error(self):
         drift = abs(self.flow.states[-1].mean() - self.flow.states[0].mean())
-        assert drift <= 3.0 / np.sqrt(self.mu0.n)
+        assert drift <= 3.0 / np.sqrt(self.mu0.size)
 
 
 class TestRiccatiOracle:
@@ -126,7 +126,7 @@ class TestFlowStructure:
         self.flow = solve_mfgc(self.model, self.mu0, self.grid, self.pic, seed=7)
 
     def test_terminal_condition_exact(self):
-        g_row = self.model.g(self.grid.xs, self.flow.mu(self.grid.n_t))
+        g_row = self.model.g(self.grid.xs, self.flow.states[self.grid.n_t])
         assert np.array_equal(self.flow.value_field.u[-1], g_row)
 
     def test_determinism_bit_identical(self):
@@ -173,7 +173,7 @@ class TestValueAt:
         flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid, pic, seed=7)
         k = grid.n_t // 2
         sub = Grid(grid.x_min, grid.x_max, grid.n_x, grid.ts[k], T, grid.n_t - k)
-        vf = solve_mfgc(model, flow.mu(k), sub, pic, seed=123).value_field
+        vf = solve_mfgc(model, flow.states[k], sub, pic, seed=123).value_field
         window = np.abs(grid.xs) <= 3.0
         gap = np.max(np.abs(vf.u[0][window] - flow.value_field.u[k][window]))
         assert gap <= 2.0 * 5.0 * (grid.dx**2 + grid.dt)
@@ -185,7 +185,7 @@ class TestValueAt:
         flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid, pic, seed=7)
         access = ValueAccess(model, flow)
         k = grid.n_t // 2
-        vf = access.field(grid.ts[k], flow.mu(k))
+        vf = access.field(grid.ts[k], flow.states[k])
         window = np.abs(grid.xs) <= 3.0
         gap = np.max(np.abs(vf.u[0][window] - flow.value_field.u[k][window]))
         assert gap <= 1e-6
@@ -199,7 +199,7 @@ class TestValueAt:
         g1 = Grid.with_cfl_steps(-6.0, 6.0, 101, 0.0, T)
         g2 = Grid(-6.0 + shift, 6.0 + shift, 101, 0.0, T, g1.n_t)
         f1 = solve_mfgc(model, mu0, g1, pic, seed=5)
-        f2 = solve_mfgc(model, mu0.shifted(np.full((16, 1), shift)), g2, pic, seed=5)
+        f2 = solve_mfgc(model, mu0 + shift, g2, pic, seed=5)
         assert np.max(np.abs(f1.value_field.u - f2.value_field.u)) <= 1e-10
         assert np.max(np.abs(f1.states + shift - f2.states)) <= 1e-10
 
@@ -215,7 +215,7 @@ class TestValueAccess:
     def test_cached_field_is_one_owned_row(self):
         # A view of the re-solve's grid would keep every full grid alive.
         k = self.grid.n_t // 3
-        mu = self.flow.mu(k).shifted(np.full(16, 1e-3))
+        mu = self.flow.states[k] + 1e-3
         vf = self.access.field(self.grid.ts[k], mu)
         assert vf.u.shape == (1, self.grid.n_x)
         assert vf.u.base is None
@@ -227,7 +227,7 @@ class TestValueAccess:
 
     def test_time_outside_horizon_rejected(self):
         with pytest.raises(SolverError, match="horizon"):
-            self.access.field(2 * T, self.flow.mu(0))
+            self.access.field(2 * T, self.flow.states[0])
 
 
 class TestBestResponseGap:
@@ -269,6 +269,14 @@ class TestErrorPaths:
         grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, T)
         with pytest.raises(SolverError):
             solve_mfgc(model, gaussian_quantile_cloud(16, 5.95, 0.01), grid)
+        with pytest.raises(SolverError):
+            solve_mfgc(model, np.array([0.0, np.nan]), grid)
+
+    def test_initial_cloud_must_be_one_dimensional(self):
+        model = lq_model()
+        grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, T)
+        with pytest.raises(SolverError, match="1-D"):
+            solve_mfgc(model, gaussian_quantile_cloud(16)[:, None], grid)
 
     def test_escaping_particles_reported(self):
         # A steep terminal slope drives the optimal drift far beyond the box.
