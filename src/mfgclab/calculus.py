@@ -1,151 +1,85 @@
 """Differential calculus on empirical measures.
 
-Linear functional derivatives, the chain rule for measure-valued maps, and
-the one directional measure derivative of the value-function gradient that
-the monotonicity functionals consume.  Distribution-valued derivatives are only ever used inside pairings
-against test functions, and linear functional derivatives only ever paired
-against mass-zero signed measures, which removes their additive-constant
-ambiguity.
+The chain-rule check of the reduced Hamiltonian Hhat(x, p, rho) =
+H(x, p, Phi(rho)) against central differences, and the one directional
+measure derivative of the value-function gradient that the monotonicity
+functionals consume.  Measure derivatives are Lions derivatives of a
+uniform cloud, approximated by displacing one atom: N times the partial
+derivative in that atom.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import fields
 
 import numpy as np
 
-from .measures import JointEmpiricalMeasure, MeasureError, mixture
+from .models import HatTable, Model, fixed_point_phi, hamiltonian, hat_derivative_table
+
+# Relative steps of the central differences: first derivatives in a point
+# variable, and second derivatives and atom displacements.  Hhat is a
+# low-degree polynomial, so round-off is the only error and larger steps cut it.
+FD_STEP_FIRST = 1e-4
+FD_STEP_SECOND = 1e-3
 
 
 class CalculusError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MeasureFunctional:
-    """Real-valued functional of a particle cloud.
+def _difference_table(model: Model, x: np.ndarray, p: np.ndarray) -> HatTable:
+    """Central differences of Hhat for every entry of ``hat_derivative_table``.
 
-    ``lderiv(nu, ys)`` evaluates the linear functional derivative
-    (delta F / delta nu)(nu, y) at an array of points; it is required by the
-    chain rule and may be omitted otherwise.  For a joint cloud the points are
-    (k, 2) arrays of (state, second) pairs.
+    Measure entries [i, j] differentiate in the point (x_i, p_i) and in atom
+    j of the law; the laws with one atom displaced are an (N, N) stack
+    through the leading axes of ``fixed_point_phi``.
     """
+    n = x.shape[0]
+    w = np.full(n, 1.0 / n)
 
-    eval: Callable
-    label: str = ""
-    lderiv: Callable | None = None
+    def hh(xx, pp, xs=x, ps=p):
+        """H(xx, pp, Phi(rho)); the laws run along the last axis of the means."""
+        m1, m2 = xs @ w, fixed_point_phi(model, xs, ps) @ w
+        return hamiltonian(model, xx, pp, m1, m2)
 
-    def __call__(self, nu) -> float:
-        value = float(self.eval(nu))
-        if not np.isfinite(value):
-            raise CalculusError(f"functional {self.label!r} is non-finite")
-        return value
+    h1 = FD_STEP_FIRST * np.maximum(1.0, np.abs(p))
+    hx = FD_STEP_SECOND * np.maximum(1.0, np.abs(x))
+    hp = FD_STEP_SECOND * np.maximum(1.0, np.abs(p))
+    base = hh(x, p)
+    point = dict(
+        h_p=(hh(x, p + h1) - hh(x, p - h1)) / (2.0 * h1),
+        h_pp=(hh(x, p + hp) - 2.0 * base + hh(x, p - hp)) / hp**2,
+        h_xx=(hh(x + hx, p) - 2.0 * base + hh(x - hx, p)) / hx**2,
+        h_xp=(hh(x + hx, p + hp) - hh(x + hx, p - hp)
+              - hh(x - hx, p + hp) + hh(x - hx, p - hp)) / (4.0 * hx * hp),
+    )
+
+    # Row j of a displaced stack is the law with atom j moved by its own step.
+    bx, bp = x[:, None], p[:, None]
+    measure = {}
+    for atom, sx, sp, e in ((1, np.diag(hx), 0.0, hx), (2, 0.0, np.diag(hp), hp)):
+        plus, minus = (x + sx, p + sp), (x - sx, p - sp)
+        for var, step in (("x", hx[:, None]), ("p", hp[:, None])):
+            dx, dp = (step, 0.0) if var == "x" else (0.0, step)
+            cross = (hh(bx + dx, bp + dp, *plus) - hh(bx - dx, bp - dp, *plus)
+                     - hh(bx + dx, bp + dp, *minus) + hh(bx - dx, bp - dp, *minus))
+            measure[f"h_{var}rho{atom}"] = n * cross / (4.0 * step * e[None, :])
+    return HatTable(**point, **measure)
 
 
-@dataclass(frozen=True)
-class MeasureMap:
-    """Map between particle clouds with an optional closed-form derivative.
+def chain_rule_check(model: Model, x, p) -> dict:
+    """Largest |closed form - central difference| of each hat derivative
+    over the uniform law of the aligned 1-D atom arrays (x_i, p_i).
 
-    ``closed_form_lderiv(rho, x, p, psi)`` returns the pairing
-    <(delta Phi / delta rho)(rho, (x, p)), psi> for a test function
-    psi(xs, ps) vectorised over points.
+    The closed forms are ``hat_derivative_table``'s; the differences are
+    taken of H(x, p, Phi(rho)), with Phi the model's control-law fixed point,
+    so the check covers the chain rule through Phi.
     """
-
-    eval: Callable
-    label: str = ""
-    closed_form_lderiv: Callable | None = None
-
-    def __call__(self, rho):
-        out = self.eval(rho)
-        if abs(out.weights.sum() - 1.0) > 1e-12:
-            raise CalculusError(f"measure map {self.label!r} broke weight normalisation")
-        return out
-
-
-def identity_map() -> MeasureMap:
-    """Phi(rho) = rho; the derivative pairing is psi itself at the base point."""
-
-    def lderiv(rho, x, p, psi):
-        return float(psi(np.array([x]), np.array([p]))[0])
-
-    return MeasureMap(eval=lambda rho: rho, label="identity", closed_form_lderiv=lderiv)
-
-
-def mean_shift_map(c: float) -> MeasureMap:
-    """Phi(L_(xi, eta)) = L_(xi, eta + c E[eta]).
-
-    The derivative pairing against psi has a transport term at the shifted
-    base point plus a mean-field term c * p * E_Phi(rho)[d psi/dp]; the second
-    factor is evaluated by central differences in the second coordinate.
-    """
-
-    def apply(rho: JointEmpiricalMeasure) -> JointEmpiricalMeasure:
-        return rho.with_seconds(rho.seconds + c * rho.second_mean())
-
-    def lderiv(rho, x, p, psi, step: float = 1e-6):
-        shift = c * rho.second_mean()
-        transported = float(psi(np.array([x]), np.array([p + shift]))[0])
-        nu = apply(rho)
-        dpsi_dp = (psi(nu.x, nu.a + step) - psi(nu.x, nu.a - step)) / (2.0 * step)
-        return transported + c * p * float(nu.weights @ dpsi_dp)
-
-    return MeasureMap(eval=apply, label=f"mean_shift(c={c})", closed_form_lderiv=lderiv)
-
-
-def chain_rule_check(u: MeasureFunctional, phi: MeasureMap,
-                     rho: JointEmpiricalMeasure, rho_prime: JointEmpiricalMeasure,
-                     fd_step: float = 1e-4, richardson: bool = False) -> dict:
-    """Compare the two sides of the chain rule for Uhat = U o Phi.
-
-    fd_value differentiates eps -> U(Phi(rho + eps (rho' - rho))) at 0 by
-    central differences; chain_value pairs the composed derivative
-    integral of (delta U / delta nu)(Phi(rho), y) (delta Phi / delta rho)(rho, x; dy)
-    against (rho' - rho).  Pairing against the mass-zero difference removes
-    the additive constant both derivatives are only defined up to.
-    """
-    if phi.closed_form_lderiv is None:
-        raise CalculusError("chain_rule_check needs a closed-form map derivative")
-    if u.lderiv is None:
-        raise CalculusError("chain_rule_check needs the functional's linear derivative")
-    if rho.n != rho_prime.n:
-        raise MeasureError("chain_rule_check needs clouds of equal size")
-
-    def u_of_mix(eps: float) -> float:
-        return u(phi(mixture(rho, rho_prime, eps)))
-
-    # The mixture is a probability measure only for eps in [0, 1], so the
-    # derivative at 0 uses the second-order one-sided stencil
-    # (-3 f(0) + 4 f(h) - f(2h)) / (2h); Richardson removes the h^2 term.
-    u0 = u_of_mix(0.0)
-
-    def one_sided(h: float) -> float:
-        return (-3.0 * u0 + 4.0 * u_of_mix(h) - u_of_mix(2.0 * h)) / (2.0 * h)
-
-    if richardson:
-        fd_value = (4.0 * one_sided(fd_step / 2.0) - one_sided(fd_step)) / 3.0
-    else:
-        fd_value = one_sided(fd_step)
-
-    nu = phi(rho)
-
-    def psi(xs, ps):
-        pts = np.column_stack([np.asarray(xs, dtype=float), np.asarray(ps, dtype=float)])
-        return u.lderiv(nu, pts)
-
-    def paired(cloud: JointEmpiricalMeasure) -> float:
-        total = 0.0
-        for k in range(cloud.n):
-            total += cloud.weights[k] * phi.closed_form_lderiv(
-                rho, float(cloud.x[k]), float(cloud.a[k]), psi
-            )
-        return total
-
-    chain_value = paired(rho_prime) - paired(rho)
-    return {
-        "fd_value": float(fd_value),
-        "chain_value": float(chain_value),
-        "abs_error": abs(float(fd_value) - float(chain_value)),
-    }
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    closed = hat_derivative_table(model, x, p)
+    fd = _difference_table(model, x, p)
+    return {f.name: float(np.max(np.abs(getattr(closed, f.name) - getattr(fd, f.name))))
+            for f in fields(HatTable)}
 
 
 def value_measure_gradient(access, t: float, x: np.ndarray, eta,

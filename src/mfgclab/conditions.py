@@ -126,21 +126,40 @@ def ll_form(table: HatTable, eta: np.ndarray, gamma: np.ndarray, zeta: np.ndarra
     return term_pp - cross_x - cross_p
 
 
+def ibar_form(table: HatTable, eta: np.ndarray, gamma: np.ndarray,
+              zeta: np.ndarray) -> float:
+    """Time derivative of the curvature pairing Ibar = E[G dX] at
+    (dX, G, U) = (eta, gamma, zeta)."""
+    w = np.full(eta.shape[0], 1.0 / eta.shape[0])
+    return (float(np.mean(table.h_pp * gamma * gamma))
+            + 2.0 * float(np.mean(table.h_pp * gamma * zeta))
+            + 2.0 * float((w * gamma) @ (table.h_prho1 * eta[None, :]
+                                         + table.h_prho2 * (gamma + zeta)[None, :]) @ w)
+            - float(np.mean(table.h_xx * eta * eta)))
+
+
+def dx_velocity(table: HatTable, eta: np.ndarray, gz: np.ndarray) -> np.ndarray:
+    """Velocity of the first-variation state dX = eta with gz = G + U: the
+    point terms plus the mean-field forcing (h_prho1 eta + h_prho2 gz) @ w."""
+    w = np.full(eta.shape[0], 1.0 / eta.shape[0])
+    return (table.h_xp * eta + table.h_pp * gz
+            + (table.h_prho1 * eta[None, :] + table.h_prho2 * gz[None, :]) @ w)
+
+
+def dx2_form(table: HatTable, eta: np.ndarray, gamma: np.ndarray,
+             zeta: np.ndarray) -> float:
+    """Time derivative of the second moment E[dX^2] at (dX, G, U) =
+    (eta, gamma, zeta)."""
+    return 2.0 * float(np.mean(dx_velocity(table, eta, gamma + zeta) * eta))
+
+
 def disp_form(table: HatTable, eta: np.ndarray, gamma: np.ndarray, zeta: np.ndarray,
               lam: float) -> float:
-    """Left-hand side of the displacement lambda propagation condition."""
-    w = np.full(eta.shape[0], 1.0 / eta.shape[0])
-    gz = gamma + zeta
-    term_pp = float(np.mean(gz * table.h_pp * gz))
-    term_eta_xx = float(np.mean(eta * (table.h_xx - 2.0 * lam * table.h_xp) * eta))
-    # [i, j] coefficient of gz_i eta_j: base point of h_xrho2/h_prho2 is atom j
-    mixed = (table.h_prho1 + table.h_xrho2.T + 2.0 * lam * table.h_prho2.T)
-    term_mixed = float((w * gz) @ (mixed * eta[None, :]) @ w)
-    term_lam_pp = 2.0 * lam * float(np.mean(gz * table.h_pp * eta))
-    term_pr2 = float((w * gz) @ (table.h_prho2 * gz[None, :]) @ w)
-    term_eta_x = float((w * eta) @ ((table.h_xrho1 - 2.0 * lam * table.h_prho1)
-                                    * eta[None, :]) @ w)
-    return term_pp - term_eta_xx + term_mixed + term_lam_pp + term_pr2 - term_eta_x
+    """Left-hand side of the displacement lambda propagation condition: the
+    time derivative of I + Ibar + lam E[dX^2] along the first-variation
+    system.  It depends on gamma and zeta only through gamma + zeta."""
+    return (ll_form(table, eta, gamma, zeta) + ibar_form(table, eta, gamma, zeta)
+            + lam * dx2_form(table, eta, gamma, zeta))
 
 
 def _rank_one_worst(form: Callable, xi: np.ndarray, phi_map: Callable) -> QuadraticFormSample:
@@ -291,7 +310,8 @@ def check_disp_sufficient(model: Model, lam: float, c0: float, samples: list,
                                "value": float(np.max(table.h_pp)), "c0": c0}
             break
         eta = sample.eta
-        mixed = (table.h_prho1 + table.h_xrho2.T + 2.0 * lam * table.h_prho2.T)
+        # [i, j] coefficient of gz_i eta_j in disp_form
+        mixed = (table.h_prho1 - table.h_xrho2.T + 2.0 * lam * table.h_prho2.T)
         inner = (mixed * eta[None, :]) @ w + 2.0 * lam * table.h_pp * eta
         lam_vec = inner / np.sqrt(-table.h_pp - c0)
         value = (float(np.mean(eta * (table.h_xx - 2.0 * lam * table.h_xp) * eta))

@@ -6,7 +6,9 @@ weights, direction battery, seed, tolerances — is validated here before any
 solve starts.
 
 Each ``[model] family`` is a preset of the one control-averaged model of
-``models.py`` (numbers in parentheses are the defaults of absent keys):
+``models.py`` (numbers in parentheses are the defaults of absent keys; an
+absent family is meanfield_1d, so an empty or absent section gives
+H = -p^2/2):
 
     family        b0            f0                b1_x      B        f1_x                     q1  q2
     separable     (-1, 0, 0)    0                 0         0        f1_x                     q1  0
@@ -95,7 +97,7 @@ def _preset(family: str, sec: dict) -> dict:
 def preset_model(sec: dict, g: QuadraticTerminalCost | None = None) -> Model:
     """The model of one ``[model]`` section, with terminal cost g."""
     try:
-        coeffs = _preset(sec.get("family", "").strip(), sec)
+        coeffs = _preset(sec.get("family", "meanfield_1d").strip(), sec)
         return Model(**coeffs, g=g if g is not None else QuadraticTerminalCost())
     except ConfigError:
         raise
@@ -245,10 +247,11 @@ class ExperimentConfig:
                      for key in ("l0", "gamma_lo", "gamma_hi", "l_bar", "lu_xx"))
 
     def chain_settings(self) -> tuple:
-        """(shift_c, pairs, atoms, tol) of the chain-rule table."""
+        """(pairs, atoms, tol) of the chain-rule check: the number of random
+        laws, their atom count and the tolerance on every hat derivative."""
         sec = self.chain_section
-        return (_number(sec, "shift_c", "0.5"), _number(sec, "pairs", "20", int, 1),
-                _number(sec, "atoms", "16", int, 1), _number(sec, "tol", "1e-6", least=0.0))
+        return (_number(sec, "pairs", "20", int, 1), _number(sec, "atoms", "16", int, 1),
+                _number(sec, "tol", "1e-6", least=0.0))
 
     def propagation(self) -> PropagationConfig:
         sec = self.mono_section
@@ -299,4 +302,5 @@ class ExperimentConfig:
             self.lam()
             self.anti_constants()
         if self.kind == "chain":
+            self.model()
             self.chain_settings()

@@ -19,7 +19,8 @@ Everything is in closed form, vectorised over (x, p) arrays and the moments:
 - the derivatives of the reduced Hamiltonian Hhat(x, p, rho) = H(x, p, Phi(rho)).
 
 States and controls are one-dimensional; laws are uniform particle clouds
-given by their atoms.  The INI families of ``config.py`` are presets:
+given by their atoms.  The INI families of ``config.py`` are presets; an
+absent family is meanfield_1d:
 
     family        b0          f0             b1_x      B        f1_x                    q1  q2
     separable     (-1, 0, 0)  0              0         0        f1_x                    q1  0

@@ -21,6 +21,9 @@ from .conditions import (
     check_disp_condition,
     check_ll_condition,
     disp_form,
+    dx2_form,
+    dx_velocity,
+    ibar_form,
     ll_form,
     make_condition_samples,
 )
@@ -54,7 +57,6 @@ class VariationalState:
     delta_x: np.ndarray
     gamma: np.ndarray     # Vxx(t, X) * dX, recomputed from the value grid
     upsilon: np.ndarray   # measure-derivative field, recomputed each step
-    forcing: np.ndarray   # mean-field forcing of the dX dynamics
     table: HatTable = field(repr=False)
 
 
@@ -131,7 +133,6 @@ def simulate_variational(model: Model, flow: EquilibriumFlow, eta: np.ndarray,
     dt = grid.dt
     out = []
     n = flow.n_particles
-    w = np.full(n, 1.0 / n)
     for k in range(grid.n_t + 1):
         t_k = float(grid.ts[k])
         x_k = flow.states[k]
@@ -142,15 +143,12 @@ def simulate_variational(model: Model, flow: EquilibriumFlow, eta: np.ndarray,
         else:
             upsilon = value_measure_gradient(access, t_k, x_k, delta, fd_eps)
         table = hat_derivative_table(model, x_k, flow.momenta[k])
-        forcing = (table.h_prho1 * delta[None, :]
-                   + table.h_prho2 * (gamma + upsilon)[None, :]) @ w
         out.append(VariationalState(
             t=t_k, level=k, x=x_k, p=flow.momenta[k], delta_x=delta.copy(),
-            gamma=gamma, upsilon=upsilon, forcing=forcing, table=table,
+            gamma=gamma, upsilon=upsilon, table=table,
         ))
         if k < grid.n_t:
-            delta = delta + dt * (table.h_xp * delta + table.h_pp * (gamma + upsilon)
-                                  + forcing)
+            delta = delta + dt * dx_velocity(table, delta, gamma + upsilon)
             if not np.all(np.isfinite(delta)):
                 raise GateError(f"variational state blew up at level {k}")
     return out
@@ -162,28 +160,14 @@ def evaluate_rhs_formulas(model: Model, state: VariationalState,
 
     Returns the derivative of the Lasry-Lions pairing, of the curvature
     pairing, of the second moment of dX, and the combined displacement-form
-    derivative at the given lambda.  The first and the last are the gate's
-    forms ``ll_form``/``disp_form`` at (eta, gamma, zeta) = (dX, G, U): the
-    Hamiltonian condition is the time derivative of the functional.
+    derivative at the given lambda: the forms ``ll_form``, ``ibar_form``,
+    ``dx2_form`` and ``disp_form`` at (eta, gamma, zeta) = (dX, G, U).  The
+    first and the last are the gates' forms: the Hamiltonian condition is the
+    time derivative of the functional.
     """
-    tbl = state.table
-    n = state.x.shape[0]
-    w = np.full(n, 1.0 / n)
-    d = state.delta_x
-    g = state.gamma
-    u = state.upsilon
-    gu = g + u
-
-    dt_ibar = (float(np.mean(tbl.h_pp * g * g))
-               + 2.0 * float(np.mean(tbl.h_pp * g * u))
-               + 2.0 * float((w * g) @ (tbl.h_prho1 * d[None, :]
-                                        + tbl.h_prho2 * gu[None, :]) @ w)
-               - float(np.mean(tbl.h_xx * d * d)))
-
-    dt_dx2 = 2.0 * float(np.mean((tbl.h_xp * d + tbl.h_pp * gu + state.forcing) * d))
-
-    return {"dtI_rhs": ll_form(tbl, d, g, u), "dtIbar_rhs": dt_ibar,
-            "d_deltaX2_rhs": dt_dx2, "cd_disp_rhs": disp_form(tbl, d, g, u, lam)}
+    args = (state.table, state.delta_x, state.gamma, state.upsilon)
+    return {"dtI_rhs": ll_form(*args), "dtIbar_rhs": ibar_form(*args),
+            "d_deltaX2_rhs": dx2_form(*args), "cd_disp_rhs": disp_form(*args, lam)}
 
 
 def build_trace(model: Model, flow: EquilibriumFlow, eta: np.ndarray,
@@ -213,19 +197,30 @@ def build_trace(model: Model, flow: EquilibriumFlow, eta: np.ndarray,
     )
 
 
-def formula_match_violations(trace: PropagationTrace, rel: float = 0.10,
-                             abs_tol: float = 1e-3) -> list:
-    """Interior steps where the finite-difference slope of the Lasry-Lions
-    pairing disagrees with its exact derivative expression."""
-    slope = trace.slope(trace.i_vals)
+def formula_match_violations(trace: PropagationTrace, kind: str = "ll", lam: float = 0.0,
+                             rel: float = 0.10, abs_tol: float = 1e-3) -> list:
+    """Interior steps where a finite-difference slope disagrees with its
+    exact derivative expression.
+
+    Every kind checks the Lasry-Lions pairing I against ``dt_i_rhs``; the
+    disp kind also checks its own series I + Ibar + lam dX2 against
+    ``cd_disp_rhs``.  The anti kind's Xi has no closed-form derivative, so
+    only I is checked for it.
+    """
+    pairs = [(trace.i_vals, trace.dt_i_rhs, {})]
+    if kind == "disp":
+        pairs.append((trace.i_vals + trace.ibar_vals + lam * trace.dx2_vals,
+                      trace.cd_disp_rhs, {"series": "disp"}))
     out = []
-    for k in range(1, len(trace.ts) - 1):
-        lhs = slope[k]
-        rhs = trace.dt_i_rhs[k]
-        tol = max(rel * max(abs(lhs), abs(rhs)), abs_tol)
-        if abs(lhs - rhs) > tol:
-            out.append({"level": k, "t": float(trace.ts[k]), "slope": float(lhs),
-                        "rhs": float(rhs), "tol": float(tol)})
+    for series, exact, label in pairs:
+        slope = trace.slope(series)
+        for k in range(1, len(trace.ts) - 1):
+            lhs = slope[k]
+            rhs = exact[k]
+            tol = max(rel * max(abs(lhs), abs(rhs)), abs_tol)
+            if abs(lhs - rhs) > tol:
+                out.append({"level": k, "t": float(trace.ts[k]), "slope": float(lhs),
+                            "rhs": float(rhs), "tol": float(tol), **label})
     return out
 
 
@@ -346,7 +341,8 @@ def propagation_experiment(model: Model, flow: EquilibriumFlow,
                             fd_eps=config.fd_eps, lam=config.lam, lvec=config.lvec)
         traces.append(trace)
         formula_violations.extend(
-            dict(v, direction=idx) for v in formula_match_violations(trace)
+            dict(v, direction=idx)
+            for v in formula_match_violations(trace, config.kind, config.lam)
         )
         if config.kind == "ll":
             series = trace.i_vals

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mfgclab.calculus import (
-    CalculusError,
-    MeasureFunctional,
-    chain_rule_check,
-    identity_map,
-    mean_shift_map,
-    value_measure_gradient,
-)
-from mfgclab.measures import JointEmpiricalMeasure
+from mfgclab.calculus import chain_rule_check, value_measure_gradient
+from mfgclab.models import MeanPoly2, Model
 from mfgclab.solver import ValueField
 
 
@@ -19,91 +14,6 @@ def cloud(xs):
 
 def mean(x):
     return float(np.mean(x))
-
-
-def joint_cloud(rng, n):
-    return JointEmpiricalMeasure(
-        rng.normal(size=(n, 1)), rng.normal(size=(n, 1)), np.full(n, 1.0 / n)
-    )
-
-
-def second_mean_functional():
-    return MeasureFunctional(
-        eval=lambda nu: nu.second_mean(),
-        label="mean of second coordinate",
-        lderiv=lambda nu, pts: pts[:, 1],
-    )
-
-
-def mixed_quadratic_functional():
-    def evaluate(nu):
-        a = nu.seconds[:, 0]
-        x = nu.states[:, 0]
-        w = nu.weights
-        return float(w @ (a**2) + 0.5 * (w @ a) ** 2 + w @ (x * a))
-
-    def lderiv(nu, pts):
-        mean_a = nu.second_mean()
-        return pts[:, 1] ** 2 + mean_a * pts[:, 1] + pts[:, 0] * pts[:, 1]
-
-    return MeasureFunctional(eval=evaluate, label="mixed quadratic", lderiv=lderiv)
-
-
-class TestChainRule:
-    def test_identity_map_matches_direct_pairing(self):
-        rng = np.random.default_rng(8)
-        u = mixed_quadratic_functional()
-        phi = identity_map()
-        rho = joint_cloud(rng, 8)
-        rho_p = joint_cloud(rng, 8)
-        out = chain_rule_check(u, phi, rho, rho_p)
-        direct = float(np.mean(u.lderiv(rho, np.column_stack([rho_p.x, rho_p.a])))
-                       - np.mean(u.lderiv(rho, np.column_stack([rho.x, rho.a]))))
-        assert out["chain_value"] == pytest.approx(direct, abs=1e-12)
-        assert out["abs_error"] <= 1e-6
-
-    def test_mean_shift_map_closed_value(self):
-        # U = E[second], Phi shifts by c E[eta]: both sides equal
-        # (1 + c)(E_rho'[eta] - E_rho[eta]); with c = 0.5 and difference 1 -> 1.5.
-        c = 0.5
-        u = second_mean_functional()
-        phi = mean_shift_map(c)
-        rho = JointEmpiricalMeasure(
-            np.array([[0.0], [1.0]]), np.array([[-0.5], [0.5]]), np.array([0.5, 0.5])
-        )
-        rho_p = JointEmpiricalMeasure(
-            np.array([[0.2], [0.8]]), np.array([[0.5], [1.5]]), np.array([0.5, 0.5])
-        )
-        assert rho_p.second_mean() - rho.second_mean() == pytest.approx(1.0)
-        out = chain_rule_check(u, phi, rho, rho_p)
-        assert out["chain_value"] == pytest.approx(1.5, abs=1e-9)
-        assert out["fd_value"] == pytest.approx(1.5, abs=1e-7)
-
-    def test_constant_functional_gives_zero(self):
-        u = MeasureFunctional(eval=lambda nu: 3.25, lderiv=lambda nu, pts: np.zeros(len(pts)))
-        rng = np.random.default_rng(10)
-        out = chain_rule_check(u, mean_shift_map(0.7), joint_cloud(rng, 5), joint_cloud(rng, 5))
-        assert out["fd_value"] == pytest.approx(0.0, abs=1e-10)
-        assert out["chain_value"] == 0.0
-
-    @pytest.mark.parametrize("make_map", [identity_map, lambda: mean_shift_map(0.5)])
-    def test_agreement_over_seeded_pairs(self, make_map):
-        rng = np.random.default_rng(2718)
-        u = mixed_quadratic_functional()
-        phi = make_map()
-        for _ in range(20):
-            rho = joint_cloud(rng, 16)
-            rho_p = joint_cloud(rng, 16)
-            out = chain_rule_check(u, phi, rho, rho_p, richardson=True)
-            assert out["abs_error"] <= 1e-6
-
-    def test_missing_closed_form_raises(self):
-        plain = mean_shift_map(0.5)
-        stripped = type(plain)(eval=plain.eval, label=plain.label, closed_form_lderiv=None)
-        rng = np.random.default_rng(1)
-        with pytest.raises(CalculusError):
-            chain_rule_check(second_mean_functional(), stripped,
-                             joint_cloud(rng, 4), joint_cloud(rng, 4))
 
 
 class AnalyticAccess:
@@ -168,3 +78,26 @@ class TestValueMeasureGradient:
         mu = cloud([0.0, 1.0])
         got = value_measure_gradient(NoAccess(), 0.0, mu, np.zeros(2))
         assert np.array_equal(got, np.zeros(2))
+
+
+coefficient = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def random_models(draw):
+    """Models with every coefficient in [-1, 1] and df0/dm2 <= 0.9."""
+    def some(k):
+        return tuple(draw(st.lists(coefficient, min_size=k, max_size=k)))
+
+    return Model(b0=some(3), f0=some(3) + (draw(st.floats(-1.0, 0.9)),), b1_x=some(3),
+                 B=MeanPoly2(some(6)), f1_x=some(4), q1=draw(coefficient),
+                 q2=draw(coefficient))
+
+
+class TestChainRuleCheck:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(model=random_models(), seed=st.integers(0, 2**32 - 1))
+    def test_random_models_pass(self, model, seed):
+        x, p = np.random.default_rng(seed).normal(size=(2, 8))
+        errors = chain_rule_check(model, x, p)
+        assert max(errors.values()) <= 1e-6, errors

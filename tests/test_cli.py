@@ -1,11 +1,14 @@
 import configparser
 import io
 import json
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+from mfgclab import calculus
 from mfgclab.cli import main
+from mfgclab.models import HatTable
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -195,7 +198,7 @@ which = matrix1
         ("chain", "chain", "pairs", "0"),
         ("chain", "chain", "atoms", "0"),
         ("chain", "chain", "tol", "-1e-6"),
-        ("chain", "chain", "shift_c", "half"),
+        ("chain", "model", "family", "nope"),
     ])
     def test_bad_runner_key_is_config_error(self, tmp_path, kind, section, key, value):
         cfg = tmp_path / "exp.ini"
@@ -213,6 +216,16 @@ which = matrix1
         cfg = tmp_path / "exp.ini"
         cfg.write_text(text)
         assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    def test_model_less_chain_checks_the_default_family(self, tmp_path):
+        # No [model] section means meanfield_1d with its defaults, H = -p^2/2;
+        # the shift_c key of older chain configs is ignored.
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nkind = chain\n[chain]\nshift_c = 0.5\n"
+                       "pairs = 20\natoms = 16\ntol = 1e-6\n")
+        out = tmp_path / "o"
+        assert main(["chain", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["passed"] is True
 
     def test_non_convergence_exits_4(self, tmp_path):
         cfg = tmp_path / "exp.ini"
@@ -241,6 +254,20 @@ class TestShippedConfigs:
         report = json.loads((out / "report.json").read_text())
         assert report["max_abs_error"] <= 1e-6
         assert (out / "chain.csv").exists()
+
+    @pytest.mark.parametrize("entry", [f.name for f in fields(HatTable)])
+    def test_chain_config_catches_a_sign_flip(self, tmp_path, monkeypatch, entry):
+        # Every entry of the shipped model is nonzero, so negating any one of
+        # them must fail the check.
+        closed_form = calculus.hat_derivative_table
+
+        def flipped(model, x, p):
+            table = closed_form(model, x, p)
+            return replace(table, **{entry: -getattr(table, entry)})
+
+        monkeypatch.setattr(calculus, "hat_derivative_table", flipped)
+        assert main(["chain", "--config", str(CONFIGS / "chain.ini"),
+                     "--out", str(tmp_path / "out")]) == 2
 
     def test_solve_config_passes_and_writes_artifacts(self, tmp_path):
         out = tmp_path / "out"

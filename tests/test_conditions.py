@@ -12,6 +12,8 @@ from mfgclab.conditions import (
     check_f_monotone,
     check_ll_condition,
     check_matrix1,
+    dx2_form,
+    ibar_form,
     ll_form,
     make_condition_samples,
     matrix1_assemble,
@@ -48,6 +50,21 @@ def schur_oracle(c1, c2, c3, db1_dm1, db1_dm2):
         return ok and schur >= 0, schur
     schur = m[2, 2] - m[0, 2] ** 2 / d1 - m[1, 2] ** 2 / d2
     return schur >= 0, schur
+
+
+def concave_quadratic_max(form, n):
+    """Maximum of a concave quadratic form on R^n, rebuilt by polarisation."""
+    zero = np.zeros(n)
+    basis = np.eye(n)
+    c = form(zero)
+    plus = np.array([form(e) for e in basis])
+    minus = np.array([form(-e) for e in basis])
+    b = 0.5 * (plus - minus)
+    a = np.diag(0.5 * (plus + minus) - c)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i, j] = a[j, i] = 0.5 * (form(basis[i] + basis[j]) - plus[i] - plus[j] + c)
+    return form(-0.5 * np.linalg.solve(a, b))
 
 
 PASSING = dict(c1=0.5, c2=0.05, c3=0.1, db1_dm1=0.0, db1_dm2=0.75)
@@ -178,6 +195,27 @@ class TestDispSufficient:
                                        make_condition_samples(10, 16, seed=4))
         assert not report.passed
         assert report.failure_kind == "hypothesis"
+
+    def test_value_bounds_the_displacement_form(self):
+        # The sufficient condition's value v bounds the displacement form
+        # from above: max over gamma + zeta of (ll + ibar + lam dx2) <= -v.
+        # q2 = 0.3 makes h_xrho2 nonzero.
+        model = preset_model({"family": "disp_example", "c": "0.5",
+                              "b1_mean": "0 -0.1 0.75", "f1_x": "0 0 0.25", "q2": "0.3"})
+        for lam in (0.0, 0.5):
+            for sample in make_condition_samples(10, 16, seed=4):
+                report = check_disp_sufficient(model, lam, 0.5, [sample], tol=0.0)
+                assert report.failure_kind is None
+                value = report.worst_margin  # tol = 0: the margin is the value
+                table = sample.table(model)
+                zero = np.zeros(sample.n)
+
+                def form(gz):
+                    return (ll_form(table, sample.eta, gz, zero)
+                            + ibar_form(table, sample.eta, gz, zero)
+                            + lam * dx2_form(table, sample.eta, gz, zero))
+
+                assert concave_quadratic_max(form, sample.n) <= -value + 1e-12
 
 
 class TestAntiAssumption:

@@ -13,8 +13,6 @@ CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.in
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
 def test_shipped_config_validates_and_builds_its_model(path):
     cfg = ExperimentConfig.from_ini(path)
-    if cfg.kind == "chain":
-        return
     assert isinstance(cfg.model(), Model)
     if cfg.kind in ("mono", "propagate"):
         report = model_gate(cfg.model(), cfg.propagation())

@@ -3,40 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from mfgclab.measures import (
-    JointEmpiricalMeasure,
-    MeasureError,
-    gaussian_quantile_cloud,
-    mixture,
-)
+from mfgclab.measures import gaussian_quantile_cloud
 from mfgclab.models import QuadraticTerminalCost
 from mfgclab.solver import _quantile_dist
-
-
-def joint(xs, sec, weights=None):
-    xs = np.asarray(xs, dtype=float)
-    sec = np.asarray(sec, dtype=float)
-    return JointEmpiricalMeasure(xs[:, None], sec[:, None], weights)
-
-
-class TestInvariants:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(MeasureError):
-            JointEmpiricalMeasure(np.zeros((2, 1)), np.zeros((2, 1)), np.array([0.5, 0.6]))
-
-    def test_nonfinite_points_rejected(self):
-        with pytest.raises(MeasureError):
-            joint([0.0, np.inf], [0.0, 0.0])
-        with pytest.raises(MeasureError):
-            joint([0.0, 0.0], [np.nan, 0.0])
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(MeasureError):
-            JointEmpiricalMeasure(np.zeros((2, 1)), np.zeros((2, 1)), np.array([1.5, -0.5]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(MeasureError):
-            JointEmpiricalMeasure(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0))
 
 
 def mean(x):
@@ -54,17 +23,6 @@ class TestMoment:
         g = QuadraticTerminalCost(xm=1.0)
         for c in (-2.5, 0.0, 7.0):
             assert g(1.0, np.array([c])) == pytest.approx(c)
-
-    def test_linear_in_weights(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            a = joint(rng.normal(size=5), rng.normal(size=5))
-            b = joint(rng.normal(size=4), rng.normal(size=4))
-            w = float(rng.uniform())
-            mixed = mixture(a, b, w)
-            for moment in (lambda m: m.second_mean(), lambda m: float(m.weights @ m.x**2)):
-                expected = (1 - w) * moment(a) + w * moment(b)
-                assert moment(mixed) == pytest.approx(expected, abs=1e-12)
 
 
 class TestFlowDistance:
@@ -106,23 +64,6 @@ class TestFlowDistance:
         a = np.array([0.0, 1.0, 2.0])
         assert _quantile_dist(a, np.array([2.0, 0.0, 1.0])) == 0.0
         assert _quantile_dist(a, np.array([0.0, 1.0, 2.5])) > 0.0
-
-
-class TestMixtureResample:
-    def test_mixture_weights(self):
-        mixed = mixture(joint([0.0, 1.0], [0.0, 0.0]), joint([5.0], [0.0]), 0.25)
-        assert mixed.n == 3
-        assert mixed.weights.sum() == pytest.approx(1.0)
-        assert np.allclose(mixed.weights, [0.375, 0.375, 0.25])
-
-    def test_joint_mixture(self):
-        mixed = mixture(joint([0.0], [1.0]), joint([2.0], [3.0]), 0.5)
-        assert mixed.n == 2
-        assert np.allclose(mixed.seconds[:, 0], [1.0, 3.0])
-
-    def test_mixture_weight_outside_unit_interval_rejected(self):
-        with pytest.raises(MeasureError):
-            mixture(joint([0.0], [0.0]), joint([1.0], [0.0]), 1.5)
 
 
 class TestQuantileClouds:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from mfgclab.calculus import chain_rule_check
 from mfgclab.config import preset_model
-from mfgclab.measures import JointEmpiricalMeasure
 from mfgclab.models import (
     CONTRACTION_EPS,
     MeanPoly2,
@@ -14,73 +14,7 @@ from mfgclab.models import (
     hat_derivative_table,
     verify_envelope_identities,
 )
-from mfgclab.solver import _quantile_dist, terminal_field
-
-# ---------------------------------------------------------------------------
-# Finite-difference oracle for the reduced Hamiltonian Hhat(x, p, rho) =
-# H(x, p, Phi(rho)).  Relative steps for point variables; single-particle
-# perturbations carry an extra factor N and amplify round-off, hence the
-# larger step.  Second-order point derivatives divide by h^2, so they need the
-# quarter-power step to stay above round-off.
-# ---------------------------------------------------------------------------
-
-FD_STEP_POINT = 1e-5
-FD_STEP_SECOND = 1e-4
-FD_STEP_PARTICLE = 1e-4
-
-
-def hat_hamiltonian(model, x, p, xs, ps):
-    m2 = float(np.mean(fixed_point_phi(model, xs, ps)))
-    return float(hamiltonian(model, x, p, float(np.mean(xs)), m2))
-
-
-def _perturbed(xs, ps, j, delta, component):
-    xs, ps = xs.copy(), ps.copy()
-    (xs if component == 0 else ps)[j] += delta
-    return xs, ps
-
-
-def _support_index(xs, ps, x_t, p_t):
-    match = np.flatnonzero(
-        (np.abs(xs - x_t) <= 1e-9 * max(1.0, abs(x_t)))
-        & (np.abs(ps - p_t) <= 1e-9 * max(1.0, abs(p_t)))
-    )
-    if match.size == 0:
-        raise ValueError("measure-derivative evaluation point is not a support atom of rho")
-    return int(match[0])
-
-
-def hat_derivatives_fd(model, x, p, xs, ps, x_t, p_t) -> dict:
-    """Central differences of Hhat at (x, p, rho), measure entries at the
-    support atom (x_t, p_t) of the uniform law of the atoms (xs, ps)."""
-    j = _support_index(xs, ps, x_t, p_t)
-    n = xs.size
-
-    def hh(xx, pp, law=(xs, ps)):
-        return hat_hamiltonian(model, xx, pp, *law)
-
-    hx = FD_STEP_SECOND * max(1.0, abs(x))
-    hp = FD_STEP_SECOND * max(1.0, abs(p))
-    h1 = FD_STEP_POINT * max(1.0, abs(p))
-    e = FD_STEP_PARTICLE
-    base = hh(x, p)
-    out = {
-        "h_p": (hh(x, p + h1) - hh(x, p - h1)) / (2 * h1),
-        "h_pp": (hh(x, p + hp) - 2 * base + hh(x, p - hp)) / hp**2,
-        "h_xx": (hh(x + hx, p) - 2 * base + hh(x - hx, p)) / hx**2,
-        "h_xp": (hh(x + hx, p + hp) - hh(x + hx, p - hp)
-                 - hh(x - hx, p + hp) + hh(x - hx, p - hp)) / (4 * hx * hp),
-    }
-    for name, step, comp in (("h_xrho1", hx, 0), ("h_xrho2", hx, 1),
-                             ("h_prho1", hp, 0), ("h_prho2", hp, 1)):
-        plus = _perturbed(xs, ps, j, +e, comp)
-        minus = _perturbed(xs, ps, j, -e, comp)
-        dx, dp = (0.0, step) if name.startswith("h_p") else (step, 0.0)
-        cross = (hh(x + dx, p + dp, plus) - hh(x - dx, p - dp, plus)
-                 - hh(x + dx, p + dp, minus) + hh(x - dx, p - dp, minus))
-        out[name] = n * cross / (4 * step * e)
-    return out
-
+from mfgclab.solver import terminal_field
 
 def random_law(rng, n=8, scale=1.0):
     return rng.normal(0, scale, n), rng.normal(0, scale, n)
@@ -249,12 +183,15 @@ class TestFixedPoint:
         Model(f0=(0, 0, 0, 1.0 - CONTRACTION_EPS))  # the bound itself is admitted
 
     def test_marginal_of_fixed_point_matches_marginal_of_input(self):
+        # Phi keeps every atom's state: the controls are aligned with the
+        # input atoms, and relabelling the atoms relabels the controls.
         model = ll_model(c1=0.3, c2=0.1, c3=0.1)
         xs, ps = random_law(np.random.default_rng(17), n=12)
-        rho = JointEmpiricalMeasure(xs[:, None], ps[:, None], None)
-        nu = JointEmpiricalMeasure(xs[:, None], fixed_point_phi(model, xs, ps)[:, None], None)
-        assert _quantile_dist(nu.x, rho.x) == 0.0
-        assert np.array_equal(nu.weights, rho.weights)
+        controls = fixed_point_phi(model, xs, ps)
+        assert controls.shape == xs.shape
+        perm = np.random.default_rng(18).permutation(12)
+        assert np.allclose(fixed_point_phi(model, xs[perm], ps[perm]), controls[perm],
+                           atol=1e-14)
 
     def test_leading_axes_are_independent_laws(self):
         model = preset_model(FULL_MEANFIELD)
@@ -297,17 +234,12 @@ class TestHatDerivatives:
 
     @pytest.mark.parametrize("factory", PRESET_FACTORIES)
     def test_closed_form_agrees_with_finite_differences(self, factory):
+        # Every entry, measure entries at every (base atom, support atom) pair.
         model = factory()
         rng = np.random.default_rng(41)
         for _ in range(40):
-            xs, ps = random_law(rng, n=5)
-            table = hat_derivative_table(model, xs, ps)
-            i, j = (int(v) for v in rng.integers(xs.size, size=2))
-            fd = hat_derivatives_fd(model, xs[i], ps[i], xs, ps, xs[j], ps[j])
-            for name in ("h_p", "h_pp", "h_xx", "h_xp"):
-                assert getattr(table, name)[i] == pytest.approx(fd[name], abs=1e-5), name
-            for name in ("h_xrho1", "h_xrho2", "h_prho1", "h_prho2"):
-                assert getattr(table, name)[i, j] == pytest.approx(fd[name], abs=1e-5), name
+            errors = chain_rule_check(model, *random_law(rng, n=5))
+            assert max(errors.values()) <= 1e-6, errors
 
     def test_support_atom_enters_only_through_b0x(self):
         xs, ps = random_law(np.random.default_rng(43), n=6)
@@ -316,12 +248,6 @@ class TestHatDerivatives:
         varying = hat_derivative_table(preset_model(FULL_MEANFIELD), xs, ps)
         for name in ("h_xrho1", "h_xrho2", "h_prho1", "h_prho2"):
             assert np.ptp(getattr(varying, name), axis=1).min() > 1e-3, name
-
-    def test_off_support_point_rejected(self):
-        model = ll_model(c1=0.5, c2=0.05, c3=0.1)
-        xs, ps = random_law(np.random.default_rng(3), n=4)
-        with pytest.raises(ValueError):
-            hat_derivatives_fd(model, 0.0, 0.0, xs, ps, 123.0, 456.0)
 
 
 class TestEnvelopeIdentities:

@@ -65,7 +65,6 @@ class TestSimulateVariational:
             assert np.all(s.delta_x == 0.0)
             assert np.all(s.gamma == 0.0)
             assert np.all(s.upsilon == 0.0)
-            assert np.all(s.forcing == 0.0)
 
     def test_uncoupled_lq_matches_ode_oracle(self, lq_setup):
         # dX' = Hpp * Vxx * dX = -2 P(t) dX with the backward Riccati P.
@@ -138,16 +137,20 @@ class TestRhsFormulas:
         assert gap.max() <= 1e-3
 
     def test_combined_displacement_formula_matches(self):
+        # The disp model has h_xrho2 = 0; ll_setup's q2 = 0.1 makes it nonzero.
         model = disp_example_model()
         grid = Grid.with_cfl_steps(-6.0, 6.0, 81, 0.0, 0.25)
         pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
         flow = solve_mfgc(model, MU0, grid, pic, seed=11)
-        access = ValueAccess(model, flow)
-        trace = build_trace(model, flow, np.ones(N), access, lam=0.0)
-        slope = trace.slope(trace.i_vals + trace.ibar_vals)
-        gap = np.abs(slope[1:-1] - trace.cd_disp_rhs[1:-1])
-        ref = np.maximum(np.abs(slope[1:-1]), np.abs(trace.cd_disp_rhs[1:-1]))
-        assert np.all(gap <= np.maximum(0.10 * ref, 1e-3))
+        ll_model, _, ll_flow, ll_access = ll_setup()
+        for model, flow, access in ((model, flow, ValueAccess(model, flow)),
+                                    (ll_model, ll_flow, ll_access)):
+            trace = build_trace(model, flow, np.ones(N), access, lam=0.0)
+            slope = trace.slope(trace.i_vals + trace.ibar_vals)
+            gap = np.abs(slope[1:-1] - trace.cd_disp_rhs[1:-1])
+            ref = np.maximum(np.abs(slope[1:-1]), np.abs(trace.cd_disp_rhs[1:-1]))
+            assert np.all(gap <= np.maximum(0.10 * ref, 1e-3))
+            assert formula_match_violations(trace, "disp") == []
 
     def test_xi_bookkeeping_identity(self):
         model, grid, flow, access = ll_setup()
