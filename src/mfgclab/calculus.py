@@ -26,8 +26,9 @@ class CalculusError(ValueError):
     pass
 
 
-def _difference_table(model: Model, x: np.ndarray, p: np.ndarray) -> HatTable:
-    """Central differences of Hhat for every entry of ``hat_derivative_table``.
+def _difference_table(model: Model, x: np.ndarray, p: np.ndarray) -> tuple:
+    """Central differences of Hhat for every entry of ``hat_derivative_table``,
+    and Hhat(x_i, p_i, rho) at the atoms.
 
     Measure entries [i, j] differentiate in the point (x_i, p_i) and in atom
     j of the law; the laws with one atom displaced are an (N, N) stack
@@ -63,46 +64,58 @@ def _difference_table(model: Model, x: np.ndarray, p: np.ndarray) -> HatTable:
             cross = (hh(bx + dx, bp + dp, *plus) - hh(bx - dx, bp - dp, *plus)
                      - hh(bx + dx, bp + dp, *minus) + hh(bx - dx, bp - dp, *minus))
             measure[f"h_{var}rho{atom}"] = n * cross / (4.0 * step * e[None, :])
-    return HatTable(**point, **measure)
+    return HatTable(**point, **measure), base
 
 
-def chain_rule_check(model: Model, x, p) -> dict:
-    """Largest |closed form - central difference| of each hat derivative
-    over the uniform law of the aligned 1-D atom arrays (x_i, p_i).
+def chain_rule_check(model: Model, x, p) -> tuple:
+    """(errors, scale): the largest |closed form - central difference| of
+    each hat derivative over the uniform law of the aligned 1-D atom arrays
+    (x_i, p_i), and the scale max(1, max_i |Hhat(x_i, p_i, rho)|).
 
     The closed forms are ``hat_derivative_table``'s; the differences are
     taken of H(x, p, Phi(rho)), with Phi the model's control-law fixed point,
-    so the check covers the chain rule through Phi.
+    so the check covers the chain rule through Phi.  Their round-off grows
+    with the size of Hhat itself, so a tolerance is meant relative to the
+    scale.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     closed = hat_derivative_table(model, x, p)
-    fd = _difference_table(model, x, p)
-    return {f.name: float(np.max(np.abs(getattr(closed, f.name) - getattr(fd, f.name))))
-            for f in fields(HatTable)}
+    fd, base = _difference_table(model, x, p)
+    errors = {f.name: float(np.max(np.abs(getattr(closed, f.name) - getattr(fd, f.name))))
+              for f in fields(HatTable)}
+    return errors, max(1.0, float(np.max(np.abs(base))))
 
 
-def value_measure_gradient(access, t: float, x: np.ndarray, eta,
+def value_measure_gradient(access, t: float, x: np.ndarray, etas,
                            fd_eps: float = 1e-3) -> np.ndarray:
-    """Directional measure derivative of the value gradient at the atoms x.
+    """Directional measure derivatives of the value gradient at the atoms x,
+    one row per direction of the (B, N) stack etas.
 
-    ``access.field(t, x)`` must return a ``ValueField`` whose first slice is
-    V(t, ., mu) for the uniform cloud mu of the atoms x.  The direction eta
-    is a 1-D array aligned with x; the cloud is displaced to x +/- eps * eta,
-    with eps = fd_eps / rms(eta), and the central difference of dV/dx
-    approximates D_i = (1/N) sum_j d_x d_mu V(t, x_i, mu, x_j) eta_j at every
-    atom x_i.  A zero direction gives zeros without calling ``access``.
+    ``access.field(t, clouds)`` must return, for a (B', N) stack of clouds,
+    B' ``ValueField``s whose first slice is V(t, ., mu) for the uniform cloud
+    mu of each row.  Each direction eta is aligned with x; the cloud is
+    displaced to x +/- eps * eta, with eps = fd_eps / rms(eta), and the
+    central difference of dV/dx approximates D_i = (1/N) sum_j
+    d_x d_mu V(t, x_i, mu, x_j) eta_j at every atom x_i.  The displaced clouds
+    of all directions go to ``access`` as one request; zero directions give
+    zero rows and add no cloud to it.
     """
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != x.shape:
-        raise CalculusError(f"direction shape {eta.shape} does not match cloud {x.shape}")
-    scale = float(np.sqrt(np.mean(eta**2)))
-    if scale == 0.0:
-        return np.zeros(x.shape[0])
-    eps = fd_eps / scale
-    plus = access.field(t, x + eps * eta)
-    minus = access.field(t, x - eps * eta)
-    diff = (plus.ux_at(0, x) - minus.ux_at(0, x)) / (2.0 * eps)
-    if not np.all(np.isfinite(diff)):
+    etas = np.asarray(etas, dtype=float)
+    if etas.ndim != 2 or etas.shape[1:] != x.shape:
+        raise CalculusError(f"direction stack of shape {etas.shape} does not match "
+                            f"cloud {x.shape}")
+    out = np.zeros(etas.shape)
+    scale = np.sqrt(np.mean(etas**2, axis=-1))
+    live = np.flatnonzero(scale != 0.0)
+    if live.size == 0:
+        return out
+    eps = fd_eps / scale[live]
+    steps = eps[:, None] * etas[live]
+    fields = access.field(t, np.concatenate([x + steps, x - steps]))
+    for i, row in enumerate(live):
+        plus, minus = fields[i], fields[live.size + i]
+        out[row] = (plus.ux_at(0, x) - minus.ux_at(0, x)) / (2.0 * eps[i])
+    if not np.all(np.isfinite(out)):
         raise CalculusError("perturbed value solves produced non-finite gradients")
-    return diff
+    return out

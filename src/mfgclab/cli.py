@@ -3,10 +3,10 @@
 Subcommands: check (condition reports), solve (equilibrium flow export),
 mono (monotonicity sweep), propagate (variational trace + verdict), chain
 (the model's closed-form hat derivatives against central differences of
-H(x, p, Phi(rho)) on random laws).  Every run writes a manifest with the config
-echo, package version, effective seed and wall time.  Exit codes: 0 pass,
-1 config error, 2 condition/verdict failure, 3 hypothesis or gate violation,
-4 solver non-convergence.
+H(x, p, Phi(rho)) on random laws, relative to the size of H there).  Every
+run writes a manifest with the config echo, package version, effective seed
+and wall time.  Exit codes: 0 pass, 1 config error, 2 condition/verdict
+failure, 3 hypothesis or gate violation, 4 solver non-convergence.
 """
 from __future__ import annotations
 
@@ -248,18 +248,22 @@ def run_chain(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     rows = []
     for k in range(n_laws):
         x, p = rng.normal(size=(2, n_atoms))
-        rows += [{"law": k, "entry": name, "abs_error": err}
-                 for name, err in chain_rule_check(model, x, p).items()]
+        errors, scale = chain_rule_check(model, x, p)
+        rows += [{"law": k, "entry": name, "abs_error": err, "scale": scale}
+                 for name, err in errors.items()]
     csv_path = out_dir / "chain.csv"
     with open(csv_path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=["law", "entry", "abs_error"])
+        writer = csv.DictWriter(handle, fieldnames=["law", "entry", "abs_error", "scale"])
         writer.writeheader()
         writer.writerows(rows)
-    worst = max(r["abs_error"] for r in rows)
-    payload = {"max_abs_error": worst, "tolerance": tol, "passed": worst <= tol}
+    worst = max(r["abs_error"] / r["scale"] for r in rows)
+    payload = {"max_abs_error": max(r["abs_error"] for r in rows),
+               "max_scale": max(r["scale"] for r in rows),
+               "max_scaled_error": worst, "tolerance": tol, "passed": worst <= tol}
     _write_json(out_dir / "report.json", payload)
     _plot_script(out_dir, "chain", csv_path.name)
-    print(f"chain: max |closed form - fd| = {worst:.3e} ({'pass' if worst <= tol else 'FAIL'})")
+    print(f"chain: max |closed form - fd| / scale = {worst:.3e} "
+          f"({'pass' if worst <= tol else 'FAIL'})")
     return EXIT_OK if worst <= tol else EXIT_FAIL
 
 

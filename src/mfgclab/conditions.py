@@ -140,10 +140,11 @@ def ibar_form(table: HatTable, eta: np.ndarray, gamma: np.ndarray,
 
 def dx_velocity(table: HatTable, eta: np.ndarray, gz: np.ndarray) -> np.ndarray:
     """Velocity of the first-variation state dX = eta with gz = G + U: the
-    point terms plus the mean-field forcing (h_prho1 eta + h_prho2 gz) @ w."""
-    w = np.full(eta.shape[0], 1.0 / eta.shape[0])
+    point terms plus the mean-field forcing (h_prho1 eta + h_prho2 gz) @ w.
+    Leading axes of eta and gz are independent directions."""
+    w = np.full(eta.shape[-1], 1.0 / eta.shape[-1])
     return (table.h_xp * eta + table.h_pp * gz
-            + (table.h_prho1 * eta[None, :] + table.h_prho2 * gz[None, :]) @ w)
+            + (table.h_prho1 * eta[..., None, :] + table.h_prho2 * gz[..., None, :]) @ w)
 
 
 def dx2_form(table: HatTable, eta: np.ndarray, gamma: np.ndarray,

@@ -248,7 +248,8 @@ class ExperimentConfig:
 
     def chain_settings(self) -> tuple:
         """(pairs, atoms, tol) of the chain-rule check: the number of random
-        laws, their atom count and the tolerance on every hat derivative."""
+        laws, their atom count and the tolerance on every hat derivative,
+        relative to max(1, max |Hhat|) over the law."""
         sec = self.chain_section
         return (_number(sec, "pairs", "20", int, 1), _number(sec, "atoms", "16", int, 1),
                 _number(sec, "tol", "1e-6", least=0.0))

@@ -115,9 +115,12 @@ class QuadraticTerminalCost:
     m2: float = 0.0
 
     def __call__(self, x, atoms: np.ndarray):
-        """g at the points x against the uniform cloud of the given atoms."""
+        """g at the points x against the uniform cloud of the given atoms;
+        leading axes of the atoms are independent clouds."""
         xv = np.asarray(x, dtype=float)
-        m1 = float(np.full(atoms.shape[0], 1.0 / atoms.shape[0]) @ atoms)
+        # One (1, n) product per cloud: a cloud's mean does not depend on
+        # how many clouds share the call.
+        m1 = atoms[..., None, :] @ np.full(atoms.shape[-1], 1.0 / atoms.shape[-1])
         return 0.5 * self.xx * xv**2 + self.xm * xv * m1 + self.x_lin * xv + self.m2 * m1 * m1
 
 
@@ -171,9 +174,8 @@ class Model:
 
     def control(self, x, p, m1, m2):
         """The minimiser a* = f0(x, m1, m2) + p B0(x, m1) of a -> p b + f."""
-        b0c, b0x, b0m = self.b0
-        f0c, f0x, f0mu, f0m = self.f0
-        return f0c + f0mu * m1 + f0m * m2 + f0x * x + p * (b0c + b0m * m1 + b0x * x)
+        a0, b0, _ = drift_terms(self, x, mean_terms(self, m1, m2))
+        return a0 + p * b0
 
     def drift(self, x, a, m1, m2):
         b0c, b0x, b0m = self.b0
@@ -185,16 +187,48 @@ class Model:
                 + _poly(self.f1_x, x) + x * (self.q1 * m1 + self.q2 * m2))
 
 
-def hamiltonian(model: Model, x, p, m1: float, m2: float):
+def mean_terms(model: Model, m1, m2) -> tuple:
+    """The parts of the Hamiltonian's p-independent terms that depend on the
+    means (m1, m2) alone: (f0c + f0mu m1 + f0m m2, b0c + b0m m1, B(m1, m2),
+    q1 m1 + q2 m2).  ``drift_terms`` and ``hamiltonian_terms`` add the parts
+    that depend on x; a sweep computes these once for all levels."""
+    b0c, _, b0m = model.b0
+    f0c, _, f0mu, f0m = model.f0
+    return (f0c + f0mu * m1 + f0m * m2, b0c + b0m * m1, model.B(m1, m2),
+            model.q1 * m1 + model.q2 * m2)
+
+
+def drift_terms(model: Model, x, means: tuple) -> tuple:
+    """(A, B0, C) at the points x, for the ``mean_terms`` of (m1, m2):
+    A = f0(x, m1, m2), B0 = B0(x, m1) and C = b1_x(x) + B(m1, m2), so that
+    a* = A + p B0 and H_p = -B0 a* + C."""
+    a_m, b_m, big_b, _ = means
+    return (a_m + model.f0[1] * x, b_m + model.b0[1] * x, _poly(model.b1_x, x) + big_b)
+
+
+def hamiltonian_terms(model: Model, x, means: tuple) -> tuple:
+    """The p-independent terms (A, B0, C, D1, D2) of the Hamiltonian at the
+    points x, for the ``mean_terms`` of (m1, m2):
+
+        a* = A + p B0,  H = -a*^2/2 + p C + D1 + D2,  H_p = -B0 a* + C,
+
+    with (A, B0, C) the ``drift_terms``, D1 = f1_x(x) and D2 = x (q1 m1 +
+    q2 m2).  H sums its terms left to right in this order.
+    """
+    return (*drift_terms(model, x, means), _poly(model.f1_x, x), x * means[3])
+
+
+def hamiltonian(model: Model, x, p, m1, m2):
     """H(x, p, nu) = inf_a [p b(x, a, nu) + f(x, a, nu)] for nu with means (m1, m2)."""
-    a = model.control(x, p, m1, m2)
-    return (-0.5 * a**2 + p * (_poly(model.b1_x, x) + model.B(m1, m2))
-            + _poly(model.f1_x, x) + x * (model.q1 * m1 + model.q2 * m2))
+    a0, b0, c, d1, d2 = hamiltonian_terms(model, x, mean_terms(model, m1, m2))
+    return -0.5 * (a0 + p * b0) ** 2 + p * c + d1 + d2
 
 
-def hamiltonian_dp(model: Model, x, p, m1: float, m2: float):
-    """dH/dp = b(x, a*, nu), the optimal drift."""
-    return model.drift(x, model.control(x, p, m1, m2), m1, m2)
+def hamiltonian_dp(model: Model, x, p, means: tuple):
+    """dH/dp = b(x, a*, nu), the optimal drift, for the ``mean_terms`` of
+    the means (m1, m2) of nu."""
+    a0, b0, c = drift_terms(model, x, means)
+    return -b0 * (a0 + p * b0) + c
 
 
 def _means(model: Model, x: np.ndarray, p: np.ndarray):

@@ -4,12 +4,15 @@ Three quadratic functionals of a test pair (xi, eta) — the Lasry-Lions form,
 the displacement lambda-form, and the anti-monotone form — are evaluated on
 V(t, ., mu) for sampled time slices and direction batteries.  The law mu of
 xi is the uniform cloud of the 1-D atom array x, and eta = eta(xi) is a 1-D
-array aligned with it.  Access to V is an object with a
-``field(t, x) -> ValueField`` method whose first slice is V(t, ., mu):
-``solver.ValueAccess`` re-solves from a converged flow, and a fixed terminal
-cost or an analytic stand-in serves as well.  The measure derivative of the
-value gradient is the central difference of two such fields at directionally
-displaced clouds (``value_measure_gradient``).
+array aligned with it; the functionals take a (B, N) stack of directions and
+return one value per direction.  Access to V is an object with a
+``field(t, clouds) -> list[ValueField]`` method that maps a (B, N) stack of
+clouds at one time to B fields whose first slice is V(t, ., mu) for each
+row: ``solver.ValueAccess`` re-solves from a converged flow, and a fixed
+terminal cost or an analytic stand-in serves as well.  The measure
+derivative of the value gradient is the central difference of two such
+fields at directionally displaced clouds (``value_measure_gradient``), and
+the displaced clouds of all directions of one time go in one request.
 """
 from __future__ import annotations
 
@@ -43,36 +46,40 @@ class LambdaVec:
             )
 
 
-def mon_ll(access, t: float, x: np.ndarray, eta: np.ndarray,
-           fd_eps: float = 1e-3) -> float:
-    """Lasry-Lions form: the empirical mean of <eta_i, D_i>, where
+def mon_ll(access, t: float, x: np.ndarray, etas: np.ndarray,
+           fd_eps: float = 1e-3) -> np.ndarray:
+    """Lasry-Lions form of each direction eta of the (B, N) stack: the
+    empirical mean of <eta_i, D_i>, where
     D_i = (1/N) sum_j d_x d_mu V(t, x_i, mu, x_j) eta_j."""
-    d_vals = value_measure_gradient(access, t, x, eta, fd_eps)
-    return float(np.mean(eta * d_vals))
+    d_vals = value_measure_gradient(access, t, x, etas, fd_eps)
+    return np.mean(etas * d_vals, axis=-1)
 
 
-def mon_disp(access, t: float, x: np.ndarray, eta: np.ndarray,
-             lam: float, fd_eps: float = 1e-3) -> float:
-    """Displacement lambda-form: Lasry-Lions term plus <Vxx eta, eta> + lam |eta|^2."""
+def mon_disp(access, t: float, x: np.ndarray, etas: np.ndarray,
+             lam: float, fd_eps: float = 1e-3) -> np.ndarray:
+    """Displacement lambda-form of each direction: Lasry-Lions term plus
+    <Vxx eta, eta> + lam |eta|^2."""
     if lam < 0:
         raise MonotonicityError("displacement parameter lambda must be nonnegative")
-    vxx = access.field(t, x).uxx_at(0, x)
-    ll_term = mon_ll(access, t, x, eta, fd_eps)
-    return float(ll_term + np.mean(vxx * eta**2) + lam * np.mean(eta**2))
+    vxx = access.field(t, x[None, :])[0].uxx_at(0, x)
+    ll_term = mon_ll(access, t, x, etas, fd_eps)
+    return ll_term + np.mean(vxx * etas**2, axis=-1) + lam * np.mean(etas**2, axis=-1)
 
 
-def mon_anti(access, t: float, x: np.ndarray, eta: np.ndarray,
-             lvec: LambdaVec, fd_eps: float = 1e-3) -> float:
-    """Anti-monotone form; the verdict direction is value <= tolerance."""
-    vxx = access.field(t, x).uxx_at(0, x)
-    d_vals = value_measure_gradient(access, t, x, eta, fd_eps)
-    return float(np.mean(
-        lvec.l0 * vxx * eta**2
-        + lvec.l1 * d_vals * eta
-        + (vxx * eta) ** 2
+def mon_anti(access, t: float, x: np.ndarray, etas: np.ndarray,
+             lvec: LambdaVec, fd_eps: float = 1e-3) -> np.ndarray:
+    """Anti-monotone form of each direction; the verdict direction is
+    value <= tolerance."""
+    vxx = access.field(t, x[None, :])[0].uxx_at(0, x)
+    d_vals = value_measure_gradient(access, t, x, etas, fd_eps)
+    return np.mean(
+        lvec.l0 * vxx * etas**2
+        + lvec.l1 * d_vals * etas
+        + (vxx * etas) ** 2
         + lvec.l2 * d_vals**2
-        - lvec.l3 * eta**2
-    ))
+        - lvec.l3 * etas**2,
+        axis=-1,
+    )
 
 
 def direction_battery(xs: np.ndarray, count: int = 12, seed: int = 0) -> list:
@@ -122,14 +129,15 @@ def tolerance_scale(dt: float, dx: float, n_particles: int, fd_eps: float,
     return float(c * (dt + dx**2 + 1.0 / np.sqrt(n_particles) + fd_eps**2))
 
 
-def mon_value(kind: str, access, t: float, x: np.ndarray, eta: np.ndarray,
-              fd_eps: float, lam: float = 0.0, lvec: LambdaVec | None = None) -> float:
-    """The functional of one kind ("ll", "disp" or "anti") at one (t, direction)."""
+def mon_value(kind: str, access, t: float, x: np.ndarray, etas: np.ndarray,
+              fd_eps: float, lam: float = 0.0, lvec: LambdaVec | None = None) -> np.ndarray:
+    """The functional of one kind ("ll", "disp" or "anti") at time t, one
+    value per direction of the (B, N) stack etas."""
     if kind == "ll":
-        return mon_ll(access, t, x, eta, fd_eps)
+        return mon_ll(access, t, x, etas, fd_eps)
     if kind == "disp":
-        return mon_disp(access, t, x, eta, lam, fd_eps)
-    return mon_anti(access, t, x, eta, lvec, fd_eps)
+        return mon_disp(access, t, x, etas, lam, fd_eps)
+    return mon_anti(access, t, x, etas, lvec, fd_eps)
 
 
 def monotonicity_sweep(flow, access, kind: str, lam: float = 0.0,
@@ -152,9 +160,10 @@ def monotonicity_sweep(flow, access, kind: str, lam: float = 0.0,
     samples = []
     for k in sorted(set(levels)):
         t, x_k = float(grid.ts[k]), flow.states[k]
-        for d_idx, eta in enumerate(direction_battery(x_k, battery_size, seed)):
-            value = mon_value(kind, access, t, x_k, eta, fd_eps, lam, lvec)
-            samples.append({"t": t, "level": k, "direction": d_idx, "value": value})
+        etas = np.array(direction_battery(x_k, battery_size, seed))
+        values = mon_value(kind, access, t, x_k, etas, fd_eps, lam, lvec)
+        samples += [{"t": t, "level": k, "direction": d_idx, "value": float(value)}
+                    for d_idx, value in enumerate(values)]
     values = np.array([s["value"] for s in samples])
     minimum = float(values.min())
     maximum = float(values.max())

@@ -48,7 +48,8 @@ class GateError(RuntimeError):
 
 @dataclass
 class VariationalState:
-    """One time level of the first-variation system."""
+    """One time level of the first-variation system, for a (B, N) stack of
+    directions: row b of each array belongs to direction b."""
 
     t: float
     level: int
@@ -115,33 +116,34 @@ def traces_to_csv(path, traces: list) -> None:
         writer.writerows(rows)
 
 
-def simulate_variational(model: Model, flow: EquilibriumFlow, eta: np.ndarray,
+def simulate_variational(model: Model, flow: EquilibriumFlow, etas: np.ndarray,
                          access: ValueAccess, fd_eps: float = 1e-3) -> list:
     """Euler trace of the first-variation system along the converged flow.
 
-    The initial sensitivity dX(0) = eta is a 1-D array aligned with the
-    initial particle states.  The equilibrium states are reused as simulated
-    (they already carry the flow's Brownian increments); dX follows its
-    linear dynamics with the curvature and measure-derivative fields
-    recomputed from the value grid and directional re-solves at every step.
+    The initial sensitivities dX(0) = eta are the rows of the (B, N) stack
+    etas, each aligned with the initial particle states, and the whole
+    battery steps as one (B, N) array.  The equilibrium states are reused as
+    simulated (they already carry the flow's Brownian increments); dX follows
+    its linear dynamics with the curvature and measure-derivative fields
+    recomputed from the value grid and directional re-solves at every step,
+    all directions of a level in one request to ``access``.
     """
     grid = flow.grid
-    delta = np.array(eta, dtype=float)
-    if delta.shape != (flow.n_particles,):
-        raise GateError(f"direction of shape {delta.shape} does not match the "
+    delta = np.array(etas, dtype=float)
+    if delta.ndim != 2 or delta.shape[1] != flow.n_particles:
+        raise GateError(f"directions of shape {delta.shape} do not match the "
                         f"flow's {flow.n_particles} particles")
     dt = grid.dt
     out = []
-    n = flow.n_particles
     for k in range(grid.n_t + 1):
         t_k = float(grid.ts[k])
         x_k = flow.states[k]
         vxx = flow.value_field.uxx_at(k, x_k)
         gamma = vxx * delta
-        if np.sqrt(np.mean(delta**2)) < 1e-14:
-            upsilon = np.zeros(n)
-        else:
-            upsilon = value_measure_gradient(access, t_k, x_k, delta, fd_eps)
+        # Directions that have died out are not re-solved: eps = fd_eps / rms
+        # would push their clouds off the grid.
+        live = np.sqrt(np.mean(delta**2, axis=-1)) >= 1e-14
+        upsilon = value_measure_gradient(access, t_k, x_k, delta * live[:, None], fd_eps)
         table = hat_derivative_table(model, x_k, flow.momenta[k])
         out.append(VariationalState(
             t=t_k, level=k, x=x_k, p=flow.momenta[k], delta_x=delta.copy(),
@@ -156,7 +158,8 @@ def simulate_variational(model: Model, flow: EquilibriumFlow, eta: np.ndarray,
 
 def evaluate_rhs_formulas(model: Model, state: VariationalState,
                           lam: float = 0.0) -> dict:
-    """Exact quadratic expressions for the time derivatives of the traces.
+    """Exact quadratic expressions for the time derivatives of the traces,
+    one value per direction of the state.
 
     Returns the derivative of the Lasry-Lions pairing, of the curvature
     pairing, of the second moment of dX, and the combined displacement-form
@@ -165,36 +168,43 @@ def evaluate_rhs_formulas(model: Model, state: VariationalState,
     first and the last are the gates' forms: the Hamiltonian condition is the
     time derivative of the functional.
     """
-    args = (state.table, state.delta_x, state.gamma, state.upsilon)
-    return {"dtI_rhs": ll_form(*args), "dtIbar_rhs": ibar_form(*args),
-            "d_deltaX2_rhs": dx2_form(*args), "cd_disp_rhs": disp_form(*args, lam)}
+    table = state.table
+    values = np.array([
+        (ll_form(table, *row), ibar_form(table, *row), dx2_form(table, *row),
+         disp_form(table, *row, lam))
+        for row in zip(state.delta_x, state.gamma, state.upsilon)
+    ])
+    return dict(zip(("dtI_rhs", "dtIbar_rhs", "d_deltaX2_rhs", "cd_disp_rhs"), values.T))
 
 
-def build_trace(model: Model, flow: EquilibriumFlow, eta: np.ndarray,
-                access: ValueAccess, index: int = 0, fd_eps: float = 1e-3,
-                lam: float = 0.0, lvec: LambdaVec | None = None) -> PropagationTrace:
-    states = simulate_variational(model, flow, eta, access, fd_eps)
-    i_vals = np.array([np.mean(s.upsilon * s.delta_x) for s in states])
-    ibar_vals = np.array([np.mean(s.gamma * s.delta_x) for s in states])
-    dx2_vals = np.array([np.mean(s.delta_x**2) for s in states])
-    xi_vals = None
+def build_traces(model: Model, flow: EquilibriumFlow, etas: np.ndarray,
+                 access: ValueAccess, fd_eps: float = 1e-3, lam: float = 0.0,
+                 lvec: LambdaVec | None = None) -> list:
+    """One ``PropagationTrace`` per direction of the (B, N) stack etas, in
+    row order, from one batched variational run."""
+    states = simulate_variational(model, flow, etas, access, fd_eps)
+    dx = np.stack([s.delta_x for s in states], axis=1)      # (B, levels, N)
+    gamma = np.stack([s.gamma for s in states], axis=1)
+    upsilon = np.stack([s.upsilon for s in states], axis=1)
+    i_vals = np.mean(upsilon * dx, axis=-1)
+    ibar_vals = np.mean(gamma * dx, axis=-1)
+    dx2_vals = np.mean(dx**2, axis=-1)
+    xi_vals = [None] * len(dx)
     if lvec is not None:
-        xi_vals = np.array([
-            lvec.l0 * np.mean(s.gamma * s.delta_x) + lvec.l1 * np.mean(s.upsilon * s.delta_x)
-            + np.mean(s.gamma**2) + lvec.l2 * np.mean(s.upsilon**2)
-            - lvec.l3 * np.mean(s.delta_x**2)
-            for s in states
-        ])
+        xi_vals = (lvec.l0 * ibar_vals + lvec.l1 * i_vals + np.mean(gamma**2, axis=-1)
+                   + lvec.l2 * np.mean(upsilon**2, axis=-1) - lvec.l3 * dx2_vals)
     rhs = [evaluate_rhs_formulas(model, s, lam=lam) for s in states]
-    return PropagationTrace(
-        direction=index,
-        ts=np.array([s.t for s in states]),
-        i_vals=i_vals, ibar_vals=ibar_vals, dx2_vals=dx2_vals, xi_vals=xi_vals,
-        dt_i_rhs=np.array([r["dtI_rhs"] for r in rhs]),
-        dt_ibar_rhs=np.array([r["dtIbar_rhs"] for r in rhs]),
-        dt_dx2_rhs=np.array([r["d_deltaX2_rhs"] for r in rhs]),
-        cd_disp_rhs=np.array([r["cd_disp_rhs"] for r in rhs]),
-    )
+    series = {name: np.stack([r[name] for r in rhs], axis=1) for name in rhs[0]}
+    ts = np.array([s.t for s in states])
+    return [
+        PropagationTrace(
+            direction=b, ts=ts, i_vals=i_vals[b], ibar_vals=ibar_vals[b],
+            dx2_vals=dx2_vals[b], xi_vals=xi_vals[b],
+            dt_i_rhs=series["dtI_rhs"][b], dt_ibar_rhs=series["dtIbar_rhs"][b],
+            dt_dx2_rhs=series["d_deltaX2_rhs"][b], cd_disp_rhs=series["cd_disp_rhs"][b],
+        )
+        for b in range(len(dx))
+    ]
 
 
 def formula_match_violations(trace: PropagationTrace, kind: str = "ll", lam: float = 0.0,
@@ -284,11 +294,9 @@ def _terminal_gate(flow, access, config: PropagationConfig, tol: float) -> tuple
     grid = flow.grid
     t_end = grid.t_end
     x_t = flow.states[grid.n_t]
-    values = np.array([
-        mon_value(config.kind, access, t_end, x_t, eta, config.fd_eps,
-                  config.lam, config.lvec)
-        for eta in direction_battery(x_t, config.n_directions, config.seed)
-    ])
+    etas = np.array(direction_battery(x_t, config.n_directions, config.seed))
+    values = mon_value(config.kind, access, t_end, x_t, etas, config.fd_eps,
+                       config.lam, config.lvec)
     if config.kind == "anti":
         ok = bool(values.max() <= tol)
     else:
@@ -331,15 +339,13 @@ def propagation_experiment(model: Model, flow: EquilibriumFlow,
                 f"{vxx_max:.4f} > {config.anti_lu_xx}"
             )
 
-    traces = []
     slope_violations = []
     formula_violations = []
     endpoint_values = []
-    for idx, eta in enumerate(direction_battery(flow.states[0], config.n_directions,
-                                                config.seed)):
-        trace = build_trace(model, flow, eta, access, index=idx,
-                            fd_eps=config.fd_eps, lam=config.lam, lvec=config.lvec)
-        traces.append(trace)
+    etas = np.array(direction_battery(flow.states[0], config.n_directions, config.seed))
+    traces = build_traces(model, flow, etas, access, fd_eps=config.fd_eps,
+                          lam=config.lam, lvec=config.lvec)
+    for idx, trace in enumerate(traces):
         formula_violations.extend(
             dict(v, direction=idx)
             for v in formula_match_violations(trace, config.kind, config.lam)

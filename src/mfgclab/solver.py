@@ -11,9 +11,16 @@ meaningful.  The model sees each level's control law through its two means,
 so a sweep passes the per-level moments (m1, m2).  A state law is a uniform
 cloud given by its 1-D array of atoms.
 
-One sweep is the Picard map ``_sweep``.  ``solve_mfgc`` iterates it, damped,
-to tolerance; ``ValueAccess`` re-solves V(t, ., mu) for displaced clouds by a
-fixed number of undamped sweeps from the converged base flow.
+One sweep is the Picard map ``_sweep``.  Its flows may carry leading batch
+axes: each index is an independent cloud, and every row of a batched sweep
+equals the sweep of that cloud alone, so batching changes the cost but not
+the numbers.  A sweep computes the parts of the Hamiltonian that depend on
+each level's moments once, for all levels (``models.mean_terms``), and the
+backward sweep also their x-dependent parts on the grid
+(``models.hamiltonian_terms``) before it starts.
+``solve_mfgc`` iterates the map on one flow, damped, to tolerance;
+``ValueAccess`` re-solves V(t, ., mu) for a stack of displaced clouds at once
+by a fixed number of undamped sweeps from the converged base flow.
 """
 from __future__ import annotations
 
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import Model, fixed_point_phi, hamiltonian, hamiltonian_dp
+from .models import Model, fixed_point_phi, hamiltonian_dp, hamiltonian_terms, mean_terms
 
 CFL_SAFETY = 0.45
 RESOLVE_SWEEPS = 6
@@ -95,19 +102,22 @@ class Grid:
         return np.linspace(self.t0, self.t_end, self.n_t + 1)
 
 
-def _d1_rows(u: np.ndarray, dx: float) -> np.ndarray:
-    """Central first differences along the space axis, one-sided at the edges."""
-    ux = np.empty_like(u)
+def _d1_rows(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Central first differences along the space axis, one-sided at the edges;
+    written into ``out`` when given."""
+    ux = np.empty_like(u) if out is None else out
     ux[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
     ux[..., 0] = (u[..., 1] - u[..., 0]) / dx
     ux[..., -1] = (u[..., -1] - u[..., -2]) / dx
     return ux
 
 
-def _d2_rows(u: np.ndarray, dx: float) -> np.ndarray:
-    """Central second differences; zero at the edges (linear-extrapolation ghost)."""
-    uxx = np.zeros_like(u)
+def _d2_rows(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Central second differences; zero at the edges (linear-extrapolation
+    ghost); written into ``out`` when given."""
+    uxx = np.empty_like(u) if out is None else out
     uxx[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dx**2
+    uxx[..., 0] = uxx[..., -1] = 0.0
     return uxx
 
 
@@ -199,39 +209,68 @@ class EquilibriumFlow:
         }
 
 
-def _quantile_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """2-Wasserstein distance of two equal-size uniform d=1 clouds.
+def _quantile_dist(a: np.ndarray, b: np.ndarray):
+    """2-Wasserstein distance of equal-size uniform d=1 clouds, row by row
+    along the last axis.
 
     The sorted-quantile coupling is optimal on the line, so this is the RMS
     difference of the order statistics; the Picard residual is its maximum
     over levels, for states and for momenta.
     """
-    return float(np.sqrt(np.mean((np.sort(a) - np.sort(b)) ** 2)))
+    return np.sqrt(np.mean((np.sort(a, axis=-1) - np.sort(b, axis=-1)) ** 2, axis=-1))
 
 
 def _moments(states: np.ndarray, controls: np.ndarray) -> tuple:
-    """Per-level means (m1, m2) of the uniform (state, control) laws, as lists."""
-    w = np.full(states.shape[1], 1.0 / states.shape[1])
-    return (states @ w).tolist(), (controls @ w).tolist()
+    """Per-level means (m1, m2) of the uniform (state, control) laws, as
+    arrays over the leading axes."""
+    w = np.full(states.shape[-1], 1.0 / states.shape[-1])
+    return states @ w, controls @ w
+
+
+def _interp_rows(x: np.ndarray, xs: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x[r], xs, fp[r])`` for every row r of the leading axes at
+    once, with the same arithmetic; every x must lie in [xs[0], xs[-1]]."""
+    j = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+    lo, hi = np.take_along_axis(fp, j, axis=-1), np.take_along_axis(fp, j + 1, axis=-1)
+    out = (hi - lo) / (xs[j + 1] - xs[j]) * (x - xs[j]) + lo
+    return np.where(x == xs[-1], fp[..., -1:], out)
+
+
+def _level_means(model: Model, m1: np.ndarray, m2: np.ndarray) -> list:
+    """``mean_terms`` of the (..., levels) moments, level axis first and a
+    trailing axis for the points: entry [k] broadcasts against level k's
+    (..., points)."""
+    return [np.moveaxis(t, -1, 0)[..., None] for t in mean_terms(model, m1, m2)]
 
 
 def _backward_value(model: Model, xs: np.ndarray, dx: float, dt: float,
-                    m1: list, m2: list, terminal_atoms: np.ndarray) -> np.ndarray:
-    """Explicit Euler backward sweep of the value grid against frozen control laws."""
-    levels = len(m1)
-    u = np.empty((levels, xs.size))
+                    m1: np.ndarray, m2: np.ndarray, terminal_atoms: np.ndarray) -> np.ndarray:
+    """Explicit Euler backward sweep of the value grid against frozen control laws.
+
+    m1 and m2 are (..., levels) and the terminal atoms (..., n); leading axes
+    are independent solves, and the result is (..., levels, n_x).  The
+    Hamiltonian's p-independent terms are computed for all levels before the
+    loop, and each difference stencil writes into one buffer for all levels.
+    """
+    terms = hamiltonian_terms(model, xs, _level_means(model, m1, m2))
+    a0, b0, c, d1, d2 = np.broadcast_arrays(*terms)
+    u = np.empty(a0.shape)  # level axis first while sweeping
     u[-1] = model.g(xs, terminal_atoms)
-    for k in range(levels - 2, -1, -1):
+    ux = np.empty_like(u[0])
+    uxx = np.empty_like(ux)
+    for k in range(u.shape[0] - 2, -1, -1):
         row = u[k + 1]
-        ux = _d1_rows(row, dx)
-        uxx = _d2_rows(row, dx)
-        u[k] = row + dt * (0.5 * uxx + hamiltonian(model, xs, ux, m1[k + 1], m2[k + 1]))
+        _d1_rows(row, dx, out=ux)
+        _d2_rows(row, dx, out=uxx)
+        a = a0[k + 1] + ux * b0[k + 1]
+        ham = -0.5 * a**2 + ux * c[k + 1] + d1[k + 1] + d2[k + 1]
+        u[k] = row + dt * (0.5 * uxx + ham)
         if not np.all(np.isfinite(u[k])):
             raise SolverError(
                 f"value sweep produced non-finite values at level {k}; the "
                 "advection speed likely exceeds the explicit scheme's stability range"
             )
-    return u
+    return np.moveaxis(u, 0, -2)
 
 
 def _sweep(model: Model, x0: np.ndarray, xs: np.ndarray, dx: float, dt: float,
@@ -239,32 +278,37 @@ def _sweep(model: Model, x0: np.ndarray, xs: np.ndarray, dx: float, dt: float,
     """One Picard map: control-law moments, backward value sweep, forward
     particle push from x0 and the escape check.
 
-    Returns the proposed (states, momenta) and the value grid solved against
-    the entering flow.
+    states and momenta are (..., levels, n) and x0 is (..., n); leading axes
+    are independent clouds that share the Brownian increments.  Returns the
+    proposed (states, momenta) and the value grids solved against the
+    entering flow.
     """
     n_steps = brownian.shape[0]
     sqrt_dt = np.sqrt(dt)
     m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
-    u = _backward_value(model, xs, dx, dt, m1, m2, states[-1])
+    u = _backward_value(model, xs, dx, dt, m1, m2, states[..., -1, :])
     ux_rows = _d1_rows(u, dx)
 
+    means = _level_means(model, m1, m2)
+    n = states.shape[-1]
+    rows = ux_rows.reshape(-1, n_steps + 1, xs.size)
     prop_states = np.empty_like(states)
-    prop_states[0] = x0
+    prop_states[..., 0, :] = x0
+    p_at = np.empty_like(prop_states[..., 0, :])
     for k in range(n_steps):
-        xk = prop_states[k]
-        p_at = np.interp(xk, xs, ux_rows[k])
-        drift = hamiltonian_dp(model, xk, p_at, m1[k], m2[k])
-        prop_states[k + 1] = xk + dt * drift + sqrt_dt * brownian[k]
-    if np.any(prop_states < xs[0]) or np.any(prop_states > xs[-1]):
-        bad = int(np.argmax(np.any((prop_states < xs[0]) | (prop_states > xs[-1]), axis=1)))
+        xk = prop_states[..., k, :]
+        for x_r, p_r, u_r in zip(xk.reshape(-1, n), p_at.reshape(-1, n), rows[:, k]):
+            p_r[:] = np.interp(x_r, xs, u_r)
+        drift = hamiltonian_dp(model, xk, p_at, [t[k] for t in means])
+        prop_states[..., k + 1, :] = xk + dt * drift + sqrt_dt * brownian[k]
+    outside = (prop_states < xs[0]) | (prop_states > xs[-1])
+    if np.any(outside):
+        bad = int(np.argmax(np.any(outside, axis=-1).reshape(-1, n_steps + 1).any(axis=0)))
         raise SolverError(
             f"particles escaped the grid at level {bad}; enlarge the domain "
             "or shrink the horizon"
         )
-    prop_momenta = np.empty_like(momenta)
-    for k in range(n_steps + 1):
-        prop_momenta[k] = np.interp(prop_states[k], xs, ux_rows[k])
-    return prop_states, prop_momenta, u
+    return prop_states, _interp_rows(prop_states, xs, ux_rows), u
 
 
 def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
@@ -306,10 +350,8 @@ def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
     for _ in range(picard.max_iter):
         prop_states, prop_momenta, u = _sweep(model, x0, xs, dx, dt, brownian,
                                               states, momenta)
-        residual = 0.0
-        for k in range(grid.n_t + 1):
-            residual = max(residual, _quantile_dist(states[k], prop_states[k]),
-                           _quantile_dist(momenta[k], prop_momenta[k]))
+        residual = float(max(np.max(_quantile_dist(states, prop_states)),
+                             np.max(_quantile_dist(momenta, prop_momenta))))
         history.append(residual)
         if residual <= picard.tol:
             states, momenta = prop_states, prop_momenta
@@ -358,14 +400,17 @@ def best_response_gap(model: Model, flow: EquilibriumFlow) -> float:
 class ValueAccess:
     """V(t_k, ., mu) for clouds mu near a converged base flow, by re-solves.
 
-    A cloud is the 1-D array x of its atoms.  A re-solve at level k starts
-    from the base flow shifted atom by atom, states = base.states[k:] +
-    (x - base.states[k]) with the momenta base.momenta[k:], reuses the base
-    flow's Brownian increments and runs RESOLVE_SWEEPS undamped Picard sweeps
-    with no residual check.  Paired perturbation solves therefore share their
-    iteration error, and differences of their outputs stay smooth.  Every
-    cloud must be a displacement of the base cloud, so it has the base flow's
-    particle count.
+    A cloud is the 1-D array x of its atoms, and a request is a (B, N) stack
+    of clouds at one level k.  The re-solve of a cloud starts from the base
+    flow shifted atom by atom, states = base.states[k:] + (x - base.states[k])
+    with the momenta base.momenta[k:], reuses the base flow's Brownian
+    increments and runs RESOLVE_SWEEPS undamped Picard sweeps with no
+    residual check.  Paired perturbation solves therefore share their
+    iteration error, and differences of their outputs stay smooth.  All
+    clouds of a request that are not cached are re-solved together, as the
+    leading axis of one ``_sweep``; each row equals its own one-cloud
+    re-solve.  Every cloud must be a displacement of the base cloud, so it
+    has the base flow's particle count.
 
     Callers read only the first slice of a field, so the cache keeps a
     one-level copy per (level, atom bytes) for the life of the object; a -eta
@@ -384,28 +429,28 @@ class ValueAccess:
             raise SolverError(f"time {t} outside the grid horizon")
         return k
 
-    def field(self, t: float, x: np.ndarray) -> ValueField:
-        """The one-level field V(t_k, ., mu) at the level k of t, for the
-        uniform cloud mu of the atoms x."""
+    def field(self, t: float, clouds: np.ndarray) -> list:
+        """The one-level fields V(t_k, ., mu_b) at the level k of t, one per
+        row b of the (B, N) stack of clouds, for the uniform cloud mu_b of
+        that row's atoms."""
         k = self.level_of(t)
-        key = (k, x.tobytes())
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         base, grid = self.flow, self.flow.grid
-        if x.shape != (base.n_particles,):
-            raise SolverError(f"cloud of shape {x.shape} cannot be re-solved from a "
+        if clouds.ndim != 2 or clouds.shape[1] != base.n_particles:
+            raise SolverError(f"clouds of shape {clouds.shape} cannot be re-solved from a "
                               f"base flow of {base.n_particles} particles")
-        if k == grid.n_t:
-            out = terminal_field(self.model, x, grid.xs, grid.t_end)
-        else:
-            x0 = x.copy()
-            states = base.states[k:] + (x0 - base.states[k])
-            states[0] = x0
-            momenta = base.momenta[k:]
-            for _ in range(RESOLVE_SWEEPS):
-                states, momenta, u = _sweep(self.model, x0, grid.xs, grid.dx, grid.dt,
-                                            base.brownian[k:], states, momenta)
-            out = ValueField(u[:1].copy(), grid.xs, grid.ts[k:k + 1])
-        self._cache[key] = out
-        return out
+        keys = [(k, x.tobytes()) for x in clouds]
+        misses = {key: x for key, x in zip(keys, clouds) if key not in self._cache}
+        if misses:
+            x0 = np.array(list(misses.values()))
+            if k == grid.n_t:
+                fields = [terminal_field(self.model, x, grid.xs, grid.t_end) for x in x0]
+            else:
+                states = base.states[k:] + (x0 - base.states[k])[:, None, :]
+                states[:, 0] = x0
+                momenta = np.repeat(base.momenta[None, k:], len(x0), axis=0)
+                for _ in range(RESOLVE_SWEEPS):
+                    states, momenta, u = _sweep(self.model, x0, grid.xs, grid.dx, grid.dt,
+                                                base.brownian[k:], states, momenta)
+                fields = [ValueField(row[:1].copy(), grid.xs, grid.ts[k:k + 1]) for row in u]
+            self._cache.update(zip(misses, fields))
+        return [self._cache[key] for key in keys]

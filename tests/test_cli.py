@@ -227,6 +227,20 @@ which = matrix1
         assert main(["chain", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["passed"] is True
 
+    def test_chain_tolerance_is_relative_to_hhat(self, tmp_path):
+        # At df0/dm2 = 0.999, Hhat reaches ~6e3 and the central differences
+        # of a correct model miss by ~5e-6 > tol; relative to Hhat they pass.
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nkind = chain\nseed = 7\n[model]\n"
+                       "b0 = 0.8 0.3 -0.2\nf0 = 0.1 0.2 -0.3 0.999\n"
+                       "[chain]\npairs = 4\natoms = 8\ntol = 1e-6\n")
+        out = tmp_path / "o"
+        assert main(["chain", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["max_abs_error"] > report["tolerance"]
+        assert report["max_scaled_error"] <= report["tolerance"] < report["max_abs_error"]
+        assert report["max_scale"] > 1e3
+
     def test_non_convergence_exits_4(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         text = small_model_block().replace("kind = propagate", "kind = solve")
@@ -253,7 +267,8 @@ class TestShippedConfigs:
                      "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["max_abs_error"] <= 1e-6
-        assert (out / "chain.csv").exists()
+        assert report["max_scaled_error"] <= report["max_abs_error"]
+        assert (out / "chain.csv").read_text().startswith("law,entry,abs_error,scale\n")
 
     @pytest.mark.parametrize("entry", [f.name for f in fields(HatTable)])
     def test_chain_config_catches_a_sign_flip(self, tmp_path, monkeypatch, entry):

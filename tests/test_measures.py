@@ -65,6 +65,17 @@ class TestFlowDistance:
         assert _quantile_dist(a, np.array([2.0, 0.0, 1.0])) == 0.0
         assert _quantile_dist(a, np.array([0.0, 1.0, 2.5])) > 0.0
 
+    def test_rows_equal_one_cloud_distances(self):
+        # The Picard residual takes all levels at once; each row must equal
+        # the distance of that row's pair of clouds alone, bit for bit.
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=(2, 3, 20, 16))
+        rows = _quantile_dist(a, b)
+        assert rows.shape == (3, 20)
+        for r in np.ndindex(3, 20):
+            assert rows[r] == _quantile_dist(a[r], b[r])
+            assert rows[r] == np.sqrt(np.mean((np.sort(a[r]) - np.sort(b[r])) ** 2))
+
 
 class TestQuantileClouds:
     def test_gaussian_cloud_moments(self):

@@ -28,11 +28,11 @@ class TerminalAccess:
         self.terminal = terminal
         self.xs = np.linspace(-8.0, 8.0, 321) if xs is None else xs
 
-    def field(self, t, x):
+    def field(self, t, clouds):
         class _Model:
             g = self.terminal
 
-        return terminal_field(_Model, x, self.xs, t)
+        return [terminal_field(_Model, x, self.xs, t) for x in clouds]
 
 
 class TestMonLLTerminal:
@@ -40,27 +40,26 @@ class TestMonLLTerminal:
         # g = a x^2 / 2 + b x E[xi]: the form equals b * mean(eta)^2.
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=1.0))
         mu = cloud([0.4, -0.3, 1.1, 0.2])
-        assert mon_ll(access, 1.0, mu, np.ones(4)) == pytest.approx(1.0, abs=1e-6)
+        assert mon_ll(access, 1.0, mu, np.ones((1, 4))) == pytest.approx([1.0], abs=1e-6)
 
     def test_mean_free_direction_vanishes(self):
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=1.0))
         mu = cloud([0.4, -0.3, 1.1, 0.2])
         eta = np.array([1.0, -1.0, 0.5, -0.5])
-        assert mon_ll(access, 1.0, mu, eta - eta.mean()) == pytest.approx(0.0, abs=1e-8)
+        assert mon_ll(access, 1.0, mu, (eta - eta.mean())[None, :]) == pytest.approx([0.0], abs=1e-8)
 
     def test_quadratic_scaling_in_eta(self):
         access = TerminalAccess(QuadraticTerminalCost(xm=0.7))
         mu = cloud([0.0, 0.5, -0.5, 1.0])
         eta = np.array([1.0, 0.4, -0.2, 0.8])
-        base = mon_ll(access, 1.0, mu, eta)
-        scaled = mon_ll(access, 1.0, mu, 3.0 * eta)
+        base, scaled = mon_ll(access, 1.0, mu, np.array([eta, 3.0 * eta]))
         assert scaled == pytest.approx(9.0 * base, rel=2e-4, abs=2e-6)
 
     def test_direction_mismatch_rejected(self):
         access = TerminalAccess(QuadraticTerminalCost(xm=1.0))
         mu = cloud([0.0, 1.0])
         with pytest.raises(CalculusError, match="direction"):
-            mon_ll(access, 1.0, mu, np.ones(3))
+            mon_ll(access, 1.0, mu, np.ones((1, 3)))
 
 
 class TestMonDispTerminal:
@@ -69,30 +68,31 @@ class TestMonDispTerminal:
         access = TerminalAccess(QuadraticTerminalCost(xx=-1.0))
         mu = cloud([0.3, -0.2, 0.9, 0.0])
         eta = np.array([0.5, -1.0, 0.25, 0.75])
-        value = mon_disp(access, 1.0, mu, eta, lam=1.0)
+        (value,) = mon_disp(access, 1.0, mu, eta[None, :], lam=1.0)
         assert value == pytest.approx(0.0, abs=1e-7)
 
     def test_marginal_displacement_monotone(self):
         # a = 1, b = -1, eta = 1, lambda = 0: b mean(eta)^2 + a mean(eta^2) = 0.
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=-1.0))
         mu = cloud([0.1, 0.6, -0.4, 0.2])
-        value = mon_disp(access, 1.0, mu, np.ones(4), lam=0.0)
+        (value,) = mon_disp(access, 1.0, mu, np.ones((1, 4)), lam=0.0)
         assert value == pytest.approx(0.0, abs=1e-6)
 
     def test_additive_in_lambda_exactly(self):
         access = TerminalAccess(QuadraticTerminalCost(xx=0.5, xm=0.2))
         mu = cloud([0.0, 1.0, -1.0, 0.5])
         eta = np.array([1.0, -0.5, 0.25, 0.0])
-        v0 = mon_disp(access, 1.0, mu, eta, lam=0.0)
+        (v0,) = mon_disp(access, 1.0, mu, eta[None, :], lam=0.0)
         for lam in (0.5, 1.0, 2.0):
             expected = v0 + lam * np.mean(eta**2)
-            assert mon_disp(access, 1.0, mu, eta, lam) == pytest.approx(expected, abs=1e-12)
+            (value,) = mon_disp(access, 1.0, mu, eta[None, :], lam)
+            assert value == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative_lambda_required(self):
         access = TerminalAccess(QuadraticTerminalCost())
         mu = cloud([0.0, 1.0])
         with pytest.raises(MonotonicityError):
-            mon_disp(access, 1.0, mu, np.ones(2), lam=-0.1)
+            mon_disp(access, 1.0, mu, np.ones((1, 2)), lam=-0.1)
 
 
 class TestMonAntiTerminal:
@@ -102,20 +102,20 @@ class TestMonAntiTerminal:
         access = TerminalAccess(QuadraticTerminalCost(xx=-0.5))
         mu = cloud([0.2, -0.7, 0.5, 1.0])
         eta = np.array([1.0, 0.5, -0.5, 2.0])
-        value = mon_anti(access, 1.0, mu, eta, LambdaVec(1, 0, 1, 0))
+        (value,) = mon_anti(access, 1.0, mu, eta[None, :], LambdaVec(1, 0, 1, 0))
         assert value == pytest.approx(-0.25 * np.mean(eta**2), abs=1e-6)
 
     def test_zero_direction(self):
         access = TerminalAccess(QuadraticTerminalCost(xx=-0.5, xm=0.3))
         mu = cloud([0.0, 1.0, 2.0])
-        value = mon_anti(access, 1.0, mu, np.zeros(3), LambdaVec(1, 1, 1, 0))
+        (value,) = mon_anti(access, 1.0, mu, np.zeros((1, 3)), LambdaVec(1, 1, 1, 0))
         assert value == 0.0
 
     def test_large_l3_dominates(self):
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=0.5))
         mu = cloud([0.3, -0.3, 0.8])
         eta = np.array([1.0, 1.0, -0.5])
-        value = mon_anti(access, 1.0, mu, eta, LambdaVec(1, 1, 1, 50))
+        (value,) = mon_anti(access, 1.0, mu, eta[None, :], LambdaVec(1, 1, 1, 50))
         assert value < 0.0
 
     def test_lambda_vec_validation(self):
@@ -133,8 +133,7 @@ def mon_ll_difference_form(access, t, cloud1, cloud2):
     V(t, x1_i, mu1) + V(t, x2_i, mu2) - V(t, x1_i, mu2) - V(t, x2_i, mu1),
     a cross-check of mon_ll that needs no measure differencing.
     """
-    f1 = access.field(t, cloud1)
-    f2 = access.field(t, cloud2)
+    f1, f2 = access.field(t, np.array([cloud1, cloud2]))
 
     def v(fld, x):
         return np.interp(x, fld.xs, fld.u[0])
@@ -166,7 +165,7 @@ class TestDifferenceForm:
         eps = 0.05
         mu2 = mu1 + eps * eta
         diff = mon_ll_difference_form(access, 1.0, mu1, mu2)
-        perturbative = mon_ll(access, 1.0, mu1, eta)
+        (perturbative,) = mon_ll(access, 1.0, mu1, eta[None, :])
         assert diff == pytest.approx(eps**2 * perturbative, rel=0.2, abs=1e-9)
 
 

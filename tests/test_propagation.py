@@ -9,7 +9,7 @@ from mfgclab.monotonicity import LambdaVec, direction_battery
 from mfgclab.propagation import (
     GateError,
     PropagationConfig,
-    build_trace,
+    build_traces,
     evaluate_rhs_formulas,
     formula_match_violations,
     model_gate,
@@ -60,7 +60,7 @@ def ll_setup(t_end=0.25, n_x=81, c2=0.05, terminal=None, seed=7):
 class TestSimulateVariational:
     def test_zero_direction_gives_zero_everything(self):
         model, grid, flow, access = ll_setup()
-        states = simulate_variational(model, flow, np.zeros(N), access)
+        states = simulate_variational(model, flow, np.zeros((1, N)), access)
         for s in states:
             assert np.all(s.delta_x == 0.0)
             assert np.all(s.gamma == 0.0)
@@ -70,7 +70,7 @@ class TestSimulateVariational:
         # dX' = Hpp * Vxx * dX = -2 P(t) dX with the backward Riccati P.
         model, grid, flow, access = lq_setup
         eta = np.ones(N)
-        states = simulate_variational(model, flow, eta, access)
+        states = simulate_variational(model, flow, eta[None, :], access)
         t_end = grid.t_end
         sol = solve_ivp(lambda s, y: [-2.0 * y[0] ** 2, 2.0 * y[0] * y[1]],
                         (0.0, t_end), [0.5, 1.0], rtol=1e-12, atol=1e-14,
@@ -80,14 +80,14 @@ class TestSimulateVariational:
         worst = 0.0
         for s in states:
             oracle = eta * (1.0 + t_end - s.t) / (1.0 + t_end)
-            worst = max(worst, float(np.max(np.abs(s.delta_x - oracle))))
+            worst = max(worst, float(np.max(np.abs(s.delta_x[0] - oracle))))
         assert worst <= grid.dt  # first-order-in-time trace
 
     def test_pathwise_linearity_exact(self):
         model, grid, flow, access = ll_setup()
         eta = np.linspace(-1.0, 1.0, N)
-        s1 = simulate_variational(model, flow, eta, access)
-        s2 = simulate_variational(model, flow, 2.0 * eta, access)
+        s1 = simulate_variational(model, flow, eta[None, :], access)
+        s2 = simulate_variational(model, flow, 2.0 * eta[None, :], access)
         for a, b in zip(s1, s2):
             assert np.allclose(2.0 * a.delta_x, b.delta_x, atol=1e-9)
 
@@ -96,41 +96,61 @@ class TestSimulateVariational:
         # +eta trace, in the other order, so it needs no new re-solve.
         model, grid, flow, access = ll_setup()
         eta = direction_battery(flow.states[0], 1)[0]
-        simulate_variational(model, flow, eta, access)
+        simulate_variational(model, flow, eta[None, :], access)
         cached = len(access._cache)
         assert cached > 0
-        simulate_variational(model, flow, -eta, access)
+        simulate_variational(model, flow, -eta[None, :], access)
         assert len(access._cache) == cached
+
+    def test_battery_equals_one_direction_runs(self):
+        # Rows of a batched run are independent: each equals its own run on a
+        # fresh access, bit for bit, traces included.
+        model, grid, flow, access = ll_setup()
+        etas = np.array(direction_battery(flow.states[0], 3))
+        batched = simulate_variational(model, flow, etas, access)
+        traces = build_traces(model, flow, etas, access, lvec=LambdaVec(0.5, 1.0, 2.0, 3.0))
+        for b, eta in enumerate(etas):
+            fresh = ValueAccess(model, flow)
+            single = simulate_variational(model, flow, eta[None, :], fresh)
+            for s_all, s_one in zip(batched, single):
+                for name in ("delta_x", "gamma", "upsilon"):
+                    assert np.array_equal(getattr(s_all, name)[b], getattr(s_one, name)[0])
+            (trace,) = build_traces(model, flow, eta[None, :], fresh,
+                                    lvec=LambdaVec(0.5, 1.0, 2.0, 3.0))
+            assert traces[b].direction == b
+            assert traces[b].rows() == [dict(row, direction=b) for row in trace.rows()]
 
     def test_direction_of_another_size_rejected(self):
         model, grid, flow, access = ll_setup()
         with pytest.raises(GateError, match="particles"):
-            simulate_variational(model, flow, np.ones(N + 1), access)
+            simulate_variational(model, flow, np.ones((1, N + 1)), access)
+        with pytest.raises(GateError, match="particles"):
+            simulate_variational(model, flow, np.ones(N), access)
 
 
 class TestRhsFormulas:
     def test_zero_direction_rhs_all_zero(self):
         model, grid, flow, access = ll_setup()
-        states = simulate_variational(model, flow, np.zeros(N), access)
+        states = simulate_variational(model, flow, np.zeros((1, N)), access)
         out = evaluate_rhs_formulas(model, states[0], lam=1.0)
-        assert out["dtI_rhs"] == 0.0
-        assert out["dtIbar_rhs"] == 0.0
-        assert out["d_deltaX2_rhs"] == 0.0
-        assert out["cd_disp_rhs"] == 0.0
+        assert out["dtI_rhs"].tolist() == [0.0]
+        assert out["dtIbar_rhs"].tolist() == [0.0]
+        assert out["d_deltaX2_rhs"].tolist() == [0.0]
+        assert out["cd_disp_rhs"].tolist() == [0.0]
 
     def test_uncoupled_reduction_of_curvature_pairing(self, lq_setup):
         # No measure coupling: Upsilon = 0 and the curvature-pairing derivative
         # collapses to -E[gamma^2] - Hxx E[dX^2] with Hpp = -1, Hxx = 0.
         model, grid, flow, access = lq_setup
-        states = simulate_variational(model, flow, np.ones(N), access)
+        states = simulate_variational(model, flow, np.ones((1, N)), access)
         for s in states[:: max(1, len(states) // 6)]:
             assert np.max(np.abs(s.upsilon)) <= 1e-10
-            out = evaluate_rhs_formulas(model, s)
-            assert out["dtIbar_rhs"] == pytest.approx(-float(np.mean(s.gamma**2)), abs=1e-12)
+            (dt_ibar,) = evaluate_rhs_formulas(model, s)["dtIbar_rhs"]
+            assert dt_ibar == pytest.approx(-float(np.mean(s.gamma**2)), abs=1e-12)
 
     def test_formula_equality_along_coupled_trace(self):
         model, grid, flow, access = ll_setup()
-        trace = build_trace(model, flow, np.ones(N), access)
+        (trace,) = build_traces(model, flow, np.ones((1, N)), access)
         assert formula_match_violations(trace) == []
         slope = trace.slope(trace.i_vals)
         gap = np.abs(slope[1:-1] - trace.dt_i_rhs[1:-1])
@@ -145,7 +165,7 @@ class TestRhsFormulas:
         ll_model, _, ll_flow, ll_access = ll_setup()
         for model, flow, access in ((model, flow, ValueAccess(model, flow)),
                                     (ll_model, ll_flow, ll_access)):
-            trace = build_trace(model, flow, np.ones(N), access, lam=0.0)
+            (trace,) = build_traces(model, flow, np.ones((1, N)), access, lam=0.0)
             slope = trace.slope(trace.i_vals + trace.ibar_vals)
             gap = np.abs(slope[1:-1] - trace.cd_disp_rhs[1:-1])
             ref = np.maximum(np.abs(slope[1:-1]), np.abs(trace.cd_disp_rhs[1:-1]))
@@ -155,13 +175,13 @@ class TestRhsFormulas:
     def test_xi_bookkeeping_identity(self):
         model, grid, flow, access = ll_setup()
         lv = LambdaVec(0.5, 1.0, 2.0, 3.0)
-        trace = build_trace(model, flow, np.ones(N), access, lvec=lv)
-        states = simulate_variational(model, flow, np.ones(N), access)
+        (trace,) = build_traces(model, flow, np.ones((1, N)), access, lvec=lv)
+        states = simulate_variational(model, flow, np.ones((1, N)), access)
         for k, s in enumerate(states):
-            expected = (lv.l0 * np.mean(s.gamma * s.delta_x)
-                        + lv.l1 * np.mean(s.upsilon * s.delta_x)
-                        + np.mean(s.gamma**2) + lv.l2 * np.mean(s.upsilon**2)
-                        - lv.l3 * np.mean(s.delta_x**2))
+            (dx,), (gamma,), (upsilon,) = s.delta_x, s.gamma, s.upsilon
+            expected = (lv.l0 * np.mean(gamma * dx) + lv.l1 * np.mean(upsilon * dx)
+                        + np.mean(gamma**2) + lv.l2 * np.mean(upsilon**2)
+                        - lv.l3 * np.mean(dx**2))
             assert trace.xi_vals[k] == pytest.approx(expected, abs=1e-14)
 
 

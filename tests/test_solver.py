@@ -10,6 +10,8 @@ from mfgclab.solver import (
     PicardSettings,
     SolverError,
     ValueAccess,
+    _interp_rows,
+    _sweep,
     best_response_gap,
     solve_mfgc,
     terminal_field,
@@ -185,7 +187,7 @@ class TestValueAt:
         flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid, pic, seed=7)
         access = ValueAccess(model, flow)
         k = grid.n_t // 2
-        vf = access.field(grid.ts[k], flow.states[k])
+        (vf,) = access.field(grid.ts[k], flow.states[k][None, :])
         window = np.abs(grid.xs) <= 3.0
         gap = np.max(np.abs(vf.u[0][window] - flow.value_field.u[k][window]))
         assert gap <= 1e-6
@@ -216,18 +218,75 @@ class TestValueAccess:
         # A view of the re-solve's grid would keep every full grid alive.
         k = self.grid.n_t // 3
         mu = self.flow.states[k] + 1e-3
-        vf = self.access.field(self.grid.ts[k], mu)
+        (vf,) = self.access.field(self.grid.ts[k], mu[None, :])
         assert vf.u.shape == (1, self.grid.n_x)
         assert vf.u.base is None
-        assert self.access.field(self.grid.ts[k], mu) is vf
+        assert self.access.field(self.grid.ts[k], mu[None, :])[0] is vf
+
+    def test_batched_request_equals_one_cloud_requests(self):
+        k = self.grid.n_t // 4
+        base = self.flow.states[k]
+        clouds = np.array([base + 1e-3, base - 2e-3 * base, base[::-1].copy()])
+        batched = self.access.field(self.grid.ts[k], clouds)
+        assert len(batched) == 3
+        for x, vf in zip(clouds, batched):
+            (single,) = ValueAccess(self.model, self.flow).field(self.grid.ts[k], x[None, :])
+            assert np.array_equal(vf.u, single.u)
+            assert np.array_equal(vf.ts, single.ts)
+
+    def test_repeated_cloud_is_one_cache_entry(self):
+        k = self.grid.n_t // 2
+        mu = self.flow.states[k] + 1e-3
+        other = self.flow.states[k] - 1e-3
+        first, second, third = self.access.field(self.grid.ts[k], np.array([mu, other, mu]))
+        assert first is third and first is not second
+        assert len(self.access._cache) == 2
+        self.access.field(self.grid.ts[k], np.array([other, mu]))
+        assert len(self.access._cache) == 2
+
+    def test_terminal_request_is_the_terminal_slice(self):
+        mu = self.flow.states[-1] + 0.1
+        fields = self.access.field(T, np.array([mu, self.flow.states[-1]]))
+        for x, vf in zip((mu, self.flow.states[-1]), fields):
+            assert np.array_equal(vf.u[0], self.model.g(self.grid.xs, x))
 
     def test_cloud_of_another_size_rejected(self):
         with pytest.raises(SolverError, match="particles"):
-            self.access.field(0.0, gaussian_quantile_cloud(8, 0.0, 1.0))
+            self.access.field(0.0, gaussian_quantile_cloud(8, 0.0, 1.0)[None, :])
+        with pytest.raises(SolverError, match="particles"):
+            self.access.field(0.0, self.flow.states[0])
 
     def test_time_outside_horizon_rejected(self):
         with pytest.raises(SolverError, match="horizon"):
-            self.access.field(2 * T, self.flow.states[0])
+            self.access.field(2 * T, self.flow.states[0][None, :])
+
+
+class TestBatchedSweep:
+    def test_each_row_equals_its_unbatched_sweep(self):
+        model = coupled_model()
+        grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, T)
+        flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid,
+                          PicardSettings(max_iter=120, tol=1e-9, damping=0.6), seed=7)
+        rng = np.random.default_rng(3)
+        x0 = flow.states[0] + 0.05 * rng.standard_normal((4, 16))
+        states = flow.states + (x0 - flow.states[0])[:, None, :]
+        momenta = flow.momenta + 0.01 * rng.standard_normal((4,) + flow.momenta.shape)
+        args = (grid.xs, grid.dx, grid.dt, flow.brownian)
+        batched = _sweep(model, x0, *args, states, momenta)
+        for b in range(4):
+            single = _sweep(model, x0[b], *args, states[b], momenta[b])
+            for got, want in zip(batched, single):
+                assert np.array_equal(got[b], want)
+
+    def test_row_interpolation_is_np_interp(self):
+        xs = np.linspace(-6.0, 6.0, 61)
+        rng = np.random.default_rng(9)
+        fp = rng.standard_normal((2, 5, 61))
+        x = rng.uniform(-6.0, 6.0, (2, 5, 16))
+        x[0, 0, :4] = (xs[0], xs[-1], xs[30], xs[-2])
+        got = _interp_rows(x, xs, fp)
+        for r in np.ndindex(2, 5):
+            assert np.array_equal(got[r], np.interp(x[r], xs, fp[r]))
 
 
 class TestBestResponseGap:
