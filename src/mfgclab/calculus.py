@@ -3,9 +3,9 @@
 The chain-rule check of the reduced Hamiltonian Hhat(x, p, rho) =
 H(x, p, Phi(rho)) against central differences, and the one directional
 measure derivative of the value-function gradient that the monotonicity
-functionals consume.  Measure derivatives are Lions derivatives of a
-uniform cloud, approximated by displacing one atom: N times the partial
-derivative in that atom.
+functionals consume, taken in forward mode by the value access.  Measure
+derivatives are Lions derivatives of a uniform cloud: N times the partial
+derivative in one atom.
 """
 from __future__ import annotations
 
@@ -87,35 +87,23 @@ def chain_rule_check(model: Model, x, p) -> tuple:
     return errors, max(1.0, float(np.max(np.abs(base))))
 
 
-def value_measure_gradient(access, t: float, x: np.ndarray, etas,
-                           fd_eps: float = 1e-3) -> np.ndarray:
+def value_measure_gradient(access, t: float, x: np.ndarray, etas) -> np.ndarray:
     """Directional measure derivatives of the value gradient at the atoms x,
     one row per direction of the (B, N) stack etas.
 
-    ``access.field(t, clouds)`` must return, for a (B', N) stack of clouds,
-    B' ``ValueField``s whose first slice is V(t, ., mu) for the uniform cloud
-    mu of each row.  Each direction eta is aligned with x; the cloud is
-    displaced to x +/- eps * eta, with eps = fd_eps / rms(eta), and the
-    central difference of dV/dx approximates D_i = (1/N) sum_j
-    d_x d_mu V(t, x_i, mu, x_j) eta_j at every atom x_i.  The displaced clouds
-    of all directions go to ``access`` as one request; zero directions give
-    zero rows and add no cloud to it.
+    Row b is D_i = (1/N) sum_j d_x d_mu V(t, x_i, mu, x_j) eta_j at every
+    atom x_i, for the uniform cloud mu of x.  ``access.tangent(t, x, etas)``
+    computes it for the whole stack in one forward-mode pass of the value
+    re-solve (``solver.ValueAccess.tangent``); a stack of zero directions is
+    not passed on.
     """
     etas = np.asarray(etas, dtype=float)
     if etas.ndim != 2 or etas.shape[1:] != x.shape:
         raise CalculusError(f"direction stack of shape {etas.shape} does not match "
                             f"cloud {x.shape}")
-    out = np.zeros(etas.shape)
-    scale = np.sqrt(np.mean(etas**2, axis=-1))
-    live = np.flatnonzero(scale != 0.0)
-    if live.size == 0:
-        return out
-    eps = fd_eps / scale[live]
-    steps = eps[:, None] * etas[live]
-    fields = access.field(t, np.concatenate([x + steps, x - steps]))
-    for i, row in enumerate(live):
-        plus, minus = fields[i], fields[live.size + i]
-        out[row] = (plus.ux_at(0, x) - minus.ux_at(0, x)) / (2.0 * eps[i])
+    if not np.any(etas):
+        return np.zeros(etas.shape)
+    out = access.tangent(t, x, etas)
     if not np.all(np.isfinite(out)):
-        raise CalculusError("perturbed value solves produced non-finite gradients")
+        raise CalculusError("the value gradient's tangent is not finite")
     return out

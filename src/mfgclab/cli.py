@@ -191,9 +191,10 @@ def run_mono(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     report = monotonicity_sweep(
         flow, access, prop.kind, lam=prop.lam, lvec=prop.lvec,
         slices=cfg.slices(),
-        battery_size=prop.n_directions, fd_eps=prop.fd_eps,
-        tolerance=tol, seed=seed,
+        battery_size=prop.n_directions, tolerance=tol, seed=seed,
     )
+    # The configured fd_eps enters the tolerance, so the report records it.
+    report.metadata["fd_eps"] = prop.fd_eps
     samples_path = out_dir / "samples.csv"
     with open(samples_path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=["t", "level", "direction", "value"])

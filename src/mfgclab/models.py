@@ -123,6 +123,10 @@ class QuadraticTerminalCost:
         m1 = atoms[..., None, :] @ np.full(atoms.shape[-1], 1.0 / atoms.shape[-1])
         return 0.5 * self.xx * xv**2 + self.xm * xv * m1 + self.x_lin * xv + self.m2 * m1 * m1
 
+    def d_m1(self, x, m1):
+        """dg/dE_mu[xi] at the points x, for a cloud of mean m1."""
+        return self.xm * np.asarray(x, dtype=float) + 2.0 * self.m2 * m1
+
 
 @dataclass(frozen=True)
 class HatTable:
@@ -229,6 +233,54 @@ def hamiltonian_dp(model: Model, x, p, means: tuple):
     the means (m1, m2) of nu."""
     a0, b0, c = drift_terms(model, x, means)
     return -b0 * (a0 + p * b0) + c
+
+
+@dataclass(frozen=True)
+class HamiltonianPartials:
+    """First partial derivatives of H and of H_p at points (x, p) and means
+    (m1, m2), broadcast against each other."""
+
+    h_p: np.ndarray
+    h_m1: np.ndarray
+    h_m2: np.ndarray
+    hp_x: np.ndarray
+    hp_p: np.ndarray
+    hp_m1: np.ndarray
+    hp_m2: np.ndarray
+
+
+def hamiltonian_partials(model: Model, x, p, m1, m2) -> HamiltonianPartials:
+    """H_p, dH/dm1, dH/dm2 and the partials of H_p in x, p, m1 and m2.
+
+    With (A, B0, C) the ``drift_terms`` and a* = A + p B0: H = -a*^2/2 + p C
+    + f1_x(x) + x (q1 m1 + q2 m2) and H_p = -B0 a* + C, where A moves with
+    (x, m1, m2) by (f0x, f0mu, f0m), B0 with (x, m1) by (b0x, b0m) and C
+    with (x, m1, m2) by (b1_x'(x), dB/dm1, dB/dm2).
+    """
+    _, b0x, b0m = model.b0
+    _, f0x, f0mu, f0m = model.f0
+    a0, b0, c = drift_terms(model, x, mean_terms(model, m1, m2))
+    a = a0 + p * b0
+    a_m1 = f0mu + p * b0m
+    big_b_m1, big_b_m2 = model.B.d_m1(m1, m2), model.B.d_m2(m1, m2)
+    return HamiltonianPartials(
+        h_p=-b0 * a + c,
+        h_m1=-a * a_m1 + p * big_b_m1 + x * model.q1,
+        h_m2=-a * f0m + p * big_b_m2 + x * model.q2,
+        hp_x=-b0x * a - b0 * (f0x + p * b0x) + _poly(_der(model.b1_x), x),
+        hp_p=-b0 * b0,
+        hp_m1=-b0m * a - b0 * a_m1 + big_b_m1,
+        hp_m2=-b0 * f0m + big_b_m2,
+    )
+
+
+def control_mean_tangent(model: Model, m1, e, dm1, de, ds):
+    """Tangent of the fixed-point control mean m2* of ``_means`` at the state
+    and momentum means (m1, e), along the tangents dm1, de and ds of m1, e
+    and s = E[x p]."""
+    b0c, b0x, b0m = model.b0
+    _, f0x, f0mu, f0m = model.f0
+    return ((f0x + f0mu + b0m * e) * dm1 + (b0c + b0m * m1) * de + b0x * ds) / (1.0 - f0m)
 
 
 def _means(model: Model, x: np.ndarray, p: np.ndarray):

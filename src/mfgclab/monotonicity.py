@@ -5,14 +5,14 @@ the displacement lambda-form, and the anti-monotone form — are evaluated on
 V(t, ., mu) for sampled time slices and direction batteries.  The law mu of
 xi is the uniform cloud of the 1-D atom array x, and eta = eta(xi) is a 1-D
 array aligned with it; the functionals take a (B, N) stack of directions and
-return one value per direction.  Access to V is an object with a
-``field(t, clouds) -> list[ValueField]`` method that maps a (B, N) stack of
-clouds at one time to B fields whose first slice is V(t, ., mu) for each
-row: ``solver.ValueAccess`` re-solves from a converged flow, and a fixed
-terminal cost or an analytic stand-in serves as well.  The measure
-derivative of the value gradient is the central difference of two such
-fields at directionally displaced clouds (``value_measure_gradient``), and
-the displaced clouds of all directions of one time go in one request.
+return one value per direction.  Access to V is an object with two
+methods: ``tangent(t, x, etas)`` returns the (B, N) directional measure
+derivatives of the value gradient at the atoms x for the (B, N) stack of
+directions (``value_measure_gradient``), and ``field(t, clouds)`` maps a
+(B, N) stack of clouds at one time to B fields whose first slice is
+V(t, ., mu) for each row, read for V_xx of the undisplaced cloud only.
+``solver.ValueAccess`` provides both from a converged flow, and a fixed
+terminal cost serves as well.
 """
 from __future__ import annotations
 
@@ -46,32 +46,31 @@ class LambdaVec:
             )
 
 
-def mon_ll(access, t: float, x: np.ndarray, etas: np.ndarray,
-           fd_eps: float = 1e-3) -> np.ndarray:
+def mon_ll(access, t: float, x: np.ndarray, etas: np.ndarray) -> np.ndarray:
     """Lasry-Lions form of each direction eta of the (B, N) stack: the
     empirical mean of <eta_i, D_i>, where
     D_i = (1/N) sum_j d_x d_mu V(t, x_i, mu, x_j) eta_j."""
-    d_vals = value_measure_gradient(access, t, x, etas, fd_eps)
+    d_vals = value_measure_gradient(access, t, x, etas)
     return np.mean(etas * d_vals, axis=-1)
 
 
 def mon_disp(access, t: float, x: np.ndarray, etas: np.ndarray,
-             lam: float, fd_eps: float = 1e-3) -> np.ndarray:
+             lam: float) -> np.ndarray:
     """Displacement lambda-form of each direction: Lasry-Lions term plus
     <Vxx eta, eta> + lam |eta|^2."""
     if lam < 0:
         raise MonotonicityError("displacement parameter lambda must be nonnegative")
     vxx = access.field(t, x[None, :])[0].uxx_at(0, x)
-    ll_term = mon_ll(access, t, x, etas, fd_eps)
+    ll_term = mon_ll(access, t, x, etas)
     return ll_term + np.mean(vxx * etas**2, axis=-1) + lam * np.mean(etas**2, axis=-1)
 
 
 def mon_anti(access, t: float, x: np.ndarray, etas: np.ndarray,
-             lvec: LambdaVec, fd_eps: float = 1e-3) -> np.ndarray:
+             lvec: LambdaVec) -> np.ndarray:
     """Anti-monotone form of each direction; the verdict direction is
     value <= tolerance."""
     vxx = access.field(t, x[None, :])[0].uxx_at(0, x)
-    d_vals = value_measure_gradient(access, t, x, etas, fd_eps)
+    d_vals = value_measure_gradient(access, t, x, etas)
     return np.mean(
         lvec.l0 * vxx * etas**2
         + lvec.l1 * d_vals * etas
@@ -130,20 +129,19 @@ def tolerance_scale(dt: float, dx: float, n_particles: int, fd_eps: float,
 
 
 def mon_value(kind: str, access, t: float, x: np.ndarray, etas: np.ndarray,
-              fd_eps: float, lam: float = 0.0, lvec: LambdaVec | None = None) -> np.ndarray:
+              lam: float = 0.0, lvec: LambdaVec | None = None) -> np.ndarray:
     """The functional of one kind ("ll", "disp" or "anti") at time t, one
     value per direction of the (B, N) stack etas."""
     if kind == "ll":
-        return mon_ll(access, t, x, etas, fd_eps)
+        return mon_ll(access, t, x, etas)
     if kind == "disp":
-        return mon_disp(access, t, x, etas, lam, fd_eps)
-    return mon_anti(access, t, x, etas, lvec, fd_eps)
+        return mon_disp(access, t, x, etas, lam)
+    return mon_anti(access, t, x, etas, lvec)
 
 
 def monotonicity_sweep(flow, access, kind: str, lam: float = 0.0,
                        lvec: LambdaVec | None = None, slices: int = 5,
-                       battery_size: int = 12, fd_eps: float = 1e-3,
-                       tolerance: float = 1e-6, seed: int = 0) -> MonotonicityReport:
+                       battery_size: int = 12, tolerance: float = 1e-6, seed: int = 0) -> MonotonicityReport:
     """Evaluate one functional over time slices x direction battery.
 
     Slice times are grid levels of the converged flow, with the flow's own
@@ -161,7 +159,7 @@ def monotonicity_sweep(flow, access, kind: str, lam: float = 0.0,
     for k in sorted(set(levels)):
         t, x_k = float(grid.ts[k]), flow.states[k]
         etas = np.array(direction_battery(x_k, battery_size, seed))
-        values = mon_value(kind, access, t, x_k, etas, fd_eps, lam, lvec)
+        values = mon_value(kind, access, t, x_k, etas, lam, lvec)
         samples += [{"t": t, "level": k, "direction": d_idx, "value": float(value)}
                     for d_idx, value in enumerate(values)]
     values = np.array([s["value"] for s in samples])
@@ -180,7 +178,6 @@ def monotonicity_sweep(flow, access, kind: str, lam: float = 0.0,
             "lambda_vec": None if lvec is None else [lvec.l0, lvec.l1, lvec.l2, lvec.l3],
             "slices": slices,
             "battery_size": battery_size,
-            "fd_eps": fd_eps,
             "seed": seed,
         },
     )

@@ -117,16 +117,16 @@ def traces_to_csv(path, traces: list) -> None:
 
 
 def simulate_variational(model: Model, flow: EquilibriumFlow, etas: np.ndarray,
-                         access: ValueAccess, fd_eps: float = 1e-3) -> list:
+                         access: ValueAccess) -> list:
     """Euler trace of the first-variation system along the converged flow.
 
     The initial sensitivities dX(0) = eta are the rows of the (B, N) stack
     etas, each aligned with the initial particle states, and the whole
     battery steps as one (B, N) array.  The equilibrium states are reused as
     simulated (they already carry the flow's Brownian increments); dX follows
-    its linear dynamics with the curvature and measure-derivative fields
-    recomputed from the value grid and directional re-solves at every step,
-    all directions of a level in one request to ``access``.
+    its linear dynamics with the curvature field recomputed from the value
+    grid and the measure-derivative field from the value gradient's tangent
+    at every step, all directions of a level in one request to ``access``.
     """
     grid = flow.grid
     delta = np.array(etas, dtype=float)
@@ -140,10 +140,7 @@ def simulate_variational(model: Model, flow: EquilibriumFlow, etas: np.ndarray,
         x_k = flow.states[k]
         vxx = flow.value_field.uxx_at(k, x_k)
         gamma = vxx * delta
-        # Directions that have died out are not re-solved: eps = fd_eps / rms
-        # would push their clouds off the grid.
-        live = np.sqrt(np.mean(delta**2, axis=-1)) >= 1e-14
-        upsilon = value_measure_gradient(access, t_k, x_k, delta * live[:, None], fd_eps)
+        upsilon = value_measure_gradient(access, t_k, x_k, delta)
         table = hat_derivative_table(model, x_k, flow.momenta[k])
         out.append(VariationalState(
             t=t_k, level=k, x=x_k, p=flow.momenta[k], delta_x=delta.copy(),
@@ -178,11 +175,11 @@ def evaluate_rhs_formulas(model: Model, state: VariationalState,
 
 
 def build_traces(model: Model, flow: EquilibriumFlow, etas: np.ndarray,
-                 access: ValueAccess, fd_eps: float = 1e-3, lam: float = 0.0,
+                 access: ValueAccess, lam: float = 0.0,
                  lvec: LambdaVec | None = None) -> list:
     """One ``PropagationTrace`` per direction of the (B, N) stack etas, in
     row order, from one batched variational run."""
-    states = simulate_variational(model, flow, etas, access, fd_eps)
+    states = simulate_variational(model, flow, etas, access)
     dx = np.stack([s.delta_x for s in states], axis=1)      # (B, levels, N)
     gamma = np.stack([s.gamma for s in states], axis=1)
     upsilon = np.stack([s.upsilon for s in states], axis=1)
@@ -295,8 +292,7 @@ def _terminal_gate(flow, access, config: PropagationConfig, tol: float) -> tuple
     t_end = grid.t_end
     x_t = flow.states[grid.n_t]
     etas = np.array(direction_battery(x_t, config.n_directions, config.seed))
-    values = mon_value(config.kind, access, t_end, x_t, etas, config.fd_eps,
-                       config.lam, config.lvec)
+    values = mon_value(config.kind, access, t_end, x_t, etas, config.lam, config.lvec)
     if config.kind == "anti":
         ok = bool(values.max() <= tol)
     else:
@@ -343,8 +339,7 @@ def propagation_experiment(model: Model, flow: EquilibriumFlow,
     formula_violations = []
     endpoint_values = []
     etas = np.array(direction_battery(flow.states[0], config.n_directions, config.seed))
-    traces = build_traces(model, flow, etas, access, fd_eps=config.fd_eps,
-                          lam=config.lam, lvec=config.lvec)
+    traces = build_traces(model, flow, etas, access, lam=config.lam, lvec=config.lvec)
     for idx, trace in enumerate(traces):
         formula_violations.extend(
             dict(v, direction=idx)

@@ -18,9 +18,13 @@ the numbers.  A sweep computes the parts of the Hamiltonian that depend on
 each level's moments once, for all levels (``models.mean_terms``), and the
 backward sweep also their x-dependent parts on the grid
 (``models.hamiltonian_terms``) before it starts.
-``solve_mfgc`` iterates the map on one flow, damped, to tolerance;
-``ValueAccess`` re-solves V(t, ., mu) for a stack of displaced clouds at once
-by a fixed number of undamped sweeps from the converged base flow.
+``solve_mfgc`` iterates the map on one flow, damped, to tolerance.
+``ValueAccess`` re-solves V(t, ., mu) for a stack of clouds at once by a
+fixed number of undamped sweeps from the converged base flow, and
+differentiates that re-solve map along displacements of the base cloud in
+forward mode: tangent-linear sweeps, linearised once around the base flow,
+give the measure derivative of the value gradient with no displaced cloud
+re-solved.
 """
 from __future__ import annotations
 
@@ -28,7 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import Model, fixed_point_phi, hamiltonian_dp, hamiltonian_terms, mean_terms
+from .models import (
+    Model,
+    control_mean_tangent,
+    fixed_point_phi,
+    hamiltonian_dp,
+    hamiltonian_partials,
+    hamiltonian_terms,
+    mean_terms,
+)
 
 CFL_SAFETY = 0.45
 RESOLVE_SWEEPS = 6
@@ -258,18 +270,21 @@ def _backward_value(model: Model, xs: np.ndarray, dx: float, dt: float,
     u[-1] = model.g(xs, terminal_atoms)
     ux = np.empty_like(u[0])
     uxx = np.empty_like(ux)
-    for k in range(u.shape[0] - 2, -1, -1):
-        row = u[k + 1]
-        _d1_rows(row, dx, out=ux)
-        _d2_rows(row, dx, out=uxx)
-        a = a0[k + 1] + ux * b0[k + 1]
-        ham = -0.5 * a**2 + ux * c[k + 1] + d1[k + 1] + d2[k + 1]
-        u[k] = row + dt * (0.5 * uxx + ham)
-        if not np.all(np.isfinite(u[k])):
-            raise SolverError(
-                f"value sweep produced non-finite values at level {k}; the "
-                "advection speed likely exceeds the explicit scheme's stability range"
-            )
+    # An unstable sweep overflows on its way to inf/nan; the check below
+    # reports it, with its level, instead of numpy's floating-point warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(u.shape[0] - 2, -1, -1):
+            row = u[k + 1]
+            _d1_rows(row, dx, out=ux)
+            _d2_rows(row, dx, out=uxx)
+            a = a0[k + 1] + ux * b0[k + 1]
+            ham = -0.5 * a**2 + ux * c[k + 1] + d1[k + 1] + d2[k + 1]
+            u[k] = row + dt * (0.5 * uxx + ham)
+            if not np.all(np.isfinite(u[k])):
+                raise SolverError(
+                    f"value sweep produced non-finite values at level {k}; the "
+                    "advection speed likely exceeds the explicit scheme's stability range"
+                )
     return np.moveaxis(u, 0, -2)
 
 
@@ -397,30 +412,124 @@ def best_response_gap(model: Model, flow: EquilibriumFlow) -> float:
     return float(np.max(np.abs(u2 - flow.value_field.u)))
 
 
+def _cell_interp(fp: np.ndarray, cell: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Linear interpolation of the grid rows fp along the last axis, inside
+    the given cells at the given fractions of their width."""
+    lo = np.take_along_axis(fp, cell, -1)
+    return lo + weight * (np.take_along_axis(fp, cell + 1, -1) - lo)
+
+
+@dataclass(frozen=True)
+class _Linearisation:
+    """Coefficients of the tangent of the fixed-sweep re-solve map at the
+    converged base flow, one row per level of the base flow.
+
+    On the grid, the backward step from level l to l - 1 maps du to
+    lower[l] du[i-1] + diag[l] du[i] + upper[l] du[i+1] + h_m1[l] dm1_l +
+    h_m2[l] dm2_l.  At the atoms, with du_x interpolated over each base
+    atom's grid cell (``cell``, ``weight``), the momentum tangent is
+    slope[l] dX + du_x and the forward step maps dX to alpha[l] dX +
+    hp_p[l] du_x + hp_m1[l] dm1_l + hp_m2[l] dm2_l, where alpha folds in the
+    slope of the base u_x.  The time step is folded into every coefficient.
+    """
+
+    lower: np.ndarray      # (levels, n_x)
+    diag: np.ndarray
+    upper: np.ndarray
+    h_m1: np.ndarray
+    h_m2: np.ndarray
+    terminal: np.ndarray   # (n_x,): dg/dm1 against the base terminal cloud
+    cell: np.ndarray       # (levels, n): left grid index of each base atom
+    weight: np.ndarray
+    slope: np.ndarray
+    alpha: np.ndarray
+    hp_p: np.ndarray
+    hp_m1: np.ndarray
+    hp_m2: np.ndarray
+    m1: np.ndarray         # (levels, 1): base state means
+    e: np.ndarray          # (levels, 1): base momentum means
+
+
+def _linearise(model: Model, flow: EquilibriumFlow) -> _Linearisation:
+    """The tangent coefficients of the re-solve map around the base flow.
+
+    The moments are those of the base flow's fixed point and the value grid
+    is one backward sweep against them: a re-solve at zero displacement stays
+    at this flow up to the Picard residual, so every sweep of it shares one
+    linearisation.
+    """
+    grid = flow.grid
+    xs, dx, dt = grid.xs, grid.dx, grid.dt
+    states, momenta = flow.states, flow.momenta
+    m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
+    u = _backward_value(model, xs, dx, dt, m1, m2, states[-1])
+    ux = _d1_rows(u, dx)
+    m1, m2 = m1[:, None], m2[:, None]
+    on_grid = hamiltonian_partials(model, xs, ux, m1, m2)
+    at_atoms = hamiltonian_partials(model, states, momenta, m1, m2)
+
+    # d/du of u + dt (u_xx / 2 + H_p u_x) with the stencils of _d2_rows and
+    # _d1_rows: central inside, u_xx = 0 and one-sided u_x at the edges.
+    hp = np.broadcast_to(on_grid.h_p, u.shape)
+    lower = dt * (0.5 / dx**2 - hp / (2.0 * dx))
+    upper = dt * (0.5 / dx**2 + hp / (2.0 * dx))
+    diag = np.full(u.shape, 1.0 - dt / dx**2)
+    lower[:, 0] = upper[:, -1] = 0.0
+    upper[:, 0] = dt * hp[:, 0] / dx
+    diag[:, 0] = 1.0 - upper[:, 0]
+    lower[:, -1] = -dt * hp[:, -1] / dx
+    diag[:, -1] = 1.0 - lower[:, -1]
+
+    cell = np.clip(np.searchsorted(xs, states, side="right") - 1, 0, xs.size - 2)
+    width = xs[cell + 1] - xs[cell]
+    slope = (np.take_along_axis(ux, cell + 1, -1) - np.take_along_axis(ux, cell, -1)) / width
+
+    # Partials that do not vary along an axis are broadcast views along it.
+    grid_shape, atom_shape = u.shape, states.shape
+    return _Linearisation(
+        lower=lower, diag=diag, upper=upper,
+        h_m1=np.broadcast_to(dt * on_grid.h_m1, grid_shape),
+        h_m2=np.broadcast_to(dt * on_grid.h_m2, grid_shape),
+        terminal=model.g.d_m1(xs, m1[-1, 0]),
+        cell=cell, weight=(states - xs[cell]) / width, slope=slope,
+        alpha=np.broadcast_to(1.0 + dt * (at_atoms.hp_x + at_atoms.hp_p * slope), atom_shape),
+        hp_p=np.broadcast_to(dt * at_atoms.hp_p, atom_shape),
+        hp_m1=np.broadcast_to(dt * at_atoms.hp_m1, atom_shape),
+        hp_m2=np.broadcast_to(dt * at_atoms.hp_m2, atom_shape),
+        m1=m1, e=momenta.mean(axis=-1, keepdims=True),
+    )
+
+
 class ValueAccess:
-    """V(t_k, ., mu) for clouds mu near a converged base flow, by re-solves.
+    """V(t_k, ., mu) near a converged base flow, by re-solves, and the
+    tangent of its gradient along displacements of the base cloud.
 
-    A cloud is the 1-D array x of its atoms, and a request is a (B, N) stack
-    of clouds at one level k.  The re-solve of a cloud starts from the base
-    flow shifted atom by atom, states = base.states[k:] + (x - base.states[k])
-    with the momenta base.momenta[k:], reuses the base flow's Brownian
-    increments and runs RESOLVE_SWEEPS undamped Picard sweeps with no
-    residual check.  Paired perturbation solves therefore share their
-    iteration error, and differences of their outputs stay smooth.  All
-    clouds of a request that are not cached are re-solved together, as the
-    leading axis of one ``_sweep``; each row equals its own one-cloud
-    re-solve.  Every cloud must be a displacement of the base cloud, so it
-    has the base flow's particle count.
+    A cloud is the 1-D array x of its atoms.  The re-solve of a cloud x at
+    level k starts from the base flow shifted atom by atom, states =
+    base.states[k:] + (x - base.states[k]) with the momenta base.momenta[k:],
+    reuses the base flow's Brownian increments and runs RESOLVE_SWEEPS
+    undamped Picard sweeps with no residual check.
 
-    Callers read only the first slice of a field, so the cache keeps a
-    one-level copy per (level, atom bytes) for the life of the object; a -eta
-    perturbation asks for exactly the clouds that +eta asked for.
+    ``tangent`` differentiates that re-solve map at x = base.states[k] in
+    forward mode: it runs RESOLVE_SWEEPS tangent-linear sweeps that mirror
+    ``_sweep`` for a whole stack of directions at once, with coefficients
+    linearised once around the base flow (``_linearise``).  A re-solve from
+    level k sees only levels >= k, so one set of coefficients serves every
+    level and every direction.
+
+    ``field`` returns the re-solved value slices themselves: every cloud
+    must have the base flow's particle count, all clouds of a request that
+    are not cached are re-solved together as the leading axis of one
+    ``_sweep``, and each row equals its own one-cloud re-solve.  Callers read
+    only the first slice of a field, so the cache keeps a one-level copy per
+    (level, atom bytes) for the life of the object.
     """
 
     def __init__(self, model: Model, flow: EquilibriumFlow):
         self.model = model
         self.flow = flow
         self._cache: dict = {}
+        self._lin = _linearise(model, flow)
 
     def level_of(self, t: float) -> int:
         grid = self.flow.grid
@@ -454,3 +563,63 @@ class ValueAccess:
                 fields = [ValueField(row[:1].copy(), grid.xs, grid.ts[k:k + 1]) for row in u]
             self._cache.update(zip(misses, fields))
         return [self._cache[key] for key in keys]
+
+    def tangent(self, t: float, x: np.ndarray, etas: np.ndarray) -> np.ndarray:
+        """d/de of the re-solved u_x(t_k, x_i) at the cloud x + e eta, at e = 0,
+        one row per direction of the (B, N) stack etas.
+
+        x must be the base cloud of the level k of t.  The entering tangent
+        flow is eta at every level with zero momenta, as the re-solve's
+        shifted start; each sweep then runs the backward recurrence of the
+        value grid and, except the last, the forward recurrence of the
+        states, whose interpolated du_x come from one gather over all levels.
+        """
+        k = self.level_of(t)
+        base, lin = self.flow, self._lin
+        if not np.array_equal(x, base.states[k]):
+            raise SolverError(f"the tangent is taken at the base cloud of level {k} only")
+        dx = base.grid.dx
+        states, momenta = base.states[k:, None, :], base.momenta[k:, None, :]
+        cell, weight = lin.cell[k:, None, :], lin.weight[k:, None, :]
+        levels = states.shape[0]
+        d_states = np.broadcast_to(etas, (levels,) + etas.shape)
+        d_momenta = np.zeros(d_states.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for sweep in range(RESOLVE_SWEEPS):
+                # Row-wise means: a matrix product's rounding could depend on
+                # how many directions share the request.
+                dm1 = d_states.mean(axis=-1)
+                dm2 = control_mean_tangent(
+                    self.model, lin.m1[k:], lin.e[k:], dm1, d_momenta.mean(axis=-1),
+                    (d_states * momenta + states * d_momenta).mean(axis=-1))
+                du = self._tangent_backward(k, dm1, dm2)
+                if sweep == RESOLVE_SWEEPS - 1:
+                    break
+                d_interp = _cell_interp(_d1_rows(du, dx), cell, weight)
+                forcing = (lin.hp_p[k:, None, :] * d_interp
+                           + lin.hp_m1[k:, None, :] * dm1[..., None]
+                           + lin.hp_m2[k:, None, :] * dm2[..., None])
+                d_x = np.empty(d_states.shape)
+                d_x[0] = etas
+                for level in range(levels - 1):
+                    np.multiply(lin.alpha[k + level], d_x[level], out=d_x[level + 1])
+                    d_x[level + 1] += forcing[level]
+                d_states = d_x
+                d_momenta = lin.slope[k:, None, :] * d_x + d_interp
+            return _cell_interp(_d1_rows(du[0], dx), cell[0], weight[0])
+
+    def _tangent_backward(self, k: int, dm1: np.ndarray, dm2: np.ndarray) -> np.ndarray:
+        """The tangent value grids of levels k..n_t, (levels, B, n_x), for the
+        (levels, B) tangents of the moments: the terminal response, then one
+        three-band step per level."""
+        lin = self._lin
+        forcing = lin.h_m1[k:, None, :] * dm1[..., None] + lin.h_m2[k:, None, :] * dm2[..., None]
+        du = np.empty(forcing.shape)
+        du[-1] = lin.terminal * dm1[-1][:, None]
+        for level in range(du.shape[0] - 2, -1, -1):
+            src, row, out = k + level + 1, du[level + 1], du[level]
+            np.multiply(lin.diag[src], row, out=out)
+            out[:, 1:] += lin.lower[src, 1:] * row[:, :-1]
+            out[:, :-1] += lin.upper[src, :-1] * row[:, 1:]
+            out += forcing[level + 1]
+        return du

@@ -4,104 +4,140 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfgclab.calculus import CalculusError, chain_rule_check, value_measure_gradient
-from mfgclab.models import MeanPoly2, Model
-from mfgclab.solver import ValueField
+from mfgclab.measures import gaussian_quantile_cloud
+from mfgclab.models import MeanPoly2, Model, QuadraticTerminalCost
+from mfgclab.monotonicity import direction_battery
+from mfgclab.solver import Grid, PicardSettings, SolverError, ValueAccess, solve_mfgc
+
+# Relative gap of the eps = 1e-4 central difference to the tangent on the
+# general model of test_quadratic_mean_field: measured 1.1e-10, and 1.1e-10
+# to 1.8e-10 at other levels.  Smaller steps lose to round-off (1.3e-9 at
+# eps = 1e-6), larger ones to atoms that cross a grid node of the
+# interpolation (6.8e-6 at eps = 1e-3).
+GENERAL_MODEL_GAP = 1e-9
 
 
-def cloud(xs):
-    return np.asarray(xs, dtype=float)
+def ll_flow(model):
+    """A converged flow of the model on a small grid, and its value access."""
+    grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, 0.5)
+    flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid,
+                      PicardSettings(max_iter=200, tol=1e-10, damping=0.6), seed=7)
+    return grid, flow, ValueAccess(model, flow)
 
 
-def mean(x):
-    return float(np.mean(x))
+# The ll_example preset with c1 = 0.5, c2 = 0.05, c3 = 0.1: linear-quadratic.
+LQ_COUPLED = Model(b0=(1, 0, 0), f0=(0, 0, 0, 0.5), B=MeanPoly2.linear(m2=0.75),
+                   q1=0.05, q2=0.1, g=QuadraticTerminalCost(xx=0.5, xm=0.1))
 
 
-class AnalyticAccess:
-    """Access object whose field is the one-level grid of an analytic V(x, atoms).
+@pytest.fixture(scope="module")
+def lq_coupled():
+    return ll_flow(LQ_COUPLED)
 
-    Central differences are exact for quadratics in x, so the field's gradient
-    at the atoms is the analytic dV/dx.
-    """
 
-    def __init__(self, value):
-        self.value = value
-        self.xs = np.linspace(-4.0, 4.0, 161)
-        self.requests = []
+def central_difference(access, t, x, etas, eps):
+    """The oracle: central difference of the re-solved u_x at the atoms x
+    between the clouds x +/- eps eta, one row per direction."""
+    fields = access.field(t, np.concatenate([x + eps * etas, x - eps * etas]))
+    half = len(etas)
+    return np.array([(plus.ux_at(0, x) - minus.ux_at(0, x)) / (2.0 * eps)
+                     for plus, minus in zip(fields[:half], fields[half:])])
 
-    def field(self, t, clouds):
-        self.requests.append(len(clouds))
-        return [ValueField(self.value(self.xs, x)[None, :], self.xs, np.array([t]))
-                for x in clouds]
+
+def relative_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
 class TestValueMeasureGradient:
-    def test_linear_mean_field(self):
-        # V(t, x, mu) = x * E[xi]: the gradient derivative along eta is mean(eta).
-        access = AnalyticAccess(lambda xs, mu: xs * mean(mu))
-        mu = cloud([0.0, 1.0, -2.0, 0.5])
-        eta = np.array([1.0, 2.0, 0.0, -1.0])
-        got = value_measure_gradient(access, 0.0, mu, eta[None, :])
-        assert got.shape == (1, 4)
-        assert np.allclose(got, np.mean(eta), atol=1e-9)
+    def test_matches_central_difference_at_every_level(self, lq_coupled):
+        grid, flow, access = lq_coupled
+        for k in range(grid.n_t + 1):
+            t, x = grid.ts[k], flow.states[k]
+            etas = np.array(direction_battery(x, 4, seed=k))
+            got = value_measure_gradient(access, t, x, etas)
+            want = central_difference(access, t, x, etas, 1e-3)
+            assert relative_gap(got, want) <= 1e-8, k
+
+    def test_linear_mean_field(self, lq_coupled):
+        # V(T, x, mu) = g has the term xm x E[xi], so D = xm mean(eta) at T.
+        grid, flow, access = lq_coupled
+        x = flow.states[-1]
+        etas = np.random.default_rng(3).normal(size=(3, x.size))
+        got = value_measure_gradient(access, grid.t_end, x, etas)
+        assert got.shape == (3, x.size)
+        want = LQ_COUPLED.g.xm * etas.mean(axis=1, keepdims=True)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_no_measure_dependence(self):
-        access = AnalyticAccess(lambda xs, mu: xs**2)
-        mu = cloud([0.0, 1.0])
-        got = value_measure_gradient(access, 0.0, mu, np.array([[1.0, -3.0]]))
-        assert np.array_equal(got, np.zeros((1, 2)))
+        # Uncoupled LQ: nothing depends on the law, so D vanishes exactly.
+        grid, flow, access = ll_flow(Model(b0=(1, 0, 0), g=QuadraticTerminalCost(xx=1.0)))
+        etas = np.random.default_rng(4).normal(size=(2, 16))
+        for k in (0, grid.n_t // 2, grid.n_t):
+            got = value_measure_gradient(access, grid.ts[k], flow.states[k], etas)
+            assert np.array_equal(got, np.zeros((2, 16)))
 
     def test_quadratic_mean_field(self):
-        # V = x * E[xi]^2: derivative of dV/dx along eta is 2 E[xi] mean(eta).
-        access = AnalyticAccess(lambda xs, mu: xs * mean(mu) ** 2)
-        mu = cloud([0.5, 1.5, -1.0, 3.0])
-        eta = np.array([0.2, -0.4, 1.0, 0.6])
-        got = value_measure_gradient(access, 0.0, mu, eta[None, :])
-        assert np.allclose(got, 2 * mean(mu) * np.mean(eta), atol=1e-7)
+        # Every coefficient nonzero: a mean drift B quadratic in (m1, m2),
+        # b0x, f0x, a cubic b1_x and a quartic f1_x.  The central difference
+        # shares the re-solve's iteration, so it converges onto the tangent as
+        # eps shrinks, down to its round-off.
+        model = Model(b0=(1.0, 0.2, 0.1), f0=(0.1, 0.15, 0.1, 0.3), b1_x=(0.05, -0.1, 0.0, -0.01),
+                      B=MeanPoly2((0.05, 0.1, 0.2, 0.1, -0.1, 0.05)),
+                      f1_x=(0.0, 0.05, 0.2, 0.0, 0.01), q1=0.1, q2=-0.05,
+                      g=QuadraticTerminalCost(xx=0.5, xm=0.2, x_lin=0.1, m2=0.3))
+        grid, flow, access = ll_flow(model)
+        k = grid.n_t // 3
+        t, x = grid.ts[k], flow.states[k]
+        etas = np.array(direction_battery(x, 4))
+        got = value_measure_gradient(access, t, x, etas)
+        gaps = [relative_gap(got, central_difference(access, t, x, etas, eps))
+                for eps in (1e-2, 1e-3, 1e-4)]
+        assert gaps[0] > gaps[1] > gaps[2], gaps
+        assert gaps[2] <= GENERAL_MODEL_GAP, gaps
 
-    def test_linearity_in_direction(self):
-        # V = x E[xi]^2 + x^2 E[xi^2] / 2, so dV/dx = E[xi]^2 + x E[xi^2].
-        def value(xs, mu):
-            return xs * mean(mu) ** 2 + 0.5 * xs**2 * mean(mu**2)
-
-        access = AnalyticAccess(value)
+    def test_linearity_in_direction(self, lq_coupled):
+        grid, flow, access = lq_coupled
+        k = grid.n_t // 2
+        x = flow.states[k]
         rng = np.random.default_rng(12)
-        mu = cloud(rng.normal(size=6))
-        e1 = rng.normal(size=6)
-        e2 = rng.normal(size=6)
-        g1, g2, g12 = value_measure_gradient(access, 0.0, mu, np.array([e1, e2, e1 + e2]))
-        assert np.allclose(g12, g1 + g2, atol=2e-6)
+        e1, e2 = rng.normal(size=(2, x.size))
+        g1, g2, g12 = value_measure_gradient(access, grid.ts[k], x,
+                                             np.array([e1, e2, 0.5 * e1 - 2.0 * e2]))
+        assert np.allclose(g12, 0.5 * g1 - 2.0 * g2, rtol=0.0, atol=1e-12)
 
     def test_zero_direction_short_circuits(self):
         class NoAccess:
-            def field(self, t, clouds):  # pragma: no cover - must not be called
-                raise AssertionError("no field should be asked for a zero direction")
+            def tangent(self, t, x, etas):  # pragma: no cover - must not be called
+                raise AssertionError("no tangent should be asked for zero directions")
 
-        mu = cloud([0.0, 1.0])
-        got = value_measure_gradient(NoAccess(), 0.0, mu, np.zeros((2, 2)))
+        x = np.array([0.0, 1.0])
+        got = value_measure_gradient(NoAccess(), 0.0, x, np.zeros((2, 2)))
         assert np.array_equal(got, np.zeros((2, 2)))
 
-    def test_sign_pair_and_zero_row_in_one_request(self):
-        # V = x E[xi]^2 + x^2 E[xi^2] / 2 as in the linearity test.
-        def value(xs, mu):
-            return xs * mean(mu) ** 2 + 0.5 * xs**2 * mean(mu**2)
-
-        access = AnalyticAccess(value)
-        rng = np.random.default_rng(5)
-        mu = cloud(rng.normal(size=6))
-        eta = rng.normal(size=6)
-        got = value_measure_gradient(access, 0.0, mu, np.array([eta, -eta, np.zeros(6)]))
-        assert access.requests == [4]  # x +/- eps eta for the two live rows
-        (single,) = value_measure_gradient(AnalyticAccess(value), 0.0, mu, eta[None, :])
+    def test_sign_pair_and_zero_row_in_one_request(self, lq_coupled):
+        grid, flow, access = lq_coupled
+        k = grid.n_t // 4
+        x = flow.states[k]
+        eta = np.random.default_rng(5).normal(size=x.size)
+        got = value_measure_gradient(access, grid.ts[k], x, np.array([eta, -eta, 0.0 * eta]))
+        (single,) = value_measure_gradient(access, grid.ts[k], x, eta[None, :])
         assert np.array_equal(got[0], single)
         assert np.array_equal(got[1], -single)
-        assert np.array_equal(got[2], np.zeros(6))
+        assert np.array_equal(got[2], np.zeros(x.size))
 
-    def test_direction_stack_must_match_cloud(self):
-        access = AnalyticAccess(lambda xs, mu: xs * mean(mu))
-        mu = cloud([0.0, 1.0])
-        for bad in (np.ones(2), np.ones((1, 3))):
+    def test_direction_stack_must_match_cloud(self, lq_coupled):
+        grid, flow, access = lq_coupled
+        x = flow.states[0]
+        for bad in (np.ones(x.size), np.ones((1, x.size + 1))):
             with pytest.raises(CalculusError, match="direction"):
-                value_measure_gradient(access, 0.0, mu, bad)
+                value_measure_gradient(access, 0.0, x, bad)
+
+    def test_cloud_other_than_the_base_rejected(self, lq_coupled):
+        grid, flow, access = lq_coupled
+        with pytest.raises(SolverError, match="base cloud"):
+            value_measure_gradient(access, 0.0, flow.states[0] + 1e-3, np.ones((1, 16)))
+        with pytest.raises(SolverError, match="base cloud"):
+            value_measure_gradient(access, 0.0, flow.states[1], np.ones((1, 16)))
 
 
 coefficient = st.floats(-1.0, 1.0, allow_nan=False)

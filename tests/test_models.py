@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_calculus import random_models
 
 from mfgclab.calculus import chain_rule_check
 from mfgclab.config import preset_model
@@ -9,9 +12,13 @@ from mfgclab.models import (
     Model,
     ModelError,
     QuadraticTerminalCost,
+    control_mean_tangent,
     fixed_point_phi,
     hamiltonian,
+    hamiltonian_dp,
+    hamiltonian_partials,
     hat_derivative_table,
+    mean_terms,
     verify_envelope_identities,
 )
 from mfgclab.solver import terminal_field
@@ -250,6 +257,63 @@ class TestHatDerivatives:
             assert np.ptp(getattr(varying, name), axis=1).min() > 1e-3, name
 
 
+def partials_gap(model, rng, n=6):
+    """Largest |closed form - central difference| of every hamiltonian_partials
+    entry at n random points, relative to max(1, |H|, |H_p|)."""
+    x, p, m1, m2 = rng.normal(size=(4, n))
+    h = 1e-4
+
+    def ham(x=x, p=p, m1=m1, m2=m2):
+        return hamiltonian(model, x, p, m1, m2)
+
+    def drift(x=x, p=p, m1=m1, m2=m2):
+        return hamiltonian_dp(model, x, p, mean_terms(model, m1, m2))
+
+    def diff(f, var, base):
+        return (f(**{var: base + h}) - f(**{var: base - h})) / (2.0 * h)
+
+    got = hamiltonian_partials(model, x, p, m1, m2)
+    want = {
+        "h_p": diff(ham, "p", p), "h_m1": diff(ham, "m1", m1), "h_m2": diff(ham, "m2", m2),
+        "hp_x": diff(drift, "x", x), "hp_p": diff(drift, "p", p),
+        "hp_m1": diff(drift, "m1", m1), "hp_m2": diff(drift, "m2", m2),
+    }
+    scale = max(1.0, float(np.max(np.abs(ham()))), float(np.max(np.abs(drift()))))
+    return {name: float(np.max(np.abs(getattr(got, name) - value))) / scale
+            for name, value in want.items()}
+
+
+class TestHamiltonianPartials:
+    # H and H_p are polynomials of degree <= 3 in each variable, so the step
+    # error is at most ~h^2 times a coefficient; the presets measure 2.7e-12.
+    @pytest.mark.parametrize("factory", PRESET_FACTORIES)
+    def test_presets_against_central_differences(self, factory):
+        gaps = partials_gap(factory(), np.random.default_rng(51))
+        assert max(gaps.values()) <= 1e-7, gaps
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(model=random_models(), seed=st.integers(0, 2**32 - 1))
+    def test_random_models_against_central_differences(self, model, seed):
+        gaps = partials_gap(model, np.random.default_rng(seed))
+        assert max(gaps.values()) <= 1e-7, gaps
+
+    @pytest.mark.parametrize("factory", PRESET_FACTORIES)
+    def test_control_mean_tangent_against_fixed_point(self, factory):
+        # m2* is bilinear in the atoms, so the central difference is exact
+        # up to round-off.
+        model = factory()
+        rng = np.random.default_rng(53)
+        x, p, dx, dp = rng.normal(size=(4, 8))
+        h = 1e-3
+
+        def m2(eps):
+            return float(np.mean(fixed_point_phi(model, x + eps * dx, p + eps * dp)))
+
+        got = control_mean_tangent(model, x.mean(), p.mean(), dx.mean(), dp.mean(),
+                                   np.mean(dx * p + x * dp))
+        assert got == pytest.approx((m2(h) - m2(-h)) / (2.0 * h), rel=1e-8, abs=1e-10)
+
+
 class TestEnvelopeIdentities:
     def test_quadratic_control_is_exact(self):
         report = verify_envelope_identities(Model(b0=(-1, 0, 0)), sample_count=50, seed=1)
@@ -273,6 +337,12 @@ class TestEnvelopeIdentities:
 
 
 class TestTerminalCost:
+    def test_mean_derivative(self):
+        g = QuadraticTerminalCost(xx=0.8, xm=0.3, x_lin=-0.2, m2=0.5)
+        xs, m1, h = np.array([-1.0, 0.5, 2.0]), 0.4, 1e-4
+        fd = (g(xs, np.array([m1 + h])) - g(xs, np.array([m1 - h]))) / (2.0 * h)
+        assert np.allclose(g.d_m1(xs, m1), fd, rtol=0.0, atol=1e-10)
+
     def test_quadratic_terminal_derivatives(self):
         # The terminal slice's grid derivatives are exact for a quadratic in x:
         # g_x = xx x + xm E[xi] + x_lin and g_xx = xx.

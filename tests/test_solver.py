@@ -337,6 +337,15 @@ class TestErrorPaths:
         with pytest.raises(SolverError, match="1-D"):
             solve_mfgc(model, gaussian_quantile_cloud(16)[:, None], grid)
 
+    def test_unstable_value_sweep_is_a_solver_error(self):
+        # A steep drift and curvature overflow the explicit sweep: the typed
+        # error names the level, with no floating-point warning on the way.
+        model = Model(b1_x=(0, 40), f1_x=(0, 0, 30), g=QuadraticTerminalCost(xx=50))
+        grid = Grid.with_cfl_steps(-3.0, 3.0, 31, 0.0, 0.5)
+        with pytest.raises(SolverError, match="non-finite values at level 16"):
+            solve_mfgc(model, np.linspace(-0.5, 0.5, 8), grid,
+                       PicardSettings(max_iter=3), seed=0)
+
     def test_escaping_particles_reported(self):
         # A steep terminal slope drives the optimal drift far beyond the box.
         model = Model(b0=(1, 0, 0), g=QuadraticTerminalCost(x_lin=40.0))
