@@ -22,9 +22,9 @@ backward sweep also their x-dependent parts on the grid
 ``ValueAccess`` re-solves V(t, ., mu) for a stack of clouds at once by a
 fixed number of undamped sweeps from the converged base flow, and
 differentiates that re-solve map along displacements of the base cloud in
-forward mode: tangent-linear sweeps, linearised once around the base flow,
-give the measure derivative of the value gradient with no displaced cloud
-re-solved.
+forward mode: tangent-linear sweeps, linearised once around the base flow
+into two response kernels, give the measure derivative of the value gradient
+with no displaced cloud re-solved.
 """
 from __future__ import annotations
 
@@ -412,61 +412,58 @@ def best_response_gap(model: Model, flow: EquilibriumFlow) -> float:
     return float(np.max(np.abs(u2 - flow.value_field.u)))
 
 
-def _cell_interp(fp: np.ndarray, cell: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Linear interpolation of the grid rows fp along the last axis, inside
-    the given cells at the given fractions of their width."""
-    lo = np.take_along_axis(fp, cell, -1)
-    return lo + weight * (np.take_along_axis(fp, cell + 1, -1) - lo)
-
-
 @dataclass(frozen=True)
 class _Linearisation:
-    """Coefficients of the tangent of the fixed-sweep re-solve map at the
-    converged base flow, one row per level of the base flow.
+    """The tangent of the fixed-sweep re-solve map at the converged base
+    flow, as two linear response kernels over the levels of the base flow.
 
-    On the grid, the backward step from level l to l - 1 maps du to
-    lower[l] du[i-1] + diag[l] du[i] + upper[l] du[i+1] + h_m1[l] dm1_l +
-    h_m2[l] dm2_l.  At the atoms, with du_x interpolated over each base
-    atom's grid cell (``cell``, ``weight``), the momentum tangent is
-    slope[l] dX + du_x and the forward step maps dX to alpha[l] dX +
-    hp_p[l] du_x + hp_m1[l] dm1_l + hp_m2[l] dm2_l, where alpha folds in the
-    slope of the base u_x.  The time step is folded into every coefficient.
+    A channel (j, c) is a unit tangent of the moment m1 (c = 0) or m2
+    (c = 1) at level j.  ``kernel`` (K) has row l N + i and column 2 j + c:
+    the response of du_x at base atom i of level l to channel (j, c)
+    through the backward sweep of the value grid, with the terminal dg/dm1
+    in channel (n_t, 0).  An entry is zero for j <= l except that terminal
+    one, so the rows of levels >= k against the channels of levels >= k are
+    the whole backward sweep of a re-solve from level k.
+
+    At the atoms, the momentum tangent is slope[l] dX + du_x and the forward
+    step maps dX_l to alpha[l] dX_l + r_l, with the forcing r_l = hp_p[l]
+    du_x + hp_m1[l] dm1_l + hp_m2[l] dm2_l and alpha folding in the slope of
+    the base u_x.  ``propagator`` (Q) holds, per atom i, Q[i, l, j] =
+    alpha[j, i] ... alpha[l - 1, i] for j <= l and zero above the diagonal,
+    so dX_l is the sum over j <= l of Q[i, l, j] times the level-j input.
+    The time step is folded into every coefficient; m1 and e are the base
+    state and momentum means that ``control_mean_tangent`` linearises at.
     """
 
-    lower: np.ndarray      # (levels, n_x)
-    diag: np.ndarray
-    upper: np.ndarray
-    h_m1: np.ndarray
-    h_m2: np.ndarray
-    terminal: np.ndarray   # (n_x,): dg/dm1 against the base terminal cloud
-    cell: np.ndarray       # (levels, n): left grid index of each base atom
-    weight: np.ndarray
-    slope: np.ndarray
-    alpha: np.ndarray
+    kernel: np.ndarray      # (levels * n, 2 * levels)
+    propagator: np.ndarray  # (n, levels, levels)
+    slope: np.ndarray       # (levels, n)
     hp_p: np.ndarray
     hp_m1: np.ndarray
     hp_m2: np.ndarray
-    m1: np.ndarray         # (levels, 1): base state means
-    e: np.ndarray          # (levels, 1): base momentum means
+    m1: np.ndarray          # (levels,)
+    e: np.ndarray
 
 
 def _linearise(model: Model, flow: EquilibriumFlow) -> _Linearisation:
-    """The tangent coefficients of the re-solve map around the base flow.
+    """The response kernels of the re-solve map around the base flow.
 
     The moments are those of the base flow's fixed point and the value grid
     is one backward sweep against them: a re-solve at zero displacement stays
     at this flow up to the Picard residual, so every sweep of it shares one
-    linearisation.
+    linearisation.  K comes from one backward pass over the levels on the
+    stack of channel responses, which keeps only the channels of the levels
+    still ahead; Q from one cumulative product per starting level.
     """
     grid = flow.grid
     xs, dx, dt = grid.xs, grid.dx, grid.dt
     states, momenta = flow.states, flow.momenta
+    levels, n = states.shape
     m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
     u = _backward_value(model, xs, dx, dt, m1, m2, states[-1])
     ux = _d1_rows(u, dx)
-    m1, m2 = m1[:, None], m2[:, None]
-    on_grid = hamiltonian_partials(model, xs, ux, m1, m2)
-    at_atoms = hamiltonian_partials(model, states, momenta, m1, m2)
+    on_grid = hamiltonian_partials(model, xs, ux, m1[:, None], m2[:, None])
+    at_atoms = hamiltonian_partials(model, states, momenta, m1[:, None], m2[:, None])
 
     # d/du of u + dt (u_xx / 2 + H_p u_x) with the stencils of _d2_rows and
     # _d1_rows: central inside, u_xx = 0 and one-sided u_x at the edges.
@@ -479,24 +476,50 @@ def _linearise(model: Model, flow: EquilibriumFlow) -> _Linearisation:
     diag[:, 0] = 1.0 - upper[:, 0]
     lower[:, -1] = -dt * hp[:, -1] / dx
     diag[:, -1] = 1.0 - lower[:, -1]
+    # Partials that do not vary along an axis are broadcast views along it.
+    h_m1 = np.broadcast_to(dt * on_grid.h_m1, u.shape)
+    h_m2 = np.broadcast_to(dt * on_grid.h_m2, u.shape)
 
     cell = np.clip(np.searchsorted(xs, states, side="right") - 1, 0, xs.size - 2)
     width = xs[cell + 1] - xs[cell]
     slope = (np.take_along_axis(ux, cell + 1, -1) - np.take_along_axis(ux, cell, -1)) / width
+    weight = ((states - xs[cell]) / width)[..., None]
+    # Row j: the _d1_rows stencil of u_x at grid node j.
+    stencil = _d1_rows(np.eye(xs.size), dx).T
+    alpha = np.broadcast_to(1.0 + dt * (at_atoms.hp_x + at_atoms.hp_p * slope), states.shape)
 
-    # Partials that do not vary along an axis are broadcast views along it.
-    grid_shape, atom_shape = u.shape, states.shape
+    kernel = np.zeros((levels * n, 2 * levels))
+    propagator = np.zeros((n, levels, levels))
+    # Row 2 j + c: the tangent value row of the current level for channel (j, c).
+    response = np.zeros((2 * levels, xs.size))
+    response[-2] = model.g.d_m1(xs, m1[-1])
+    # A divergent linearisation overflows on its way to inf/nan, which
+    # value_measure_gradient reports as a non-finite tangent.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(levels - 1, -1, -1):
+            # Only the channels of the levels after this one (and the
+            # terminal channel) have reached it.
+            first = 2 * min(level + 1, levels - 1)
+            if level < levels - 1:
+                src, row = level + 1, response[first:]
+                out = diag[src] * row
+                out[:, 1:] += lower[src, 1:] * row[:, :-1]
+                out[:, :-1] += upper[src, :-1] * row[:, 1:]
+                out[0] += h_m1[src]
+                out[1] += h_m2[src]
+                response[first:] = out
+            # u_x at the level's atoms: the stencil interpolated over each cell.
+            lo, hi = stencil[cell[level]], stencil[cell[level] + 1]
+            readout = lo + weight[level] * (hi - lo)
+            kernel[level * n:(level + 1) * n, first:] = readout @ response[first:].T
+            propagator[:, level, level] = 1.0
+            propagator[:, level + 1:, level] = np.cumprod(alpha[level:-1], axis=0).T
     return _Linearisation(
-        lower=lower, diag=diag, upper=upper,
-        h_m1=np.broadcast_to(dt * on_grid.h_m1, grid_shape),
-        h_m2=np.broadcast_to(dt * on_grid.h_m2, grid_shape),
-        terminal=model.g.d_m1(xs, m1[-1, 0]),
-        cell=cell, weight=(states - xs[cell]) / width, slope=slope,
-        alpha=np.broadcast_to(1.0 + dt * (at_atoms.hp_x + at_atoms.hp_p * slope), atom_shape),
-        hp_p=np.broadcast_to(dt * at_atoms.hp_p, atom_shape),
-        hp_m1=np.broadcast_to(dt * at_atoms.hp_m1, atom_shape),
-        hp_m2=np.broadcast_to(dt * at_atoms.hp_m2, atom_shape),
-        m1=m1, e=momenta.mean(axis=-1, keepdims=True),
+        kernel=kernel, propagator=propagator, slope=slope,
+        hp_p=np.broadcast_to(dt * at_atoms.hp_p, states.shape),
+        hp_m1=np.broadcast_to(dt * at_atoms.hp_m1, states.shape),
+        hp_m2=np.broadcast_to(dt * at_atoms.hp_m2, states.shape),
+        m1=m1, e=momenta.mean(axis=-1),
     )
 
 
@@ -504,18 +527,20 @@ class ValueAccess:
     """V(t_k, ., mu) near a converged base flow, by re-solves, and the
     tangent of its gradient along displacements of the base cloud.
 
-    A cloud is the 1-D array x of its atoms.  The re-solve of a cloud x at
-    level k starts from the base flow shifted atom by atom, states =
-    base.states[k:] + (x - base.states[k]) with the momenta base.momenta[k:],
-    reuses the base flow's Brownian increments and runs RESOLVE_SWEEPS
-    undamped Picard sweeps with no residual check.
+    A cloud is the 1-D array x of its atoms, and a time must be one of the
+    base grid's levels.  The re-solve of a cloud x at level k starts from the
+    base flow shifted atom by atom, states = base.states[k:] + (x -
+    base.states[k]) with the momenta base.momenta[k:], reuses the base flow's
+    Brownian increments and runs RESOLVE_SWEEPS undamped Picard sweeps with
+    no residual check.
 
     ``tangent`` differentiates that re-solve map at x = base.states[k] in
-    forward mode: it runs RESOLVE_SWEEPS tangent-linear sweeps that mirror
-    ``_sweep`` for a whole stack of directions at once, with coefficients
-    linearised once around the base flow (``_linearise``).  A re-solve from
-    level k sees only levels >= k, so one set of coefficients serves every
-    level and every direction.
+    forward mode: RESOLVE_SWEEPS tangent-linear sweeps that mirror
+    ``_sweep`` for a whole stack of directions at once.  The sweeps are
+    linear with coefficients linearised once around the base flow, and a
+    re-solve from level k sees only levels >= k, so the access builds their
+    two response kernels once (``_linearise``) and every level and every
+    direction reads a block of them.
 
     ``field`` returns the re-solved value slices themselves: every cloud
     must have the base flow's particle count, all clouds of a request that
@@ -532,10 +557,14 @@ class ValueAccess:
         self._lin = _linearise(model, flow)
 
     def level_of(self, t: float) -> int:
+        """The level k with t = t_k; any other time is an error."""
         grid = self.flow.grid
         k = int(round((t - grid.t0) / grid.dt))
         if not 0 <= k <= grid.n_t:
             raise SolverError(f"time {t} outside the grid horizon")
+        if abs(t - grid.ts[k]) > 1e-9 * grid.dt:
+            raise SolverError(f"time {t} is not a level of the grid; the nearest is "
+                              f"t_{k} = {grid.ts[k]}")
         return k
 
     def field(self, t: float, clouds: np.ndarray) -> list:
@@ -570,20 +599,26 @@ class ValueAccess:
 
         x must be the base cloud of the level k of t.  The entering tangent
         flow is eta at every level with zero momenta, as the re-solve's
-        shifted start; each sweep then runs the backward recurrence of the
-        value grid and, except the last, the forward recurrence of the
-        states, whose interpolated du_x come from one gather over all levels.
+        shifted start.  Each sweep takes the moment tangents of every level,
+        maps them to du_x at the atoms of levels k..n_t through the block of
+        K from level k, and, except the last sweep, maps the forcing of the
+        forward step to the state tangents through the block of Q.  The
+        directions are the stack axis of both products, so each row is
+        computed as in a one-direction request.
         """
         k = self.level_of(t)
         base, lin = self.flow, self._lin
         if not np.array_equal(x, base.states[k]):
             raise SolverError(f"the tangent is taken at the base cloud of level {k} only")
-        dx = base.grid.dx
-        states, momenta = base.states[k:, None, :], base.momenta[k:, None, :]
-        cell, weight = lin.cell[k:, None, :], lin.weight[k:, None, :]
+        n = base.n_particles
+        states, momenta = base.states[k:], base.momenta[k:]
+        kernel, propagator = lin.kernel[k * n:, 2 * k:], lin.propagator[:, k:, k:]
+        slope, hp_p, hp_m1, hp_m2 = (a[k:] for a in (lin.slope, lin.hp_p, lin.hp_m1, lin.hp_m2))
         levels = states.shape[0]
-        d_states = np.broadcast_to(etas, (levels,) + etas.shape)
+        d_states = np.broadcast_to(etas[:, None, :], (len(etas), levels, n))
         d_momenta = np.zeros(d_states.shape)
+        inputs = np.empty((len(etas), n, levels))
+        inputs[:, :, 0] = etas
         with np.errstate(over="ignore", invalid="ignore"):
             for sweep in range(RESOLVE_SWEEPS):
                 # Row-wise means: a matrix product's rounding could depend on
@@ -592,34 +627,12 @@ class ValueAccess:
                 dm2 = control_mean_tangent(
                     self.model, lin.m1[k:], lin.e[k:], dm1, d_momenta.mean(axis=-1),
                     (d_states * momenta + states * d_momenta).mean(axis=-1))
-                du = self._tangent_backward(k, dm1, dm2)
+                channels = np.stack((dm1, dm2), axis=-1).reshape(len(etas), 2 * levels, 1)
                 if sweep == RESOLVE_SWEEPS - 1:
-                    break
-                d_interp = _cell_interp(_d1_rows(du, dx), cell, weight)
-                forcing = (lin.hp_p[k:, None, :] * d_interp
-                           + lin.hp_m1[k:, None, :] * dm1[..., None]
-                           + lin.hp_m2[k:, None, :] * dm2[..., None])
-                d_x = np.empty(d_states.shape)
-                d_x[0] = etas
-                for level in range(levels - 1):
-                    np.multiply(lin.alpha[k + level], d_x[level], out=d_x[level + 1])
-                    d_x[level + 1] += forcing[level]
-                d_states = d_x
-                d_momenta = lin.slope[k:, None, :] * d_x + d_interp
-            return _cell_interp(_d1_rows(du[0], dx), cell[0], weight[0])
-
-    def _tangent_backward(self, k: int, dm1: np.ndarray, dm2: np.ndarray) -> np.ndarray:
-        """The tangent value grids of levels k..n_t, (levels, B, n_x), for the
-        (levels, B) tangents of the moments: the terminal response, then one
-        three-band step per level."""
-        lin = self._lin
-        forcing = lin.h_m1[k:, None, :] * dm1[..., None] + lin.h_m2[k:, None, :] * dm2[..., None]
-        du = np.empty(forcing.shape)
-        du[-1] = lin.terminal * dm1[-1][:, None]
-        for level in range(du.shape[0] - 2, -1, -1):
-            src, row, out = k + level + 1, du[level + 1], du[level]
-            np.multiply(lin.diag[src], row, out=out)
-            out[:, 1:] += lin.lower[src, 1:] * row[:, :-1]
-            out[:, :-1] += lin.upper[src, :-1] * row[:, 1:]
-            out += forcing[level + 1]
-        return du
+                    return np.matmul(kernel[:n], channels)[..., 0]
+                du_x = np.matmul(kernel, channels).reshape(d_states.shape)
+                forcing = hp_p * du_x + hp_m1 * dm1[..., None] + hp_m2 * dm2[..., None]
+                inputs[:, :, 1:] = forcing[:, :-1].transpose(0, 2, 1)
+                d_states = np.ascontiguousarray(
+                    np.matmul(propagator, inputs[..., None])[..., 0].transpose(0, 2, 1))
+                d_momenta = slope * d_states + du_x

@@ -1,16 +1,30 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from mfgclab.measures import gaussian_quantile_cloud
-from mfgclab.models import MeanPoly2, Model, QuadraticTerminalCost, fixed_point_phi
+from mfgclab.models import (
+    MeanPoly2,
+    Model,
+    QuadraticTerminalCost,
+    control_mean_tangent,
+    fixed_point_phi,
+    hamiltonian_partials,
+)
+from mfgclab.monotonicity import direction_battery
 from mfgclab.solver import (
+    RESOLVE_SWEEPS,
     Grid,
     PicardError,
     PicardSettings,
     SolverError,
     ValueAccess,
+    _backward_value,
+    _d1_rows,
     _interp_rows,
+    _moments,
     _sweep,
     best_response_gap,
     solve_mfgc,
@@ -259,6 +273,145 @@ class TestValueAccess:
     def test_time_outside_horizon_rejected(self):
         with pytest.raises(SolverError, match="horizon"):
             self.access.field(2 * T, self.flow.states[0][None, :])
+
+    def test_time_between_levels_rejected(self):
+        # A half step would round to a neighbouring level's slice.
+        k = self.grid.n_t // 2
+        t = self.grid.ts[k] + 0.5 * self.grid.dt
+        x = self.flow.states[k]
+        with pytest.raises(SolverError, match="not a level"):
+            self.access.field(t, x[None, :])
+        with pytest.raises(SolverError, match="not a level"):
+            self.access.tangent(t, x, np.ones((1, x.size)))
+
+    def test_level_time_up_to_round_off_accepted(self):
+        k = self.grid.n_t // 2
+        t = self.grid.ts[k] * (1.0 + 4e-16)
+        assert self.access.level_of(t) == k
+
+
+def reference_linearisation(model, flow):
+    """The tangent coefficients of the re-solve map, one row per level: the
+    three-band backward step on the grid and the forward step at the atoms,
+    as ``ValueAccess.tangent`` stepped them level by level before it applied
+    response kernels."""
+    grid = flow.grid
+    xs, dx, dt = grid.xs, grid.dx, grid.dt
+    states, momenta = flow.states, flow.momenta
+    m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
+    u = _backward_value(model, xs, dx, dt, m1, m2, states[-1])
+    ux = _d1_rows(u, dx)
+    m1, m2 = m1[:, None], m2[:, None]
+    on_grid = hamiltonian_partials(model, xs, ux, m1, m2)
+    at_atoms = hamiltonian_partials(model, states, momenta, m1, m2)
+    hp = np.broadcast_to(on_grid.h_p, u.shape)
+    lower = dt * (0.5 / dx**2 - hp / (2.0 * dx))
+    upper = dt * (0.5 / dx**2 + hp / (2.0 * dx))
+    diag = np.full(u.shape, 1.0 - dt / dx**2)
+    lower[:, 0] = upper[:, -1] = 0.0
+    upper[:, 0] = dt * hp[:, 0] / dx
+    diag[:, 0] = 1.0 - upper[:, 0]
+    lower[:, -1] = -dt * hp[:, -1] / dx
+    diag[:, -1] = 1.0 - lower[:, -1]
+    cell = np.clip(np.searchsorted(xs, states, side="right") - 1, 0, xs.size - 2)
+    width = xs[cell + 1] - xs[cell]
+    slope = (np.take_along_axis(ux, cell + 1, -1) - np.take_along_axis(ux, cell, -1)) / width
+    grid_shape, atom_shape = u.shape, states.shape
+    return SimpleNamespace(
+        lower=lower, diag=diag, upper=upper,
+        h_m1=np.broadcast_to(dt * on_grid.h_m1, grid_shape),
+        h_m2=np.broadcast_to(dt * on_grid.h_m2, grid_shape),
+        terminal=model.g.d_m1(xs, m1[-1, 0]),
+        cell=cell, weight=(states - xs[cell]) / width, slope=slope,
+        alpha=np.broadcast_to(1.0 + dt * (at_atoms.hp_x + at_atoms.hp_p * slope), atom_shape),
+        hp_p=np.broadcast_to(dt * at_atoms.hp_p, atom_shape),
+        hp_m1=np.broadcast_to(dt * at_atoms.hp_m1, atom_shape),
+        hp_m2=np.broadcast_to(dt * at_atoms.hp_m2, atom_shape),
+        m1=m1, e=momenta.mean(axis=-1, keepdims=True),
+    )
+
+
+def _cell_interp(fp, cell, weight):
+    lo = np.take_along_axis(fp, cell, -1)
+    return lo + weight * (np.take_along_axis(fp, cell + 1, -1) - lo)
+
+
+def _tangent_backward(lin, k, dm1, dm2):
+    """The tangent value grids of levels k..n_t, (levels, B, n_x), for the
+    (levels, B) tangents of the moments: the terminal response, then one
+    three-band step per level."""
+    forcing = lin.h_m1[k:, None, :] * dm1[..., None] + lin.h_m2[k:, None, :] * dm2[..., None]
+    du = np.empty(forcing.shape)
+    du[-1] = lin.terminal * dm1[-1][:, None]
+    for level in range(du.shape[0] - 2, -1, -1):
+        src, row, out = k + level + 1, du[level + 1], du[level]
+        np.multiply(lin.diag[src], row, out=out)
+        out[:, 1:] += lin.lower[src, 1:] * row[:, :-1]
+        out[:, :-1] += lin.upper[src, :-1] * row[:, 1:]
+        out += forcing[level + 1]
+    return du
+
+
+def reference_tangent(model, flow, lin, k, etas):
+    """The tangent of the re-solve from level k, stepped level by level: the
+    backward recurrence of the value grid and the forward recurrence of the
+    states in every sweep."""
+    dx = flow.grid.dx
+    states, momenta = flow.states[k:, None, :], flow.momenta[k:, None, :]
+    cell, weight = lin.cell[k:, None, :], lin.weight[k:, None, :]
+    levels = states.shape[0]
+    d_states = np.broadcast_to(etas, (levels,) + etas.shape)
+    d_momenta = np.zeros(d_states.shape)
+    for sweep in range(RESOLVE_SWEEPS):
+        dm1 = d_states.mean(axis=-1)
+        dm2 = control_mean_tangent(
+            model, lin.m1[k:], lin.e[k:], dm1, d_momenta.mean(axis=-1),
+            (d_states * momenta + states * d_momenta).mean(axis=-1))
+        du = _tangent_backward(lin, k, dm1, dm2)
+        if sweep == RESOLVE_SWEEPS - 1:
+            break
+        d_interp = _cell_interp(_d1_rows(du, dx), cell, weight)
+        forcing = (lin.hp_p[k:, None, :] * d_interp
+                   + lin.hp_m1[k:, None, :] * dm1[..., None]
+                   + lin.hp_m2[k:, None, :] * dm2[..., None])
+        d_x = np.empty(d_states.shape)
+        d_x[0] = etas
+        for level in range(levels - 1):
+            np.multiply(lin.alpha[k + level], d_x[level], out=d_x[level + 1])
+            d_x[level + 1] += forcing[level]
+        d_states = d_x
+        d_momenta = lin.slope[k:, None, :] * d_x + d_interp
+    return _cell_interp(_d1_rows(du[0], dx), cell[0], weight[0])
+
+
+# Every coefficient nonzero, as in test_calculus's test_quadratic_mean_field.
+GENERAL_MODEL = Model(b0=(1.0, 0.2, 0.1), f0=(0.1, 0.15, 0.1, 0.3), b1_x=(0.05, -0.1, 0.0, -0.01),
+                      B=MeanPoly2((0.05, 0.1, 0.2, 0.1, -0.1, 0.05)),
+                      f1_x=(0.0, 0.05, 0.2, 0.0, 0.01), q1=0.1, q2=-0.05,
+                      g=QuadraticTerminalCost(xx=0.5, xm=0.2, x_lin=0.1, m2=0.3))
+
+
+class TestTangentKernels:
+    """The response kernels of ValueAccess.tangent against the level-by-level
+    recurrences they replace."""
+
+    @pytest.mark.parametrize("model", [coupled_model(), GENERAL_MODEL],
+                             ids=["lq_coupled", "general"])
+    def test_matches_level_by_level_recurrence(self, model):
+        grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, T)
+        flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid,
+                          PicardSettings(max_iter=200, tol=1e-10, damping=0.6), seed=7)
+        access = ValueAccess(model, flow)
+        lin = reference_linearisation(model, flow)
+        for k in range(grid.n_t + 1):
+            x = flow.states[k]
+            # The constant direction alone, then with a mean-free noise pair.
+            battery = np.array(direction_battery(x, 4, seed=k))
+            for etas in (battery[1:2], battery[1:]):
+                got = access.tangent(grid.ts[k], x, etas)
+                want = reference_tangent(model, flow, lin, k, etas)
+                gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert gap <= 1e-12, (k, len(etas), gap)
 
 
 class TestBatchedSweep:
