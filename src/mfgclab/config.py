@@ -20,6 +20,24 @@ H = -p^2/2):
 c1 and c (0.5 by default) must satisfy 0 <= c < 1, the anti family needs
 gamma > 0 and l0 > 0 (both 1 by default), and every model needs
 df0/dm2 <= 1 - CONTRACTION_EPS.  Absent coefficients are zero.
+
+A mono or propagate run takes its monotonicity kind from ``[monotonicity]
+kind`` (ll by default), and a check run evaluates the gate of each kind named
+in ``[check] which``.  ``monotonicity_kind()`` builds the kind object of
+``propagation.MONOTONICITY_KINDS``, which reads these keys:
+
+    kind  keys read                         verdict         gate
+    ll    none                              value >= -tol   check_ll_condition
+    disp  [monotonicity] lambda >= 0 (0)    value >= -tol   check_disp_condition
+    anti  [monotonicity] lambda_vec         value <= tol    check_anti_assumption
+          (l0 > 0, l1, l2 > 0, l3 >= 0);
+          [anti] l0, gamma_lo, gamma_hi
+          (gamma_hi > gamma_lo > 0), l_bar,
+          lu_xx
+
+A propagate run of the anti kind also requires |Vxx| <= lu_xx on the solved
+field.  An invalid kind parameter is a ConfigError before any solve, and
+[monotonicity] lambda is range-checked whatever the kind.
 """
 from __future__ import annotations
 
@@ -31,7 +49,7 @@ import numpy as np
 from .measures import gaussian_quantile_cloud, uniform_grid_cloud
 from .models import MeanPoly2, Model, ModelError, QuadraticTerminalCost
 from .monotonicity import LambdaVec, MonotonicityError
-from .propagation import GateError, PropagationConfig
+from .propagation import MONOTONICITY_KINDS, PropagationConfig
 from .solver import Grid, PicardSettings, SolverError
 
 KINDS = ("check", "solve", "mono", "propagate", "chain")
@@ -225,10 +243,7 @@ class ExperimentConfig:
         values = _floats(raw)
         if len(values) != 4:
             raise ConfigError(f"lambda_vec needs 4 entries, got {len(values)}")
-        try:
-            return LambdaVec(*values)
-        except MonotonicityError as err:
-            raise ConfigError(str(err)) from err
+        return LambdaVec(*values)  # monotonicity_kind relabels its errors
 
     def lam(self) -> float:
         return _number(self.mono_section, "lambda", "0", least=0.0)
@@ -254,34 +269,38 @@ class ExperimentConfig:
         return (_number(sec, "pairs", "20", int, 1), _number(sec, "atoms", "16", int, 1),
                 _number(sec, "tol", "1e-6", least=0.0))
 
-    def propagation(self) -> PropagationConfig:
+    def monotonicity_kind(self, name: str | None = None):
+        """The monotonicity kind object ``name`` (by default the
+        [monotonicity] kind) with the parameters it reads; see the table in
+        the module docstring."""
+        if name is None:
+            name = self.mono_section.get("kind", "ll").strip()
+        if name not in MONOTONICITY_KINDS:
+            raise ConfigError(f"monotonicity kind must be one of "
+                              f"{tuple(MONOTONICITY_KINDS)}, got {name!r}")
+        try:
+            return MONOTONICITY_KINDS[name].from_config(self)
+        except MonotonicityError as err:
+            raise ConfigError(f"invalid {name} kind: {err}") from err
+
+    def propagation(self, seed: int | None = None) -> PropagationConfig:
+        """Settings of a mono or propagate run; ``seed`` overrides the
+        config's seed for the gate samples and the direction battery."""
         sec = self.mono_section
-        kind = sec.get("kind", "ll").strip()
         gate_samples, gate_atoms = self.check_sizes()
-        l0, gamma_lo, gamma_hi, l_bar, lu_xx = self.anti_constants()
         fd_eps = _number(sec, "fd_eps", "1e-3")
         if not fd_eps > 0:
             raise ConfigError(f"fd_eps must be positive, got {fd_eps}")
-        try:
-            return PropagationConfig(
-                kind=kind,
-                lam=self.lam(),
-                lvec=self.lambda_vec() if kind == "anti" else None,
-                n_directions=_number(sec, "directions", "12", int, 1),
-                fd_eps=fd_eps,
-                tol_c=_number(sec, "tol_c", "0.05"),
-                gate_samples=gate_samples,
-                gate_atoms=gate_atoms,
-                seed=self.seed,
-                enforce_gate=sec.get("force_gate", "true").strip().lower() != "false",
-                anti_l0=l0,
-                anti_gamma_lo=gamma_lo,
-                anti_gamma_hi=gamma_hi,
-                anti_l_bar=l_bar,
-                anti_lu_xx=lu_xx,
-            )
-        except GateError as err:
-            raise ConfigError(f"invalid monotonicity section: {err}") from err
+        return PropagationConfig(
+            kind=self.monotonicity_kind(),
+            n_directions=_number(sec, "directions", "12", int, 1),
+            fd_eps=fd_eps,
+            tol_c=_number(sec, "tol_c", "0.05"),
+            gate_samples=gate_samples,
+            gate_atoms=gate_atoms,
+            seed=self.seed if seed is None else seed,
+            enforce_gate=sec.get("force_gate", "true").strip().lower() != "false",
+        )
 
     def validate(self) -> None:
         """Family constraints, admissible lambda weights, CFL and every
@@ -293,8 +312,8 @@ class ExperimentConfig:
             self.initial_cloud()
             self.picard()
         if self.kind in ("mono", "propagate"):
-            if self.propagation().kind == "anti" and not self.anti_section:
-                raise ConfigError("anti experiments need an [anti] section")
+            self.propagation()
+            self.lam()
         if self.kind == "mono":
             self.slices()
         if self.kind == "check":
@@ -302,6 +321,9 @@ class ExperimentConfig:
             self.check_sizes()
             self.lam()
             self.anti_constants()
+            for name in self.check_section.get("which", "envelope").split():
+                if name in MONOTONICITY_KINDS:
+                    self.monotonicity_kind(name)
         if self.kind == "chain":
             self.model()
             self.chain_settings()

@@ -5,18 +5,27 @@ the displacement lambda-form, and the anti-monotone form — are evaluated on
 V(t, ., mu) for sampled time slices and direction batteries.  The law mu of
 xi is the uniform cloud of the 1-D atom array x, and eta = eta(xi) is a 1-D
 array aligned with it; the functionals take a (B, N) stack of directions and
-return one value per direction.  Access to V is an object with two
-methods: ``tangent(t, x, etas)`` returns the (B, N) directional measure
-derivatives of the value gradient at the atoms x for the (B, N) stack of
-directions (``value_measure_gradient``), and ``field(t, clouds)`` maps a
-(B, N) stack of clouds at one time to B fields whose first slice is
-V(t, ., mu) for each row, read for V_xx of the undisplaced cloud only.
-``solver.ValueAccess`` provides both from a converged flow, and a fixed
-terminal cost serves as well.
+return one value per direction.
+
+Each functional is a function of the ``Pairings`` of (eta, Vxx eta, D),
+with D the directional measure derivative of the value gradient.  Its kind
+object (``propagation.MONOTONICITY_KINDS``) defines it once, with the kind's
+parameters and verdict sign: ``mon_ll``, ``mon_disp`` and ``mon_anti`` apply
+it at one cloud, ``monotonicity_sweep`` over a flow, and the variational
+traces of ``propagation`` along the first-variation system.
+
+Access to V is an object with two methods: ``tangent(t, x, etas)`` returns
+the (B, N) directional measure derivatives of the value gradient at the
+atoms x for the (B, N) stack of directions (``value_measure_gradient``), and
+``field(t, clouds)`` maps a (B, N) stack of clouds at one time to B fields
+whose first slice is V(t, ., mu) for each row, read for V_xx of the
+undisplaced cloud only.  ``solver.ValueAccess`` provides both from a
+converged flow, and a fixed terminal cost serves as well.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,39 +55,47 @@ class LambdaVec:
             )
 
 
-def mon_ll(access, t: float, x: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """Lasry-Lions form of each direction eta of the (B, N) stack: the
-    empirical mean of <eta_i, D_i>, where
-    D_i = (1/N) sum_j d_x d_mu V(t, x_i, mu, x_j) eta_j."""
+class Pairings(NamedTuple):
+    """The pairings of a first-variation state (dX, G, U), one value per
+    direction: I = E[U dX], Ibar = E[G dX], dX2 = E[dX^2], g2 = E[G^2] and
+    u2 = E[U^2].  Every monotonicity functional is a function of these."""
+
+    i: np.ndarray
+    ibar: np.ndarray
+    dx2: np.ndarray
+    g2: np.ndarray
+    u2: np.ndarray
+
+
+def pairings(dx: np.ndarray, gamma: np.ndarray, upsilon: np.ndarray) -> Pairings:
+    """The ``Pairings`` of (dX, G, U), averaged over the atoms (last axis)."""
+    def mean(a):
+        return np.mean(a, axis=-1)
+
+    return Pairings(mean(upsilon * dx), mean(gamma * dx), mean(dx**2), mean(gamma**2),
+                    mean(upsilon**2))
+
+
+def mon_ll(access, t: float, x: np.ndarray, etas: np.ndarray, kind) -> np.ndarray:
+    """The functional of a kind that reads only I (Lasry-Lions), one value
+    per direction of the (B, N) stack etas, where D_i = (1/N) sum_j
+    d_x d_mu V(t, x_i, mu, x_j) eta_j; no curvature is fetched (G = 0)."""
     d_vals = value_measure_gradient(access, t, x, etas)
-    return np.mean(etas * d_vals, axis=-1)
+    return kind.functional(pairings(etas, np.zeros_like(etas), d_vals))
 
 
-def mon_disp(access, t: float, x: np.ndarray, etas: np.ndarray,
-             lam: float) -> np.ndarray:
-    """Displacement lambda-form of each direction: Lasry-Lions term plus
-    <Vxx eta, eta> + lam |eta|^2."""
-    if lam < 0:
-        raise MonotonicityError("displacement parameter lambda must be nonnegative")
-    vxx = access.field(t, x[None, :])[0].uxx_at(0, x)
-    ll_term = mon_ll(access, t, x, etas)
-    return ll_term + np.mean(vxx * etas**2, axis=-1) + lam * np.mean(etas**2, axis=-1)
-
-
-def mon_anti(access, t: float, x: np.ndarray, etas: np.ndarray,
-             lvec: LambdaVec) -> np.ndarray:
-    """Anti-monotone form of each direction; the verdict direction is
-    value <= tolerance."""
+def mon_disp(access, t: float, x: np.ndarray, etas: np.ndarray, kind) -> np.ndarray:
+    """The functional of a kind that reads the curvature pairings
+    (displacement), with G = Vxx eta from the undisplaced cloud's value
+    slice."""
     vxx = access.field(t, x[None, :])[0].uxx_at(0, x)
     d_vals = value_measure_gradient(access, t, x, etas)
-    return np.mean(
-        lvec.l0 * vxx * etas**2
-        + lvec.l1 * d_vals * etas
-        + (vxx * etas) ** 2
-        + lvec.l2 * d_vals**2
-        - lvec.l3 * etas**2,
-        axis=-1,
-    )
+    return kind.functional(pairings(etas, vxx * etas, d_vals))
+
+
+def mon_anti(access, t: float, x: np.ndarray, etas: np.ndarray, kind) -> np.ndarray:
+    """The anti-monotone functional, from the same pairings as ``mon_disp``."""
+    return mon_disp(access, t, x, etas, kind)
 
 
 def direction_battery(xs: np.ndarray, count: int = 12, seed: int = 0) -> list:
@@ -128,30 +145,15 @@ def tolerance_scale(dt: float, dx: float, n_particles: int, fd_eps: float,
     return float(c * (dt + dx**2 + 1.0 / np.sqrt(n_particles) + fd_eps**2))
 
 
-def mon_value(kind: str, access, t: float, x: np.ndarray, etas: np.ndarray,
-              lam: float = 0.0, lvec: LambdaVec | None = None) -> np.ndarray:
-    """The functional of one kind ("ll", "disp" or "anti") at time t, one
-    value per direction of the (B, N) stack etas."""
-    if kind == "ll":
-        return mon_ll(access, t, x, etas)
-    if kind == "disp":
-        return mon_disp(access, t, x, etas, lam)
-    return mon_anti(access, t, x, etas, lvec)
+def monotonicity_sweep(flow, access, kind, slices: int = 5, battery_size: int = 12,
+                       tolerance: float = 1e-6, seed: int = 0) -> MonotonicityReport:
+    """Evaluate one kind's functional over time slices x direction battery.
 
-
-def monotonicity_sweep(flow, access, kind: str, lam: float = 0.0,
-                       lvec: LambdaVec | None = None, slices: int = 5,
-                       battery_size: int = 12, tolerance: float = 1e-6, seed: int = 0) -> MonotonicityReport:
-    """Evaluate one functional over time slices x direction battery.
-
-    Slice times are grid levels of the converged flow, with the flow's own
-    states there as the cloud.  The verdict is min >= -tolerance for the Lasry-Lions
-    and displacement kinds, and max <= tolerance for the anti-monotone kind.
+    ``kind`` is a monotonicity kind object (``propagation.MONOTONICITY_KINDS``):
+    it carries its parameters, evaluates its functional at a cloud and
+    judges the values by its sign.  Slice times are grid levels of the
+    converged flow, with the flow's own states there as the cloud.
     """
-    if kind not in ("ll", "disp", "anti"):
-        raise MonotonicityError(f"unknown monotonicity kind {kind!r}")
-    if kind == "anti" and lvec is None:
-        raise MonotonicityError("anti kind needs a lambda vector")
     grid = flow.grid
     levels = [int(round(q * grid.n_t / (slices - 1))) for q in range(slices)] \
         if slices > 1 else [0]
@@ -159,26 +161,23 @@ def monotonicity_sweep(flow, access, kind: str, lam: float = 0.0,
     for k in sorted(set(levels)):
         t, x_k = float(grid.ts[k]), flow.states[k]
         etas = np.array(direction_battery(x_k, battery_size, seed))
-        values = mon_value(kind, access, t, x_k, etas, lam, lvec)
+        values = kind.value(access, t, x_k, etas)
         samples += [{"t": t, "level": k, "direction": d_idx, "value": float(value)}
                     for d_idx, value in enumerate(values)]
     values = np.array([s["value"] for s in samples])
-    minimum = float(values.min())
-    maximum = float(values.max())
-    verdict = (maximum <= tolerance) if kind == "anti" else (minimum >= -tolerance)
+    lvec = kind.lvec
     return MonotonicityReport(
-        kind=kind,
+        kind=kind.name,
         samples=samples,
-        minimum=minimum,
+        minimum=float(values.min()),
         tolerance=tolerance,
-        verdict=bool(verdict),
+        verdict=kind.holds(values, tolerance),
         metadata={
-            "maximum": maximum,
-            "lambda": lam,
+            "maximum": float(values.max()),
+            "lambda": kind.lam,
             "lambda_vec": None if lvec is None else [lvec.l0, lvec.l1, lvec.l2, lvec.l3],
             "slices": slices,
             "battery_size": battery_size,
             "seed": seed,
         },
     )
-

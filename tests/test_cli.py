@@ -80,9 +80,20 @@ BASE_CONFIGS = {
     "propagate": small_model_block(),
     "mono": small_model_block().replace("kind = propagate", "kind = mono"),
     "check": "[experiment]\nkind = check\n[model]\nfamily = ll_example\n"
-             "[check]\nwhich = ll\n",
+             "[check]\nwhich = ll\n"
+             "[anti]\nl0 = 10.5\ngamma_lo = 0.5\ngamma_hi = 2.0\nl_bar = 1.0\nlu_xx = 1.0\n",
     "chain": "[experiment]\nkind = chain\n[chain]\npairs = 2\natoms = 4\n",
+    "anti_propagate": (CONFIGS / "anti_propagation.ini").read_text(),
+    "anti_check": with_key(with_key((CONFIGS / "anti_propagation.ini").read_text(),
+                                    "experiment", "kind", "check"), "check", "which", "anti"),
 }
+
+
+def command_of(text):
+    """The [experiment] kind of an INI text, which is also its CLI command."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(text)
+    return parser["experiment"]["kind"]
 
 
 class TestExitCodes:
@@ -194,6 +205,10 @@ which = matrix1
         ("propagate", "check", "samples", "0"),
         ("check", "check", "atoms", "1"),
         ("check", "anti", "l0", "big"),
+        ("check", "check", "which", "anti"),            # no [monotonicity] lambda_vec
+        ("anti_check", "anti", "gamma_lo", "0"),        # gamma_hi > gamma_lo > 0 fails
+        ("anti_propagate", "anti", "gamma_lo", "0"),
+        ("mono", "monotonicity", "kind", "bogus"),
         ("chain", "chain", "pairs", "many"),
         ("chain", "chain", "pairs", "0"),
         ("chain", "chain", "atoms", "0"),
@@ -202,9 +217,10 @@ which = matrix1
     ])
     def test_bad_runner_key_is_config_error(self, tmp_path, kind, section, key, value):
         cfg = tmp_path / "exp.ini"
-        cfg.write_text(with_key(BASE_CONFIGS[kind], section, key, value))
+        text = with_key(BASE_CONFIGS[kind], section, key, value)
+        cfg.write_text(text)
         out = tmp_path / "o"
-        assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1
+        assert main([command_of(text), "--config", str(cfg), "--out", str(out)]) == 1
         assert not (out / "report.json").exists()  # rejected before any run
 
     @pytest.mark.parametrize("text", [
@@ -284,6 +300,20 @@ class TestShippedConfigs:
         assert main(["chain", "--config", str(CONFIGS / "chain.ini"),
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("name,code", [
+        ("ll_mono", 0), ("ll_propagation", 0), ("ll_negative_control", 2),
+        ("disp_propagation", 0), ("anti_propagation", 0),
+    ])
+    def test_kind_config_at_two_directions(self, tmp_path, name, code):
+        text = with_key((CONFIGS / f"{name}.ini").read_text(), "monotonicity", "directions", "2")
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main([command_of(text), "--config", str(cfg), "--out", str(out)]) == code
+        report = json.loads((out / "report.json").read_text())
+        assert report["verdict"] is (code == 0)
+        assert report["kind"] == name.split("_")[0]
+
     def test_solve_config_passes_and_writes_artifacts(self, tmp_path):
         out = tmp_path / "out"
         assert main(["solve", "--config", str(CONFIGS / "lq_solve.ini"),
@@ -313,6 +343,19 @@ class TestDeterminism:
                      "--seed", "99"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 99
+
+    def test_seed_flag_reaches_gate_samples_and_battery(self, tmp_path):
+        # --seed 99 on a seed = 7 config runs exactly the seed = 99 config.
+        text = with_key(small_model_block(), "monotonicity", "directions", "4")
+        flagged, written = tmp_path / "flagged.ini", tmp_path / "written.ini"
+        flagged.write_text(text)
+        written.write_text(with_key(text, "experiment", "seed", "99"))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["propagate", "--config", str(flagged), "--out", str(out1),
+                     "--seed", "99"]) == 0
+        assert main(["propagate", "--config", str(written), "--out", str(out2)]) == 0
+        for name in ("trace.csv", "report.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_jobs_flag_does_not_change_mono_results(self, tmp_path):
         cfg = tmp_path / "exp.ini"

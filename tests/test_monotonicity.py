@@ -14,11 +14,20 @@ from mfgclab.monotonicity import (
     monotonicity_sweep,
     tolerance_scale,
 )
+from mfgclab.propagation import AntiMonotone, Displacement, LasryLions
 from mfgclab.solver import Grid, PicardSettings, ValueAccess, solve_mfgc, terminal_field
+
+
+LL = LasryLions()
 
 
 def cloud(xs):
     return np.asarray(xs, dtype=float)
+
+
+def anti(lvec):
+    """The anti kind with the weights lvec and the shipped [anti] constants."""
+    return AntiMonotone(lvec, l0=10.5, gamma_lo=0.5, gamma_hi=2.0, l_bar=1.0, lu_xx=1.0)
 
 
 class TerminalAccess:
@@ -44,26 +53,27 @@ class TestMonLLTerminal:
         # g = a x^2 / 2 + b x E[xi]: the form equals b * mean(eta)^2.
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=1.0))
         mu = cloud([0.4, -0.3, 1.1, 0.2])
-        assert mon_ll(access, 1.0, mu, np.ones((1, 4))) == pytest.approx([1.0], abs=1e-6)
+        assert mon_ll(access, 1.0, mu, np.ones((1, 4)), LL) == pytest.approx([1.0], abs=1e-6)
 
     def test_mean_free_direction_vanishes(self):
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=1.0))
         mu = cloud([0.4, -0.3, 1.1, 0.2])
         eta = np.array([1.0, -1.0, 0.5, -0.5])
-        assert mon_ll(access, 1.0, mu, (eta - eta.mean())[None, :]) == pytest.approx([0.0], abs=1e-8)
+        value = mon_ll(access, 1.0, mu, (eta - eta.mean())[None, :], LL)
+        assert value == pytest.approx([0.0], abs=1e-8)
 
     def test_quadratic_scaling_in_eta(self):
         access = TerminalAccess(QuadraticTerminalCost(xm=0.7))
         mu = cloud([0.0, 0.5, -0.5, 1.0])
         eta = np.array([1.0, 0.4, -0.2, 0.8])
-        base, scaled = mon_ll(access, 1.0, mu, np.array([eta, 3.0 * eta]))
+        base, scaled = mon_ll(access, 1.0, mu, np.array([eta, 3.0 * eta]), LL)
         assert scaled == pytest.approx(9.0 * base, rel=2e-4, abs=2e-6)
 
     def test_direction_mismatch_rejected(self):
         access = TerminalAccess(QuadraticTerminalCost(xm=1.0))
         mu = cloud([0.0, 1.0])
         with pytest.raises(CalculusError, match="direction"):
-            mon_ll(access, 1.0, mu, np.ones((1, 3)))
+            mon_ll(access, 1.0, mu, np.ones((1, 3)), LL)
 
 
 class TestMonDispTerminal:
@@ -72,31 +82,29 @@ class TestMonDispTerminal:
         access = TerminalAccess(QuadraticTerminalCost(xx=-1.0))
         mu = cloud([0.3, -0.2, 0.9, 0.0])
         eta = np.array([0.5, -1.0, 0.25, 0.75])
-        (value,) = mon_disp(access, 1.0, mu, eta[None, :], lam=1.0)
+        (value,) = mon_disp(access, 1.0, mu, eta[None, :], Displacement(1.0))
         assert value == pytest.approx(0.0, abs=1e-7)
 
     def test_marginal_displacement_monotone(self):
         # a = 1, b = -1, eta = 1, lambda = 0: b mean(eta)^2 + a mean(eta^2) = 0.
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=-1.0))
         mu = cloud([0.1, 0.6, -0.4, 0.2])
-        (value,) = mon_disp(access, 1.0, mu, np.ones((1, 4)), lam=0.0)
+        (value,) = mon_disp(access, 1.0, mu, np.ones((1, 4)), Displacement(0.0))
         assert value == pytest.approx(0.0, abs=1e-6)
 
     def test_additive_in_lambda_exactly(self):
         access = TerminalAccess(QuadraticTerminalCost(xx=0.5, xm=0.2))
         mu = cloud([0.0, 1.0, -1.0, 0.5])
         eta = np.array([1.0, -0.5, 0.25, 0.0])
-        (v0,) = mon_disp(access, 1.0, mu, eta[None, :], lam=0.0)
+        (v0,) = mon_disp(access, 1.0, mu, eta[None, :], Displacement(0.0))
         for lam in (0.5, 1.0, 2.0):
             expected = v0 + lam * np.mean(eta**2)
-            (value,) = mon_disp(access, 1.0, mu, eta[None, :], lam)
+            (value,) = mon_disp(access, 1.0, mu, eta[None, :], Displacement(lam))
             assert value == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative_lambda_required(self):
-        access = TerminalAccess(QuadraticTerminalCost())
-        mu = cloud([0.0, 1.0])
         with pytest.raises(MonotonicityError):
-            mon_disp(access, 1.0, mu, np.ones((1, 2)), lam=-0.1)
+            Displacement(lam=-0.1)
 
 
 class TestMonAntiTerminal:
@@ -106,20 +114,20 @@ class TestMonAntiTerminal:
         access = TerminalAccess(QuadraticTerminalCost(xx=-0.5))
         mu = cloud([0.2, -0.7, 0.5, 1.0])
         eta = np.array([1.0, 0.5, -0.5, 2.0])
-        (value,) = mon_anti(access, 1.0, mu, eta[None, :], LambdaVec(1, 0, 1, 0))
+        (value,) = mon_anti(access, 1.0, mu, eta[None, :], anti(LambdaVec(1, 0, 1, 0)))
         assert value == pytest.approx(-0.25 * np.mean(eta**2), abs=1e-6)
 
     def test_zero_direction(self):
         access = TerminalAccess(QuadraticTerminalCost(xx=-0.5, xm=0.3))
         mu = cloud([0.0, 1.0, 2.0])
-        (value,) = mon_anti(access, 1.0, mu, np.zeros((1, 3)), LambdaVec(1, 1, 1, 0))
+        (value,) = mon_anti(access, 1.0, mu, np.zeros((1, 3)), anti(LambdaVec(1, 1, 1, 0)))
         assert value == 0.0
 
     def test_large_l3_dominates(self):
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=0.5))
         mu = cloud([0.3, -0.3, 0.8])
         eta = np.array([1.0, 1.0, -0.5])
-        (value,) = mon_anti(access, 1.0, mu, eta[None, :], LambdaVec(1, 1, 1, 50))
+        (value,) = mon_anti(access, 1.0, mu, eta[None, :], anti(LambdaVec(1, 1, 1, 50)))
         assert value < 0.0
 
     def test_lambda_vec_validation(self):
@@ -169,7 +177,7 @@ class TestDifferenceForm:
         eps = 0.05
         mu2 = mu1 + eps * eta
         diff = mon_ll_difference_form(access, 1.0, mu1, mu2)
-        (perturbative,) = mon_ll(access, 1.0, mu1, eta[None, :])
+        (perturbative,) = mon_ll(access, 1.0, mu1, eta[None, :], LL)
         assert diff == pytest.approx(eps**2 * perturbative, rel=0.2, abs=1e-9)
 
 
@@ -208,13 +216,9 @@ class TestSweepWithSolver:
         flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid, pic, seed=7)
         access = ValueAccess(model, flow)
         tol = tolerance_scale(grid.dt, grid.dx, 16, 1e-3, c=0.2)
-        report = monotonicity_sweep(flow, access, "ll", slices=3, battery_size=6,
+        report = monotonicity_sweep(flow, access, LL, slices=3, battery_size=6,
                                     tolerance=tol, seed=0)
         assert report.verdict, (report.minimum, tol)
         assert report.minimum >= -tol
         terminal_vals = [s["value"] for s in report.samples if s["level"] == grid.n_t]
         assert min(terminal_vals) >= -1e-8  # exact nonnegativity at t = T
-
-    def test_sweep_rejects_unknown_kind(self):
-        with pytest.raises(MonotonicityError):
-            monotonicity_sweep(None, None, "bogus")

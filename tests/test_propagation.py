@@ -5,9 +5,12 @@ from scipy.integrate import solve_ivp
 from mfgclab.measures import gaussian_quantile_cloud
 from mfgclab.config import preset_model
 from mfgclab.models import MeanPoly2, Model, QuadraticTerminalCost
-from mfgclab.monotonicity import LambdaVec, direction_battery
+from mfgclab.monotonicity import LambdaVec, MonotonicityError, direction_battery
 from mfgclab.propagation import (
+    AntiMonotone,
+    Displacement,
     GateError,
+    LasryLions,
     PropagationConfig,
     build_traces,
     evaluate_rhs_formulas,
@@ -21,6 +24,13 @@ from mfgclab.solver import Grid, PicardSettings, ValueAccess, solve_mfgc
 
 N = 16
 MU0 = gaussian_quantile_cloud(N, 0.0, 1.0)
+LL = LasryLions()
+
+
+def anti(lvec, lu_xx=1.0):
+    """The anti kind with the weights lvec and the [anti] constants of
+    anti_propagation.ini."""
+    return AntiMonotone(lvec, l0=10.5, gamma_lo=0.5, gamma_hi=2.0, l_bar=1.0, lu_xx=lu_xx)
 
 
 def disp_example_model():
@@ -108,7 +118,7 @@ class TestSimulateVariational:
         model, grid, flow, access = ll_setup()
         etas = np.array(direction_battery(flow.states[0], 3))
         batched = simulate_variational(model, flow, etas, access)
-        traces = build_traces(model, flow, etas, access, lvec=LambdaVec(0.5, 1.0, 2.0, 3.0))
+        traces = build_traces(model, flow, etas, access, anti(LambdaVec(0.5, 1.0, 2.0, 3.0)))
         for b, eta in enumerate(etas):
             fresh = ValueAccess(model, flow)
             single = simulate_variational(model, flow, eta[None, :], fresh)
@@ -116,7 +126,7 @@ class TestSimulateVariational:
                 for name in ("delta_x", "gamma", "upsilon"):
                     assert np.array_equal(getattr(s_all, name)[b], getattr(s_one, name)[0])
             (trace,) = build_traces(model, flow, eta[None, :], fresh,
-                                    lvec=LambdaVec(0.5, 1.0, 2.0, 3.0))
+                                    anti(LambdaVec(0.5, 1.0, 2.0, 3.0)))
             assert traces[b].direction == b
             assert traces[b].rows() == [dict(row, direction=b) for row in trace.rows()]
 
@@ -150,7 +160,7 @@ class TestRhsFormulas:
 
     def test_formula_equality_along_coupled_trace(self):
         model, grid, flow, access = ll_setup()
-        (trace,) = build_traces(model, flow, np.ones((1, N)), access)
+        (trace,) = build_traces(model, flow, np.ones((1, N)), access, LL)
         assert formula_match_violations(trace) == []
         slope = trace.slope(trace.i_vals)
         gap = np.abs(slope[1:-1] - trace.dt_i_rhs[1:-1])
@@ -165,30 +175,30 @@ class TestRhsFormulas:
         ll_model, _, ll_flow, ll_access = ll_setup()
         for model, flow, access in ((model, flow, ValueAccess(model, flow)),
                                     (ll_model, ll_flow, ll_access)):
-            (trace,) = build_traces(model, flow, np.ones((1, N)), access, lam=0.0)
+            (trace,) = build_traces(model, flow, np.ones((1, N)), access, Displacement(0.0))
             slope = trace.slope(trace.i_vals + trace.ibar_vals)
             gap = np.abs(slope[1:-1] - trace.cd_disp_rhs[1:-1])
             ref = np.maximum(np.abs(slope[1:-1]), np.abs(trace.cd_disp_rhs[1:-1]))
             assert np.all(gap <= np.maximum(0.10 * ref, 1e-3))
-            assert formula_match_violations(trace, "disp") == []
+            assert formula_match_violations(trace) == []
 
     def test_xi_bookkeeping_identity(self):
         model, grid, flow, access = ll_setup()
         lv = LambdaVec(0.5, 1.0, 2.0, 3.0)
-        (trace,) = build_traces(model, flow, np.ones((1, N)), access, lvec=lv)
+        (trace,) = build_traces(model, flow, np.ones((1, N)), access, anti(lv))
         states = simulate_variational(model, flow, np.ones((1, N)), access)
         for k, s in enumerate(states):
             (dx,), (gamma,), (upsilon,) = s.delta_x, s.gamma, s.upsilon
             expected = (lv.l0 * np.mean(gamma * dx) + lv.l1 * np.mean(upsilon * dx)
                         + np.mean(gamma**2) + lv.l2 * np.mean(upsilon**2)
                         - lv.l3 * np.mean(dx**2))
-            assert trace.xi_vals[k] == pytest.approx(expected, abs=1e-14)
+            assert trace.series[k] == pytest.approx(expected, abs=1e-14)
 
 
 class TestPropagationExperiment:
     def test_ll_experiment_passes_and_i_decreases(self):
         model, grid, flow, access = ll_setup()
-        config = PropagationConfig(kind="ll", n_directions=4, tol_c=0.05, seed=0)
+        config = PropagationConfig(kind=LL, n_directions=4, tol_c=0.05, seed=0)
         result = run_experiment(model, flow, access, config)
         assert result.verdict
         assert result.slope_violations == []
@@ -199,7 +209,7 @@ class TestPropagationExperiment:
 
     def test_gate_failing_model_raises_before_anything_else(self):
         model, grid, flow, access = ll_setup(c2=-0.2)
-        config = PropagationConfig(kind="ll", n_directions=4, tol_c=0.05, seed=0)
+        config = PropagationConfig(kind=LL, n_directions=4, tol_c=0.05, seed=0)
         report = model_gate(model, config)
         assert not report.passed
         with pytest.raises(GateError):
@@ -207,7 +217,7 @@ class TestPropagationExperiment:
 
     def test_negative_control_produces_slope_violation(self):
         model, grid, flow, access = ll_setup(c2=-0.2)
-        config = PropagationConfig(kind="ll", n_directions=12, tol_c=0.05, seed=0,
+        config = PropagationConfig(kind=LL, n_directions=12, tol_c=0.05, seed=0,
                                    enforce_gate=False)
         result = run_experiment(model, flow, access, config)
         assert not result.verdict
@@ -221,7 +231,7 @@ class TestPropagationExperiment:
         pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
         flow = solve_mfgc(model, MU0, grid, pic, seed=11)
         access = ValueAccess(model, flow)
-        config = PropagationConfig(kind="disp", lam=0.0, n_directions=4, tol_c=0.05, seed=0)
+        config = PropagationConfig(kind=Displacement(0.0), n_directions=4, tol_c=0.05, seed=0)
         result = run_experiment(model, flow, access, config)
         assert result.verdict
         # displacement monotone value function: curvature floor is nonnegative
@@ -236,15 +246,13 @@ class TestPropagationExperiment:
         flow = solve_mfgc(model, mu0, grid, pic, seed=13)
         access = ValueAccess(model, flow)
         lv = LambdaVec(0.5, 0.5, 4.0, 8.0)
-        config = PropagationConfig(kind="anti", lvec=lv, n_directions=4, tol_c=0.05,
-                                   seed=0, anti_l0=10.5, anti_gamma_lo=0.5,
-                                   anti_gamma_hi=2.0, anti_l_bar=1.0, anti_lu_xx=1.0)
+        config = PropagationConfig(kind=anti(lv), n_directions=4, tol_c=0.05, seed=0)
         result = run_experiment(model, flow, access, config)
         assert result.verdict
         assert result.details["vxx_max"] <= 1.0
         trace = result.traces[0]
-        assert trace.xi_vals[0] <= trace.xi_vals[-1] + result.tolerance
-        assert trace.xi_vals[0] <= result.tolerance
+        assert trace.series[0] <= trace.series[-1] + result.tolerance
+        assert trace.series[0] <= result.tolerance
 
     def test_anti_vxx_violation_is_gate_error(self):
         model = anti_example_model()
@@ -253,19 +261,63 @@ class TestPropagationExperiment:
         flow = solve_mfgc(model, gaussian_quantile_cloud(N, 0.0, 0.35), grid, pic, seed=13)
         access = ValueAccess(model, flow)
         lv = LambdaVec(0.5, 0.5, 4.0, 8.0)
-        config = PropagationConfig(kind="anti", lvec=lv, n_directions=2, tol_c=0.05,
-                                   seed=0, anti_l0=10.5, anti_gamma_lo=0.5,
-                                   anti_gamma_hi=2.0, anti_l_bar=1.0,
-                                   anti_lu_xx=0.25)  # below the realised curvature
+        config = PropagationConfig(kind=anti(lv, lu_xx=0.25),  # below the realised curvature
+                                   n_directions=2, tol_c=0.05, seed=0)
         with pytest.raises(GateError, match="curvature"):
             run_experiment(model, flow, access, config)
 
     def test_trace_csv_export(self, tmp_path):
         model, grid, flow, access = ll_setup()
-        config = PropagationConfig(kind="ll", n_directions=2, tol_c=0.05, seed=0)
+        config = PropagationConfig(kind=LL, n_directions=2, tol_c=0.05, seed=0)
         result = run_experiment(model, flow, access, config)
         path = tmp_path / "trace.csv"
         traces_to_csv(path, result.traces)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("direction,t,I,Ibar,dX2")
         assert len(lines) == 1 + 2 * (grid.n_t + 1)
+
+
+def kind_setup(name):
+    """(model, flow, access, kind) of a small passing experiment of each kind;
+    the disp kind runs at lambda = 0.5 so that every term of its series counts."""
+    if name == "ll":
+        model, _, flow, access = ll_setup()
+        return model, flow, access, LL
+    if name == "disp":
+        model, grid, kind = disp_example_model(), Grid.with_cfl_steps(-6.0, 6.0, 81, 0.0, 0.25), \
+            Displacement(0.5)
+        mu0, seed = MU0, 11
+    else:
+        model, grid, kind = anti_example_model(), Grid.with_cfl_steps(-1.5, 1.5, 61, 0.0, 0.1), \
+            anti(LambdaVec(0.5, 0.5, 4.0, 8.0))
+        mu0, seed = gaussian_quantile_cloud(N, 0.0, 0.35), 13
+    flow = solve_mfgc(model, mu0, grid, PicardSettings(max_iter=200, tol=1e-10, damping=0.6),
+                      seed=seed)
+    return model, flow, ValueAccess(model, flow), kind
+
+
+class TestKinds:
+    @pytest.mark.parametrize("name", ["ll", "disp", "anti"])
+    def test_level_zero_series_equals_mono_functional(self, name):
+        # The trace and the mono sweep take the functional from the same kind
+        # object; at t0 both see the same cloud and battery.
+        model, flow, access, kind = kind_setup(name)
+        etas = np.array(direction_battery(flow.states[0], 4))
+        traces = build_traces(model, flow, etas, access, kind)
+        mono = kind.value(access, float(flow.grid.ts[0]), flow.states[0], etas)
+        series0 = np.array([trace.series[0] for trace in traces])
+        assert np.max(np.abs(series0 - mono)) <= 1e-12
+        assert np.max(np.abs(mono)) > 1e-3  # the comparison is not between zeros
+
+    def test_anti_kind_rejects_a_missing_vector_and_bad_gamma_bounds(self):
+        with pytest.raises(MonotonicityError, match="lambda_vec"):
+            anti(None)
+        with pytest.raises(MonotonicityError, match="gamma_hi > gamma_lo > 0"):
+            AntiMonotone(LambdaVec(0.5, 0.5, 4.0, 8.0), l0=10.5, gamma_lo=0.0,
+                         gamma_hi=2.0, l_bar=1.0, lu_xx=1.0)
+
+    def test_verdict_sign(self):
+        values = np.array([-0.5, 0.25])
+        assert not LL.holds(values, 0.1) and LL.holds(values, 0.5)
+        assert not anti(LambdaVec(1, 0, 1, 0)).holds(values, 0.1)
+        assert anti(LambdaVec(1, 0, 1, 0)).holds(values, 0.25)
