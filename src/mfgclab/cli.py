@@ -40,6 +40,7 @@ from .propagation import (
     propagation_experiment,
     traces_to_csv,
 )
+from .reports import _jsonable
 from .solver import PicardError, SolverError, ValueAccess, solve_mfgc
 
 EXIT_OK = 0
@@ -73,7 +74,8 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, seed: int,
 
 
 def _write_json(path: Path, payload) -> Path:
-    path.write_text(json.dumps(payload, indent=2))
+    """Strict JSON: a non-finite number is written as null."""
+    path.write_text(json.dumps(_jsonable(payload), indent=2, allow_nan=False))
     return path
 
 
@@ -126,7 +128,7 @@ def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     reports = []
     for name in cfg.check_section.get("which", "envelope").split():
         if name in MONOTONICITY_KINDS:
-            reports.append(cfg.monotonicity_kind(name).gate(model, samples, seed))
+            reports.append(cfg.monotonicity_kind(name).gate(model, samples))
         elif name == "envelope":
             reports.append(verify_envelope_identities(model, sample_count=200, seed=seed))
         elif name == "matrix1":

@@ -35,7 +35,10 @@ in ``[check] which``.  ``monotonicity_kind()`` builds the kind object of
           (gamma_hi > gamma_lo > 0), l_bar,
           lu_xx
 
-A propagate run of the anti kind also requires |Vxx| <= lu_xx on the solved
+Every gate and the disp_sufficient checker judge ``[check] samples`` (40)
+random laws of ``[check] atoms`` (16) atoms each, drawn from the
+experiment's seed; fmon draws that many coupled pairs of that size.  A
+propagate run of the anti kind also requires |Vxx| <= lu_xx on the solved
 field.  An invalid kind parameter is a ConfigError before any solve, and
 [monotonicity] lambda is range-checked whatever the kind.
 """
@@ -252,7 +255,8 @@ class ExperimentConfig:
         return _number(self.mono_section, "slices", "5", int, 1)
 
     def check_sizes(self) -> tuple:
-        """(samples, atoms) of the condition checkers' random samples."""
+        """(samples, atoms): the number of the condition checkers' random
+        laws and the atom count of each."""
         sec = self.check_section
         return _number(sec, "samples", "40", int, 1), _number(sec, "atoms", "16", int, 2)
 

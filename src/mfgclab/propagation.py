@@ -25,10 +25,8 @@ from .conditions import (
     check_anti_assumption,
     check_disp_condition,
     check_ll_condition,
-    dx2_form,
     dx_velocity,
-    ibar_form,
-    ll_form,
+    form_matrices,
     make_condition_samples,
 )
 from .models import HatTable, Model, hat_derivative_table
@@ -161,18 +159,16 @@ def evaluate_rhs_formulas(model: Model, state: VariationalState,
 
     Returns the derivative of the Lasry-Lions pairing, of the curvature
     pairing, of the second moment of dX, and the combined displacement-form
-    derivative at the given lambda: the forms ``ll_form``, ``ibar_form``,
-    ``dx2_form`` and ``disp_form`` at (eta, gamma, zeta) = (dX, G, U), the
-    last summed from the first three exactly as ``disp_form`` sums them.  The
-    first and the last are the gates' forms: the Hamiltonian condition is the
-    time derivative of the functional.
+    derivative at the given lambda: v . M v for the ``form_matrices`` L, Ibar
+    and DX2 of the level's table at v = (dX, G, U), and their sum
+    L + Ibar + lam DX2.  L and the sum are the gates' forms: the Hamiltonian
+    condition is the time derivative of the functional.
     """
-    table = state.table
-    values = np.array([
-        (ll_form(table, *row), ibar_form(table, *row), dx2_form(table, *row))
-        for row in zip(state.delta_x, state.gamma, state.upsilon)
-    ])
-    dt_i, dt_ibar, dt_dx2 = values.T
+    # Directions on the stack axis of the product: each row is bit-identical
+    # to a one-direction request.
+    v = np.concatenate([state.delta_x, state.gamma, state.upsilon], axis=-1)
+    v = v[:, None, None, :]    # (B, 1, 1, 3N) against the (3, 3N, 3N) stack
+    dt_i, dt_ibar, dt_dx2 = np.sum((v @ form_matrices(state.table)) * v, axis=-1)[..., 0].T
     return {"dtI_rhs": dt_i, "dtIbar_rhs": dt_ibar, "d_deltaX2_rhs": dt_dx2,
             "cd_disp_rhs": dt_i + dt_ibar + lam * dt_dx2}
 
@@ -272,7 +268,7 @@ class LasryLions(Kind):
     def functional(self, p: Pairings) -> np.ndarray:
         return p.i
 
-    def gate(self, model: Model, samples: list, seed: int) -> ConditionReport:
+    def gate(self, model: Model, samples: list) -> ConditionReport:
         return check_ll_condition(model, samples)
 
 
@@ -299,7 +295,7 @@ class Displacement(Kind):
     def functional(self, p: Pairings) -> np.ndarray:
         return p.i + p.ibar + self.lam * p.dx2
 
-    def gate(self, model: Model, samples: list, seed: int) -> ConditionReport:
+    def gate(self, model: Model, samples: list) -> ConditionReport:
         return check_disp_condition(model, self.lam, samples)
 
     def formula_pairs(self, trace: PropagationTrace) -> list:
@@ -341,9 +337,9 @@ class AntiMonotone(Kind):
         lv = self.lvec
         return lv.l0 * p.ibar + lv.l1 * p.i + p.g2 + lv.l2 * p.u2 - lv.l3 * p.dx2
 
-    def gate(self, model: Model, samples: list, seed: int) -> ConditionReport:
+    def gate(self, model: Model, samples: list) -> ConditionReport:
         return check_anti_assumption(model, self.lvec, self.l0, self.gamma_lo,
-                                     self.gamma_hi, self.l_bar, self.lu_xx, seed=seed)
+                                     self.gamma_hi, self.l_bar, self.lu_xx, samples)
 
     def terminal_check(self, flow: EquilibriumFlow) -> tuple:
         """The curvature bound |Vxx| <= lu_xx on the whole solved field."""
@@ -395,7 +391,7 @@ def model_gate(model: Model, config: PropagationConfig) -> ConditionReport:
     any solve so a failing configuration can be rejected cheaply."""
     samples = make_condition_samples(config.gate_samples, config.gate_atoms,
                                      config.seed)
-    return config.kind.gate(model, samples, config.seed)
+    return config.kind.gate(model, samples)
 
 
 def propagation_experiment(model: Model, flow: EquilibriumFlow,

@@ -1,17 +1,22 @@
 """Report containers shared by the condition checkers and functional evaluators."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Any
 
+import numpy as np
+
 
 def _jsonable(value):
-    import numpy as np
-
+    """value with numpy arrays and scalars as Python lists and numbers, and
+    every non-finite float as None, so that it dumps as strict JSON."""
     if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.tolist()
+    elif isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -25,7 +30,9 @@ class ConditionReport:
 
     margin convention: distance to violation, nonnegative on a passing
     sample.  ``worst_margin`` is the minimum over samples; a failing report
-    carries the witness sample that achieved it.  ``failure_kind`` separates
+    carries the witness that achieved it.  For a quadratic-form gate that is
+    the unit-RMS eigenvector of the worst law's form matrix, split into
+    (eta, gamma, zeta), with its form value.  ``failure_kind`` separates
     an ordinary condition failure from a violated hypothesis (the latter maps
     to a distinct process exit code).
     """

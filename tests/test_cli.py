@@ -64,6 +64,10 @@ atoms = 12
 """
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def with_key(text, section, key, value):
     """The INI text with one key of one section set to value."""
     parser = configparser.ConfigParser()
@@ -151,6 +155,22 @@ samples = 5
 atoms = 8
 """)
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("which,b1_mean", [
+        ("fmon", "0 0 0.75"),              # drift is not the identity in the control
+        ("disp_sufficient", "0 0 2"),      # c0 = 3 breaks Hhat_pp < -c0
+    ])
+    def test_hypothesis_failure_report_is_strict_json(self, tmp_path, which, b1_mean):
+        text = with_key(with_key((CONFIGS / "ll_check.ini").read_text(),
+                                 "check", "which", which), "model", "b1_mean", b1_mean)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        assert report["worst_margin"] is None
+        assert report["reports"][0]["worst_margin"] is None
+        assert report["reports"][0]["failure_kind"] == "hypothesis"
 
     def test_check_failure_exits_2(self, tmp_path):
         cfg = tmp_path / "exp.ini"
@@ -276,6 +296,20 @@ class TestShippedConfigs:
         names = {r["condition"] for r in report["reports"]}
         assert names == {"envelope_identities", "coefficient_matrix_psd",
                          "lasry_lions_hamiltonian"}
+
+    def test_anti_check_reads_the_check_samples(self, tmp_path):
+        # The anti_example tables do not depend on the law, so only the
+        # number of laws moves with [check] samples.
+        reports = []
+        for samples in ("5", "40"):
+            cfg = tmp_path / f"anti{samples}.ini"
+            cfg.write_text(with_key(BASE_CONFIGS["anti_check"], "check", "samples", samples))
+            out = tmp_path / samples
+            assert main(["check", "--config", str(cfg), "--out", str(out)]) == 0
+            (report,) = json.loads((out / "report.json").read_text())["reports"]
+            assert report["n_samples"] == int(samples)
+            reports.append(report)
+        assert reports[0]["details"] == reports[1]["details"]
 
     def test_chain_config_passes(self, tmp_path):
         out = tmp_path / "out"

@@ -1,5 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_forms import disp_form, dx2_form, ibar_form, ll_form
+from test_calculus import random_models
 
 from mfgclab.conditions import (
     ConditionError,
@@ -12,19 +18,34 @@ from mfgclab.conditions import (
     check_f_monotone,
     check_ll_condition,
     check_matrix1,
-    dx2_form,
-    ibar_form,
-    ll_form,
+    form_matrices,
     make_condition_samples,
     matrix1_assemble,
+    sufficient_matrix,
 )
-from mfgclab.config import preset_model
-from mfgclab.models import MeanPoly2, Model
+from mfgclab.config import ExperimentConfig, preset_model
+from mfgclab.models import MeanPoly2, Model, hat_derivative_table
 from mfgclab.monotonicity import LambdaVec
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REFERENCE_FORMS = (ll_form, ibar_form, dx2_form)
 
-def ll_form_value(model, sample):
-    return ll_form(sample.table(model), sample.eta, sample.gamma, sample.zeta)
+
+def quadratic(matrix, v):
+    return float(v @ matrix @ v)
+
+
+def reference_gap(table, rng, n_directions=8):
+    """Largest relative gap between v . M v for the three form matrices and
+    the reference forms, over random directions v = (eta, gamma, zeta)."""
+    matrices = form_matrices(table)
+    gap = 0.0
+    for _ in range(n_directions):
+        v = rng.normal(size=3 * table.h_pp.shape[0])
+        for matrix, form in zip(matrices, REFERENCE_FORMS):
+            want = form(table, *np.split(v, 3))
+            gap = max(gap, abs(quadratic(matrix, v) - want) / max(1.0, abs(want)))
+    return gap
 
 
 def ll_example_model(c1, c2, c3, b1=None):
@@ -102,6 +123,44 @@ class TestMatrix1:
                 check_matrix1(c1, 0.05, 0.1, 0.0, 0.75)
 
 
+class TestFormMatrices:
+    def test_agree_with_reference_forms_on_chain_model(self):
+        # Every table entry is nonzero there, and b0x != 0 makes the measure
+        # tables depend on the support atom.
+        model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
+        rng = np.random.default_rng(8)
+        for sample in make_condition_samples(6, 16, seed=3):
+            table = sample.table(model)
+            assert all(np.all(getattr(table, name) != 0.0)
+                       for name in ("h_pp", "h_xx", "h_xp", "h_xrho1", "h_xrho2",
+                                    "h_prho1", "h_prho2"))
+            assert np.ptp(table.h_xrho1[0]) > 0 and np.ptp(table.h_prho2[0]) > 0
+            assert reference_gap(table, rng) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(model=random_models(), seed=st.integers(0, 2**32 - 1))
+    def test_agree_with_reference_forms_on_random_models(self, model, seed):
+        rng = np.random.default_rng(seed)
+        table = hat_derivative_table(model, *rng.normal(size=(2, 9)))
+        assert reference_gap(table, rng) <= 1e-12
+
+    def test_matrices_are_symmetric(self):
+        model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
+        matrices = form_matrices(make_condition_samples(1, 12, seed=4)[0].table(model))
+        assert matrices.shape == (3, 36, 36)
+        assert np.array_equal(matrices, matrices.swapaxes(-1, -2))
+
+    def test_permuting_atoms_permutes_blocks(self):
+        model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
+        rng = np.random.default_rng(5)
+        x, p = rng.normal(size=(2, 10))
+        perm = rng.permutation(10)
+        index = np.concatenate([perm, perm + 10, perm + 20])
+        matrices = form_matrices(hat_derivative_table(model, x, p))
+        permuted = form_matrices(hat_derivative_table(model, x[perm], p[perm]))
+        assert np.allclose(permuted, matrices[:, index][:, :, index], rtol=0, atol=1e-15)
+
+
 class TestLLCondition:
     def test_passing_parameters(self):
         model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
@@ -117,10 +176,12 @@ class TestLLCondition:
 
     def test_zero_variables_trivially_pass(self):
         model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
+        sample = QuadraticFormSample(np.linspace(-1, 1, 8), affine_feedback(0.0, 1.0))
+        table = sample.table(model)
         zero = np.zeros(8)
-        sample = QuadraticFormSample(np.linspace(-1, 1, 8), zero, zero, zero,
-                                     affine_feedback(0.0, 1.0))
-        assert ll_form_value(model, sample) == 0.0
+        assert ll_form(table, zero, zero, zero) == 0.0
+        assert quadratic(form_matrices(table)[0], np.zeros(24)) == 0.0
+        assert check_ll_condition(model, [sample]).passed
 
     def test_matrix_pass_implies_form_pass_over_500_samples(self):
         model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
@@ -132,18 +193,31 @@ class TestLLCondition:
         model_bad = ll_example_model(c1=0.5, c2=0.03, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
         report_bad = check_ll_condition(model_bad, samples)
         assert not check_matrix1(**FAILING).passed
-        assert not report_bad.passed  # the rank-one search reproduces it here
+        assert not report_bad.passed
 
     def test_exchangeability_under_atom_relabeling(self):
         model = ll_example_model(c1=0.4, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.5))
         rng = np.random.default_rng(3)
         sample = make_condition_samples(1, 12, seed=9)[0]
-        value = ll_form_value(model, sample)
+        eta, gamma, zeta = rng.normal(size=(3, 12))
+        value = ll_form(sample.table(model), eta, gamma, zeta)
         perm = rng.permutation(12)
-        shuffled = QuadraticFormSample(sample.xi[perm], sample.eta[perm],
-                                       sample.gamma[perm], sample.zeta[perm],
-                                       sample.phi_map)
-        assert ll_form_value(model, shuffled) == pytest.approx(value, abs=1e-14)
+        shuffled = QuadraticFormSample(sample.xi[perm], sample.phi_map)
+        assert ll_form(shuffled.table(model), eta[perm], gamma[perm],
+                       zeta[perm]) == pytest.approx(value, abs=1e-14)
+
+    def test_witness_attains_reported_value(self):
+        model = ll_example_model(c1=0.5, c2=0.03, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
+        samples = make_condition_samples(40, 16, seed=1)
+        report = check_ll_condition(model, samples)
+        witness = report.witness
+        eta, gamma, zeta = (np.asarray(witness[k]) for k in ("eta", "gamma", "zeta"))
+        assert np.mean(eta**2 + gamma**2 + zeta**2) == pytest.approx(1.0, rel=1e-12)
+        table = samples[witness["sample"]].table(model)
+        assert ll_form(table, eta, gamma, zeta) == pytest.approx(witness["value"], rel=1e-10)
+        value = witness["value"]
+        assert report.worst_margin == pytest.approx(
+            report.tolerance * max(1.0, abs(value)) - value, abs=1e-15)
 
 
 class TestDispCondition:
@@ -159,6 +233,22 @@ class TestDispCondition:
         report = check_disp_condition(model, 0.0, make_condition_samples(40, 16, seed=2))
         assert not report.passed
         assert report.witness["value"] > 0
+
+    @pytest.mark.parametrize("lam,passed", [(0.75, True), (1.0, True), (1.05, False)])
+    def test_semi_monotone_gate_ends_at_lambda_one(self, lam, passed):
+        # The semi-monotone model: its exact maximum is 0 up to lambda = 1
+        # and +6.7e-2 on every law at lambda = 1.05.
+        model = disp_example_model(c=0.5, b1=MeanPoly2.linear(m2=0.6), f1_x=(0, 0, 0.5))
+        samples = make_condition_samples(40, 16, seed=11)
+        report = check_disp_condition(model, lam, samples)
+        assert report.passed is passed
+        if not passed:
+            witness = report.witness
+            assert witness["value"] == pytest.approx(6.7e-2, abs=1e-3)
+            eta, gamma, zeta = (np.asarray(witness[k]) for k in ("eta", "gamma", "zeta"))
+            table = samples[witness["sample"]].table(model)
+            assert disp_form(table, eta, gamma, zeta, lam) == pytest.approx(
+                witness["value"], rel=1e-10)
 
 
 class TestDispSufficient:
@@ -177,9 +267,8 @@ class TestDispSufficient:
 
     def test_zero_direction_on_form(self):
         model = self.make_model()
-        zero = np.zeros(8)
-        sample = QuadraticFormSample(np.linspace(-1, 1, 8), zero, zero, zero,
-                                     affine_feedback(0.1, 0.5))
+        sample = QuadraticFormSample(np.linspace(-1, 1, 8), affine_feedback(0.1, 0.5))
+        assert quadratic(sufficient_matrix(sample.table(model), 0.0, 0.2), np.zeros(8)) == 0.0
         report = check_disp_sufficient(model, 0.0, 0.2, [sample])
         assert report.passed
 
@@ -197,29 +286,38 @@ class TestDispSufficient:
         assert report.failure_kind == "hypothesis"
 
     def test_value_bounds_the_displacement_form(self):
-        # The sufficient condition's value v bounds the displacement form
-        # from above: max over gamma + zeta of (ll + ibar + lam dx2) <= -v.
+        # The sufficient condition's form v(eta) bounds the displacement form
+        # from above: max over gamma + zeta of (ll + ibar + lam dx2) <= -v(eta),
+        # and the report's value is the minimum of v over unit-RMS eta.
         # q2 = 0.3 makes h_xrho2 nonzero.
         model = preset_model({"family": "disp_example", "c": "0.5",
                               "b1_mean": "0 -0.1 0.75", "f1_x": "0 0 0.25", "q2": "0.3"})
+        rng = np.random.default_rng(6)
+        n = 16
         for lam in (0.0, 0.5):
-            for sample in make_condition_samples(10, 16, seed=4):
+            for sample in make_condition_samples(10, n, seed=4):
                 report = check_disp_sufficient(model, lam, 0.5, [sample], tol=0.0)
                 assert report.failure_kind is None
-                value = report.worst_margin  # tol = 0: the margin is the value
                 table = sample.table(model)
-                zero = np.zeros(sample.n)
+                matrix = sufficient_matrix(table, lam, 0.5)
+                eigvals, eigvecs = np.linalg.eigh(matrix)
+                value = report.worst_margin  # tol = 0: the margin is the value
+                assert value == pytest.approx(n * eigvals[0], rel=1e-12)
+                zero = np.zeros(n)
+                for eta in [np.sqrt(n) * eigvecs[:, 0], *rng.normal(size=(3, n))]:
 
-                def form(gz):
-                    return (ll_form(table, sample.eta, gz, zero)
-                            + ibar_form(table, sample.eta, gz, zero)
-                            + lam * dx2_form(table, sample.eta, gz, zero))
+                    def form(gz):
+                        return (ll_form(table, eta, gz, zero) + ibar_form(table, eta, gz, zero)
+                                + lam * dx2_form(table, eta, gz, zero))
 
-                assert concave_quadratic_max(form, sample.n) <= -value + 1e-12
+                    bound = -quadratic(matrix, eta)
+                    assert concave_quadratic_max(form, n) <= bound + 1e-12
+                    assert bound <= -value * np.mean(eta**2) + 1e-12
 
 
 class TestAntiAssumption:
     LV = LambdaVec(1.0, 1.0, 1.0, 8.0)
+    SAMPLES = make_condition_samples(40, 16, seed=0)
 
     def make_model(self, l0=15.0):
         return preset_model({"family": "anti_example", "c": "0.5", "gamma": "1.0",
@@ -235,7 +333,7 @@ class TestAntiAssumption:
     def test_zero_l3_fails_at_theta_stage(self):
         report = check_anti_assumption(self.make_model(), LambdaVec(1, 1, 1, 0),
                                        l0=15.0, gamma_lo=0.5, gamma_hi=2.0,
-                                       l_bar=1.0, lu_xx=1.0)
+                                       l_bar=1.0, lu_xx=1.0, samples=self.SAMPLES)
         assert not report.passed
         assert report.failure_kind == "theta"
         assert report.details["theta1"] == pytest.approx(4.0 / np.sqrt(2.0))
@@ -250,7 +348,7 @@ class TestAntiAssumption:
     def test_full_pass_with_large_mean_reversion(self):
         report = check_anti_assumption(self.make_model(l0=15.0), self.LV,
                                        l0=15.0, gamma_lo=0.5, gamma_hi=2.0,
-                                       l_bar=1.0, lu_xx=1.0)
+                                       l_bar=1.0, lu_xx=1.0, samples=self.SAMPLES)
         assert report.passed, report.witness
         assert report.details["gain_margin"] > 0
 
@@ -258,13 +356,13 @@ class TestAntiAssumption:
         # -Hhat_xp = l0 meets the bound with zero margin and must pass.
         report = check_anti_assumption(self.make_model(l0=15.0), self.LV,
                                        l0=15.0, gamma_lo=0.5, gamma_hi=2.0,
-                                       l_bar=1.0, lu_xx=1.0)
+                                       l_bar=1.0, lu_xx=1.0, samples=self.SAMPLES)
         assert report.details["bounds_margin"] == pytest.approx(0.0, abs=1e-9)
 
     def test_insufficient_mean_reversion_fails_gain_stage(self):
         report = check_anti_assumption(self.make_model(l0=5.0), self.LV,
                                        l0=5.0, gamma_lo=0.5, gamma_hi=2.0,
-                                       l_bar=1.0, lu_xx=1.0)
+                                       l_bar=1.0, lu_xx=1.0, samples=self.SAMPLES)
         assert not report.passed
         assert report.failure_kind == "gain"
 

@@ -1,6 +1,6 @@
 """The benchmark's output contract, on the current sources.
 
-A traced run of each hot workload must exit 0 and end its standard output
+A traced run of each workload must exit 0 and end its standard output
 with one strict-JSON result line that is correct, has no failed operation
 and carries every per-layer metric that ``BENCHMARK.json`` names.
 """
@@ -18,7 +18,7 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-@pytest.mark.parametrize("workload", ["propagate", "mono"])
+@pytest.mark.parametrize("workload", ["propagate", "mono", "solve_check"])
 def test_traced_run_ends_with_a_complete_result_line(workload):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     run = subprocess.run(
