@@ -229,6 +229,9 @@ class ExperimentConfig:
         raise ConfigError(f"unknown particle cloud kind {sec.get('kind')!r}")
 
     def picard(self) -> PicardSettings:
+        """``[picard]``: max_iter (200) sweeps, tol (1e-9) on the W2 residual
+        and damping (0.6), the weight of each new proposal in the Anderson
+        mixing of ``solve_mfgc``; the mixing depth is not configurable."""
         sec = self.picard_section
         try:
             return PicardSettings(

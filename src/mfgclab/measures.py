@@ -8,8 +8,9 @@ control) law is a pair of aligned atom arrays.
 """
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
-from scipy.special import ndtri
 
 
 class MeasureError(ValueError):
@@ -25,7 +26,8 @@ def _levels(n: int) -> np.ndarray:
 
 def gaussian_quantile_cloud(n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
     """Deterministic Gaussian cloud: stratified quantiles of N(mean, sd^2)."""
-    return mean + sd * ndtri(_levels(n))
+    unit = NormalDist()
+    return mean + sd * np.array([unit.inv_cdf(p) for p in _levels(n)])
 
 
 def uniform_grid_cloud(n: int, lo: float, hi: float) -> np.ndarray:

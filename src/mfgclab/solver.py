@@ -4,12 +4,13 @@ Picard iteration on the particle flow: given a flow of (state, momentum)
 laws, apply the control-law fixed point at every step, solve the value
 function backward on a grid (explicit Euler, central differences,
 linear-extrapolation boundary), push particles forward through the
-Euler-Maruyama scheme with the optimal drift, and damp.  Brownian increments
-are drawn once per solve and reused across sweeps, which turns each sweep
-into a deterministic map of the flow and makes the Picard residual
-meaningful.  The model sees each level's control law through its two means,
-so a sweep passes the per-level moments (m1, m2).  A state law is a uniform
-cloud given by its 1-D array of atoms.
+Euler-Maruyama scheme with the optimal drift, and mix the proposal with the
+last iterates (Anderson acceleration).  Brownian increments are drawn once
+per solve and reused across sweeps, which turns each sweep into a
+deterministic map of the flow and makes the Picard residual meaningful.  The
+model sees each level's control law through its two means, so a sweep passes
+the per-level moments (m1, m2).  A state law is a uniform cloud given by its
+1-D array of atoms.
 
 One sweep is the Picard map ``_sweep``.  Its flows may carry leading batch
 axes: each index is an independent cloud, and every row of a batched sweep
@@ -18,7 +19,7 @@ the numbers.  A sweep computes the parts of the Hamiltonian that depend on
 each level's moments once, for all levels (``models.mean_terms``), and the
 backward sweep also their x-dependent parts on the grid
 (``models.hamiltonian_terms``) before it starts.
-``solve_mfgc`` iterates the map on one flow, damped, to tolerance.
+``solve_mfgc`` iterates the map on one flow, Anderson-mixed, to tolerance.
 ``ValueAccess`` re-solves V(t, ., mu) for a stack of clouds at once by a
 fixed number of undamped sweeps from the converged base flow, and
 differentiates that re-solve map along displacements of the base cloud in
@@ -44,6 +45,7 @@ from .models import (
 
 CFL_SAFETY = 0.45
 RESOLVE_SWEEPS = 6
+ANDERSON_DEPTH = 5
 
 
 class SolverError(RuntimeError):
@@ -162,6 +164,13 @@ class ValueField:
 
 @dataclass
 class PicardSettings:
+    """Stopping rule and mixing weight of ``solve_mfgc``.
+
+    ``damping`` is the weight omega of each new proposal in the Anderson
+    step (with one sweep stored, the plain damped step omega prop + (1 -
+    omega) x); the mixing depth is the module constant ANDERSON_DEPTH.
+    """
+
     max_iter: int = 80
     damping: float = 0.5
     tol: float = 1e-9
@@ -280,11 +289,15 @@ def _backward_value(model: Model, xs: np.ndarray, dx: float, dt: float,
             a = a0[k + 1] + ux * b0[k + 1]
             ham = -0.5 * a**2 + ux * c[k + 1] + d1[k + 1] + d2[k + 1]
             u[k] = row + dt * (0.5 * uxx + ham)
-            if not np.all(np.isfinite(u[k])):
-                raise SolverError(
-                    f"value sweep produced non-finite values at level {k}; the "
-                    "advection speed likely exceeds the explicit scheme's stability range"
-                )
+    # A non-finite value stays non-finite down the sweep, so the largest
+    # level holding one is where the sweep first broke down.
+    finite = np.isfinite(u[:-1]).reshape(u.shape[0] - 1, -1).all(axis=1)
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[-1])
+        raise SolverError(
+            f"value sweep produced non-finite values at level {k}; the "
+            "advection speed likely exceeds the explicit scheme's stability range"
+        )
     return np.moveaxis(u, 0, -2)
 
 
@@ -330,8 +343,15 @@ def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
                picard: PicardSettings | None = None, seed: int = 0) -> EquilibriumFlow:
     """Solve the coupled equilibrium system from the initial cloud of atoms x0.
 
-    Damped Picard iteration of ``_sweep`` from the uncontrolled flow until
-    the residual reaches ``picard.tol``.  The returned flow is the accepted
+    Picard iteration of ``_sweep`` from the uncontrolled flow until the
+    residual reaches ``picard.tol``, accelerated by type-II Anderson mixing
+    (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011) of the stacked iterate x
+    = (states, momenta).  With the update f = prop - x and the differences
+    dX, dF of the last ANDERSON_DEPTH + 1 stored iterates and updates, the
+    next iterate is omega prop + (1 - omega) x - (dX + omega dF) gamma, where
+    gamma is the least-squares solution of dF gamma = f and omega is
+    ``picard.damping``.  With one sweep stored it is the plain damped step,
+    so depth 0 would be damped Picard.  The returned flow is the accepted
     Picard proposal: its momenta equal the value gradient interpolated at its
     own states, and its per-step control laws are the exact fixed point of
     its (state, momentum) laws.  The stored value grid is the one the final
@@ -362,6 +382,11 @@ def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
     momenta = np.zeros_like(states)
 
     history: list[float] = []
+    omega = picard.damping
+    # The last ANDERSON_DEPTH + 1 stacked iterates x = (states, momenta) and
+    # their updates f = prop - x, flattened.
+    iterates: list = []
+    updates: list = []
     for _ in range(picard.max_iter):
         prop_states, prop_momenta, u = _sweep(model, x0, xs, dx, dt, brownian,
                                               states, momenta)
@@ -371,9 +396,16 @@ def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
         if residual <= picard.tol:
             states, momenta = prop_states, prop_momenta
             break
-        omega = picard.damping
-        states = omega * prop_states + (1.0 - omega) * states
-        momenta = omega * prop_momenta + (1.0 - omega) * momenta
+        x, prop = np.stack((states, momenta)), np.stack((prop_states, prop_momenta))
+        step = omega * prop + (1.0 - omega) * x
+        iterates.append(x.ravel())
+        updates.append((prop - x).ravel())
+        del iterates[:-ANDERSON_DEPTH - 1], updates[:-ANDERSON_DEPTH - 1]
+        if len(iterates) > 1:
+            d_x, d_f = np.diff(iterates, axis=0).T, np.diff(updates, axis=0).T
+            gamma = np.linalg.lstsq(d_f, updates[-1], rcond=None)[0]
+            step -= ((d_x + omega * d_f) @ gamma).reshape(step.shape)
+        states, momenta = step
     else:
         raise PicardError(
             f"Picard iteration did not reach tol={picard.tol} within "

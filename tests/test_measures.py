@@ -1,4 +1,7 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,3 +90,23 @@ class TestQuantileClouds:
     def test_gaussian_cloud_symmetric(self):
         g = gaussian_quantile_cloud(16)
         assert np.allclose(np.sort(g) + np.sort(g)[::-1], 0.0, atol=1e-12)
+
+    def test_gaussian_cloud_matches_scipy_ndtri(self):
+        # The stdlib inverse CDF agrees with scipy's ndtri to round-off: at
+        # most 4 ulp, which is 1.3e-15 at the |z| = 2.3 atoms of n = 47, 48.
+        from scipy.special import ndtri
+
+        for n in range(1, 65):
+            np.testing.assert_allclose(gaussian_quantile_cloud(n),
+                                       ndtri((np.arange(n) + 0.5) / n),
+                                       rtol=1e-15, atol=1e-15)
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy costs more start-up than the rest of the CLI together; only
+        # the tests and the benchmark's oracle use it.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import mfgclab.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "[]"
