@@ -93,9 +93,9 @@ def value_measure_gradient(access, t: float, x: np.ndarray, etas) -> np.ndarray:
 
     Row b is D_i = (1/N) sum_j d_x d_mu V(t, x_i, mu, x_j) eta_j at every
     atom x_i, for the uniform cloud mu of x.  ``access.tangent(t, x, etas)``
-    computes it for the whole stack in one forward-mode pass of the value
-    re-solve (``solver.ValueAccess.tangent``); a stack of zero directions is
-    not passed on.
+    computes it for the whole stack in one forward-mode pass
+    (``solver.ValueAccess.tangent``); a stack of zero directions is not
+    passed on.
     """
     etas = np.asarray(etas, dtype=float)
     if etas.ndim != 2 or etas.shape[1:] != x.shape:

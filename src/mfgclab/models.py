@@ -115,12 +115,9 @@ class QuadraticTerminalCost:
     m2: float = 0.0
 
     def __call__(self, x, atoms: np.ndarray):
-        """g at the points x against the uniform cloud of the given atoms;
-        leading axes of the atoms are independent clouds."""
+        """g at the points x against the uniform cloud of the 1-D atoms."""
         xv = np.asarray(x, dtype=float)
-        # One (1, n) product per cloud: a cloud's mean does not depend on
-        # how many clouds share the call.
-        m1 = atoms[..., None, :] @ np.full(atoms.shape[-1], 1.0 / atoms.shape[-1])
+        m1 = atoms @ np.full(atoms.size, 1.0 / atoms.size)
         return 0.5 * self.xx * xv**2 + self.xm * xv * m1 + self.x_lin * xv + self.m2 * m1 * m1
 
     def d_m1(self, x, m1):

@@ -14,13 +14,14 @@ parameters and verdict sign: ``mon_ll``, ``mon_disp`` and ``mon_anti`` apply
 it at one cloud, ``monotonicity_sweep`` over a flow, and the variational
 traces of ``propagation`` along the first-variation system.
 
-Access to V is an object with two methods: ``tangent(t, x, etas)`` returns
-the (B, N) directional measure derivatives of the value gradient at the
-atoms x for the (B, N) stack of directions (``value_measure_gradient``), and
-``field(t, clouds)`` maps a (B, N) stack of clouds at one time to B fields
-whose first slice is V(t, ., mu) for each row, read for V_xx of the
-undisplaced cloud only.  ``solver.ValueAccess`` provides both from a
-converged flow, and a fixed terminal cost serves as well.
+Access to V is an object with two methods, both asked at the cloud x of
+the evaluation: ``tangent(t, x, etas)`` returns the (B, N) directional
+measure derivatives of the value gradient at the atoms x for the (B, N)
+stack of directions (``value_measure_gradient``), and ``field(t, x)``
+returns a one-level field whose slice is V(t, ., mu) for the uniform cloud
+mu of x, read for V_xx at the atoms.  ``solver.ValueAccess`` provides both
+at the clouds of a converged flow, and a fixed terminal cost serves as
+well.
 """
 from __future__ import annotations
 
@@ -86,9 +87,8 @@ def mon_ll(access, t: float, x: np.ndarray, etas: np.ndarray, kind) -> np.ndarra
 
 def mon_disp(access, t: float, x: np.ndarray, etas: np.ndarray, kind) -> np.ndarray:
     """The functional of a kind that reads the curvature pairings
-    (displacement), with G = Vxx eta from the undisplaced cloud's value
-    slice."""
-    vxx = access.field(t, x[None, :])[0].uxx_at(0, x)
+    (displacement), with G = Vxx eta from the cloud's value slice."""
+    vxx = access.field(t, x).uxx_at(0, x)
     d_vals = value_measure_gradient(access, t, x, etas)
     return kind.functional(pairings(etas, vxx * etas, d_vals))
 

@@ -12,20 +12,16 @@ model sees each level's control law through its two means, so a sweep passes
 the per-level moments (m1, m2).  A state law is a uniform cloud given by its
 1-D array of atoms.
 
-One sweep is the Picard map ``_sweep``.  Its flows may carry leading batch
-axes: each index is an independent cloud, and every row of a batched sweep
-equals the sweep of that cloud alone, so batching changes the cost but not
-the numbers.  A sweep computes the parts of the Hamiltonian that depend on
-each level's moments once, for all levels (``models.mean_terms``), and the
-backward sweep also their x-dependent parts on the grid
-(``models.hamiltonian_terms``) before it starts.
-``solve_mfgc`` iterates the map on one flow, Anderson-mixed, to tolerance.
-``ValueAccess`` re-solves V(t, ., mu) for a stack of clouds at once by a
-fixed number of undamped sweeps from the converged base flow, and
-differentiates that re-solve map along displacements of the base cloud in
-forward mode: tangent-linear sweeps, linearised once around the base flow
-into two response kernels, give the measure derivative of the value gradient
-with no displaced cloud re-solved.
+One sweep is the Picard map ``_sweep`` of one flow.  A sweep computes the
+parts of the Hamiltonian that depend on each level's moments once, for all
+levels (``models.mean_terms``), and the backward sweep also their
+x-dependent parts on the grid (``models.hamiltonian_terms``) before it
+starts.  ``solve_mfgc`` iterates the map, Anderson-mixed, to tolerance.
+``ValueAccess`` reads V(t_k, ., mu) of the solved flow at its own clouds,
+and gives the measure derivative of the value gradient along displacements
+of the base cloud: the forward-mode derivative of a fixed number of
+undamped sweeps from the shifted base flow, linearised once around the base
+flow into two response kernels, with no displaced cloud re-solved.
 """
 from __future__ import annotations
 
@@ -155,9 +151,6 @@ class ValueField:
         self.u_x = _d1_rows(self.u, dx)
         self.u_xx = _d2_rows(self.u, dx)
 
-    def ux_at(self, level: int, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.u_x[level])
-
     def uxx_at(self, level: int, x) -> np.ndarray:
         return np.interp(np.asarray(x, dtype=float), self.xs, self.u_xx[level])
 
@@ -205,15 +198,15 @@ class EquilibriumFlow:
         """One row per (time step, particle): t, index, state, control, u_x."""
         import csv
 
+        ts, n = self.value_field.ts, self.n_particles
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["t", "particle", "state", "control", "u_x"])
-            for k, t in enumerate(self.value_field.ts):
-                for i in range(self.n_particles):
-                    writer.writerow([repr(float(t)), i,
-                                     repr(float(self.states[k, i])),
-                                     repr(float(self.controls[k, i])),
-                                     repr(float(self.momenta[k, i]))])
+            writer.writerows(zip(np.repeat(ts, n).tolist(),
+                                 np.tile(np.arange(n), ts.size).tolist(),
+                                 self.states.ravel().tolist(),
+                                 self.controls.ravel().tolist(),
+                                 self.momenta.ravel().tolist()))
 
     def run_metadata(self) -> dict:
         return {
@@ -242,40 +235,28 @@ def _quantile_dist(a: np.ndarray, b: np.ndarray):
 
 
 def _moments(states: np.ndarray, controls: np.ndarray) -> tuple:
-    """Per-level means (m1, m2) of the uniform (state, control) laws, as
-    arrays over the leading axes."""
+    """Per-level means (m1, m2) of the uniform (state, control) laws."""
     w = np.full(states.shape[-1], 1.0 / states.shape[-1])
     return states @ w, controls @ w
 
 
-def _interp_rows(x: np.ndarray, xs: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(x[r], xs, fp[r])`` for every row r of the leading axes at
-    once, with the same arithmetic; every x must lie in [xs[0], xs[-1]]."""
-    j = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
-    lo, hi = np.take_along_axis(fp, j, axis=-1), np.take_along_axis(fp, j + 1, axis=-1)
-    out = (hi - lo) / (xs[j + 1] - xs[j]) * (x - xs[j]) + lo
-    return np.where(x == xs[-1], fp[..., -1:], out)
-
-
 def _level_means(model: Model, m1: np.ndarray, m2: np.ndarray) -> list:
-    """``mean_terms`` of the (..., levels) moments, level axis first and a
-    trailing axis for the points: entry [k] broadcasts against level k's
-    (..., points)."""
-    return [np.moveaxis(t, -1, 0)[..., None] for t in mean_terms(model, m1, m2)]
+    """``mean_terms`` of the per-level moments with a trailing axis for the
+    points: entry [k] broadcasts against level k's points."""
+    return [t[:, None] for t in mean_terms(model, m1, m2)]
 
 
 def _backward_value(model: Model, xs: np.ndarray, dx: float, dt: float,
                     m1: np.ndarray, m2: np.ndarray, terminal_atoms: np.ndarray) -> np.ndarray:
     """Explicit Euler backward sweep of the value grid against frozen control laws.
 
-    m1 and m2 are (..., levels) and the terminal atoms (..., n); leading axes
-    are independent solves, and the result is (..., levels, n_x).  The
+    m1 and m2 are per level and the result is (levels, n_x).  The
     Hamiltonian's p-independent terms are computed for all levels before the
     loop, and each difference stencil writes into one buffer for all levels.
     """
     terms = hamiltonian_terms(model, xs, _level_means(model, m1, m2))
     a0, b0, c, d1, d2 = np.broadcast_arrays(*terms)
-    u = np.empty(a0.shape)  # level axis first while sweeping
+    u = np.empty(a0.shape)
     u[-1] = model.g(xs, terminal_atoms)
     ux = np.empty_like(u[0])
     uxx = np.empty_like(ux)
@@ -291,14 +272,14 @@ def _backward_value(model: Model, xs: np.ndarray, dx: float, dt: float,
             u[k] = row + dt * (0.5 * uxx + ham)
     # A non-finite value stays non-finite down the sweep, so the largest
     # level holding one is where the sweep first broke down.
-    finite = np.isfinite(u[:-1]).reshape(u.shape[0] - 1, -1).all(axis=1)
+    finite = np.isfinite(u[:-1]).all(axis=1)
     if not finite.all():
         k = int(np.flatnonzero(~finite)[-1])
         raise SolverError(
             f"value sweep produced non-finite values at level {k}; the "
             "advection speed likely exceeds the explicit scheme's stability range"
         )
-    return np.moveaxis(u, 0, -2)
+    return u
 
 
 def _sweep(model: Model, x0: np.ndarray, xs: np.ndarray, dx: float, dt: float,
@@ -306,37 +287,35 @@ def _sweep(model: Model, x0: np.ndarray, xs: np.ndarray, dx: float, dt: float,
     """One Picard map: control-law moments, backward value sweep, forward
     particle push from x0 and the escape check.
 
-    states and momenta are (..., levels, n) and x0 is (..., n); leading axes
-    are independent clouds that share the Brownian increments.  Returns the
-    proposed (states, momenta) and the value grids solved against the
-    entering flow.
+    states and momenta are (levels, n) and x0 is (n,).  Returns the proposed
+    (states, momenta) and the value grid solved against the entering flow.
+    The proposed momenta are u_x interpolated at the proposed states; the
+    push reads them at every level but the last.
     """
     n_steps = brownian.shape[0]
     sqrt_dt = np.sqrt(dt)
     m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
-    u = _backward_value(model, xs, dx, dt, m1, m2, states[..., -1, :])
-    ux_rows = _d1_rows(u, dx)
+    u = _backward_value(model, xs, dx, dt, m1, m2, states[-1])
+    ux = _d1_rows(u, dx)
 
     means = _level_means(model, m1, m2)
-    n = states.shape[-1]
-    rows = ux_rows.reshape(-1, n_steps + 1, xs.size)
     prop_states = np.empty_like(states)
-    prop_states[..., 0, :] = x0
-    p_at = np.empty_like(prop_states[..., 0, :])
+    prop_momenta = np.empty_like(momenta)
+    prop_states[0] = x0
     for k in range(n_steps):
-        xk = prop_states[..., k, :]
-        for x_r, p_r, u_r in zip(xk.reshape(-1, n), p_at.reshape(-1, n), rows[:, k]):
-            p_r[:] = np.interp(x_r, xs, u_r)
-        drift = hamiltonian_dp(model, xk, p_at, [t[k] for t in means])
-        prop_states[..., k + 1, :] = xk + dt * drift + sqrt_dt * brownian[k]
+        xk = prop_states[k]
+        prop_momenta[k] = np.interp(xk, xs, ux[k])
+        drift = hamiltonian_dp(model, xk, prop_momenta[k], [t[k] for t in means])
+        prop_states[k + 1] = xk + dt * drift + sqrt_dt * brownian[k]
     outside = (prop_states < xs[0]) | (prop_states > xs[-1])
     if np.any(outside):
-        bad = int(np.argmax(np.any(outside, axis=-1).reshape(-1, n_steps + 1).any(axis=0)))
+        bad = int(np.argmax(np.any(outside, axis=-1)))
         raise SolverError(
             f"particles escaped the grid at level {bad}; enlarge the domain "
             "or shrink the horizon"
         )
-    return prop_states, _interp_rows(prop_states, xs, ux_rows), u
+    prop_momenta[-1] = np.interp(prop_states[-1], xs, ux[-1])
+    return prop_states, prop_momenta, u
 
 
 def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
@@ -356,7 +335,7 @@ def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
     own states, and its per-step control laws are the exact fixed point of
     its (state, momentum) laws.  The stored value grid is the one the final
     sweep solved against the previous flow; at tolerance the two coincide up
-    to the Picard residual, which is what ``best_response_gap`` measures.
+    to the Picard residual.
     """
     picard = picard if picard is not None else PicardSettings()
     x0 = np.array(x0, dtype=float)
@@ -414,9 +393,9 @@ def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
         )
 
     # The accepted flow is the final Picard proposal; its interior value rows
-    # were solved against the entering flow (one sweep behind, which is what
-    # best_response_gap measures), but the terminal condition is refreshed so
-    # that u(T, .) = g(., mu_T) holds exactly for the stored flow.
+    # were solved against the entering flow (one sweep behind), but the
+    # terminal condition is refreshed so that u(T, .) = g(., mu_T) holds
+    # exactly for the stored flow.
     u[-1] = model.g(xs, states[-1])
     momenta[-1] = np.interp(states[-1], xs, _d1_rows(u[-1], dx))
     return EquilibriumFlow(
@@ -433,15 +412,6 @@ def terminal_field(model: Model, atoms: np.ndarray, xs: np.ndarray,
     """The exact terminal slice V(T, ., mu) = g(., mu) as a one-level field,
     for the uniform cloud mu of the given atoms."""
     return ValueField(model.g(xs, atoms)[None, :], xs, np.array([t_end]))
-
-
-def best_response_gap(model: Model, flow: EquilibriumFlow) -> float:
-    """Sup-norm gap between the stored value grid and a re-solve against the
-    frozen converged control laws; certifies the equilibrium property."""
-    grid = flow.grid
-    m1, m2 = _moments(flow.states, flow.controls)
-    u2 = _backward_value(model, grid.xs, grid.dx, grid.dt, m1, m2, flow.states[-1])
-    return float(np.max(np.abs(u2 - flow.value_field.u)))
 
 
 @dataclass(frozen=True)
@@ -556,36 +526,32 @@ def _linearise(model: Model, flow: EquilibriumFlow) -> _Linearisation:
 
 
 class ValueAccess:
-    """V(t_k, ., mu) near a converged base flow, by re-solves, and the
+    """V(t_k, ., mu) of a converged base flow at its own clouds, and the
     tangent of its gradient along displacements of the base cloud.
 
     A cloud is the 1-D array x of its atoms, and a time must be one of the
-    base grid's levels.  The re-solve of a cloud x at level k starts from the
-    base flow shifted atom by atom, states = base.states[k:] + (x -
-    base.states[k]) with the momenta base.momenta[k:], reuses the base flow's
-    Brownian increments and runs RESOLVE_SWEEPS undamped Picard sweeps with
-    no residual check.
+    base grid's levels; both methods answer only at the base cloud x =
+    base.states[k] of that level.  ``field`` returns the base flow's value
+    slice there.
 
-    ``tangent`` differentiates that re-solve map at x = base.states[k] in
-    forward mode: RESOLVE_SWEEPS tangent-linear sweeps that mirror
-    ``_sweep`` for a whole stack of directions at once.  The sweeps are
-    linear with coefficients linearised once around the base flow, and a
-    re-solve from level k sees only levels >= k, so the access builds their
-    two response kernels once (``_linearise``) and every level and every
-    direction reads a block of them.
-
-    ``field`` returns the re-solved value slices themselves: every cloud
-    must have the base flow's particle count, all clouds of a request that
-    are not cached are re-solved together as the leading axis of one
-    ``_sweep``, and each row equals its own one-cloud re-solve.  Callers read
-    only the first slice of a field, so the cache keeps a one-level copy per
-    (level, atom bytes) for the life of the object.
+    ``tangent`` is the derivative, at x = base.states[k], of the fixed-sweep
+    re-solve map of a cloud x at level k: start from the base flow shifted
+    atom by atom, states = base.states[k:] + (x - base.states[k]) with the
+    momenta base.momenta[k:], reuse the base flow's Brownian increments and
+    run RESOLVE_SWEEPS undamped Picard sweeps with no residual check.  The
+    map itself is never run here; the tests realise it as the
+    central-difference oracle of the tangent.  The derivative is taken in
+    forward mode: RESOLVE_SWEEPS tangent-linear sweeps that mirror ``_sweep``
+    for a whole stack of directions at once.  The sweeps are linear with
+    coefficients linearised once around the base flow, and a re-solve from
+    level k sees only levels >= k, so the access builds their two response
+    kernels once (``_linearise``) and every level and every direction reads
+    a block of them.
     """
 
     def __init__(self, model: Model, flow: EquilibriumFlow):
         self.model = model
         self.flow = flow
-        self._cache: dict = {}
         self._lin = _linearise(model, flow)
 
     def level_of(self, t: float) -> int:
@@ -599,31 +565,19 @@ class ValueAccess:
                               f"t_{k} = {grid.ts[k]}")
         return k
 
-    def field(self, t: float, clouds: np.ndarray) -> list:
-        """The one-level fields V(t_k, ., mu_b) at the level k of t, one per
-        row b of the (B, N) stack of clouds, for the uniform cloud mu_b of
-        that row's atoms."""
+    def _base_level(self, t: float, x: np.ndarray) -> int:
+        """The level k of t, for x the base cloud of that level."""
         k = self.level_of(t)
-        base, grid = self.flow, self.flow.grid
-        if clouds.ndim != 2 or clouds.shape[1] != base.n_particles:
-            raise SolverError(f"clouds of shape {clouds.shape} cannot be re-solved from a "
-                              f"base flow of {base.n_particles} particles")
-        keys = [(k, x.tobytes()) for x in clouds]
-        misses = {key: x for key, x in zip(keys, clouds) if key not in self._cache}
-        if misses:
-            x0 = np.array(list(misses.values()))
-            if k == grid.n_t:
-                fields = [terminal_field(self.model, x, grid.xs, grid.t_end) for x in x0]
-            else:
-                states = base.states[k:] + (x0 - base.states[k])[:, None, :]
-                states[:, 0] = x0
-                momenta = np.repeat(base.momenta[None, k:], len(x0), axis=0)
-                for _ in range(RESOLVE_SWEEPS):
-                    states, momenta, u = _sweep(self.model, x0, grid.xs, grid.dx, grid.dt,
-                                                base.brownian[k:], states, momenta)
-                fields = [ValueField(row[:1].copy(), grid.xs, grid.ts[k:k + 1]) for row in u]
-            self._cache.update(zip(misses, fields))
-        return [self._cache[key] for key in keys]
+        if not np.array_equal(x, self.flow.states[k]):
+            raise SolverError(f"the value access answers at the base cloud of level {k} only")
+        return k
+
+    def field(self, t: float, x: np.ndarray) -> ValueField:
+        """The one-level field V(t_k, ., mu) at the level k of t: the base
+        flow's value slice, for x the base cloud of that level."""
+        k = self._base_level(t, x)
+        vf = self.flow.value_field
+        return ValueField(vf.u[k:k + 1], vf.xs, vf.ts[k:k + 1])
 
     def tangent(self, t: float, x: np.ndarray, etas: np.ndarray) -> np.ndarray:
         """d/de of the re-solved u_x(t_k, x_i) at the cloud x + e eta, at e = 0,
@@ -638,10 +592,8 @@ class ValueAccess:
         directions are the stack axis of both products, so each row is
         computed as in a one-direction request.
         """
-        k = self.level_of(t)
+        k = self._base_level(t, x)
         base, lin = self.flow, self._lin
-        if not np.array_equal(x, base.states[k]):
-            raise SolverError(f"the tangent is taken at the base cloud of level {k} only")
         n = base.n_particles
         states, momenta = base.states[k:], base.momenta[k:]
         kernel, propagator = lin.kernel[k * n:, 2 * k:], lin.propagator[:, k:, k:]

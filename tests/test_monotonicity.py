@@ -31,18 +31,16 @@ def anti(lvec):
 
 
 class TerminalAccess:
-    """Access object exposing the terminal cost itself as the value slice;
-    its tangent is the exact derivative D_i = xm mean(eta) of g_x."""
+    """Access object exposing the terminal cost itself as the value slice of
+    any cloud; its tangent is the exact derivative D_i = xm mean(eta) of g_x."""
 
     def __init__(self, terminal: QuadraticTerminalCost, xs=None):
         self.terminal = terminal
+        self.model = Model(g=terminal)
         self.xs = np.linspace(-8.0, 8.0, 321) if xs is None else xs
 
-    def field(self, t, clouds):
-        class _Model:
-            g = self.terminal
-
-        return [terminal_field(_Model, x, self.xs, t) for x in clouds]
+    def field(self, t, x):
+        return terminal_field(self.model, x, self.xs, t)
 
     def tangent(self, t, x, etas):
         return np.repeat(self.terminal.xm * etas.mean(axis=-1, keepdims=True), x.size, axis=-1)
@@ -145,7 +143,7 @@ def mon_ll_difference_form(access, t, cloud1, cloud2):
     V(t, x1_i, mu1) + V(t, x2_i, mu2) - V(t, x1_i, mu2) - V(t, x2_i, mu1),
     a cross-check of mon_ll that needs no measure differencing.
     """
-    f1, f2 = access.field(t, np.array([cloud1, cloud2]))
+    f1, f2 = (terminal_field(access.model, x, access.xs, t) for x in (cloud1, cloud2))
 
     def v(fld, x):
         return np.interp(x, fld.xs, fld.u[0])

@@ -49,7 +49,7 @@ def run_experiment(model, flow, access, config):
 
 @pytest.fixture(scope="module")
 def lq_setup():
-    """Uncoupled LQ flow; shared, so its tests reuse one access cache."""
+    """Uncoupled LQ flow and its access, shared by the module's tests."""
     model = Model(b0=(1, 0, 0), g=QuadraticTerminalCost(xx=1.0))
     grid = Grid.with_cfl_steps(-6.0, 6.0, 121, 0.0, 0.5)
     pic = PicardSettings(max_iter=40, tol=1e-10, damping=1.0)
@@ -306,7 +306,7 @@ class TestKinds:
         traces = build_traces(model, flow, etas, access, kind)
         mono = kind.value(access, float(flow.grid.ts[0]), flow.states[0], etas)
         series0 = np.array([trace.series[0] for trace in traces])
-        assert np.max(np.abs(series0 - mono)) <= 1e-12
+        assert np.array_equal(series0, mono)
         assert np.max(np.abs(mono)) > 1e-3  # the comparison is not between zeros
 
     def test_anti_kind_rejects_a_missing_vector_and_bad_gamma_bounds(self):

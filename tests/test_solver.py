@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from reference_picard import plain_picard
+from reference_resolve import resolve_field, ux_at
 from scipy.integrate import solve_ivp
 
 from mfgclab.config import ExperimentConfig
@@ -26,10 +27,7 @@ from mfgclab.solver import (
     ValueAccess,
     _backward_value,
     _d1_rows,
-    _interp_rows,
     _moments,
-    _sweep,
-    best_response_gap,
     solve_mfgc,
     terminal_field,
 )
@@ -164,7 +162,7 @@ class TestFlowStructure:
     def test_momenta_are_value_gradient_at_states(self):
         vf = self.flow.value_field
         for k in range(0, self.grid.n_t + 1, 7):
-            assert np.allclose(self.flow.momenta[k], vf.ux_at(k, self.flow.states[k]),
+            assert np.allclose(self.flow.momenta[k], ux_at(vf, k, self.flow.states[k]),
                                atol=1e-12)
 
     def test_residual_history_monotone_after_burn_in(self):
@@ -219,7 +217,7 @@ class TestAndersonMixing:
 
 class TestValueAt:
     """V(t, ., mu): the terminal slice, a fresh solve on [t_k, T] and the
-    warm-started re-solves of ValueAccess."""
+    warm-started re-solve that ValueAccess.tangent differentiates."""
 
     def test_terminal_slice_is_terminal_cost(self):
         model = coupled_model()
@@ -246,9 +244,8 @@ class TestValueAt:
         grid = Grid.with_cfl_steps(-6.0, 6.0, 121, 0.0, T)
         pic = PicardSettings(max_iter=120, tol=1e-9, damping=0.6)
         flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid, pic, seed=7)
-        access = ValueAccess(model, flow)
         k = grid.n_t // 2
-        (vf,) = access.field(grid.ts[k], flow.states[k][None, :])
+        vf = resolve_field(model, flow, k, flow.states[k])
         window = np.abs(grid.xs) <= 3.0
         gap = np.max(np.abs(vf.u[0][window] - flow.value_field.u[k][window]))
         assert gap <= 1e-6
@@ -275,51 +272,24 @@ class TestValueAccess:
                                PicardSettings(max_iter=120, tol=1e-9, damping=0.6), seed=7)
         self.access = ValueAccess(self.model, self.flow)
 
-    def test_cached_field_is_one_owned_row(self):
-        # A view of the re-solve's grid would keep every full grid alive.
-        k = self.grid.n_t // 3
-        mu = self.flow.states[k] + 1e-3
-        (vf,) = self.access.field(self.grid.ts[k], mu[None, :])
-        assert vf.u.shape == (1, self.grid.n_x)
-        assert vf.u.base is None
-        assert self.access.field(self.grid.ts[k], mu[None, :])[0] is vf
-
-    def test_batched_request_equals_one_cloud_requests(self):
-        k = self.grid.n_t // 4
-        base = self.flow.states[k]
-        clouds = np.array([base + 1e-3, base - 2e-3 * base, base[::-1].copy()])
-        batched = self.access.field(self.grid.ts[k], clouds)
-        assert len(batched) == 3
-        for x, vf in zip(clouds, batched):
-            (single,) = ValueAccess(self.model, self.flow).field(self.grid.ts[k], x[None, :])
-            assert np.array_equal(vf.u, single.u)
-            assert np.array_equal(vf.ts, single.ts)
-
-    def test_repeated_cloud_is_one_cache_entry(self):
-        k = self.grid.n_t // 2
-        mu = self.flow.states[k] + 1e-3
-        other = self.flow.states[k] - 1e-3
-        first, second, third = self.access.field(self.grid.ts[k], np.array([mu, other, mu]))
-        assert first is third and first is not second
-        assert len(self.access._cache) == 2
-        self.access.field(self.grid.ts[k], np.array([other, mu]))
-        assert len(self.access._cache) == 2
-
     def test_terminal_request_is_the_terminal_slice(self):
-        mu = self.flow.states[-1] + 0.1
-        fields = self.access.field(T, np.array([mu, self.flow.states[-1]]))
-        for x, vf in zip((mu, self.flow.states[-1]), fields):
-            assert np.array_equal(vf.u[0], self.model.g(self.grid.xs, x))
+        x = self.flow.states[-1]
+        vf = self.access.field(T, x)
+        assert vf.u.shape == (1, self.grid.n_x)
+        assert np.array_equal(vf.u[0], self.model.g(self.grid.xs, x))
 
     def test_cloud_of_another_size_rejected(self):
-        with pytest.raises(SolverError, match="particles"):
-            self.access.field(0.0, gaussian_quantile_cloud(8, 0.0, 1.0)[None, :])
-        with pytest.raises(SolverError, match="particles"):
-            self.access.field(0.0, self.flow.states[0])
+        # The field is the base flow's own slice: a cloud of another size, a
+        # displaced cloud and another level's cloud are all rejected.
+        k = self.grid.n_t // 3
+        for x in (gaussian_quantile_cloud(8, 0.0, 1.0), self.flow.states[k] + 1e-3,
+                  self.flow.states[k + 1]):
+            with pytest.raises(SolverError, match="base cloud"):
+                self.access.field(self.grid.ts[k], x)
 
     def test_time_outside_horizon_rejected(self):
         with pytest.raises(SolverError, match="horizon"):
-            self.access.field(2 * T, self.flow.states[0][None, :])
+            self.access.field(2 * T, self.flow.states[0])
 
     def test_time_between_levels_rejected(self):
         # A half step would round to a neighbouring level's slice.
@@ -327,7 +297,7 @@ class TestValueAccess:
         t = self.grid.ts[k] + 0.5 * self.grid.dt
         x = self.flow.states[k]
         with pytest.raises(SolverError, match="not a level"):
-            self.access.field(t, x[None, :])
+            self.access.field(t, x)
         with pytest.raises(SolverError, match="not a level"):
             self.access.tangent(t, x, np.ones((1, x.size)))
 
@@ -461,32 +431,13 @@ class TestTangentKernels:
                 assert gap <= 1e-12, (k, len(etas), gap)
 
 
-class TestBatchedSweep:
-    def test_each_row_equals_its_unbatched_sweep(self):
-        model = coupled_model()
-        grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, T)
-        flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid,
-                          PicardSettings(max_iter=120, tol=1e-9, damping=0.6), seed=7)
-        rng = np.random.default_rng(3)
-        x0 = flow.states[0] + 0.05 * rng.standard_normal((4, 16))
-        states = flow.states + (x0 - flow.states[0])[:, None, :]
-        momenta = flow.momenta + 0.01 * rng.standard_normal((4,) + flow.momenta.shape)
-        args = (grid.xs, grid.dx, grid.dt, flow.brownian)
-        batched = _sweep(model, x0, *args, states, momenta)
-        for b in range(4):
-            single = _sweep(model, x0[b], *args, states[b], momenta[b])
-            for got, want in zip(batched, single):
-                assert np.array_equal(got[b], want)
-
-    def test_row_interpolation_is_np_interp(self):
-        xs = np.linspace(-6.0, 6.0, 61)
-        rng = np.random.default_rng(9)
-        fp = rng.standard_normal((2, 5, 61))
-        x = rng.uniform(-6.0, 6.0, (2, 5, 16))
-        x[0, 0, :4] = (xs[0], xs[-1], xs[30], xs[-2])
-        got = _interp_rows(x, xs, fp)
-        for r in np.ndindex(2, 5):
-            assert np.array_equal(got[r], np.interp(x[r], xs, fp[r]))
+def best_response_gap(model, flow):
+    """Sup-norm gap between the stored value grid and a re-solve against the
+    frozen converged control laws; certifies the equilibrium property."""
+    grid = flow.grid
+    m1, m2 = _moments(flow.states, flow.controls)
+    u2 = _backward_value(model, grid.xs, grid.dx, grid.dt, m1, m2, flow.states[-1])
+    return float(np.max(np.abs(u2 - flow.value_field.u)))
 
 
 class TestBestResponseGap:
