@@ -93,17 +93,34 @@ def value_measure_gradient(access, t: float, x: np.ndarray, etas) -> np.ndarray:
 
     Row b is D_i = (1/N) sum_j d_x d_mu V(t, x_i, mu, x_j) eta_j at every
     atom x_i, for the uniform cloud mu of x.  ``access.tangent(t, x, etas)``
-    computes it for the whole stack in one forward-mode pass
-    (``solver.ValueAccess.tangent``); a stack of zero directions is not
-    passed on.
+    computes it in one forward-mode pass (``solver.ValueAccess.tangent``)
+    for the unique directions only: D is odd in eta, so a zero row is zero,
+    and a row equal to an earlier row or to its negation copies or negates
+    that row's result.  The tangent computes each row as in a one-direction
+    request, so every row is bit-identical to asking for it alone.
     """
     etas = np.asarray(etas, dtype=float)
     if etas.ndim != 2 or etas.shape[1:] != x.shape:
         raise CalculusError(f"direction stack of shape {etas.shape} does not match "
                             f"cloud {x.shape}")
-    if not np.any(etas):
-        return np.zeros(etas.shape)
-    out = access.tangent(t, x, etas)
-    if not np.all(np.isfinite(out)):
+    out = np.zeros(etas.shape)
+    # Each nonzero row and its negation map to the row's place in the
+    # request.  Tuples of floats compare with ==, so 0.0 matches -0.0 and a
+    # row holding a NaN matches nothing and reaches the finiteness check.
+    seen, unique, copies = {}, [], []
+    for b, row in enumerate(map(tuple, etas.tolist())):
+        if row in seen:
+            copies.append((b, *seen[row]))
+        elif any(row):
+            seen[row] = (len(unique), 1.0)
+            seen[tuple(-v for v in row)] = (len(unique), -1.0)
+            unique.append(b)
+    if not unique:
+        return out
+    tangents = access.tangent(t, x, etas[unique])
+    if not np.isfinite(tangents).all():
         raise CalculusError("the value gradient's tangent is not finite")
+    out[unique] = tangents
+    for b, source, sign in copies:
+        out[b] = sign * tangents[source]
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import subprocess
 import sys
@@ -50,9 +51,12 @@ EXIT_HYPOTHESIS = 3
 EXIT_NO_CONVERGENCE = 4
 
 
-def _git_describe() -> str | None:
+@functools.cache
+def _git_describe(cwd: Path) -> str | None:
+    """``git describe`` of the checkout at cwd, run once per directory and
+    process: each run spawns git."""
     try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"],
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=cwd,
                              capture_output=True, text=True, timeout=5)
         return out.stdout.strip() or None
     except (OSError, subprocess.SubprocessError):
@@ -63,7 +67,7 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, seed: int,
                     wall_time: float, artifacts: list) -> None:
     manifest = {
         "version": __version__,
-        "revision": _git_describe(),
+        "revision": _git_describe(Path.cwd()),
         "kind": cfg.kind,
         "seed": seed,
         "wall_time_s": wall_time,

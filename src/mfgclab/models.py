@@ -31,7 +31,7 @@ absent family is meanfield_1d:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -130,7 +130,8 @@ class HatTable:
     """Hat derivatives over the atoms of one (state, momentum) law.
 
     Per-atom arrays have shape (n,); the measure-derivative entries are
-    (n, n) with [i, j] = derivative at base atom i, support atom j.
+    (n, n) with [i, j] = derivative at base atom i, support atom j.  A table
+    of a stack of laws has the stack's leading axes in front.
     """
 
     h_p: np.ndarray
@@ -141,6 +142,10 @@ class HatTable:
     h_xrho2: np.ndarray
     h_prho1: np.ndarray
     h_prho2: np.ndarray
+
+    def __getitem__(self, index) -> HatTable:
+        """The table of the laws at ``index`` of the leading axes."""
+        return HatTable(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -283,7 +288,7 @@ def control_mean_tangent(model: Model, m1, e, dm1, de, ds):
 def _means(model: Model, x: np.ndarray, p: np.ndarray):
     """(m1, e, m2*): the state and momentum means of the uniform law of the
     atoms (x_i, p_i) and the control mean of its fixed point; the last axis
-    runs over atoms."""
+    runs over atoms and leading axes are independent laws."""
     b0c, b0x, b0m = model.b0
     f0c, f0x, f0mu, f0m = model.f0
     w = np.full(x.shape[-1], 1.0 / x.shape[-1])
@@ -307,30 +312,35 @@ def hat_derivative_table(model: Model, x: np.ndarray, p: np.ndarray) -> HatTable
 
     Measure derivatives are the empirical projections (N times the partial
     derivative in one atom); they depend on the support atom j, through x_j
-    and p_j, only when b0x != 0.
+    and p_j, only when b0x != 0.  Leading axes of x and p are independent
+    laws, and each law's entries are bit-identical to its own table.
     """
     b0c, b0x, b0m = model.b0
     _, f0x, f0mu, f0m = model.f0
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    m1, e, m2 = _means(model, x, p)
+    # Each law as a (1, N) row, so that its means are one vector-vector
+    # product however many laws are stacked (a matrix-vector product over
+    # the laws can round differently); they keep that axis to broadcast
+    # against the atoms.
+    m1, e, m2 = _means(model, x[..., None, :], p[..., None, :])
     b_0 = b0c + b0m * m1 + b0x * x
     a = model.control(x, p, m1, m2)
     a_x = f0x + p * b0x
     d1 = (f0x + f0mu + b0m * e + b0x * p) / (1.0 - f0m)
     d2 = b_0 / (1.0 - f0m)
-    kx = model.q2 - a_x * f0m
-    kp = model.B.d_m2(m1, m2) - b_0 * f0m
+    kx = (model.q2 - a_x * f0m)[..., None]
+    kp = (model.B.d_m2(m1, m2) - b_0 * f0m)[..., None]
     return HatTable(
         h_p=-a * b_0 + _poly(model.b1_x, x) + model.B(m1, m2),
         h_pp=-b_0**2,
         h_xx=-a_x**2 + p * _poly(_der(_der(model.b1_x)), x) + _poly(_der(_der(model.f1_x)), x),
         h_xp=-a_x * b_0 - a * b0x + _poly(_der(model.b1_x), x),
-        h_xrho1=(model.q1 - a_x * (f0mu + p * b0m))[:, None] + np.outer(kx, d1),
-        h_xrho2=np.outer(kx, d2),
-        h_prho1=(model.B.d_m1(m1, m2) - b_0 * (f0mu + p * b0m) - a * b0m)[:, None]
-        + np.outer(kp, d1),
-        h_prho2=np.outer(kp, d2),
+        h_xrho1=(model.q1 - a_x * (f0mu + p * b0m))[..., None] + kx * d1[..., None, :],
+        h_xrho2=kx * d2[..., None, :],
+        h_prho1=(model.B.d_m1(m1, m2) - b_0 * (f0mu + p * b0m) - a * b0m)[..., None]
+        + kp * d1[..., None, :],
+        h_prho2=kp * d2[..., None, :],
     )
 
 

@@ -17,7 +17,9 @@ traces of ``propagation`` along the first-variation system.
 Access to V is an object with two methods, both asked at the cloud x of
 the evaluation: ``tangent(t, x, etas)`` returns the (B, N) directional
 measure derivatives of the value gradient at the atoms x for the (B, N)
-stack of directions (``value_measure_gradient``), and ``field(t, x)``
+stack of directions, each row as if asked alone; ``value_measure_gradient``
+asks it for the unique nonzero directions up to sign only, since the
+derivative is odd in the direction.  ``field(t, x)``
 returns a one-level field whose slice is V(t, ., mu) for the uniform cloud
 mu of x, read for V_xx at the atoms.  ``solver.ValueAccess`` provides both
 at the clouds of a converged flow, and a fixed terminal cost serves as

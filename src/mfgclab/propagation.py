@@ -128,6 +128,8 @@ def simulate_variational(model: Model, flow: EquilibriumFlow, etas: np.ndarray,
     its linear dynamics with the curvature field recomputed from the value
     grid and the measure-derivative field from the value gradient's tangent
     at every step, all directions of a level in one request to ``access``.
+    The hat tables of all levels come from one ``hat_derivative_table`` call
+    on the whole flow.
     """
     grid = flow.grid
     delta = np.array(etas, dtype=float)
@@ -135,14 +137,16 @@ def simulate_variational(model: Model, flow: EquilibriumFlow, etas: np.ndarray,
         raise GateError(f"directions of shape {delta.shape} do not match the "
                         f"flow's {flow.n_particles} particles")
     dt = grid.dt
+    tables = hat_derivative_table(model, flow.states, flow.momenta)
+    ts = grid.ts
     out = []
     for k in range(grid.n_t + 1):
-        t_k = float(grid.ts[k])
+        t_k = float(ts[k])
         x_k = flow.states[k]
         vxx = flow.value_field.uxx_at(k, x_k)
         gamma = vxx * delta
         upsilon = value_measure_gradient(access, t_k, x_k, delta)
-        table = hat_derivative_table(model, x_k, flow.momenta[k])
+        table = tables[k]
         out.append(VariationalState(t=t_k, delta_x=delta.copy(), gamma=gamma,
                                     upsilon=upsilon, table=table))
         if k < grid.n_t:

@@ -556,13 +556,13 @@ class ValueAccess:
 
     def level_of(self, t: float) -> int:
         """The level k with t = t_k; any other time is an error."""
-        grid = self.flow.grid
+        grid, ts = self.flow.grid, self.flow.value_field.ts
         k = int(round((t - grid.t0) / grid.dt))
         if not 0 <= k <= grid.n_t:
             raise SolverError(f"time {t} outside the grid horizon")
-        if abs(t - grid.ts[k]) > 1e-9 * grid.dt:
+        if abs(t - ts[k]) > 1e-9 * grid.dt:
             raise SolverError(f"time {t} is not a level of the grid; the nearest is "
-                              f"t_{k} = {grid.ts[k]}")
+                              f"t_{k} = {ts[k]}")
         return k
 
     def _base_level(self, t: float, x: np.ndarray) -> int:
@@ -590,7 +590,9 @@ class ValueAccess:
         K from level k, and, except the last sweep, maps the forcing of the
         forward step to the state tangents through the block of Q.  The
         directions are the stack axis of both products, so each row is
-        computed as in a one-direction request.
+        computed as in a one-direction request.  ``value_measure_gradient``
+        passes only the unique nonzero directions up to sign, and fills the
+        other rows from these.
         """
         k = self._base_level(t, x)
         base, lin = self.flow, self._lin
@@ -599,22 +601,28 @@ class ValueAccess:
         kernel, propagator = lin.kernel[k * n:, 2 * k:], lin.propagator[:, k:, k:]
         slope, hp_p, hp_m1, hp_m2 = (a[k:] for a in (lin.slope, lin.hp_p, lin.hp_m1, lin.hp_m2))
         levels = states.shape[0]
-        d_states = np.broadcast_to(etas[:, None, :], (len(etas), levels, n))
-        d_momenta = np.zeros(d_states.shape)
+        # The entering states broadcast eta over the levels.
+        d_states = etas[:, None, :]
+        d_momenta = np.zeros((len(etas), levels, n))
         inputs = np.empty((len(etas), n, levels))
         inputs[:, :, 0] = etas
+        # (dm1, dm2) of each level side by side: the channel order of K.
+        moments = np.empty((len(etas), levels, 2))
+        dm1, dm2 = moments[..., 0], moments[..., 1]
+        channels = moments.reshape(len(etas), 2 * levels, 1)
         with np.errstate(over="ignore", invalid="ignore"):
             for sweep in range(RESOLVE_SWEEPS):
-                # Row-wise means: a matrix product's rounding could depend on
+                # Row-wise means (np.add.reduce / n is ndarray.mean without
+                # its wrapper): a matrix product's rounding could depend on
                 # how many directions share the request.
-                dm1 = d_states.mean(axis=-1)
-                dm2 = control_mean_tangent(
-                    self.model, lin.m1[k:], lin.e[k:], dm1, d_momenta.mean(axis=-1),
-                    (d_states * momenta + states * d_momenta).mean(axis=-1))
-                channels = np.stack((dm1, dm2), axis=-1).reshape(len(etas), 2 * levels, 1)
+                dm1[...] = np.add.reduce(d_states, axis=-1) / n
+                dm2[...] = control_mean_tangent(
+                    self.model, lin.m1[k:], lin.e[k:], dm1,
+                    np.add.reduce(d_momenta, axis=-1) / n,
+                    np.add.reduce(d_states * momenta + states * d_momenta, axis=-1) / n)
                 if sweep == RESOLVE_SWEEPS - 1:
                     return np.matmul(kernel[:n], channels)[..., 0]
-                du_x = np.matmul(kernel, channels).reshape(d_states.shape)
+                du_x = np.matmul(kernel, channels).reshape(d_momenta.shape)
                 forcing = hp_p * du_x + hp_m1 * dm1[..., None] + hp_m2 * dm2[..., None]
                 inputs[:, :, 1:] = forcing[:, :-1].transpose(0, 2, 1)
                 d_states = np.ascontiguousarray(

@@ -128,6 +128,30 @@ class TestValueMeasureGradient:
         assert np.array_equal(got[1], -single)
         assert np.array_equal(got[2], np.zeros(x.size))
 
+    def test_tangent_sees_each_direction_once_up_to_sign(self, lq_coupled):
+        grid, flow, access = lq_coupled
+
+        class RecordingAccess:
+            def __init__(self):
+                self.requests = []
+
+            def tangent(self, t, x, etas):
+                self.requests.append(etas.copy())
+                return access.tangent(t, x, etas)
+
+        k = grid.n_t // 3
+        t, x = grid.ts[k], flow.states[k]
+        eta, eta2 = np.random.default_rng(6).normal(size=(2, x.size))
+        stack = np.array([eta, -eta, eta2, eta, 0.0 * eta, -eta2])
+        recording = RecordingAccess()
+        got = value_measure_gradient(recording, t, x, stack)
+        assert len(recording.requests) == 1
+        assert np.array_equal(recording.requests[0], np.array([eta, eta2]))
+        for row, direction in zip(got, stack):
+            (alone,) = value_measure_gradient(access, t, x, direction[None, :])
+            assert np.array_equal(row, alone)
+            assert np.array_equal(np.signbit(row), np.signbit(alone))
+
     def test_direction_stack_must_match_cloud(self, lq_coupled):
         grid, flow, access = lq_coupled
         x = flow.states[0]

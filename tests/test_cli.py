@@ -1,12 +1,13 @@
 import configparser
 import io
 import json
+import subprocess
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from mfgclab import calculus
+from mfgclab import calculus, cli
 from mfgclab.cli import main
 from mfgclab.models import HatTable
 
@@ -415,3 +416,25 @@ class TestDeterminism:
         assert main(["mono", "--config", str(cfg), "--out", str(out2),
                      "--jobs", "4"]) == 0
         assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
+
+
+class TestManifest:
+    def test_git_describe_spawns_once_per_process(self, tmp_path, monkeypatch):
+        # Every main call writes the revision to its manifest; git runs once.
+        real_run, commands = subprocess.run, []
+
+        def recording_run(args, **kwargs):
+            commands.append(args)
+            return real_run(args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", recording_run)
+        cli._git_describe.cache_clear()
+        cfg = tmp_path / "chain.ini"
+        cfg.write_text(BASE_CONFIGS["chain"])
+        revisions = []
+        for name in ("a", "b"):
+            assert main(["chain", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            revisions.append(json.loads((tmp_path / name / "manifest.json").read_text())
+                             ["revision"])
+        assert commands == [["git", "describe", "--always", "--dirty"]]
+        assert revisions[0] == revisions[1]

@@ -1,3 +1,6 @@
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +9,10 @@ from reference_resolve import ux_at
 from test_calculus import random_models
 
 from mfgclab.calculus import chain_rule_check
-from mfgclab.config import preset_model
+from mfgclab.config import ExperimentConfig, preset_model
 from mfgclab.models import (
     CONTRACTION_EPS,
+    HatTable,
     MeanPoly2,
     Model,
     ModelError,
@@ -22,7 +26,10 @@ from mfgclab.models import (
     mean_terms,
     verify_envelope_identities,
 )
-from mfgclab.solver import terminal_field
+from mfgclab.solver import solve_mfgc, terminal_field
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def random_law(rng, n=8, scale=1.0):
     return rng.normal(0, scale, n), rng.normal(0, scale, n)
@@ -256,6 +263,33 @@ class TestHatDerivatives:
         varying = hat_derivative_table(preset_model(FULL_MEANFIELD), xs, ps)
         for name in ("h_xrho1", "h_xrho2", "h_prho1", "h_prho2"):
             assert np.ptp(getattr(varying, name), axis=1).min() > 1e-3, name
+
+    @pytest.mark.parametrize("name", ["ll_propagation", "anti_propagation"])
+    def test_all_levels_in_one_call_equal_each_level(self, name):
+        # One call over a solved flow's levels, as the variational run makes
+        # it: every entry of every level is bit-identical to that level's own
+        # table.  On anti_propagation a matrix-vector product over the levels
+        # rounds the mean of x p differently, but that mean enters only
+        # through b0x = 0; the stack below, with b0x != 0, tells them apart.
+        cfg = ExperimentConfig.from_ini(CONFIGS / f"{name}.ini")
+        model = cfg.model()
+        flow = solve_mfgc(model, cfg.initial_cloud(), cfg.grid(), cfg.picard(), seed=cfg.seed)
+        stacked = hat_derivative_table(model, flow.states, flow.momenta)
+        for k in range(flow.grid.n_t + 1):
+            own = hat_derivative_table(model, flow.states[k], flow.momenta[k])
+            for f in fields(HatTable):
+                assert np.array_equal(getattr(stacked[k], f.name), getattr(own, f.name)), (k, f)
+
+    def test_stacked_laws_with_every_coefficient(self):
+        # b0x != 0, so the mean of x p enters the entries; with the means as
+        # one matrix-vector product over the laws this test fails.
+        model = preset_model(FULL_MEANFIELD)
+        xs, ps = np.random.default_rng(47).normal(size=(2, 3, 5, 7))
+        stacked = hat_derivative_table(model, xs, ps)
+        for index in np.ndindex(3, 5):
+            own = hat_derivative_table(model, xs[index], ps[index])
+            for f in fields(HatTable):
+                assert np.array_equal(getattr(stacked[index], f.name), getattr(own, f.name))
 
 
 def partials_gap(model, rng, n=6):
