@@ -3,9 +3,9 @@
 The chain-rule check of the reduced Hamiltonian Hhat(x, p, rho) =
 H(x, p, Phi(rho)) against central differences, and the one directional
 measure derivative of the value-function gradient that the monotonicity
-functionals consume, taken in forward mode by the value access.  Measure
-derivatives are Lions derivatives of a uniform cloud: N times the partial
-derivative in one atom.
+functionals consume, taken in forward mode by the value access at the
+solved cloud of one grid level.  Measure derivatives are Lions derivatives
+of a uniform cloud: N times the partial derivative in one atom.
 """
 from __future__ import annotations
 
@@ -87,22 +87,23 @@ def chain_rule_check(model: Model, x, p) -> tuple:
     return errors, max(1.0, float(np.max(np.abs(base))))
 
 
-def value_measure_gradient(access, t: float, x: np.ndarray, etas) -> np.ndarray:
-    """Directional measure derivatives of the value gradient at the atoms x,
-    one row per direction of the (B, N) stack etas.
+def value_measure_gradient(access, k: int, etas) -> np.ndarray:
+    """Directional measure derivatives of the value gradient at the atoms of
+    level k's cloud, one row per direction of the (B, N) stack etas.
 
-    Row b is D_i = (1/N) sum_j d_x d_mu V(t, x_i, mu, x_j) eta_j at every
-    atom x_i, for the uniform cloud mu of x.  ``access.tangent(t, x, etas)``
-    computes it in one forward-mode pass (``solver.ValueAccess.tangent``)
-    for the unique directions only: D is odd in eta, so a zero row is zero,
-    and a row equal to an earlier row or to its negation copies or negates
-    that row's result.  The tangent computes each row as in a one-direction
-    request, so every row is bit-identical to asking for it alone.
+    Row b is D_i = (1/N) sum_j d_x d_mu V(t_k, x_i, mu_k, x_j) eta_j at every
+    atom x_i of mu_k, the uniform cloud of the access's N atoms at level k.
+    ``access.tangent(k, etas)`` computes it in one forward-mode pass
+    (``solver.ValueAccess.tangent``) for the unique directions only: D is
+    odd in eta, so a zero row is zero, and a row equal to an earlier row or
+    to its negation copies or negates that row's result.  The tangent
+    computes each row as in a one-direction request, so every row is
+    bit-identical to asking for it alone.
     """
     etas = np.asarray(etas, dtype=float)
-    if etas.ndim != 2 or etas.shape[1:] != x.shape:
+    if etas.ndim != 2 or etas.shape[1] != access.n_particles:
         raise CalculusError(f"direction stack of shape {etas.shape} does not match "
-                            f"cloud {x.shape}")
+                            f"the cloud's {access.n_particles} atoms")
     out = np.zeros(etas.shape)
     # Each nonzero row and its negation map to the row's place in the
     # request.  Tuples of floats compare with ==, so 0.0 matches -0.0 and a
@@ -117,7 +118,7 @@ def value_measure_gradient(access, t: float, x: np.ndarray, etas) -> np.ndarray:
             unique.append(b)
     if not unique:
         return out
-    tangents = access.tangent(t, x, etas[unique])
+    tangents = access.tangent(k, etas[unique])
     if not np.isfinite(tangents).all():
         raise CalculusError("the value gradient's tangent is not finite")
     out[unique] = tangents

@@ -33,7 +33,7 @@ from .conditions import (
 )
 from .config import ConfigError, ExperimentConfig
 from .models import verify_envelope_identities
-from .monotonicity import monotonicity_sweep, tolerance_scale
+from .monotonicity import MonotonicityError, monotonicity_sweep, tolerance_scale
 from .propagation import (
     MONOTONICITY_KINDS,
     GateError,
@@ -130,7 +130,7 @@ def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     n_samples, n_atoms = cfg.check_sizes()
     samples = make_condition_samples(n_samples, n_atoms, seed)
     reports = []
-    for name in cfg.check_section.get("which", "envelope").split():
+    for name in cfg.checkers():
         if name in MONOTONICITY_KINDS:
             reports.append(cfg.monotonicity_kind(name).gate(model, samples))
         elif name == "envelope":
@@ -146,14 +146,12 @@ def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
             c = _coupling(model, name)
             c0 = abs((model.B.coeffs[2] - c) / (1.0 - c))
             reports.append(check_disp_sufficient(model, cfg.lam(), c0, samples))
-        elif name == "fmon":
+        else:  # fmon
             rng = np.random.default_rng(seed)
             pairs = [((rng.normal(size=n_atoms), rng.normal(size=n_atoms)),
                       (rng.normal(size=n_atoms), rng.normal(size=n_atoms)))
                      for _ in range(n_samples)]
             reports.append(check_f_monotone(model, pairs))
-        else:
-            raise ConfigError(f"unknown checker {name!r}")
     payload = {"reports": [r.to_dict() for r in reports],
                "worst_margin": min(r.worst_margin for r in reports),
                "all_passed": all(r.passed for r in reports)}
@@ -185,7 +183,7 @@ def run_mono(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     prop = cfg.propagation(seed)
     access = ValueAccess(model, flow)
     tol = tolerance_scale(grid.dt, grid.dx, flow.n_particles, prop.fd_eps, prop.tol_c)
-    report = monotonicity_sweep(flow, access, prop.kind, slices=cfg.slices(),
+    report = monotonicity_sweep(access, prop.kind, slices=cfg.slices(),
                                 battery_size=prop.n_directions, tolerance=tol,
                                 seed=prop.seed)
     # The configured fd_eps enters the tolerance, so the report records it.
@@ -214,8 +212,7 @@ def run_propagate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
         print(f"propagate: gate failed ({gate.condition}), no solve attempted")
         return EXIT_HYPOTHESIS
     flow = solve_mfgc(model, cfg.initial_cloud(), cfg.grid(), cfg.picard(), seed=seed)
-    access = ValueAccess(model, flow)
-    result = propagation_experiment(model, flow, access, prop, gate)
+    result = propagation_experiment(ValueAccess(model, flow), prop, gate)
     csv_path = out_dir / "trace.csv"
     traces_to_csv(csv_path, result.traces)
     payload = {
@@ -303,7 +300,9 @@ def main(argv=None) -> int:
 
     try:
         code = RUNNERS[args.command](cfg, out_dir, seed)
-    except ConfigError as err:
+    except (ConfigError, MonotonicityError) as err:
+        # A runner's MonotonicityError is a direction battery that the
+        # configured directions and particle count cannot fill.
         print(f"config error: {err}", file=sys.stderr)
         code = EXIT_CONFIG
     except GateError as err:

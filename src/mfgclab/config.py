@@ -35,9 +35,11 @@ in ``[check] which``.  ``monotonicity_kind()`` builds the kind object of
           (gamma_hi > gamma_lo > 0), l_bar,
           lu_xx
 
-Every gate and the disp_sufficient checker judge ``[check] samples`` (40)
-random laws of ``[check] atoms`` (16) atoms each, drawn from the
-experiment's seed; fmon draws that many coupled pairs of that size.  A
+``[check] which`` (envelope by default) may also name the checkers of
+CHECKERS; an empty list or an unknown name is a ConfigError before any
+check runs.  Every gate and the disp_sufficient checker judge ``[check]
+samples`` (40) random laws of ``[check] atoms`` (16) atoms each, drawn from
+the experiment's seed; fmon draws that many coupled pairs of that size.  A
 propagate run of the anti kind also requires |Vxx| <= lu_xx on the solved
 field.  An invalid kind parameter is a ConfigError before any solve, and
 [monotonicity] lambda is range-checked whatever the kind.
@@ -56,6 +58,8 @@ from .propagation import MONOTONICITY_KINDS, PropagationConfig
 from .solver import Grid, PicardSettings, SolverError
 
 KINDS = ("check", "solve", "mono", "propagate", "chain")
+# The [check] which names besides the monotonicity kinds, whose gates it runs.
+CHECKERS = ("envelope", "matrix1", "disp_sufficient", "fmon")
 
 
 class ConfigError(ValueError):
@@ -263,6 +267,19 @@ class ExperimentConfig:
         sec = self.check_section
         return _number(sec, "samples", "40", int, 1), _number(sec, "atoms", "16", int, 2)
 
+    def checkers(self) -> list:
+        """The ``[check] which`` names (envelope by default), each a
+        monotonicity kind or one of CHECKERS; an empty list or an unknown
+        name is a ConfigError."""
+        names = self.check_section.get("which", "envelope").split()
+        if not names:
+            raise ConfigError("[check] which names no checker")
+        for name in names:
+            if name not in MONOTONICITY_KINDS and name not in CHECKERS:
+                raise ConfigError(f"unknown checker {name!r}; expected a monotonicity "
+                                  f"kind {tuple(MONOTONICITY_KINDS)} or one of {CHECKERS}")
+        return names
+
     def anti_constants(self) -> tuple:
         """(l0, gamma_lo, gamma_hi, l_bar, lu_xx) of the anti-monotone assumption."""
         return tuple(_number(self.anti_section, key, "0")
@@ -328,7 +345,7 @@ class ExperimentConfig:
             self.check_sizes()
             self.lam()
             self.anti_constants()
-            for name in self.check_section.get("which", "envelope").split():
+            for name in self.checkers():
                 if name in MONOTONICITY_KINDS:
                     self.monotonicity_kind(name)
         if self.kind == "chain":

@@ -2,27 +2,27 @@
 
 Three quadratic functionals of a test pair (xi, eta) — the Lasry-Lions form,
 the displacement lambda-form, and the anti-monotone form — are evaluated on
-V(t, ., mu) for sampled time slices and direction batteries.  The law mu of
-xi is the uniform cloud of the 1-D atom array x, and eta = eta(xi) is a 1-D
-array aligned with it; the functionals take a (B, N) stack of directions and
-return one value per direction.
+V(t_k, ., mu_k) at sampled grid levels k of the equilibrium flow, where mu_k
+is the solved cloud of that level, for a battery of directions.  The law of
+xi is the uniform cloud of the level's N atoms, and eta = eta(xi) is a 1-D
+array aligned with them; the functionals take a (B, N) stack of directions
+and return one value per direction.
 
 Each functional is a function of the ``Pairings`` of (eta, Vxx eta, D),
 with D the directional measure derivative of the value gradient.  Its kind
 object (``propagation.MONOTONICITY_KINDS``) defines it once, with the kind's
-parameters and verdict sign: ``mon_ll``, ``mon_disp`` and ``mon_anti`` apply
-it at one cloud, ``monotonicity_sweep`` over a flow, and the variational
-traces of ``propagation`` along the first-variation system.
+parameters and verdict sign: ``mon_ll`` and ``mon_disp`` apply it at one
+level, ``monotonicity_sweep`` over a flow, and the variational traces of
+``propagation`` along the first-variation system.
 
-Access to V is an object with two methods, both asked at the cloud x of
-the evaluation: ``tangent(t, x, etas)`` returns the (B, N) directional
-measure derivatives of the value gradient at the atoms x for the (B, N)
+Access to V is keyed by the level index k alone and answers at that level's
+cloud, whose size is the access's ``n_particles``.  ``field(k)`` returns
+V_xx(t_k, ., mu_k) at the atoms, and ``tangent(k, etas)`` the (B, N)
+directional measure derivatives of the value gradient there for the (B, N)
 stack of directions, each row as if asked alone; ``value_measure_gradient``
 asks it for the unique nonzero directions up to sign only, since the
-derivative is odd in the direction.  ``field(t, x)``
-returns a one-level field whose slice is V(t, ., mu) for the uniform cloud
-mu of x, read for V_xx at the atoms.  ``solver.ValueAccess`` provides both
-at the clouds of a converged flow, and a fixed terminal cost serves as
+derivative is odd in the direction.  ``solver.ValueAccess`` provides both
+for a converged flow, and a fixed terminal cost at a fixed cloud serves as
 well.
 """
 from __future__ import annotations
@@ -79,25 +79,21 @@ def pairings(dx: np.ndarray, gamma: np.ndarray, upsilon: np.ndarray) -> Pairings
                     mean(upsilon**2))
 
 
-def mon_ll(access, t: float, x: np.ndarray, etas: np.ndarray, kind) -> np.ndarray:
-    """The functional of a kind that reads only I (Lasry-Lions), one value
-    per direction of the (B, N) stack etas, where D_i = (1/N) sum_j
-    d_x d_mu V(t, x_i, mu, x_j) eta_j; no curvature is fetched (G = 0)."""
-    d_vals = value_measure_gradient(access, t, x, etas)
+def mon_ll(access, k: int, etas: np.ndarray, kind) -> np.ndarray:
+    """The functional of a kind that reads only I (Lasry-Lions) at level k,
+    one value per direction of the (B, N) stack etas, where D_i = (1/N)
+    sum_j d_x d_mu V(t_k, x_i, mu_k, x_j) eta_j; no curvature is fetched
+    (G = 0)."""
+    d_vals = value_measure_gradient(access, k, etas)
     return kind.functional(pairings(etas, np.zeros_like(etas), d_vals))
 
 
-def mon_disp(access, t: float, x: np.ndarray, etas: np.ndarray, kind) -> np.ndarray:
+def mon_disp(access, k: int, etas: np.ndarray, kind) -> np.ndarray:
     """The functional of a kind that reads the curvature pairings
-    (displacement), with G = Vxx eta from the cloud's value slice."""
-    vxx = access.field(t, x).uxx_at(0, x)
-    d_vals = value_measure_gradient(access, t, x, etas)
+    (displacement and anti-monotone) at level k, with G = Vxx eta."""
+    vxx = access.field(k)
+    d_vals = value_measure_gradient(access, k, etas)
     return kind.functional(pairings(etas, vxx * etas, d_vals))
-
-
-def mon_anti(access, t: float, x: np.ndarray, etas: np.ndarray, kind) -> np.ndarray:
-    """The anti-monotone functional, from the same pairings as ``mon_disp``."""
-    return mon_disp(access, t, x, etas, kind)
 
 
 def direction_battery(xs: np.ndarray, count: int = 12, seed: int = 0) -> list:
@@ -109,35 +105,30 @@ def direction_battery(xs: np.ndarray, count: int = 12, seed: int = 0) -> list:
     i.i.d. draw (the mean-free variant of the constant feedback) and shapes
     that vanish on the cloud are skipped; fresh mean-free noise pairs fill any
     remainder.  The default count of 12 therefore stops before the cubic
-    shapes.  All directions are normalised to unit root-mean-square.
+    shapes.  All directions are normalised to unit root-mean-square.  A
+    remainder on a single atom cannot be filled, since every mean-free draw
+    vanishes there; that is a MonotonicityError.
     """
     rng = np.random.default_rng(seed)
-    shapes = []
-    ones = np.ones_like(xs)
     noise = rng.standard_normal(xs.shape[0])
-    noise = noise - noise.mean()
-    candidates = [ones, noise]
+    candidates = [np.ones_like(xs), noise - noise.mean()]
     for degree in (1, 2, 3):
         psi = xs**degree
-        candidates.append(psi)
-        candidates.append(psi - psi.mean())
-    extra = 0
+        candidates += [psi, psi - psi.mean()]
+    shapes = []
+    for cand in candidates:
+        rms = float(np.sqrt(np.mean(cand**2)))
+        if rms >= 1e-12:
+            shapes += [cand / rms, -cand / rms]
     while len(shapes) < count:
-        for cand in candidates:
-            rms = float(np.sqrt(np.mean(cand**2)))
-            if rms < 1e-12:
-                continue
-            shapes.append(cand / rms)
-            shapes.append(-cand / rms)
-            if len(shapes) >= count:
-                break
-        else:
-            extra += 1
-            fresh = rng.standard_normal(xs.shape[0])
-            candidates = [fresh - fresh.mean()]
-            if extra > 8:
-                raise MonotonicityError("could not assemble the direction battery")
-            continue
+        fresh = rng.standard_normal(xs.shape[0])
+        fresh = fresh - fresh.mean()
+        rms = float(np.sqrt(np.mean(fresh**2)))
+        if rms < 1e-12:
+            raise MonotonicityError(
+                f"cannot fill a battery of {count} directions on {xs.shape[0]} atom(s): "
+                f"only {len(shapes)} directions do not vanish on the cloud")
+        shapes += [fresh / rms, -fresh / rms]
     return shapes[:count]
 
 
@@ -147,24 +138,25 @@ def tolerance_scale(dt: float, dx: float, n_particles: int, fd_eps: float,
     return float(c * (dt + dx**2 + 1.0 / np.sqrt(n_particles) + fd_eps**2))
 
 
-def monotonicity_sweep(flow, access, kind, slices: int = 5, battery_size: int = 12,
+def monotonicity_sweep(access, kind, slices: int = 5, battery_size: int = 12,
                        tolerance: float = 1e-6, seed: int = 0) -> MonotonicityReport:
     """Evaluate one kind's functional over time slices x direction battery.
 
     ``kind`` is a monotonicity kind object (``propagation.MONOTONICITY_KINDS``):
-    it carries its parameters, evaluates its functional at a cloud and
+    it carries its parameters, evaluates its functional at a level and
     judges the values by its sign.  Slice times are grid levels of the
-    converged flow, with the flow's own states there as the cloud.
+    access's converged flow, with the flow's own states there as the cloud.
     """
+    flow = access.flow
     grid = flow.grid
     levels = [int(round(q * grid.n_t / (slices - 1))) for q in range(slices)] \
         if slices > 1 else [0]
     samples = []
     for k in sorted(set(levels)):
-        t, x_k = float(grid.ts[k]), flow.states[k]
-        etas = np.array(direction_battery(x_k, battery_size, seed))
-        values = kind.value(access, t, x_k, etas)
-        samples += [{"t": t, "level": k, "direction": d_idx, "value": float(value)}
+        etas = np.array(direction_battery(flow.states[k], battery_size, seed))
+        values = kind.value(access, k, etas)
+        samples += [{"t": float(grid.ts[k]), "level": k, "direction": d_idx,
+                     "value": float(value)}
                     for d_idx, value in enumerate(values)]
     values = np.array([s["value"] for s in samples])
     lvec = kind.lvec

@@ -35,7 +35,6 @@ from .monotonicity import (
     MonotonicityError,
     Pairings,
     direction_battery,
-    mon_anti,
     mon_disp,
     mon_ll,
     pairings,
@@ -47,18 +46,6 @@ from .solver import EquilibriumFlow, ValueAccess
 
 class GateError(RuntimeError):
     """A propagation experiment's precondition failed."""
-
-
-@dataclass
-class VariationalState:
-    """One time level of the first-variation system, for a (B, N) stack of
-    directions: row b of each array belongs to direction b."""
-
-    t: float
-    delta_x: np.ndarray
-    gamma: np.ndarray     # Vxx(t, X) * dX, recomputed from the value grid
-    upsilon: np.ndarray   # measure-derivative field, recomputed each step
-    table: HatTable = field(repr=False)
 
 
 @dataclass
@@ -117,49 +104,47 @@ def traces_to_csv(path, traces: list) -> None:
         writer.writerows(rows)
 
 
-def simulate_variational(model: Model, flow: EquilibriumFlow, etas: np.ndarray,
-                         access: ValueAccess) -> list:
-    """Euler trace of the first-variation system along the converged flow.
+def simulate_variational(access: ValueAccess, etas: np.ndarray) -> tuple:
+    """Euler trace of the first-variation system along the access's
+    converged flow: (dX, G, U, tables).
 
     The initial sensitivities dX(0) = eta are the rows of the (B, N) stack
     etas, each aligned with the initial particle states, and the whole
     battery steps as one (B, N) array.  The equilibrium states are reused as
     simulated (they already carry the flow's Brownian increments); dX follows
-    its linear dynamics with the curvature field recomputed from the value
-    grid and the measure-derivative field from the value gradient's tangent
-    at every step, all directions of a level in one request to ``access``.
-    The hat tables of all levels come from one ``hat_derivative_table`` call
-    on the whole flow.
+    its linear dynamics with the curvature field G = Vxx dX from
+    ``access.field(k)`` and the measure-derivative field U from the value
+    gradient's tangent at every level k, all directions of a level in one
+    request to ``access``.  dX, G and U are (B, levels, N) stacks, row b
+    belonging to direction b; ``tables`` lists the hat table of each level,
+    all from one ``hat_derivative_table`` call on the whole flow.
     """
-    grid = flow.grid
+    flow = access.flow
     delta = np.array(etas, dtype=float)
     if delta.ndim != 2 or delta.shape[1] != flow.n_particles:
         raise GateError(f"directions of shape {delta.shape} do not match the "
                         f"flow's {flow.n_particles} particles")
-    dt = grid.dt
-    tables = hat_derivative_table(model, flow.states, flow.momenta)
-    ts = grid.ts
-    out = []
-    for k in range(grid.n_t + 1):
-        t_k = float(ts[k])
-        x_k = flow.states[k]
-        vxx = flow.value_field.uxx_at(k, x_k)
-        gamma = vxx * delta
-        upsilon = value_measure_gradient(access, t_k, x_k, delta)
-        table = tables[k]
-        out.append(VariationalState(t=t_k, delta_x=delta.copy(), gamma=gamma,
-                                    upsilon=upsilon, table=table))
-        if k < grid.n_t:
-            delta = delta + dt * dx_velocity(table, delta, gamma + upsilon)
+    n_t, dt = flow.grid.n_t, flow.grid.dt
+    stack = hat_derivative_table(access.model, flow.states, flow.momenta)
+    tables = [stack[k] for k in range(n_t + 1)]
+    dx, gamma, upsilon = (np.empty((len(delta), n_t + 1, flow.n_particles))
+                          for _ in range(3))
+    for k in range(n_t + 1):
+        g_k = access.field(k) * delta
+        u_k = value_measure_gradient(access, k, delta)
+        dx[:, k], gamma[:, k], upsilon[:, k] = delta, g_k, u_k
+        if k < n_t:
+            delta = delta + dt * dx_velocity(tables[k], delta, g_k + u_k)
             if not np.all(np.isfinite(delta)):
                 raise GateError(f"variational state blew up at level {k}")
-    return out
+    return dx, gamma, upsilon, tables
 
 
-def evaluate_rhs_formulas(model: Model, state: VariationalState,
-                          lam: float = 0.0) -> dict:
-    """Exact quadratic expressions for the time derivatives of the traces,
-    one value per direction of the state.
+def evaluate_rhs_formulas(table: HatTable, delta_x: np.ndarray, gamma: np.ndarray,
+                          upsilon: np.ndarray, lam: float = 0.0) -> dict:
+    """Exact quadratic expressions for the time derivatives of the traces at
+    one level, one value per direction of the (B, N) first-variation state
+    (dX, G, U).
 
     Returns the derivative of the Lasry-Lions pairing, of the curvature
     pairing, of the second moment of dX, and the combined displacement-form
@@ -170,26 +155,24 @@ def evaluate_rhs_formulas(model: Model, state: VariationalState,
     """
     # Directions on the stack axis of the product: each row is bit-identical
     # to a one-direction request.
-    v = np.concatenate([state.delta_x, state.gamma, state.upsilon], axis=-1)
+    v = np.concatenate([delta_x, gamma, upsilon], axis=-1)
     v = v[:, None, None, :]    # (B, 1, 1, 3N) against the (3, 3N, 3N) stack
-    dt_i, dt_ibar, dt_dx2 = np.sum((v @ form_matrices(state.table)) * v, axis=-1)[..., 0].T
+    dt_i, dt_ibar, dt_dx2 = np.sum((v @ form_matrices(table)) * v, axis=-1)[..., 0].T
     return {"dtI_rhs": dt_i, "dtIbar_rhs": dt_ibar, "d_deltaX2_rhs": dt_dx2,
             "cd_disp_rhs": dt_i + dt_ibar + lam * dt_dx2}
 
 
-def build_traces(model: Model, flow: EquilibriumFlow, etas: np.ndarray,
-                 access: ValueAccess, kind: Kind) -> list:
+def build_traces(access: ValueAccess, etas: np.ndarray, kind: Kind) -> list:
     """One ``PropagationTrace`` per direction of the (B, N) stack etas, in
     row order, from one batched variational run; each trace's series is the
     kind's functional of its pairings."""
-    states = simulate_variational(model, flow, etas, access)
-    dx, gamma, upsilon = (np.stack([getattr(s, name) for s in states], axis=1)
-                          for name in ("delta_x", "gamma", "upsilon"))  # (B, levels, N)
+    dx, gamma, upsilon, tables = simulate_variational(access, etas)
     p = pairings(dx, gamma, upsilon)
     series = kind.functional(p)
-    rhs = [evaluate_rhs_formulas(model, s, lam=kind.lam) for s in states]
+    rhs = [evaluate_rhs_formulas(tables[k], dx[:, k], gamma[:, k], upsilon[:, k], lam=kind.lam)
+           for k in range(dx.shape[1])]
     exact = {name: np.stack([r[name] for r in rhs], axis=1) for name in rhs[0]}
-    ts = np.array([s.t for s in states])
+    ts = access.flow.grid.ts
     return [
         PropagationTrace(
             direction=b, kind=kind, ts=ts, i_vals=p.i[b], ibar_vals=p.ibar[b],
@@ -266,8 +249,8 @@ class LasryLions(Kind):
     def from_config(cls, cfg) -> LasryLions:
         return cls()
 
-    def value(self, access, t: float, x: np.ndarray, etas: np.ndarray) -> np.ndarray:
-        return mon_ll(access, t, x, etas, self)
+    def value(self, access, k: int, etas: np.ndarray) -> np.ndarray:
+        return mon_ll(access, k, etas, self)
 
     def functional(self, p: Pairings) -> np.ndarray:
         return p.i
@@ -293,8 +276,8 @@ class Displacement(Kind):
     def from_config(cls, cfg) -> Displacement:
         return cls(cfg.lam())
 
-    def value(self, access, t: float, x: np.ndarray, etas: np.ndarray) -> np.ndarray:
-        return mon_disp(access, t, x, etas, self)
+    def value(self, access, k: int, etas: np.ndarray) -> np.ndarray:
+        return mon_disp(access, k, etas, self)
 
     def functional(self, p: Pairings) -> np.ndarray:
         return p.i + p.ibar + self.lam * p.dx2
@@ -334,8 +317,8 @@ class AntiMonotone(Kind):
     def from_config(cls, cfg) -> AntiMonotone:
         return cls(cfg.lambda_vec(), *cfg.anti_constants())
 
-    def value(self, access, t: float, x: np.ndarray, etas: np.ndarray) -> np.ndarray:
-        return mon_anti(access, t, x, etas, self)
+    def value(self, access, k: int, etas: np.ndarray) -> np.ndarray:
+        return mon_disp(access, k, etas, self)
 
     def functional(self, p: Pairings) -> np.ndarray:
         lv = self.lvec
@@ -398,10 +381,10 @@ def model_gate(model: Model, config: PropagationConfig) -> ConditionReport:
     return config.kind.gate(model, samples)
 
 
-def propagation_experiment(model: Model, flow: EquilibriumFlow,
-                           access: ValueAccess, config: PropagationConfig,
+def propagation_experiment(access: ValueAccess, config: PropagationConfig,
                            gate: ConditionReport) -> PropagationResult:
-    """Gate, trace, and verdict for one propagation theorem at desk scale.
+    """Gate, trace, and verdict for one propagation theorem at desk scale,
+    on the access's converged flow.
 
     Gating: ``gate``, the report of ``model_gate`` for this model and config,
     must pass, the terminal cost must carry the monotonicity of
@@ -411,16 +394,15 @@ def propagation_experiment(model: Model, flow: EquilibriumFlow,
     derivative and the endpoint claim, both within the discretisation
     tolerance) and its formula matches on every direction.
     """
-    kind = config.kind
+    kind, flow = config.kind, access.flow
     grid = flow.grid
     tol = tolerance_scale(grid.dt, grid.dx, flow.n_particles, config.fd_eps,
                           config.tol_c)
     if config.enforce_gate and not gate.passed:
         raise GateError(f"Hamiltonian condition gate failed for kind {kind.name!r}")
 
-    x_end = flow.states[grid.n_t]
-    terminal = kind.value(access, grid.t_end, x_end,
-                          np.array(direction_battery(x_end, config.n_directions, config.seed)))
+    terminal = kind.value(access, grid.n_t, np.array(
+        direction_battery(flow.states[grid.n_t], config.n_directions, config.seed)))
     details: dict = {"terminal_values": terminal.tolist()}
     if config.enforce_gate and not kind.holds(terminal, tol):
         raise GateError("terminal cost does not carry the required monotonicity")
@@ -433,7 +415,7 @@ def propagation_experiment(model: Model, flow: EquilibriumFlow,
     formula_violations = []
     endpoint_values = []
     etas = np.array(direction_battery(flow.states[0], config.n_directions, config.seed))
-    traces = build_traces(model, flow, etas, access, kind)
+    traces = build_traces(access, etas, kind)
     for idx, trace in enumerate(traces):
         formula_violations.extend(dict(v, direction=idx)
                                   for v in formula_match_violations(trace))

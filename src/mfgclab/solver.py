@@ -17,9 +17,9 @@ parts of the Hamiltonian that depend on each level's moments once, for all
 levels (``models.mean_terms``), and the backward sweep also their
 x-dependent parts on the grid (``models.hamiltonian_terms``) before it
 starts.  ``solve_mfgc`` iterates the map, Anderson-mixed, to tolerance.
-``ValueAccess`` reads V(t_k, ., mu) of the solved flow at its own clouds,
+``ValueAccess`` reads V_xx of the solved flow at the cloud of a level k,
 and gives the measure derivative of the value gradient along displacements
-of the base cloud: the forward-mode derivative of a fixed number of
+of that cloud: the forward-mode derivative of a fixed number of
 undamped sweeps from the shifted base flow, linearised once around the base
 flow into two response kernels, with no displaced cloud re-solved.
 """
@@ -133,12 +133,11 @@ def _d2_rows(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndar
 
 @dataclass
 class ValueField:
-    """Grid values of V(t, x, mu_t) along one solve, with derivative accessors."""
+    """Grid values of V(t, x, mu_t) along one solve and their second differences."""
 
     u: np.ndarray   # (levels, n_x)
     xs: np.ndarray
     ts: np.ndarray
-    u_x: np.ndarray = field(init=False)
     u_xx: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -147,12 +146,7 @@ class ValueField:
         self.ts = np.atleast_1d(np.asarray(self.ts, dtype=float))
         if self.u.shape != (self.ts.size, self.xs.size):
             raise SolverError(f"value array shape {self.u.shape} does not match grid")
-        dx = self.xs[1] - self.xs[0]
-        self.u_x = _d1_rows(self.u, dx)
-        self.u_xx = _d2_rows(self.u, dx)
-
-    def uxx_at(self, level: int, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.u_xx[level])
+        self.u_xx = _d2_rows(self.u, self.xs[1] - self.xs[0])
 
 
 @dataclass
@@ -526,77 +520,56 @@ def _linearise(model: Model, flow: EquilibriumFlow) -> _Linearisation:
 
 
 class ValueAccess:
-    """V(t_k, ., mu) of a converged base flow at its own clouds, and the
-    tangent of its gradient along displacements of the base cloud.
+    """V(t_k, ., mu_k) of a converged base flow at the solved cloud mu_k of
+    each level k, and the tangent of its gradient along displacements of
+    that cloud.
 
-    A cloud is the 1-D array x of its atoms, and a time must be one of the
-    base grid's levels; both methods answer only at the base cloud x =
-    base.states[k] of that level.  ``field`` returns the base flow's value
-    slice there.
+    The level index k is the only key: mu_k is the uniform cloud of the
+    atoms base.states[k], the only cloud the access answers at, and
+    ``n_particles`` is its size.  ``field(k)`` returns V_xx(t_k, ., mu_k) at
+    those atoms, interpolated from the base flow's value grid.
 
-    ``tangent`` is the derivative, at x = base.states[k], of the fixed-sweep
-    re-solve map of a cloud x at level k: start from the base flow shifted
-    atom by atom, states = base.states[k:] + (x - base.states[k]) with the
-    momenta base.momenta[k:], reuse the base flow's Brownian increments and
-    run RESOLVE_SWEEPS undamped Picard sweeps with no residual check.  The
-    map itself is never run here; the tests realise it as the
-    central-difference oracle of the tangent.  The derivative is taken in
-    forward mode: RESOLVE_SWEEPS tangent-linear sweeps that mirror ``_sweep``
-    for a whole stack of directions at once.  The sweeps are linear with
-    coefficients linearised once around the base flow, and a re-solve from
-    level k sees only levels >= k, so the access builds their two response
-    kernels once (``_linearise``) and every level and every direction reads
-    a block of them.
+    ``tangent`` is the derivative, at mu_k, of the fixed-sweep re-solve map
+    of a cloud x at level k: start from the base flow shifted atom by atom,
+    states = base.states[k:] + (x - base.states[k]) with the momenta
+    base.momenta[k:], reuse the base flow's Brownian increments and run
+    RESOLVE_SWEEPS undamped Picard sweeps with no residual check.  The map
+    itself is never run here; the tests realise it as the central-difference
+    oracle of the tangent.  The derivative is taken in forward mode:
+    RESOLVE_SWEEPS tangent-linear sweeps that mirror ``_sweep`` for a whole
+    stack of directions at once.  The sweeps are linear with coefficients
+    linearised once around the base flow, and a re-solve from level k sees
+    only levels >= k, so the access builds their two response kernels once
+    (``_linearise``) and every level and every direction reads a block of
+    them.
     """
 
     def __init__(self, model: Model, flow: EquilibriumFlow):
         self.model = model
         self.flow = flow
+        self.n_particles = flow.n_particles
         self._lin = _linearise(model, flow)
 
-    def level_of(self, t: float) -> int:
-        """The level k with t = t_k; any other time is an error."""
-        grid, ts = self.flow.grid, self.flow.value_field.ts
-        k = int(round((t - grid.t0) / grid.dt))
-        if not 0 <= k <= grid.n_t:
-            raise SolverError(f"time {t} outside the grid horizon")
-        if abs(t - ts[k]) > 1e-9 * grid.dt:
-            raise SolverError(f"time {t} is not a level of the grid; the nearest is "
-                              f"t_{k} = {ts[k]}")
-        return k
-
-    def _base_level(self, t: float, x: np.ndarray) -> int:
-        """The level k of t, for x the base cloud of that level."""
-        k = self.level_of(t)
-        if not np.array_equal(x, self.flow.states[k]):
-            raise SolverError(f"the value access answers at the base cloud of level {k} only")
-        return k
-
-    def field(self, t: float, x: np.ndarray) -> ValueField:
-        """The one-level field V(t_k, ., mu) at the level k of t: the base
-        flow's value slice, for x the base cloud of that level."""
-        k = self._base_level(t, x)
+    def field(self, k: int) -> np.ndarray:
+        """V_xx(t_k, ., mu_k) at the atoms of level k's cloud."""
         vf = self.flow.value_field
-        return ValueField(vf.u[k:k + 1], vf.xs, vf.ts[k:k + 1])
+        return np.interp(self.flow.states[k], vf.xs, vf.u_xx[k])
 
-    def tangent(self, t: float, x: np.ndarray, etas: np.ndarray) -> np.ndarray:
-        """d/de of the re-solved u_x(t_k, x_i) at the cloud x + e eta, at e = 0,
-        one row per direction of the (B, N) stack etas.
+    def tangent(self, k: int, etas: np.ndarray) -> np.ndarray:
+        """d/de of the re-solved u_x(t_k, x_i) at the cloud x + e eta, at e = 0
+        and x = base.states[k], one row per direction of the (B, N) stack etas.
 
-        x must be the base cloud of the level k of t.  The entering tangent
-        flow is eta at every level with zero momenta, as the re-solve's
-        shifted start.  Each sweep takes the moment tangents of every level,
-        maps them to du_x at the atoms of levels k..n_t through the block of
-        K from level k, and, except the last sweep, maps the forcing of the
-        forward step to the state tangents through the block of Q.  The
-        directions are the stack axis of both products, so each row is
-        computed as in a one-direction request.  ``value_measure_gradient``
-        passes only the unique nonzero directions up to sign, and fills the
-        other rows from these.
+        The entering tangent flow is eta at every level with zero momenta, as
+        the re-solve's shifted start.  Each sweep takes the moment tangents
+        of every level, maps them to du_x at the atoms of levels k..n_t
+        through the block of K from level k, and, except the last sweep,
+        maps the forcing of the forward step to the state tangents through
+        the block of Q.  The directions are the stack axis of both products,
+        so each row is computed as in a one-direction request.
+        ``value_measure_gradient`` passes only the unique nonzero directions
+        up to sign, and fills the other rows from these.
         """
-        k = self._base_level(t, x)
-        base, lin = self.flow, self._lin
-        n = base.n_particles
+        base, lin, n = self.flow, self._lin, self.n_particles
         states, momenta = base.states[k:], base.momenta[k:]
         kernel, propagator = lin.kernel[k * n:, 2 * k:], lin.propagator[:, k:, k:]
         slope, hp_p, hp_m1, hp_m2 = (a[k:] for a in (lin.slope, lin.hp_p, lin.hp_m1, lin.hp_m2))

@@ -11,7 +11,7 @@ g(., mu).
 """
 import numpy as np
 
-from mfgclab.solver import RESOLVE_SWEEPS, ValueField, _sweep, terminal_field
+from mfgclab.solver import RESOLVE_SWEEPS, ValueField, _d1_rows, _sweep, terminal_field
 
 
 def resolve_field(model, flow, k, x):
@@ -31,4 +31,5 @@ def resolve_field(model, flow, k, x):
 
 def ux_at(field, level, x):
     """The value gradient of one level of a field, interpolated at the points x."""
-    return np.interp(np.asarray(x, dtype=float), field.xs, field.u_x[level])
+    ux = _d1_rows(field.u[level], field.xs[1] - field.xs[0])
+    return np.interp(np.asarray(x, dtype=float), field.xs, ux)

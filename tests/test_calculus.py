@@ -8,7 +8,7 @@ from mfgclab.calculus import CalculusError, chain_rule_check, value_measure_grad
 from mfgclab.measures import gaussian_quantile_cloud
 from mfgclab.models import MeanPoly2, Model, QuadraticTerminalCost
 from mfgclab.monotonicity import direction_battery
-from mfgclab.solver import Grid, PicardSettings, SolverError, ValueAccess, solve_mfgc
+from mfgclab.solver import Grid, PicardSettings, ValueAccess, solve_mfgc
 
 # Relative gap of the eps = 1e-4 central difference to the tangent on the
 # general model of test_quadratic_mean_field: measured 1.1e-10, and 1.1e-10
@@ -55,19 +55,17 @@ class TestValueMeasureGradient:
     def test_matches_central_difference_at_every_level(self, lq_coupled):
         grid, flow, access = lq_coupled
         for k in range(grid.n_t + 1):
-            t, x = grid.ts[k], flow.states[k]
-            etas = np.array(direction_battery(x, 4, seed=k))
-            got = value_measure_gradient(access, t, x, etas)
+            etas = np.array(direction_battery(flow.states[k], 4, seed=k))
+            got = value_measure_gradient(access, k, etas)
             want = central_difference(LQ_COUPLED, flow, k, etas, 1e-3)
             assert relative_gap(got, want) <= 1e-8, k
 
     def test_linear_mean_field(self, lq_coupled):
         # V(T, x, mu) = g has the term xm x E[xi], so D = xm mean(eta) at T.
         grid, flow, access = lq_coupled
-        x = flow.states[-1]
-        etas = np.random.default_rng(3).normal(size=(3, x.size))
-        got = value_measure_gradient(access, grid.t_end, x, etas)
-        assert got.shape == (3, x.size)
+        etas = np.random.default_rng(3).normal(size=(3, flow.n_particles))
+        got = value_measure_gradient(access, grid.n_t, etas)
+        assert got.shape == (3, flow.n_particles)
         want = LQ_COUPLED.g.xm * etas.mean(axis=1, keepdims=True)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -76,7 +74,7 @@ class TestValueMeasureGradient:
         grid, flow, access = ll_flow(Model(b0=(1, 0, 0), g=QuadraticTerminalCost(xx=1.0)))
         etas = np.random.default_rng(4).normal(size=(2, 16))
         for k in (0, grid.n_t // 2, grid.n_t):
-            got = value_measure_gradient(access, grid.ts[k], flow.states[k], etas)
+            got = value_measure_gradient(access, k, etas)
             assert np.array_equal(got, np.zeros((2, 16)))
 
     def test_quadratic_mean_field(self):
@@ -90,9 +88,8 @@ class TestValueMeasureGradient:
                       g=QuadraticTerminalCost(xx=0.5, xm=0.2, x_lin=0.1, m2=0.3))
         grid, flow, access = ll_flow(model)
         k = grid.n_t // 3
-        t, x = grid.ts[k], flow.states[k]
-        etas = np.array(direction_battery(x, 4))
-        got = value_measure_gradient(access, t, x, etas)
+        etas = np.array(direction_battery(flow.states[k], 4))
+        got = value_measure_gradient(access, k, etas)
         gaps = [relative_gap(got, central_difference(model, flow, k, etas, eps))
                 for eps in (1e-2, 1e-3, 1e-4)]
         assert gaps[0] > gaps[1] > gaps[2], gaps
@@ -101,70 +98,64 @@ class TestValueMeasureGradient:
     def test_linearity_in_direction(self, lq_coupled):
         grid, flow, access = lq_coupled
         k = grid.n_t // 2
-        x = flow.states[k]
-        rng = np.random.default_rng(12)
-        e1, e2 = rng.normal(size=(2, x.size))
-        g1, g2, g12 = value_measure_gradient(access, grid.ts[k], x,
-                                             np.array([e1, e2, 0.5 * e1 - 2.0 * e2]))
+        e1, e2 = np.random.default_rng(12).normal(size=(2, flow.n_particles))
+        g1, g2, g12 = value_measure_gradient(access, k, np.array([e1, e2, 0.5 * e1 - 2.0 * e2]))
         assert np.allclose(g12, 0.5 * g1 - 2.0 * g2, rtol=0.0, atol=1e-12)
 
     def test_zero_direction_short_circuits(self):
         class NoAccess:
-            def tangent(self, t, x, etas):  # pragma: no cover - must not be called
+            n_particles = 2
+
+            def tangent(self, k, etas):  # pragma: no cover - must not be called
                 raise AssertionError("no tangent should be asked for zero directions")
 
-        x = np.array([0.0, 1.0])
-        got = value_measure_gradient(NoAccess(), 0.0, x, np.zeros((2, 2)))
+        got = value_measure_gradient(NoAccess(), 0, np.zeros((2, 2)))
         assert np.array_equal(got, np.zeros((2, 2)))
 
     def test_sign_pair_and_zero_row_in_one_request(self, lq_coupled):
         grid, flow, access = lq_coupled
         k = grid.n_t // 4
-        x = flow.states[k]
-        eta = np.random.default_rng(5).normal(size=x.size)
-        got = value_measure_gradient(access, grid.ts[k], x, np.array([eta, -eta, 0.0 * eta]))
-        (single,) = value_measure_gradient(access, grid.ts[k], x, eta[None, :])
+        eta = np.random.default_rng(5).normal(size=flow.n_particles)
+        got = value_measure_gradient(access, k, np.array([eta, -eta, 0.0 * eta]))
+        (single,) = value_measure_gradient(access, k, eta[None, :])
         assert np.array_equal(got[0], single)
         assert np.array_equal(got[1], -single)
-        assert np.array_equal(got[2], np.zeros(x.size))
+        assert np.array_equal(got[2], np.zeros(flow.n_particles))
 
     def test_tangent_sees_each_direction_once_up_to_sign(self, lq_coupled):
         grid, flow, access = lq_coupled
 
         class RecordingAccess:
+            """The flow's access, keeping every tangent request's level and stack."""
+
+            n_particles = access.n_particles
+
             def __init__(self):
                 self.requests = []
 
-            def tangent(self, t, x, etas):
-                self.requests.append(etas.copy())
-                return access.tangent(t, x, etas)
+            def tangent(self, k, etas):
+                self.requests.append((k, etas.copy()))
+                return access.tangent(k, etas)
 
         k = grid.n_t // 3
-        t, x = grid.ts[k], flow.states[k]
-        eta, eta2 = np.random.default_rng(6).normal(size=(2, x.size))
+        eta, eta2 = np.random.default_rng(6).normal(size=(2, flow.n_particles))
         stack = np.array([eta, -eta, eta2, eta, 0.0 * eta, -eta2])
         recording = RecordingAccess()
-        got = value_measure_gradient(recording, t, x, stack)
+        got = value_measure_gradient(recording, k, stack)
         assert len(recording.requests) == 1
-        assert np.array_equal(recording.requests[0], np.array([eta, eta2]))
+        assert recording.requests[0][0] == k
+        assert np.array_equal(recording.requests[0][1], np.array([eta, eta2]))
         for row, direction in zip(got, stack):
-            (alone,) = value_measure_gradient(access, t, x, direction[None, :])
+            (alone,) = value_measure_gradient(access, k, direction[None, :])
             assert np.array_equal(row, alone)
             assert np.array_equal(np.signbit(row), np.signbit(alone))
 
     def test_direction_stack_must_match_cloud(self, lq_coupled):
         grid, flow, access = lq_coupled
-        x = flow.states[0]
-        for bad in (np.ones(x.size), np.ones((1, x.size + 1))):
+        n = flow.n_particles
+        for bad in (np.ones(n), np.ones((1, n + 1))):
             with pytest.raises(CalculusError, match="direction"):
-                value_measure_gradient(access, 0.0, x, bad)
-
-    def test_cloud_other_than_the_base_rejected(self, lq_coupled):
-        grid, flow, access = lq_coupled
-        with pytest.raises(SolverError, match="base cloud"):
-            value_measure_gradient(access, 0.0, flow.states[0] + 1e-3, np.ones((1, 16)))
-        with pytest.raises(SolverError, match="base cloud"):
-            value_measure_gradient(access, 0.0, flow.states[1], np.ones((1, 16)))
+                value_measure_gradient(access, 0, bad)
 
 
 coefficient = st.floats(-1.0, 1.0, allow_nan=False)

@@ -124,6 +124,19 @@ class TestExitCodes:
         cfg.write_text(small_model_block(c2="0.05").replace("c1 = 0.5", "c1 = 1.5"))
         assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("command", ["propagate", "mono"])
+    def test_single_atom_battery_is_config_error(self, tmp_path, capsys, command):
+        # One particle leaves only the constant pair at the initial atom 0, so
+        # a third direction cannot be drawn: a config error after the solve.
+        text = small_model_block().replace("kind = propagate", f"kind = {command}")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_key(with_key(text, "particles", "n", "1"),
+                                "monotonicity", "directions", "3"))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config error: cannot fill a battery of 3 directions" in capsys.readouterr().err
+        assert (out / "manifest.json").exists()
+
     def test_gate_failure_exits_3_before_solve(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(small_model_block(c2="-0.2"))
@@ -235,6 +248,8 @@ which = matrix1
         ("check", "check", "atoms", "1"),
         ("check", "anti", "l0", "big"),
         ("check", "check", "which", "anti"),            # no [monotonicity] lambda_vec
+        ("check", "check", "which", ""),                # no checker at all
+        ("check", "check", "which", "ll bogus"),        # unknown after a valid one
         ("anti_check", "anti", "gamma_lo", "0"),        # gamma_hi > gamma_lo > 0 fails
         ("anti_propagate", "anti", "gamma_lo", "0"),
         ("mono", "monotonicity", "kind", "bogus"),
@@ -250,7 +265,7 @@ which = matrix1
         cfg.write_text(text)
         out = tmp_path / "o"
         assert main([command_of(text), "--config", str(cfg), "--out", str(out)]) == 1
-        assert not (out / "report.json").exists()  # rejected before any run
+        assert not out.exists()  # rejected while reading the file, before any run
 
     @pytest.mark.parametrize("text", [
         small_model_block().replace("[check]\n", "[check]\nsamples = 10\n"),  # key twice
