@@ -19,9 +19,12 @@ x-dependent parts on the grid (``models.hamiltonian_terms``) before it
 starts.  ``solve_mfgc`` iterates the map, Anderson-mixed, to tolerance.
 ``ValueAccess`` reads V_xx of the solved flow at the cloud of a level k,
 and gives the measure derivative of the value gradient along displacements
-of that cloud: the forward-mode derivative of a fixed number of
-undamped sweeps from the shifted base flow, linearised once around the base
-flow into two response kernels, with no displaced cloud re-solved.
+of that cloud: the forward-mode derivative of a fixed number of undamped
+sweeps from the shifted base flow, with no displaced cloud re-solved.  A
+tangent sweep sees a displacement only through the per-level means of its
+two moments, so the access linearises once around the base flow into one
+channel map of those means, and a re-solve from level k reads it through a
+rank-n downdate carried by a cursor over the levels.
 """
 from __future__ import annotations
 
@@ -411,45 +414,73 @@ def terminal_field(model: Model, atoms: np.ndarray, xs: np.ndarray,
 @dataclass(frozen=True)
 class _Linearisation:
     """The tangent of the fixed-sweep re-solve map at the converged base
-    flow, as two linear response kernels over the levels of the base flow.
+    flow, as one linear map of the per-level channel means.
 
     A channel (j, c) is a unit tangent of the moment m1 (c = 0) or m2
-    (c = 1) at level j.  ``kernel`` (K) has row l N + i and column 2 j + c:
-    the response of du_x at base atom i of level l to channel (j, c)
-    through the backward sweep of the value grid, with the terminal dg/dm1
-    in channel (n_t, 0).  An entry is zero for j <= l except that terminal
-    one, so the rows of levels >= k against the channels of levels >= k are
-    the whole backward sweep of a re-solve from level k.
+    (c = 1) at level j, with index 2 j + c.  K[l] is the response of du_x
+    at the base atoms of level l to each channel through the backward sweep
+    of the value grid, with the terminal dg/dm1 in channel (n_t, 0).  It is
+    zero on the channels of levels < l, so ``kernel[l]`` (n, 2 (levels - l))
+    keeps only the channels of levels >= l, the ones a re-solve from level l
+    reads; its first two columns are zero but at the terminal level.
 
-    At the atoms, the momentum tangent is slope[l] dX + du_x and the forward
-    step maps dX_l to alpha[l] dX_l + r_l, with the forcing r_l = hp_p[l]
-    du_x + hp_m1[l] dm1_l + hp_m2[l] dm2_l and alpha folding in the slope of
-    the base u_x.  ``propagator`` (Q) holds, per atom i, Q[i, l, j] =
-    alpha[j, i] ... alpha[l - 1, i] for j <= l and zero above the diagonal,
-    so dX_l is the sum over j <= l of Q[i, l, j] times the level-j input.
-    The time step is folded into every coefficient; m1 and e are the base
-    state and momentum means that ``control_mean_tangent`` linearises at.
+    At the atoms, the momentum tangent is dP = slope[l] dX + du_x and the
+    forward step maps dX_l to alpha[l] dX_l + E_l c, with the forcing E_l c
+    = hp_p[l] du_x + hp_m1[l] dm1_l + hp_m2[l] dm2_l.  The next channels are
+    atom means, dm1_l = mean(dX_l) and, through ``control_mean_tangent``,
+    dm2_l = mean(W_D[l, 1] dX_l) + mean(W_U[l] du_x) with weights of the
+    base atoms of level l; ``weights`` holds W_D (W_D[l, 0] = 1/n) and
+    ``first`` the channel weights of the entering sweep (state tangent eta
+    at every level, zero momentum tangent).
+
+    So one sweep of a re-solve from level k is affine in its channels:
+    c <- S_k c + B_k eta on the channels of levels >= k, where the gain B_k
+    has rows W_D[l] Q(l, k), with the propagator Q(l, k) = alpha[k] ...
+    alpha[l - 1] (``gain``).  ``channel_map`` is S_0 = W_U K + the rows
+    W_D[l] Y_l, where Y_l (n, 2 levels) is the state tangent of level l per
+    unit channel with no level displaced: Y_0 = 0, Y_{l + 1} = alpha[l] Y_l
+    + E_l.  A re-solve from k drops the forcing of every level m < k, a
+    rank-n downdate of S_0 per level; as Q(l, m + 1) = Q(l, k) Q(k, m + 1),
+    these sum to one rank-n term, S_k = S_0 - B_k Y_k.  On the channels of
+    levels >= k, Y_k sees only the du_x part of each E_m, which ``advance``
+    steps.  The time step is folded into every coefficient.
     """
 
-    kernel: np.ndarray      # (levels * n, 2 * levels)
-    propagator: np.ndarray  # (n, levels, levels)
-    slope: np.ndarray       # (levels, n)
-    hp_p: np.ndarray
-    hp_m1: np.ndarray
-    hp_m2: np.ndarray
-    m1: np.ndarray          # (levels,)
-    e: np.ndarray
+    kernel: list             # K[l], (n, 2 (levels - l)) per level l
+    channel_map: np.ndarray  # (2 levels, 2 levels): S_0
+    first: np.ndarray        # (2 levels, n)
+    weights: np.ndarray      # (levels, 2, n): W_D
+    alpha: np.ndarray        # (levels, n)
+    hp_p: np.ndarray         # (levels, n)
+
+    def advance(self, response: np.ndarray, level: int, start: int = 0) -> None:
+        """Step the channels >= start of the (n, 2 levels) state response Y
+        across the forward step of ``level`` in place: Y <- alpha Y + hp_p
+        du_x.  The forcing's moment terms hp_m1, hp_m2 enter the channels of
+        ``level`` itself, which a re-solve from a later level never reads;
+        the build adds them."""
+        response[:, start:] *= self.alpha[level][:, None]
+        reach = max(start, 2 * level)
+        response[:, reach:] += self.hp_p[level][:, None] * self.kernel[level][:, reach - 2 * level:]
+
+    def gain(self, k: int) -> np.ndarray:
+        """B_k, (2 (levels - k), n): the channels of levels >= k per unit
+        state tangent at the atoms of level k."""
+        propagator = np.empty(self.alpha[k:].shape)
+        propagator[0] = 1.0
+        np.cumprod(self.alpha[k:-1], axis=0, out=propagator[1:])
+        return (self.weights[k:] * propagator[:, None, :]).reshape(-1, propagator.shape[1])
 
 
 def _linearise(model: Model, flow: EquilibriumFlow) -> _Linearisation:
-    """The response kernels of the re-solve map around the base flow.
+    """The channel map of the re-solve map around the base flow.
 
     The moments are those of the base flow's fixed point and the value grid
     is one backward sweep against them: a re-solve at zero displacement stays
     at this flow up to the Picard residual, so every sweep of it shares one
     linearisation.  K comes from one backward pass over the levels on the
     stack of channel responses, which keeps only the channels of the levels
-    still ahead; Q from one cumulative product per starting level.
+    still ahead; S_0 from one forward pass of the state response Y.
     """
     grid = flow.grid
     xs, dx, dt = grid.xs, grid.dx, grid.dt
@@ -482,10 +513,12 @@ def _linearise(model: Model, flow: EquilibriumFlow) -> _Linearisation:
     weight = ((states - xs[cell]) / width)[..., None]
     # Row j: the _d1_rows stencil of u_x at grid node j.
     stencil = _d1_rows(np.eye(xs.size), dx).T
-    alpha = np.broadcast_to(1.0 + dt * (at_atoms.hp_x + at_atoms.hp_p * slope), states.shape)
 
-    kernel = np.zeros((levels * n, 2 * levels))
-    propagator = np.zeros((n, levels, levels))
+    # The blocks of K share one buffer: one allocation, which goes back to
+    # the system whole with the access instead of leaving holes in the heap.
+    widths = 2 * np.arange(levels, 0, -1)
+    kernel = [block.reshape(n, -1) for block in
+              np.split(np.zeros(n * widths.sum()), n * np.cumsum(widths)[:-1])]
     # Row 2 j + c: the tangent value row of the current level for channel (j, c).
     response = np.zeros((2 * levels, xs.size))
     response[-2] = model.g.d_m1(xs, m1[-1])
@@ -507,16 +540,34 @@ def _linearise(model: Model, flow: EquilibriumFlow) -> _Linearisation:
             # u_x at the level's atoms: the stencil interpolated over each cell.
             lo, hi = stencil[cell[level]], stencil[cell[level] + 1]
             readout = lo + weight[level] * (hi - lo)
-            kernel[level * n:(level + 1) * n, first:] = readout @ response[first:].T
-            propagator[:, level, level] = 1.0
-            propagator[:, level + 1:, level] = np.cumprod(alpha[level:-1], axis=0).T
-    return _Linearisation(
-        kernel=kernel, propagator=propagator, slope=slope,
+            kernel[level][:, first - 2 * level:] = readout @ response[first:].T
+
+    # control_mean_tangent is linear in the tangents (dm1, de, ds) of the
+    # means of x, p and x p; its coefficients per level.
+    a, b, g = (control_mean_tangent(model, m1, momenta.mean(axis=-1), *unit)[:, None]
+               for unit in np.eye(3))
+    mean = np.full(states.shape, 1.0 / n)
+    lin = _Linearisation(
+        kernel=kernel,
+        channel_map=np.zeros((2 * levels, 2 * levels)),
+        first=np.stack((mean, (a + g * momenta) / n), axis=1).reshape(2 * levels, n),
+        weights=np.stack((mean, (a + b * slope + g * (momenta + states * slope)) / n), axis=1),
+        alpha=np.broadcast_to(1.0 + dt * (at_atoms.hp_x + at_atoms.hp_p * slope), states.shape),
         hp_p=np.broadcast_to(dt * at_atoms.hp_p, states.shape),
-        hp_m1=np.broadcast_to(dt * at_atoms.hp_m1, states.shape),
-        hp_m2=np.broadcast_to(dt * at_atoms.hp_m2, states.shape),
-        m1=m1, e=momenta.mean(axis=-1),
     )
+    hp_m1, hp_m2 = (np.broadcast_to(dt * h, states.shape)
+                    for h in (at_atoms.hp_m1, at_atoms.hp_m2))
+    channel_map, state_response = lin.channel_map, np.zeros((n, 2 * levels))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(levels - 1):
+            lin.advance(state_response, level)
+            state_response[:, 2 * level] += hp_m1[level]
+            state_response[:, 2 * level + 1] += hp_m2[level]
+            channel_map[2 * level + 2:2 * level + 4] = lin.weights[level + 1] @ state_response
+        # The m2 channels also read du_x itself, with weights (b + g x) / n.
+        for level, (v, block) in enumerate(zip((b + g * states) / n, kernel)):
+            channel_map[2 * level + 1, 2 * level:] += v @ block
+    return lin
 
 
 class ValueAccess:
@@ -527,7 +578,9 @@ class ValueAccess:
     The level index k is the only key: mu_k is the uniform cloud of the
     atoms base.states[k], the only cloud the access answers at, and
     ``n_particles`` is its size.  ``field(k)`` returns V_xx(t_k, ., mu_k) at
-    those atoms, interpolated from the base flow's value grid.
+    those atoms, interpolated from the base flow's value grid.  A level
+    outside 0..n_t is a ``SolverError``; a negative k is no alias from the
+    end.
 
     ``tangent`` is the derivative, at mu_k, of the fixed-sweep re-solve map
     of a cloud x at level k: start from the base flow shifted atom by atom,
@@ -535,13 +588,21 @@ class ValueAccess:
     base.momenta[k:], reuse the base flow's Brownian increments and run
     RESOLVE_SWEEPS undamped Picard sweeps with no residual check.  The map
     itself is never run here; the tests realise it as the central-difference
-    oracle of the tangent.  The derivative is taken in forward mode:
-    RESOLVE_SWEEPS tangent-linear sweeps that mirror ``_sweep`` for a whole
-    stack of directions at once.  The sweeps are linear with coefficients
-    linearised once around the base flow, and a re-solve from level k sees
-    only levels >= k, so the access builds their two response kernels once
-    (``_linearise``) and every level and every direction reads a block of
-    them.
+    oracle of the tangent.  The tangent sweeps are linear with coefficients
+    linearised once around the base flow, and a tangent sweep reads a
+    displacement only through the per-level means of its channels, so the
+    access builds one channel map S_0 once (``_linearise``) and a re-solve
+    from level k sweeps c <- S_k c + B_k eta on the channels of levels >= k.
+
+    S_k is S_0 downdated by the forcing of every level below k, which sums
+    to the rank-n term B_k Y_k.  The access keeps a cursor: the state
+    response Y_k of its last level k, on the channels of levels >= k, the
+    only ones a request at or above k reads.  Such a request steps those
+    channels forward level by level (``_Linearisation.advance``); a request
+    below the cursor restarts from Y_0 = 0.  A step is elementwise, so each
+    entry of Y_k is the same sequence of operations from Y_0 whatever came
+    before, and no history of requests can change a bit of an answer: a
+    fresh access and a reused one agree exactly.
     """
 
     def __init__(self, model: Model, flow: EquilibriumFlow):
@@ -549,55 +610,47 @@ class ValueAccess:
         self.flow = flow
         self.n_particles = flow.n_particles
         self._lin = _linearise(model, flow)
+        self._level = 0
+        self._response = np.zeros((flow.n_particles, 2 * flow.states.shape[0]))
+
+    def _checked(self, k: int) -> int:
+        n_t = self.flow.grid.n_t
+        if not 0 <= k <= n_t:
+            raise SolverError(f"level {k} is outside the flow's levels 0..{n_t}")
+        return k
 
     def field(self, k: int) -> np.ndarray:
         """V_xx(t_k, ., mu_k) at the atoms of level k's cloud."""
         vf = self.flow.value_field
-        return np.interp(self.flow.states[k], vf.xs, vf.u_xx[k])
+        return np.interp(self.flow.states[self._checked(k)], vf.xs, vf.u_xx[k])
 
     def tangent(self, k: int, etas: np.ndarray) -> np.ndarray:
         """d/de of the re-solved u_x(t_k, x_i) at the cloud x + e eta, at e = 0
         and x = base.states[k], one row per direction of the (B, N) stack etas.
 
-        The entering tangent flow is eta at every level with zero momenta, as
-        the re-solve's shifted start.  Each sweep takes the moment tangents
-        of every level, maps them to du_x at the atoms of levels k..n_t
-        through the block of K from level k, and, except the last sweep,
-        maps the forcing of the forward step to the state tangents through
-        the block of Q.  The directions are the stack axis of both products,
-        so each row is computed as in a one-direction request.
-        ``value_measure_gradient`` passes only the unique nonzero directions
-        up to sign, and fills the other rows from these.
+        The entering sweep's channels are ``first`` times eta, and each of
+        the other RESOLVE_SWEEPS - 1 sweeps maps the channels c of levels >=
+        k to S_0 c + B_k (eta - Y_k c): the rows of S_0 with the state
+        tangent at level k reset from the undisplaced response Y_k c to eta.
+        The last channels map to du_x at the atoms through K[k].  The
+        directions are the stack axis of every product, so each row is
+        computed as in a one-direction request.  ``value_measure_gradient``
+        passes only the unique nonzero directions up to sign, and fills the
+        other rows from these.
         """
-        base, lin, n = self.flow, self._lin, self.n_particles
-        states, momenta = base.states[k:], base.momenta[k:]
-        kernel, propagator = lin.kernel[k * n:, 2 * k:], lin.propagator[:, k:, k:]
-        slope, hp_p, hp_m1, hp_m2 = (a[k:] for a in (lin.slope, lin.hp_p, lin.hp_m1, lin.hp_m2))
-        levels = states.shape[0]
-        # The entering states broadcast eta over the levels.
-        d_states = etas[:, None, :]
-        d_momenta = np.zeros((len(etas), levels, n))
-        inputs = np.empty((len(etas), n, levels))
-        inputs[:, :, 0] = etas
-        # (dm1, dm2) of each level side by side: the channel order of K.
-        moments = np.empty((len(etas), levels, 2))
-        dm1, dm2 = moments[..., 0], moments[..., 1]
-        channels = moments.reshape(len(etas), 2 * levels, 1)
+        lin, start = self._lin, 2 * self._checked(k)
+        if k < self._level:
+            self._level = 0
+            self._response[...] = 0.0
+        eta = etas[..., None]
         with np.errstate(over="ignore", invalid="ignore"):
-            for sweep in range(RESOLVE_SWEEPS):
-                # Row-wise means (np.add.reduce / n is ndarray.mean without
-                # its wrapper): a matrix product's rounding could depend on
-                # how many directions share the request.
-                dm1[...] = np.add.reduce(d_states, axis=-1) / n
-                dm2[...] = control_mean_tangent(
-                    self.model, lin.m1[k:], lin.e[k:], dm1,
-                    np.add.reduce(d_momenta, axis=-1) / n,
-                    np.add.reduce(d_states * momenta + states * d_momenta, axis=-1) / n)
-                if sweep == RESOLVE_SWEEPS - 1:
-                    return np.matmul(kernel[:n], channels)[..., 0]
-                du_x = np.matmul(kernel, channels).reshape(d_momenta.shape)
-                forcing = hp_p * du_x + hp_m1 * dm1[..., None] + hp_m2 * dm2[..., None]
-                inputs[:, :, 1:] = forcing[:, :-1].transpose(0, 2, 1)
-                d_states = np.ascontiguousarray(
-                    np.matmul(propagator, inputs[..., None])[..., 0].transpose(0, 2, 1))
-                d_momenta = slope * d_states + du_x
+            while self._level < k:
+                lin.advance(self._response, self._level, start)
+                self._level += 1
+            channel_map, response = lin.channel_map[start:, start:], self._response[:, start:]
+            gain = lin.gain(k)
+            channels = np.matmul(lin.first[start:], eta)
+            for _ in range(RESOLVE_SWEEPS - 1):
+                channels = (np.matmul(channel_map, channels)
+                            + np.matmul(gain, eta - np.matmul(response, channels)))
+            return np.matmul(lin.kernel[k], channels)[..., 0]

@@ -279,6 +279,16 @@ class TestValueAccess:
         want = np.interp(x, vf.xs, vf.u_xx[0])
         assert np.array_equal(self.access.field(self.grid.n_t), want)
 
+    def test_level_outside_the_flow_rejected(self):
+        # A negative level is no alias from the end, and one past n_t no bare
+        # IndexError.
+        etas = np.ones((1, self.access.n_particles))
+        for k in (-1, self.grid.n_t + 1):
+            with pytest.raises(SolverError, match="outside"):
+                self.access.field(k)
+            with pytest.raises(SolverError, match="outside"):
+                self.access.tangent(k, etas)
+
 
 def reference_linearisation(model, flow):
     """The tangent coefficients of the re-solve map, one row per level: the
@@ -381,19 +391,43 @@ GENERAL_MODEL = Model(b0=(1.0, 0.2, 0.1), f0=(0.1, 0.15, 0.1, 0.3), b1_x=(0.05, 
                       g=QuadraticTerminalCost(xx=0.5, xm=0.2, x_lin=0.1, m2=0.3))
 
 
-class TestTangentKernels:
-    """The response kernels of ValueAccess.tangent against the level-by-level
-    recurrences they replace."""
+def held_bytes(access):
+    """Bytes of the arrays an access holds apart from its model and flow,
+    each buffer counted once at the array that owns it: a broadcast view
+    costs the size of what it broadcasts."""
+    held, todo = {}, [v for name, v in vars(access).items() if name not in ("model", "flow")]
+    while todo:
+        value = todo.pop()
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            held[id(value)] = value.nbytes
+        elif isinstance(value, (list, tuple)):
+            todo.extend(value)
+        elif hasattr(value, "__dict__"):
+            todo.extend(vars(value).values())
+    return sum(held.values())
 
-    @pytest.mark.parametrize("model", [coupled_model(), GENERAL_MODEL],
-                             ids=["lq_coupled", "general"])
-    def test_matches_level_by_level_recurrence(self, model):
+
+class TestTangentKernels:
+    """The channel map of ValueAccess.tangent against the level-by-level
+    recurrences it replaces."""
+
+    MODELS = pytest.mark.parametrize("model", [coupled_model(), GENERAL_MODEL],
+                                     ids=["lq_coupled", "general"])
+
+    @staticmethod
+    def solved(model):
         grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, T)
-        flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid,
+        return solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid,
                           PicardSettings(max_iter=200, tol=1e-10, damping=0.6), seed=7)
+
+    @MODELS
+    def test_matches_level_by_level_recurrence(self, model):
+        flow = self.solved(model)
         access = ValueAccess(model, flow)
         lin = reference_linearisation(model, flow)
-        for k in range(grid.n_t + 1):
+        for k in range(flow.grid.n_t + 1):
             x = flow.states[k]
             # The constant direction alone, then with a mean-free noise pair.
             battery = np.array(direction_battery(x, 4, seed=k))
@@ -402,6 +436,37 @@ class TestTangentKernels:
                 want = reference_tangent(model, flow, lin, k, etas)
                 gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
                 assert gap <= 1e-12, (k, len(etas), gap)
+
+    @MODELS
+    def test_answer_does_not_depend_on_request_history(self, model):
+        # The terminal level first, as the propagate gate asks, then every
+        # level upward, a descending pass and a repeated level: each answer
+        # equals a fresh access's bit for bit.  GENERAL_MODEL's b0x != 0
+        # weights the m2 channels by the base atoms.
+        flow = self.solved(model)
+        n_t = flow.grid.n_t
+        access = ValueAccess(model, flow)
+        lin = reference_linearisation(model, flow)
+        fresh = {}
+        for k in [n_t, *range(n_t + 1), *range(n_t, -1, -1), 7, 7]:
+            etas = np.array(direction_battery(flow.states[k], 4, seed=k))[1:]
+            got = access.tangent(k, etas)
+            if k not in fresh:
+                fresh[k] = ValueAccess(model, flow).tangent(k, etas)
+            assert np.array_equal(got, fresh[k]), k
+            want = reference_tangent(model, flow, lin, k, etas)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
+
+    def test_access_holds_no_more_than_the_kernel_and_propagator(self):
+        # The bound is a dense response kernel K (levels N x 2 levels) plus a
+        # per-atom propagator Q (N x levels x levels): the channel map may
+        # cost no more than the two dense tables it replaces.
+        flow = self.solved(GENERAL_MODEL)
+        access = ValueAccess(GENERAL_MODEL, flow)
+        levels, n = flow.states.shape
+        for k in (flow.grid.n_t, 0, 5):
+            access.tangent(k, np.ones((1, n)))
+        assert held_bytes(access) <= 8 * (levels * n * 2 * levels + n * levels * levels)
 
 
 def best_response_gap(model, flow):
