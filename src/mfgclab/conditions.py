@@ -28,6 +28,12 @@ from .reports import ConditionReport
 PASS_SLACK = 1e-12
 # Relative slack of the eigenvalue tests; the hat derivatives are exact.
 REL_TOL = 1e-8
+# Bytes of the forms of one form_matrices call in a gate: 18 laws of 16
+# atoms.  A larger buffer saves little time, and once freed it raises glibc's
+# dynamic mmap threshold, after which the process keeps more heap resident:
+# one call over 40 such laws (2.2 MB) raised the propagate benchmark's
+# peak_rss_mb by 1.2 MB.
+FORMS_BYTES = 1 << 20
 
 
 class ConditionError(ValueError):
@@ -49,10 +55,13 @@ class QuadraticFormSample:
             raise ConditionError("samples need at least two atoms")
         object.__setattr__(self, "xi", xi)
 
+    def momenta(self) -> np.ndarray:
+        """The frozen momenta phi(xi) of the atoms."""
+        return np.asarray(self.phi_map(self.xi), dtype=float).reshape(-1)
+
     def table(self, model: Model):
         """Hat derivatives over the frozen law of (xi, phi(xi))."""
-        momenta = np.asarray(self.phi_map(self.xi), dtype=float).reshape(-1)
-        return hat_derivative_table(model, self.xi, momenta)
+        return hat_derivative_table(model, self.xi, self.momenta())
 
 
 def affine_feedback(intercept: float, slope: float) -> Callable:
@@ -85,7 +94,9 @@ def make_condition_samples(n_samples: int, n_atoms: int = 16, seed: int = 0) -> 
 
 def form_matrices(table: HatTable) -> np.ndarray:
     """The symmetric matrices L, Ibar and DX2, stacked as (3, 3N, 3N), of the
-    quadratic forms over v = (eta, gamma, zeta) on one law of N atoms.
+    quadratic forms over v = (eta, gamma, zeta) on one law of N atoms; a
+    table of a stack of laws gives a (..., 3, 3N, 3N) stack, each law's
+    matrices bit-identical to its own.
 
     v . L v is the left-hand side of the Lasry-Lions propagation condition;
     v . Ibar v and v . DX2 v are the time derivatives of the curvature pairing
@@ -96,26 +107,45 @@ def form_matrices(table: HatTable) -> np.ndarray:
     entry pairs atom i of the row variable (the base point) with atom j of
     the column variable (the support atom).
     """
-    n = table.h_pp.shape[0]
-    pp, xx, xp = (np.diag(h) / n for h in (table.h_pp, table.h_xx, table.h_xp))
-    x1, x2, p1, p2 = (h / n**2 for h in (table.h_xrho1, table.h_xrho2,
-                                         table.h_prho1, table.h_prho2))
-    # forms[f, r, :, c] is the (r, c) block of form f over (eta | gamma | zeta),
-    # before symmetrising; gamma and zeta share every column except the
-    # h_pp terms.
-    forms = np.zeros((3, 3, n, 3, n))
-    ll, ibar, dx2 = forms
-    ll[0, :, 0], ll[0, :, 1:] = -x1, -x2[:, None]
-    ll[1, :, 0], ll[1, :, 1:] = -p1, -p2[:, None]
-    ll[2, :, 0], ll[2, :, 1:] = p1, p2[:, None]
-    ll[2, :, 2] += pp
-    ibar[0, :, 0] = -xx
-    ibar[1, :, 0], ibar[1, :, 1:] = 2.0 * p1, 2.0 * p2[:, None]
-    ibar[1, :, 1] += pp
-    ibar[1, :, 2] += 2.0 * pp
-    dx2[0, :, 0], dx2[0, :, 1:] = 2.0 * (xp + p1), 2.0 * (pp + p2)[:, None]
-    forms = forms.reshape(3, 3 * n, 3 * n)
-    return 0.5 * (forms + forms.swapaxes(-1, -2))
+    n = table.h_pp.shape[-1]
+    lead = table.h_pp.shape[:-1]
+    # forms[..., f, r, :, c, :] is the (r, c) block of form f over (eta |
+    # gamma | zeta), before symmetrising.  The laws lead, so that the
+    # reshapes below are views, and every block is written in place.
+    forms = np.zeros((*lead, 3, 3, n, 3, n))
+    ll, ibar, dx2 = (forms[..., f, :, :, :, :] for f in range(3))
+    flat = forms.reshape(*lead, -1)
+
+    def diagonal(f: int, r: int, c: int) -> np.ndarray:
+        """The diagonal of block (r, c) of form f, as a view."""
+        start = (9 * f + 3 * r) * n * n + c * n
+        return flat[..., start:start + (3 * n + 1) * n:3 * n + 1]
+
+    # L's zeta row is (p1 | p2 | p2) plus pp on its diagonal, its gamma row
+    # is minus that row, and Ibar's gamma row is twice it; gamma and zeta
+    # share every column except the h_pp terms.
+    row = ll[..., 2, :, :, :]
+    np.divide(table.h_prho1, n**2, out=row[..., 0, :])
+    np.divide(table.h_prho2[..., None, :], n**2, out=row[..., 1:, :])
+    np.negative(row, out=ll[..., 1, :, :, :])
+    np.multiply(row, 2.0, out=ibar[..., 1, :, :, :])
+    dx2[..., 0, :, :, :] = row
+    np.divide(table.h_xrho1, -n**2, out=ll[..., 0, :, 0, :])
+    np.divide(table.h_xrho2[..., None, :], -n**2, out=ll[..., 0, :, 1:, :])
+    pp = table.h_pp / n
+    for f, r, c, term in ((0, 2, 2, pp), (1, 1, 1, pp), (1, 1, 2, 2.0 * pp),
+                          (2, 0, 0, table.h_xp / n), (2, 0, 1, pp), (2, 0, 2, pp)):
+        view = diagonal(f, r, c)
+        view += term
+    dx2[..., 0, :, :, :] *= 2.0
+    diagonal(1, 0, 0)[...] = -(table.h_xx / n)
+    matrices = forms.reshape(*forms.shape[:-4], 3 * n, 3 * n)
+    # M <- (M + M^T) / 2 in place, one matrix at a time: numpy copies the
+    # transpose that a matrix overlaps, so no temporary is larger than one.
+    for matrix in matrices.reshape(-1, 3 * n, 3 * n):
+        matrix += matrix.T
+    matrices *= 0.5
+    return matrices
 
 
 def dx_velocity(table: HatTable, eta: np.ndarray, gz: np.ndarray) -> np.ndarray:
@@ -127,11 +157,10 @@ def dx_velocity(table: HatTable, eta: np.ndarray, gz: np.ndarray) -> np.ndarray:
             + (table.h_prho1 * eta[..., None, :] + table.h_prho2 * gz[..., None, :]) @ w)
 
 
-def _eigen_report(condition: str, matrices: list, tol: float | None) -> ConditionReport:
+def _eigen_report(condition: str, matrices: np.ndarray, tol: float | None) -> ConditionReport:
     """Judge value = N lambda_max of each law's (3N, 3N) form matrix, the
     form's maximum over unit-RMS v, against tol (default REL_TOL max(1, |value|));
     a failing report's witness is that unit-RMS eigenvector."""
-    matrices = np.stack(matrices)
     n = matrices.shape[-1] // 3
     values = n * np.linalg.eigvalsh(matrices)[:, -1]
     threshold = tol if tol is not None else REL_TOL * np.maximum(1.0, np.abs(values))
@@ -155,12 +184,26 @@ def _eigen_report(condition: str, matrices: list, tol: float | None) -> Conditio
     )
 
 
+def _gate_matrices(model: Model, samples: list, combine: Callable) -> np.ndarray:
+    """The (laws, 3N, 3N) stack of combine(forms) over the laws of samples,
+    which must have equal atom counts: one hat table over all laws, and
+    ``form_matrices`` over chunks of laws whose forms fit in FORMS_BYTES."""
+    table = hat_derivative_table(model, np.stack([s.xi for s in samples]),
+                                 np.stack([s.momenta() for s in samples]))
+    n = table.h_pp.shape[-1]
+    step = max(1, FORMS_BYTES // (27 * n * n * 8))
+    matrices = np.empty((len(samples), 3 * n, 3 * n))
+    for start in range(0, len(samples), step):
+        matrices[start:start + step] = combine(form_matrices(table[start:start + step]))
+    return matrices
+
+
 def check_ll_condition(model: Model, samples: list,
                        tol: float | None = None) -> ConditionReport:
     """Exact test of the Lasry-Lions quadratic-form condition on each law of
     samples: the form's maximum over unit-RMS (eta, gamma, zeta) is <= tol."""
     return _eigen_report("lasry_lions_hamiltonian",
-                         [form_matrices(s.table(model))[0] for s in samples], tol)
+                         _gate_matrices(model, samples, lambda forms: forms[:, 0]), tol)
 
 
 def check_disp_condition(model: Model, lam: float, samples: list,
@@ -170,11 +213,16 @@ def check_disp_condition(model: Model, lam: float, samples: list,
     (eta, gamma, zeta) is <= tol."""
     if lam < 0:
         raise ConditionError("lambda must be nonnegative")
-    matrices = []
-    for sample in samples:
-        ll, ibar, dx2 = form_matrices(sample.table(model))
-        matrices.append(ll + ibar + lam * dx2)
-    return _eigen_report("displacement_hamiltonian", matrices, tol)
+
+    def combine(forms):
+        # L + Ibar + lam DX2 in place, in that order, in the buffer of the forms.
+        ll, ibar, dx2 = np.moveaxis(forms, 1, 0)
+        dx2 *= lam
+        ll += ibar
+        ll += dx2
+        return ll
+
+    return _eigen_report("displacement_hamiltonian", _gate_matrices(model, samples, combine), tol)
 
 
 def matrix1_assemble(c1: float, c2: float, c3: float, db1_dm1: float,

@@ -204,30 +204,40 @@ def mean_terms(model: Model, m1, m2) -> tuple:
             model.q1 * m1 + model.q2 * m2)
 
 
+def _affine(const, slope: float, x):
+    """const + slope x; const itself when the slope is 0, so that a term
+    that does not depend on x keeps the shape of the means."""
+    return const + slope * x if slope else const
+
+
 def drift_terms(model: Model, x, means: tuple) -> tuple:
     """(A, B0, C) at the points x, for the ``mean_terms`` of (m1, m2):
     A = f0(x, m1, m2), B0 = B0(x, m1) and C = b1_x(x) + B(m1, m2), so that
-    a* = A + p B0 and H_p = -B0 a* + C."""
+    a* = A + p B0 and H_p = -B0 a* + C.  A term whose x-part vanishes is not
+    broadcast against x."""
     a_m, b_m, big_b, _ = means
-    return (a_m + model.f0[1] * x, b_m + model.b0[1] * x, _poly(model.b1_x, x) + big_b)
+    return (_affine(a_m, model.f0[1], x), _affine(b_m, model.b0[1], x),
+            _poly(model.b1_x, x) + big_b)
 
 
 def hamiltonian_terms(model: Model, x, means: tuple) -> tuple:
-    """The p-independent terms (A, B0, C, D1, D2) of the Hamiltonian at the
+    """The p-independent terms (A, B0, C, D1, Q) of the Hamiltonian at the
     points x, for the ``mean_terms`` of (m1, m2):
 
-        a* = A + p B0,  H = -a*^2/2 + p C + D1 + D2,  H_p = -B0 a* + C,
+        a* = A + p B0,  H = -a*^2/2 + p C + D1 + x Q,  H_p = -B0 a* + C,
 
-    with (A, B0, C) the ``drift_terms``, D1 = f1_x(x) and D2 = x (q1 m1 +
-    q2 m2).  H sums its terms left to right in this order.
+    with (A, B0, C) the ``drift_terms``, D1 = f1_x(x) and Q = q1 m1 + q2 m2.
+    H sums its terms left to right in this order.  Q keeps the shape of the
+    means, so a caller over a grid of x and many levels of means forms the
+    product x Q only where it needs it.
     """
-    return (*drift_terms(model, x, means), _poly(model.f1_x, x), x * means[3])
+    return (*drift_terms(model, x, means), _poly(model.f1_x, x), means[3])
 
 
 def hamiltonian(model: Model, x, p, m1, m2):
     """H(x, p, nu) = inf_a [p b(x, a, nu) + f(x, a, nu)] for nu with means (m1, m2)."""
-    a0, b0, c, d1, d2 = hamiltonian_terms(model, x, mean_terms(model, m1, m2))
-    return -0.5 * (a0 + p * b0) ** 2 + p * c + d1 + d2
+    a0, b0, c, d1, q = hamiltonian_terms(model, x, mean_terms(model, m1, m2))
+    return -0.5 * (a0 + p * b0) ** 2 + p * c + d1 + x * q
 
 
 def hamiltonian_dp(model: Model, x, p, means: tuple):

@@ -73,35 +73,31 @@ class PropagationTrace:
         out[-1] = (series[-1] - series[-2]) / (ts[-1] - ts[-2])
         return out
 
-    def rows(self) -> list:
-        slope_i = self.slope(self.i_vals)
-        slope_comb = self.slope(self.i_vals + self.ibar_vals)
-        out = []
-        for k, t in enumerate(self.ts):
-            row = {
-                "direction": self.direction, "t": float(t),
-                "I": float(self.i_vals[k]), "Ibar": float(self.ibar_vals[k]),
-                "dX2": float(self.dx2_vals[k]),
-                "Xi": float(self.series[k]) if self.kind.writes_xi else "",
-                "slope_I": float(slope_i[k]),
-                "dtI_rhs": float(self.dt_i_rhs[k]),
-                "dtIbar_rhs": float(self.dt_ibar_rhs[k]),
-                "d_dX2_rhs": float(self.dt_dx2_rhs[k]),
-                "cd_disp_rhs": float(self.cd_disp_rhs[k]),
-                "slope_I_plus_Ibar": float(slope_comb[k]),
-            }
-            out.append(row)
-        return out
+
+# The columns of trace.csv, one row per (direction, level).
+TRACE_COLUMNS = ("direction", "t", "I", "Ibar", "dX2", "Xi", "slope_I", "dtI_rhs",
+                 "dtIbar_rhs", "d_dX2_rhs", "cd_disp_rhs", "slope_I_plus_Ibar")
 
 
 def traces_to_csv(path, traces: list) -> None:
-    rows = [row for trace in traces for row in trace.rows()]
-    if not rows:
+    """Write the traces' ``TRACE_COLUMNS`` to path, direction by direction;
+    Xi is empty for a kind that does not write it.  Each column goes to the
+    writer as one list of Python floats."""
+    if not traces:
         return
     with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(handle)
+        writer.writerow(TRACE_COLUMNS)
+        for trace in traces:
+            levels = trace.ts.size
+            xi = trace.series.tolist() if trace.kind.writes_xi else [""] * levels
+            writer.writerows(zip(
+                [trace.direction] * levels, trace.ts.tolist(), trace.i_vals.tolist(),
+                trace.ibar_vals.tolist(), trace.dx2_vals.tolist(), xi,
+                trace.slope(trace.i_vals).tolist(), trace.dt_i_rhs.tolist(),
+                trace.dt_ibar_rhs.tolist(), trace.dt_dx2_rhs.tolist(),
+                trace.cd_disp_rhs.tolist(),
+                trace.slope(trace.i_vals + trace.ibar_vals).tolist()))
 
 
 def simulate_variational(access: ValueAccess, etas: np.ndarray) -> tuple:

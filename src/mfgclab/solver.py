@@ -17,6 +17,13 @@ parts of the Hamiltonian that depend on each level's moments once, for all
 levels (``models.mean_terms``), and the backward sweep also their
 x-dependent parts on the grid (``models.hamiltonian_terms``) before it
 starts.  ``solve_mfgc`` iterates the map, Anderson-mixed, to tolerance.
+
+The per-level loops (the backward sweep, the forward push and the response
+pass of ``_linearise``) are bound by numpy's per-call cost, not by
+arithmetic, so each level makes a fixed handful of calls that write into
+buffers allocated once per call: the time step and the stencils' scales
+are folded into the Hamiltonian's terms before the loop, and stencils and
+shifted rows are slices and views.  No buffer outlives its call.
 ``ValueAccess`` reads V_xx of the solved flow at the cloud of a level k,
 and gives the measure derivative of the value gradient along displacements
 of that cloud: the forward-mode derivative of a fixed number of undamped
@@ -237,39 +244,69 @@ def _moments(states: np.ndarray, controls: np.ndarray) -> tuple:
     return states @ w, controls @ w
 
 
-def _level_means(model: Model, m1: np.ndarray, m2: np.ndarray) -> list:
-    """``mean_terms`` of the per-level moments with a trailing axis for the
-    points: entry [k] broadcasts against level k's points."""
-    return [t[:, None] for t in mean_terms(model, m1, m2)]
-
-
 def _backward_value(model: Model, xs: np.ndarray, dx: float, dt: float,
                     m1: np.ndarray, m2: np.ndarray, terminal_atoms: np.ndarray) -> np.ndarray:
     """Explicit Euler backward sweep of the value grid against frozen control laws.
 
-    m1 and m2 are per level and the result is (levels, n_x).  The
-    Hamiltonian's p-independent terms are computed for all levels before the
-    loop, and each difference stencil writes into one buffer for all levels.
+    m1 and m2 are per level and the result u is (levels, n_x).  The step to
+    level k is u_k = u_{k+1} + dt (u_xx / 2 + H(x, u_x)), with u_x and u_xx
+    the stencils of ``_d1_rows`` and ``_d2_rows`` on u_{k+1} and H at the
+    terms of level k + 1.  It is evaluated from w = 2 dx u_x, the undivided
+    central difference (twice the one-sided one at the edges), with the
+    constants folded once per call into the un-broadcast
+    ``hamiltonian_terms``: sqrt(dt / 2) into A, sqrt(dt / 2) / (2 dx) into B0
+    and dt / (2 dx) into C, so that
+
+        u_k = u_{k+1} + dt / (2 dx^2) (undivided u_xx) - (A' + w B0')^2
+              + w C' + dt (D1 + x Q).
+
+    The last term fills the rows of u before the sweep.  A term with an
+    x-part (f0x, b0x or a non-constant b1_x) is a (levels, n_x) array;
+    otherwise u is the only array of the grid's size.  Each level writes its
+    stencils and products into a few buffers of one row, allocated once per
+    call.
     """
-    terms = hamiltonian_terms(model, xs, _level_means(model, m1, m2))
-    a0, b0, c, d1, d2 = np.broadcast_arrays(*terms)
-    u = np.empty(a0.shape)
+    n_x = xs.size
+    # The step to level k reads the terms of level k + 1.
+    a, b, c, d1, q = hamiltonian_terms(model, xs, mean_terms(model, m1[1:, None], m2[1:, None]))
+    # The terms are fresh arrays of this call, scaled in place.
+    root = np.sqrt(0.5 * dt)
+    a *= root
+    b *= root / (2.0 * dx)
+    c *= dt / (2.0 * dx)
+    kappa = dt / (2.0 * dx**2)
+    u = np.empty((m1.size, n_x))
+    # dt (x Q + D1) as one contraction: numpy would buffer an operand that a
+    # ufunc broadcasts over the rows.
+    np.einsum("kt,tj->kj", np.column_stack((dt * q[:, 0], np.ones(q.shape[0]))),
+              np.stack((xs, np.broadcast_to(dt * d1, xs.shape))), out=u[:-1])
     u[-1] = model.g(xs, terminal_atoms)
-    ux = np.empty_like(u[0])
-    uxx = np.empty_like(ux)
+    diff, lap = np.empty(n_x - 1), np.empty(n_x - 2)
+    w, square, term = np.empty(n_x), np.empty(n_x), np.empty(n_x)
+    diff_hi, diff_lo, diff_ends = diff[1:], diff[:-1], diff[::n_x - 2]
+    w_inner, w_ends = w[1:-1], w[::n_x - 1]
     # An unstable sweep overflows on its way to inf/nan; the check below
     # reports it, with its level, instead of numpy's floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(u.shape[0] - 2, -1, -1):
-            row = u[k + 1]
-            _d1_rows(row, dx, out=ux)
-            _d2_rows(row, dx, out=uxx)
-            a = a0[k + 1] + ux * b0[k + 1]
-            ham = -0.5 * a**2 + ux * c[k + 1] + d1[k + 1] + d2[k + 1]
-            u[k] = row + dt * (0.5 * uxx + ham)
+        for row, out, a_k, b_k, c_k in zip(u[:0:-1], u[-2::-1], a[::-1], b[::-1], c[::-1]):
+            np.subtract(row[1:], row[:-1], out=diff)
+            np.add(diff_hi, diff_lo, out=w_inner)
+            np.multiply(diff_ends, 2.0, out=w_ends)
+            np.multiply(w, b_k, out=square)
+            square += a_k
+            np.square(square, out=square)
+            np.multiply(w, c_k, out=term)
+            term -= square
+            np.subtract(diff_hi, diff_lo, out=lap)
+            lap *= kappa
+            out += term
+            out[1:-1] += lap
+            out += row
     # A non-finite value stays non-finite down the sweep, so the largest
-    # level holding one is where the sweep first broke down.
-    finite = np.isfinite(u[:-1]).all(axis=1)
+    # level holding one is where the sweep first broke down.  A row holds a
+    # nan or an infinity exactly when its maximum or its minimum is not
+    # finite; the two reductions allocate one value per level.
+    finite = np.isfinite(u[:-1].max(axis=1)) & np.isfinite(u[:-1].min(axis=1))
     if not finite.all():
         k = int(np.flatnonzero(~finite)[-1])
         raise SolverError(
@@ -287,23 +324,26 @@ def _sweep(model: Model, x0: np.ndarray, xs: np.ndarray, dx: float, dt: float,
     states and momenta are (levels, n) and x0 is (n,).  Returns the proposed
     (states, momenta) and the value grid solved against the entering flow.
     The proposed momenta are u_x interpolated at the proposed states; the
-    push reads them at every level but the last.
+    push reads them at every level but the last.  The push builds the noise
+    sqrt(dt) brownian and the per-level ``mean_terms`` tuples once per sweep,
+    and scales the drift and adds to it in place.
     """
-    n_steps = brownian.shape[0]
-    sqrt_dt = np.sqrt(dt)
     m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
     u = _backward_value(model, xs, dx, dt, m1, m2, states[-1])
     ux = _d1_rows(u, dx)
 
-    means = _level_means(model, m1, m2)
+    means = list(zip(*mean_terms(model, m1[:, None], m2[:, None])))
+    noise = np.sqrt(dt) * brownian
     prop_states = np.empty_like(states)
     prop_momenta = np.empty_like(momenta)
     prop_states[0] = x0
-    for k in range(n_steps):
-        xk = prop_states[k]
+    for k in range(brownian.shape[0]):
+        xk, step = prop_states[k], prop_states[k + 1]
         prop_momenta[k] = np.interp(xk, xs, ux[k])
-        drift = hamiltonian_dp(model, xk, prop_momenta[k], [t[k] for t in means])
-        prop_states[k + 1] = xk + dt * drift + sqrt_dt * brownian[k]
+        drift = hamiltonian_dp(model, xk, prop_momenta[k], means[k])
+        drift *= dt
+        np.add(xk, drift, out=step)
+        step += noise[k]
     outside = (prop_states < xs[0]) | (prop_states > xs[-1])
     if np.any(outside):
         bad = int(np.argmax(np.any(outside, axis=-1)))
@@ -481,6 +521,11 @@ def _linearise(model: Model, flow: EquilibriumFlow) -> _Linearisation:
     linearisation.  K comes from one backward pass over the levels on the
     stack of channel responses, which keeps only the channels of the levels
     still ahead; S_0 from one forward pass of the state response Y.
+
+    The backward pass steps the response rows between two padded buffers
+    (ping-pong), with the three-band step on whole rows shifted by one node,
+    and reads du_x at the atoms from the four grid nodes that each atom's
+    interpolated ``_d1_rows`` stencil touches.
     """
     grid = flow.grid
     xs, dx, dt = grid.xs, grid.dx, grid.dt
@@ -511,17 +556,32 @@ def _linearise(model: Model, flow: EquilibriumFlow) -> _Linearisation:
     width = xs[cell + 1] - xs[cell]
     slope = (np.take_along_axis(ux, cell + 1, -1) - np.take_along_axis(ux, cell, -1)) / width
     weight = ((states - xs[cell]) / width)[..., None]
-    # Row j: the _d1_rows stencil of u_x at grid node j.
+    # u_x at an atom interpolates the _d1_rows stencils of its cell's two
+    # nodes, which touch only the four nodes from cell - 1 on (moved inward
+    # at the edges): the readout of each atom is a window of four nodes and
+    # their weights.
+    window = np.clip(cell - 1, 0, xs.size - 4)[..., None] + np.arange(4)
     stencil = _d1_rows(np.eye(xs.size), dx).T
+    lo, hi = stencil[cell[..., None], window], stencil[cell[..., None] + 1, window]
+    readout = lo + weight * (hi - lo)
 
     # The blocks of K share one buffer: one allocation, which goes back to
     # the system whole with the access instead of leaving holes in the heap.
     widths = 2 * np.arange(levels, 0, -1)
     kernel = [block.reshape(n, -1) for block in
               np.split(np.zeros(n * widths.sum()), n * np.cumsum(widths)[:-1])]
-    # Row 2 j + c: the tangent value row of the current level for channel (j, c).
-    response = np.zeros((2 * levels, xs.size))
-    response[-2] = model.g.d_m1(xs, m1[-1])
+    # Row 2 j + c of a (2 levels, n_x) buffer: the tangent value row of the
+    # current level for channel (j, c).  Each level steps the rows of the
+    # channels that have reached it from one buffer into the other, with the
+    # band products in a third; the rows of the other channels stay zero in
+    # both.  A buffer is padded with one zero before and after its rows, so
+    # that the rows shifted by one node are views of whole rows: the one
+    # node a shift moves across a row's end meets the zero lower[:, 0] or
+    # upper[:, -1].
+    n_x, size = xs.size, 2 * levels * xs.size
+    response, spare = np.zeros(size + 2), np.zeros(size + 2)
+    band, at_nodes = np.empty(size), np.empty(2 * levels * n * 4)
+    response[1 + size - 2 * n_x:1 + size - n_x] = model.g.d_m1(xs, m1[-1])
     # A divergent linearisation overflows on its way to inf/nan, which
     # value_measure_gradient reports as a non-finite tangent.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -529,18 +589,27 @@ def _linearise(model: Model, flow: EquilibriumFlow) -> _Linearisation:
             # Only the channels of the levels after this one (and the
             # terminal channel) have reached it.
             first = 2 * min(level + 1, levels - 1)
+            start, shape = 1 + first * n_x, (2 * levels - first, n_x)
             if level < levels - 1:
-                src, row = level + 1, response[first:]
-                out = diag[src] * row
-                out[:, 1:] += lower[src, 1:] * row[:, :-1]
-                out[:, :-1] += upper[src, :-1] * row[:, 1:]
+                src = level + 1
+                row = response[start:start + shape[0] * n_x].reshape(shape)
+                left = response[start - 1:start - 1 + row.size].reshape(shape)    # row[:, j - 1]
+                right = response[start + 1:start + 1 + row.size].reshape(shape)   # row[:, j + 1]
+                out = spare[start:start + row.size].reshape(shape)
+                prod = band[:row.size].reshape(shape)
+                np.multiply(diag[src], row, out=out)
+                np.multiply(lower[src], left, out=prod)
+                out += prod
+                np.multiply(upper[src], right, out=prod)
+                out += prod
                 out[0] += h_m1[src]
                 out[1] += h_m2[src]
-                response[first:] = out
-            # u_x at the level's atoms: the stencil interpolated over each cell.
-            lo, hi = stencil[cell[level]], stencil[cell[level] + 1]
-            readout = lo + weight[level] * (hi - lo)
-            kernel[level][:, first - 2 * level:] = readout @ response[first:].T
+                response, spare = spare, response
+            grids = response[start:start + shape[0] * n_x].reshape(shape)
+            gathered = at_nodes[:shape[0] * n * 4].reshape(shape[0], n, 4)
+            np.take(grids, window[level], axis=1, out=gathered, mode="clip")
+            np.einsum("cit,it->ic", gathered, readout[level],
+                      out=kernel[level][:, first - 2 * level:])
 
     # control_mean_tangent is linear in the tangents (dm1, de, ds) of the
     # means of x, p and x p; its coefficients per level.

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,48 @@ class TestFormMatrices:
         matrices = form_matrices(make_condition_samples(1, 12, seed=4)[0].table(model))
         assert matrices.shape == (3, 36, 36)
         assert np.array_equal(matrices, matrices.swapaxes(-1, -2))
+
+    def test_stacked_laws_equal_each_law(self):
+        # One call over a stack of laws, as the gates make it: each law's
+        # matrices are bit-identical to its own call's.
+        model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
+        samples = make_condition_samples(6, 12, seed=8)
+        table = hat_derivative_table(model, np.stack([s.xi for s in samples]),
+                                     np.stack([s.momenta() for s in samples]))
+        stacked = form_matrices(table)
+        assert stacked.shape == (6, 3, 36, 36)
+        for k, sample in enumerate(samples):
+            assert np.array_equal(stacked[k], form_matrices(sample.table(model))), k
+
+    def test_gate_over_chunks_of_laws_equals_each_law(self):
+        # 40 laws of 16 atoms take three form_matrices calls in a gate; the
+        # largest value is the one each law's own matrix gives.
+        model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
+        samples = make_condition_samples(40, 16, seed=2)
+        report = check_disp_condition(model, 0.5, samples, tol=1e9)
+        values = []
+        for sample in samples:
+            ll, ibar, dx2 = form_matrices(sample.table(model))
+            values.append(16 * np.linalg.eigvalsh(ll + ibar + 0.5 * dx2)[-1])
+        assert report.details["max_value"] == max(values)
+
+    def test_gates_peak_memory_on_40_laws(self):
+        # One hat table over all laws, and the forms in chunks of laws,
+        # assembled and symmetrised in place with temporaries of one block
+        # or one matrix: the gates peak below the 2.97 MB of the 40 per-law
+        # calls they replace.
+        model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
+        samples = make_condition_samples(40, 16, seed=1)
+        check_ll_condition(model, samples)
+        for gate in (lambda: check_ll_condition(model, samples),
+                     lambda: check_disp_condition(model, 0.5, samples)):
+            tracemalloc.start()
+            try:
+                gate()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3_000_000
 
     def test_permuting_atoms_permutes_blocks(self):
         model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -17,6 +19,7 @@ from mfgclab.propagation import (
     GateError,
     LasryLions,
     PropagationConfig,
+    PropagationTrace,
     build_traces,
     evaluate_rhs_formulas,
     formula_match_violations,
@@ -128,7 +131,9 @@ class TestSimulateVariational:
                 assert np.array_equal(s_all[b], s_one[0]), name
             (trace,) = build_traces(fresh, eta[None, :], anti(LambdaVec(0.5, 1.0, 2.0, 3.0)))
             assert traces[b].direction == b
-            assert traces[b].rows() == [dict(row, direction=b) for row in trace.rows()]
+            for f in fields(PropagationTrace):
+                if f.name not in ("direction", "kind"):
+                    assert np.array_equal(getattr(traces[b], f.name), getattr(trace, f.name)), f
 
     def test_direction_of_another_size_rejected(self):
         model, grid, flow, access = ll_setup()

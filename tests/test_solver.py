@@ -1,11 +1,16 @@
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from reference_picard import plain_picard
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from reference_picard import backward_value, forward_push, plain_picard
 from reference_resolve import resolve_field, ux_at
 from scipy.integrate import solve_ivp
+from test_calculus import random_models
+from test_models import PRESET_FACTORIES
 
 from mfgclab.config import ExperimentConfig
 from mfgclab.measures import gaussian_quantile_cloud
@@ -28,6 +33,7 @@ from mfgclab.solver import (
     _backward_value,
     _d1_rows,
     _moments,
+    _sweep,
     solve_mfgc,
     terminal_field,
 )
@@ -467,6 +473,98 @@ class TestTangentKernels:
         for k in (flow.grid.n_t, 0, 5):
             access.tangent(k, np.ones((1, n)))
         assert held_bytes(access) <= 8 * (levels * n * 2 * levels + n * levels * levels)
+
+
+def sweep_inputs(seed):
+    """A small grid, per-level moments and a terminal cloud of 8 atoms for
+    one backward sweep."""
+    grid = Grid.with_cfl_steps(-3.0, 3.0, 41, 0.0, 0.25)
+    rng = np.random.default_rng(seed)
+    m1, m2 = rng.normal(0.0, 0.5, size=(2, grid.n_t + 1))
+    return grid, m1, m2, rng.normal(0.0, 1.0, 8)
+
+
+class TestLeanSweep:
+    """The backward sweep and the forward push of ``_sweep`` against the
+    level-by-level recurrences of ``reference_picard``."""
+
+    @staticmethod
+    def assert_sweeps_agree(model, seed, stable_only=False):
+        # The folded constants and the difference form of the stencils
+        # reorder the arithmetic: the grids agree up to round-off, and an
+        # unstable sweep breaks down at the same level.
+        grid, m1, m2, atoms = sweep_inputs(seed)
+        args = (model, grid.xs, grid.dx, grid.dt, m1, m2, atoms)
+        try:
+            want = backward_value(*args)
+        except SolverError as err:
+            with pytest.raises(SolverError, match=str(err)):
+                _backward_value(*args)
+            return
+        if stable_only:
+            # Past the explicit scheme's stable range the round-off of any
+            # order of the arithmetic grows with the values; a hundredfold
+            # growth over the quarter time unit marks such a sweep.
+            assume(np.max(np.abs(want)) <= 100.0 * max(1.0, np.max(np.abs(want[-1]))))
+        got = _backward_value(*args)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("factory", PRESET_FACTORIES)
+    def test_backward_sweep_matches_level_recurrence_on_presets(self, factory):
+        self.assert_sweeps_agree(factory(), seed=3)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(model=random_models(), seed=st.integers(0, 2**32 - 1))
+    def test_backward_sweep_matches_level_recurrence_on_random_models(self, model, seed):
+        self.assert_sweeps_agree(model, seed, stable_only=True)
+
+    @pytest.mark.parametrize("factory", PRESET_FACTORIES)
+    def test_push_is_the_level_recurrence_bit_for_bit(self, factory):
+        model, grid = factory(), Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, T)
+        xs, dx, dt = grid.xs, grid.dx, grid.dt
+        x0 = gaussian_quantile_cloud(16, 0.0, 1.0)
+        brownian = np.random.default_rng(5).standard_normal((grid.n_t, x0.size))
+        states = x0 + np.sqrt(dt) * np.vstack((np.zeros(x0.size), np.cumsum(brownian, axis=0)))
+        momenta = 0.1 * states
+        got_states, got_momenta, u = _sweep(model, x0, xs, dx, dt, brownian, states, momenta)
+        m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
+        want_states, want_momenta = forward_push(model, x0, xs, dx, dt, brownian, m1, m2, u)
+        assert np.array_equal(got_states, want_states)
+        assert np.array_equal(got_momenta, want_momenta)
+
+    @pytest.mark.parametrize("name", ["ll_propagation", "lq_solve"])
+    def test_backward_sweep_allocates_little_beside_the_value_grid(self, name):
+        # The Hamiltonian terms of these models do not depend on both x and
+        # the level, so nothing of the grid's size is allocated but u.
+        cfg = ExperimentConfig.from_ini(CONFIGS / f"{name}.ini")
+        grid, atoms = cfg.grid(), cfg.initial_cloud()
+        m1 = np.full(grid.n_t + 1, atoms.mean())
+        args = (cfg.model(), grid.xs, grid.dx, grid.dt, m1, 0.5 * m1, atoms)
+        _backward_value(*args)
+        tracemalloc.start()
+        try:
+            u = _backward_value(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= u.nbytes + 64 * 1024
+
+    def test_solve_after_a_solve_on_another_grid_equals_a_fresh_solve(self):
+        # Scratch buffers live in each call, so no solve or access sees
+        # what a solve on another grid left behind.
+        model, x0 = coupled_model(), gaussian_quantile_cloud(16, 0.0, 1.0)
+        pic = PicardSettings(max_iter=120, tol=1e-9, damping=0.6)
+        small = Grid.with_cfl_steps(-6.0, 6.0, 41, 0.0, T)
+        etas = np.ones((1, x0.size))
+        fresh = solve_mfgc(model, x0, small, pic, seed=7)
+        fresh_tangent = ValueAccess(model, fresh).tangent(3, etas)
+        other = solve_mfgc(model, x0, Grid.with_cfl_steps(-5.0, 5.0, 61, 0.0, T), pic, seed=7)
+        ValueAccess(model, other).tangent(3, etas)
+        again = solve_mfgc(model, x0, small, pic, seed=7)
+        for name in ("states", "momenta", "controls"):
+            assert np.array_equal(getattr(again, name), getattr(fresh, name)), name
+        assert np.array_equal(again.value_field.u, fresh.value_field.u)
+        assert np.array_equal(ValueAccess(model, again).tangent(3, etas), fresh_tangent)
 
 
 def best_response_gap(model, flow):
