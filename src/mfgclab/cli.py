@@ -128,11 +128,11 @@ def _coupling(model, checker: str) -> float:
 def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     model = cfg.model()
     n_samples, n_atoms = cfg.check_sizes()
-    samples = make_condition_samples(n_samples, n_atoms, seed)
+    xi, p = make_condition_samples(n_samples, n_atoms, seed)
     reports = []
     for name in cfg.checkers():
         if name in MONOTONICITY_KINDS:
-            reports.append(cfg.monotonicity_kind(name).gate(model, samples))
+            reports.append(cfg.monotonicity_kind(name).gate(model, xi, p))
         elif name == "envelope":
             reports.append(verify_envelope_identities(model, sample_count=200, seed=seed))
         elif name == "matrix1":
@@ -145,7 +145,7 @@ def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
         elif name == "disp_sufficient":
             c = _coupling(model, name)
             c0 = abs((model.B.coeffs[2] - c) / (1.0 - c))
-            reports.append(check_disp_sufficient(model, cfg.lam(), c0, samples))
+            reports.append(check_disp_sufficient(model, cfg.lam(), c0, xi, p))
         else:  # fmon
             rng = np.random.default_rng(seed)
             pairs = [((rng.normal(size=n_atoms), rng.normal(size=n_atoms)),
@@ -182,12 +182,10 @@ def run_mono(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     flow = solve_mfgc(model, cfg.initial_cloud(), grid, cfg.picard(), seed=seed)
     prop = cfg.propagation(seed)
     access = ValueAccess(model, flow)
-    tol = tolerance_scale(grid.dt, grid.dx, flow.n_particles, prop.fd_eps, prop.tol_c)
+    tol = tolerance_scale(grid.dt, grid.dx, flow.n_particles, prop.tol_c)
     report = monotonicity_sweep(access, prop.kind, slices=cfg.slices(),
                                 battery_size=prop.n_directions, tolerance=tol,
                                 seed=prop.seed)
-    # The configured fd_eps enters the tolerance, so the report records it.
-    report.metadata["fd_eps"] = prop.fd_eps
     samples_path = out_dir / "samples.csv"
     with open(samples_path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=["t", "level", "direction", "value"])

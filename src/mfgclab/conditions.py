@@ -1,22 +1,24 @@
 """Checkers for the sufficient conditions on the reduced Hamiltonian.
 
 Each condition is a quadratic-form inequality that must hold for every test
-triple v = (eta, gamma, zeta) of atom values, on the law of (xi, phi(xi))
-for states xi and a Lipschitz feedback phi freezing the momentum variable.
-Independent copies are realised as full double sums over atom pairs,
+triple v = (eta, gamma, zeta) of atom values, on random laws of (state,
+momentum) atoms: a set of laws is a pair of (laws, N) arrays (xi, p), row k
+holding law k's states and the momenta that a Lipschitz feedback freezes at
+them.  Independent copies are realised as full double sums over atom pairs,
 self-pairs included: the continuum formulas integrate over a measure-zero
 diagonal, and at n >= 16 atoms the O(1/n) diagonal bias is dominated by the
 configured tolerance.
 
 On one law of N atoms each form is v . M v for a symmetric (3N, 3N) matrix M
 assembled in closed form from the hat table (``form_matrices``), so its
-maximum over unit-RMS v is N times the largest eigenvalue of M.  The gates
-judge that eigenvalue on each random law, and a failing gate reports the
-eigenvector that attains it.
+maximum over unit-RMS v is N times the largest eigenvalue of M.  Every gate
+reads one hat table over all its laws, and the gates and the propagation
+traces build the forms of a stacked table in chunks (``form_chunks``).  The
+gates judge the eigenvalue on each random law, and a failing gate reports
+the eigenvector that attains it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,8 +30,8 @@ from .reports import ConditionReport
 PASS_SLACK = 1e-12
 # Relative slack of the eigenvalue tests; the hat derivatives are exact.
 REL_TOL = 1e-8
-# Bytes of the forms of one form_matrices call in a gate: 18 laws of 16
-# atoms.  A larger buffer saves little time, and once freed it raises glibc's
+# Bytes of the forms of one form_matrices call of ``form_chunks``: 18 laws
+# (or flow levels) of 16 atoms.  A larger buffer saves little time, and once freed it raises glibc's
 # dynamic mmap threshold, after which the process keeps more heap resident:
 # one call over 40 such laws (2.2 MB) raised the propagate benchmark's
 # peak_rss_mb by 1.2 MB.
@@ -40,56 +42,23 @@ class ConditionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QuadraticFormSample:
-    """One random law: the atom states xi and the feedback giving their momenta."""
-
-    xi: np.ndarray
-    phi_map: Callable
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(xi)):
-            raise ConditionError("sample states have non-finite entries")
-        if xi.shape[0] < 2:
-            raise ConditionError("samples need at least two atoms")
-        object.__setattr__(self, "xi", xi)
-
-    def momenta(self) -> np.ndarray:
-        """The frozen momenta phi(xi) of the atoms."""
-        return np.asarray(self.phi_map(self.xi), dtype=float).reshape(-1)
-
-    def table(self, model: Model):
-        """Hat derivatives over the frozen law of (xi, phi(xi))."""
-        return hat_derivative_table(model, self.xi, self.momenta())
-
-
-def affine_feedback(intercept: float, slope: float) -> Callable:
-    return lambda x: intercept + slope * np.asarray(x, dtype=float)
-
-
-def clipped_poly_feedback(coeffs, bound: float = 3.0) -> Callable:
-    c = np.asarray(coeffs, dtype=float)
-
-    def phi(x):
-        return np.clip(np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c),
-                       -bound, bound)
-
-    return phi
-
-
-def make_condition_samples(n_samples: int, n_atoms: int = 16, seed: int = 0) -> list:
-    """Gaussian laws of n_atoms states with alternating affine and
-    clipped-polynomial feedbacks."""
+def make_condition_samples(n_samples: int, n_atoms: int = 16, seed: int = 0) -> tuple:
+    """(xi, p): the (n_samples, n_atoms) states and momenta of Gaussian laws
+    whose momenta come from alternating affine and clipped-polynomial
+    feedbacks p = phi(xi), polynomial momenta clipped to [-3, 3]."""
     rng = np.random.default_rng(seed)
-    samples = []
+    xi = np.empty((n_samples, n_atoms))
+    p = np.empty((n_samples, n_atoms))
     for k in range(n_samples):
         if k % 2 == 0:
-            phi = affine_feedback(float(rng.normal(0, 0.5)), float(rng.normal(0, 1.0)))
+            intercept, slope = float(rng.normal(0, 0.5)), float(rng.normal(0, 1.0))
+            xi[k] = rng.normal(0.0, 1.0, n_atoms)
+            p[k] = intercept + slope * xi[k]
         else:
-            phi = clipped_poly_feedback(rng.normal(0, 0.5, size=4))
-        samples.append(QuadraticFormSample(rng.normal(0.0, 1.0, n_atoms), phi))
-    return samples
+            coeffs = rng.normal(0, 0.5, size=4)
+            xi[k] = rng.normal(0.0, 1.0, n_atoms)
+            p[k] = np.clip(np.polynomial.polynomial.polyval(xi[k], coeffs), -3.0, 3.0)
+    return xi, p
 
 
 def form_matrices(table: HatTable) -> np.ndarray:
@@ -184,32 +153,41 @@ def _eigen_report(condition: str, matrices: np.ndarray, tol: float | None) -> Co
     )
 
 
-def _gate_matrices(model: Model, samples: list, combine: Callable) -> np.ndarray:
-    """The (laws, 3N, 3N) stack of combine(forms) over the laws of samples,
-    which must have equal atom counts: one hat table over all laws, and
-    ``form_matrices`` over chunks of laws whose forms fit in FORMS_BYTES."""
-    table = hat_derivative_table(model, np.stack([s.xi for s in samples]),
-                                 np.stack([s.momenta() for s in samples]))
-    n = table.h_pp.shape[-1]
+def form_chunks(table: HatTable, reduce: Callable, out: np.ndarray) -> np.ndarray:
+    """out, with out[chunk] = reduce(forms, chunk) for each chunk of the laws
+    of a stacked table: ``forms`` are the ``form_matrices`` of the laws at
+    the slice ``chunk`` of the table's leading axis, at most FORMS_BYTES of
+    them, and each is freed before the next chunk's are built."""
+    laws, n = table.h_pp.shape
     step = max(1, FORMS_BYTES // (27 * n * n * 8))
-    matrices = np.empty((len(samples), 3 * n, 3 * n))
-    for start in range(0, len(samples), step):
-        matrices[start:start + step] = combine(form_matrices(table[start:start + step]))
-    return matrices
+    for start in range(0, laws, step):
+        chunk = slice(start, start + step)
+        out[chunk] = reduce(form_matrices(table[chunk]), chunk)
+    return out
 
 
-def check_ll_condition(model: Model, samples: list,
+def _gate_matrices(model: Model, xi: np.ndarray, p: np.ndarray,
+                   combine: Callable) -> np.ndarray:
+    """The (laws, 3N, 3N) stack of combine(forms) over the laws (xi, p), from
+    one hat table over all laws."""
+    n = xi.shape[-1]
+    return form_chunks(hat_derivative_table(model, xi, p),
+                       lambda forms, chunk: combine(forms),
+                       np.empty((len(xi), 3 * n, 3 * n)))
+
+
+def check_ll_condition(model: Model, xi: np.ndarray, p: np.ndarray,
                        tol: float | None = None) -> ConditionReport:
-    """Exact test of the Lasry-Lions quadratic-form condition on each law of
-    samples: the form's maximum over unit-RMS (eta, gamma, zeta) is <= tol."""
+    """Exact test of the Lasry-Lions quadratic-form condition on each law
+    (xi, p): the form's maximum over unit-RMS (eta, gamma, zeta) is <= tol."""
     return _eigen_report("lasry_lions_hamiltonian",
-                         _gate_matrices(model, samples, lambda forms: forms[:, 0]), tol)
+                         _gate_matrices(model, xi, p, lambda forms: forms[:, 0]), tol)
 
 
-def check_disp_condition(model: Model, lam: float, samples: list,
+def check_disp_condition(model: Model, lam: float, xi: np.ndarray, p: np.ndarray,
                          tol: float | None = None) -> ConditionReport:
     """Exact test of the displacement lambda quadratic-form condition on each
-    law of samples: the maximum of L + Ibar + lam DX2 over unit-RMS
+    law (xi, p): the maximum of L + Ibar + lam DX2 over unit-RMS
     (eta, gamma, zeta) is <= tol."""
     if lam < 0:
         raise ConditionError("lambda must be nonnegative")
@@ -222,7 +200,8 @@ def check_disp_condition(model: Model, lam: float, samples: list,
         ll += dx2
         return ll
 
-    return _eigen_report("displacement_hamiltonian", _gate_matrices(model, samples, combine), tol)
+    return _eigen_report("displacement_hamiltonian", _gate_matrices(model, xi, p, combine),
+                         tol)
 
 
 def matrix1_assemble(c1: float, c2: float, c3: float, db1_dm1: float,
@@ -283,12 +262,13 @@ def sufficient_matrix(table: HatTable, lam: float, c0: float) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def check_disp_sufficient(model: Model, lam: float, c0: float, samples: list,
-                          tol: float | None = None) -> ConditionReport:
+def check_disp_sufficient(model: Model, lam: float, c0: float, xi: np.ndarray,
+                          p: np.ndarray, tol: float | None = None) -> ConditionReport:
     """Single-variable sufficient condition for the displacement form.
 
-    Hypotheses checked first on every law of samples: |Hhat_{p rho2}| <= c0
-    and Hhat_pp < -c0.  Then the minimum of the (xi, eta)-only form of
+    Hypotheses checked first on every law (xi, p): |Hhat_{p rho2}| <= c0
+    and Hhat_pp < -c0; the first law that breaks one is the witness, h_prho2
+    before h_pp.  Then the minimum of the (xi, eta)-only form of
     ``sufficient_matrix`` over unit-RMS eta, N times its smallest eigenvalue,
     must be >= -tol (default REL_TOL max(1, |value|)).  For a
     control-coupled model the scalar parameter inequality is evaluated
@@ -299,29 +279,26 @@ def check_disp_sufficient(model: Model, lam: float, c0: float, samples: list,
     details: dict = {}
     if control_coupling(model) is not None:
         details["scalar_inequality"] = _scalar_disp_inequality(model, c0)
-    tables = [sample.table(model) for sample in samples]
-    hypothesis_fail = None
-    for idx, table in enumerate(tables):
-        if np.max(np.abs(table.h_prho2)) > c0 + 1e-9:
-            hypothesis_fail = {"sample": idx, "bound": "h_prho2",
-                               "value": float(np.max(np.abs(table.h_prho2))), "c0": c0}
-            break
-        if np.max(table.h_pp) >= -c0 - 1e-12:
-            hypothesis_fail = {"sample": idx, "bound": "h_pp",
-                               "value": float(np.max(table.h_pp)), "c0": c0}
-            break
-    if hypothesis_fail is not None:
+    table = hat_derivative_table(model, xi, p)
+    laws = len(xi)
+    prho2 = np.abs(table.h_prho2).reshape(laws, -1).max(axis=1)
+    pp = table.h_pp.max(axis=1)
+    over = prho2 > c0 + 1e-9
+    bad = np.flatnonzero(over | (pp >= -c0 - 1e-12))
+    if bad.size:
+        idx = int(bad[0])
+        bound, value = ("h_prho2", prho2[idx]) if over[idx] else ("h_pp", pp[idx])
         return ConditionReport(
             condition="displacement_sufficient",
-            n_samples=len(samples),
+            n_samples=laws,
             worst_margin=-np.inf,
             passed=False,
             tolerance=tol if tol is not None else REL_TOL,
-            witness=hypothesis_fail,
+            witness={"sample": idx, "bound": bound, "value": float(value), "c0": c0},
             failure_kind="hypothesis",
             details=details,
         )
-    matrices = np.stack([sufficient_matrix(t, lam, c0) for t in tables])
+    matrices = np.stack([sufficient_matrix(table[k], lam, c0) for k in range(laws)])
     n = matrices.shape[-1]
     values = n * np.linalg.eigvalsh(matrices)[:, 0]
     threshold = tol if tol is not None else REL_TOL * np.maximum(1.0, np.abs(values))
@@ -330,7 +307,7 @@ def check_disp_sufficient(model: Model, lam: float, c0: float, samples: list,
     passed = margins[worst] >= -PASS_SLACK
     return ConditionReport(
         condition="displacement_sufficient",
-        n_samples=len(samples),
+        n_samples=laws,
         worst_margin=float(margins[worst]),
         passed=bool(passed and details.get("scalar_inequality", {}).get("holds", True)),
         tolerance=tol if tol is not None else REL_TOL,
@@ -404,45 +381,53 @@ def anti_theta1(lvec: LambdaVec, gamma_lo: float, gamma_hi: float,
     return float(gamma_hi * (1.0 + lu_xx) / np.sqrt(4.0 * (gamma_lo * lvec.l0 + 2.0 * lvec.l3)))
 
 
+# The derivative bounds of the anti-monotone assumption, in the order that
+# ``check_anti_assumption`` reports the first failure.
+ANTI_BOUNDS = ("abs_h_xp<=gamma_hi*l0", "abs_h_xx<=gamma_hi*l0", "abs_h_pp<=l_bar",
+               "abs_h_xrho1<=l_bar", "abs_h_xrho2<=l_bar", "abs_h_prho1<=l_bar",
+               "abs_h_prho2<=l_bar", "-h_xp>=l0", "-h_xx>=gamma_lo*l0")
+
+
 def check_anti_assumption(model: Model, lvec: LambdaVec, l0: float,
                           gamma_lo: float, gamma_hi: float, l_bar: float,
-                          lu_xx: float, samples: list) -> ConditionReport:
+                          lu_xx: float, xi: np.ndarray, p: np.ndarray) -> ConditionReport:
     """Staged verification of the anti-monotone propagation hypotheses.
 
-    (i) derivative bounds on every law of samples; (ii) the contraction
-    number theta1 < 1 (reported first when it fails: the gain matrix would be
+    (i) the ``ANTI_BOUNDS`` derivative bounds on every law (xi, p), the first
+    failure in (law, bound) order the witness; (ii) the contraction number
+    theta1 < 1 (reported first when it fails: the gain matrix would be
     singular); (iii)/(iv) the assembled gain/loss matrices must satisfy
     l_bar * sup-eigenvalue(A1^{-1} A2) <= l0.
     """
     if not gamma_hi > gamma_lo > 0:
         raise ConditionError("need gamma_hi > gamma_lo > 0")
     slack = 1e-9
-    n_samples = len(samples)
-    bound_margins = []
-    witness = None
-    for idx, sample in enumerate(samples):
-        table = sample.table(model)
-        checks = {
-            "abs_h_xp<=gamma_hi*l0": gamma_hi * l0 - float(np.max(np.abs(table.h_xp))),
-            "abs_h_xx<=gamma_hi*l0": gamma_hi * l0 - float(np.max(np.abs(table.h_xx))),
-            "abs_h_pp<=l_bar": l_bar - float(np.max(np.abs(table.h_pp))),
-            "abs_h_xrho1<=l_bar": l_bar - float(np.max(np.abs(table.h_xrho1))),
-            "abs_h_xrho2<=l_bar": l_bar - float(np.max(np.abs(table.h_xrho2))),
-            "abs_h_prho1<=l_bar": l_bar - float(np.max(np.abs(table.h_prho1))),
-            "abs_h_prho2<=l_bar": l_bar - float(np.max(np.abs(table.h_prho2))),
-            "-h_xp>=l0": float(np.min(-table.h_xp)) - l0,
-            "-h_xx>=gamma_lo*l0": float(np.min(-table.h_xx)) - gamma_lo * l0,
-        }
-        for name, margin in checks.items():
-            bound_margins.append(margin)
-            if margin < -slack and witness is None:
-                witness = {"sample": idx, "bound": name, "margin": margin}
-    bounds_margin = float(np.min(bound_margins))
-    if witness is not None:
+    n_samples = len(xi)
+    table = hat_derivative_table(model, xi, p)
+
+    def peak(entry: np.ndarray) -> np.ndarray:
+        """The largest |entry| of each law."""
+        return np.abs(entry).reshape(n_samples, -1).max(axis=1)
+
+    # (laws, 9) margins, in the order of ANTI_BOUNDS.
+    margins = np.stack([
+        gamma_hi * l0 - peak(table.h_xp),
+        gamma_hi * l0 - peak(table.h_xx),
+        *(l_bar - peak(getattr(table, name)) for name in
+          ("h_pp", "h_xrho1", "h_xrho2", "h_prho1", "h_prho2")),
+        (-table.h_xp).min(axis=1) - l0,
+        (-table.h_xx).min(axis=1) - gamma_lo * l0,
+    ], axis=1)
+    bounds_margin = float(np.min(margins))
+    failing = np.argwhere(margins < -slack)
+    if failing.size:
+        idx, bound = failing[0]
         return ConditionReport(
             condition="anti_monotone_assumption", n_samples=n_samples,
             worst_margin=bounds_margin, passed=False, tolerance=slack,
-            witness=witness, failure_kind="derivative_bounds",
+            witness={"sample": int(idx), "bound": ANTI_BOUNDS[bound],
+                     "margin": float(margins[idx, bound])},
+            failure_kind="derivative_bounds",
             details={"stage": "bounds"},
         )
 

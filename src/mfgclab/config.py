@@ -37,9 +37,12 @@ in ``[check] which``.  ``monotonicity_kind()`` builds the kind object of
 
 ``[check] which`` (envelope by default) may also name the checkers of
 CHECKERS; an empty list or an unknown name is a ConfigError before any
-check runs.  Every gate and the disp_sufficient checker judge ``[check]
-samples`` (40) random laws of ``[check] atoms`` (16) atoms each, drawn from
-the experiment's seed; fmon draws that many coupled pairs of that size.  A
+check runs.  Every gate and the disp_sufficient checker judge the same
+``[check] samples`` (40) random laws of ``[check] atoms`` (16) (state,
+momentum) atoms each, drawn from the experiment's seed: Gaussian states and
+the momenta of alternating affine and clipped-polynomial feedbacks
+(``conditions.make_condition_samples``).  fmon draws that many coupled
+pairs of that size.  A
 propagate run of the anti kind also requires |Vxx| <= lu_xx on the solved
 field.  An invalid kind parameter is a ConfigError before any solve, and
 [monotonicity] lambda is range-checked whatever the kind.
@@ -134,16 +137,7 @@ def preset_model(sec: dict, g: QuadraticTerminalCost | None = None) -> Model:
 class ExperimentConfig:
     kind: str
     seed: int
-    raw: dict = field(repr=False)
-    model_section: dict = field(repr=False)
-    terminal_section: dict = field(repr=False)
-    grid_section: dict = field(repr=False)
-    particle_section: dict = field(repr=False)
-    picard_section: dict = field(repr=False)
-    mono_section: dict = field(repr=False)
-    anti_section: dict = field(repr=False)
-    check_section: dict = field(repr=False)
-    chain_section: dict = field(repr=False)
+    raw: dict = field(repr=False)   # every INI section, by name
 
     @classmethod
     def from_ini(cls, path) -> "ExperimentConfig":
@@ -163,25 +157,18 @@ class ExperimentConfig:
             seed = int(exp.get("seed", "0"))
         except ValueError as err:
             raise ConfigError(f"bad seed {exp.get('seed')!r}") from err
-        cfg = cls(
-            kind=kind, seed=seed, raw=sections,
-            model_section=sections.get("model", {}),
-            terminal_section=sections.get("terminal", {}),
-            grid_section=sections.get("grid", {}),
-            particle_section=sections.get("particles", {}),
-            picard_section=sections.get("picard", {}),
-            mono_section=sections.get("monotonicity", {}),
-            anti_section=sections.get("anti", {}),
-            check_section=sections.get("check", {}),
-            chain_section=sections.get("chain", {}),
-        )
+        cfg = cls(kind=kind, seed=seed, raw=sections)
         cfg.validate()
         return cfg
+
+    def section(self, name: str) -> dict:
+        """The key = value pairs of INI section ``name``, empty when absent."""
+        return self.raw.get(name, {})
 
     # -- builders ----------------------------------------------------------
 
     def terminal_cost(self) -> QuadraticTerminalCost:
-        sec = self.terminal_section
+        sec = self.section("terminal")
         try:
             return QuadraticTerminalCost(
                 xx=float(sec.get("gxx", "0")), xm=float(sec.get("gxm", "0")),
@@ -191,10 +178,10 @@ class ExperimentConfig:
             raise ConfigError(f"bad terminal cost entry: {err}") from err
 
     def model(self) -> Model:
-        return preset_model(self.model_section, self.terminal_cost())
+        return preset_model(self.section("model"), self.terminal_cost())
 
     def grid(self) -> Grid:
-        sec = self.grid_section
+        sec = self.section("grid")
         try:
             x_min = float(sec.get("x_min", "-6"))
             x_max = float(sec.get("x_max", "6"))
@@ -210,7 +197,7 @@ class ExperimentConfig:
 
     def initial_cloud(self) -> np.ndarray:
         """The atoms of the initial state law, a uniform cloud."""
-        sec = self.particle_section
+        sec = self.section("particles")
         try:
             n = int(sec.get("n", "16"))
             kind = sec.get("kind", "gaussian").strip()
@@ -236,7 +223,7 @@ class ExperimentConfig:
         """``[picard]``: max_iter (200) sweeps, tol (1e-9) on the W2 residual
         and damping (0.6), the weight of each new proposal in the Anderson
         mixing of ``solve_mfgc``; the mixing depth is not configurable."""
-        sec = self.picard_section
+        sec = self.section("picard")
         try:
             return PicardSettings(
                 max_iter=int(sec.get("max_iter", "200")),
@@ -247,7 +234,7 @@ class ExperimentConfig:
             raise ConfigError(f"invalid Picard settings: {err}") from err
 
     def lambda_vec(self) -> LambdaVec | None:
-        raw = self.mono_section.get("lambda_vec")
+        raw = self.section("monotonicity").get("lambda_vec")
         if raw is None:
             return None
         values = _floats(raw)
@@ -256,22 +243,22 @@ class ExperimentConfig:
         return LambdaVec(*values)  # monotonicity_kind relabels its errors
 
     def lam(self) -> float:
-        return _number(self.mono_section, "lambda", "0", least=0.0)
+        return _number(self.section("monotonicity"), "lambda", "0", least=0.0)
 
     def slices(self) -> int:
-        return _number(self.mono_section, "slices", "5", int, 1)
+        return _number(self.section("monotonicity"), "slices", "5", int, 1)
 
     def check_sizes(self) -> tuple:
         """(samples, atoms): the number of the condition checkers' random
         laws and the atom count of each."""
-        sec = self.check_section
+        sec = self.section("check")
         return _number(sec, "samples", "40", int, 1), _number(sec, "atoms", "16", int, 2)
 
     def checkers(self) -> list:
         """The ``[check] which`` names (envelope by default), each a
         monotonicity kind or one of CHECKERS; an empty list or an unknown
         name is a ConfigError."""
-        names = self.check_section.get("which", "envelope").split()
+        names = self.section("check").get("which", "envelope").split()
         if not names:
             raise ConfigError("[check] which names no checker")
         for name in names:
@@ -282,14 +269,14 @@ class ExperimentConfig:
 
     def anti_constants(self) -> tuple:
         """(l0, gamma_lo, gamma_hi, l_bar, lu_xx) of the anti-monotone assumption."""
-        return tuple(_number(self.anti_section, key, "0")
+        return tuple(_number(self.section("anti"), key, "0")
                      for key in ("l0", "gamma_lo", "gamma_hi", "l_bar", "lu_xx"))
 
     def chain_settings(self) -> tuple:
         """(pairs, atoms, tol) of the chain-rule check: the number of random
         laws, their atom count and the tolerance on every hat derivative,
         relative to max(1, max |Hhat|) over the law."""
-        sec = self.chain_section
+        sec = self.section("chain")
         return (_number(sec, "pairs", "20", int, 1), _number(sec, "atoms", "16", int, 1),
                 _number(sec, "tol", "1e-6", least=0.0))
 
@@ -298,7 +285,7 @@ class ExperimentConfig:
         [monotonicity] kind) with the parameters it reads; see the table in
         the module docstring."""
         if name is None:
-            name = self.mono_section.get("kind", "ll").strip()
+            name = self.section("monotonicity").get("kind", "ll").strip()
         if name not in MONOTONICITY_KINDS:
             raise ConfigError(f"monotonicity kind must be one of "
                               f"{tuple(MONOTONICITY_KINDS)}, got {name!r}")
@@ -309,16 +296,14 @@ class ExperimentConfig:
 
     def propagation(self, seed: int | None = None) -> PropagationConfig:
         """Settings of a mono or propagate run; ``seed`` overrides the
-        config's seed for the gate samples and the direction battery."""
-        sec = self.mono_section
+        config's seed for the gate samples and the direction battery.  The
+        fd_eps key of older configs is ignored: no finite-difference step is
+        taken."""
+        sec = self.section("monotonicity")
         gate_samples, gate_atoms = self.check_sizes()
-        fd_eps = _number(sec, "fd_eps", "1e-3")
-        if not fd_eps > 0:
-            raise ConfigError(f"fd_eps must be positive, got {fd_eps}")
         return PropagationConfig(
             kind=self.monotonicity_kind(),
             n_directions=_number(sec, "directions", "12", int, 1),
-            fd_eps=fd_eps,
             tol_c=_number(sec, "tol_c", "0.05"),
             gate_samples=gate_samples,
             gate_atoms=gate_atoms,

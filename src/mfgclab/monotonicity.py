@@ -132,10 +132,9 @@ def direction_battery(xs: np.ndarray, count: int = 12, seed: int = 0) -> list:
     return shapes[:count]
 
 
-def tolerance_scale(dt: float, dx: float, n_particles: int, fd_eps: float,
-                    c: float) -> float:
+def tolerance_scale(dt: float, dx: float, n_particles: int, c: float) -> float:
     """Discretisation tolerance: every first-order error source enters linearly."""
-    return float(c * (dt + dx**2 + 1.0 / np.sqrt(n_particles) + fd_eps**2))
+    return float(c * (dt + dx**2 + 1.0 / np.sqrt(n_particles)))
 
 
 def monotonicity_sweep(access, kind, slices: int = 5, battery_size: int = 12,

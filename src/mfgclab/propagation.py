@@ -26,7 +26,7 @@ from .conditions import (
     check_disp_condition,
     check_ll_condition,
     dx_velocity,
-    form_matrices,
+    form_chunks,
     make_condition_samples,
 )
 from .models import HatTable, Model, hat_derivative_table
@@ -102,7 +102,7 @@ def traces_to_csv(path, traces: list) -> None:
 
 def simulate_variational(access: ValueAccess, etas: np.ndarray) -> tuple:
     """Euler trace of the first-variation system along the access's
-    converged flow: (dX, G, U, tables).
+    converged flow: (dX, G, U, table).
 
     The initial sensitivities dX(0) = eta are the rows of the (B, N) stack
     etas, each aligned with the initial particle states, and the whole
@@ -112,8 +112,8 @@ def simulate_variational(access: ValueAccess, etas: np.ndarray) -> tuple:
     ``access.field(k)`` and the measure-derivative field U from the value
     gradient's tangent at every level k, all directions of a level in one
     request to ``access``.  dX, G and U are (B, levels, N) stacks, row b
-    belonging to direction b; ``tables`` lists the hat table of each level,
-    all from one ``hat_derivative_table`` call on the whole flow.
+    belonging to direction b; ``table`` is the flow's stacked hat table, level
+    k at index k, from one ``hat_derivative_table`` call on the whole flow.
     """
     flow = access.flow
     delta = np.array(etas, dtype=float)
@@ -121,8 +121,7 @@ def simulate_variational(access: ValueAccess, etas: np.ndarray) -> tuple:
         raise GateError(f"directions of shape {delta.shape} do not match the "
                         f"flow's {flow.n_particles} particles")
     n_t, dt = flow.grid.n_t, flow.grid.dt
-    stack = hat_derivative_table(access.model, flow.states, flow.momenta)
-    tables = [stack[k] for k in range(n_t + 1)]
+    table = hat_derivative_table(access.model, flow.states, flow.momenta)
     dx, gamma, upsilon = (np.empty((len(delta), n_t + 1, flow.n_particles))
                           for _ in range(3))
     for k in range(n_t + 1):
@@ -130,30 +129,38 @@ def simulate_variational(access: ValueAccess, etas: np.ndarray) -> tuple:
         u_k = value_measure_gradient(access, k, delta)
         dx[:, k], gamma[:, k], upsilon[:, k] = delta, g_k, u_k
         if k < n_t:
-            delta = delta + dt * dx_velocity(tables[k], delta, g_k + u_k)
+            delta = delta + dt * dx_velocity(table[k], delta, g_k + u_k)
             if not np.all(np.isfinite(delta)):
                 raise GateError(f"variational state blew up at level {k}")
-    return dx, gamma, upsilon, tables
+    return dx, gamma, upsilon, table
 
 
 def evaluate_rhs_formulas(table: HatTable, delta_x: np.ndarray, gamma: np.ndarray,
                           upsilon: np.ndarray, lam: float = 0.0) -> dict:
-    """Exact quadratic expressions for the time derivatives of the traces at
-    one level, one value per direction of the (B, N) first-variation state
-    (dX, G, U).
+    """Exact quadratic expressions for the time derivatives of the traces,
+    one (B, levels) column per expression: direction b at level k reads the
+    (B, levels, N) first-variation state (dX, G, U) at [b, k] and level k of
+    the stacked hat table.
 
     Returns the derivative of the Lasry-Lions pairing, of the curvature
     pairing, of the second moment of dX, and the combined displacement-form
     derivative at the given lambda: v . M v for the ``form_matrices`` L, Ibar
     and DX2 of the level's table at v = (dX, G, U), and their sum
     L + Ibar + lam DX2.  L and the sum are the gates' forms: the Hamiltonian
-    condition is the time derivative of the functional.
+    condition is the time derivative of the functional.  The forms are built
+    in ``form_chunks`` of levels; every column entry is bit-identical to a
+    one-level, one-direction request.
     """
-    # Directions on the stack axis of the product: each row is bit-identical
-    # to a one-direction request.
     v = np.concatenate([delta_x, gamma, upsilon], axis=-1)
-    v = v[:, None, None, :]    # (B, 1, 1, 3N) against the (3, 3N, 3N) stack
-    dt_i, dt_ibar, dt_dx2 = np.sum((v @ form_matrices(table)) * v, axis=-1)[..., 0].T
+
+    def quadratic(forms, chunk):
+        # (B, levels in chunk, 1, 1, 3N) against the (levels in chunk, 3, 3N, 3N)
+        # forms: one vector-matrix product per (direction, level, form).
+        rows = v[:, chunk, None, None, :]
+        return np.sum((rows @ forms) * rows, axis=-1)[..., 0].swapaxes(0, 1)
+
+    values = form_chunks(table, quadratic, np.empty((v.shape[1], len(v), 3)))
+    dt_i, dt_ibar, dt_dx2 = values.T
     return {"dtI_rhs": dt_i, "dtIbar_rhs": dt_ibar, "d_deltaX2_rhs": dt_dx2,
             "cd_disp_rhs": dt_i + dt_ibar + lam * dt_dx2}
 
@@ -162,12 +169,10 @@ def build_traces(access: ValueAccess, etas: np.ndarray, kind: Kind) -> list:
     """One ``PropagationTrace`` per direction of the (B, N) stack etas, in
     row order, from one batched variational run; each trace's series is the
     kind's functional of its pairings."""
-    dx, gamma, upsilon, tables = simulate_variational(access, etas)
+    dx, gamma, upsilon, table = simulate_variational(access, etas)
     p = pairings(dx, gamma, upsilon)
     series = kind.functional(p)
-    rhs = [evaluate_rhs_formulas(tables[k], dx[:, k], gamma[:, k], upsilon[:, k], lam=kind.lam)
-           for k in range(dx.shape[1])]
-    exact = {name: np.stack([r[name] for r in rhs], axis=1) for name in rhs[0]}
+    exact = evaluate_rhs_formulas(table, dx, gamma, upsilon, lam=kind.lam)
     ts = access.flow.grid.ts
     return [
         PropagationTrace(
@@ -251,8 +256,8 @@ class LasryLions(Kind):
     def functional(self, p: Pairings) -> np.ndarray:
         return p.i
 
-    def gate(self, model: Model, samples: list) -> ConditionReport:
-        return check_ll_condition(model, samples)
+    def gate(self, model: Model, xi: np.ndarray, p: np.ndarray) -> ConditionReport:
+        return check_ll_condition(model, xi, p)
 
 
 @dataclass(frozen=True)
@@ -278,8 +283,8 @@ class Displacement(Kind):
     def functional(self, p: Pairings) -> np.ndarray:
         return p.i + p.ibar + self.lam * p.dx2
 
-    def gate(self, model: Model, samples: list) -> ConditionReport:
-        return check_disp_condition(model, self.lam, samples)
+    def gate(self, model: Model, xi: np.ndarray, p: np.ndarray) -> ConditionReport:
+        return check_disp_condition(model, self.lam, xi, p)
 
     def formula_pairs(self, trace: PropagationTrace) -> list:
         return [(trace.series, trace.cd_disp_rhs, {"series": "disp"})]
@@ -320,9 +325,9 @@ class AntiMonotone(Kind):
         lv = self.lvec
         return lv.l0 * p.ibar + lv.l1 * p.i + p.g2 + lv.l2 * p.u2 - lv.l3 * p.dx2
 
-    def gate(self, model: Model, samples: list) -> ConditionReport:
+    def gate(self, model: Model, xi: np.ndarray, p: np.ndarray) -> ConditionReport:
         return check_anti_assumption(model, self.lvec, self.l0, self.gamma_lo,
-                                     self.gamma_hi, self.l_bar, self.lu_xx, samples)
+                                     self.gamma_hi, self.l_bar, self.lu_xx, xi, p)
 
     def terminal_check(self, flow: EquilibriumFlow) -> tuple:
         """The curvature bound |Vxx| <= lu_xx on the whole solved field."""
@@ -348,7 +353,6 @@ MONOTONICITY_KINDS = {cls.name: cls for cls in (LasryLions, Displacement, AntiMo
 class PropagationConfig:
     kind: Kind
     n_directions: int = 12
-    fd_eps: float = 1e-3
     tol_c: float = 0.5
     gate_samples: int = 40
     gate_atoms: int = 16
@@ -372,9 +376,8 @@ class PropagationResult:
 def model_gate(model: Model, config: PropagationConfig) -> ConditionReport:
     """The Hamiltonian-condition gate of the experiment's kind; runs before
     any solve so a failing configuration can be rejected cheaply."""
-    samples = make_condition_samples(config.gate_samples, config.gate_atoms,
-                                     config.seed)
-    return config.kind.gate(model, samples)
+    xi, p = make_condition_samples(config.gate_samples, config.gate_atoms, config.seed)
+    return config.kind.gate(model, xi, p)
 
 
 def propagation_experiment(access: ValueAccess, config: PropagationConfig,
@@ -392,8 +395,7 @@ def propagation_experiment(access: ValueAccess, config: PropagationConfig,
     """
     kind, flow = config.kind, access.flow
     grid = flow.grid
-    tol = tolerance_scale(grid.dt, grid.dx, flow.n_particles, config.fd_eps,
-                          config.tol_c)
+    tol = tolerance_scale(grid.dt, grid.dx, flow.n_particles, config.tol_c)
     if config.enforce_gate and not gate.passed:
         raise GateError(f"Hamiltonian condition gate failed for kind {kind.name!r}")
 

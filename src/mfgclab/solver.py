@@ -188,15 +188,21 @@ class EquilibriumFlow:
     momenta: np.ndarray   # (levels, n): dV/dx(t_k, X_k)
     controls: np.ndarray  # (levels, n): controls of Phi(rho_k), the fixed point
     value_field: ValueField
-    picard_iterations: int
-    final_residual: float
-    residual_history: list
+    residual_history: list  # the W2 residual of each Picard sweep
     brownian: np.ndarray  # (levels - 1, n) unit normal increments
     seed: int
 
     @property
     def n_particles(self) -> int:
         return self.states.shape[1]
+
+    @property
+    def picard_iterations(self) -> int:
+        return len(self.residual_history)
+
+    @property
+    def final_residual(self) -> float:
+        return self.residual_history[-1]
 
     def to_csv(self, path) -> None:
         """One row per (time step, particle): t, index, state, control, u_x."""
@@ -439,7 +445,6 @@ def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
         grid=grid, states=states, momenta=momenta,
         controls=fixed_point_phi(model, states, momenta),
         value_field=ValueField(u, xs, grid.ts),
-        picard_iterations=len(history), final_residual=history[-1],
         residual_history=history, brownian=brownian, seed=seed,
     )
 

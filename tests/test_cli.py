@@ -56,7 +56,6 @@ tol = 1e-9
 kind = ll
 directions = 2
 slices = 3
-fd_eps = 1e-3
 tol_c = 0.05
 {force}
 [check]
@@ -241,8 +240,6 @@ which = matrix1
         ("mono", "monotonicity", "slices", "five"),
         ("mono", "monotonicity", "slices", "0"),
         ("propagate", "monotonicity", "lambda", "-1"),
-        ("propagate", "monotonicity", "fd_eps", "0"),
-        ("mono", "monotonicity", "fd_eps", "0"),
         ("check", "check", "samples", "forty"),
         ("propagate", "check", "samples", "0"),
         ("check", "check", "atoms", "1"),
@@ -286,6 +283,22 @@ which = matrix1
         out = tmp_path / "o"
         assert main(["chain", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["passed"] is True
+
+    def test_fd_eps_of_older_configs_is_ignored(self, tmp_path):
+        # No finite-difference step is taken: any fd_eps, even one that is no
+        # step at all, leaves a mono run's artifacts as they are without it.
+        base = BASE_CONFIGS["mono"]
+        outs = []
+        for name, text in [("absent", base)] + [
+                (value, with_key(base, "monotonicity", "fd_eps", value))
+                for value in ("0", "-1", "1e-3")]:
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_text(text)
+            outs.append(tmp_path / name)
+            assert main(["mono", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+        for out in outs[1:]:
+            for artifact in ("samples.csv", "report.json"):
+                assert (out / artifact).read_bytes() == (outs[0] / artifact).read_bytes()
 
     def test_chain_tolerance_is_relative_to_hhat(self, tmp_path):
         # At df0/dm2 = 0.999, Hhat reaches ~6e3 and the central differences

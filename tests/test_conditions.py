@@ -9,9 +9,8 @@ from reference_forms import disp_form, dx2_form, ibar_form, ll_form
 from test_calculus import random_models
 
 from mfgclab.conditions import (
+    ANTI_BOUNDS,
     ConditionError,
-    QuadraticFormSample,
-    affine_feedback,
     anti_theta1,
     check_anti_assumption,
     check_disp_condition,
@@ -34,6 +33,11 @@ REFERENCE_FORMS = (ll_form, ibar_form, dx2_form)
 
 def quadratic(matrix, v):
     return float(v @ matrix @ v)
+
+
+def law_tables(model, xi, p):
+    """The hat table of each law (xi[k], p[k]), each from its own call."""
+    return [hat_derivative_table(model, x, q) for x, q in zip(xi, p)]
 
 
 def reference_gap(table, rng, n_directions=8):
@@ -124,14 +128,32 @@ class TestMatrix1:
                 check_matrix1(c1, 0.05, 0.1, 0.0, 0.75)
 
 
+class TestConditionSamples:
+    def test_each_law_draws_its_feedback_then_its_states(self):
+        # Even laws take an affine feedback, odd laws a clipped cubic, from
+        # one generator in law order.
+        xi, p = make_condition_samples(4, 6, seed=5)
+        assert xi.shape == p.shape == (4, 6)
+        rng = np.random.default_rng(5)
+        for k in range(4):
+            if k % 2 == 0:
+                intercept, slope = rng.normal(0, 0.5), rng.normal(0, 1.0)
+                x = rng.normal(0.0, 1.0, 6)
+                want = intercept + slope * x
+            else:
+                coeffs = rng.normal(0, 0.5, size=4)
+                x = rng.normal(0.0, 1.0, 6)
+                want = np.clip(np.polynomial.polynomial.polyval(x, coeffs), -3.0, 3.0)
+            assert np.array_equal(xi[k], x) and np.array_equal(p[k], want), k
+
+
 class TestFormMatrices:
     def test_agree_with_reference_forms_on_chain_model(self):
         # Every table entry is nonzero there, and b0x != 0 makes the measure
         # tables depend on the support atom.
         model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
         rng = np.random.default_rng(8)
-        for sample in make_condition_samples(6, 16, seed=3):
-            table = sample.table(model)
+        for table in law_tables(model, *make_condition_samples(6, 16, seed=3)):
             assert all(np.all(getattr(table, name) != 0.0)
                        for name in ("h_pp", "h_xx", "h_xp", "h_xrho1", "h_xrho2",
                                     "h_prho1", "h_prho2"))
@@ -147,7 +169,8 @@ class TestFormMatrices:
 
     def test_matrices_are_symmetric(self):
         model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
-        matrices = form_matrices(make_condition_samples(1, 12, seed=4)[0].table(model))
+        (table,) = law_tables(model, *make_condition_samples(1, 12, seed=4))
+        matrices = form_matrices(table)
         assert matrices.shape == (3, 36, 36)
         assert np.array_equal(matrices, matrices.swapaxes(-1, -2))
 
@@ -155,23 +178,21 @@ class TestFormMatrices:
         # One call over a stack of laws, as the gates make it: each law's
         # matrices are bit-identical to its own call's.
         model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
-        samples = make_condition_samples(6, 12, seed=8)
-        table = hat_derivative_table(model, np.stack([s.xi for s in samples]),
-                                     np.stack([s.momenta() for s in samples]))
-        stacked = form_matrices(table)
+        xi, p = make_condition_samples(6, 12, seed=8)
+        stacked = form_matrices(hat_derivative_table(model, xi, p))
         assert stacked.shape == (6, 3, 36, 36)
-        for k, sample in enumerate(samples):
-            assert np.array_equal(stacked[k], form_matrices(sample.table(model))), k
+        for k, table in enumerate(law_tables(model, xi, p)):
+            assert np.array_equal(stacked[k], form_matrices(table)), k
 
     def test_gate_over_chunks_of_laws_equals_each_law(self):
         # 40 laws of 16 atoms take three form_matrices calls in a gate; the
         # largest value is the one each law's own matrix gives.
         model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
-        samples = make_condition_samples(40, 16, seed=2)
-        report = check_disp_condition(model, 0.5, samples, tol=1e9)
+        xi, p = make_condition_samples(40, 16, seed=2)
+        report = check_disp_condition(model, 0.5, xi, p, tol=1e9)
         values = []
-        for sample in samples:
-            ll, ibar, dx2 = form_matrices(sample.table(model))
+        for table in law_tables(model, xi, p):
+            ll, ibar, dx2 = form_matrices(table)
             values.append(16 * np.linalg.eigvalsh(ll + ibar + 0.5 * dx2)[-1])
         assert report.details["max_value"] == max(values)
 
@@ -181,10 +202,10 @@ class TestFormMatrices:
         # or one matrix: the gates peak below the 2.97 MB of the 40 per-law
         # calls they replace.
         model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
-        samples = make_condition_samples(40, 16, seed=1)
-        check_ll_condition(model, samples)
-        for gate in (lambda: check_ll_condition(model, samples),
-                     lambda: check_disp_condition(model, 0.5, samples)):
+        xi, p = make_condition_samples(40, 16, seed=1)
+        check_ll_condition(model, xi, p)
+        for gate in (lambda: check_ll_condition(model, xi, p),
+                     lambda: check_disp_condition(model, 0.5, xi, p)):
             tracemalloc.start()
             try:
                 gate()
@@ -207,56 +228,56 @@ class TestFormMatrices:
 class TestLLCondition:
     def test_passing_parameters(self):
         model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
-        report = check_ll_condition(model, make_condition_samples(40, 16, seed=1))
+        report = check_ll_condition(model, *make_condition_samples(40, 16, seed=1))
         assert report.passed
 
     def test_failing_parameters_produce_mean_directed_witness(self):
         model = ll_example_model(c1=0.5, c2=0.03, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
-        report = check_ll_condition(model, make_condition_samples(40, 16, seed=1))
+        report = check_ll_condition(model, *make_condition_samples(40, 16, seed=1))
         assert not report.passed
         eta = np.asarray(report.witness["eta"])
         assert np.allclose(eta, eta[0])  # all mass on the mean direction
 
     def test_zero_variables_trivially_pass(self):
         model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
-        sample = QuadraticFormSample(np.linspace(-1, 1, 8), affine_feedback(0.0, 1.0))
-        table = sample.table(model)
+        xi = np.linspace(-1, 1, 8)[None, :]
+        table = hat_derivative_table(model, xi[0], xi[0])
         zero = np.zeros(8)
         assert ll_form(table, zero, zero, zero) == 0.0
         assert quadratic(form_matrices(table)[0], np.zeros(24)) == 0.0
-        assert check_ll_condition(model, [sample]).passed
+        assert check_ll_condition(model, xi, xi).passed
 
     def test_matrix_pass_implies_form_pass_over_500_samples(self):
         model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
         assert check_matrix1(**PASSING).passed
         samples = make_condition_samples(500, 16, seed=77)
-        report = check_ll_condition(model, samples)
+        report = check_ll_condition(model, *samples)
         assert report.passed
         # Converse (form failure when the matrix fails) is empirical; record it.
         model_bad = ll_example_model(c1=0.5, c2=0.03, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
-        report_bad = check_ll_condition(model_bad, samples)
+        report_bad = check_ll_condition(model_bad, *samples)
         assert not check_matrix1(**FAILING).passed
         assert not report_bad.passed
 
     def test_exchangeability_under_atom_relabeling(self):
         model = ll_example_model(c1=0.4, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.5))
         rng = np.random.default_rng(3)
-        sample = make_condition_samples(1, 12, seed=9)[0]
+        (xi,), (p,) = make_condition_samples(1, 12, seed=9)
         eta, gamma, zeta = rng.normal(size=(3, 12))
-        value = ll_form(sample.table(model), eta, gamma, zeta)
+        value = ll_form(hat_derivative_table(model, xi, p), eta, gamma, zeta)
         perm = rng.permutation(12)
-        shuffled = QuadraticFormSample(sample.xi[perm], sample.phi_map)
-        assert ll_form(shuffled.table(model), eta[perm], gamma[perm],
+        shuffled = hat_derivative_table(model, xi[perm], p[perm])
+        assert ll_form(shuffled, eta[perm], gamma[perm],
                        zeta[perm]) == pytest.approx(value, abs=1e-14)
 
     def test_witness_attains_reported_value(self):
         model = ll_example_model(c1=0.5, c2=0.03, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
-        samples = make_condition_samples(40, 16, seed=1)
-        report = check_ll_condition(model, samples)
+        xi, p = make_condition_samples(40, 16, seed=1)
+        report = check_ll_condition(model, xi, p)
         witness = report.witness
         eta, gamma, zeta = (np.asarray(witness[k]) for k in ("eta", "gamma", "zeta"))
         assert np.mean(eta**2 + gamma**2 + zeta**2) == pytest.approx(1.0, rel=1e-12)
-        table = samples[witness["sample"]].table(model)
+        table = hat_derivative_table(model, xi[witness["sample"]], p[witness["sample"]])
         assert ll_form(table, eta, gamma, zeta) == pytest.approx(witness["value"], rel=1e-10)
         value = witness["value"]
         assert report.worst_margin == pytest.approx(
@@ -266,14 +287,14 @@ class TestLLCondition:
 class TestDispCondition:
     def test_quadratic_cost_passes(self):
         model = disp_example_model(c=0.5, b1=MeanPoly2.linear(m2=0.6), f1_x=(0, 0, 0.25))
-        report = check_disp_condition(model, 0.0, make_condition_samples(40, 16, seed=2))
+        report = check_disp_condition(model, 0.0, *make_condition_samples(40, 16, seed=2))
         assert report.passed
 
     def test_strong_negative_state_coupling_fails(self):
         # f1 = (kappa/2) x^2 - K x E[xi] with K > kappa: the mean direction wins.
         model = disp_example_model(c=0.5, b1=MeanPoly2.linear(m2=0.6),
                                    f1_x=(0, 0, 0.25), q1=-0.8)
-        report = check_disp_condition(model, 0.0, make_condition_samples(40, 16, seed=2))
+        report = check_disp_condition(model, 0.0, *make_condition_samples(40, 16, seed=2))
         assert not report.passed
         assert report.witness["value"] > 0
 
@@ -282,14 +303,14 @@ class TestDispCondition:
         # The semi-monotone model: its exact maximum is 0 up to lambda = 1
         # and +6.7e-2 on every law at lambda = 1.05.
         model = disp_example_model(c=0.5, b1=MeanPoly2.linear(m2=0.6), f1_x=(0, 0, 0.5))
-        samples = make_condition_samples(40, 16, seed=11)
-        report = check_disp_condition(model, lam, samples)
+        xi, p = make_condition_samples(40, 16, seed=11)
+        report = check_disp_condition(model, lam, xi, p)
         assert report.passed is passed
         if not passed:
             witness = report.witness
             assert witness["value"] == pytest.approx(6.7e-2, abs=1e-3)
             eta, gamma, zeta = (np.asarray(witness[k]) for k in ("eta", "gamma", "zeta"))
-            table = samples[witness["sample"]].table(model)
+            table = hat_derivative_table(model, xi[witness["sample"]], p[witness["sample"]])
             assert disp_form(table, eta, gamma, zeta, lam) == pytest.approx(
                 witness["value"], rel=1e-10)
 
@@ -303,30 +324,48 @@ class TestDispSufficient:
         # c0 = |cbar * 0.6 - chat| = |1.2 - 1| = 0.2; all couplings vanish so
         # the scalar inequality reads kappa >= 0.
         report = check_disp_sufficient(self.make_model(), 0.0, 0.2,
-                                       make_condition_samples(30, 16, seed=4))
+                                       *make_condition_samples(30, 16, seed=4))
         assert report.passed
         scalar = report.details["scalar_inequality"]
         assert scalar["holds"] and scalar["rhs"] == pytest.approx(0.0)
 
     def test_zero_direction_on_form(self):
         model = self.make_model()
-        sample = QuadraticFormSample(np.linspace(-1, 1, 8), affine_feedback(0.1, 0.5))
-        assert quadratic(sufficient_matrix(sample.table(model), 0.0, 0.2), np.zeros(8)) == 0.0
-        report = check_disp_sufficient(model, 0.0, 0.2, [sample])
+        xi = np.linspace(-1, 1, 8)[None, :]
+        p = 0.1 + 0.5 * xi
+        table = hat_derivative_table(model, xi[0], p[0])
+        assert quadratic(sufficient_matrix(table, 0.0, 0.2), np.zeros(8)) == 0.0
+        report = check_disp_sufficient(model, 0.0, 0.2, xi, p)
         assert report.passed
 
     def test_state_coupling_beyond_curvature_fails_scalar_inequality(self):
         report = check_disp_sufficient(self.make_model(q1=0.8), 0.0, 0.2,
-                                       make_condition_samples(30, 16, seed=4))
+                                       *make_condition_samples(30, 16, seed=4))
         scalar = report.details["scalar_inequality"]
         assert not scalar["holds"]
         assert not report.passed
 
     def test_undersized_c0_is_hypothesis_violation(self):
         report = check_disp_sufficient(self.make_model(), 0.0, 0.05,
-                                       make_condition_samples(10, 16, seed=4))
+                                       *make_condition_samples(10, 16, seed=4))
         assert not report.passed
         assert report.failure_kind == "hypothesis"
+
+    @pytest.mark.parametrize("c0,bound", [(0.05, "h_prho2"), (1.0, "h_pp")])
+    def test_hypothesis_witness_is_the_first_failing_law(self, c0, bound):
+        # Against each law's own table, h_prho2 checked before h_pp.
+        model = self.make_model()
+        xi, p = make_condition_samples(10, 16, seed=4)
+        report = check_disp_sufficient(model, 0.0, c0, xi, p)
+        for k, t in enumerate(law_tables(model, xi, p)):
+            if np.max(np.abs(t.h_prho2)) > c0 + 1e-9:
+                want = {"sample": k, "bound": "h_prho2", "value": np.max(np.abs(t.h_prho2))}
+                break
+            if np.max(t.h_pp) >= -c0 - 1e-12:
+                want = {"sample": k, "bound": "h_pp", "value": np.max(t.h_pp)}
+                break
+        assert want["bound"] == bound
+        assert report.witness == {**want, "c0": c0}
 
     def test_value_bounds_the_displacement_form(self):
         # The sufficient condition's form v(eta) bounds the displacement form
@@ -338,10 +377,10 @@ class TestDispSufficient:
         rng = np.random.default_rng(6)
         n = 16
         for lam in (0.0, 0.5):
-            for sample in make_condition_samples(10, n, seed=4):
-                report = check_disp_sufficient(model, lam, 0.5, [sample], tol=0.0)
+            for xi, p in zip(*make_condition_samples(10, n, seed=4)):
+                report = check_disp_sufficient(model, lam, 0.5, xi[None], p[None], tol=0.0)
                 assert report.failure_kind is None
-                table = sample.table(model)
+                table = hat_derivative_table(model, xi, p)
                 matrix = sufficient_matrix(table, lam, 0.5)
                 eigvals, eigvecs = np.linalg.eigh(matrix)
                 value = report.worst_margin  # tol = 0: the margin is the value
@@ -360,7 +399,7 @@ class TestDispSufficient:
 
 class TestAntiAssumption:
     LV = LambdaVec(1.0, 1.0, 1.0, 8.0)
-    SAMPLES = make_condition_samples(40, 16, seed=0)
+    XI, P = make_condition_samples(40, 16, seed=0)
 
     def make_model(self, l0=15.0):
         return preset_model({"family": "anti_example", "c": "0.5", "gamma": "1.0",
@@ -376,7 +415,7 @@ class TestAntiAssumption:
     def test_zero_l3_fails_at_theta_stage(self):
         report = check_anti_assumption(self.make_model(), LambdaVec(1, 1, 1, 0),
                                        l0=15.0, gamma_lo=0.5, gamma_hi=2.0,
-                                       l_bar=1.0, lu_xx=1.0, samples=self.SAMPLES)
+                                       l_bar=1.0, lu_xx=1.0, xi=self.XI, p=self.P)
         assert not report.passed
         assert report.failure_kind == "theta"
         assert report.details["theta1"] == pytest.approx(4.0 / np.sqrt(2.0))
@@ -391,7 +430,7 @@ class TestAntiAssumption:
     def test_full_pass_with_large_mean_reversion(self):
         report = check_anti_assumption(self.make_model(l0=15.0), self.LV,
                                        l0=15.0, gamma_lo=0.5, gamma_hi=2.0,
-                                       l_bar=1.0, lu_xx=1.0, samples=self.SAMPLES)
+                                       l_bar=1.0, lu_xx=1.0, xi=self.XI, p=self.P)
         assert report.passed, report.witness
         assert report.details["gain_margin"] > 0
 
@@ -399,13 +438,32 @@ class TestAntiAssumption:
         # -Hhat_xp = l0 meets the bound with zero margin and must pass.
         report = check_anti_assumption(self.make_model(l0=15.0), self.LV,
                                        l0=15.0, gamma_lo=0.5, gamma_hi=2.0,
-                                       l_bar=1.0, lu_xx=1.0, samples=self.SAMPLES)
+                                       l_bar=1.0, lu_xx=1.0, xi=self.XI, p=self.P)
         assert report.details["bounds_margin"] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("l0,l_bar", [(1.0, 0.1), (15.0, 0.1), (20.0, 5.0), (5.0, 1.0)])
+    def test_bounds_witness_is_the_first_failure_by_law_then_bound(self, l0, l_bar):
+        # Against each law's own table, its nine margins in ANTI_BOUNDS order.
+        model = self.make_model(l0=15.0)
+        report = check_anti_assumption(model, self.LV, l0=l0, gamma_lo=0.5, gamma_hi=2.0,
+                                       l_bar=l_bar, lu_xx=1.0, xi=self.XI, p=self.P)
+        rows = []
+        for t in law_tables(model, self.XI, self.P):
+            rows.append([2.0 * l0 - np.max(np.abs(t.h_xp)), 2.0 * l0 - np.max(np.abs(t.h_xx)),
+                         *(l_bar - np.max(np.abs(getattr(t, name))) for name in
+                           ("h_pp", "h_xrho1", "h_xrho2", "h_prho1", "h_prho2")),
+                         np.min(-t.h_xp) - l0, np.min(-t.h_xx) - 0.5 * l0])
+        failures = [(k, j) for k, row in enumerate(rows) for j, m in enumerate(row) if m < -1e-9]
+        assert failures, "the case must fail a bound"
+        k, j = failures[0]
+        assert report.failure_kind == "derivative_bounds"
+        assert report.witness == {"sample": k, "bound": ANTI_BOUNDS[j], "margin": rows[k][j]}
+        assert report.worst_margin == min(map(min, rows))
 
     def test_insufficient_mean_reversion_fails_gain_stage(self):
         report = check_anti_assumption(self.make_model(l0=5.0), self.LV,
                                        l0=5.0, gamma_lo=0.5, gamma_hi=2.0,
-                                       l_bar=1.0, lu_xx=1.0, samples=self.SAMPLES)
+                                       l_bar=1.0, lu_xx=1.0, xi=self.XI, p=self.P)
         assert not report.passed
         assert report.failure_kind == "gain"
 

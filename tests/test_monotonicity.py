@@ -234,7 +234,7 @@ class TestSweepWithSolver:
         pic = PicardSettings(max_iter=150, tol=1e-9, damping=0.6)
         flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid, pic, seed=7)
         access = ValueAccess(model, flow)
-        tol = tolerance_scale(grid.dt, grid.dx, 16, 1e-3, c=0.2)
+        tol = tolerance_scale(grid.dt, grid.dx, 16, c=0.2)
         report = monotonicity_sweep(access, LL, slices=3, battery_size=6, tolerance=tol,
                                     seed=0)
         assert report.verdict, (report.minimum, tol)

@@ -1,11 +1,13 @@
+import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from mfgclab.measures import gaussian_quantile_cloud
-from mfgclab.config import preset_model
+from mfgclab.config import ExperimentConfig, preset_model
 from mfgclab.models import MeanPoly2, Model, QuadraticTerminalCost
 from mfgclab.monotonicity import (
     LambdaVec,
@@ -30,6 +32,7 @@ from mfgclab.propagation import (
 )
 from mfgclab.solver import Grid, PicardSettings, ValueAccess, solve_mfgc
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 N = 16
 MU0 = gaussian_quantile_cloud(N, 0.0, 1.0)
 LL = LasryLions()
@@ -63,6 +66,17 @@ def lq_setup():
     pic = PicardSettings(max_iter=40, tol=1e-10, damping=1.0)
     flow = solve_mfgc(model, MU0, grid, pic, seed=42)
     return model, grid, flow, ValueAccess(model, flow)
+
+
+@pytest.fixture(scope="module")
+def shipped_ll_batch():
+    """simulate_variational of the ll_propagation.ini flow (113 levels) at 12
+    directions: (dX, G, U, table)."""
+    cfg = ExperimentConfig.from_ini(CONFIGS / "ll_propagation.ini")
+    model = cfg.model()
+    flow = solve_mfgc(model, cfg.initial_cloud(), cfg.grid(), cfg.picard(), seed=cfg.seed)
+    etas = np.array(direction_battery(flow.states[0], 12, cfg.seed))
+    return simulate_variational(ValueAccess(model, flow), etas)
 
 
 def ll_setup(t_end=0.25, n_x=81, c2=0.05, terminal=None, seed=7):
@@ -146,23 +160,50 @@ class TestSimulateVariational:
 class TestRhsFormulas:
     def test_zero_direction_rhs_all_zero(self):
         model, grid, flow, access = ll_setup()
-        dx, gamma, upsilon, tables = simulate_variational(access, np.zeros((1, N)))
-        out = evaluate_rhs_formulas(tables[0], dx[:, 0], gamma[:, 0], upsilon[:, 0], lam=1.0)
-        assert out["dtI_rhs"].tolist() == [0.0]
-        assert out["dtIbar_rhs"].tolist() == [0.0]
-        assert out["d_deltaX2_rhs"].tolist() == [0.0]
-        assert out["cd_disp_rhs"].tolist() == [0.0]
+        dx, gamma, upsilon, table = simulate_variational(access, np.zeros((1, N)))
+        out = evaluate_rhs_formulas(table, dx, gamma, upsilon, lam=1.0)
+        for name in ("dtI_rhs", "dtIbar_rhs", "d_deltaX2_rhs", "cd_disp_rhs"):
+            assert out[name].shape == (1, grid.n_t + 1)
+            assert np.all(out[name] == 0.0), name
 
     def test_uncoupled_reduction_of_curvature_pairing(self, lq_setup):
         # No measure coupling: Upsilon = 0 and the curvature-pairing derivative
         # collapses to -E[gamma^2] - Hxx E[dX^2] with Hpp = -1, Hxx = 0.
         model, grid, flow, access = lq_setup
-        dx, gamma, upsilon, tables = simulate_variational(access, np.ones((1, N)))
+        dx, gamma, upsilon, table = simulate_variational(access, np.ones((1, N)))
+        (dt_ibars,) = evaluate_rhs_formulas(table, dx, gamma, upsilon)["dtIbar_rhs"]
         for k in range(0, grid.n_t + 1, max(1, (grid.n_t + 1) // 6)):
             assert np.max(np.abs(upsilon[:, k])) <= 1e-10
-            (dt_ibar,) = evaluate_rhs_formulas(tables[k], dx[:, k], gamma[:, k],
-                                               upsilon[:, k])["dtIbar_rhs"]
+            dt_ibar = dt_ibars[k]
             assert dt_ibar == pytest.approx(-float(np.mean(gamma[:, k]**2)), abs=1e-12)
+
+    def test_stacked_levels_equal_one_level_calls(self, shipped_ll_batch):
+        # 113 levels in seven chunks of forms: each level's columns are
+        # bit-identical to a call on that level alone.
+        dx, gamma, upsilon, table = shipped_ll_batch
+        assert dx.shape == (12, 113, N)
+        out = evaluate_rhs_formulas(table, dx, gamma, upsilon, lam=0.5)
+        for k in range(113):
+            level = slice(k, k + 1)
+            one = evaluate_rhs_formulas(table[level], dx[:, level], gamma[:, level],
+                                        upsilon[:, level], lam=0.5)
+            for name, column in out.items():
+                assert column.shape == (12, 113)
+                assert np.array_equal(column[:, level], one[name]), (name, k)
+
+    def test_peak_memory_at_12_directions_on_113_levels(self, shipped_ll_batch):
+        # The forms of at most FORMS_BYTES of levels at a time: the bound of
+        # the gates' peak-memory test, where one call over all 113 levels
+        # would hold 10 MB of forms.
+        dx, gamma, upsilon, table = shipped_ll_batch
+        evaluate_rhs_formulas(table, dx, gamma, upsilon)
+        tracemalloc.start()
+        try:
+            evaluate_rhs_formulas(table, dx, gamma, upsilon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000
 
     def test_formula_equality_along_coupled_trace(self):
         model, grid, flow, access = ll_setup()
