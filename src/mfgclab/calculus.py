@@ -3,9 +3,10 @@
 The chain-rule check of the reduced Hamiltonian Hhat(x, p, rho) =
 H(x, p, Phi(rho)) against central differences, and the one directional
 measure derivative of the value-function gradient that the monotonicity
-functionals consume, taken in forward mode by the value access at the
-solved cloud of one grid level.  Measure derivatives are Lions derivatives
-of a uniform cloud: N times the partial derivative in one atom.
+functionals consume, read by the value access from the exact
+measure-derivative matrix at the solved cloud of one grid level.  Measure
+derivatives are Lions derivatives of a uniform cloud: N times the partial
+derivative in one atom.
 """
 from __future__ import annotations
 
@@ -93,35 +94,12 @@ def value_measure_gradient(access, k: int, etas) -> np.ndarray:
 
     Row b is D_i = (1/N) sum_j d_x d_mu V(t_k, x_i, mu_k, x_j) eta_j at every
     atom x_i of mu_k, the uniform cloud of the access's N atoms at level k.
-    ``access.tangent(k, etas)`` computes it in one forward-mode pass
-    (``solver.ValueAccess.tangent``) for the unique directions only: D is
-    odd in eta, so a zero row is zero, and a row equal to an earlier row or
-    to its negation copies or negates that row's result.  The tangent
-    computes each row as in a one-direction request, so every row is
+    ``access.tangent(k, etas)`` computes it (``solver.ValueAccess.tangent``:
+    the level's measure-derivative matrix times each row), every row
     bit-identical to asking for it alone.
     """
     etas = np.asarray(etas, dtype=float)
     if etas.ndim != 2 or etas.shape[1] != access.n_particles:
         raise CalculusError(f"direction stack of shape {etas.shape} does not match "
                             f"the cloud's {access.n_particles} atoms")
-    out = np.zeros(etas.shape)
-    # Each nonzero row and its negation map to the row's place in the
-    # request.  Tuples of floats compare with ==, so 0.0 matches -0.0 and a
-    # row holding a NaN matches nothing and reaches the finiteness check.
-    seen, unique, copies = {}, [], []
-    for b, row in enumerate(map(tuple, etas.tolist())):
-        if row in seen:
-            copies.append((b, *seen[row]))
-        elif any(row):
-            seen[row] = (len(unique), 1.0)
-            seen[tuple(-v for v in row)] = (len(unique), -1.0)
-            unique.append(b)
-    if not unique:
-        return out
-    tangents = access.tangent(k, etas[unique])
-    if not np.isfinite(tangents).all():
-        raise CalculusError("the value gradient's tangent is not finite")
-    out[unique] = tangents
-    for b, source, sign in copies:
-        out[b] = sign * tangents[source]
-    return out
+    return access.tangent(k, etas)

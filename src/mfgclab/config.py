@@ -77,12 +77,15 @@ def _floats(text: str) -> tuple:
 
 
 def _number(sec: dict, key: str, default: str, cast=float, least=None):
-    """One numeric INI value; a malformed or out-of-range value is a ConfigError."""
+    """One numeric INI value; a malformed, non-finite or out-of-range value is
+    a ConfigError."""
     raw = sec.get(key, default)
     try:
         value = cast(raw)
     except ValueError as err:
         raise ConfigError(f"bad {key} = {raw!r}: {err}") from err
+    if not np.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
     if least is not None and value < least:
         raise ConfigError(f"{key} must be at least {least}, got {value}")
     return value
@@ -304,7 +307,7 @@ class ExperimentConfig:
         return PropagationConfig(
             kind=self.monotonicity_kind(),
             n_directions=_number(sec, "directions", "12", int, 1),
-            tol_c=_number(sec, "tol_c", "0.05"),
+            tol_c=_number(sec, "tol_c", "0.05", least=0.0),
             gate_samples=gate_samples,
             gate_atoms=gate_atoms,
             seed=self.seed if seed is None else seed,

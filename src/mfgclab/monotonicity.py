@@ -19,10 +19,9 @@ Access to V is keyed by the level index k alone and answers at that level's
 cloud, whose size is the access's ``n_particles``.  ``field(k)`` returns
 V_xx(t_k, ., mu_k) at the atoms, and ``tangent(k, etas)`` the (B, N)
 directional measure derivatives of the value gradient there for the (B, N)
-stack of directions, each row as if asked alone; ``value_measure_gradient``
-asks it for the unique nonzero directions up to sign only, since the
-derivative is odd in the direction.  ``solver.ValueAccess`` provides both
-for a converged flow, and a fixed terminal cost at a fixed cloud serves as
+stack of directions, each row as if asked alone.  ``solver.ValueAccess``
+provides both for a converged flow, from the exact measure-derivative
+matrix of each level, and a fixed terminal cost at a fixed cloud serves as
 well.
 """
 from __future__ import annotations

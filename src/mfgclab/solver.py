@@ -18,20 +18,18 @@ levels (``models.mean_terms``), and the backward sweep also their
 x-dependent parts on the grid (``models.hamiltonian_terms``) before it
 starts.  ``solve_mfgc`` iterates the map, Anderson-mixed, to tolerance.
 
-The per-level loops (the backward sweep, the forward push and the response
-pass of ``_linearise``) are bound by numpy's per-call cost, not by
-arithmetic, so each level makes a fixed handful of calls that write into
-buffers allocated once per call: the time step and the stencils' scales
-are folded into the Hamiltonian's terms before the loop, and stencils and
-shifted rows are slices and views.  No buffer outlives its call.
+The per-level loops (the backward sweep and the forward push) are bound
+by numpy's per-call cost, not by arithmetic, so each level makes a fixed
+handful of calls that write into buffers allocated once per call: the time
+step and the stencils' scales are folded into the Hamiltonian's terms
+before the loop, and stencils and shifted rows are slices and views.  No
+buffer outlives its call.
 ``ValueAccess`` reads V_xx of the solved flow at the cloud of a level k,
 and gives the measure derivative of the value gradient along displacements
-of that cloud: the forward-mode derivative of a fixed number of undamped
-sweeps from the shifted base flow, with no displaced cloud re-solved.  A
-tangent sweep sees a displacement only through the per-level means of its
-two moments, so the access linearises once around the base flow into one
-channel map of those means, and a re-solve from level k reads it through a
-rank-n downdate carried by a cursor over the levels.
+of that cloud: M[k] eta, where the (levels, N, N) stack M is the exact
+derivative of the discrete equilibrium's u_x at each level's atoms with
+respect to those atoms, built once in one backward pass over the levels
+(``_measure_derivative``).
 """
 from __future__ import annotations
 
@@ -50,7 +48,6 @@ from .models import (
 )
 
 CFL_SAFETY = 0.45
-RESOLVE_SWEEPS = 6
 ANDERSON_DEPTH = 5
 
 
@@ -66,6 +63,12 @@ class PicardError(SolverError):
         self.residual_history = list(residual_history)
 
 
+def _check_bounds(x_min: float, x_max: float, t0: float, t_end: float) -> None:
+    if not np.all(np.isfinite((x_min, x_max, t0, t_end))):
+        raise SolverError(f"grid bounds must be finite, got x in [{x_min}, {x_max}] "
+                          f"and t in [{t0}, {t_end}]")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Space-time grid for one solve; time step limited by diffusion stability."""
@@ -78,6 +81,7 @@ class Grid:
     n_t: int
 
     def __post_init__(self):
+        _check_bounds(self.x_min, self.x_max, self.t0, self.t_end)
         if not self.x_min < self.x_max:
             raise SolverError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if not self.t0 < self.t_end:
@@ -96,6 +100,7 @@ class Grid:
 
     @staticmethod
     def cfl_steps(x_min: float, x_max: float, n_x: int, t0: float, t_end: float) -> int:
+        _check_bounds(x_min, x_max, t0, t_end)
         dx = (x_max - x_min) / (n_x - 1)
         return max(8, int(np.ceil((t_end - t0) / (CFL_SAFETY * dx**2))))
 
@@ -175,6 +180,8 @@ class PicardSettings:
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
             raise SolverError(f"damping must lie in (0, 1], got {self.damping}")
+        if not 0.0 < self.tol < np.inf:
+            raise SolverError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise SolverError("max_iter must be positive")
 
@@ -456,81 +463,34 @@ def terminal_field(model: Model, atoms: np.ndarray, xs: np.ndarray,
     return ValueField(model.g(xs, atoms)[None, :], xs, np.array([t_end]))
 
 
-@dataclass(frozen=True)
-class _Linearisation:
-    """The tangent of the fixed-sweep re-solve map at the converged base
-    flow, as one linear map of the per-level channel means.
+def _measure_derivative(model: Model, flow: EquilibriumFlow) -> np.ndarray:
+    """M, (levels, N, N): M[k] is the derivative of the discrete
+    equilibrium's u_x at the atoms of level k with respect to those atoms.
 
-    A channel (j, c) is a unit tangent of the moment m1 (c = 0) or m2
-    (c = 1) at level j, with index 2 j + c.  K[l] is the response of du_x
-    at the base atoms of level l to each channel through the backward sweep
-    of the value grid, with the terminal dg/dm1 in channel (n_t, 0).  It is
-    zero on the channels of levels < l, so ``kernel[l]`` (n, 2 (levels - l))
-    keeps only the channels of levels >= l, the ones a re-solve from level l
-    reads; its first two columns are zero but at the terminal level.
+    The equilibrium from level k is the fixed point of ``_sweep`` started
+    from a cloud x at level k with the base flow's Brownian increments; M[k]
+    differentiates that fixed point at x = base.states[k], not a truncation
+    of its iteration.  The coefficients are those of a sweep linearised
+    around the base flow: the moments of its fixed point, one backward sweep
+    of the value grid against them, the partials of H on the grid and at
+    the atoms, and the slope of u_x across each atom's cell.  The time step
+    is folded into every coefficient, and the weight 1/N of a mean into the
+    m1 partials.
 
-    At the atoms, the momentum tangent is dP = slope[l] dX + du_x and the
-    forward step maps dX_l to alpha[l] dX_l + E_l c, with the forcing E_l c
-    = hp_p[l] du_x + hp_m1[l] dm1_l + hp_m2[l] dm2_l.  The next channels are
-    atom means, dm1_l = mean(dX_l) and, through ``control_mean_tangent``,
-    dm2_l = mean(W_D[l, 1] dX_l) + mean(W_U[l] du_x) with weights of the
-    base atoms of level l; ``weights`` holds W_D (W_D[l, 0] = 1/n) and
-    ``first`` the channel weights of the entering sweep (state tangent eta
-    at every level, zero momentum tangent).
-
-    So one sweep of a re-solve from level k is affine in its channels:
-    c <- S_k c + B_k eta on the channels of levels >= k, where the gain B_k
-    has rows W_D[l] Q(l, k), with the propagator Q(l, k) = alpha[k] ...
-    alpha[l - 1] (``gain``).  ``channel_map`` is S_0 = W_U K + the rows
-    W_D[l] Y_l, where Y_l (n, 2 levels) is the state tangent of level l per
-    unit channel with no level displaced: Y_0 = 0, Y_{l + 1} = alpha[l] Y_l
-    + E_l.  A re-solve from k drops the forcing of every level m < k, a
-    rank-n downdate of S_0 per level; as Q(l, m + 1) = Q(l, k) Q(k, m + 1),
-    these sum to one rank-n term, S_k = S_0 - B_k Y_k.  On the channels of
-    levels >= k, Y_k sees only the du_x part of each E_m, which ``advance``
-    steps.  The time step is folded into every coefficient.
-    """
-
-    kernel: list             # K[l], (n, 2 (levels - l)) per level l
-    channel_map: np.ndarray  # (2 levels, 2 levels): S_0
-    first: np.ndarray        # (2 levels, n)
-    weights: np.ndarray      # (levels, 2, n): W_D
-    alpha: np.ndarray        # (levels, n)
-    hp_p: np.ndarray         # (levels, n)
-
-    def advance(self, response: np.ndarray, level: int, start: int = 0) -> None:
-        """Step the channels >= start of the (n, 2 levels) state response Y
-        across the forward step of ``level`` in place: Y <- alpha Y + hp_p
-        du_x.  The forcing's moment terms hp_m1, hp_m2 enter the channels of
-        ``level`` itself, which a re-solve from a later level never reads;
-        the build adds them."""
-        response[:, start:] *= self.alpha[level][:, None]
-        reach = max(start, 2 * level)
-        response[:, reach:] += self.hp_p[level][:, None] * self.kernel[level][:, reach - 2 * level:]
-
-    def gain(self, k: int) -> np.ndarray:
-        """B_k, (2 (levels - k), n): the channels of levels >= k per unit
-        state tangent at the atoms of level k."""
-        propagator = np.empty(self.alpha[k:].shape)
-        propagator[0] = 1.0
-        np.cumprod(self.alpha[k:-1], axis=0, out=propagator[1:])
-        return (self.weights[k:] * propagator[:, None, :]).reshape(-1, propagator.shape[1])
-
-
-def _linearise(model: Model, flow: EquilibriumFlow) -> _Linearisation:
-    """The channel map of the re-solve map around the base flow.
-
-    The moments are those of the base flow's fixed point and the value grid
-    is one backward sweep against them: a re-solve at zero displacement stays
-    at this flow up to the Picard residual, so every sweep of it shares one
-    linearisation.  K comes from one backward pass over the levels on the
-    stack of channel responses, which keeps only the channels of the levels
-    still ahead; S_0 from one forward pass of the state response Y.
-
-    The backward pass steps the response rows between two padded buffers
-    (ping-pong), with the three-band step on whole rows shifted by one node,
-    and reads du_x at the atoms from the four grid nodes that each atom's
-    interpolated ``_d1_rows`` stencil touches.
+    At the fixed point, the state tangent of level l + 1 is A_l dX_l + R_l
+    du_l, where du_l reads the tangent value row of level l at the atoms
+    (``_d1_rows`` and the atom-cell interpolation), A_l = diag(alpha_l) +
+    hp_m1 (x) 1/N + hp_m2 (x) W_D and R_l = diag(hp_p) + hp_m2 (x) W_U.  The
+    control mean moves by dm2_l = W_D dX_l + W_U du_l, with W_D = (a + b
+    slope + g (p + x slope)) / N and W_U = (b + g x) / N from
+    ``control_mean_tangent``'s coefficients (a, b, g).  One backward pass
+    over the levels carries U, the tangent value rows per unit displacement
+    of the atoms of the level above, and r, that level's dm2 per unit
+    displacement: from U = dg/dm1 (x) 1/N at the terminal level, each level
+    k steps V = Band U + h_m1 (x) 1/N + h_m2 (x) r, reads G = read_k(V) and
+    solves Phi = (I - R_k G)^-1 A_k, so that M[k] = G Phi, U <- V Phi and r
+    = W_D + W_U M[k].  U is kept as rows, one per atom.  A non-finite or
+    singular level is a ``SolverError`` naming it.
     """
     grid = flow.grid
     xs, dx, dt = grid.xs, grid.dx, grid.dt
@@ -554,100 +514,68 @@ def _linearise(model: Model, flow: EquilibriumFlow) -> _Linearisation:
     lower[:, -1] = -dt * hp[:, -1] / dx
     diag[:, -1] = 1.0 - lower[:, -1]
     # Partials that do not vary along an axis are broadcast views along it.
-    h_m1 = np.broadcast_to(dt * on_grid.h_m1, u.shape)
+    h_m1 = np.broadcast_to(dt / n * on_grid.h_m1, u.shape)
     h_m2 = np.broadcast_to(dt * on_grid.h_m2, u.shape)
 
     cell = np.clip(np.searchsorted(xs, states, side="right") - 1, 0, xs.size - 2)
     width = xs[cell + 1] - xs[cell]
+    weight = (states - xs[cell]) / width
     slope = (np.take_along_axis(ux, cell + 1, -1) - np.take_along_axis(ux, cell, -1)) / width
-    weight = ((states - xs[cell]) / width)[..., None]
-    # u_x at an atom interpolates the _d1_rows stencils of its cell's two
-    # nodes, which touch only the four nodes from cell - 1 on (moved inward
-    # at the edges): the readout of each atom is a window of four nodes and
-    # their weights.
-    window = np.clip(cell - 1, 0, xs.size - 4)[..., None] + np.arange(4)
-    stencil = _d1_rows(np.eye(xs.size), dx).T
-    lo, hi = stencil[cell[..., None], window], stencil[cell[..., None] + 1, window]
-    readout = lo + weight * (hi - lo)
 
-    # The blocks of K share one buffer: one allocation, which goes back to
-    # the system whole with the access instead of leaving holes in the heap.
-    widths = 2 * np.arange(levels, 0, -1)
-    kernel = [block.reshape(n, -1) for block in
-              np.split(np.zeros(n * widths.sum()), n * np.cumsum(widths)[:-1])]
-    # Row 2 j + c of a (2 levels, n_x) buffer: the tangent value row of the
-    # current level for channel (j, c).  Each level steps the rows of the
-    # channels that have reached it from one buffer into the other, with the
-    # band products in a third; the rows of the other channels stay zero in
-    # both.  A buffer is padded with one zero before and after its rows, so
-    # that the rows shifted by one node are views of whole rows: the one
-    # node a shift moves across a row's end meets the zero lower[:, 0] or
-    # upper[:, -1].
-    n_x, size = xs.size, 2 * levels * xs.size
-    response, spare = np.zeros(size + 2), np.zeros(size + 2)
-    band, at_nodes = np.empty(size), np.empty(2 * levels * n * 4)
-    response[1 + size - 2 * n_x:1 + size - n_x] = model.g.d_m1(xs, m1[-1])
-    # A divergent linearisation overflows on its way to inf/nan, which
-    # value_measure_gradient reports as a non-finite tangent.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for level in range(levels - 1, -1, -1):
-            # Only the channels of the levels after this one (and the
-            # terminal channel) have reached it.
-            first = 2 * min(level + 1, levels - 1)
-            start, shape = 1 + first * n_x, (2 * levels - first, n_x)
-            if level < levels - 1:
-                src = level + 1
-                row = response[start:start + shape[0] * n_x].reshape(shape)
-                left = response[start - 1:start - 1 + row.size].reshape(shape)    # row[:, j - 1]
-                right = response[start + 1:start + 1 + row.size].reshape(shape)   # row[:, j + 1]
-                out = spare[start:start + row.size].reshape(shape)
-                prod = band[:row.size].reshape(shape)
-                np.multiply(diag[src], row, out=out)
-                np.multiply(lower[src], left, out=prod)
-                out += prod
-                np.multiply(upper[src], right, out=prod)
-                out += prod
-                out[0] += h_m1[src]
-                out[1] += h_m2[src]
-                response, spare = spare, response
-            grids = response[start:start + shape[0] * n_x].reshape(shape)
-            gathered = at_nodes[:shape[0] * n * 4].reshape(shape[0], n, 4)
-            np.take(grids, window[level], axis=1, out=gathered, mode="clip")
-            np.einsum("cit,it->ic", gathered, readout[level],
-                      out=kernel[level][:, first - 2 * level:])
+    def read(level, rows):
+        """(atoms, rows): u_x of each tangent value row at level's atoms."""
+        d = _d1_rows(rows, dx)
+        lo = d[:, cell[level]]
+        return (lo + weight[level] * (d[:, cell[level] + 1] - lo)).T
 
-    # control_mean_tangent is linear in the tangents (dm1, de, ds) of the
-    # means of x, p and x p; its coefficients per level.
     a, b, g = (control_mean_tangent(model, m1, momenta.mean(axis=-1), *unit)[:, None]
                for unit in np.eye(3))
-    mean = np.full(states.shape, 1.0 / n)
-    lin = _Linearisation(
-        kernel=kernel,
-        channel_map=np.zeros((2 * levels, 2 * levels)),
-        first=np.stack((mean, (a + g * momenta) / n), axis=1).reshape(2 * levels, n),
-        weights=np.stack((mean, (a + b * slope + g * (momenta + states * slope)) / n), axis=1),
-        alpha=np.broadcast_to(1.0 + dt * (at_atoms.hp_x + at_atoms.hp_p * slope), states.shape),
-        hp_p=np.broadcast_to(dt * at_atoms.hp_p, states.shape),
-    )
-    hp_m1, hp_m2 = (np.broadcast_to(dt * h, states.shape)
-                    for h in (at_atoms.hp_m1, at_atoms.hp_m2))
-    channel_map, state_response = lin.channel_map, np.zeros((n, 2 * levels))
+    w_d = (a + b * slope + g * (momenta + states * slope)) / n
+    w_u = (b + g * states) / n
+    alpha = np.broadcast_to(1.0 + dt * (at_atoms.hp_x + at_atoms.hp_p * slope), states.shape)
+    hp_p, hp_m1, hp_m2 = (np.broadcast_to(dt * h, states.shape)
+                          for h in (at_atoms.hp_p, at_atoms.hp_m1 / n, at_atoms.hp_m2))
+
+    matrix = np.empty((levels, n, n))
+    diagonal = np.arange(n)
+    rows = np.outer(np.full(n, 1.0 / n), model.g.d_m1(xs, m1[-1]))
+    matrix[-1] = read(levels - 1, rows)
+    r = w_d[-1] + w_u[-1] @ matrix[-1]
+    # A divergent pass overflows on its way to inf/nan; the check below
+    # reports it, with its level, instead of numpy's floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for level in range(levels - 1):
-            lin.advance(state_response, level)
-            state_response[:, 2 * level] += hp_m1[level]
-            state_response[:, 2 * level + 1] += hp_m2[level]
-            channel_map[2 * level + 2:2 * level + 4] = lin.weights[level + 1] @ state_response
-        # The m2 channels also read du_x itself, with weights (b + g x) / n.
-        for level, (v, block) in enumerate(zip((b + g * states) / n, kernel)):
-            channel_map[2 * level + 1, 2 * level:] += v @ block
-    return lin
+        for k in range(levels - 2, -1, -1):
+            step = diag[k + 1] * rows
+            step[:, 1:] += lower[k + 1, 1:] * rows[:, :-1]
+            step[:, :-1] += upper[k + 1, :-1] * rows[:, 1:]
+            step += h_m1[k + 1]
+            step += r[:, None] * h_m2[k + 1]
+            read_k = read(k, step)
+            system = -hp_p[k][:, None] * read_k - np.outer(hp_m2[k], w_u[k] @ read_k)
+            system[diagonal, diagonal] += 1.0
+            forward = np.outer(hp_m2[k], w_d[k]) + hp_m1[k][:, None]
+            forward[diagonal, diagonal] += alpha[k]
+            try:
+                phi = np.linalg.solve(system, forward)
+            except np.linalg.LinAlgError as err:
+                raise SolverError(f"the measure derivative's linear system is singular "
+                                  f"at level {k}") from err
+            np.matmul(read_k, phi, out=matrix[k])
+            rows = phi.T @ step
+            r = w_d[k] + w_u[k] @ matrix[k]
+    # A non-finite entry spreads to every level below it through r, so the
+    # largest level holding one is where the pass first broke down.
+    finite = np.isfinite(matrix).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[-1])
+        raise SolverError(f"the measure derivative of the value gradient is not finite "
+                          f"at level {k}")
+    return matrix
 
 
 class ValueAccess:
     """V(t_k, ., mu_k) of a converged base flow at the solved cloud mu_k of
-    each level k, and the tangent of its gradient along displacements of
-    that cloud.
+    each level k, and the measure derivative of its gradient there.
 
     The level index k is the only key: mu_k is the uniform cloud of the
     atoms base.states[k], the only cloud the access answers at, and
@@ -656,36 +584,19 @@ class ValueAccess:
     outside 0..n_t is a ``SolverError``; a negative k is no alias from the
     end.
 
-    ``tangent`` is the derivative, at mu_k, of the fixed-sweep re-solve map
-    of a cloud x at level k: start from the base flow shifted atom by atom,
-    states = base.states[k:] + (x - base.states[k]) with the momenta
-    base.momenta[k:], reuse the base flow's Brownian increments and run
-    RESOLVE_SWEEPS undamped Picard sweeps with no residual check.  The map
-    itself is never run here; the tests realise it as the central-difference
-    oracle of the tangent.  The tangent sweeps are linear with coefficients
-    linearised once around the base flow, and a tangent sweep reads a
-    displacement only through the per-level means of its channels, so the
-    access builds one channel map S_0 once (``_linearise``) and a re-solve
-    from level k sweeps c <- S_k c + B_k eta on the channels of levels >= k.
-
-    S_k is S_0 downdated by the forcing of every level below k, which sums
-    to the rank-n term B_k Y_k.  The access keeps a cursor: the state
-    response Y_k of its last level k, on the channels of levels >= k, the
-    only ones a request at or above k reads.  Such a request steps those
-    channels forward level by level (``_Linearisation.advance``); a request
-    below the cursor restarts from Y_0 = 0.  A step is elementwise, so each
-    entry of Y_k is the same sequence of operations from Y_0 whatever came
-    before, and no history of requests can change a bit of an answer: a
-    fresh access and a reused one agree exactly.
+    The access builds M (``_measure_derivative``) once: M[k], (N, N), is
+    the exact derivative of the discrete equilibrium's u_x at level k's
+    atoms with respect to those atoms, where the equilibrium from level k is
+    the fixed point of the Picard sweep from a displaced cloud with the base
+    flow's Brownian increments.  ``tangent(k, etas)`` is M[k] eta for each
+    row eta.  The access holds M and nothing else beside its model and flow.
     """
 
     def __init__(self, model: Model, flow: EquilibriumFlow):
         self.model = model
         self.flow = flow
         self.n_particles = flow.n_particles
-        self._lin = _linearise(model, flow)
-        self._level = 0
-        self._response = np.zeros((flow.n_particles, 2 * flow.states.shape[0]))
+        self._matrix = _measure_derivative(model, flow)
 
     def _checked(self, k: int) -> int:
         n_t = self.flow.grid.n_t
@@ -699,32 +610,8 @@ class ValueAccess:
         return np.interp(self.flow.states[self._checked(k)], vf.xs, vf.u_xx[k])
 
     def tangent(self, k: int, etas: np.ndarray) -> np.ndarray:
-        """d/de of the re-solved u_x(t_k, x_i) at the cloud x + e eta, at e = 0
-        and x = base.states[k], one row per direction of the (B, N) stack etas.
-
-        The entering sweep's channels are ``first`` times eta, and each of
-        the other RESOLVE_SWEEPS - 1 sweeps maps the channels c of levels >=
-        k to S_0 c + B_k (eta - Y_k c): the rows of S_0 with the state
-        tangent at level k reset from the undisplaced response Y_k c to eta.
-        The last channels map to du_x at the atoms through K[k].  The
-        directions are the stack axis of every product, so each row is
-        computed as in a one-direction request.  ``value_measure_gradient``
-        passes only the unique nonzero directions up to sign, and fills the
-        other rows from these.
-        """
-        lin, start = self._lin, 2 * self._checked(k)
-        if k < self._level:
-            self._level = 0
-            self._response[...] = 0.0
-        eta = etas[..., None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            while self._level < k:
-                lin.advance(self._response, self._level, start)
-                self._level += 1
-            channel_map, response = lin.channel_map[start:, start:], self._response[:, start:]
-            gain = lin.gain(k)
-            channels = np.matmul(lin.first[start:], eta)
-            for _ in range(RESOLVE_SWEEPS - 1):
-                channels = (np.matmul(channel_map, channels)
-                            + np.matmul(gain, eta - np.matmul(response, channels)))
-            return np.matmul(lin.kernel[k], channels)[..., 0]
+        """d/de of the equilibrium's u_x(t_k, x_i) at the cloud x + e eta, at
+        e = 0 and x = base.states[k], one row per direction of the (B, N)
+        stack etas: one matrix-vector product per row, so each row is
+        bit-identical to asking for it alone."""
+        return np.matmul(self._matrix[self._checked(k)], etas[..., None])[..., 0]

@@ -1,17 +1,24 @@
-"""Reference implementation of the fixed-sweep re-solve map.
+"""Reference implementation of the re-solve of a displaced cloud.
 
-``ValueAccess.tangent`` is the derivative of this map at the base cloud;
-the package never runs the map itself, so the tests realise it here as the
-oracle of central differences.  The re-solve of a cloud x at level k starts
-from the base flow shifted atom by atom, states = base.states[k:] + (x -
-base.states[k]) with the momenta base.momenta[k:], reuses the base flow's
-Brownian increments and runs RESOLVE_SWEEPS undamped one-cloud ``_sweep``s
-with no residual check.  At the last level it is the terminal slice
-g(., mu).
+``ValueAccess.tangent`` is the derivative of the discrete equilibrium at
+the base cloud; the package never re-solves a displaced cloud, so the tests
+realise the re-solve here as the oracle of central differences.  The
+re-solve of a cloud x at level k starts from the base flow shifted atom by
+atom, states = base.states[k:] + (x - base.states[k]) with the momenta
+base.momenta[k:], reuses the base flow's Brownian increments and iterates
+undamped one-cloud ``_sweep``s to their fixed point.  At the last level it
+is the terminal slice g(., mu).
 """
 import numpy as np
 
-from mfgclab.solver import RESOLVE_SWEEPS, ValueField, _d1_rows, _sweep, terminal_field
+from mfgclab.solver import ValueField, _d1_rows, _sweep, terminal_field
+
+# The re-solve stops once a sweep moves no state or momentum by more than
+# RESOLVE_TOL.  Each undamped sweep contracts the distance to the fixed
+# point by at most about 0.2 on the tests' flows, so a displacement of 1e-2
+# converges in some 20 sweeps; MAX_SWEEPS bounds a map that does not.
+RESOLVE_TOL = 1e-15
+MAX_SWEEPS = 100
 
 
 def resolve_field(model, flow, k, x):
@@ -23,10 +30,16 @@ def resolve_field(model, flow, k, x):
     states = flow.states[k:] + (x - flow.states[k])
     states[0] = x
     momenta = flow.momenta[k:]
-    for _ in range(RESOLVE_SWEEPS):
-        states, momenta, u = _sweep(model, x, grid.xs, grid.dx, grid.dt, flow.brownian[k:],
-                                    states, momenta)
-    return ValueField(u[:1], grid.xs, grid.ts[k:k + 1])
+    for _ in range(MAX_SWEEPS):
+        prop_states, prop_momenta, u = _sweep(model, x, grid.xs, grid.dx, grid.dt,
+                                              flow.brownian[k:], states, momenta)
+        change = max(np.max(np.abs(prop_states - states)),
+                     np.max(np.abs(prop_momenta - momenta)))
+        states, momenta = prop_states, prop_momenta
+        if change <= RESOLVE_TOL:
+            return ValueField(u[:1], grid.xs, grid.ts[k:k + 1])
+    raise AssertionError(f"the re-solve from level {k} moved by {change:.1e} after "
+                         f"{MAX_SWEEPS} sweeps")
 
 
 def ux_at(field, level, x):

@@ -11,7 +11,7 @@ from mfgclab.monotonicity import direction_battery
 from mfgclab.solver import Grid, PicardSettings, ValueAccess, solve_mfgc
 
 # Relative gap of the eps = 1e-4 central difference to the tangent on the
-# general model of test_quadratic_mean_field: measured 1.1e-10, and 1.1e-10
+# general model of test_quadratic_mean_field: measured 1.1e-10, and 2.3e-11
 # to 1.8e-10 at other levels.  Smaller steps lose to round-off (1.3e-9 at
 # eps = 1e-6), larger ones to atoms that cross a grid node of the
 # interpolation (6.8e-6 at eps = 1e-3).
@@ -80,8 +80,8 @@ class TestValueMeasureGradient:
     def test_quadratic_mean_field(self):
         # Every coefficient nonzero: a mean drift B quadratic in (m1, m2),
         # b0x, f0x, a cubic b1_x and a quartic f1_x.  The central difference
-        # shares the re-solve's iteration, so it converges onto the tangent as
-        # eps shrinks, down to its round-off.
+        # of the converged re-solve converges onto the tangent as eps
+        # shrinks, down to its round-off.
         model = Model(b0=(1.0, 0.2, 0.1), f0=(0.1, 0.15, 0.1, 0.3), b1_x=(0.05, -0.1, 0.0, -0.01),
                       B=MeanPoly2((0.05, 0.1, 0.2, 0.1, -0.1, 0.05)),
                       f1_x=(0.0, 0.05, 0.2, 0.0, 0.01), q1=0.1, q2=-0.05,
@@ -102,16 +102,6 @@ class TestValueMeasureGradient:
         g1, g2, g12 = value_measure_gradient(access, k, np.array([e1, e2, 0.5 * e1 - 2.0 * e2]))
         assert np.allclose(g12, 0.5 * g1 - 2.0 * g2, rtol=0.0, atol=1e-12)
 
-    def test_zero_direction_short_circuits(self):
-        class NoAccess:
-            n_particles = 2
-
-            def tangent(self, k, etas):  # pragma: no cover - must not be called
-                raise AssertionError("no tangent should be asked for zero directions")
-
-        got = value_measure_gradient(NoAccess(), 0, np.zeros((2, 2)))
-        assert np.array_equal(got, np.zeros((2, 2)))
-
     def test_sign_pair_and_zero_row_in_one_request(self, lq_coupled):
         grid, flow, access = lq_coupled
         k = grid.n_t // 4
@@ -121,34 +111,6 @@ class TestValueMeasureGradient:
         assert np.array_equal(got[0], single)
         assert np.array_equal(got[1], -single)
         assert np.array_equal(got[2], np.zeros(flow.n_particles))
-
-    def test_tangent_sees_each_direction_once_up_to_sign(self, lq_coupled):
-        grid, flow, access = lq_coupled
-
-        class RecordingAccess:
-            """The flow's access, keeping every tangent request's level and stack."""
-
-            n_particles = access.n_particles
-
-            def __init__(self):
-                self.requests = []
-
-            def tangent(self, k, etas):
-                self.requests.append((k, etas.copy()))
-                return access.tangent(k, etas)
-
-        k = grid.n_t // 3
-        eta, eta2 = np.random.default_rng(6).normal(size=(2, flow.n_particles))
-        stack = np.array([eta, -eta, eta2, eta, 0.0 * eta, -eta2])
-        recording = RecordingAccess()
-        got = value_measure_gradient(recording, k, stack)
-        assert len(recording.requests) == 1
-        assert recording.requests[0][0] == k
-        assert np.array_equal(recording.requests[0][1], np.array([eta, eta2]))
-        for row, direction in zip(got, stack):
-            (alone,) = value_measure_gradient(access, k, direction[None, :])
-            assert np.array_equal(row, alone)
-            assert np.array_equal(np.signbit(row), np.signbit(alone))
 
     def test_direction_stack_must_match_cloud(self, lq_coupled):
         grid, flow, access = lq_coupled

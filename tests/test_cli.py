@@ -5,6 +5,7 @@ import subprocess
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mfgclab import calculus, cli
@@ -255,6 +256,10 @@ which = matrix1
         ("chain", "chain", "atoms", "0"),
         ("chain", "chain", "tol", "-1e-6"),
         ("chain", "model", "family", "nope"),
+        ("propagate", "monotonicity", "tol_c", "-1"),
+        ("propagate", "monotonicity", "tol_c", "inf"),
+        ("propagate", "picard", "tol", "-1"),
+        ("propagate", "grid", "t_end", "inf"),
     ])
     def test_bad_runner_key_is_config_error(self, tmp_path, kind, section, key, value):
         cfg = tmp_path / "exp.ini"
@@ -320,6 +325,15 @@ which = matrix1
         text = text.replace("max_iter = 200", "max_iter = 2")
         cfg.write_text(text)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+
+    def test_non_finite_measure_derivative_exits_4(self, tmp_path, monkeypatch, capsys):
+        # The access checks its matrices where it builds them: a non-finite
+        # one is a solver error that names its level, not a traceback.
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(np.shape(b), np.nan))
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_key(small_model_block(), "monotonicity", "directions", "2"))
+        assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert "not finite at level" in capsys.readouterr().err
 
 
 class TestShippedConfigs:

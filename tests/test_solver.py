@@ -24,7 +24,6 @@ from mfgclab.models import (
 )
 from mfgclab.monotonicity import direction_battery
 from mfgclab.solver import (
-    RESOLVE_SWEEPS,
     Grid,
     PicardError,
     PicardSettings,
@@ -89,6 +88,14 @@ class TestGrid:
             Grid(-1.0, 1.0, 8, 0.0, 1.0, 100000)
         with pytest.raises(SolverError):
             Grid(-1.0, 1.0, 16, 0.0, 0.00001, 4)
+
+    def test_non_finite_bound_rejected(self):
+        # Through n_t = auto, and through the CFL message of a given n_t:
+        # neither may reach int(inf).
+        with pytest.raises(SolverError, match="finite"):
+            Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, np.inf)
+        with pytest.raises(SolverError, match="finite"):
+            Grid(-6.0, 6.0, 61, -np.inf, 0.5, 100)
 
 
 class TestZeroCouplingHeatFlow:
@@ -223,7 +230,7 @@ class TestAndersonMixing:
 
 class TestValueAt:
     """V(t, ., mu): the terminal slice, a fresh solve on [t_k, T] and the
-    warm-started re-solve that ValueAccess.tangent differentiates."""
+    re-solve whose fixed point ValueAccess.tangent differentiates."""
 
     def test_terminal_slice_is_terminal_cost(self):
         model = coupled_model()
@@ -358,25 +365,36 @@ def _tangent_backward(lin, k, dm1, dm2):
     return du
 
 
+# The linear sweeps of reference_tangent stop once a sweep moves du_x at
+# the atoms by at most TANGENT_TOL relative to its largest entry.  Each
+# contracts the distance to the fixed point by at most about 0.2 on the
+# tests' flows, down to a round-off floor of about 2e-15.
+TANGENT_TOL = 1e-13
+MAX_TANGENT_SWEEPS = 100
+
+
 def reference_tangent(model, flow, lin, k, etas):
-    """The tangent of the re-solve from level k, stepped level by level: the
-    backward recurrence of the value grid and the forward recurrence of the
-    states in every sweep."""
+    """The tangent of the equilibrium from level k: the tangents of undamped
+    re-solve sweeps, each stepped level by level through the backward
+    recurrence of the value grid and the forward recurrence of the states,
+    iterated to their fixed point."""
     dx = flow.grid.dx
     states, momenta = flow.states[k:, None, :], flow.momenta[k:, None, :]
     cell, weight = lin.cell[k:, None, :], lin.weight[k:, None, :]
     levels = states.shape[0]
     d_states = np.broadcast_to(etas, (levels,) + etas.shape)
     d_momenta = np.zeros(d_states.shape)
-    for sweep in range(RESOLVE_SWEEPS):
+    d_interp = None
+    for _ in range(MAX_TANGENT_SWEEPS):
         dm1 = d_states.mean(axis=-1)
         dm2 = control_mean_tangent(
             model, lin.m1[k:], lin.e[k:], dm1, d_momenta.mean(axis=-1),
             (d_states * momenta + states * d_momenta).mean(axis=-1))
         du = _tangent_backward(lin, k, dm1, dm2)
-        if sweep == RESOLVE_SWEEPS - 1:
-            break
-        d_interp = _cell_interp(_d1_rows(du, dx), cell, weight)
+        previous, d_interp = d_interp, _cell_interp(_d1_rows(du, dx), cell, weight)
+        if previous is not None and (np.max(np.abs(d_interp - previous))
+                                     <= TANGENT_TOL * np.max(np.abs(d_interp))):
+            return d_interp[0]
         forcing = (lin.hp_p[k:, None, :] * d_interp
                    + lin.hp_m1[k:, None, :] * dm1[..., None]
                    + lin.hp_m2[k:, None, :] * dm2[..., None])
@@ -387,7 +405,8 @@ def reference_tangent(model, flow, lin, k, etas):
             d_x[level + 1] += forcing[level]
         d_states = d_x
         d_momenta = lin.slope[k:, None, :] * d_x + d_interp
-    return _cell_interp(_d1_rows(du[0], dx), cell[0], weight[0])
+    raise AssertionError(f"the tangent from level {k} did not settle in "
+                         f"{MAX_TANGENT_SWEEPS} sweeps")
 
 
 # Every coefficient nonzero, as in test_calculus's test_quadratic_mean_field.
@@ -416,8 +435,8 @@ def held_bytes(access):
 
 
 class TestTangentKernels:
-    """The channel map of ValueAccess.tangent against the level-by-level
-    recurrences it replaces."""
+    """The measure-derivative matrices of ValueAccess against the fixed point
+    of the level-by-level tangent recurrences."""
 
     MODELS = pytest.mark.parametrize("model", [coupled_model(), GENERAL_MODEL],
                                      ids=["lq_coupled", "general"])
@@ -430,25 +449,24 @@ class TestTangentKernels:
 
     @MODELS
     def test_matches_level_by_level_recurrence(self, model):
+        # Every column of M[k]: the unit displacement of each atom.
         flow = self.solved(model)
         access = ValueAccess(model, flow)
         lin = reference_linearisation(model, flow)
+        eye = np.eye(flow.n_particles)
         for k in range(flow.grid.n_t + 1):
-            x = flow.states[k]
-            # The constant direction alone, then with a mean-free noise pair.
-            battery = np.array(direction_battery(x, 4, seed=k))
-            for etas in (battery[1:2], battery[1:]):
-                got = access.tangent(k, etas)
-                want = reference_tangent(model, flow, lin, k, etas)
-                gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
-                assert gap <= 1e-12, (k, len(etas), gap)
+            got = access.tangent(k, eye)
+            want = reference_tangent(model, flow, lin, k, eye)
+            gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert gap <= 1e-12, (k, gap)
 
     @MODELS
     def test_answer_does_not_depend_on_request_history(self, model):
         # The terminal level first, as the propagate gate asks, then every
         # level upward, a descending pass and a repeated level: each answer
-        # equals a fresh access's bit for bit.  GENERAL_MODEL's b0x != 0
-        # weights the m2 channels by the base atoms.
+        # equals a fresh access's bit for bit, and each row the row asked
+        # alone.  GENERAL_MODEL's b0x != 0 weights the m2 channels by the
+        # base atoms.
         flow = self.solved(model)
         n_t = flow.grid.n_t
         access = ValueAccess(model, flow)
@@ -457,22 +475,45 @@ class TestTangentKernels:
         for k in [n_t, *range(n_t + 1), *range(n_t, -1, -1), 7, 7]:
             etas = np.array(direction_battery(flow.states[k], 4, seed=k))[1:]
             got = access.tangent(k, etas)
+            for row, eta in zip(got, etas):
+                assert np.array_equal(row, access.tangent(k, eta[None, :])[0]), k
             if k not in fresh:
                 fresh[k] = ValueAccess(model, flow).tangent(k, etas)
+                want = reference_tangent(model, flow, lin, k, etas)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
             assert np.array_equal(got, fresh[k]), k
-            want = reference_tangent(model, flow, lin, k, etas)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
 
     def test_access_holds_no_more_than_the_kernel_and_propagator(self):
-        # The bound is a dense response kernel K (levels N x 2 levels) plus a
-        # per-atom propagator Q (N x levels x levels): the channel map may
-        # cost no more than the two dense tables it replaces.
+        # The access holds the (levels, N, N) stack of its matrices and no
+        # other array beside its model and flow.
         flow = self.solved(GENERAL_MODEL)
         access = ValueAccess(GENERAL_MODEL, flow)
         levels, n = flow.states.shape
         for k in (flow.grid.n_t, 0, 5):
             access.tangent(k, np.ones((1, n)))
-        assert held_bytes(access) <= 8 * (levels * n * 2 * levels + n * levels * levels)
+        assert held_bytes(access) <= 8 * levels * n * n
+
+    @pytest.mark.parametrize("failure", ["singular", "non_finite"])
+    def test_broken_level_is_a_solver_error_naming_it(self, monkeypatch, failure):
+        # The third solve of the backward pass, at level n_t - 3, fails: as a
+        # singular system, or with a non-finite solution that spreads to
+        # every level below it.
+        flow = self.solved(GENERAL_MODEL)
+        solve, calls = np.linalg.solve, []
+
+        def failing_solve(a, b):
+            calls.append(None)
+            if len(calls) != 3:
+                return solve(a, b)
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full(b.shape, np.nan)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        level = flow.grid.n_t - 3
+        message = "singular" if failure == "singular" else "not finite"
+        with pytest.raises(SolverError, match=f"{message} at level {level}$"):
+            ValueAccess(GENERAL_MODEL, flow)
 
 
 def sweep_inputs(seed):
