@@ -11,7 +11,6 @@ failure, 3 hypothesis or gate violation, 4 solver non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import subprocess
@@ -41,7 +40,7 @@ from .propagation import (
     propagation_experiment,
     traces_to_csv,
 )
-from .reports import _jsonable
+from .reports import _jsonable, write_csv
 from .solver import PicardError, SolverError, ValueAccess, solve_mfgc
 
 EXIT_OK = 0
@@ -49,6 +48,10 @@ EXIT_CONFIG = 1
 EXIT_FAIL = 2
 EXIT_HYPOTHESIS = 3
 EXIT_NO_CONVERGENCE = 4
+
+# The columns of samples.csv and chain.csv, keys of their row dicts.
+SAMPLE_COLUMNS = ("t", "level", "direction", "value")
+CHAIN_COLUMNS = ("law", "entry", "abs_error", "scale")
 
 
 @functools.cache
@@ -187,10 +190,8 @@ def run_mono(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
                                 battery_size=prop.n_directions, tolerance=tol,
                                 seed=prop.seed)
     samples_path = out_dir / "samples.csv"
-    with open(samples_path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=["t", "level", "direction", "value"])
-        writer.writeheader()
-        writer.writerows(report.samples)
+    write_csv(samples_path, SAMPLE_COLUMNS,
+              [[s[name] for s in report.samples] for name in SAMPLE_COLUMNS])
     report.metadata["solver"] = flow.run_metadata()
     _write_json(out_dir / "report.json", report.to_dict())
     _plot_script(out_dir, "mono", samples_path.name)
@@ -243,10 +244,7 @@ def run_chain(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
         rows += [{"law": k, "entry": name, "abs_error": err, "scale": scale}
                  for name, err in errors.items()]
     csv_path = out_dir / "chain.csv"
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=["law", "entry", "abs_error", "scale"])
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(csv_path, CHAIN_COLUMNS, [[r[name] for r in rows] for name in CHAIN_COLUMNS])
     worst = max(r["abs_error"] / r["scale"] for r in rows)
     payload = {"max_abs_error": max(r["abs_error"] for r in rows),
                "max_scale": max(r["scale"] for r in rows),

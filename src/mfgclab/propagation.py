@@ -15,7 +15,6 @@ propagation rules, and ``MONOTONICITY_KINDS`` maps each INI name to its class.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +39,7 @@ from .monotonicity import (
     pairings,
     tolerance_scale,
 )
-from .reports import ConditionReport
+from .reports import ConditionReport, write_csv
 from .solver import EquilibriumFlow, ValueAccess
 
 
@@ -81,23 +80,22 @@ TRACE_COLUMNS = ("direction", "t", "I", "Ibar", "dX2", "Xi", "slope_I", "dtI_rhs
 
 def traces_to_csv(path, traces: list) -> None:
     """Write the traces' ``TRACE_COLUMNS`` to path, direction by direction;
-    Xi is empty for a kind that does not write it.  Each column goes to the
-    writer as one list of Python floats."""
+    Xi is empty for a kind that does not write it."""
     if not traces:
         return
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_COLUMNS)
-        for trace in traces:
-            levels = trace.ts.size
-            xi = trace.series.tolist() if trace.kind.writes_xi else [""] * levels
-            writer.writerows(zip(
+    columns = [[] for _ in TRACE_COLUMNS]
+    for trace in traces:
+        levels = trace.ts.size
+        xi = trace.series.tolist() if trace.kind.writes_xi else [""] * levels
+        for column, values in zip(columns, (
                 [trace.direction] * levels, trace.ts.tolist(), trace.i_vals.tolist(),
                 trace.ibar_vals.tolist(), trace.dx2_vals.tolist(), xi,
                 trace.slope(trace.i_vals).tolist(), trace.dt_i_rhs.tolist(),
                 trace.dt_ibar_rhs.tolist(), trace.dt_dx2_rhs.tolist(),
                 trace.cd_disp_rhs.tolist(),
-                trace.slope(trace.i_vals + trace.ibar_vals).tolist()))
+                trace.slope(trace.i_vals + trace.ibar_vals).tolist())):
+            column += values
+    write_csv(path, TRACE_COLUMNS, columns)
 
 
 def simulate_variational(access: ValueAccess, etas: np.ndarray) -> tuple:

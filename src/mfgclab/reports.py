@@ -1,8 +1,10 @@
-"""Report containers shared by the condition checkers and functional evaluators."""
+"""Report containers shared by the condition checkers and functional
+evaluators, and the writer of the CSV artifacts."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -22,6 +24,28 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
+
+
+def write_csv(path, header, columns) -> None:
+    """Write the header and then one row per entry of the equal-length
+    columns to path: each field as its ``str``, separated by commas, each
+    row ended by CR LF.
+
+    For numbers and for strings that need no quoting this is the bytes
+    ``csv.writer`` writes, formatted in one ``%`` operation.  A field whose
+    text holds a comma, a double quote, a CR or an LF would need quoting,
+    which this writer does not do: it raises ``ValueError`` instead.
+    """
+    rows = len(columns[0])
+    values = (*header, *chain.from_iterable(zip(*columns)))
+    width = len(header)
+    text = ("%s," * (width - 1) + "%s\r\n") * (rows + 1) % values
+    if ('"' in text or text.count(",") != (width - 1) * (rows + 1)
+            or text.count("\n") != rows + 1 or text.count("\r") != rows + 1):
+        bad = next(v for v in values if any(c in str(v) for c in ',"\r\n'))
+        raise ValueError(f"CSV field {str(bad)!r} needs quoting")
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
 
 
 @dataclass

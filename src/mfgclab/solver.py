@@ -23,7 +23,13 @@ by numpy's per-call cost, not by arithmetic, so each level makes a fixed
 handful of calls that write into buffers allocated once per call: the time
 step and the stencils' scales are folded into the Hamiltonian's terms
 before the loop, and stencils and shifted rows are slices and views.  No
-buffer outlives its call.
+buffer outlives its call.  The push makes no call into ``models`` per
+level: it reads each level's mean parts of the drift as Python floats and
+forms x-parts only for a model that has them, so a level costs the
+interpolation of u_x at the particles and a few in-place updates.
+``np.interp`` is its floor: a level interpolates at the states the level
+before it produced, so the levels cannot share one call.
+
 ``ValueAccess`` reads V_xx of the solved flow at the cloud of a level k,
 and gives the measure derivative of the value gradient along displacements
 of that cloud: M[k] eta, where the (levels, N, N) stack M is the exact
@@ -33,19 +39,21 @@ respect to those atoms, built once in one backward pass over the levels
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .models import (
     Model,
+    _poly,
     control_mean_tangent,
     fixed_point_phi,
-    hamiltonian_dp,
     hamiltonian_partials,
     hamiltonian_terms,
     mean_terms,
 )
+from .reports import write_csv
 
 CFL_SAFETY = 0.45
 ANDERSON_DEPTH = 5
@@ -153,7 +161,6 @@ class ValueField:
     u: np.ndarray   # (levels, n_x)
     xs: np.ndarray
     ts: np.ndarray
-    u_xx: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.u = np.atleast_2d(np.asarray(self.u, dtype=float))
@@ -161,7 +168,12 @@ class ValueField:
         self.ts = np.atleast_1d(np.asarray(self.ts, dtype=float))
         if self.u.shape != (self.ts.size, self.xs.size):
             raise SolverError(f"value array shape {self.u.shape} does not match grid")
-        self.u_xx = _d2_rows(self.u, self.xs[1] - self.xs[0])
+
+    @cached_property
+    def u_xx(self) -> np.ndarray:
+        """Second differences of u along x, computed on first read: a solve
+        alone never reads them."""
+        return _d2_rows(self.u, self.xs[1] - self.xs[0])
 
 
 @dataclass
@@ -212,18 +224,14 @@ class EquilibriumFlow:
         return self.residual_history[-1]
 
     def to_csv(self, path) -> None:
-        """One row per (time step, particle): t, index, state, control, u_x."""
-        import csv
-
-        ts, n = self.value_field.ts, self.n_particles
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t", "particle", "state", "control", "u_x"])
-            writer.writerows(zip(np.repeat(ts, n).tolist(),
-                                 np.tile(np.arange(n), ts.size).tolist(),
-                                 self.states.ravel().tolist(),
-                                 self.controls.ravel().tolist(),
-                                 self.momenta.ravel().tolist()))
+        """One row per (time step, particle): t, index, state, control, u_x.
+        Each level's t and each particle index is formatted once."""
+        n = self.n_particles
+        times = [text for t in self.value_field.ts.tolist() for text in [str(t)] * n]
+        write_csv(path, ("t", "particle", "state", "control", "u_x"),
+                  (times, [str(i) for i in range(n)] * self.states.shape[0],
+                   self.states.ravel().tolist(), self.controls.ravel().tolist(),
+                   self.momenta.ravel().tolist()))
 
     def run_metadata(self) -> dict:
         return {
@@ -337,26 +345,42 @@ def _sweep(model: Model, x0: np.ndarray, xs: np.ndarray, dx: float, dt: float,
     states and momenta are (levels, n) and x0 is (n,).  Returns the proposed
     (states, momenta) and the value grid solved against the entering flow.
     The proposed momenta are u_x interpolated at the proposed states; the
-    push reads them at every level but the last.  The push builds the noise
-    sqrt(dt) brownian and the per-level ``mean_terms`` tuples once per sweep,
-    and scales the drift and adds to it in place.
+    push reads them at every level but the last.  The push steps X_{k+1} =
+    X_k + dt H_p(X_k, P_k) + sqrt(dt) dW_k with H_p = -B0 (A + p B0) + C
+    evaluated as ``hamiltonian_dp`` does, in its order of operations: the
+    per-level parts of A, B0 and C that do not depend on x are Python floats
+    taken once per sweep, and the x-parts (f0x x, b0x x and a non-constant
+    b1_x) are formed only for a model that has them.
     """
     m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
     u = _backward_value(model, xs, dx, dt, m1, m2, states[-1])
     ux = _d1_rows(u, dx)
 
-    means = list(zip(*mean_terms(model, m1[:, None], m2[:, None])))
+    # The push reads the terms of every level but the last.
+    a_m, b_m, c_m, _ = mean_terms(model, m1[:-1], m2[:-1])
+    f0x, b0x, b1_x = model.f0[1], model.b0[1], model.b1_x
+    if len(b1_x) == 1:
+        c_m = c_m + b1_x[0]
     noise = np.sqrt(dt) * brownian
     prop_states = np.empty_like(states)
     prop_momenta = np.empty_like(momenta)
     prop_states[0] = x0
-    for k in range(brownian.shape[0]):
-        xk, step = prop_states[k], prop_states[k + 1]
-        prop_momenta[k] = np.interp(xk, xs, ux[k])
-        drift = hamiltonian_dp(model, xk, prop_momenta[k], means[k])
+    drift = np.empty(x0.size)
+    # Row k + 1 of the states is written as step before it is read as xk.
+    for xk, step, pk, ux_k, noise_k, a_k, b_k, c_k in zip(
+            prop_states, prop_states[1:], prop_momenta, ux, noise,
+            a_m.tolist(), b_m.tolist(), c_m.tolist()):
+        pk[...] = np.interp(xk, xs, ux_k)
+        a = a_k + f0x * xk if f0x else a_k
+        b = b_k + b0x * xk if b0x else b_k
+        c = _poly(b1_x, xk) + c_k if len(b1_x) > 1 else c_k
+        np.multiply(pk, b, out=drift)
+        drift += a
+        drift *= -b
+        drift += c
         drift *= dt
         np.add(xk, drift, out=step)
-        step += noise[k]
+        step += noise_k
     outside = (prop_states < xs[0]) | (prop_states > xs[-1])
     if np.any(outside):
         bad = int(np.argmax(np.any(outside, axis=-1)))

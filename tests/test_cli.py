@@ -416,14 +416,18 @@ class TestShippedConfigs:
 
 class TestDeterminism:
     def test_reruns_are_byte_identical_outside_manifest(self, tmp_path):
-        cfg = tmp_path / "exp.ini"
-        cfg.write_text(small_model_block())
-        out1 = tmp_path / "a"
-        out2 = tmp_path / "b"
-        assert main(["propagate", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main(["propagate", "--config", str(cfg), "--out", str(out2)]) == 0
-        for name in ("trace.csv", "report.json", "plot.gp"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        for command, table in (("propagate", "trace.csv"), ("solve", "flow.csv"),
+                               ("mono", "samples.csv")):
+            cfg = tmp_path / f"{command}.ini"
+            cfg.write_text(small_model_block().replace("kind = propagate", f"kind = {command}"))
+            out1 = tmp_path / command / "a"
+            out2 = tmp_path / command / "b"
+            assert main([command, "--config", str(cfg), "--out", str(out1)]) == 0
+            assert main([command, "--config", str(cfg), "--out", str(out2)]) == 0
+            assert {p.name for p in out1.iterdir()} == {table, "report.json", "plot.gp",
+                                                        "manifest.json"}
+            for name in (table, "report.json", "plot.gp"):
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "exp.ini"

@@ -573,6 +573,26 @@ class TestLeanSweep:
         assert np.array_equal(got_states, want_states)
         assert np.array_equal(got_momenta, want_momenta)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(model=random_models(), seed=st.integers(0, 2**32 - 1))
+    def test_push_is_the_level_recurrence_bit_for_bit_on_random_models(self, model, seed):
+        # Random models have nonzero f0x and b0x and a polynomial b1_x, so
+        # the push forms every x-part of the drift that the presets skip.
+        grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, 0.1)
+        xs, dx, dt = grid.xs, grid.dx, grid.dt
+        x0 = gaussian_quantile_cloud(16, 0.0, 1.0)
+        brownian = np.random.default_rng(seed).standard_normal((grid.n_t, x0.size))
+        states = x0 + np.sqrt(dt) * np.vstack((np.zeros(x0.size), np.cumsum(brownian, axis=0)))
+        momenta = 0.1 * states
+        m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
+        u = _backward_value(model, xs, dx, dt, m1, m2, states[-1])
+        want_states, want_momenta = forward_push(model, x0, xs, dx, dt, brownian, m1, m2, u)
+        # Over a tenth of a time unit no particle reaches the grid's edge.
+        got_states, got_momenta, got_u = _sweep(model, x0, xs, dx, dt, brownian, states, momenta)
+        assert np.array_equal(got_u, u)
+        assert np.array_equal(got_states, want_states)
+        assert np.array_equal(got_momenta, want_momenta)
+
     @pytest.mark.parametrize("name", ["ll_propagation", "lq_solve"])
     def test_backward_sweep_allocates_little_beside_the_value_grid(self, name):
         # The Hamiltonian terms of these models do not depend on both x and
