@@ -1,12 +1,12 @@
 """Differential calculus on empirical measures.
 
 The chain-rule check of the reduced Hamiltonian Hhat(x, p, rho) =
-H(x, p, Phi(rho)) against central differences, and the one directional
-measure derivative of the value-function gradient that the monotonicity
-functionals consume, read by the value access from the exact
-measure-derivative matrix at the solved cloud of one grid level.  Measure
-derivatives are Lions derivatives of a uniform cloud: N times the partial
-derivative in one atom.
+H(x, p, Phi(rho)) against central differences, over a stack of laws in one
+vectorised pass, and the one directional measure derivative of the
+value-function gradient that the monotonicity functionals consume, read by
+the value access from the exact measure-derivative matrix at the solved
+cloud of one grid level.  Measure derivatives are Lions derivatives of a
+uniform cloud: N times the partial derivative in one atom.
 """
 from __future__ import annotations
 
@@ -29,49 +29,54 @@ class CalculusError(ValueError):
 
 def _difference_table(model: Model, x: np.ndarray, p: np.ndarray) -> tuple:
     """Central differences of Hhat for every entry of ``hat_derivative_table``,
-    and Hhat(x_i, p_i, rho) at the atoms.
+    and Hhat(x_i, p_i, rho) at the atoms, for the laws along the leading axes.
 
-    Measure entries [i, j] differentiate in the point (x_i, p_i) and in atom
-    j of the law; the laws with one atom displaced are an (N, N) stack
-    through the leading axes of ``fixed_point_phi``.
+    Each law is a (1, N) row, so that its means round as one law's however
+    many are stacked, against the atoms as a column of points.  Measure
+    entries [i, j] differentiate in the point (x_i, p_i) and in atom j of the
+    law; the laws with one atom displaced are an (N, N) stack per law.
     """
-    n = x.shape[0]
+    n = x.shape[-1]
     w = np.full(n, 1.0 / n)
 
-    def hh(xx, pp, xs=x, ps=p):
-        """H(xx, pp, Phi(rho)); the laws run along the last axis of the means."""
-        m1, m2 = xs @ w, fixed_point_phi(model, xs, ps) @ w
-        return hamiltonian(model, xx, pp, m1, m2)
+    def hat(xs, ps):
+        """Hhat(xx, pp, rho) of the points, for the laws rho along the
+        second-to-last axis, their means taken once."""
+        m1, m2 = (xs @ w)[..., None, :], (fixed_point_phi(model, xs, ps) @ w)[..., None, :]
+        return lambda xx, pp: hamiltonian(model, xx, pp, m1, m2)
 
-    h1 = FD_STEP_FIRST * np.maximum(1.0, np.abs(p))
-    hx = FD_STEP_SECOND * np.maximum(1.0, np.abs(x))
-    hp = FD_STEP_SECOND * np.maximum(1.0, np.abs(p))
-    base = hh(x, p)
+    xr, pr, xc, pc = x[..., None, :], p[..., None, :], x[..., None], p[..., None]
+    h1 = FD_STEP_FIRST * np.maximum(1.0, np.abs(pc))
+    hx = FD_STEP_SECOND * np.maximum(1.0, np.abs(xc))
+    hp = FD_STEP_SECOND * np.maximum(1.0, np.abs(pc))
+    hh = hat(xr, pr)
+    base = hh(xc, pc)
     point = dict(
-        h_p=(hh(x, p + h1) - hh(x, p - h1)) / (2.0 * h1),
-        h_pp=(hh(x, p + hp) - 2.0 * base + hh(x, p - hp)) / hp**2,
-        h_xx=(hh(x + hx, p) - 2.0 * base + hh(x - hx, p)) / hx**2,
-        h_xp=(hh(x + hx, p + hp) - hh(x + hx, p - hp)
-              - hh(x - hx, p + hp) + hh(x - hx, p - hp)) / (4.0 * hx * hp),
+        h_p=(hh(xc, pc + h1) - hh(xc, pc - h1)) / (2.0 * h1),
+        h_pp=(hh(xc, pc + hp) - 2.0 * base + hh(xc, pc - hp)) / hp**2,
+        h_xx=(hh(xc + hx, pc) - 2.0 * base + hh(xc - hx, pc)) / hx**2,
+        h_xp=(hh(xc + hx, pc + hp) - hh(xc + hx, pc - hp)
+              - hh(xc - hx, pc + hp) + hh(xc - hx, pc - hp)) / (4.0 * hx * hp),
     )
 
     # Row j of a displaced stack is the law with atom j moved by its own step.
-    bx, bp = x[:, None], p[:, None]
     measure = {}
-    for atom, sx, sp, e in ((1, np.diag(hx), 0.0, hx), (2, 0.0, np.diag(hp), hp)):
-        plus, minus = (x + sx, p + sp), (x - sx, p - sp)
-        for var, step in (("x", hx[:, None]), ("p", hp[:, None])):
+    for atom, sx, sp, e in ((1, hx * np.eye(n), 0.0, hx), (2, 0.0, hp * np.eye(n), hp)):
+        plus, minus = hat(xr + sx, pr + sp), hat(xr - sx, pr - sp)
+        for var, step in (("x", hx), ("p", hp)):
             dx, dp = (step, 0.0) if var == "x" else (0.0, step)
-            cross = (hh(bx + dx, bp + dp, *plus) - hh(bx - dx, bp - dp, *plus)
-                     - hh(bx + dx, bp + dp, *minus) + hh(bx - dx, bp - dp, *minus))
-            measure[f"h_{var}rho{atom}"] = n * cross / (4.0 * step * e[None, :])
-    return HatTable(**point, **measure), base
+            cross = (plus(xc + dx, pc + dp) - plus(xc - dx, pc - dp)
+                     - minus(xc + dx, pc + dp) + minus(xc - dx, pc - dp))
+            measure[f"h_{var}rho{atom}"] = n * cross / (4.0 * step * e.swapaxes(-1, -2))
+    return HatTable(**{k: v[..., 0] for k, v in point.items()}, **measure), base[..., 0]
 
 
 def chain_rule_check(model: Model, x, p) -> tuple:
     """(errors, scale): the largest |closed form - central difference| of
-    each hat derivative over the uniform law of the aligned 1-D atom arrays
-    (x_i, p_i), and the scale max(1, max_i |Hhat(x_i, p_i, rho)|).
+    each hat derivative over the uniform law of the aligned atom arrays
+    (x_i, p_i), and the scale max(1, max_i |Hhat(x_i, p_i, rho)|), in the
+    shape of the leading axes, which are independent laws; each law's values
+    are bit-identical to its own check.
 
     The closed forms are ``hat_derivative_table``'s; the differences are
     taken of H(x, p, Phi(rho)), with Phi the model's control-law fixed point,
@@ -83,9 +88,9 @@ def chain_rule_check(model: Model, x, p) -> tuple:
     p = np.asarray(p, dtype=float)
     closed = hat_derivative_table(model, x, p)
     fd, base = _difference_table(model, x, p)
-    errors = {f.name: float(np.max(np.abs(getattr(closed, f.name) - getattr(fd, f.name))))
-              for f in fields(HatTable)}
-    return errors, max(1.0, float(np.max(np.abs(base))))
+    errors = {f.name: np.abs(getattr(closed, f.name) - getattr(fd, f.name))
+              .reshape(*x.shape[:-1], -1).max(axis=-1) for f in fields(HatTable)}
+    return errors, np.maximum(1.0, np.max(np.abs(base), axis=-1))
 
 
 def value_measure_gradient(access, k: int, etas) -> np.ndarray:

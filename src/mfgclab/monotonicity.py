@@ -149,11 +149,11 @@ def monotonicity_sweep(access, kind, slices: int = 5, battery_size: int = 12,
     grid = flow.grid
     levels = [int(round(q * grid.n_t / (slices - 1))) for q in range(slices)] \
         if slices > 1 else [0]
-    samples = []
+    samples, ts = [], grid.ts
     for k in sorted(set(levels)):
         etas = np.array(direction_battery(flow.states[k], battery_size, seed))
         values = kind.value(access, k, etas)
-        samples += [{"t": float(grid.ts[k]), "level": k, "direction": d_idx,
+        samples += [{"t": float(ts[k]), "level": k, "direction": d_idx,
                      "value": float(value)}
                     for d_idx, value in enumerate(values)]
     values = np.array([s["value"] for s in samples])

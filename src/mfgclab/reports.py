@@ -11,11 +11,11 @@ import numpy as np
 
 
 def _jsonable(value):
-    """value with numpy arrays and scalars as Python lists and numbers, and
+    """value with numpy arrays and scalars as Python lists, numbers and bools, and
     every non-finite float as None, so that it dumps as strict JSON."""
     if isinstance(value, np.ndarray):
         value = value.tolist()
-    elif isinstance(value, (np.floating, np.integer)):
+    elif isinstance(value, (np.floating, np.integer, np.bool_)):
         value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
         return None

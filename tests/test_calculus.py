@@ -142,6 +142,18 @@ class TestChainRuleCheck:
         errors, _ = chain_rule_check(model, x, p)
         assert max(errors.values()) <= 1e-6, errors
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(model=random_models(), seed=st.integers(0, 2**32 - 1), laws=st.integers(1, 5),
+           atoms=st.integers(1, 12))
+    def test_stacked_laws_match_one_law_at_a_time(self, model, seed, laws, atoms):
+        x, p = np.random.default_rng(seed).normal(size=(2, laws, atoms))
+        errors, scale = chain_rule_check(model, x, p)
+        assert scale.shape == (laws,)
+        for k in range(laws):
+            one, one_scale = chain_rule_check(model, x[k], p[k])
+            assert scale[k] == one_scale
+            assert {name: error[k] for name, error in errors.items()} == one
+
     def test_near_contraction_bound_passes_relative_to_hhat(self):
         # At df0/dm2 = 0.999 the control mean is amplified 1000-fold, Hhat
         # reaches ~6e3 and its round-off moves h_pp and h_xx by ~3e-6: an

@@ -215,6 +215,20 @@ atoms = 12
 """)
         assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_non_finite_envelope_residual_exits_2(self, tmp_path):
+        # H overflows at b0 = 1e200: the check fails on that sample instead
+        # of raising, and the run still writes its report and manifest.
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nkind = check\n[model]\nb0 = 1e200 0 0\n"
+                       "[check]\nwhich = envelope\n")
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        (envelope,) = report["reports"]
+        assert not envelope["passed"] and envelope["worst_margin"] is None
+        assert envelope["witness"]["sample"] == 0
+        assert (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("model_block", [
         "family = separable\nq1 = 0.2\n",          # not control-coupled
         "family = ll_example\nc1 = 0\nc2 = 0.05\nc3 = 0.1\n",  # c1 outside (0, 1)

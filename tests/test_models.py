@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_envelope import envelope_loop
 from reference_resolve import ux_at
 from test_calculus import random_models
 
@@ -361,6 +362,14 @@ class TestEnvelopeIdentities:
         report = verify_envelope_identities(model, sample_count=50, seed=2)
         assert report.passed
         assert report.details["max_residual"] <= 1e-6
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(model=random_models(), seed=st.integers(0, 2**32 - 1), samples=st.integers(1, 60),
+           cloud_size=st.integers(1, 12), tol=st.sampled_from([1e-6, 1e-12, 0.0]))
+    def test_matches_the_sample_loop(self, model, seed, samples, cloud_size, tol):
+        # A tolerance of 0 fails most samples, so the witness is compared too.
+        kwargs = dict(sample_count=samples, seed=seed, cloud_size=cloud_size, tol=tol)
+        assert verify_envelope_identities(model, **kwargs) == envelope_loop(model, **kwargs)
 
     def test_wrong_minimiser_fails(self, monkeypatch):
         control = Model.control

@@ -1,5 +1,6 @@
 """Every CSV artifact byte for byte against ``csv.writer`` (``reference_csv``),
 on the values whose text is easiest to get wrong."""
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from mfgclab import cli
 from mfgclab.config import ExperimentConfig
 from mfgclab.monotonicity import MonotonicityReport
 from mfgclab.propagation import TRACE_COLUMNS, PropagationTrace, traces_to_csv
-from mfgclab.reports import write_csv
+from mfgclab.reports import _jsonable, write_csv
 from mfgclab.solver import EquilibriumFlow, Grid, ValueField
 
 # Exponent forms, a signed zero, the smallest subnormal, non-finite values,
@@ -95,11 +96,26 @@ class TestArtifactsMatchCsvWriter:
                 == (tmp_path / "want.csv").read_bytes())
 
     def test_chain_csv(self, tmp_path, monkeypatch):
-        errors = {f"h_{k}": v for k, v in enumerate(SPECIAL)}
-        monkeypatch.setattr(cli, "chain_rule_check", lambda model, x, p: (errors, 2.0))
+        # One call checks every law; law k's errors are SPECIAL rolled by k.
         cfg = config(tmp_path, "chain")
+        n_laws, n_atoms, _ = cfg.chain_settings()
+        names = [f"h_{j}" for j in range(len(SPECIAL))]
+        table, scales = special_rows(n_laws), 2.0 + np.arange(n_laws) / 3.0
+        calls = []
+
+        def stacked_check(model, x, p):
+            calls.append(x.shape)
+            return dict(zip(names, table.T)), scales
+
+        monkeypatch.setattr(cli, "chain_rule_check", stacked_check)
         cli.run_chain(cfg, tmp_path, 7)
-        rows = [{"law": k, "entry": name, "abs_error": err, "scale": 2.0}
-                for k in range(cfg.chain_settings()[0]) for name, err in errors.items()]
+        assert calls == [(n_laws, n_atoms)]
+        rows = [{"law": k, "entry": name, "abs_error": table[k, j], "scale": scales[k]}
+                for k in range(n_laws) for j, name in enumerate(names)]
         write_dict_rows(tmp_path / "want.csv", cli.CHAIN_COLUMNS, rows)
         assert (tmp_path / "chain.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_numpy_bools_dump_as_json_bools():
+    payload = {"passed": np.bool_(True), "flags": [np.False_, np.float64(np.nan)]}
+    assert json.dumps(_jsonable(payload)) == '{"passed": true, "flags": [false, null]}'
