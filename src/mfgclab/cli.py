@@ -156,7 +156,7 @@ def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
                      for _ in range(n_samples)]
             reports.append(check_f_monotone(model, pairs))
     payload = {"reports": [r.to_dict() for r in reports],
-               "worst_margin": min(r.worst_margin for r in reports),
+               "worst_margin": np.min([r.worst_margin for r in reports]),
                "all_passed": all(r.passed for r in reports)}
     _write_json(out_dir / "report.json", payload)
     for report in reports:
@@ -284,6 +284,8 @@ def main(argv=None) -> int:
         if cfg.kind != args.command:
             raise ConfigError(
                 f"config declares kind {cfg.kind!r} but command is {args.command!r}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

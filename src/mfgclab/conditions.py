@@ -129,19 +129,24 @@ def dx_velocity(table: HatTable, eta: np.ndarray, gz: np.ndarray) -> np.ndarray:
 def _eigen_report(condition: str, matrices: np.ndarray, tol: float | None) -> ConditionReport:
     """Judge value = N lambda_max of each law's (3N, 3N) form matrix, the
     form's maximum over unit-RMS v, against tol (default REL_TOL max(1, |value|));
-    a failing report's witness is that unit-RMS eigenvector."""
+    a failing report's witness is that unit-RMS eigenvector.  A non-finite
+    matrix has a NaN value and margin, so the first one is the witness of a
+    failing report; the stack's non-finite matrices are zeroed."""
     n = matrices.shape[-1] // 3
-    values = n * np.linalg.eigvalsh(matrices)[:, -1]
+    finite = np.isfinite(matrices).all(axis=(-2, -1))
+    matrices[~finite] = 0.0   # eigvalsh does not converge on them
+    values = np.where(finite, n * np.linalg.eigvalsh(matrices)[:, -1], np.nan)
     threshold = tol if tol is not None else REL_TOL * np.maximum(1.0, np.abs(values))
     margins = threshold - values
     worst = int(np.argmin(margins))
     passed = margins[worst] >= -PASS_SLACK
     witness = None
     if not passed:
-        vector = np.linalg.eigh(matrices[worst])[1][:, -1]
-        eta, gamma, zeta = np.split(np.sqrt(n) * vector, 3)
-        witness = {"sample": worst, "value": float(values[worst]), "eta": eta.tolist(),
-                   "gamma": gamma.tolist(), "zeta": zeta.tolist()}
+        witness = {"sample": worst, "value": float(values[worst])}
+        if finite[worst]:
+            vector = np.linalg.eigh(matrices[worst])[1][:, -1]
+            eta, gamma, zeta = np.split(np.sqrt(n) * vector, 3)
+            witness.update(eta=eta.tolist(), gamma=gamma.tolist(), zeta=zeta.tolist())
     return ConditionReport(
         condition=condition,
         n_samples=len(matrices),
@@ -169,11 +174,13 @@ def form_chunks(table: HatTable, reduce: Callable, out: np.ndarray) -> np.ndarra
 def _gate_matrices(model: Model, xi: np.ndarray, p: np.ndarray,
                    combine: Callable) -> np.ndarray:
     """The (laws, 3N, 3N) stack of combine(forms) over the laws (xi, p), from
-    one hat table over all laws."""
+    one hat table over all laws, built without floating-point warnings: an
+    overflow gives non-finite forms, which ``_eigen_report`` fails."""
     n = xi.shape[-1]
-    return form_chunks(hat_derivative_table(model, xi, p),
-                       lambda forms, chunk: combine(forms),
-                       np.empty((len(xi), 3 * n, 3 * n)))
+    with np.errstate(all="ignore"):
+        return form_chunks(hat_derivative_table(model, xi, p),
+                           lambda forms, chunk: combine(forms),
+                           np.empty((len(xi), 3 * n, 3 * n)))
 
 
 def check_ll_condition(model: Model, xi: np.ndarray, p: np.ndarray,
@@ -403,23 +410,24 @@ def check_anti_assumption(model: Model, lvec: LambdaVec, l0: float,
         raise ConditionError("need gamma_hi > gamma_lo > 0")
     slack = 1e-9
     n_samples = len(xi)
-    table = hat_derivative_table(model, xi, p)
 
     def peak(entry: np.ndarray) -> np.ndarray:
         """The largest |entry| of each law."""
         return np.abs(entry).reshape(n_samples, -1).max(axis=1)
 
-    # (laws, 9) margins, in the order of ANTI_BOUNDS.
-    margins = np.stack([
-        gamma_hi * l0 - peak(table.h_xp),
-        gamma_hi * l0 - peak(table.h_xx),
-        *(l_bar - peak(getattr(table, name)) for name in
-          ("h_pp", "h_xrho1", "h_xrho2", "h_prho1", "h_prho2")),
-        (-table.h_xp).min(axis=1) - l0,
-        (-table.h_xx).min(axis=1) - gamma_lo * l0,
-    ], axis=1)
+    # (laws, 9) margins, in the order of ANTI_BOUNDS; a NaN one fails.
+    with np.errstate(all="ignore"):
+        table = hat_derivative_table(model, xi, p)
+        margins = np.stack([
+            gamma_hi * l0 - peak(table.h_xp),
+            gamma_hi * l0 - peak(table.h_xx),
+            *(l_bar - peak(getattr(table, name)) for name in
+              ("h_pp", "h_xrho1", "h_xrho2", "h_prho1", "h_prho2")),
+            (-table.h_xp).min(axis=1) - l0,
+            (-table.h_xx).min(axis=1) - gamma_lo * l0,
+        ], axis=1)
     bounds_margin = float(np.min(margins))
-    failing = np.argwhere(margins < -slack)
+    failing = np.argwhere(~(margins >= -slack))
     if failing.size:
         idx, bound = failing[0]
         return ConditionReport(

@@ -19,7 +19,8 @@ H = -p^2/2):
 
 c1 and c (0.5 by default) must satisfy 0 <= c < 1, the anti family needs
 gamma > 0 and l0 > 0 (both 1 by default), and every model needs
-df0/dm2 <= 1 - CONTRACTION_EPS.  Absent coefficients are zero.
+df0/dm2 <= 1 - CONTRACTION_EPS.  Absent coefficients are zero; every
+[model] and [terminal] coefficient must be finite.
 
 A mono or propagate run takes its monotonicity kind from ``[monotonicity]
 kind`` (ll by default), and a check run evaluates the gate of each kind named
@@ -70,10 +71,14 @@ class ConfigError(ValueError):
 
 
 def _floats(text: str) -> tuple:
+    """A list of finite numbers; a malformed or non-finite entry is a ConfigError."""
     try:
-        return tuple(float(v) for v in text.split())
+        values = tuple(float(v) for v in text.split())
     except ValueError as err:
         raise ConfigError(f"expected a list of numbers, got {text!r}") from err
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"expected a list of finite numbers, got {text!r}")
+    return values
 
 
 def _number(sec: dict, key: str, default: str, cast=float, least=None):
@@ -94,7 +99,7 @@ def _number(sec: dict, key: str, default: str, cast=float, least=None):
 def _preset(family: str, sec: dict) -> dict:
     """Model coefficients of one INI family; see the table in the module docstring."""
     def num(key: str, default: str = "0") -> float:
-        return float(sec.get(key, default))
+        return _number(sec, key, default)
 
     def poly(key: str, default: str = "0") -> tuple:
         return _floats(sec.get(key, default))
@@ -160,6 +165,8 @@ class ExperimentConfig:
             seed = int(exp.get("seed", "0"))
         except ValueError as err:
             raise ConfigError(f"bad seed {exp.get('seed')!r}") from err
+        if seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {seed}")
         cfg = cls(kind=kind, seed=seed, raw=sections)
         cfg.validate()
         return cfg
@@ -172,13 +179,8 @@ class ExperimentConfig:
 
     def terminal_cost(self) -> QuadraticTerminalCost:
         sec = self.section("terminal")
-        try:
-            return QuadraticTerminalCost(
-                xx=float(sec.get("gxx", "0")), xm=float(sec.get("gxm", "0")),
-                x_lin=float(sec.get("gx", "0")), m2=float(sec.get("gm2", "0")),
-            )
-        except ValueError as err:
-            raise ConfigError(f"bad terminal cost entry: {err}") from err
+        return QuadraticTerminalCost(*(_number(sec, key, "0")
+                                       for key in ("gxx", "gxm", "gx", "gm2")))
 
     def model(self) -> Model:
         return preset_model(self.section("model"), self.terminal_cost())
@@ -212,9 +214,8 @@ class ExperimentConfig:
                                           float(sec.get("hi", "1")))
             if kind == "atoms":
                 atoms = np.asarray(_floats(sec.get("values", "")))
-                if atoms.size == 0 or not np.all(np.isfinite(atoms)):
-                    raise ConfigError("atoms values must be a non-empty list of "
-                                      "finite numbers")
+                if atoms.size == 0:
+                    raise ConfigError("atoms values must be a non-empty list")
                 return atoms
         except ConfigError:
             raise

@@ -5,8 +5,9 @@ The first-variation particle system couples the equilibrium states X with
 their initial-condition sensitivities dX, the curvature field G = Vxx dX,
 and the measure-derivative field U_i = (1/N) sum_j d_x d_mu V(X_i, x_j) dX_j.
 The time derivatives of the three monotonicity functionals have exact
-quadratic expressions in (dX, G, U) and the reduced-Hamiltonian derivatives;
-traces of both sides are recorded and the claimed signs checked step by step.
+quadratic expressions in (dX, G, U) and the reduced-Hamiltonian derivatives.
+A direction battery steps as one system, and both sides of its traces are one
+``PropagationTraces`` record of (B, levels) arrays, judged with array masks.
 
 The three kinds are the one place where Lasry-Lions, displacement and
 anti-monotone differ: ``LasryLions``, ``Displacement`` and ``AntiMonotone``
@@ -47,16 +48,16 @@ class GateError(RuntimeError):
     """A propagation experiment's precondition failed."""
 
 
-@dataclass
-class PropagationTrace:
-    """Scalar time series of one direction's variational run."""
+@dataclass(frozen=True)
+class PropagationTraces:
+    """Scalar time series of a battery's variational run: row b of every
+    (B, levels) array is direction b, column k is level k at time ts[k]."""
 
-    direction: int
     kind: Kind
     ts: np.ndarray
-    i_vals: np.ndarray
-    ibar_vals: np.ndarray
-    dx2_vals: np.ndarray
+    i: np.ndarray
+    ibar: np.ndarray
+    dx2: np.ndarray
     series: np.ndarray    # the kind's functional along the trace
     dt_i_rhs: np.ndarray
     dt_ibar_rhs: np.ndarray
@@ -64,12 +65,13 @@ class PropagationTrace:
     cd_disp_rhs: np.ndarray
 
     def slope(self, series: np.ndarray) -> np.ndarray:
-        """Per-step finite-difference slopes: centered inside, one-sided at the ends."""
+        """Per-step finite-difference slopes along the last axis: centered
+        inside, one-sided at the ends."""
         ts = self.ts
         out = np.empty_like(series)
-        out[1:-1] = (series[2:] - series[:-2]) / (ts[2:] - ts[:-2])
-        out[0] = (series[1] - series[0]) / (ts[1] - ts[0])
-        out[-1] = (series[-1] - series[-2]) / (ts[-1] - ts[-2])
+        out[..., 1:-1] = (series[..., 2:] - series[..., :-2]) / (ts[2:] - ts[:-2])
+        out[..., 0] = (series[..., 1] - series[..., 0]) / (ts[1] - ts[0])
+        out[..., -1] = (series[..., -1] - series[..., -2]) / (ts[-1] - ts[-2])
         return out
 
 
@@ -78,24 +80,16 @@ TRACE_COLUMNS = ("direction", "t", "I", "Ibar", "dX2", "Xi", "slope_I", "dtI_rhs
                  "dtIbar_rhs", "d_dX2_rhs", "cd_disp_rhs", "slope_I_plus_Ibar")
 
 
-def traces_to_csv(path, traces: list) -> None:
+def traces_to_csv(path, traces: PropagationTraces) -> None:
     """Write the traces' ``TRACE_COLUMNS`` to path, direction by direction;
     Xi is empty for a kind that does not write it."""
-    if not traces:
-        return
-    columns = [[] for _ in TRACE_COLUMNS]
-    for trace in traces:
-        levels = trace.ts.size
-        xi = trace.series.tolist() if trace.kind.writes_xi else [""] * levels
-        for column, values in zip(columns, (
-                [trace.direction] * levels, trace.ts.tolist(), trace.i_vals.tolist(),
-                trace.ibar_vals.tolist(), trace.dx2_vals.tolist(), xi,
-                trace.slope(trace.i_vals).tolist(), trace.dt_i_rhs.tolist(),
-                trace.dt_ibar_rhs.tolist(), trace.dt_dx2_rhs.tolist(),
-                trace.cd_disp_rhs.tolist(),
-                trace.slope(trace.i_vals + trace.ibar_vals).tolist())):
-            column += values
-    write_csv(path, TRACE_COLUMNS, columns)
+    directions, levels = traces.i.shape
+    xi = traces.series if traces.kind.writes_xi else np.full(traces.i.shape, "")
+    columns = [np.repeat(np.arange(directions), levels), np.tile(traces.ts, directions),
+               traces.i, traces.ibar, traces.dx2, xi, traces.slope(traces.i),
+               traces.dt_i_rhs, traces.dt_ibar_rhs, traces.dt_dx2_rhs, traces.cd_disp_rhs,
+               traces.slope(traces.i + traces.ibar)]
+    write_csv(path, TRACE_COLUMNS, [column.ravel().tolist() for column in columns])
 
 
 def simulate_variational(access: ValueAccess, etas: np.ndarray) -> tuple:
@@ -163,46 +157,38 @@ def evaluate_rhs_formulas(table: HatTable, delta_x: np.ndarray, gamma: np.ndarra
             "cd_disp_rhs": dt_i + dt_ibar + lam * dt_dx2}
 
 
-def build_traces(access: ValueAccess, etas: np.ndarray, kind: Kind) -> list:
-    """One ``PropagationTrace`` per direction of the (B, N) stack etas, in
-    row order, from one batched variational run; each trace's series is the
-    kind's functional of its pairings."""
+def build_traces(access: ValueAccess, etas: np.ndarray, kind: Kind) -> PropagationTraces:
+    """The traces of the (B, N) stack etas, direction b in row b, from one
+    batched variational run; the series is the kind's functional of the
+    pairings."""
     dx, gamma, upsilon, table = simulate_variational(access, etas)
     p = pairings(dx, gamma, upsilon)
-    series = kind.functional(p)
     exact = evaluate_rhs_formulas(table, dx, gamma, upsilon, lam=kind.lam)
-    ts = access.flow.grid.ts
-    return [
-        PropagationTrace(
-            direction=b, kind=kind, ts=ts, i_vals=p.i[b], ibar_vals=p.ibar[b],
-            dx2_vals=p.dx2[b], series=series[b],
-            dt_i_rhs=exact["dtI_rhs"][b], dt_ibar_rhs=exact["dtIbar_rhs"][b],
-            dt_dx2_rhs=exact["d_deltaX2_rhs"][b], cd_disp_rhs=exact["cd_disp_rhs"][b],
-        )
-        for b in range(len(dx))
-    ]
+    return PropagationTraces(
+        kind=kind, ts=access.flow.grid.ts, i=p.i, ibar=p.ibar, dx2=p.dx2,
+        series=kind.functional(p), dt_i_rhs=exact["dtI_rhs"],
+        dt_ibar_rhs=exact["dtIbar_rhs"], dt_dx2_rhs=exact["d_deltaX2_rhs"],
+        cd_disp_rhs=exact["cd_disp_rhs"])
 
 
-def formula_match_violations(trace: PropagationTrace, rel: float = 0.10,
+def formula_match_violations(traces: PropagationTraces, rel: float = 0.10,
                              abs_tol: float = 1e-3) -> list:
     """Interior steps where a finite-difference slope disagrees with its
-    exact derivative expression.
+    exact derivative expression, by direction, then pair, then level.
 
     Every kind checks the Lasry-Lions pairing I against ``dt_i_rhs``, and
     adds the (series, exact derivative) pairs of ``Kind.formula_pairs``.
     """
-    pairs = [(trace.i_vals, trace.dt_i_rhs, {})] + trace.kind.formula_pairs(trace)
-    out = []
-    for series, exact, label in pairs:
-        slope = trace.slope(series)
-        for k in range(1, len(trace.ts) - 1):
-            lhs = slope[k]
-            rhs = exact[k]
-            tol = max(rel * max(abs(lhs), abs(rhs)), abs_tol)
-            if abs(lhs - rhs) > tol:
-                out.append({"level": k, "t": float(trace.ts[k]), "slope": float(lhs),
-                            "rhs": float(rhs), "tol": float(tol), **label})
-    return out
+    pairs = [(traces.i, traces.dt_i_rhs, {})] + traces.kind.formula_pairs(traces)
+    # (B, pairs, interior levels) stacks of both sides and their tolerances.
+    lhs = np.stack([traces.slope(series) for series, _, _ in pairs], axis=1)[..., 1:-1]
+    rhs = np.stack([exact for _, exact, _ in pairs], axis=1)[..., 1:-1]
+    tol = np.maximum(rel * np.maximum(np.abs(lhs), np.abs(rhs)), abs_tol)
+    ts = traces.ts
+    return [{"level": int(k) + 1, "t": float(ts[k + 1]), "slope": float(lhs[b, j, k]),
+             "rhs": float(rhs[b, j, k]), "tol": float(tol[b, j, k]), **pairs[j][2],
+             "direction": int(b)}
+            for b, j, k in zip(*np.nonzero(np.abs(lhs - rhs) > tol))]
 
 
 class Kind:
@@ -210,6 +196,8 @@ class Kind:
     ``Pairings``, its verdict sign, its Hamiltonian gate and its propagation
     rules.  A verdict reads sign * value >= -tol.  Each kind also sets
     ``name``, ``lam`` (of the ``cd_disp_rhs`` trace column) and ``lvec``.
+    The propagation hooks ``formula_pairs`` and ``slope_rule`` read a
+    battery's ``PropagationTraces`` record whole, one row per direction.
     ``mon_*`` and ``check_*`` are looked up in this module at call time,
     never stored, so that perfbench's layer trace still counts them."""
 
@@ -224,16 +212,17 @@ class Kind:
         None when it holds."""
         return {}, None
 
-    def formula_pairs(self, trace: PropagationTrace) -> list:
-        """(series, exact derivative, label) pairs checked besides I."""
+    def formula_pairs(self, traces: PropagationTraces) -> list:
+        """(series, exact derivative, label) pairs of (B, levels) arrays
+        checked besides I."""
         return []
 
-    def slope_rule(self, trace: PropagationTrace, tol: float) -> tuple:
-        """((level, slope) where the centered slope runs against the sign by
-        more than tol, whether the t0 endpoint holds)."""
-        slopes = trace.slope(trace.series)
-        bad = [(int(k), float(slopes[k])) for k in np.flatnonzero(self.sign * slopes > tol)]
-        return bad, bool(self.sign * trace.series[0] >= -tol)
+    def slope_rule(self, traces: PropagationTraces, tol: float) -> tuple:
+        """(rates, bad, endpoint_ok): the (B, levels) centered slopes of the
+        series, the mask of those that run against the sign by more than
+        tol, and whether each direction's t0 endpoint holds."""
+        rates = traces.slope(traces.series)
+        return rates, self.sign * rates > tol, self.sign * traces.series[:, 0] >= -tol
 
 
 @dataclass(frozen=True)
@@ -284,8 +273,8 @@ class Displacement(Kind):
     def gate(self, model: Model, xi: np.ndarray, p: np.ndarray) -> ConditionReport:
         return check_disp_condition(model, self.lam, xi, p)
 
-    def formula_pairs(self, trace: PropagationTrace) -> list:
-        return [(trace.series, trace.cd_disp_rhs, {"series": "disp"})]
+    def formula_pairs(self, traces: PropagationTraces) -> list:
+        return [(traces.series, traces.cd_disp_rhs, {"series": "disp"})]
 
 
 @dataclass(frozen=True)
@@ -334,14 +323,15 @@ class AntiMonotone(Kind):
             f"curvature bound violated on the solved field: {vxx_max:.4f} > {self.lu_xx}")
         return {"vxx_max": vxx_max, "vxx_bound": self.lu_xx}, reason
 
-    def slope_rule(self, trace: PropagationTrace, tol: float) -> tuple:
-        """Forward increments, judged at their later level; the t0 endpoint
-        must also stay within tol of the terminal value."""
-        series = trace.series
-        increments = np.diff(series) / np.diff(trace.ts)
-        bad = [(int(k) + 1, float(increments[k]))
-               for k in np.flatnonzero(self.sign * increments > tol)]
-        return bad, bool(series[0] <= series[-1] + tol and self.sign * series[0] >= -tol)
+    def slope_rule(self, traces: PropagationTraces, tol: float) -> tuple:
+        """Forward increments, judged at their later level (level 0 has none:
+        its rate is 0, within any tol >= 0); the t0 endpoint must also stay
+        within tol of the terminal value."""
+        series = traces.series
+        rates = np.zeros_like(series)
+        rates[:, 1:] = np.diff(series) / np.diff(traces.ts)
+        return rates, self.sign * rates > tol, ((series[:, 0] <= series[:, -1] + tol)
+                                                & (self.sign * series[:, 0] >= -tol))
 
 
 MONOTONICITY_KINDS = {cls.name: cls for cls in (LasryLions, Displacement, AntiMonotone)}
@@ -360,13 +350,16 @@ class PropagationConfig:
 
 @dataclass
 class PropagationResult:
+    """``traces`` is the battery's one record and ``endpoint_values`` its
+    series at t0; each violation list runs direction by direction."""
+
     kind: str
     tolerance: float
     gate_reports: list
-    traces: list
+    traces: PropagationTraces
     slope_violations: list
     formula_violations: list
-    endpoint_values: list
+    endpoint_values: np.ndarray
     verdict: bool
     details: dict = field(default_factory=dict)
 
@@ -407,23 +400,18 @@ def propagation_experiment(access: ValueAccess, config: PropagationConfig,
     if config.enforce_gate and reason is not None:
         raise GateError(reason)
 
-    slope_violations = []
-    formula_violations = []
-    endpoint_values = []
     etas = np.array(direction_battery(flow.states[0], config.n_directions, config.seed))
     traces = build_traces(access, etas, kind)
-    for idx, trace in enumerate(traces):
-        formula_violations.extend(dict(v, direction=idx)
-                                  for v in formula_match_violations(trace))
-        bad, endpoint_ok = kind.slope_rule(trace, tol)
-        endpoint_values.append(float(trace.series[0]))
-        slope_violations.extend({"direction": idx, "level": k, "t": float(trace.ts[k]),
-                                 "value": value} for k, value in bad)
-        if not endpoint_ok:
-            slope_violations.append({"direction": idx, "level": 0,
-                                     "t": float(trace.ts[0]),
-                                     "value": float(trace.series[0]),
-                                     "endpoint": True})
+    formula_violations = formula_match_violations(traces)
+    rates, bad, endpoint_ok = kind.slope_rule(traces, tol)
+    ts, endpoint_values = traces.ts, traces.series[:, 0]
+    slope_violations = [{"direction": int(b), "level": int(k), "t": float(ts[k]),
+                         "value": float(rates[b, k])} for b, k in zip(*np.nonzero(bad))]
+    slope_violations += [{"direction": int(b), "level": 0, "t": float(ts[0]),
+                          "value": float(endpoint_values[b]), "endpoint": True}
+                         for b in np.flatnonzero(~endpoint_ok)]
+    # A stable sort: each direction's levels, then its endpoint.
+    slope_violations.sort(key=lambda v: v["direction"])
     verdict = (not slope_violations) and (not formula_violations)
     return PropagationResult(
         kind=kind.name, tolerance=tol, gate_reports=[gate],

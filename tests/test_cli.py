@@ -229,6 +229,82 @@ atoms = 12
         assert envelope["witness"]["sample"] == 0
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command,which,code", [
+        ("check", "ll", 2), ("check", "disp", 2), ("propagate", "ll", 3),
+        ("propagate", "disp", 3)])
+    def test_non_finite_gate_forms_fail_the_gate(self, tmp_path, command, which, code):
+        # The hat table overflows at b0 = 1e200: the gate fails on law 0
+        # with a null margin, where eigvalsh used to raise on its forms.
+        text = with_key(with_key(BASE_CONFIGS[command], "model", "b0", "1e200 0 0"),
+                        "model", "family", "meanfield_1d")
+        section, key = ("check", "which") if command == "check" else ("monotonicity", "kind")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_key(text, section, key, which))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        (gate,) = report["reports"] if command == "check" else [report["gate"]]
+        assert not gate["passed"] and gate["worst_margin"] is None
+        assert gate["witness"] == {"sample": 0, "value": None}
+        assert (out / "manifest.json").exists()
+        assert not (out / "trace.csv").exists()
+
+    def test_overflowing_anti_gate_fails_its_bounds(self, tmp_path):
+        # The same overflow fails the anti gate's |h_pp| bound on law 0
+        # (exit 3), with no floating-point warning on the way.
+        text = with_key(with_key(BASE_CONFIGS["anti_check"], "model", "b0", "1e200 0 0"),
+                        "model", "family", "meanfield_1d")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        (gate,) = report["reports"]
+        assert gate["failure_kind"] == "derivative_bounds"
+        assert gate["witness"] == {"sample": 0, "bound": "abs_h_pp<=l_bar", "margin": None}
+
+    def test_nan_report_margin_is_the_top_level_worst_margin(self, tmp_path):
+        # matrix1 passes with a finite margin; the envelope check of the
+        # overflowing b2_x has a NaN one, which the run's worst margin shows.
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_key(with_key((CONFIGS / "ll_check.ini").read_text(),
+                                         "model", "b2_x", "0 1e308"),
+                                "check", "which", "matrix1 envelope"))
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        matrix1, envelope = report["reports"]
+        assert matrix1["passed"] and matrix1["worst_margin"] > 0
+        assert envelope["worst_margin"] is None
+        assert report["worst_margin"] is None and report["all_passed"] is False
+
+    @pytest.mark.parametrize("config,section,key,value", [
+        ("lq_solve", "terminal", "gxx", "nan"),
+        ("ll_check", "model", "c2", "inf"),
+        ("ll_check", "model", "b1_mean", "0 0 -inf"),
+        ("ll_check", "model", "b2_x", "0 nan"),
+        ("anti_propagation", "model", "l0", "inf"),
+        ("ll_propagation", "terminal", "gxm", "-inf"),
+    ])
+    def test_non_finite_coefficient_is_config_error(self, tmp_path, capsys, config,
+                                                    section, key, value):
+        # Rejected while reading the file, before any solve or check.
+        text = with_key((CONFIGS / f"{config}.ini").read_text(), section, key, value)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main([command_of(text), "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(BASE_CONFIGS["check"])
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--seed", "-1"]) == 1
+        assert "config error: --seed must be at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("model_block", [
         "family = separable\nq1 = 0.2\n",          # not control-coupled
         "family = ll_example\nc1 = 0\nc2 = 0.05\nc3 = 0.1\n",  # c1 outside (0, 1)
@@ -274,6 +350,8 @@ which = matrix1
         ("propagate", "monotonicity", "tol_c", "inf"),
         ("propagate", "picard", "tol", "-1"),
         ("propagate", "grid", "t_end", "inf"),
+        ("check", "experiment", "seed", "-3"),
+        ("propagate", "experiment", "seed", "-1"),
     ])
     def test_bad_runner_key_is_config_error(self, tmp_path, kind, section, key, value):
         cfg = tmp_path / "exp.ini"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from reference_forms import disp_form, dx2_form, ibar_form, ll_form
 from test_calculus import random_models
 
+from mfgclab import conditions
 from mfgclab.conditions import (
     ANTI_BOUNDS,
     ConditionError,
@@ -284,6 +285,22 @@ class TestLLCondition:
             report.tolerance * max(1.0, abs(value)) - value, abs=1e-15)
 
 
+@pytest.mark.parametrize("gate", [check_ll_condition,
+                                  lambda model, xi, p: check_disp_condition(model, 0.5, xi, p)],
+                         ids=["ll", "disp"])
+def test_non_finite_forms_fail_the_gate_on_their_law(gate):
+    # B0 = 1 + x overflows Hhat_pp at an atom of 1e200 on law 3: its forms
+    # are not finite, so that law is the witness, with a NaN value and margin.
+    model = Model(b0=(1.0, 1.0, 0.0), f0=(0.0, 0.0, 0.0, 0.5))
+    xi, p = make_condition_samples(6, 8, seed=4)
+    xi[3, 2] = 1e200
+    report = gate(model, xi, p)
+    assert not report.passed and report.failure_kind is None
+    assert np.isnan(report.worst_margin) and np.isnan(report.details["max_value"])
+    assert list(report.witness) == ["sample", "value"]
+    assert report.witness["sample"] == 3 and np.isnan(report.witness["value"])
+
+
 class TestDispCondition:
     def test_quadratic_cost_passes(self):
         model = disp_example_model(c=0.5, b1=MeanPoly2.linear(m2=0.6), f1_x=(0, 0, 0.25))
@@ -440,6 +457,23 @@ class TestAntiAssumption:
                                        l0=15.0, gamma_lo=0.5, gamma_hi=2.0,
                                        l_bar=1.0, lu_xx=1.0, xi=self.XI, p=self.P)
         assert report.details["bounds_margin"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_nan_derivative_fails_its_bound(self, monkeypatch):
+        # A NaN entry of law 2's Hhat_xx fails that law's |h_xx| bound, where
+        # every law passes without it.
+        def table_with_nan(model, xi, p):
+            table = hat_derivative_table(model, xi, p)
+            table.h_xx[2, 5] = np.nan
+            return table
+
+        monkeypatch.setattr(conditions, "hat_derivative_table", table_with_nan)
+        report = check_anti_assumption(self.make_model(l0=15.0), self.LV,
+                                       l0=15.0, gamma_lo=0.5, gamma_hi=2.0,
+                                       l_bar=1.0, lu_xx=1.0, xi=self.XI, p=self.P)
+        assert not report.passed and report.failure_kind == "derivative_bounds"
+        assert report.witness["sample"] == 2
+        assert report.witness["bound"] == "abs_h_xx<=gamma_hi*l0"
+        assert np.isnan(report.witness["margin"]) and np.isnan(report.worst_margin)
 
     @pytest.mark.parametrize("l0,l_bar", [(1.0, 0.1), (15.0, 0.1), (20.0, 5.0), (5.0, 1.0)])
     def test_bounds_witness_is_the_first_failure_by_law_then_bound(self, l0, l_bar):

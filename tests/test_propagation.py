@@ -1,9 +1,13 @@
+import functools
+import json
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_csv import trace_csv
+from reference_traces import slope_rule, split, verdict_lists
 from scipy.integrate import solve_ivp
 
 from mfgclab.measures import gaussian_quantile_cloud
@@ -16,12 +20,13 @@ from mfgclab.monotonicity import (
     monotonicity_sweep,
 )
 from mfgclab.propagation import (
+    TRACE_COLUMNS,
     AntiMonotone,
     Displacement,
     GateError,
     LasryLions,
     PropagationConfig,
-    PropagationTrace,
+    PropagationTraces,
     build_traces,
     evaluate_rhs_formulas,
     formula_match_violations,
@@ -133,7 +138,7 @@ class TestSimulateVariational:
 
     def test_battery_equals_one_direction_runs(self):
         # Rows of a batched run are independent: each equals its own run on a
-        # fresh access, bit for bit, traces included.
+        # fresh access, bit for bit, every row of the traces included.
         model, grid, flow, access = ll_setup()
         etas = np.array(direction_battery(flow.states[0], 3))
         batched = simulate_variational(access, etas)[:3]
@@ -143,11 +148,11 @@ class TestSimulateVariational:
             single = simulate_variational(fresh, eta[None, :])[:3]
             for name, s_all, s_one in zip(("dX", "G", "U"), batched, single):
                 assert np.array_equal(s_all[b], s_one[0]), name
-            (trace,) = build_traces(fresh, eta[None, :], anti(LambdaVec(0.5, 1.0, 2.0, 3.0)))
-            assert traces[b].direction == b
-            for f in fields(PropagationTrace):
-                if f.name not in ("direction", "kind"):
-                    assert np.array_equal(getattr(traces[b], f.name), getattr(trace, f.name)), f
+            one = build_traces(fresh, eta[None, :], anti(LambdaVec(0.5, 1.0, 2.0, 3.0)))
+            for f in fields(PropagationTraces):
+                if f.name not in ("kind", "ts"):
+                    assert np.array_equal(getattr(traces, f.name)[b],
+                                          getattr(one, f.name)[0]), f
 
     def test_direction_of_another_size_rejected(self):
         model, grid, flow, access = ll_setup()
@@ -207,10 +212,10 @@ class TestRhsFormulas:
 
     def test_formula_equality_along_coupled_trace(self):
         model, grid, flow, access = ll_setup()
-        (trace,) = build_traces(access, np.ones((1, N)), LL)
-        assert formula_match_violations(trace) == []
-        slope = trace.slope(trace.i_vals)
-        gap = np.abs(slope[1:-1] - trace.dt_i_rhs[1:-1])
+        traces = build_traces(access, np.ones((1, N)), LL)
+        assert formula_match_violations(traces) == []
+        (slope,) = traces.slope(traces.i)
+        gap = np.abs(slope[1:-1] - traces.dt_i_rhs[0, 1:-1])
         assert gap.max() <= 1e-3
 
     def test_combined_displacement_formula_matches(self):
@@ -220,23 +225,24 @@ class TestRhsFormulas:
         pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
         flow = solve_mfgc(model, MU0, grid, pic, seed=11)
         for access in (ValueAccess(model, flow), ll_setup()[3]):
-            (trace,) = build_traces(access, np.ones((1, N)), Displacement(0.0))
-            slope = trace.slope(trace.i_vals + trace.ibar_vals)
-            gap = np.abs(slope[1:-1] - trace.cd_disp_rhs[1:-1])
-            ref = np.maximum(np.abs(slope[1:-1]), np.abs(trace.cd_disp_rhs[1:-1]))
+            traces = build_traces(access, np.ones((1, N)), Displacement(0.0))
+            (slope,) = traces.slope(traces.i + traces.ibar)
+            (exact,) = traces.cd_disp_rhs
+            gap = np.abs(slope[1:-1] - exact[1:-1])
+            ref = np.maximum(np.abs(slope[1:-1]), np.abs(exact[1:-1]))
             assert np.all(gap <= np.maximum(0.10 * ref, 1e-3))
-            assert formula_match_violations(trace) == []
+            assert formula_match_violations(traces) == []
 
     def test_xi_bookkeeping_identity(self):
         model, grid, flow, access = ll_setup()
         lv = LambdaVec(0.5, 1.0, 2.0, 3.0)
-        (trace,) = build_traces(access, np.ones((1, N)), anti(lv))
+        (series,) = build_traces(access, np.ones((1, N)), anti(lv)).series
         (dxs,), (gammas,), (upsilons,), _ = simulate_variational(access, np.ones((1, N)))
         for k, (dx, gamma, upsilon) in enumerate(zip(dxs, gammas, upsilons)):
             expected = (lv.l0 * np.mean(gamma * dx) + lv.l1 * np.mean(upsilon * dx)
                         + np.mean(gamma**2) + lv.l2 * np.mean(upsilon**2)
                         - lv.l3 * np.mean(dx**2))
-            assert trace.series[k] == pytest.approx(expected, abs=1e-14)
+            assert series[k] == pytest.approx(expected, abs=1e-14)
 
 
 class TestPropagationExperiment:
@@ -294,9 +300,9 @@ class TestPropagationExperiment:
         result = run_experiment(access, config)
         assert result.verdict
         assert result.details["vxx_max"] <= 1.0
-        trace = result.traces[0]
-        assert trace.series[0] <= trace.series[-1] + result.tolerance
-        assert trace.series[0] <= result.tolerance
+        series = result.traces.series[0]
+        assert series[0] <= series[-1] + result.tolerance
+        assert series[0] <= result.tolerance
 
     def test_anti_vxx_violation_is_gate_error(self):
         model = anti_example_model()
@@ -346,10 +352,8 @@ class TestKinds:
         # object; at t0 both see the same cloud and battery.
         access, kind = kind_setup(name)
         etas = np.array(direction_battery(access.flow.states[0], 4))
-        traces = build_traces(access, etas, kind)
         mono = kind.value(access, 0, etas)
-        series0 = np.array([trace.series[0] for trace in traces])
-        assert np.array_equal(series0, mono)
+        assert np.array_equal(build_traces(access, etas, kind).series[:, 0], mono)
         assert np.max(np.abs(mono)) > 1e-3  # the comparison is not between zeros
 
     @pytest.mark.parametrize("name", ["ll", "disp"])
@@ -378,3 +382,106 @@ class TestKinds:
         assert not LL.holds(values, 0.1) and LL.holds(values, 0.5)
         assert not anti(LambdaVec(1, 0, 1, 0)).holds(values, 0.1)
         assert anti(LambdaVec(1, 0, 1, 0)).holds(values, 0.25)
+
+
+@functools.cache
+def shipped_flow(name):
+    """(config, model, solved flow) of one shipped propagate config."""
+    cfg = ExperimentConfig.from_ini(CONFIGS / f"{name}.ini")
+    model = cfg.model()
+    return cfg, model, solve_mfgc(model, cfg.initial_cloud(), cfg.grid(), cfg.picard(),
+                                  seed=cfg.seed)
+
+
+# Anti weights without the -l3 dX2 term that keeps Xi decreasing.
+ANTI_NO_L3 = LambdaVec(0.5, 0.5, 4.0, 0.0)
+
+# (config, tol_c, anti weights, whether the battery fails its slope rule):
+# every shipped propagate config as shipped, and failing batteries of each
+# slope rule, among them directions with both level and endpoint violations
+# (ll_negative_control at tol_c = 0 and under the anti kind).
+ORACLE_CASES = {
+    "ll": ("ll_propagation", None, None, False),
+    "ll_tol_0": ("ll_propagation", 0.0, None, True),
+    "ll_negative_control": ("ll_negative_control", None, None, True),
+    "ll_negative_control_tol_0": ("ll_negative_control", 0.0, None, True),
+    "disp": ("disp_propagation", None, None, False),
+    "disp_semi": ("disp_semi_propagation", None, None, False),
+    "disp_semi_negative_control": ("disp_semi_negative_control", None, None, True),
+    "anti": ("anti_propagation", None, None, False),
+    "anti_no_l3": ("anti_propagation", None, ANTI_NO_L3, True),
+    "anti_on_ll_negative_control": ("ll_negative_control", None, ANTI_NO_L3, True),
+}
+
+
+def oracle_result(case):
+    """The experiment of one ORACLE_CASES entry; a changed tolerance or kind
+    runs ungated."""
+    name, tol_c, lvec, _ = ORACLE_CASES[case]
+    cfg, model, flow = shipped_flow(name)
+    config = cfg.propagation()
+    if tol_c is not None:
+        config = replace(config, tol_c=tol_c, enforce_gate=False)
+    if lvec is not None:
+        config = replace(config, kind=anti(lvec), enforce_gate=False)
+    return run_experiment(ValueAccess(model, flow), config)
+
+
+def assert_same_entries(got, want):
+    """The two lists hold the same entries, in order, each with the same keys
+    in the same order and values of the same JSON type; a mismatch names its
+    first index instead of diffing whole lists."""
+    got, want = [json.dumps(v) for v in got], [json.dumps(v) for v in want]
+    first = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert first is None and len(got) == len(want), (first, len(got), len(want))
+
+
+class TestBatchedVerdictOracle:
+    """The verdict and trace.csv of the batched record against the
+    per-direction code of ``reference_traces``: the same lists, in the same
+    order with the same keys, and the same bytes."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_verdict_and_trace_csv_equal_per_direction_loop(self, case, tmp_path):
+        result = oracle_result(case)
+        per_direction = split(result.traces)
+        slope, formula, endpoint = verdict_lists(per_direction, result.tolerance)
+        assert_same_entries(result.slope_violations, slope)
+        assert_same_entries(result.formula_violations, formula)
+        assert_same_entries(result.endpoint_values.tolist(), endpoint)
+        assert bool(slope) == ORACLE_CASES[case][3]
+        assert result.verdict == (not slope and not formula)
+        traces_to_csv(tmp_path / "got.csv", result.traces)
+        trace_csv(tmp_path / "want.csv", per_direction, TRACE_COLUMNS)
+        same = (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert same
+
+    @pytest.mark.parametrize("case", ["ll", "ll_negative_control", "disp", "disp_semi",
+                                      "anti"])
+    def test_formula_violations_equal_per_direction_loop(self, case):
+        # Tolerances far below the discretisation error force violations of
+        # every pair, the displacement series included.
+        result = oracle_result(case)
+        got = formula_match_violations(result.traces, rel=1e-4, abs_tol=1e-9)
+        want = verdict_lists(split(result.traces), result.tolerance, 1e-4, 1e-9)[1]
+        assert want
+        assert_same_entries(got, want)
+        if result.kind == "disp":
+            assert any(v.get("series") == "disp" for v in got)
+
+    @pytest.mark.parametrize("kind", [LL, Displacement(0.5), anti(LambdaVec(0.5, 0.5, 4.0, 8.0))],
+                             ids=["ll", "disp", "anti"])
+    def test_slope_rule_equals_per_direction_rule_on_a_random_record(self, kind):
+        # Unequal time steps and series on the scale of tol, so that every
+        # clause of each rule decides some of the 200 directions.
+        rng = np.random.default_rng(11)
+        levels, tol = 7, 0.5
+        ts = np.cumsum(rng.uniform(0.5, 1.5, levels))
+        columns = rng.normal(size=(8, 200, levels))
+        traces = PropagationTraces(kind, ts, *columns)
+        rates, bad, endpoint_ok = kind.slope_rule(traces, tol)
+        assert 0 < np.count_nonzero(endpoint_ok) < 200
+        for b, trace in enumerate(split(traces)):
+            want_bad, want_ok = slope_rule(trace, tol)
+            got_bad = [(int(k), float(rates[b, k])) for k in np.flatnonzero(bad[b])]
+            assert got_bad == want_bad and bool(endpoint_ok[b]) == want_ok, b

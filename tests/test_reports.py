@@ -6,12 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from reference_csv import flow_csv, trace_csv, write_dict_rows, write_rows
+from reference_traces import split
 from test_cli import BASE_CONFIGS
 
 from mfgclab import cli
 from mfgclab.config import ExperimentConfig
 from mfgclab.monotonicity import MonotonicityReport
-from mfgclab.propagation import TRACE_COLUMNS, PropagationTrace, traces_to_csv
+from mfgclab.propagation import TRACE_COLUMNS, PropagationTraces, traces_to_csv
 from mfgclab.reports import _jsonable, write_csv
 from mfgclab.solver import EquilibriumFlow, Grid, ValueField
 
@@ -69,20 +70,23 @@ class TestArtifactsMatchCsvWriter:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_trace_csv_with_and_without_xi(self, tmp_path):
+        # One record per kind, each of two directions whose rows cycle
+        # through SPECIAL.
         levels = len(SPECIAL)
-        rows = special_rows(8)
-        traces = [PropagationTrace(direction, SimpleNamespace(writes_xi=writes_xi),
-                                   np.linspace(0.0, 0.5, levels), *rows)
-                  for direction, writes_xi in ((0, False), (1, True))]
-        # The slope columns difference the non-finite values.
-        with np.errstate(invalid="ignore"):
-            traces_to_csv(tmp_path / "got.csv", traces)
-            trace_csv(tmp_path / "want.csv", traces, TRACE_COLUMNS)
-        got = (tmp_path / "got.csv").read_bytes()
-        assert got == (tmp_path / "want.csv").read_bytes()
-        lines = got.splitlines()
-        assert lines[1].split(b",")[5] == b""            # direction 0 writes no Xi
-        assert lines[levels + 1].split(b",")[5] != b""   # direction 1 does
+        columns = np.stack([special_rows(8), special_rows(8, 3)], axis=1)
+        for writes_xi in (False, True):
+            traces = PropagationTraces(SimpleNamespace(writes_xi=writes_xi),
+                                       np.linspace(0.0, 0.5, levels), *columns)
+            # The slope columns difference the non-finite values.
+            with np.errstate(invalid="ignore"):
+                traces_to_csv(tmp_path / "got.csv", traces)
+                trace_csv(tmp_path / "want.csv", split(traces), TRACE_COLUMNS)
+            got = (tmp_path / "got.csv").read_bytes()
+            assert got == (tmp_path / "want.csv").read_bytes()
+            lines = got.splitlines()
+            assert len(lines) == 1 + 2 * levels
+            for line in lines[1], lines[levels + 1]:
+                assert (line.split(b",")[5] != b"") == writes_xi, writes_xi
 
     def test_samples_csv(self, tmp_path, monkeypatch):
         samples = [{"t": t, "level": np.int64(k), "direction": k % 3, "value": np.float64(v)}
