@@ -117,13 +117,14 @@ def form_matrices(table: HatTable) -> np.ndarray:
     return matrices
 
 
-def dx_velocity(table: HatTable, eta: np.ndarray, gz: np.ndarray) -> np.ndarray:
-    """Velocity of the first-variation state dX = eta with gz = G + U: the
-    point terms plus the mean-field forcing (h_prho1 eta + h_prho2 gz) @ w.
-    Leading axes of eta and gz are independent directions."""
-    w = np.full(eta.shape[-1], 1.0 / eta.shape[-1])
-    return (table.h_xp * eta + table.h_pp * gz
-            + (table.h_prho1 * eta[..., None, :] + table.h_prho2 * gz[..., None, :]) @ w)
+def _eigenvalues(matrices: np.ndarray) -> tuple:
+    """(eigenvalues, finite): the ascending eigenvalues of each symmetric
+    matrix of the stack, a row of NaN for a non-finite one, and which are
+    finite.  The stack's non-finite matrices are zeroed: eigvalsh does not
+    converge on them."""
+    finite = np.isfinite(matrices).all(axis=(-2, -1))
+    matrices[~finite] = 0.0
+    return np.where(finite[:, None], np.linalg.eigvalsh(matrices), np.nan), finite
 
 
 def _eigen_report(condition: str, matrices: np.ndarray, tol: float | None) -> ConditionReport:
@@ -133,9 +134,8 @@ def _eigen_report(condition: str, matrices: np.ndarray, tol: float | None) -> Co
     matrix has a NaN value and margin, so the first one is the witness of a
     failing report; the stack's non-finite matrices are zeroed."""
     n = matrices.shape[-1] // 3
-    finite = np.isfinite(matrices).all(axis=(-2, -1))
-    matrices[~finite] = 0.0   # eigvalsh does not converge on them
-    values = np.where(finite, n * np.linalg.eigvalsh(matrices)[:, -1], np.nan)
+    eigenvalues, finite = _eigenvalues(matrices)
+    values = n * eigenvalues[:, -1]
     threshold = tol if tol is not None else REL_TOL * np.maximum(1.0, np.abs(values))
     margins = threshold - values
     worst = int(np.argmin(margins))
@@ -274,24 +274,30 @@ def check_disp_sufficient(model: Model, lam: float, c0: float, xi: np.ndarray,
     """Single-variable sufficient condition for the displacement form.
 
     Hypotheses checked first on every law (xi, p): |Hhat_{p rho2}| <= c0
-    and Hhat_pp < -c0; the first law that breaks one is the witness, h_prho2
-    before h_pp.  Then the minimum of the (xi, eta)-only form of
-    ``sufficient_matrix`` over unit-RMS eta, N times its smallest eigenvalue,
-    must be >= -tol (default REL_TOL max(1, |value|)).  For a
+    and Hhat_pp < -c0; the first law that breaks one, or has a NaN bound, is
+    the witness, h_prho2 before h_pp.  Then the minimum of the (xi, eta)-only
+    form of ``sufficient_matrix`` over unit-RMS eta, N times its smallest
+    eigenvalue, must be >= -tol (default REL_TOL max(1, |value|)).  A
+    non-finite matrix has a NaN value and margin, so the first one is the
+    witness of a failing report, with no eta.  For a
     control-coupled model the scalar parameter inequality is evaluated
     exactly and reported alongside.
     """
     if c0 < 0:
         raise ConditionError("c0 must be nonnegative")
     details: dict = {}
-    if control_coupling(model) is not None:
-        details["scalar_inequality"] = _scalar_disp_inequality(model, c0)
-    table = hat_derivative_table(model, xi, p)
     laws = len(xi)
-    prho2 = np.abs(table.h_prho2).reshape(laws, -1).max(axis=1)
-    pp = table.h_pp.max(axis=1)
-    over = prho2 > c0 + 1e-9
-    bad = np.flatnonzero(over | (pp >= -c0 - 1e-12))
+    # An overflowing model gives non-finite entries: a NaN bound fails its
+    # hypothesis and a non-finite matrix its eigenvalue test, without
+    # floating-point warnings.
+    with np.errstate(all="ignore"):
+        if control_coupling(model) is not None:
+            details["scalar_inequality"] = _scalar_disp_inequality(model, c0)
+        table = hat_derivative_table(model, xi, p)
+        prho2 = np.abs(table.h_prho2).reshape(laws, -1).max(axis=1)
+        pp = table.h_pp.max(axis=1)
+        over = ~(prho2 <= c0 + 1e-9)
+        bad = np.flatnonzero(over | ~(pp < -c0 - 1e-12))
     if bad.size:
         idx = int(bad[0])
         bound, value = ("h_prho2", prho2[idx]) if over[idx] else ("h_pp", pp[idx])
@@ -305,22 +311,29 @@ def check_disp_sufficient(model: Model, lam: float, c0: float, xi: np.ndarray,
             failure_kind="hypothesis",
             details=details,
         )
-    matrices = np.stack([sufficient_matrix(table[k], lam, c0) for k in range(laws)])
+    with np.errstate(all="ignore"):
+        matrices = np.stack([sufficient_matrix(table[k], lam, c0) for k in range(laws)])
     n = matrices.shape[-1]
-    values = n * np.linalg.eigvalsh(matrices)[:, 0]
+    eigenvalues, finite = _eigenvalues(matrices)
+    values = n * eigenvalues[:, 0]
     threshold = tol if tol is not None else REL_TOL * np.maximum(1.0, np.abs(values))
     margins = values + threshold
+    # argmin takes a NaN margin, of a non-finite matrix, before any number.
     worst = int(np.argmin(margins))
     passed = margins[worst] >= -PASS_SLACK
+    witness = None
+    if not passed:
+        witness = {"sample": worst, "value": float(values[worst])}
+        if finite[worst]:
+            vector = np.linalg.eigh(matrices[worst])[1][:, 0]
+            witness["eta"] = (np.sqrt(n) * vector).tolist()
     return ConditionReport(
         condition="displacement_sufficient",
         n_samples=laws,
         worst_margin=float(margins[worst]),
         passed=bool(passed and details.get("scalar_inequality", {}).get("holds", True)),
         tolerance=tol if tol is not None else REL_TOL,
-        witness=None if passed else {
-            "sample": worst, "value": float(values[worst]),
-            "eta": (np.sqrt(n) * np.linalg.eigh(matrices[worst])[1][:, 0]).tolist()},
+        witness=witness,
         details=details,
     )
 

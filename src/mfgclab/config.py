@@ -47,6 +47,10 @@ pairs of that size.  A
 propagate run of the anti kind also requires |Vxx| <= lu_xx on the solved
 field.  An invalid kind parameter is a ConfigError before any solve, and
 [monotonicity] lambda is range-checked whatever the kind.
+
+The count keys, [monotonicity] slices and directions, [check] samples and
+atoms and [chain] pairs and atoms, are integers of at most MAX_COUNT
+(100000); a larger one is a ConfigError before anything is allocated.
 """
 from __future__ import annotations
 
@@ -62,6 +66,9 @@ from .propagation import MONOTONICITY_KINDS, PropagationConfig
 from .solver import Grid, PicardSettings, SolverError
 
 KINDS = ("check", "solve", "mono", "propagate", "chain")
+# The largest value of a count key: far past desk scale, and small enough
+# that every array shape it sets is valid.
+MAX_COUNT = 100_000
 # The [check] which names besides the monotonicity kinds, whose gates it runs.
 CHECKERS = ("envelope", "matrix1", "disp_sufficient", "fmon")
 
@@ -83,13 +90,16 @@ def _floats(text: str) -> tuple:
 
 def _number(sec: dict, key: str, default: str, cast=float, least=None):
     """One numeric INI value; a malformed, non-finite or out-of-range value is
-    a ConfigError."""
+    a ConfigError.  An int is a count, at most MAX_COUNT."""
     raw = sec.get(key, default)
     try:
         value = cast(raw)
     except ValueError as err:
         raise ConfigError(f"bad {key} = {raw!r}: {err}") from err
-    if not np.isfinite(value):
+    # An int is finite, and one beyond int64 is no numpy scalar.
+    if cast is int and value > MAX_COUNT:
+        raise ConfigError(f"{key} must be at most {MAX_COUNT}, got {value}")
+    if cast is float and not np.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {value}")
     if least is not None and value < least:
         raise ConfigError(f"{key} must be at least {least}, got {value}")

@@ -20,12 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import value_measure_gradient
 from .conditions import (
     check_anti_assumption,
     check_disp_condition,
     check_ll_condition,
-    dx_velocity,
     form_chunks,
     make_condition_samples,
 )
@@ -97,33 +95,57 @@ def simulate_variational(access: ValueAccess, etas: np.ndarray) -> tuple:
     converged flow: (dX, G, U, table).
 
     The initial sensitivities dX(0) = eta are the rows of the (B, N) stack
-    etas, each aligned with the initial particle states, and the whole
-    battery steps as one (B, N) array.  The equilibrium states are reused as
-    simulated (they already carry the flow's Brownian increments); dX follows
-    its linear dynamics with the curvature field G = Vxx dX from
-    ``access.field(k)`` and the measure-derivative field U from the value
-    gradient's tangent at every level k, all directions of a level in one
-    request to ``access``.  dX, G and U are (B, levels, N) stacks, row b
-    belonging to direction b; ``table`` is the flow's stacked hat table, level
-    k at index k, from one ``hat_derivative_table`` call on the whole flow.
+    etas, each aligned with the initial particle states.  The equilibrium
+    states are reused as simulated (they already carry the flow's Brownian
+    increments); dX follows its linear dynamics with the curvature field G =
+    V_xx dX and the measure-derivative field U = M dX, where V_xx at each
+    level's atoms is ``access.fields()`` and M is ``access.matrices``.  The
+    Euler step is linear in dX, dX_{k+1} = T_k dX_k with
+
+        T_k = I + dt [diag(h_xp) + h_prho1 / N
+                      + (diag(h_pp) + h_prho2 / N)(diag(V_xx) + M[k])]
+
+    at level k, so the (levels - 1, N, N) stack T is built in a few batched
+    operations before the pass, and a level is one matrix-vector product
+    per direction: each row is bit-identical to its one-direction run, and a
+    negated direction gives the negated trace.  G and U are one product
+    each over all levels.  dX, G and U are (B, levels, N) stacks, row b
+    belonging to direction b; ``table`` is the flow's stacked hat table,
+    level k at index k, from one ``hat_derivative_table`` call on the whole
+    flow.  A non-finite update is a ``GateError`` naming the first level
+    that produced one.
     """
     flow = access.flow
     delta = np.array(etas, dtype=float)
     if delta.ndim != 2 or delta.shape[1] != flow.n_particles:
         raise GateError(f"directions of shape {delta.shape} do not match the "
                         f"flow's {flow.n_particles} particles")
-    n_t, dt = flow.grid.n_t, flow.grid.dt
+    n_t, dt, n = flow.grid.n_t, flow.grid.dt, flow.n_particles
     table = hat_derivative_table(access.model, flow.states, flow.momenta)
-    dx, gamma, upsilon = (np.empty((len(delta), n_t + 1, flow.n_particles))
-                          for _ in range(3))
-    for k in range(n_t + 1):
-        g_k = access.field(k) * delta
-        u_k = value_measure_gradient(access, k, delta)
-        dx[:, k], gamma[:, k], upsilon[:, k] = delta, g_k, u_k
-        if k < n_t:
-            delta = delta + dt * dx_velocity(table[k], delta, g_k + u_k)
-            if not np.all(np.isfinite(delta)):
-                raise GateError(f"variational state blew up at level {k}")
+    vxx, matrices = access.fields(), access.matrices
+    diagonal = np.arange(n)
+    dx = np.empty((len(delta), n_t + 1, n))
+    dx[:, 0] = delta
+    # A diverging trace overflows on its way to inf/nan; the check below
+    # names its level instead of numpy's floating-point warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        curvature = matrices[:-1].copy()   # G + U = (diag(V_xx) + M) dX
+        curvature[:, diagonal, diagonal] += vxx[:-1]
+        feedback = table.h_prho2[:-1] / n
+        feedback[:, diagonal, diagonal] += table.h_pp[:-1]
+        transition = table.h_prho1[:-1] / n
+        transition[:, diagonal, diagonal] += table.h_xp[:-1]
+        transition += feedback @ curvature
+        transition *= dt
+        transition[:, diagonal, diagonal] += 1.0
+        for k, t_k in enumerate(transition):
+            np.matmul(t_k, dx[:, k, :, None], out=dx[:, k + 1, :, None])
+    # A non-finite state stays non-finite at every later level.
+    finite = np.isfinite(dx[:, 1:]).all(axis=(0, 2))
+    if not finite.all():
+        raise GateError(f"variational state blew up at level {int(np.argmin(finite))}")
+    gamma = vxx * dx
+    upsilon = np.matmul(matrices, dx[..., None])[..., 0]
     return dx, gamma, upsilon, table
 
 

@@ -31,11 +31,12 @@ interpolation of u_x at the particles and a few in-place updates.
 before it produced, so the levels cannot share one call.
 
 ``ValueAccess`` reads V_xx of the solved flow at the cloud of a level k,
-and gives the measure derivative of the value gradient along displacements
-of that cloud: M[k] eta, where the (levels, N, N) stack M is the exact
-derivative of the discrete equilibrium's u_x at each level's atoms with
-respect to those atoms, built once in one backward pass over the levels
-(``_measure_derivative``).
+or of every level at once, and gives the measure derivative of the value
+gradient along displacements of that cloud: M[k] eta, where the (levels, N,
+N) stack M is the exact derivative of the discrete equilibrium's u_x at each
+level's atoms with respect to those atoms, built once in one backward pass
+over the levels (``_measure_derivative``), with every coefficient the pass
+does not carry built before it as a stack over the levels.
 """
 from __future__ import annotations
 
@@ -487,6 +488,40 @@ def terminal_field(model: Model, atoms: np.ndarray, xs: np.ndarray,
     return ValueField(model.g(xs, atoms)[None, :], xs, np.array([t_end]))
 
 
+def _cell(xs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The grid cell [xs[c], xs[c + 1]] of each point x, as the index c:
+    the last grid point at or left of x, clipped to the interior cells."""
+    return np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+
+
+def _interp_rows(x: np.ndarray, xs: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp of each row of the grid values fp at the same row of the
+    points x, which lie in [xs[0], xs[-1]]; a 1-D x and fp are one row.  It
+    is np.interp's arithmetic, slope (x - xs[c]) + fp[c], so it rounds as
+    np.interp does everywhere but at x = xs[-1]."""
+    cell = _cell(xs, x)
+    lo = np.take_along_axis(fp, cell, -1)
+    slope = (np.take_along_axis(fp, cell + 1, -1) - lo) / (xs[cell + 1] - xs[cell])
+    return slope * (x - xs[cell]) + lo
+
+
+def _reader(n_x: int, dx: float, cell: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """(levels, n_x, N): column i of slice k reads u_x at atom i of level k
+    off a row u of n_x grid values, u @ reader[k], with ``_d1_rows``' stencil
+    interpolated across the atom's cell by its weight.  A stencil row c
+    reads (u[c + 1] - u[c - 1]) / (2 dx), one-sided at the edges, so each
+    column has four nonzeros; they are scattered, the edges' coinciding
+    ones summed."""
+    levels, n = cell.shape
+    cols = np.stack((cell, cell + 1))
+    lo, hi = np.maximum(cols - 1, 0), np.minimum(cols + 1, n_x - 1)
+    coef = np.stack((1.0 - weight, weight)) / ((hi - lo) * dx)
+    base = np.arange(levels)[:, None] * n_x
+    flat = np.concatenate([((base + rows) * n + np.arange(n)).ravel() for rows in (hi, lo)])
+    values = np.concatenate((coef.ravel(), -coef.ravel()))
+    return np.bincount(flat, values, minlength=levels * n_x * n).reshape(levels, n_x, n)
+
+
 def _measure_derivative(model: Model, flow: EquilibriumFlow) -> np.ndarray:
     """M, (levels, N, N): M[k] is the derivative of the discrete
     equilibrium's u_x at the atoms of level k with respect to those atoms.
@@ -495,32 +530,37 @@ def _measure_derivative(model: Model, flow: EquilibriumFlow) -> np.ndarray:
     from a cloud x at level k with the base flow's Brownian increments; M[k]
     differentiates that fixed point at x = base.states[k], not a truncation
     of its iteration.  The coefficients are those of a sweep linearised
-    around the base flow: the moments of its fixed point, one backward sweep
-    of the value grid against them, the partials of H on the grid and at
-    the atoms, and the slope of u_x across each atom's cell.  The time step
-    is folded into every coefficient, and the weight 1/N of a mean into the
-    m1 partials.
+    around the base flow: the moments of its fixed point (the flow's
+    controls), one backward sweep of the value grid against them, the
+    partials of H on the grid and at the atoms, and the slope of u_x across
+    each atom's cell.  The time step is folded into every coefficient, and
+    the weight 1/N of a mean into the m1 partials.
 
     At the fixed point, the state tangent of level l + 1 is A_l dX_l + R_l
     du_l, where du_l reads the tangent value row of level l at the atoms
-    (``_d1_rows`` and the atom-cell interpolation), A_l = diag(alpha_l) +
-    hp_m1 (x) 1/N + hp_m2 (x) W_D and R_l = diag(hp_p) + hp_m2 (x) W_U.  The
-    control mean moves by dm2_l = W_D dX_l + W_U du_l, with W_D = (a + b
-    slope + g (p + x slope)) / N and W_U = (b + g x) / N from
-    ``control_mean_tangent``'s coefficients (a, b, g).  One backward pass
-    over the levels carries U, the tangent value rows per unit displacement
-    of the atoms of the level above, and r, that level's dm2 per unit
-    displacement: from U = dg/dm1 (x) 1/N at the terminal level, each level
-    k steps V = Band U + h_m1 (x) 1/N + h_m2 (x) r, reads G = read_k(V) and
-    solves Phi = (I - R_k G)^-1 A_k, so that M[k] = G Phi, U <- V Phi and r
-    = W_D + W_U M[k].  U is kept as rows, one per atom.  A non-finite or
-    singular level is a ``SolverError`` naming it.
+    (``_reader``: ``_d1_rows`` interpolated across the atom's cell), A_l =
+    diag(alpha_l) + hp_m1 (x) 1/N + hp_m2 (x) W_D and R_l = diag(hp_p) +
+    hp_m2 (x) W_U.  The control mean moves by dm2_l = W_D dX_l + W_U du_l,
+    with W_D = (a + b slope + g (p + x slope)) / N and W_U = (b + g x) / N
+    from ``control_mean_tangent``'s coefficients (a, b, g).  One backward
+    pass over the levels carries U, the tangent value rows per unit
+    displacement of the atoms of the level above, and r, that level's dm2
+    per unit displacement: from U = dg/dm1 (x) 1/N at the terminal level,
+    each level k steps V = Band U + h_m1 (x) 1/N + h_m2 (x) r, reads G =
+    read_k(V) and solves Phi = (I - R_k G)^-1 A_k, so that M[k] = G Phi, U
+    <- V Phi and r = W_D + W_U M[k].  U is kept as rows, one per atom.
+
+    Everything the pass does not carry is built before it as a stack over
+    the levels: the reader, R and A.  U lives inside zero ghost columns, so
+    the band is three whole-row products, and a level's buffers are
+    allocated once.  A non-finite or singular level is a ``SolverError``
+    naming it.
     """
     grid = flow.grid
     xs, dx, dt = grid.xs, grid.dx, grid.dt
     states, momenta = flow.states, flow.momenta
     levels, n = states.shape
-    m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
+    m1, m2 = _moments(states, flow.controls)
     u = _backward_value(model, xs, dx, dt, m1, m2, states[-1])
     ux = _d1_rows(u, dx)
     on_grid = hamiltonian_partials(model, xs, ux, m1[:, None], m2[:, None])
@@ -541,16 +581,10 @@ def _measure_derivative(model: Model, flow: EquilibriumFlow) -> np.ndarray:
     h_m1 = np.broadcast_to(dt / n * on_grid.h_m1, u.shape)
     h_m2 = np.broadcast_to(dt * on_grid.h_m2, u.shape)
 
-    cell = np.clip(np.searchsorted(xs, states, side="right") - 1, 0, xs.size - 2)
+    cell = _cell(xs, states)
     width = xs[cell + 1] - xs[cell]
-    weight = (states - xs[cell]) / width
     slope = (np.take_along_axis(ux, cell + 1, -1) - np.take_along_axis(ux, cell, -1)) / width
-
-    def read(level, rows):
-        """(atoms, rows): u_x of each tangent value row at level's atoms."""
-        d = _d1_rows(rows, dx)
-        lo = d[:, cell[level]]
-        return (lo + weight[level] * (d[:, cell[level] + 1] - lo)).T
+    reader = _reader(xs.size, dx, cell, (states - xs[cell]) / width)
 
     a, b, g = (control_mean_tangent(model, m1, momenta.mean(axis=-1), *unit)[:, None]
                for unit in np.eye(3))
@@ -559,33 +593,41 @@ def _measure_derivative(model: Model, flow: EquilibriumFlow) -> np.ndarray:
     alpha = np.broadcast_to(1.0 + dt * (at_atoms.hp_x + at_atoms.hp_p * slope), states.shape)
     hp_p, hp_m1, hp_m2 = (np.broadcast_to(dt * h, states.shape)
                           for h in (at_atoms.hp_p, at_atoms.hp_m1 / n, at_atoms.hp_m2))
+    diagonal = np.arange(n)
+    coupling = hp_m2[:, :, None] * w_u[:, None, :]   # R
+    coupling[:, diagonal, diagonal] += hp_p
+    forward = hp_m2[:, :, None] * w_d[:, None, :] + hp_m1[:, :, None]   # A
+    forward[:, diagonal, diagonal] += alpha
 
     matrix = np.empty((levels, n, n))
-    diagonal = np.arange(n)
-    rows = np.outer(np.full(n, 1.0 / n), model.g.d_m1(xs, m1[-1]))
-    matrix[-1] = read(levels - 1, rows)
+    rows = np.zeros((n, xs.size + 2))
+    inner, left, right = rows[:, 1:-1], rows[:, :-2], rows[:, 2:]
+    step, term = np.empty((n, xs.size)), np.empty((n, xs.size))
+    eye, system = np.eye(n), np.empty((n, n))
+    np.outer(np.full(n, 1.0 / n), model.g.d_m1(xs, m1[-1]), out=inner)
+    matrix[-1] = (inner @ reader[-1]).T
     r = w_d[-1] + w_u[-1] @ matrix[-1]
     # A divergent pass overflows on its way to inf/nan; the check below
     # reports it, with its level, instead of numpy's floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(levels - 2, -1, -1):
-            step = diag[k + 1] * rows
-            step[:, 1:] += lower[k + 1, 1:] * rows[:, :-1]
-            step[:, :-1] += upper[k + 1, :-1] * rows[:, 1:]
+            np.multiply(inner, diag[k + 1], out=step)
+            np.multiply(left, lower[k + 1], out=term)
+            step += term
+            np.multiply(right, upper[k + 1], out=term)
+            step += term
             step += h_m1[k + 1]
-            step += r[:, None] * h_m2[k + 1]
-            read_k = read(k, step)
-            system = -hp_p[k][:, None] * read_k - np.outer(hp_m2[k], w_u[k] @ read_k)
-            system[diagonal, diagonal] += 1.0
-            forward = np.outer(hp_m2[k], w_d[k]) + hp_m1[k][:, None]
-            forward[diagonal, diagonal] += alpha[k]
+            np.multiply(r[:, None], h_m2[k + 1], out=term)
+            step += term
+            read_k = (step @ reader[k]).T
+            np.subtract(eye, coupling[k] @ read_k, out=system)
             try:
-                phi = np.linalg.solve(system, forward)
+                phi = np.linalg.solve(system, forward[k])
             except np.linalg.LinAlgError as err:
                 raise SolverError(f"the measure derivative's linear system is singular "
                                   f"at level {k}") from err
             np.matmul(read_k, phi, out=matrix[k])
-            rows = phi.T @ step
+            np.matmul(phi.T, step, out=inner)
             r = w_d[k] + w_u[k] @ matrix[k]
     # A non-finite entry spreads to every level below it through r, so the
     # largest level holding one is where the pass first broke down.
@@ -613,14 +655,17 @@ class ValueAccess:
     atoms with respect to those atoms, where the equilibrium from level k is
     the fixed point of the Picard sweep from a displaced cloud with the base
     flow's Brownian increments.  ``tangent(k, etas)`` is M[k] eta for each
-    row eta.  The access holds M and nothing else beside its model and flow.
+    row eta, and ``matrices`` is the whole stack, read-only; ``fields()`` is
+    ``field(k)`` of every level k, one row per level.  The access holds M and
+    nothing else beside its model and flow.
     """
 
     def __init__(self, model: Model, flow: EquilibriumFlow):
         self.model = model
         self.flow = flow
         self.n_particles = flow.n_particles
-        self._matrix = _measure_derivative(model, flow)
+        self.matrices = _measure_derivative(model, flow)
+        self.matrices.flags.writeable = False
 
     def _checked(self, k: int) -> int:
         n_t = self.flow.grid.n_t
@@ -631,11 +676,17 @@ class ValueAccess:
     def field(self, k: int) -> np.ndarray:
         """V_xx(t_k, ., mu_k) at the atoms of level k's cloud."""
         vf = self.flow.value_field
-        return np.interp(self.flow.states[self._checked(k)], vf.xs, vf.u_xx[k])
+        return _interp_rows(self.flow.states[self._checked(k)], vf.xs, vf.u_xx[k])
+
+    def fields(self) -> np.ndarray:
+        """(levels, N): row k is ``field(k)``, V_xx(t_k, ., mu_k) at the
+        atoms of level k's cloud."""
+        vf = self.flow.value_field
+        return _interp_rows(self.flow.states, vf.xs, vf.u_xx)
 
     def tangent(self, k: int, etas: np.ndarray) -> np.ndarray:
         """d/de of the equilibrium's u_x(t_k, x_i) at the cloud x + e eta, at
         e = 0 and x = base.states[k], one row per direction of the (B, N)
         stack etas: one matrix-vector product per row, so each row is
         bit-identical to asking for it alone."""
-        return np.matmul(self._matrix[self._checked(k)], etas[..., None])[..., 0]
+        return np.matmul(self.matrices[self._checked(k)], etas[..., None])[..., 0]

@@ -8,8 +8,8 @@ base point at atom i and the support atom at j.
 """
 import numpy as np
 
-from mfgclab.conditions import dx_velocity
 from mfgclab.models import HatTable
+from reference_variational import dx_velocity
 
 
 def ll_form(table: HatTable, eta: np.ndarray, gamma: np.ndarray, zeta: np.ndarray) -> float:

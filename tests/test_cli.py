@@ -1,18 +1,22 @@
 import configparser
 import io
 import json
+import os
 import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfgclab import calculus, cli
+from mfgclab import calculus, cli, conditions
 from mfgclab.cli import main
 from mfgclab.models import HatTable
+from mfgclab.propagation import MONOTONICITY_KINDS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_model_block(force_gate=None, c2="0.05"):
@@ -99,6 +103,15 @@ SHIPPED_EXIT_CODES = {
     "anti_propagation": 0, "chain": 0, "disp_propagation": 0,
     "disp_semi_negative_control": 2, "disp_semi_propagation": 0, "ll_check": 0,
     "ll_mono": 0, "ll_negative_control": 2, "ll_propagation": 0, "lq_solve": 0,
+}
+
+
+# The (slope, formula) violation counts of each shipped mono and propagate
+# config at its shipped size; a mono run's slope count is its failing samples.
+SHIPPED_VIOLATIONS = {
+    "anti_propagation": (0, 0), "disp_propagation": (0, 0),
+    "disp_semi_negative_control": (12, 0), "disp_semi_propagation": (0, 0),
+    "ll_mono": (0, 0), "ll_negative_control": (452, 0), "ll_propagation": (0, 0),
 }
 
 
@@ -263,6 +276,52 @@ atoms = 12
         assert gate["failure_kind"] == "derivative_bounds"
         assert gate["witness"] == {"sample": 0, "bound": "abs_h_pp<=l_bar", "margin": None}
 
+    def test_overflowing_disp_sufficient_fails_its_matrix(self, tmp_path):
+        # f1_x = 1e308 x^2 overflows h_xx, so no law's matrix is finite: the
+        # check fails on law 0 with a null margin (exit 2), where eigvalsh
+        # used to raise.  A fresh interpreter runs it with RuntimeWarning as
+        # an error.
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_key(with_key((CONFIGS / "ll_check.ini").read_text(),
+                                         "model", "f1_x", "0 0 1e308"),
+                                "check", "which", "disp_sufficient"))
+        out = tmp_path / "o"
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "mfgclab.cli", "check",
+             "--config", str(cfg), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
+        assert done.returncode == 2, done.stderr
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        (sufficient,) = report["reports"]
+        assert not sufficient["passed"] and sufficient["failure_kind"] is None
+        assert sufficient["worst_margin"] is None and report["worst_margin"] is None
+        assert sufficient["witness"] == {"sample": 0, "value": None}
+        assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("entry", ["h_prho2", "h_pp"])
+    def test_nan_disp_sufficient_bound_fails_its_hypothesis(self, tmp_path, monkeypatch,
+                                                             entry):
+        # A NaN entry of law 2 makes its bound NaN, which fails the
+        # hypothesis (exit 3) where a ">" test let it pass.
+        closed_form = conditions.hat_derivative_table
+
+        def with_nan(model, x, p):
+            table = closed_form(model, x, p)
+            getattr(table, entry)[2] = np.nan
+            return table
+
+        monkeypatch.setattr(conditions, "hat_derivative_table", with_nan)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_key((CONFIGS / "ll_check.ini").read_text(),
+                                "check", "which", "disp_sufficient"))
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        (sufficient,) = report["reports"]
+        assert sufficient["failure_kind"] == "hypothesis"
+        assert sufficient["witness"] == {"sample": 2, "bound": entry, "value": None, "c0": 0.5}
+        assert (out / "manifest.json").exists()
+
     def test_nan_report_margin_is_the_top_level_worst_margin(self, tmp_path):
         # matrix1 passes with a finite margin; the envelope check of the
         # overflowing b2_x has a NaN one, which the run's worst margin shows.
@@ -352,6 +411,12 @@ which = matrix1
         ("propagate", "grid", "t_end", "inf"),
         ("check", "experiment", "seed", "-3"),
         ("propagate", "experiment", "seed", "-1"),
+        ("chain", "chain", "pairs", "1000000000000000000000000000000"),
+        ("chain", "chain", "atoms", "100001"),
+        ("check", "check", "samples", "100001"),
+        ("check", "check", "atoms", "9223372036854775808"),
+        ("propagate", "monotonicity", "directions", "100001"),
+        ("mono", "monotonicity", "slices", "1" + "0" * 40),
     ])
     def test_bad_runner_key_is_config_error(self, tmp_path, kind, section, key, value):
         cfg = tmp_path / "exp.ini"
@@ -495,6 +560,26 @@ class TestShippedConfigs:
             report = json.loads((out / "report.json").read_text())
             assert report["verdict"] is (code == 0)
             assert report["kind"] == path.stem.split("_")[0]
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
+    def test_shipped_size_exit_code_and_violation_counts(self, tmp_path, path):
+        # Every shipped config as shipped: its exit code and, for mono and
+        # propagate, its violation counts.
+        text = path.read_text()
+        out = tmp_path / "out"
+        assert main([command_of(text), "--config", str(path), "--out", str(out)]) \
+            == SHIPPED_EXIT_CODES[path.stem]
+        report = json.loads((out / "report.json").read_text())
+        if "slope_violations" in report:
+            counts = len(report["slope_violations"]), len(report["formula_violations"])
+        elif "samples" in report:
+            sign = MONOTONICITY_KINDS[report["kind"]].sign
+            counts = sum(sign * s["value"] < -report["tolerance"]
+                         for s in report["samples"]), 0
+        else:
+            assert path.stem not in SHIPPED_VIOLATIONS
+            return
+        assert counts == SHIPPED_VIOLATIONS[path.stem]
 
     def test_solve_config_passes_and_writes_artifacts(self, tmp_path):
         out = tmp_path / "out"

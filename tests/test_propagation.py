@@ -6,13 +6,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_variational
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from reference_csv import trace_csv
 from reference_traces import slope_rule, split, verdict_lists
 from scipy.integrate import solve_ivp
+from test_calculus import random_models
 
+from mfgclab import propagation
 from mfgclab.measures import gaussian_quantile_cloud
 from mfgclab.config import ExperimentConfig, preset_model
-from mfgclab.models import MeanPoly2, Model, QuadraticTerminalCost
+from mfgclab.models import (
+    HatTable,
+    MeanPoly2,
+    Model,
+    QuadraticTerminalCost,
+    hat_derivative_table,
+)
 from mfgclab.monotonicity import (
     LambdaVec,
     MonotonicityError,
@@ -35,7 +46,7 @@ from mfgclab.propagation import (
     simulate_variational,
     traces_to_csv,
 )
-from mfgclab.solver import Grid, PicardSettings, ValueAccess, solve_mfgc
+from mfgclab.solver import Grid, PicardSettings, SolverError, ValueAccess, solve_mfgc
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 N = 16
@@ -160,6 +171,61 @@ class TestSimulateVariational:
             simulate_variational(access, np.ones((1, N + 1)))
         with pytest.raises(GateError, match="particles"):
             simulate_variational(access, np.ones(N))
+
+
+class TestVariationalOracle:
+    """The stacked pass of simulate_variational against the level-by-level
+    loop of ``reference_variational``: (dX, G, U) within 1e-12 of each
+    field's largest entry."""
+
+    @staticmethod
+    def assert_matches_reference(access, etas):
+        got = simulate_variational(access, etas)
+        want = reference_variational.simulate_variational(access, etas)
+        for name, a, b in zip(("dX", "G", "U"), got, want):
+            gap = np.max(np.abs(a - b)) / np.max(np.abs(b))
+            assert gap <= 1e-12, (name, gap)
+
+    @pytest.mark.parametrize("name", ["ll_propagation", "disp_propagation",
+                                      "anti_propagation"])
+    def test_shipped_flows(self, name):
+        cfg, model, flow = shipped_flow(name)
+        etas = np.array(direction_battery(flow.states[0], 12, cfg.seed))
+        self.assert_matches_reference(ValueAccess(model, flow), etas)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(model=random_models(), seed=st.integers(0, 2**32 - 1))
+    def test_random_models(self, model, seed):
+        # A coupled terminal cost, and every hat entry nonzero along the
+        # flow: h_prho1 and M are not symmetric, and every term of T counts.
+        model = replace(model, g=QuadraticTerminalCost(xx=0.5, xm=0.2, x_lin=0.1, m2=0.3))
+        grid = Grid.with_cfl_steps(-3.0, 3.0, 41, 0.0, 0.1)
+        try:
+            flow = solve_mfgc(model, gaussian_quantile_cloud(8, 0.0, 0.5), grid,
+                              PicardSettings(max_iter=200, tol=1e-10, damping=0.6), seed=seed)
+            access = ValueAccess(model, flow)
+        except SolverError:
+            assume(False)
+        table = hat_derivative_table(model, flow.states, flow.momenta)
+        assume(all(np.all(getattr(table, f.name) != 0.0) for f in fields(HatTable)))
+        etas = np.random.default_rng(seed).normal(size=(3, 8))
+        self.assert_matches_reference(access, etas)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_non_finite_update_names_its_level(self, monkeypatch, where):
+        # An infinite h_xp at one level makes that level's update infinite:
+        # the error names the level, with no floating-point warning on the way.
+        model, grid, flow, access = ll_setup()
+        level = {"first": 0, "middle": grid.n_t // 2, "last": grid.n_t - 1}[where]
+
+        def broken(model, x, p):
+            table = hat_derivative_table(model, x, p)
+            table.h_xp[level] = np.inf
+            return table
+
+        monkeypatch.setattr(propagation, "hat_derivative_table", broken)
+        with pytest.raises(GateError, match=f"blew up at level {level}$"):
+            simulate_variational(access, np.ones((2, N)))
 
 
 class TestRhsFormulas:
