@@ -150,11 +150,9 @@ def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
             c0 = abs((model.B.coeffs[2] - c) / (1.0 - c))
             reports.append(check_disp_sufficient(model, cfg.lam(), c0, xi, p))
         else:  # fmon
-            rng = np.random.default_rng(seed)
-            pairs = [((rng.normal(size=n_atoms), rng.normal(size=n_atoms)),
-                      (rng.normal(size=n_atoms), rng.normal(size=n_atoms)))
-                     for _ in range(n_samples)]
-            reports.append(check_f_monotone(model, pairs))
+            # Pair k is (xi1, a1, xi2, a2) = draws[k], one (4, n_atoms) draw per pair.
+            draws = np.random.default_rng(seed).normal(size=(n_samples, 4, n_atoms))
+            reports.append(check_f_monotone(model, *draws.transpose(1, 0, 2)))
     payload = {"reports": [r.to_dict() for r in reports],
                "worst_margin": np.min([r.worst_margin for r in reports]),
                "all_passed": all(r.passed for r in reports)}

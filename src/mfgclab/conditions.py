@@ -16,6 +16,13 @@ reads one hat table over all its laws, and the gates and the propagation
 traces build the forms of a stacked table in chunks (``form_chunks``).  The
 gates judge the eigenvalue on each random law, and a failing gate reports
 the eigenvector that attains it.
+
+Every checker turns one margin per law (or pair, or matrix) into its verdict
+by one rule, ``ConditionReport.judge``: the worst sample is the first
+minimum, a NaN margin before any number, so a non-finite sample fails; the
+check passes when that margin is >= -slack; and the witness is built only
+on failure.  The hypothesis stages of ``check_disp_sufficient`` and
+``check_anti_assumption`` report their first failing law instead.
 """
 from __future__ import annotations
 
@@ -109,10 +116,11 @@ def form_matrices(table: HatTable) -> np.ndarray:
     dx2[..., 0, :, :, :] *= 2.0
     diagonal(1, 0, 0)[...] = -(table.h_xx / n)
     matrices = forms.reshape(*forms.shape[:-4], 3 * n, 3 * n)
-    # M <- (M + M^T) / 2 in place, one matrix at a time: numpy copies the
-    # transpose that a matrix overlaps, so no temporary is larger than one.
-    for matrix in matrices.reshape(-1, 3 * n, 3 * n):
-        matrix += matrix.T
+    # M <- (M + M^T) / 2 in place, one form at a time: numpy copies the
+    # transpose that a form's stack overlaps, a third of the forms.
+    for f in range(3):
+        form = matrices[..., f, :, :]
+        form += np.swapaxes(form, -1, -2)
     matrices *= 0.5
     return matrices
 
@@ -127,35 +135,36 @@ def _eigenvalues(matrices: np.ndarray) -> tuple:
     return np.where(finite[:, None], np.linalg.eigvalsh(matrices), np.nan), finite
 
 
-def _eigen_report(condition: str, matrices: np.ndarray, tol: float | None) -> ConditionReport:
-    """Judge value = N lambda_max of each law's (3N, 3N) form matrix, the
-    form's maximum over unit-RMS v, against tol (default REL_TOL max(1, |value|));
-    a failing report's witness is that unit-RMS eigenvector.  A non-finite
+def _eigen_report(condition: str, matrices: np.ndarray, tol: float | None,
+                  sign: int = 1, blocks: tuple = ("eta", "gamma", "zeta"),
+                  details: dict | None = None) -> ConditionReport:
+    """Judge value = N lambda of each law's (len(blocks) N, len(blocks) N)
+    form matrix against tol (default REL_TOL max(1, |value|)): with sign = 1
+    lambda is the largest eigenvalue, the form's maximum over unit-RMS v,
+    and the margin is tol - value; with sign = -1 it is the smallest, the
+    form's minimum, and the margin is value + tol.  A failing report's
+    witness is that unit-RMS eigenvector, split into blocks.  A non-finite
     matrix has a NaN value and margin, so the first one is the witness of a
-    failing report; the stack's non-finite matrices are zeroed."""
-    n = matrices.shape[-1] // 3
+    failing report; the stack's non-finite matrices are zeroed.  details
+    default to the largest value."""
+    n = matrices.shape[-1] // len(blocks)
+    column = -1 if sign > 0 else 0
     eigenvalues, finite = _eigenvalues(matrices)
-    values = n * eigenvalues[:, -1]
+    values = n * eigenvalues[:, column]
     threshold = tol if tol is not None else REL_TOL * np.maximum(1.0, np.abs(values))
-    margins = threshold - values
-    worst = int(np.argmin(margins))
-    passed = margins[worst] >= -PASS_SLACK
-    witness = None
-    if not passed:
-        witness = {"sample": worst, "value": float(values[worst])}
+
+    def witness(worst: int) -> dict:
+        found = {"sample": worst, "value": float(values[worst])}
         if finite[worst]:
-            vector = np.linalg.eigh(matrices[worst])[1][:, -1]
-            eta, gamma, zeta = np.split(np.sqrt(n) * vector, 3)
-            witness.update(eta=eta.tolist(), gamma=gamma.tolist(), zeta=zeta.tolist())
-    return ConditionReport(
-        condition=condition,
-        n_samples=len(matrices),
-        worst_margin=float(margins[worst]),
-        passed=bool(passed),
-        tolerance=tol if tol is not None else REL_TOL,
-        witness=witness,
-        details={"max_value": float(np.max(values))},
-    )
+            vector = np.sqrt(n) * np.linalg.eigh(matrices[worst])[1][:, column]
+            found.update((name, part.tolist())
+                         for name, part in zip(blocks, np.split(vector, len(blocks))))
+        return found
+
+    return ConditionReport.judge(
+        condition, threshold - sign * values, tol if tol is not None else REL_TOL,
+        witness, PASS_SLACK,
+        {"max_value": float(np.max(values))} if details is None else details)
 
 
 def form_chunks(table: HatTable, reduce: Callable, out: np.ndarray) -> np.ndarray:
@@ -232,17 +241,10 @@ def check_matrix1(c1: float, c2: float, c3: float, db1_dm1: float,
     matrix = matrix1_assemble(c1, c2, c3, db1_dm1, db1_dm2)
     eigenvalues = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
     smallest = float(eigenvalues[0])
-    passed = smallest >= -PASS_SLACK
-    return ConditionReport(
-        condition="coefficient_matrix_psd",
-        n_samples=1,
-        worst_margin=smallest + PASS_SLACK,
-        passed=bool(passed),
-        tolerance=PASS_SLACK,
-        witness=None if passed else {"eigenvalue": smallest,
-                                     "matrix": matrix.tolist()},
-        details={"eigenvalues": eigenvalues.tolist(), "matrix": matrix.tolist()},
-    )
+    return ConditionReport.judge(
+        "coefficient_matrix_psd", [smallest + PASS_SLACK], PASS_SLACK,
+        lambda worst: {"eigenvalue": smallest, "matrix": matrix.tolist()},
+        details={"eigenvalues": eigenvalues.tolist(), "matrix": matrix.tolist()})
 
 
 def control_coupling(model: Model) -> float | None:
@@ -253,20 +255,33 @@ def control_coupling(model: Model) -> float | None:
     return None
 
 
+def _diag(values: np.ndarray) -> np.ndarray:
+    """The diagonal matrices of the last axis of values, stacked."""
+    n = values.shape[-1]
+    out = np.zeros((*values.shape, n))
+    out[..., np.arange(n), np.arange(n)] = values
+    return out
+
+
 def sufficient_matrix(table: HatTable, lam: float, c0: float) -> np.ndarray:
     """The symmetric (N, N) matrix S of the (xi, eta)-only sufficient
     condition on one law: eta . S eta is the curvature terms
     E[eta (h_xx - 2 lam h_xp) eta] and E[eta (h_xrho1 - 2 lam h_prho1) eta']
     less a quarter of the mean square of the mixed gz-eta coefficient,
-    normalised by sqrt(-h_pp - c0)."""
-    n = table.h_pp.shape[0]
+    normalised by sqrt(-h_pp - c0).  A table of a stack of laws gives the
+    stack of their matrices, each bit-identical to its own."""
+    n = table.h_pp.shape[-1]
+
+    def transpose(a):
+        return np.swapaxes(a, -1, -2)
+
     # [i, j] coefficient of gz_i eta_j in the displacement form, atom sums over N
-    mixed = ((table.h_prho1 - table.h_xrho2.T + 2.0 * lam * table.h_prho2.T) / n
-             + 2.0 * lam * np.diag(table.h_pp))
-    s = (np.diag(table.h_xx - 2.0 * lam * table.h_xp) / n
+    mixed = ((table.h_prho1 - transpose(table.h_xrho2) + 2.0 * lam * transpose(table.h_prho2))
+             / n + 2.0 * lam * _diag(table.h_pp))
+    s = (_diag(table.h_xx - 2.0 * lam * table.h_xp) / n
          + (table.h_xrho1 - 2.0 * lam * table.h_prho1) / n**2
-         - 0.25 / n * mixed.T @ (mixed / (-table.h_pp - c0)[:, None]))
-    return 0.5 * (s + s.T)
+         - 0.25 / n * transpose(mixed) @ (mixed / (-table.h_pp - c0)[..., None]))
+    return 0.5 * (s + transpose(s))
 
 
 def check_disp_sufficient(model: Model, lam: float, c0: float, xi: np.ndarray,
@@ -277,11 +292,10 @@ def check_disp_sufficient(model: Model, lam: float, c0: float, xi: np.ndarray,
     and Hhat_pp < -c0; the first law that breaks one, or has a NaN bound, is
     the witness, h_prho2 before h_pp.  Then the minimum of the (xi, eta)-only
     form of ``sufficient_matrix`` over unit-RMS eta, N times its smallest
-    eigenvalue, must be >= -tol (default REL_TOL max(1, |value|)).  A
-    non-finite matrix has a NaN value and margin, so the first one is the
-    witness of a failing report, with no eta.  For a
-    control-coupled model the scalar parameter inequality is evaluated
-    exactly and reported alongside.
+    eigenvalue, must be >= -tol (default REL_TOL max(1, |value|)), judged by
+    ``_eigen_report``.  For a control-coupled model the scalar parameter
+    inequality is evaluated exactly and reported alongside, and it must
+    hold too.
     """
     if c0 < 0:
         raise ConditionError("c0 must be nonnegative")
@@ -312,30 +326,11 @@ def check_disp_sufficient(model: Model, lam: float, c0: float, xi: np.ndarray,
             details=details,
         )
     with np.errstate(all="ignore"):
-        matrices = np.stack([sufficient_matrix(table[k], lam, c0) for k in range(laws)])
-    n = matrices.shape[-1]
-    eigenvalues, finite = _eigenvalues(matrices)
-    values = n * eigenvalues[:, 0]
-    threshold = tol if tol is not None else REL_TOL * np.maximum(1.0, np.abs(values))
-    margins = values + threshold
-    # argmin takes a NaN margin, of a non-finite matrix, before any number.
-    worst = int(np.argmin(margins))
-    passed = margins[worst] >= -PASS_SLACK
-    witness = None
-    if not passed:
-        witness = {"sample": worst, "value": float(values[worst])}
-        if finite[worst]:
-            vector = np.linalg.eigh(matrices[worst])[1][:, 0]
-            witness["eta"] = (np.sqrt(n) * vector).tolist()
-    return ConditionReport(
-        condition="displacement_sufficient",
-        n_samples=laws,
-        worst_margin=float(margins[worst]),
-        passed=bool(passed and details.get("scalar_inequality", {}).get("holds", True)),
-        tolerance=tol if tol is not None else REL_TOL,
-        witness=witness,
-        details=details,
-    )
+        matrices = sufficient_matrix(table, lam, c0)
+    report = _eigen_report("displacement_sufficient", matrices, tol, sign=-1,
+                           blocks=("eta",), details=details)
+    report.passed = report.passed and details.get("scalar_inequality", {}).get("holds", True)
+    return report
 
 
 def _scalar_disp_inequality(model: Model, c0: float) -> dict:
@@ -483,42 +478,32 @@ def check_anti_assumption(model: Model, lvec: LambdaVec, l0: float,
     )
 
 
-def check_f_monotone(model: Model, pairs: list,
-                     tol: float = 1e-10) -> ConditionReport:
+def check_f_monotone(model: Model, xi1: np.ndarray, a1: np.ndarray, xi2: np.ndarray,
+                     a2: np.ndarray, tol: float = 1e-10) -> ConditionReport:
     """Four-term cross-difference monotonicity of the running cost in the
     joint law, under the hypothesis b(x, a, nu) = a.
 
-    ``pairs`` is a list of ((xi1, alpha1), (xi2, alpha2)) coupled atom arrays.
+    Row k of the (pairs, N) arrays xi1, a1, xi2 and a2 is pair k: the
+    coupled (state, control) atoms of its two laws.  A pair whose cross
+    difference is not finite fails the check.
     """
     if (model.b0, model.b1_x, model.B.coeffs) != ((-1.0, 0.0, 0.0), (0.0,), (0.0,) * 6):
         return ConditionReport(
-            condition="cost_cross_monotonicity", n_samples=len(pairs),
+            condition="cost_cross_monotonicity", n_samples=len(xi1),
             worst_margin=-np.inf, passed=False, tolerance=tol,
             witness={"b0": list(model.b0), "b1_x": list(model.b1_x),
                      "b1_mean": list(model.B.coeffs)},
             failure_kind="hypothesis",
             details={"reason": "drift is not the identity in the control"},
         )
-    worst_margin = np.inf
-    witness = None
-    for idx, ((xi1, a1), (xi2, a2)) in enumerate(pairs):
-        xi1 = np.asarray(xi1, dtype=float).reshape(-1)
-        a1 = np.asarray(a1, dtype=float).reshape(-1)
-        xi2 = np.asarray(xi2, dtype=float).reshape(-1)
-        a2 = np.asarray(a2, dtype=float).reshape(-1)
-        law1 = (float(np.mean(xi1)), float(np.mean(a1)))
-        law2 = (float(np.mean(xi2)), float(np.mean(a2)))
-        value = float(
-            np.mean(model.cost(xi1, a1, *law1)) + np.mean(model.cost(xi2, a2, *law2))
-            - np.mean(model.cost(xi1, a1, *law2)) - np.mean(model.cost(xi2, a2, *law1))
-        )
-        margin = value + tol
-        if margin < worst_margin:
-            worst_margin = margin
-            witness = {"pair": idx, "value": value}
-    passed = worst_margin >= 0.0
-    return ConditionReport(
-        condition="cost_cross_monotonicity", n_samples=len(pairs),
-        worst_margin=float(worst_margin), passed=bool(passed), tolerance=tol,
-        witness=None if passed else witness, details={},
-    )
+
+    def mean_cost(xi, a, law):
+        return np.mean(model.cost(xi, a, *law), axis=-1)
+
+    with np.errstate(all="ignore"):
+        law1 = (np.mean(xi1, axis=-1, keepdims=True), np.mean(a1, axis=-1, keepdims=True))
+        law2 = (np.mean(xi2, axis=-1, keepdims=True), np.mean(a2, axis=-1, keepdims=True))
+        values = (mean_cost(xi1, a1, law1) + mean_cost(xi2, a2, law2)
+                  - mean_cost(xi1, a1, law2) - mean_cost(xi2, a2, law1))
+    return ConditionReport.judge("cost_cross_monotonicity", values + tol, tol,
+                                 lambda k: {"pair": k, "value": float(values[k])})

@@ -48,9 +48,12 @@ propagate run of the anti kind also requires |Vxx| <= lu_xx on the solved
 field.  An invalid kind parameter is a ConfigError before any solve, and
 [monotonicity] lambda is range-checked whatever the kind.
 
-The count keys, [monotonicity] slices and directions, [check] samples and
-atoms and [chain] pairs and atoms, are integers of at most MAX_COUNT
-(100000); a larger one is a ConfigError before anything is allocated.
+The count keys are integers of at most MAX_COUNT (100000): [grid] n_x and
+n_t, [particles] n, [picard] max_iter, [monotonicity] slices and
+directions, [check] samples and atoms, and [chain] pairs and atoms.  A
+larger one, or an auto n_t whose CFL step count is larger, is a ConfigError
+before anything is allocated.  MAX_COUNT bounds each count alone, not the
+n_t x n_x size of the value grid.
 """
 from __future__ import annotations
 
@@ -196,25 +199,32 @@ class ExperimentConfig:
         return preset_model(self.section("model"), self.terminal_cost())
 
     def grid(self) -> Grid:
+        """``[grid]``: the bounds x_min (-6), x_max (6), t0 (0) and t_end (1),
+        n_x (121) points and n_t (auto, the CFL step count) steps; both
+        counts are integers of at most MAX_COUNT, an auto n_t as well."""
         sec = self.section("grid")
         try:
             x_min = float(sec.get("x_min", "-6"))
             x_max = float(sec.get("x_max", "6"))
-            n_x = int(sec.get("n_x", "121"))
+            n_x = _number(sec, "n_x", "121", int, 16)
             t0 = float(sec.get("t0", "0"))
             t_end = float(sec.get("t_end", "1"))
-            n_t_raw = sec.get("n_t", "auto").strip()
-            if n_t_raw == "auto":
-                return Grid.with_cfl_steps(x_min, x_max, n_x, t0, t_end)
-            return Grid(x_min, x_max, n_x, t0, t_end, int(n_t_raw))
-        except (ValueError, SolverError) as err:
+            if sec.get("n_t", "auto").strip() != "auto":
+                return Grid(x_min, x_max, n_x, t0, t_end, _number(sec, "n_t", "auto", int, 8))
+            grid = Grid.with_cfl_steps(x_min, x_max, n_x, t0, t_end)
+            if grid.n_t > MAX_COUNT:
+                raise ConfigError(f"n_t = auto needs {grid.n_t} CFL steps, "
+                                  f"more than {MAX_COUNT}")
+            return grid
+        # ArithmeticError: a CFL step count whose float over- or underflows.
+        except (ValueError, ArithmeticError, SolverError) as err:
             raise ConfigError(f"invalid grid: {err}") from err
 
     def initial_cloud(self) -> np.ndarray:
         """The atoms of the initial state law, a uniform cloud."""
         sec = self.section("particles")
         try:
-            n = int(sec.get("n", "16"))
+            n = _number(sec, "n", "16", int, 1)
             kind = sec.get("kind", "gaussian").strip()
             if kind == "gaussian":
                 return gaussian_quantile_cloud(n, float(sec.get("mean", "0")),
@@ -240,7 +250,7 @@ class ExperimentConfig:
         sec = self.section("picard")
         try:
             return PicardSettings(
-                max_iter=int(sec.get("max_iter", "200")),
+                max_iter=_number(sec, "max_iter", "200", int, 1),
                 damping=float(sec.get("damping", "0.6")),
                 tol=float(sec.get("tol", "1e-9")),
             )

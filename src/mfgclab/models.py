@@ -381,16 +381,8 @@ def verify_envelope_identities(model: Model, sample_count: int = 200, seed: int 
         residual = np.maximum(np.abs(model.drift(x, a_star, m1, m2) - hp),
                               np.abs(model.cost(x, a_star, m1, m2) - (h_val - p * hp)))
         margin = tol - residual
-    # argmin takes the first minimum, and a NaN margin before any number.
-    k = int(np.argmin(margin))
-    passed = bool(margin[k] >= 0.0)
-    return ConditionReport(
-        condition="envelope_identities",
-        n_samples=sample_count,
-        worst_margin=float(margin[k]),
-        passed=passed,
-        tolerance=tol,
-        witness=None if passed else {"sample": k, "x": float(x[k]), "p": float(p[k]),
-                                     "residual": float(residual[k])},
-        details={"max_residual": float(residual[k]), "fd_step": fd_step},
-    )
+    return ConditionReport.judge(
+        "envelope_identities", margin, tol,
+        lambda k: {"sample": k, "x": float(x[k]), "p": float(p[k]),
+                   "residual": float(residual[k])},
+        details=lambda k: {"max_residual": float(residual[k]), "fd_step": fd_step})

@@ -11,8 +11,8 @@ and return one value per direction.
 Each functional is a function of the ``Pairings`` of (eta, Vxx eta, D),
 with D the directional measure derivative of the value gradient.  Its kind
 object (``propagation.MONOTONICITY_KINDS``) defines it once, with the kind's
-parameters and verdict sign: ``mon_ll`` and ``mon_disp`` apply it at one
-level, ``monotonicity_sweep`` over a flow, and the variational traces of
+parameters and verdict sign: ``mon_disp`` applies it at one level,
+``monotonicity_sweep`` over a flow, and the variational traces of
 ``propagation`` along the first-variation system.
 
 Access to V is keyed by the level index k alone and answers at that level's
@@ -78,18 +78,11 @@ def pairings(dx: np.ndarray, gamma: np.ndarray, upsilon: np.ndarray) -> Pairings
                     mean(upsilon**2))
 
 
-def mon_ll(access, k: int, etas: np.ndarray, kind) -> np.ndarray:
-    """The functional of a kind that reads only I (Lasry-Lions) at level k,
-    one value per direction of the (B, N) stack etas, where D_i = (1/N)
-    sum_j d_x d_mu V(t_k, x_i, mu_k, x_j) eta_j; no curvature is fetched
-    (G = 0)."""
-    d_vals = value_measure_gradient(access, k, etas)
-    return kind.functional(pairings(etas, np.zeros_like(etas), d_vals))
-
-
 def mon_disp(access, k: int, etas: np.ndarray, kind) -> np.ndarray:
-    """The functional of a kind that reads the curvature pairings
-    (displacement and anti-monotone) at level k, with G = Vxx eta."""
+    """The functional of a kind at level k, one value per direction of the
+    (B, N) stack etas, from the pairings of (eta, G = Vxx eta, D) with
+    D_i = (1/N) sum_j d_x d_mu V(t_k, x_i, mu_k, x_j) eta_j.  The
+    Lasry-Lions functional reads I alone, so G does not enter its value."""
     vxx = access.field(k)
     d_vals = value_measure_gradient(access, k, etas)
     return kind.functional(pairings(etas, vxx * etas, d_vals))
@@ -141,9 +134,10 @@ def monotonicity_sweep(access, kind, slices: int = 5, battery_size: int = 12,
     """Evaluate one kind's functional over time slices x direction battery.
 
     ``kind`` is a monotonicity kind object (``propagation.MONOTONICITY_KINDS``):
-    it carries its parameters, evaluates its functional at a level and
-    judges the values by its sign.  Slice times are grid levels of the
-    access's converged flow, with the flow's own states there as the cloud.
+    it carries its parameters and functional, which ``mon_disp`` evaluates
+    at each level, and judges the values by its sign.  Slice times are grid
+    levels of the access's converged flow, with the flow's own states there
+    as the cloud.
     """
     flow = access.flow
     grid = flow.grid
@@ -152,7 +146,7 @@ def monotonicity_sweep(access, kind, slices: int = 5, battery_size: int = 12,
     samples, ts = [], grid.ts
     for k in sorted(set(levels)):
         etas = np.array(direction_battery(flow.states[k], battery_size, seed))
-        values = kind.value(access, k, etas)
+        values = mon_disp(access, k, etas, kind)
         samples += [{"t": float(ts[k]), "level": k, "direction": d_idx,
                      "value": float(value)}
                     for d_idx, value in enumerate(values)]

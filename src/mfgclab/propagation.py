@@ -34,7 +34,6 @@ from .monotonicity import (
     Pairings,
     direction_battery,
     mon_disp,
-    mon_ll,
     pairings,
     tolerance_scale,
 )
@@ -220,8 +219,9 @@ class Kind:
     ``name``, ``lam`` (of the ``cd_disp_rhs`` trace column) and ``lvec``.
     The propagation hooks ``formula_pairs`` and ``slope_rule`` read a
     battery's ``PropagationTraces`` record whole, one row per direction.
-    ``mon_*`` and ``check_*`` are looked up in this module at call time,
-    never stored, so that perfbench's layer trace still counts them."""
+    ``monotonicity.mon_disp`` evaluates the functional at one level.  The
+    gates look ``check_*`` up in this module at call time, never stored, so
+    that perfbench's layer trace still counts them."""
 
     sign = 1
     writes_xi = False   # whether trace.csv records the functional as Xi
@@ -259,9 +259,6 @@ class LasryLions(Kind):
     def from_config(cls, cfg) -> LasryLions:
         return cls()
 
-    def value(self, access, k: int, etas: np.ndarray) -> np.ndarray:
-        return mon_ll(access, k, etas, self)
-
     def functional(self, p: Pairings) -> np.ndarray:
         return p.i
 
@@ -285,9 +282,6 @@ class Displacement(Kind):
     @classmethod
     def from_config(cls, cfg) -> Displacement:
         return cls(cfg.lam())
-
-    def value(self, access, k: int, etas: np.ndarray) -> np.ndarray:
-        return mon_disp(access, k, etas, self)
 
     def functional(self, p: Pairings) -> np.ndarray:
         return p.i + p.ibar + self.lam * p.dx2
@@ -326,9 +320,6 @@ class AntiMonotone(Kind):
     @classmethod
     def from_config(cls, cfg) -> AntiMonotone:
         return cls(cfg.lambda_vec(), *cfg.anti_constants())
-
-    def value(self, access, k: int, etas: np.ndarray) -> np.ndarray:
-        return mon_disp(access, k, etas, self)
 
     def functional(self, p: Pairings) -> np.ndarray:
         lv = self.lvec
@@ -412,8 +403,8 @@ def propagation_experiment(access: ValueAccess, config: PropagationConfig,
     if config.enforce_gate and not gate.passed:
         raise GateError(f"Hamiltonian condition gate failed for kind {kind.name!r}")
 
-    terminal = kind.value(access, grid.n_t, np.array(
-        direction_battery(flow.states[grid.n_t], config.n_directions, config.seed)))
+    terminal = mon_disp(access, grid.n_t, np.array(
+        direction_battery(flow.states[grid.n_t], config.n_directions, config.seed)), kind)
     details: dict = {"terminal_values": terminal.tolist()}
     if config.enforce_gate and not kind.holds(terminal, tol):
         raise GateError("terminal cost does not carry the required monotonicity")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 from itertools import chain
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -53,12 +53,16 @@ class ConditionReport:
     """Outcome of one sufficient-condition check.
 
     margin convention: distance to violation, nonnegative on a passing
-    sample.  ``worst_margin`` is the minimum over samples; a failing report
-    carries the witness that achieved it.  For a quadratic-form gate that is
-    the unit-RMS eigenvector of the worst law's form matrix, split into
-    (eta, gamma, zeta), with its form value.  ``failure_kind`` separates
-    an ordinary condition failure from a violated hypothesis (the latter maps
-    to a distinct process exit code).
+    sample.  ``failure_kind`` separates an ordinary condition failure from a
+    violated hypothesis (the latter maps to a distinct process exit code).
+
+    Every checker's verdict on its per-sample margins is ``judge``'s one
+    rule: the worst sample is the first minimum, a NaN margin before any
+    number; ``worst_margin`` is its margin; the check passes when that is
+    >= -slack; and only a failing report carries the witness of the worst
+    sample.  For a quadratic-form gate that is the unit-RMS eigenvector of
+    the worst law's form matrix, split into (eta, gamma, zeta), with its
+    form value.
     """
 
     condition: str
@@ -69,6 +73,27 @@ class ConditionReport:
     witness: dict | None = None
     failure_kind: str | None = None
     details: dict = field(default_factory=dict)
+
+    @classmethod
+    def judge(cls, condition: str, margins: np.ndarray, tolerance: float,
+              witness: Callable[[int], dict], slack: float = 0.0,
+              details: dict | Callable[[int], dict] | None = None) -> ConditionReport:
+        """The report of one margin per sample: the worst sample is the
+        first minimum of margins, a NaN before any number, and the check
+        passes when its margin is >= -slack.  ``witness(worst)`` is called
+        only on failure; ``details`` is a dict, or a function of the worst
+        sample's index that returns one."""
+        worst = int(np.argmin(margins))
+        passed = bool(margins[worst] >= -slack)
+        return cls(
+            condition=condition,
+            n_samples=len(margins),
+            worst_margin=float(margins[worst]),
+            passed=passed,
+            tolerance=tolerance,
+            witness=None if passed else witness(worst),
+            details=details(worst) if callable(details) else details or {},
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return _jsonable(asdict(self))

@@ -76,6 +76,10 @@ def _check_bounds(x_min: float, x_max: float, t0: float, t_end: float) -> None:
     if not np.all(np.isfinite((x_min, x_max, t0, t_end))):
         raise SolverError(f"grid bounds must be finite, got x in [{x_min}, {x_max}] "
                           f"and t in [{t0}, {t_end}]")
+    if not x_min < x_max:
+        raise SolverError(f"need x_min < x_max, got [{x_min}, {x_max}]")
+    if not t0 < t_end:
+        raise SolverError(f"need t0 < t_end, got [{t0}, {t_end}]")
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,6 @@ class Grid:
 
     def __post_init__(self):
         _check_bounds(self.x_min, self.x_max, self.t0, self.t_end)
-        if not self.x_min < self.x_max:
-            raise SolverError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        if not self.t0 < self.t_end:
-            raise SolverError(f"need t0 < t_end, got [{self.t0}, {self.t_end}]")
         if self.n_x < 16:
             raise SolverError(f"n_x must be at least 16, got {self.n_x}")
         if self.n_t < 8:

@@ -100,9 +100,10 @@ BASE_CONFIGS = {
 
 # The exit code of every shipped config through the CLI.
 SHIPPED_EXIT_CODES = {
-    "anti_propagation": 0, "chain": 0, "disp_propagation": 0,
+    "anti_propagation": 0, "chain": 0, "disp_check": 0, "disp_propagation": 0,
     "disp_semi_negative_control": 2, "disp_semi_propagation": 0, "ll_check": 0,
     "ll_mono": 0, "ll_negative_control": 2, "ll_propagation": 0, "lq_solve": 0,
+    "separable_check": 0,
 }
 
 
@@ -276,15 +277,21 @@ atoms = 12
         assert gate["failure_kind"] == "derivative_bounds"
         assert gate["witness"] == {"sample": 0, "bound": "abs_h_pp<=l_bar", "margin": None}
 
-    def test_overflowing_disp_sufficient_fails_its_matrix(self, tmp_path):
-        # f1_x = 1e308 x^2 overflows h_xx, so no law's matrix is finite: the
-        # check fails on law 0 with a null margin (exit 2), where eigvalsh
-        # used to raise.  A fresh interpreter runs it with RuntimeWarning as
-        # an error.
+    @pytest.mark.parametrize("family,which,witness", [
+        ("ll_example", "disp_sufficient", {"sample": 0, "value": None}),
+        ("separable", "fmon", {"pair": 0, "value": None})])
+    def test_overflowing_checker_fails_with_a_null_margin(self, tmp_path, family, which,
+                                                          witness):
+        # f1_x = 1e308 x^2 overflows: for disp_sufficient h_xx, so no law's
+        # matrix is finite, where eigvalsh used to raise; for fmon the
+        # running cost, so every pair's cross difference is inf - inf, which
+        # used to pass with a null margin.  Either check fails on its first
+        # sample with a null margin (exit 2).  A fresh interpreter runs it
+        # with RuntimeWarning as an error.
+        text = with_key((CONFIGS / "ll_check.ini").read_text(), "model", "family", family)
         cfg = tmp_path / "exp.ini"
-        cfg.write_text(with_key(with_key((CONFIGS / "ll_check.ini").read_text(),
-                                         "model", "f1_x", "0 0 1e308"),
-                                "check", "which", "disp_sufficient"))
+        cfg.write_text(with_key(with_key(text, "model", "f1_x", "0 0 1e308"),
+                                "check", "which", which))
         out = tmp_path / "o"
         done = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "mfgclab.cli", "check",
@@ -292,10 +299,10 @@ atoms = 12
             env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
         assert done.returncode == 2, done.stderr
         report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
-        (sufficient,) = report["reports"]
-        assert not sufficient["passed"] and sufficient["failure_kind"] is None
-        assert sufficient["worst_margin"] is None and report["worst_margin"] is None
-        assert sufficient["witness"] == {"sample": 0, "value": None}
+        (checked,) = report["reports"]
+        assert not checked["passed"] and checked["failure_kind"] is None
+        assert checked["worst_margin"] is None and report["worst_margin"] is None
+        assert checked["witness"] == witness
         assert (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("entry", ["h_prho2", "h_pp"])
@@ -417,6 +424,17 @@ which = matrix1
         ("check", "check", "atoms", "9223372036854775808"),
         ("propagate", "monotonicity", "directions", "100001"),
         ("mono", "monotonicity", "slices", "1" + "0" * 40),
+        ("propagate", "grid", "n_x", "1" + "0" * 21),
+        ("propagate", "grid", "n_t", "1" + "0" * 21),
+        ("mono", "grid", "n_t", "100001"),
+        ("propagate", "grid", "n_x", "100000"),         # its auto n_t is past MAX_COUNT
+        ("propagate", "grid", "n_x", "1"),              # used to divide by zero
+        ("propagate", "grid", "x_min", "6"),            # x_min = x_max, the same
+        ("propagate", "grid", "t_end", "1e308"),        # an infinite CFL step count
+        ("propagate", "particles", "n", "100001"),
+        ("mono", "particles", "n", "1" + "0" * 21),
+        ("propagate", "picard", "max_iter", "100001"),
+        ("propagate", "picard", "max_iter", "0"),
     ])
     def test_bad_runner_key_is_config_error(self, tmp_path, kind, section, key, value):
         cfg = tmp_path / "exp.ini"

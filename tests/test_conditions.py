@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_forms import disp_form, dx2_form, ibar_form, ll_form
-from test_calculus import random_models
+from test_calculus import coefficient, random_models
 
 from mfgclab import conditions
 from mfgclab.conditions import (
@@ -355,6 +355,20 @@ class TestDispSufficient:
         report = check_disp_sufficient(model, 0.0, 0.2, xi, p)
         assert report.passed
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(model=random_models(), seed=st.integers(0, 2**32 - 1), laws=st.integers(1, 6),
+           atoms=st.integers(1, 10), lam=st.sampled_from([0.0, 0.5]),
+           c0=st.sampled_from([0.0, 0.3]))
+    def test_stacked_matrices_match_one_law_at_a_time(self, model, seed, laws, atoms, lam,
+                                                      c0):
+        xi, p = np.random.default_rng(seed).normal(size=(2, laws, atoms))
+        with np.errstate(all="ignore"):  # -h_pp - c0 may vanish
+            stacked = sufficient_matrix(hat_derivative_table(model, xi, p), lam, c0)
+            one = [sufficient_matrix(t, lam, c0) for t in law_tables(model, xi, p)]
+        assert stacked.shape == (laws, atoms, atoms)
+        for k in range(laws):
+            assert np.array_equal(stacked[k], one[k], equal_nan=True)
+
     def test_state_coupling_beyond_curvature_fails_scalar_inequality(self):
         report = check_disp_sufficient(self.make_model(q1=0.8), 0.0, 0.2,
                                        *make_condition_samples(30, 16, seed=4))
@@ -502,6 +516,19 @@ class TestAntiAssumption:
         assert report.failure_kind == "gain"
 
 
+def cross_differences(model, xi1, a1, xi2, a2):
+    """The cross difference of each pair, one pair at a time with its laws'
+    means as Python floats."""
+    values = []
+    for x1, b1, x2, b2 in zip(xi1, a1, xi2, a2):
+        law1 = (float(np.mean(x1)), float(np.mean(b1)))
+        law2 = (float(np.mean(x2)), float(np.mean(b2)))
+        values.append(float(
+            np.mean(model.cost(x1, b1, *law1)) + np.mean(model.cost(x2, b2, *law2))
+            - np.mean(model.cost(x1, b1, *law2)) - np.mean(model.cost(x2, b2, *law1))))
+    return np.array(values)
+
+
 class TestFMonotone:
     @staticmethod
     def identity_drift_model(sign=1.0):
@@ -510,16 +537,15 @@ class TestFMonotone:
 
     @staticmethod
     def coupled_pairs(seed=0, n_pairs=10, n=12):
-        rng = np.random.default_rng(seed)
-        return [((rng.normal(size=n), rng.normal(size=n)),
-                 (rng.normal(size=n), rng.normal(size=n))) for _ in range(n_pairs)]
+        """(xi1, a1, xi2, a2), each (n_pairs, n): pair k is one (4, n) draw."""
+        return np.random.default_rng(seed).normal(size=(n_pairs, 4, n)).transpose(1, 0, 2)
 
     def test_mean_coupling_passes_with_exact_square(self):
         model = self.identity_drift_model(+1.0)
         pairs = self.coupled_pairs()
-        report = check_f_monotone(model, pairs)
+        report = check_f_monotone(model, *pairs)
         assert report.passed
-        (xi1, _), (xi2, _) = pairs[0]
+        xi1, _, xi2, _ = pairs[:, 0]
         expected = (xi1.mean() - xi2.mean()) ** 2
         value = float(np.mean(model.cost(xi1, xi1 * 0, xi1.mean(), 0.0)))  # smoke: finite eval
         assert np.isfinite(value)
@@ -530,18 +556,43 @@ class TestFMonotone:
         rng = np.random.default_rng(5)
         xi = rng.normal(size=8)
         al = rng.normal(size=8)
-        report = check_f_monotone(model, [((xi, al), (xi, al))])
+        report = check_f_monotone(model, xi[None], al[None], xi[None], al[None])
         assert report.passed
         assert report.worst_margin == pytest.approx(1e-10)
 
     def test_negated_coupling_fails_with_witness(self):
         model = self.identity_drift_model(-1.0)
-        report = check_f_monotone(model, self.coupled_pairs(seed=2))
+        report = check_f_monotone(model, *self.coupled_pairs(seed=2))
         assert not report.passed
         assert report.witness is not None and report.witness["value"] < 0
 
     def test_non_identity_drift_is_hypothesis_violation(self):
         model = ll_example_model(c1=0.3, c2=0.1, c3=0.1)  # b = -a + ...
-        report = check_f_monotone(model, self.coupled_pairs(seed=3))
+        report = check_f_monotone(model, *self.coupled_pairs(seed=3))
         assert not report.passed
         assert report.failure_kind == "hypothesis"
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(f0=st.tuples(coefficient, coefficient, coefficient, st.floats(-1.0, 0.9)),
+           f1_x=st.lists(coefficient, min_size=1, max_size=4), q1=coefficient, q2=coefficient,
+           seed=st.integers(0, 2**32 - 1), n_pairs=st.integers(1, 8), n=st.integers(1, 12))
+    def test_matches_the_pair_loop(self, f0, f1_x, q1, q2, seed, n_pairs, n):
+        # The worst margin and witness bit for bit against one pair at a time.
+        model = Model(b0=(-1, 0, 0), f0=f0, f1_x=f1_x, q1=q1, q2=q2)
+        pairs = self.coupled_pairs(seed, n_pairs, n)
+        values = cross_differences(model, *pairs)
+        report = check_f_monotone(model, *pairs, tol=0.0)
+        worst = int(np.argmin(values))
+        assert report.worst_margin == values[worst] + 0.0
+        assert report.witness == (None if values[worst] >= 0.0
+                                  else {"pair": worst, "value": values[worst]})
+
+    def test_non_finite_pair_is_the_witness(self):
+        # A NaN cross difference fails the check even after a negative one.
+        model = self.identity_drift_model(-1.0)
+        xi1, a1, xi2, a2 = self.coupled_pairs(seed=2)
+        assert cross_differences(model, xi1, a1, xi2, a2)[0] < 0.0
+        xi1[4, 3] = np.inf
+        report = check_f_monotone(model, xi1, a1, xi2, a2)
+        assert not report.passed and np.isnan(report.worst_margin)
+        assert report.witness["pair"] == 4 and np.isnan(report.witness["value"])

@@ -9,7 +9,6 @@ from mfgclab.monotonicity import (
     MonotonicityError,
     direction_battery,
     mon_disp,
-    mon_ll,
     monotonicity_sweep,
     tolerance_scale,
 )
@@ -55,27 +54,27 @@ class TestMonLLTerminal:
         # g = a x^2 / 2 + b x E[xi]: the form equals b * mean(eta)^2.
         mu = cloud([0.4, -0.3, 1.1, 0.2])
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=1.0), mu)
-        assert mon_ll(access, 0, np.ones((1, 4)), LL) == pytest.approx([1.0], abs=1e-6)
+        assert mon_disp(access, 0, np.ones((1, 4)), LL) == pytest.approx([1.0], abs=1e-6)
 
     def test_mean_free_direction_vanishes(self):
         mu = cloud([0.4, -0.3, 1.1, 0.2])
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=1.0), mu)
         eta = np.array([1.0, -1.0, 0.5, -0.5])
-        value = mon_ll(access, 0, (eta - eta.mean())[None, :], LL)
+        value = mon_disp(access, 0, (eta - eta.mean())[None, :], LL)
         assert value == pytest.approx([0.0], abs=1e-8)
 
     def test_quadratic_scaling_in_eta(self):
         mu = cloud([0.0, 0.5, -0.5, 1.0])
         access = TerminalAccess(QuadraticTerminalCost(xm=0.7), mu)
         eta = np.array([1.0, 0.4, -0.2, 0.8])
-        base, scaled = mon_ll(access, 0, np.array([eta, 3.0 * eta]), LL)
+        base, scaled = mon_disp(access, 0, np.array([eta, 3.0 * eta]), LL)
         assert scaled == pytest.approx(9.0 * base, rel=2e-4, abs=2e-6)
 
     def test_direction_mismatch_rejected(self):
         mu = cloud([0.0, 1.0])
         access = TerminalAccess(QuadraticTerminalCost(xm=1.0), mu)
         with pytest.raises(CalculusError, match="direction"):
-            mon_ll(access, 0, np.ones((1, 3)), LL)
+            mon_disp(access, 0, np.ones((1, 3)), LL)
 
 
 class TestMonDispTerminal:
@@ -145,7 +144,8 @@ def mon_ll_difference_form(access, cloud2):
     The clouds are coupled by index (same index = same sample); the value is
     the empirical mean of
     V(T, x1_i, mu1) + V(T, x2_i, mu2) - V(T, x1_i, mu2) - V(T, x2_i, mu1),
-    a cross-check of mon_ll that needs no measure differencing.
+    a cross-check of the Lasry-Lions functional that needs no measure
+    differencing.
     """
     x1, x2 = access.x, cloud2
     f1, f2 = (terminal_field(access.model, x, access.xs, 1.0) for x in (x1, x2))
@@ -177,7 +177,7 @@ class TestDifferenceForm:
         eta = np.array([1.0, 0.5, -0.25, 0.75])
         eps = 0.05
         diff = mon_ll_difference_form(access, mu1 + eps * eta)
-        (perturbative,) = mon_ll(access, 0, eta[None, :], LL)
+        (perturbative,) = mon_disp(access, 0, eta[None, :], LL)
         assert diff == pytest.approx(eps**2 * perturbative, rel=0.2, abs=1e-9)
 
 

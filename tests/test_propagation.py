@@ -28,6 +28,7 @@ from mfgclab.monotonicity import (
     LambdaVec,
     MonotonicityError,
     direction_battery,
+    mon_disp,
     monotonicity_sweep,
 )
 from mfgclab.propagation import (
@@ -418,7 +419,7 @@ class TestKinds:
         # object; at t0 both see the same cloud and battery.
         access, kind = kind_setup(name)
         etas = np.array(direction_battery(access.flow.states[0], 4))
-        mono = kind.value(access, 0, etas)
+        mono = mon_disp(access, 0, etas, kind)
         assert np.array_equal(build_traces(access, etas, kind).series[:, 0], mono)
         assert np.max(np.abs(mono)) > 1e-3  # the comparison is not between zeros
 

@@ -1,5 +1,6 @@
 """Every CSV artifact byte for byte against ``csv.writer`` (``reference_csv``),
-on the values whose text is easiest to get wrong."""
+on the values whose text is easiest to get wrong, and the verdict rule of
+``ConditionReport.judge``."""
 import json
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ from mfgclab import cli
 from mfgclab.config import ExperimentConfig
 from mfgclab.monotonicity import MonotonicityReport
 from mfgclab.propagation import TRACE_COLUMNS, PropagationTraces, traces_to_csv
-from mfgclab.reports import _jsonable, write_csv
+from mfgclab.reports import ConditionReport, _jsonable, write_csv
 from mfgclab.solver import EquilibriumFlow, Grid, ValueField
 
 # Exponent forms, a signed zero, the smallest subnormal, non-finite values,
@@ -123,3 +124,34 @@ class TestArtifactsMatchCsvWriter:
 def test_numpy_bools_dump_as_json_bools():
     payload = {"passed": np.bool_(True), "flags": [np.False_, np.float64(np.nan)]}
     assert json.dumps(_jsonable(payload)) == '{"passed": true, "flags": [false, null]}'
+
+
+def unreachable(worst):
+    raise AssertionError("a passing report builds no witness")
+
+
+class TestJudge:
+    @pytest.mark.parametrize("margins,worst", [
+        ([1.0, -2.0, 0.5, -2.0], 1),                  # the first of equal minima
+        ([1.0, -np.inf, np.nan, -3.0, np.nan], 2),    # a NaN before any number
+        ([np.nan], 0),
+    ])
+    def test_worst_sample_is_the_first_minimum_a_nan_first(self, margins, worst):
+        report = ConditionReport.judge("c", np.array(margins), 0.5,
+                                       lambda k: {"sample": k}, details=lambda k: {"at": k})
+        assert not report.passed
+        assert report.witness == {"sample": worst} and report.details == {"at": worst}
+        assert report.n_samples == len(margins) and report.tolerance == 0.5
+        assert report.to_dict()["worst_margin"] == (None if np.isnan(margins[worst])
+                                                    else margins[worst])
+
+    @pytest.mark.parametrize("margin,slack,passed", [
+        (0.0, 0.0, True), (-1e-300, 0.0, False), (-1e-12, 1e-12, True),
+        (-2e-12, 1e-12, False), (np.inf, 0.0, True)])
+    def test_passes_at_margin_at_least_minus_slack(self, margin, slack, passed):
+        report = ConditionReport.judge("c", [3.0, margin], 0.0,
+                                       unreachable if passed else lambda k: {"k": k}, slack)
+        assert report.passed is passed
+        assert report.worst_margin == min(3.0, margin)
+        assert report.witness == (None if passed else {"k": 1})
+        assert report.details == {}
