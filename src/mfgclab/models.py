@@ -246,12 +246,12 @@ def hamiltonian_dp(model: Model, x, p, means: tuple):
     """dH/dp = b(x, a*, nu), the optimal drift, for the ``mean_terms`` of
     the means (m1, m2) of nu.
 
-    Nothing in the package calls it: the solver's push inlines this formula
-    in the same order of operations, and its tests compare the push against
-    it bit for bit.  It stays as that oracle and because perfbench traces it
-    as the model-layer boundary ``models.hamiltonian_dp``, which the
-    benchmark's contract test requires to exist, as it does
-    ``solver.terminal_field``."""
+    Nothing in the package calls it: the solver's push writes the same
+    drift as affine in p, -B0^2 p + (C - A B0), and its tests compare the
+    push against this closed form up to round-off.  It stays as that oracle
+    and because perfbench traces it as the model-layer boundary
+    ``models.hamiltonian_dp``, which the benchmark's contract test requires
+    to exist, as it does ``solver.terminal_field``."""
     a0, b0, c = drift_terms(model, x, means)
     return -b0 * (a0 + p * b0) + c
 

@@ -3,7 +3,7 @@ evaluators, and the writer of the CSV artifacts."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Any, Callable
 
@@ -96,7 +96,7 @@ class ConditionReport:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        return _jsonable(asdict(self))
+        return _jsonable({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 @dataclass
@@ -111,4 +111,4 @@ class MonotonicityReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return _jsonable(asdict(self))
+        return _jsonable({f.name: getattr(self, f.name) for f in fields(self)})

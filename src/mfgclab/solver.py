@@ -23,12 +23,17 @@ by numpy's per-call cost, not by arithmetic, so each level makes a fixed
 handful of calls that write into buffers allocated once per call: the time
 step and the stencils' scales are folded into the Hamiltonian's terms
 before the loop, and stencils and shifted rows are slices and views.  No
-buffer outlives its call.  The push makes no call into ``models`` per
-level: it reads each level's mean parts of the drift as Python floats and
-forms x-parts only for a model that has them, so a level costs the
-interpolation of u_x at the particles and a few in-place updates.
-``np.interp`` is its floor: a level interpolates at the states the level
-before it produced, so the levels cannot share one call.
+buffer outlives its call.  Both loops write the Hamiltonian in the form
+that needs the fewest calls per level, which rounds differently from the
+closed forms of ``models``.  The backward sweep expands the square of
+the control, so that its p-free part joins the terms filled in before the
+loop (eleven calls a level).  The push writes the optimal drift as affine
+in the momentum, with the level's slope a Python float and its offset
+added to the noise of all levels at once, and forms x-parts only for a
+model that has them, so a level costs the interpolation of u_x at the
+particles and three in-place updates.  ``np.interp`` is its floor: a
+level interpolates at the states the level before it produced, so the
+levels cannot share one call.
 
 ``ValueAccess`` reads V_xx of the solved flow at the cloud of a level k,
 or of every level at once, and gives the measure derivative of the value
@@ -47,6 +52,7 @@ import numpy as np
 
 from .models import (
     Model,
+    _coeffs,
     _poly,
     control_mean_tangent,
     fixed_point_phi,
@@ -277,48 +283,56 @@ def _backward_value(model: Model, xs: np.ndarray, dx: float, dt: float,
     central difference (twice the one-sided one at the edges), with the
     constants folded once per call into the un-broadcast
     ``hamiltonian_terms``: sqrt(dt / 2) into A, sqrt(dt / 2) / (2 dx) into B0
-    and dt / (2 dx) into C, so that
+    and dt / (2 dx) into C.  The square is expanded, -(A' + w B0')^2 + w C'
+    = -A'^2 + w (F - G w) with F = C' - 2 A' B0' and G = B0'^2, so that
 
-        u_k = u_{k+1} + dt / (2 dx^2) (undivided u_xx) - (A' + w B0')^2
-              + w C' + dt (D1 + x Q).
+        u_k = u_{k+1} + dt / (2 dx^2) (undivided u_xx) + w (F - G w)
+              + dt (D1 + x Q) - A'^2.
 
-    The last term fills the rows of u before the sweep.  A term with an
-    x-part (f0x, b0x or a non-constant b1_x) is a (levels, n_x) array;
-    otherwise u is the only array of the grid's size.  Each level writes its
-    stencils and products into a few buffers of one row, allocated once per
-    call.
+    The last two terms fill the rows of u before the sweep, in one
+    contraction when A' has no x-part.  A term with an x-part (f0x, b0x or
+    a non-constant b1_x) is a (levels, n_x) array; otherwise u is the only
+    array of the grid's size.  Each level writes its stencils and products
+    into a few buffers of one row, allocated once per call.
     """
     n_x = xs.size
     # The step to level k reads the terms of level k + 1.
     a, b, c, d1, q = hamiltonian_terms(model, xs, mean_terms(model, m1[1:, None], m2[1:, None]))
-    # The terms are fresh arrays of this call, scaled in place.
-    root = np.sqrt(0.5 * dt)
-    a *= root
-    b *= root / (2.0 * dx)
-    c *= dt / (2.0 * dx)
     kappa = dt / (2.0 * dx**2)
     u = np.empty((m1.size, n_x))
-    # dt (x Q + D1) as one contraction: numpy would buffer an operand that a
-    # ufunc broadcasts over the rows.
-    np.einsum("kt,tj->kj", np.column_stack((dt * q[:, 0], np.ones(q.shape[0]))),
-              np.stack((xs, np.broadcast_to(dt * d1, xs.shape))), out=u[:-1])
     u[-1] = model.g(xs, terminal_atoms)
     diff, lap = np.empty(n_x - 1), np.empty(n_x - 2)
-    w, square, term = np.empty(n_x), np.empty(n_x), np.empty(n_x)
+    w, term = np.empty(n_x), np.empty(n_x)
     diff_hi, diff_lo, diff_ends = diff[1:], diff[:-1], diff[::n_x - 2]
     w_inner, w_ends = w[1:-1], w[::n_x - 1]
-    # An unstable sweep overflows on its way to inf/nan; the check below
-    # reports it, with its level, instead of numpy's floating-point warning.
+    # An unstable sweep, or a B0 whose square overflows, runs into inf/nan;
+    # the check below reports it, with its level, instead of numpy's
+    # floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, out, a_k, b_k, c_k in zip(u[:0:-1], u[-2::-1], a[::-1], b[::-1], c[::-1]):
+        # The terms are fresh arrays of this call, scaled in place.
+        a *= np.sqrt(0.5 * dt)
+        b *= np.sqrt(0.5 * dt) / (2.0 * dx)
+        c *= dt / (2.0 * dx)
+        f, g = c - 2.0 * a * b, b * b
+        # dt (x Q + D1) - A'^2 as one contraction: numpy would buffer an
+        # operand that a ufunc broadcasts over the rows.  An A' with an
+        # x-part is already an array of the grid's size, squared in place.
+        columns = [dt * q[:, 0], np.ones(q.shape[0])]
+        rows = [xs, np.broadcast_to(dt * d1, xs.shape)]
+        a_on_grid = a.shape[1] > 1
+        if not a_on_grid:
+            columns.append(-(a[:, 0] * a[:, 0]))
+            rows.append(np.ones(n_x))
+        np.einsum("kt,tj->kj", np.column_stack(columns), np.stack(rows), out=u[:-1])
+        if a_on_grid:
+            u[:-1] -= np.square(a, out=a)
+        for row, out, f_k, g_k in zip(u[:0:-1], u[-2::-1], f[::-1], g[::-1]):
             np.subtract(row[1:], row[:-1], out=diff)
             np.add(diff_hi, diff_lo, out=w_inner)
             np.multiply(diff_ends, 2.0, out=w_ends)
-            np.multiply(w, b_k, out=square)
-            square += a_k
-            np.square(square, out=square)
-            np.multiply(w, c_k, out=term)
-            term -= square
+            np.multiply(w, g_k, out=term)
+            np.subtract(f_k, term, out=term)
+            term *= w
             np.subtract(diff_hi, diff_lo, out=lap)
             lap *= kappa
             out += term
@@ -347,11 +361,16 @@ def _sweep(model: Model, x0: np.ndarray, xs: np.ndarray, dx: float, dt: float,
     (states, momenta) and the value grid solved against the entering flow.
     The proposed momenta are u_x interpolated at the proposed states; the
     push reads them at every level but the last.  The push steps X_{k+1} =
-    X_k + dt H_p(X_k, P_k) + sqrt(dt) dW_k with H_p = -B0 (A + p B0) + C
-    evaluated as ``hamiltonian_dp`` does, in its order of operations: the
-    per-level parts of A, B0 and C that do not depend on x are Python floats
-    taken once per sweep, and the x-parts (f0x x, b0x x and a non-constant
-    b1_x) are formed only for a model that has them.
+    X_k + dt H_p(X_k, P_k) + sqrt(dt) dW_k with the optimal drift written as
+    affine in the momentum, H_p = -B0 (A + p B0) + C = -B0^2 p + (C - A B0).
+    The per-level slope -dt B0^2 of the means is a Python float, and dt (C -
+    A B0) of the means is added to the noise for all levels at once, so a
+    level makes the interpolation of u_x and three in-place updates.  The
+    x-parts (f0x x, b0x x and a non-constant b1_x) join the same formula,
+    formed only for a model that has them: B0 = b + b0x x in the slope, and
+    dt (C - A B0) gains x (lin_k + x R(x)), whose linear coefficient lin_k
+    varies with the level and whose polynomial R does not.  A non-finite
+    state counts as an escaped one.
     """
     m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
     u = _backward_value(model, xs, dx, dt, m1, m2, states[-1])
@@ -360,31 +379,39 @@ def _sweep(model: Model, x0: np.ndarray, xs: np.ndarray, dx: float, dt: float,
     # The push reads the terms of every level but the last.
     a_m, b_m, c_m, _ = mean_terms(model, m1[:-1], m2[:-1])
     f0x, b0x, b1_x = model.f0[1], model.b0[1], model.b1_x
-    if len(b1_x) == 1:
-        c_m = c_m + b1_x[0]
-    noise = np.sqrt(dt) * brownian
+    # With b1_x = p0 + p1 x + p2 x^2 + ..., C - A B0 = (C - A B0 of the
+    # means, p0 included) + x (lin_k + x R(x)), where lin_k = p1 - a_k b0x -
+    # f0x b_k and R has the coefficients (p2 - f0x b0x, p3, ...).
+    p1, p2, *rest = b1_x[1:] + (0.0, 0.0)
+    x_parts = bool(f0x or b0x or len(b1_x) > 1)
     prop_states = np.empty_like(states)
     prop_momenta = np.empty_like(momenta)
     prop_states[0] = x0
-    drift = np.empty(x0.size)
-    # Row k + 1 of the states is written as step before it is read as xk.
-    for xk, step, pk, ux_k, noise_k, a_k, b_k, c_k in zip(
-            prop_states, prop_states[1:], prop_momenta, ux, noise,
-            a_m.tolist(), b_m.tolist(), c_m.tolist()):
-        pk[...] = np.interp(xk, xs, ux_k)
-        a = a_k + f0x * xk if f0x else a_k
-        b = b_k + b0x * xk if b0x else b_k
-        c = _poly(b1_x, xk) + c_k if len(b1_x) > 1 else c_k
-        np.multiply(pk, b, out=drift)
-        drift += a
-        drift *= -b
-        drift += c
-        drift *= dt
-        np.add(xk, drift, out=step)
-        step += noise_k
-    outside = (prop_states < xs[0]) | (prop_states > xs[-1])
-    if np.any(outside):
-        bad = int(np.argmax(np.any(outside, axis=-1)))
+    # A B0 whose square overflows makes the push's states non-finite; the
+    # escape check below reports them instead of numpy's warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = -dt * b_m * b_m
+        noise = np.sqrt(dt) * brownian
+        noise += (dt * (c_m + b1_x[0] - a_m * b_m))[:, None]
+        lin = dt * (p1 - a_m * b0x - f0x * b_m)
+        higher = tuple(dt * h for h in _coeffs((p2 - f0x * b0x, *rest)))
+        # Row k + 1 of the states is written as step before it is read as xk.
+        for xk, step, pk, ux_k, noise_k, slope_k, b_k, lin_k in zip(
+                prop_states, prop_states[1:], prop_momenta, ux, noise,
+                slope.tolist(), b_m.tolist(), lin.tolist()):
+            pk[...] = np.interp(xk, xs, ux_k)
+            if b0x:
+                slope_k = b_k + b0x * xk
+                slope_k *= -dt * slope_k
+            np.multiply(pk, slope_k, out=step)
+            step += xk
+            step += noise_k
+            if x_parts:
+                step += xk * _poly((lin_k, *higher), xk)
+    # Written as "all inside" so that a non-finite state is caught too.
+    inside = (prop_states >= xs[0]) & (prop_states <= xs[-1])
+    if not inside.all():
+        bad = int(np.argmin(inside.all(axis=-1)))
         raise SolverError(
             f"particles escaped the grid at level {bad}; enlarge the domain "
             "or shrink the horizon"
@@ -405,7 +432,9 @@ def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
     next iterate is omega prop + (1 - omega) x - (dX + omega dF) gamma, where
     gamma is the least-squares solution of dF gamma = f and omega is
     ``picard.damping``.  With one sweep stored it is the plain damped step,
-    so depth 0 would be damped Picard.  The returned flow is the accepted
+    so depth 0 would be damped Picard.  The differences are kept, oldest
+    first, in two arrays that each sweep shifts by one row; a residual that
+    is not finite ends the solve with a ``SolverError``.  The returned flow is the accepted
     Picard proposal: its momenta equal the value gradient interpolated at its
     own states, and its per-step control laws are the exact fixed point of
     its (state, momentum) laws.  The stored value grid is the one the final
@@ -437,28 +466,41 @@ def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
 
     history: list[float] = []
     omega = picard.damping
-    # The last ANDERSON_DEPTH + 1 stacked iterates x = (states, momenta) and
-    # their updates f = prop - x, flattened.
-    iterates: list = []
-    updates: list = []
-    for _ in range(picard.max_iter):
+    # The differences of the last ANDERSON_DEPTH + 1 stacked iterates x =
+    # (states, momenta), flattened, and of their updates f = prop - x: row
+    # j of the first ``stored`` rows is x_{j+1} - x_j, oldest first.  They
+    # are allocated with the first difference, which a solve that converges
+    # in two sweeps never takes.
+    stored = 0
+    last_x = last_f = None
+    for sweep in range(picard.max_iter):
         prop_states, prop_momenta, u = _sweep(model, x0, xs, dx, dt, brownian,
                                               states, momenta)
-        residual = float(max(np.max(_quantile_dist(states, prop_states)),
-                             np.max(_quantile_dist(momenta, prop_momenta))))
+        # A residual that overflows is reported below, not by numpy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = float(max(np.max(_quantile_dist(states, prop_states)),
+                                 np.max(_quantile_dist(momenta, prop_momenta))))
         history.append(residual)
         if residual <= picard.tol:
             states, momenta = prop_states, prop_momenta
             break
+        if not np.isfinite(residual):
+            raise SolverError(f"the Picard residual is not finite at sweep {sweep + 1}")
         x, prop = np.stack((states, momenta)), np.stack((prop_states, prop_momenta))
         step = omega * prop + (1.0 - omega) * x
-        iterates.append(x.ravel())
-        updates.append((prop - x).ravel())
-        del iterates[:-ANDERSON_DEPTH - 1], updates[:-ANDERSON_DEPTH - 1]
-        if len(iterates) > 1:
-            d_x, d_f = np.diff(iterates, axis=0).T, np.diff(updates, axis=0).T
-            gamma = np.linalg.lstsq(d_f, updates[-1], rcond=None)[0]
-            step -= ((d_x + omega * d_f) @ gamma).reshape(step.shape)
+        x, f = x.ravel(), (prop - x).ravel()
+        if last_x is not None:
+            if not stored:
+                d_x, d_f = np.empty((2, ANDERSON_DEPTH, x.size))
+            if stored == ANDERSON_DEPTH:
+                d_x[:-1], d_f[:-1] = d_x[1:], d_f[1:]
+            else:
+                stored += 1
+            np.subtract(x, last_x, out=d_x[stored - 1])
+            np.subtract(f, last_f, out=d_f[stored - 1])
+            gamma = np.linalg.lstsq(d_f[:stored].T, f, rcond=None)[0]
+            step -= ((d_x[:stored].T + omega * d_f[:stored].T) @ gamma).reshape(step.shape)
+        last_x, last_f = x, f
         states, momenta = step
     else:
         raise PicardError(

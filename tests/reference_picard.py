@@ -3,8 +3,11 @@
 ``solve_mfgc`` Anderson-mixes the last sweeps; ``plain_picard`` is the
 iteration it accelerates, written out on its own: from the uncontrolled
 flow, the next flow is ``omega * prop + (1 - omega) * x`` after every sweep,
-until the residual reaches the tolerance.  The accepted flow is the final
-proposal with the terminal momenta refreshed from g, as in ``solve_mfgc``.
+until the residual reaches the tolerance.  ``anderson_picard`` is the mixed
+iteration with its history kept as lists of the last ANDERSON_DEPTH + 1
+iterates and updates, differenced anew at every sweep.  The accepted flow is
+the final proposal with the terminal momenta refreshed from g, as in
+``solve_mfgc``.
 
 ``backward_value`` and ``forward_push`` are the two halves of ``_sweep`` as
 plain level-by-level recurrences: u_k = u + dt (u_xx / 2 + H(x, u_x)) with
@@ -16,6 +19,7 @@ import numpy as np
 
 from mfgclab.models import hamiltonian_dp, hamiltonian_terms, mean_terms
 from mfgclab.solver import (
+    ANDERSON_DEPTH,
     PicardError,
     SolverError,
     _d1_rows,
@@ -67,15 +71,52 @@ def forward_push(model, x0, xs, dx, dt, brownian, m1, m2, u):
     return states, momenta
 
 
-def plain_picard(model, x0, grid, picard, seed):
-    """(states, momenta, residual history) of the damped Picard solve."""
+def uncontrolled_flow(x0, grid, seed):
+    """The Brownian increments of a solve and its first flow: the particles
+    driven by noise alone, with zero momenta."""
     brownian = np.random.default_rng(seed).standard_normal((grid.n_t, x0.size))
-    xs, dx, dt = grid.xs, grid.dx, grid.dt
     states = np.empty((grid.n_t + 1, x0.size))
     states[0] = x0
     for k in range(grid.n_t):
-        states[k + 1] = states[k] + np.sqrt(dt) * brownian[k]
-    momenta = np.zeros_like(states)
+        states[k + 1] = states[k] + np.sqrt(grid.dt) * brownian[k]
+    return brownian, states, np.zeros_like(states)
+
+
+def anderson_picard(model, x0, grid, picard, seed):
+    """(states, momenta, residual history) of the Anderson-mixed solve."""
+    brownian, states, momenta = uncontrolled_flow(x0, grid, seed)
+    xs, dx, dt = grid.xs, grid.dx, grid.dt
+    omega = picard.damping
+    history, iterates, updates = [], [], []
+    for _ in range(picard.max_iter):
+        prop_states, prop_momenta, u = _sweep(model, x0, xs, dx, dt, brownian,
+                                              states, momenta)
+        history.append(float(max(np.max(_quantile_dist(states, prop_states)),
+                                 np.max(_quantile_dist(momenta, prop_momenta)))))
+        if history[-1] <= picard.tol:
+            states, momenta = prop_states, prop_momenta
+            break
+        x, prop = np.stack((states, momenta)), np.stack((prop_states, prop_momenta))
+        step = omega * prop + (1.0 - omega) * x
+        iterates.append(x.ravel())
+        updates.append((prop - x).ravel())
+        del iterates[:-ANDERSON_DEPTH - 1], updates[:-ANDERSON_DEPTH - 1]
+        if len(iterates) > 1:
+            d_x, d_f = np.diff(iterates, axis=0).T, np.diff(updates, axis=0).T
+            gamma = np.linalg.lstsq(d_f, updates[-1], rcond=None)[0]
+            step -= ((d_x + omega * d_f) @ gamma).reshape(step.shape)
+        states, momenta = step
+    else:
+        raise PicardError("Anderson-mixed Picard did not converge", history)
+    u[-1] = model.g(xs, states[-1])
+    momenta[-1] = np.interp(states[-1], xs, _d1_rows(u[-1], dx))
+    return states, momenta, history
+
+
+def plain_picard(model, x0, grid, picard, seed):
+    """(states, momenta, residual history) of the damped Picard solve."""
+    brownian, states, momenta = uncontrolled_flow(x0, grid, seed)
+    xs, dx, dt = grid.xs, grid.dx, grid.dt
     history = []
     for _ in range(picard.max_iter):
         prop_states, prop_momenta, u = _sweep(model, x0, xs, dx, dt, brownian,

@@ -116,6 +116,14 @@ SHIPPED_VIOLATIONS = {
 }
 
 
+# The Picard sweeps of each shipped config's solve at its shipped size.
+SHIPPED_SWEEPS = {
+    "anti_propagation": 6, "disp_propagation": 6, "disp_semi_negative_control": 6,
+    "disp_semi_propagation": 6, "ll_mono": 9, "ll_negative_control": 10,
+    "ll_propagation": 9, "lq_solve": 2,
+}
+
+
 def command_of(text):
     """The [experiment] kind of an INI text, which is also its CLI command."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -501,6 +509,29 @@ which = matrix1
         cfg.write_text(text)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
 
+    @pytest.mark.parametrize("model,terminal,message", [
+        # A flat value and p = 0, but B0^2 overflows in the value step.
+        ("b0 = 1e160 0 0", "gxx = 0", "value sweep produced non-finite values"),
+        # No control acts, and the first sweep moves the momenta by 1e160,
+        # whose square overflows in the residual.
+        ("b0 = 0 0 0", "gx = 1e160", "the Picard residual is not finite at sweep 1"),
+    ], ids=["squared_b0", "residual"])
+    def test_overflowing_solve_is_a_solver_error(self, tmp_path, model, terminal, message):
+        # Every overflow of a solve is a typed error: exit 4 with one line,
+        # no traceback and no floating-point warning.
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nkind = solve\nseed = 1\n"
+                       f"[model]\n{model}\n[terminal]\n{terminal}\n"
+                       "[grid]\nx_min = -3\nx_max = 3\nn_x = 31\nt0 = 0\nt_end = 0.2\n"
+                       "n_t = auto\n[particles]\nn = 8\n[picard]\nmax_iter = 10\n")
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "mfgclab.cli", "solve",
+             "--config", str(cfg), "--out", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
+        assert done.returncode == 4, done.stderr
+        assert done.stderr.startswith(f"solver error: {message}")
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+
     def test_non_finite_measure_derivative_exits_4(self, tmp_path, monkeypatch, capsys):
         # The access checks its matrices where it builds them: a non-finite
         # one is a solver error that names its level, not a traceback.
@@ -581,13 +612,17 @@ class TestShippedConfigs:
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
     def test_shipped_size_exit_code_and_violation_counts(self, tmp_path, path):
-        # Every shipped config as shipped: its exit code and, for mono and
-        # propagate, its violation counts.
+        # Every shipped config as shipped: its exit code, the Picard sweeps
+        # of its solve and, for mono and propagate, its violation counts.
         text = path.read_text()
         out = tmp_path / "out"
         assert main([command_of(text), "--config", str(path), "--out", str(out)]) \
             == SHIPPED_EXIT_CODES[path.stem]
         report = json.loads((out / "report.json").read_text())
+        # A propagate, a mono and a solve report keep the solver's record in
+        # three places; a check or chain run has none.
+        solver = report.get("solver") or report.get("metadata", {}).get("solver") or report
+        assert solver.get("picard_iterations") == SHIPPED_SWEEPS.get(path.stem)
         if "slope_violations" in report:
             counts = len(report["slope_violations"]), len(report["formula_violations"])
         elif "samples" in report:

@@ -398,21 +398,34 @@ class TestDispSufficient:
         assert want["bound"] == bound
         assert report.witness == {**want, "c0": c0}
 
-    def test_value_bounds_the_displacement_form(self):
+    # q2 = 0.3 makes h_xrho2 nonzero.  In the preset it is the same for
+    # every atom pair; b0x and f0x make it vary over the atoms, unequal to
+    # its transpose, within the hypotheses at c0 = 0.3.
+    BOUND_MODELS = {
+        "preset": (preset_model({"family": "disp_example", "c": "0.5",
+                                 "b1_mean": "0 -0.1 0.75", "f1_x": "0 0 0.25",
+                                 "q2": "0.3"}), 0.5),
+        "x_dependent": (Model(b0=(1.0, 0.05, 0.0), f0=(0.0, 0.1, 0.0, 0.5),
+                              B=MeanPoly2((0.0, -0.1, 0.5)), f1_x=(0.0, 0.0, 0.25), q2=0.3),
+                        0.3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BOUND_MODELS))
+    def test_value_bounds_the_displacement_form(self, case):
         # The sufficient condition's form v(eta) bounds the displacement form
         # from above: max over gamma + zeta of (ll + ibar + lam dx2) <= -v(eta),
         # and the report's value is the minimum of v over unit-RMS eta.
-        # q2 = 0.3 makes h_xrho2 nonzero.
-        model = preset_model({"family": "disp_example", "c": "0.5",
-                              "b1_mean": "0 -0.1 0.75", "f1_x": "0 0 0.25", "q2": "0.3"})
+        model, c0 = self.BOUND_MODELS[case]
         rng = np.random.default_rng(6)
         n = 16
         for lam in (0.0, 0.5):
             for xi, p in zip(*make_condition_samples(10, n, seed=4)):
-                report = check_disp_sufficient(model, lam, 0.5, xi[None], p[None], tol=0.0)
+                report = check_disp_sufficient(model, lam, c0, xi[None], p[None], tol=0.0)
                 assert report.failure_kind is None
                 table = hat_derivative_table(model, xi, p)
-                matrix = sufficient_matrix(table, lam, 0.5)
+                if case == "x_dependent":
+                    assert not np.allclose(table.h_xrho2, table.h_xrho2.T)
+                matrix = sufficient_matrix(table, lam, c0)
                 eigvals, eigvecs = np.linalg.eigh(matrix)
                 value = report.worst_margin  # tol = 0: the margin is the value
                 assert value == pytest.approx(n * eigvals[0], rel=1e-12)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference_picard import backward_value, forward_push, plain_picard
+from reference_picard import anderson_picard, backward_value, forward_push, plain_picard
 from reference_resolve import resolve_field, ux_at
 from scipy.integrate import solve_ivp
 from test_calculus import random_models
 from test_models import PRESET_FACTORIES
 
+from mfgclab import solver
 from mfgclab.config import ExperimentConfig
 from mfgclab.measures import gaussian_quantile_cloud
 from mfgclab.models import (
@@ -24,6 +25,7 @@ from mfgclab.models import (
 )
 from mfgclab.monotonicity import direction_battery
 from mfgclab.solver import (
+    ANDERSON_DEPTH,
     Grid,
     PicardError,
     PicardSettings,
@@ -213,6 +215,47 @@ class TestAndersonMixing:
         assert np.max(np.abs(flow.states - states)) <= 1e-9
         assert np.max(np.abs(flow.momenta - momenta)) <= 1e-9
         assert 2 * flow.picard_iterations <= len(history)
+
+    @staticmethod
+    def outcome(solve, *args):
+        """(states, momenta, residual history) of a solve, or the type and
+        the residual history of the error that ended it."""
+        try:
+            return solve(*args)
+        except SolverError as err:
+            return type(err), getattr(err, "residual_history", None)
+
+    def assert_mixing_is_the_list_reference(self, model, x0, grid, pic, seed):
+        # The solver keeps its mixing history as arrays of differences; the
+        # reference rebuilds them from lists of iterates at every sweep.  The
+        # least-squares problem is the same, column for column, so the two
+        # iterations agree bit for bit.
+        def solve(*args):
+            flow = solve_mfgc(*args[:-1], seed=args[-1])
+            return flow.states, flow.momenta, flow.residual_history
+
+        got = self.outcome(solve, model, x0, grid, pic, seed)
+        want = self.outcome(anderson_picard, model, x0, grid, pic, seed)
+        assert len(got) == len(want)  # both solved, or both failed
+        for got_part, want_part in zip(got, want):
+            assert np.array_equal(got_part, want_part)
+        return got
+
+    def test_mixing_is_the_list_reference_on_a_preset(self):
+        # The solve fills the history and rolls it over.
+        _, _, history = self.assert_mixing_is_the_list_reference(
+            *self.CASES["ll_propagation"]())
+        assert len(history) > ANDERSON_DEPTH + 2
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(model=random_models(), seed=st.integers(0, 2**16))
+    def test_mixing_is_the_list_reference_on_random_models(self, model, seed):
+        # A tolerance out of reach runs every sweep, so a converging model
+        # rolls its history over too; a failing one fails alike.
+        grid = Grid.with_cfl_steps(-4.0, 4.0, 31, 0.0, 0.2)
+        self.assert_mixing_is_the_list_reference(
+            model, gaussian_quantile_cloud(8, 0.0, 0.5), grid,
+            PicardSettings(max_iter=12, tol=1e-300, damping=0.5), seed)
 
     def test_uncoupled_solve_is_the_plain_step_bit_for_bit(self):
         # The uncoupled map is constant, so one undamped step lands on its
@@ -559,8 +602,18 @@ class TestLeanSweep:
     def test_backward_sweep_matches_level_recurrence_on_random_models(self, model, seed):
         self.assert_sweeps_agree(model, seed, stable_only=True)
 
+    @staticmethod
+    def assert_pushes_agree(got, want):
+        # The push writes the drift as affine in the momentum and adds its
+        # mean part to the noise, which reorders the arithmetic of
+        # ``hamiltonian_dp``: the states agree up to round-off, within the
+        # bound of the backward sweep's recurrence test, and so do the
+        # momenta, u_x read at those states.
+        for got_rows, want_rows in zip(got, want):
+            assert np.max(np.abs(got_rows - want_rows)) <= 1e-13 * np.max(np.abs(want_rows))
+
     @pytest.mark.parametrize("factory", PRESET_FACTORIES)
-    def test_push_is_the_level_recurrence_bit_for_bit(self, factory):
+    def test_push_matches_level_recurrence_on_presets(self, factory):
         model, grid = factory(), Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, T)
         xs, dx, dt = grid.xs, grid.dx, grid.dt
         x0 = gaussian_quantile_cloud(16, 0.0, 1.0)
@@ -569,13 +622,12 @@ class TestLeanSweep:
         momenta = 0.1 * states
         got_states, got_momenta, u = _sweep(model, x0, xs, dx, dt, brownian, states, momenta)
         m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
-        want_states, want_momenta = forward_push(model, x0, xs, dx, dt, brownian, m1, m2, u)
-        assert np.array_equal(got_states, want_states)
-        assert np.array_equal(got_momenta, want_momenta)
+        want = forward_push(model, x0, xs, dx, dt, brownian, m1, m2, u)
+        self.assert_pushes_agree((got_states, got_momenta), want)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(model=random_models(), seed=st.integers(0, 2**32 - 1))
-    def test_push_is_the_level_recurrence_bit_for_bit_on_random_models(self, model, seed):
+    def test_push_matches_level_recurrence_on_random_models(self, model, seed):
         # Random models have nonzero f0x and b0x and a polynomial b1_x, so
         # the push forms every x-part of the drift that the presets skip.
         grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, 0.1)
@@ -586,12 +638,11 @@ class TestLeanSweep:
         momenta = 0.1 * states
         m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
         u = _backward_value(model, xs, dx, dt, m1, m2, states[-1])
-        want_states, want_momenta = forward_push(model, x0, xs, dx, dt, brownian, m1, m2, u)
+        want = forward_push(model, x0, xs, dx, dt, brownian, m1, m2, u)
         # Over a tenth of a time unit no particle reaches the grid's edge.
         got_states, got_momenta, got_u = _sweep(model, x0, xs, dx, dt, brownian, states, momenta)
         assert np.array_equal(got_u, u)
-        assert np.array_equal(got_states, want_states)
-        assert np.array_equal(got_momenta, want_momenta)
+        self.assert_pushes_agree((got_states, got_momenta), want)
 
     @pytest.mark.parametrize("name", ["ll_propagation", "lq_solve"])
     def test_backward_sweep_allocates_little_beside_the_value_grid(self, name):
@@ -701,6 +752,20 @@ class TestErrorPaths:
         with pytest.raises(SolverError, match="escaped"):
             solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid,
                        PicardSettings(max_iter=10, tol=1e-9, damping=1.0), seed=1)
+
+
+    def test_non_finite_push_is_an_escape(self, monkeypatch):
+        # Against a flat value the momenta vanish, and B0^2 = inf makes the
+        # drift's slope times the momentum -inf * 0 = nan: a nan state is
+        # outside the grid, not a state that passes the escape check.
+        grid = Grid.with_cfl_steps(-3.0, 3.0, 31, 0.0, 0.2)
+        flat = lambda model, xs, dx, dt, m1, m2, atoms: np.zeros((m1.size, xs.size))
+        monkeypatch.setattr(solver, "_backward_value", flat)
+        x0 = np.linspace(-0.5, 0.5, 8)
+        states = np.tile(x0, (grid.n_t + 1, 1))
+        with pytest.raises(SolverError, match="escaped the grid at level 1;"):
+            _sweep(Model(b0=(1e160, 0, 0)), x0, grid.xs, grid.dx, grid.dt,
+                   np.zeros((grid.n_t, x0.size)), states, np.zeros_like(states))
 
 
 class TestCsvExport:
