@@ -5,12 +5,16 @@ mono (monotonicity sweep), propagate (variational trace + verdict), chain
 (the model's closed-form hat derivatives against central differences of
 H(x, p, Phi(rho)) on random laws, all in one call, relative to the size of
 H there).  Every run writes a manifest with the config echo, package
-version, effective seed and wall time.  Exit codes: 0 pass, 1 config error, 2 condition/verdict
-failure, 3 hypothesis or gate violation, 4 solver non-convergence.
+version, effective seed and wall time; a solve, mono or propagate report
+keeps the solver's record under ``solver``.  Exit codes: 0 pass, 1 config
+error, 2 condition/verdict failure, 3 hypothesis or gate violation, 4 solver
+non-convergence.  Every exit 3 writes a report; a propagate run's names the
+gate stage's reason and details.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import subprocess
@@ -66,57 +70,46 @@ def _git_describe(cwd: Path) -> str | None:
         return None
 
 
-def _write_manifest(out_dir: Path, cfg: ExperimentConfig, seed: int,
-                    wall_time: float, artifacts: list) -> None:
+def _write_manifest(out_dir: Path, cfg: ExperimentConfig, wall_time: float) -> None:
     manifest = {
         "version": __version__,
         "revision": _git_describe(Path.cwd()),
         "kind": cfg.kind,
-        "seed": seed,
+        "seed": cfg.seed,
         "wall_time_s": wall_time,
         "config": cfg.raw,
-        "artifacts": sorted(str(a.name) for a in artifacts),
+        "artifacts": sorted(p.name for p in out_dir.iterdir() if p.name != "manifest.json"),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
-def _write_json(path: Path, payload) -> Path:
+def _write_json(path: Path, payload) -> None:
     """Strict JSON: a non-finite number is written as null."""
     path.write_text(json.dumps(_jsonable(payload), indent=2, allow_nan=False))
-    return path
 
 
-def _plot_script(out_dir: Path, kind: str, csv_name: str) -> Path:
-    lines = ["set datafile separator ','", "set key outside", "set grid"]
-    if kind == "solve":
-        lines += [
-            f"set title 'particle states'",
-            "set xlabel 't'",
-            f"plot '{csv_name}' using 1:3 every ::1 with points pt 7 ps 0.3 title 'X'",
-        ]
-    elif kind == "mono":
-        lines += [
-            "set title 'monotonicity functional samples'",
-            "set xlabel 't'",
-            f"plot '{csv_name}' using 1:4 every ::1 with points pt 7 title 'value'",
-        ]
-    elif kind == "propagate":
-        lines += [
-            "set title 'propagation trace'",
-            "set xlabel 't'",
-            f"plot '{csv_name}' using 2:3 every ::1 with points pt 7 ps 0.3 title 'I', \\",
-            f"     '{csv_name}' using 2:4 every ::1 with points pt 5 ps 0.3 title 'Ibar'",
-        ]
-    else:
-        lines += [
-            "set title 'hat-derivative chain-rule check'",
-            "set xlabel 'law'",
-            "set logscale y",
-            f"plot '{csv_name}' using 1:3 every ::1 with points pt 7 title 'abs error'",
-        ]
-    path = out_dir / "plot.gp"
-    path.write_text("\n".join(lines) + "\n")
-    return path
+# Per kind: the title, the x label and the commands of plot.gp, where {csv}
+# stands for the data file.
+PLOTS = {
+    "solve": ("particle states", "t",
+              ["plot '{csv}' using 1:3 every ::1 with points pt 7 ps 0.3 title 'X'"]),
+    "mono": ("monotonicity functional samples", "t",
+             ["plot '{csv}' using 1:4 every ::1 with points pt 7 title 'value'"]),
+    "propagate": ("propagation trace", "t",
+                  ["plot '{csv}' using 2:3 every ::1 with points pt 7 ps 0.3 title 'I', \\",
+                   "     '{csv}' using 2:4 every ::1 with points pt 5 ps 0.3 title 'Ibar'"]),
+    "chain": ("hat-derivative chain-rule check", "law",
+              ["set logscale y",
+               "plot '{csv}' using 1:3 every ::1 with points pt 7 title 'abs error'"]),
+}
+
+
+def _plot_script(out_dir: Path, kind: str, csv_name: str) -> None:
+    title, xlabel, commands = PLOTS[kind]
+    lines = ["set datafile separator ','", "set key outside", "set grid",
+             f"set title '{title}'", f"set xlabel '{xlabel}'",
+             *(command.format(csv=csv_name) for command in commands)]
+    (out_dir / "plot.gp").write_text("\n".join(lines) + "\n")
 
 
 def _coupling(model, checker: str) -> float:
@@ -128,16 +121,16 @@ def _coupling(model, checker: str) -> float:
     return c
 
 
-def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
+def run_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     model = cfg.model()
     n_samples, n_atoms = cfg.check_sizes()
-    xi, p = make_condition_samples(n_samples, n_atoms, seed)
+    xi, p = make_condition_samples(n_samples, n_atoms, cfg.seed)
     reports = []
     for name in cfg.checkers():
         if name in MONOTONICITY_KINDS:
             reports.append(cfg.monotonicity_kind(name).gate(model, xi, p))
         elif name == "envelope":
-            reports.append(verify_envelope_identities(model, sample_count=200, seed=seed))
+            reports.append(verify_envelope_identities(model, sample_count=200, seed=cfg.seed))
         elif name == "matrix1":
             bmean = model.B.coeffs
             try:
@@ -151,7 +144,7 @@ def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
             reports.append(check_disp_sufficient(model, cfg.lam(), c0, xi, p))
         else:  # fmon
             # Pair k is (xi1, a1, xi2, a2) = draws[k], one (4, n_atoms) draw per pair.
-            draws = np.random.default_rng(seed).normal(size=(n_samples, 4, n_atoms))
+            draws = np.random.default_rng(cfg.seed).normal(size=(n_samples, 4, n_atoms))
             reports.append(check_f_monotone(model, *draws.transpose(1, 0, 2)))
     payload = {"reports": [r.to_dict() for r in reports],
                "worst_margin": np.min([r.worst_margin for r in reports]),
@@ -165,23 +158,21 @@ def run_check(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     return EXIT_OK if payload["all_passed"] else EXIT_FAIL
 
 
-def run_solve(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
-    model = cfg.model()
-    grid = cfg.grid()
-    flow = solve_mfgc(model, cfg.initial_cloud(), grid, cfg.picard(), seed=seed)
+def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
+    flow = solve_mfgc(cfg.model(), cfg.initial_cloud(), cfg.grid(), cfg.picard(), seed=cfg.seed)
     csv_path = out_dir / "flow.csv"
     flow.to_csv(csv_path)
-    _write_json(out_dir / "report.json", flow.run_metadata())
+    _write_json(out_dir / "report.json", {"solver": flow.run_metadata()})
     _plot_script(out_dir, "solve", csv_path.name)
     print(f"solve: {flow.picard_iterations} sweeps, residual {flow.final_residual:.3e}")
     return EXIT_OK
 
 
-def run_mono(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
+def run_mono(cfg: ExperimentConfig, out_dir: Path) -> int:
     model = cfg.model()
     grid = cfg.grid()
-    flow = solve_mfgc(model, cfg.initial_cloud(), grid, cfg.picard(), seed=seed)
-    prop = cfg.propagation(seed)
+    flow = solve_mfgc(model, cfg.initial_cloud(), grid, cfg.picard(), seed=cfg.seed)
+    prop = cfg.propagation()
     access = ValueAccess(model, flow)
     tol = tolerance_scale(grid.dt, grid.dx, flow.n_particles, prop.tol_c)
     report = monotonicity_sweep(access, prop.kind, slices=cfg.slices(),
@@ -190,40 +181,38 @@ def run_mono(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     samples_path = out_dir / "samples.csv"
     write_csv(samples_path, SAMPLE_COLUMNS,
               [[s[name] for s in report.samples] for name in SAMPLE_COLUMNS])
-    report.metadata["solver"] = flow.run_metadata()
-    _write_json(out_dir / "report.json", report.to_dict())
+    _write_json(out_dir / "report.json", {**report.to_dict(), "solver": flow.run_metadata()})
     _plot_script(out_dir, "mono", samples_path.name)
     print(f"mono {report.kind}: verdict {'pass' if report.verdict else 'FAIL'} "
           f"min {report.minimum:.4e} tol {tol:.4e}")
     return EXIT_OK if report.verdict else EXIT_FAIL
 
 
-def run_propagate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
+def run_propagate(cfg: ExperimentConfig, out_dir: Path) -> int:
     model = cfg.model()
-    prop = cfg.propagation(seed)
+    prop = cfg.propagation()
     gate = model_gate(model, prop)
-    if prop.enforce_gate and not gate.passed:
+    solver = {}   # the solver's record, once a solve has run
+    try:
+        if prop.enforce_gate and not gate.passed:
+            raise GateError(f"Hamiltonian condition gate ({gate.condition}) failed "
+                            "before the solve", {})
+        flow = solve_mfgc(model, cfg.initial_cloud(), cfg.grid(), cfg.picard(), seed=cfg.seed)
+        solver["solver"] = flow.run_metadata()
+        result = propagation_experiment(ValueAccess(model, flow), prop)
+    except GateError as err:
         _write_json(out_dir / "report.json",
-                    {"gate": gate.to_dict(), "verdict": False,
-                     "reason": "hamiltonian condition gate failed before solve"})
-        print(f"propagate: gate failed ({gate.condition}), no solve attempted")
+                    {"kind": prop.kind.name, "verdict": False, "reason": str(err),
+                     "gate": gate.to_dict(), "details": err.details, **solver})
+        print(f"propagate {prop.kind.name}: gate violation: {err}")
         return EXIT_HYPOTHESIS
-    flow = solve_mfgc(model, cfg.initial_cloud(), cfg.grid(), cfg.picard(), seed=seed)
-    result = propagation_experiment(ValueAccess(model, flow), prop, gate)
     csv_path = out_dir / "trace.csv"
     traces_to_csv(csv_path, result.traces)
-    payload = {
-        "kind": result.kind,
-        "tolerance": result.tolerance,
-        "verdict": result.verdict,
-        "gate_reports": [g.to_dict() for g in result.gate_reports],
-        "slope_violations": result.slope_violations,
+    _write_json(out_dir / "report.json", {
+        "kind": result.kind, "tolerance": result.tolerance, "verdict": result.verdict,
+        "gate": gate.to_dict(), "slope_violations": result.slope_violations,
         "formula_violations": result.formula_violations,
-        "endpoint_values": result.endpoint_values,
-        "details": result.details,
-        "solver": flow.run_metadata(),
-    }
-    _write_json(out_dir / "report.json", payload)
+        "endpoint_values": result.endpoint_values, "details": result.details, **solver})
     _plot_script(out_dir, "propagate", csv_path.name)
     print(f"propagate {result.kind}: verdict {'pass' if result.verdict else 'FAIL'} "
           f"({len(result.slope_violations)} slope / "
@@ -231,11 +220,11 @@ def run_propagate(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
     return EXIT_OK if result.verdict else EXIT_FAIL
 
 
-def run_chain(cfg: ExperimentConfig, out_dir: Path, seed: int) -> int:
+def run_chain(cfg: ExperimentConfig, out_dir: Path) -> int:
     model = cfg.model()
     n_laws, n_atoms, tol = cfg.chain_settings()
     # Law k is (x, p) = draws[k]: the stream of one (2, n_atoms) draw per law.
-    x, p = np.random.default_rng(seed).normal(size=(n_laws, 2, n_atoms)).transpose(1, 0, 2)
+    x, p = np.random.default_rng(cfg.seed).normal(size=(n_laws, 2, n_atoms)).transpose(1, 0, 2)
     errors, scales = chain_rule_check(model, x, p)
     table = np.stack(list(errors.values()), axis=-1)
     csv_path = out_dir / "chain.csv"
@@ -282,26 +271,23 @@ def main(argv=None) -> int:
         if cfg.kind != args.command:
             raise ConfigError(
                 f"config declares kind {cfg.kind!r} but command is {args.command!r}")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
+        if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be at least 0, got {args.seed}")
+            cfg = dataclasses.replace(cfg, seed=args.seed)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else cfg.seed
-
     try:
-        code = RUNNERS[args.command](cfg, out_dir, seed)
+        code = RUNNERS[args.command](cfg, out_dir)
     except (ConfigError, MonotonicityError) as err:
         # A runner's MonotonicityError is a direction battery that the
         # configured directions and particle count cannot fill.
         print(f"config error: {err}", file=sys.stderr)
         code = EXIT_CONFIG
-    except GateError as err:
-        print(f"gate violation: {err}", file=sys.stderr)
-        code = EXIT_HYPOTHESIS
     except PicardError as err:
         print(f"solver non-convergence: {err}", file=sys.stderr)
         code = EXIT_NO_CONVERGENCE
@@ -309,8 +295,7 @@ def main(argv=None) -> int:
         print(f"solver error: {err}", file=sys.stderr)
         code = EXIT_NO_CONVERGENCE
 
-    artifacts = [p for p in out_dir.iterdir() if p.name != "manifest.json"]
-    _write_manifest(out_dir, cfg, seed, time.time() - started, artifacts)
+    _write_manifest(out_dir, cfg, time.time() - started)
     return code
 
 

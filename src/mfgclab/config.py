@@ -20,7 +20,8 @@ H = -p^2/2):
 c1 and c (0.5 by default) must satisfy 0 <= c < 1, the anti family needs
 gamma > 0 and l0 > 0 (both 1 by default), and every model needs
 df0/dm2 <= 1 - CONTRACTION_EPS.  Absent coefficients are zero; every
-[model] and [terminal] coefficient must be finite.
+[model] and [terminal] coefficient must be finite, and so must [particles]
+mean, sd, lo and hi.
 
 A mono or propagate run takes its monotonicity kind from ``[monotonicity]
 kind`` (ll by default), and a check run evaluates the gate of each kind named
@@ -46,7 +47,9 @@ the momenta of alternating affine and clipped-polynomial feedbacks
 pairs of that size.  A
 propagate run of the anti kind also requires |Vxx| <= lu_xx on the solved
 field.  An invalid kind parameter is a ConfigError before any solve, and
-[monotonicity] lambda is range-checked whatever the kind.
+[monotonicity] lambda is range-checked whatever the kind.  [monotonicity]
+force_gate (true) is a configparser boolean word (1, yes, true, on or 0, no,
+false, off, in any case); any other value is a ConfigError.
 
 The count keys are integers of at most MAX_COUNT (100000): [grid] n_x and
 n_t, [particles] n, [picard] max_iter, [monotonicity] slices and
@@ -74,6 +77,8 @@ KINDS = ("check", "solve", "mono", "propagate", "chain")
 MAX_COUNT = 100_000
 # The [check] which names besides the monotonicity kinds, whose gates it runs.
 CHECKERS = ("envelope", "matrix1", "disp_sufficient", "fmon")
+# configparser's boolean words, lower case, and their values.
+BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 class ConfigError(ValueError):
@@ -221,17 +226,17 @@ class ExperimentConfig:
             raise ConfigError(f"invalid grid: {err}") from err
 
     def initial_cloud(self) -> np.ndarray:
-        """The atoms of the initial state law, a uniform cloud."""
+        """``[particles]``: n (16) atoms of the initial law by kind (gaussian):
+        gaussian (mean 0, sd 1) quantiles, uniform on [lo, hi] (-1, 1) or atoms."""
         sec = self.section("particles")
         try:
             n = _number(sec, "n", "16", int, 1)
             kind = sec.get("kind", "gaussian").strip()
             if kind == "gaussian":
-                return gaussian_quantile_cloud(n, float(sec.get("mean", "0")),
-                                               float(sec.get("sd", "1")))
+                return gaussian_quantile_cloud(n, _number(sec, "mean", "0"),
+                                               _number(sec, "sd", "1"))
             if kind == "uniform":
-                return uniform_grid_cloud(n, float(sec.get("lo", "-1")),
-                                          float(sec.get("hi", "1")))
+                return uniform_grid_cloud(n, _number(sec, "lo", "-1"), _number(sec, "hi", "1"))
             if kind == "atoms":
                 atoms = np.asarray(_floats(sec.get("values", "")))
                 if atoms.size == 0:
@@ -318,21 +323,23 @@ class ExperimentConfig:
         except MonotonicityError as err:
             raise ConfigError(f"invalid {name} kind: {err}") from err
 
-    def propagation(self, seed: int | None = None) -> PropagationConfig:
-        """Settings of a mono or propagate run; ``seed`` overrides the
-        config's seed for the gate samples and the direction battery.  The
-        fd_eps key of older configs is ignored: no finite-difference step is
-        taken."""
+    def propagation(self) -> PropagationConfig:
+        """Settings of a mono or propagate run, whose gate samples and
+        direction battery draw from the config's seed.  The fd_eps key of
+        older configs is ignored: no finite-difference step is taken."""
         sec = self.section("monotonicity")
         gate_samples, gate_atoms = self.check_sizes()
+        force_gate = sec.get("force_gate", "true").strip().lower()
+        if force_gate not in BOOLEANS:
+            raise ConfigError(f"force_gate must be one of {tuple(BOOLEANS)}, got {force_gate!r}")
         return PropagationConfig(
             kind=self.monotonicity_kind(),
             n_directions=_number(sec, "directions", "12", int, 1),
             tol_c=_number(sec, "tol_c", "0.05", least=0.0),
             gate_samples=gate_samples,
             gate_atoms=gate_atoms,
-            seed=self.seed if seed is None else seed,
-            enforce_gate=sec.get("force_gate", "true").strip().lower() != "false",
+            seed=self.seed,
+            enforce_gate=BOOLEANS[force_gate],
         )
 
     def validate(self) -> None:

@@ -16,7 +16,7 @@ propagation rules, and ``MONOTONICITY_KINDS`` maps each INI name to its class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,12 @@ from .solver import EquilibriumFlow, ValueAccess
 
 
 class GateError(RuntimeError):
-    """A propagation experiment's precondition failed."""
+    """A propagation experiment's precondition failed; carries what the
+    failing stage measured, for the run's report."""
+
+    def __init__(self, message: str, details: dict):
+        super().__init__(message)
+        self.details = details
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,7 @@ def simulate_variational(access: ValueAccess, etas: np.ndarray) -> tuple:
     delta = np.array(etas, dtype=float)
     if delta.ndim != 2 or delta.shape[1] != flow.n_particles:
         raise GateError(f"directions of shape {delta.shape} do not match the "
-                        f"flow's {flow.n_particles} particles")
+                        f"flow's {flow.n_particles} particles", {})
     n_t, dt, n = flow.grid.n_t, flow.grid.dt, flow.n_particles
     table = hat_derivative_table(access.model, flow.states, flow.momenta)
     vxx, matrices = access.fields(), access.matrices
@@ -142,7 +147,8 @@ def simulate_variational(access: ValueAccess, etas: np.ndarray) -> tuple:
     # A non-finite state stays non-finite at every later level.
     finite = np.isfinite(dx[:, 1:]).all(axis=(0, 2))
     if not finite.all():
-        raise GateError(f"variational state blew up at level {int(np.argmin(finite))}")
+        level = int(np.argmin(finite))
+        raise GateError(f"variational state blew up at level {level}", {"level": level})
     gamma = vxx * dx
     upsilon = np.matmul(matrices, dx[..., None])[..., 0]
     return dx, gamma, upsilon, table
@@ -271,7 +277,7 @@ class Displacement(Kind):
     """Displacement lambda-monotonicity: I + Ibar + lam dX2 >= 0; lam > 0 is
     semi-monotonicity."""
 
-    lam: float = 0.0
+    lam: float
     name = "disp"
     lvec = None
 
@@ -352,13 +358,16 @@ MONOTONICITY_KINDS = {cls.name: cls for cls in (LasryLions, Displacement, AntiMo
 
 @dataclass
 class PropagationConfig:
+    """Settings of a mono or propagate run; ``ExperimentConfig.propagation``
+    holds every default."""
+
     kind: Kind
-    n_directions: int = 12
-    tol_c: float = 0.5
-    gate_samples: int = 40
-    gate_atoms: int = 16
-    seed: int = 0
-    enforce_gate: bool = True
+    n_directions: int
+    tol_c: float
+    gate_samples: int
+    gate_atoms: int
+    seed: int
+    enforce_gate: bool
 
 
 @dataclass
@@ -368,13 +377,12 @@ class PropagationResult:
 
     kind: str
     tolerance: float
-    gate_reports: list
     traces: PropagationTraces
     slope_violations: list
     formula_violations: list
     endpoint_values: np.ndarray
     verdict: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def model_gate(model: Model, config: PropagationConfig) -> ConditionReport:
@@ -384,34 +392,32 @@ def model_gate(model: Model, config: PropagationConfig) -> ConditionReport:
     return config.kind.gate(model, xi, p)
 
 
-def propagation_experiment(access: ValueAccess, config: PropagationConfig,
-                           gate: ConditionReport) -> PropagationResult:
-    """Gate, trace, and verdict for one propagation theorem at desk scale,
-    on the access's converged flow.
+def propagation_experiment(access: ValueAccess,
+                           config: PropagationConfig) -> PropagationResult:
+    """Terminal gate, trace, and verdict for one propagation theorem at desk
+    scale, on the access's converged flow; the Hamiltonian gate
+    (``model_gate``) is the caller's, before the solve.
 
-    Gating: ``gate``, the report of ``model_gate`` for this model and config,
-    must pass, the terminal cost must carry the monotonicity of
-    ``config.kind``, and the kind's ``terminal_check`` must hold on the
-    solved flow (the anti-monotone curvature bound).  The verdict then
-    requires the kind's ``slope_rule`` (the per-step sign of the series'
+    Gating: the terminal cost must carry the monotonicity of ``config.kind``,
+    and the kind's ``terminal_check`` must hold on the solved flow (the
+    anti-monotone curvature bound); with ``config.enforce_gate`` a failure is
+    a ``GateError`` whose details are the stage's measurements.  The verdict
+    then requires the kind's ``slope_rule`` (the per-step sign of the series'
     derivative and the endpoint claim, both within the discretisation
     tolerance) and its formula matches on every direction.
     """
     kind, flow = config.kind, access.flow
     grid = flow.grid
     tol = tolerance_scale(grid.dt, grid.dx, flow.n_particles, config.tol_c)
-    if config.enforce_gate and not gate.passed:
-        raise GateError(f"Hamiltonian condition gate failed for kind {kind.name!r}")
-
     terminal = mon_disp(access, grid.n_t, np.array(
         direction_battery(flow.states[grid.n_t], config.n_directions, config.seed)), kind)
     details: dict = {"terminal_values": terminal.tolist()}
     if config.enforce_gate and not kind.holds(terminal, tol):
-        raise GateError("terminal cost does not carry the required monotonicity")
+        raise GateError("terminal cost does not carry the required monotonicity", details)
     extra, reason = kind.terminal_check(flow)
     details.update(extra)
     if config.enforce_gate and reason is not None:
-        raise GateError(reason)
+        raise GateError(reason, details)
 
     etas = np.array(direction_battery(flow.states[0], config.n_directions, config.seed))
     traces = build_traces(access, etas, kind)
@@ -427,8 +433,7 @@ def propagation_experiment(access: ValueAccess, config: PropagationConfig,
     slope_violations.sort(key=lambda v: v["direction"])
     verdict = (not slope_violations) and (not formula_violations)
     return PropagationResult(
-        kind=kind.name, tolerance=tol, gate_reports=[gate],
-        traces=traces, slope_violations=slope_violations,
+        kind=kind.name, tolerance=tol, traces=traces, slope_violations=slope_violations,
         formula_violations=formula_violations,
         endpoint_values=endpoint_values, verdict=bool(verdict), details=details,
     )

@@ -189,12 +189,13 @@ class PicardSettings:
 
     ``damping`` is the weight omega of each new proposal in the Anderson
     step (with one sweep stored, the plain damped step omega prop + (1 -
-    omega) x); the mixing depth is the module constant ANDERSON_DEPTH.
+    omega) x); the mixing depth is the module constant ANDERSON_DEPTH.  No
+    field has a default: ``ExperimentConfig.picard`` holds them.
     """
 
-    max_iter: int = 80
-    damping: float = 0.5
-    tol: float = 1e-9
+    max_iter: int
+    damping: float
+    tol: float
 
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
@@ -421,7 +422,7 @@ def _sweep(model: Model, x0: np.ndarray, xs: np.ndarray, dx: float, dt: float,
 
 
 def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
-               picard: PicardSettings | None = None, seed: int = 0) -> EquilibriumFlow:
+               picard: PicardSettings, seed: int) -> EquilibriumFlow:
     """Solve the coupled equilibrium system from the initial cloud of atoms x0.
 
     Picard iteration of ``_sweep`` from the uncontrolled flow until the
@@ -441,7 +442,6 @@ def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
     sweep solved against the previous flow; at tolerance the two coincide up
     to the Picard residual.
     """
-    picard = picard if picard is not None else PicardSettings()
     x0 = np.array(x0, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
         raise SolverError(f"the initial cloud must be a non-empty 1-D array of atoms, "

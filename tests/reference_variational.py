@@ -39,5 +39,5 @@ def simulate_variational(access, etas: np.ndarray) -> tuple:
         if k < n_t:
             delta = delta + dt * dx_velocity(table[k], delta, g_k + u_k)
             if not np.all(np.isfinite(delta)):
-                raise GateError(f"variational state blew up at level {k}")
+                raise GateError(f"variational state blew up at level {k}", {"level": k})
     return dx, gamma, upsilon, table

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfgclab import calculus, cli, conditions
+from mfgclab import calculus, cli, conditions, propagation
 from mfgclab.cli import main
 from mfgclab.models import HatTable
 from mfgclab.propagation import MONOTONICITY_KINDS
@@ -96,6 +96,7 @@ BASE_CONFIGS = {
     "anti_check": with_key(with_key((CONFIGS / "anti_propagation.ini").read_text(),
                                     "experiment", "kind", "check"), "check", "which", "anti"),
 }
+BASE_CONFIGS["uniform_mono"] = with_key(BASE_CONFIGS["mono"], "particles", "kind", "uniform")
 
 
 # The exit code of every shipped config through the CLI.
@@ -168,6 +169,65 @@ class TestExitCodes:
         assert report["verdict"] is False
         assert "gate" in report
         assert not (out / "trace.csv").exists()  # aborted before any solve
+
+    @pytest.mark.parametrize("config,section,key,value,reason,solved", [
+        (None, None, None, None, "Hamiltonian condition gate", False),
+        ("ll_propagation", "terminal", "gxm", "-0.5", "terminal cost", True),
+        ("anti_propagation", "anti", "lu_xx", "0.1", "curvature bound", True),
+    ], ids=["hamiltonian", "terminal", "curvature"])
+    def test_every_gate_stage_writes_its_report(self, tmp_path, capsys, config, section,
+                                                key, value, reason, solved):
+        # Each of the three gate stages ends the run with exit 3 and one
+        # report: its reason, the Hamiltonian gate, the stage's details and,
+        # once a solve has run, the solver's record.
+        text = small_model_block(c2="-0.2") if config is None else with_key(
+            (CONFIGS / f"{config}.ini").read_text(), section, key, value)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["propagate", "--config", str(cfg), "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        assert report["verdict"] is False and reason in report["reason"]
+        assert report["gate"]["passed"] is (config is not None)
+        assert ("terminal_values" in report["details"]) is solved
+        assert ("solver" in report) is solved
+        if solved:
+            assert report["solver"]["picard_iterations"] == SHIPPED_SWEEPS[config]
+        assert f"gate violation: {report['reason']}" in capsys.readouterr().out
+        assert not (out / "trace.csv").exists()
+        assert (out / "manifest.json").exists()
+
+    def test_diverging_trace_writes_a_gate_report(self, tmp_path, monkeypatch):
+        # A variational trace that blows up is a gate violation after the
+        # solve: exit 3, with the level in the report's details.
+        def diverging(model, x, p):
+            table = closed_form(model, x, p)
+            table.h_xp[3] = np.inf
+            return table
+
+        closed_form = propagation.hat_derivative_table
+        monkeypatch.setattr(propagation, "hat_derivative_table", diverging)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(small_model_block())
+        out = tmp_path / "o"
+        assert main(["propagate", "--config", str(cfg), "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        assert report["reason"] == "variational state blew up at level 3"
+        assert report["details"] == {"level": 3}
+        assert report["gate"]["passed"] and "solver" in report
+
+    @pytest.mark.parametrize("word,code", [
+        ("false", 2), ("no", 2), ("Off", 2), ("0", 2),
+        ("true", 3), ("yes", 3), ("ON", 3), ("1", 3)])
+    def test_force_gate_reads_boolean_words(self, tmp_path, word, code):
+        # The negative control fails its Hamiltonian gate: switched off, the
+        # run goes on to its failing verdict (exit 2); on, it stops at the
+        # gate (exit 3).
+        text = with_key((CONFIGS / "ll_negative_control.ini").read_text(),
+                        "monotonicity", "force_gate", word)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_key(text, "monotonicity", "directions", "2"))
+        assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
 
     def test_propagate_pass_exits_0(self, tmp_path):
         cfg = tmp_path / "exp.ini"
@@ -443,6 +503,12 @@ which = matrix1
         ("mono", "particles", "n", "1" + "0" * 21),
         ("propagate", "picard", "max_iter", "100001"),
         ("propagate", "picard", "max_iter", "0"),
+        ("mono", "particles", "mean", "nan"),
+        ("propagate", "particles", "sd", "inf"),
+        ("uniform_mono", "particles", "lo", "nan"),
+        ("uniform_mono", "particles", "hi", "-inf"),
+        ("propagate", "monotonicity", "force_gate", "maybe"),
+        ("mono", "monotonicity", "force_gate", ""),
     ])
     def test_bad_runner_key_is_config_error(self, tmp_path, kind, section, key, value):
         cfg = tmp_path / "exp.ini"
@@ -619,10 +685,9 @@ class TestShippedConfigs:
         assert main([command_of(text), "--config", str(path), "--out", str(out)]) \
             == SHIPPED_EXIT_CODES[path.stem]
         report = json.loads((out / "report.json").read_text())
-        # A propagate, a mono and a solve report keep the solver's record in
-        # three places; a check or chain run has none.
-        solver = report.get("solver") or report.get("metadata", {}).get("solver") or report
-        assert solver.get("picard_iterations") == SHIPPED_SWEEPS.get(path.stem)
+        # A solve, mono or propagate report keeps the solver's record under
+        # solver; a check or chain run has none.
+        assert report.get("solver", {}).get("picard_iterations") == SHIPPED_SWEEPS.get(path.stem)
         if "slope_violations" in report:
             counts = len(report["slope_violations"]), len(report["formula_violations"])
         elif "samples" in report:

@@ -42,7 +42,6 @@ from mfgclab.propagation import (
     build_traces,
     evaluate_rhs_formulas,
     formula_match_violations,
-    model_gate,
     propagation_experiment,
     simulate_variational,
     traces_to_csv,
@@ -71,8 +70,12 @@ def anti_example_model():
                         QuadraticTerminalCost(xx=-0.5))
 
 
-def run_experiment(access, config):
-    return propagation_experiment(access, config, model_gate(access.model, config))
+def prop_config(kind, n_directions, seed=0, enforce_gate=True):
+    """The settings of a propagation experiment at tol_c = 0.05 and the
+    config's default gate samples."""
+    return PropagationConfig(kind=kind, n_directions=n_directions, tol_c=0.05,
+                             gate_samples=40, gate_atoms=16, seed=seed,
+                             enforce_gate=enforce_gate)
 
 
 @pytest.fixture(scope="module")
@@ -225,8 +228,9 @@ class TestVariationalOracle:
             return table
 
         monkeypatch.setattr(propagation, "hat_derivative_table", broken)
-        with pytest.raises(GateError, match=f"blew up at level {level}$"):
+        with pytest.raises(GateError, match=f"blew up at level {level}$") as err:
             simulate_variational(access, np.ones((2, N)))
+        assert err.value.details == {"level": level}
 
 
 class TestRhsFormulas:
@@ -315,8 +319,8 @@ class TestRhsFormulas:
 class TestPropagationExperiment:
     def test_ll_experiment_passes_and_i_decreases(self):
         model, grid, flow, access = ll_setup()
-        config = PropagationConfig(kind=LL, n_directions=4, tol_c=0.05, seed=0)
-        result = run_experiment(access, config)
+        config = prop_config(LL, 4)
+        result = propagation_experiment(access, config)
         assert result.verdict
         assert result.slope_violations == []
         assert result.formula_violations == []
@@ -324,19 +328,10 @@ class TestPropagationExperiment:
         # terminal values carry the monotonicity exactly at t = T
         assert min(result.details["terminal_values"]) >= -1e-8
 
-    def test_gate_failing_model_raises_before_anything_else(self):
-        model, grid, flow, access = ll_setup(c2=-0.2)
-        config = PropagationConfig(kind=LL, n_directions=4, tol_c=0.05, seed=0)
-        report = model_gate(model, config)
-        assert not report.passed
-        with pytest.raises(GateError):
-            propagation_experiment(access, config, report)
-
     def test_negative_control_produces_slope_violation(self):
         model, grid, flow, access = ll_setup(c2=-0.2)
-        config = PropagationConfig(kind=LL, n_directions=12, tol_c=0.05, seed=0,
-                                   enforce_gate=False)
-        result = run_experiment(access, config)
+        config = prop_config(LL, 12, enforce_gate=False)
+        result = propagation_experiment(access, config)
         assert not result.verdict
         assert len(result.slope_violations) >= 1
         worst = max(v["value"] for v in result.slope_violations if "endpoint" not in v)
@@ -348,8 +343,8 @@ class TestPropagationExperiment:
         pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
         flow = solve_mfgc(model, MU0, grid, pic, seed=11)
         access = ValueAccess(model, flow)
-        config = PropagationConfig(kind=Displacement(0.0), n_directions=4, tol_c=0.05, seed=0)
-        result = run_experiment(access, config)
+        config = prop_config(Displacement(0.0), 4)
+        result = propagation_experiment(access, config)
         assert result.verdict
         # displacement monotone value function: curvature floor is nonnegative
         window = np.abs(flow.value_field.xs) <= 3.0
@@ -363,8 +358,8 @@ class TestPropagationExperiment:
         flow = solve_mfgc(model, mu0, grid, pic, seed=13)
         access = ValueAccess(model, flow)
         lv = LambdaVec(0.5, 0.5, 4.0, 8.0)
-        config = PropagationConfig(kind=anti(lv), n_directions=4, tol_c=0.05, seed=0)
-        result = run_experiment(access, config)
+        config = prop_config(anti(lv), 4)
+        result = propagation_experiment(access, config)
         assert result.verdict
         assert result.details["vxx_max"] <= 1.0
         series = result.traces.series[0]
@@ -378,15 +373,15 @@ class TestPropagationExperiment:
         flow = solve_mfgc(model, gaussian_quantile_cloud(N, 0.0, 0.35), grid, pic, seed=13)
         access = ValueAccess(model, flow)
         lv = LambdaVec(0.5, 0.5, 4.0, 8.0)
-        config = PropagationConfig(kind=anti(lv, lu_xx=0.25),  # below the realised curvature
-                                   n_directions=2, tol_c=0.05, seed=0)
-        with pytest.raises(GateError, match="curvature"):
-            run_experiment(access, config)
+        config = prop_config(anti(lv, lu_xx=0.25), 2)  # below the realised curvature
+        with pytest.raises(GateError, match="curvature") as err:
+            propagation_experiment(access, config)
+        assert err.value.details["vxx_max"] > err.value.details["vxx_bound"] == 0.25
 
     def test_trace_csv_export(self, tmp_path):
         model, grid, flow, access = ll_setup()
-        config = PropagationConfig(kind=LL, n_directions=2, tol_c=0.05, seed=0)
-        result = run_experiment(access, config)
+        config = prop_config(LL, 2)
+        result = propagation_experiment(access, config)
         path = tmp_path / "trace.csv"
         traces_to_csv(path, result.traces)
         lines = path.read_text().splitlines()
@@ -428,8 +423,8 @@ class TestKinds:
         # The terminal gate and the mono sweep read V_xx and the tangent at
         # level n_t through one access path: same battery, same seed, same bits.
         access, kind = kind_setup(name)
-        config = PropagationConfig(kind=kind, n_directions=12, tol_c=0.05, seed=3)
-        result = run_experiment(access, config)
+        config = prop_config(kind, 12, 3)
+        result = propagation_experiment(access, config)
         report = monotonicity_sweep(access, kind, slices=2, battery_size=12, seed=3)
         n_t = access.flow.grid.n_t
         swept = [s["value"] for s in report.samples if s["level"] == n_t]
@@ -491,7 +486,7 @@ def oracle_result(case):
         config = replace(config, tol_c=tol_c, enforce_gate=False)
     if lvec is not None:
         config = replace(config, kind=anti(lvec), enforce_gate=False)
-    return run_experiment(ValueAccess(model, flow), config)
+    return propagation_experiment(ValueAccess(model, flow), config)
 
 
 def assert_same_entries(got, want):

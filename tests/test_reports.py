@@ -95,7 +95,7 @@ class TestArtifactsMatchCsvWriter:
         report = MonotonicityReport(kind="ll", samples=samples, minimum=0.0, tolerance=1.0,
                                     verdict=True)
         monkeypatch.setattr(cli, "monotonicity_sweep", lambda *args, **kwargs: report)
-        assert cli.run_mono(config(tmp_path, "mono"), tmp_path, 7) == cli.EXIT_OK
+        assert cli.run_mono(config(tmp_path, "mono"), tmp_path) == cli.EXIT_OK
         write_dict_rows(tmp_path / "want.csv", cli.SAMPLE_COLUMNS, samples)
         assert ((tmp_path / "samples.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
@@ -113,7 +113,7 @@ class TestArtifactsMatchCsvWriter:
             return dict(zip(names, table.T)), scales
 
         monkeypatch.setattr(cli, "chain_rule_check", stacked_check)
-        cli.run_chain(cfg, tmp_path, 7)
+        cli.run_chain(cfg, tmp_path)
         assert calls == [(n_laws, n_atoms)]
         rows = [{"law": k, "entry": name, "abs_error": table[k, j], "scale": scales[k]}
                 for k in range(n_laws) for j, name in enumerate(names)]

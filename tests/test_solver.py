@@ -725,16 +725,18 @@ class TestErrorPaths:
     def test_initial_cloud_outside_margin_rejected(self):
         model = lq_model()
         grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, T)
+        pic = PicardSettings(max_iter=80, tol=1e-9, damping=0.5)
         with pytest.raises(SolverError):
-            solve_mfgc(model, gaussian_quantile_cloud(16, 5.95, 0.01), grid)
+            solve_mfgc(model, gaussian_quantile_cloud(16, 5.95, 0.01), grid, pic, seed=0)
         with pytest.raises(SolverError):
-            solve_mfgc(model, np.array([0.0, np.nan]), grid)
+            solve_mfgc(model, np.array([0.0, np.nan]), grid, pic, seed=0)
 
     def test_initial_cloud_must_be_one_dimensional(self):
         model = lq_model()
         grid = Grid.with_cfl_steps(-6.0, 6.0, 61, 0.0, T)
         with pytest.raises(SolverError, match="1-D"):
-            solve_mfgc(model, gaussian_quantile_cloud(16)[:, None], grid)
+            solve_mfgc(model, gaussian_quantile_cloud(16)[:, None], grid,
+                       PicardSettings(max_iter=80, tol=1e-9, damping=0.5), seed=0)
 
     def test_unstable_value_sweep_is_a_solver_error(self):
         # A steep drift and curvature overflow the explicit sweep: the typed
@@ -743,7 +745,7 @@ class TestErrorPaths:
         grid = Grid.with_cfl_steps(-3.0, 3.0, 31, 0.0, 0.5)
         with pytest.raises(SolverError, match="non-finite values at level 16"):
             solve_mfgc(model, np.linspace(-0.5, 0.5, 8), grid,
-                       PicardSettings(max_iter=3), seed=0)
+                       PicardSettings(max_iter=3, tol=1e-9, damping=0.5), seed=0)
 
     def test_escaping_particles_reported(self):
         # A steep terminal slope drives the optimal drift far beyond the box.
