@@ -2,11 +2,12 @@
 
 The chain-rule check of the reduced Hamiltonian Hhat(x, p, rho) =
 H(x, p, Phi(rho)) against central differences, over a stack of laws in one
-vectorised pass, and the one directional measure derivative of the
-value-function gradient that the monotonicity functionals consume, read by
-the value access from the exact measure-derivative matrix at the solved
-cloud of one grid level.  Measure derivatives are Lions derivatives of a
-uniform cloud: N times the partial derivative in one atom.
+vectorised pass, and the one reader of the directional measure derivative
+of the value-function gradient that the monotonicity functionals consume:
+the exact measure-derivative matrix of each level, held by the value access,
+applied to a stack of directions at a stack of levels.  Measure derivatives
+are Lions derivatives of a uniform cloud: N times the partial derivative in
+one atom.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from dataclasses import fields
 import numpy as np
 
 from .models import HatTable, Model, fixed_point_phi, hamiltonian, hat_derivative_table
+from .solver import level_indices
 
 # Relative steps of the central differences: first derivatives in a point
 # variable, and second derivatives and atom displacements.  Hhat is a
@@ -93,18 +95,21 @@ def chain_rule_check(model: Model, x, p) -> tuple:
     return errors, np.maximum(1.0, np.max(np.abs(base), axis=-1))
 
 
-def value_measure_gradient(access, k: int, etas) -> np.ndarray:
+def value_measure_gradient(access, levels, etas) -> np.ndarray:
     """Directional measure derivatives of the value gradient at the atoms of
-    level k's cloud, one row per direction of the (B, N) stack etas.
+    each given level's cloud, for the (B, L, N) stack etas: etas[b, l] is
+    direction b at level k = levels[l], and so is the answer's row [b, l].
 
-    Row b is D_i = (1/N) sum_j d_x d_mu V(t_k, x_i, mu_k, x_j) eta_j at every
-    atom x_i of mu_k, the uniform cloud of the access's N atoms at level k.
-    ``access.tangent(k, etas)`` computes it (``solver.ValueAccess.tangent``:
-    the level's measure-derivative matrix times each row), every row
-    bit-identical to asking for it alone.
+    Row [b, l] is D_i = (1/N) sum_j d_x d_mu V(t_k, x_i, mu_k, x_j) eta_j at
+    every atom x_i of mu_k, the uniform cloud of level k's N atoms: M[k] eta,
+    with M the access's (levels, N, N) stack ``matrices``
+    (``solver.ValueAccess``).  It is one matrix-vector product per
+    (direction, level), so every row is bit-identical to asking for it
+    alone.  A level outside the stack is a ``SolverError``.
     """
+    matrices = access.matrices[level_indices(levels, len(access.matrices))]
     etas = np.asarray(etas, dtype=float)
-    if etas.ndim != 2 or etas.shape[1] != access.n_particles:
+    if etas.shape[1:] != matrices.shape[:2]:
         raise CalculusError(f"direction stack of shape {etas.shape} does not match "
-                            f"the cloud's {access.n_particles} atoms")
-    return access.tangent(k, etas)
+                            f"{len(matrices)} level(s) of {matrices.shape[-1]} atoms")
+    return np.matmul(matrices, etas[..., None])[..., 0]

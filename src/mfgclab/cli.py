@@ -7,9 +7,9 @@ H(x, p, Phi(rho)) on random laws, all in one call, relative to the size of
 H there).  Every run writes a manifest with the config echo, package
 version, effective seed and wall time; a solve, mono or propagate report
 keeps the solver's record under ``solver``.  Exit codes: 0 pass, 1 config
-error, 2 condition/verdict failure, 3 hypothesis or gate violation, 4 solver
-non-convergence.  Every exit 3 writes a report; a propagate run's names the
-gate stage's reason and details.
+error (an --out that names a file, too), 2 condition/verdict failure, 3
+hypothesis or gate violation, 4 solver non-convergence.  Every exit 3 writes
+a report; a propagate run's names the gate stage's reason and details.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from .conditions import (
 )
 from .config import ConfigError, ExperimentConfig
 from .models import verify_envelope_identities
-from .monotonicity import MonotonicityError, monotonicity_sweep, tolerance_scale
+from .monotonicity import MonotonicityError, monotonicity_sweep
 from .propagation import (
     MONOTONICITY_KINDS,
     GateError,
@@ -170,21 +170,15 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def run_mono(cfg: ExperimentConfig, out_dir: Path) -> int:
     model = cfg.model()
-    grid = cfg.grid()
-    flow = solve_mfgc(model, cfg.initial_cloud(), grid, cfg.picard(), seed=cfg.seed)
-    prop = cfg.propagation()
-    access = ValueAccess(model, flow)
-    tol = tolerance_scale(grid.dt, grid.dx, flow.n_particles, prop.tol_c)
-    report = monotonicity_sweep(access, prop.kind, slices=cfg.slices(),
-                                battery_size=prop.n_directions, tolerance=tol,
-                                seed=prop.seed)
+    flow = solve_mfgc(model, cfg.initial_cloud(), cfg.grid(), cfg.picard(), seed=cfg.seed)
+    report = monotonicity_sweep(ValueAccess(model, flow), cfg.propagation(), cfg.slices())
     samples_path = out_dir / "samples.csv"
     write_csv(samples_path, SAMPLE_COLUMNS,
               [[s[name] for s in report.samples] for name in SAMPLE_COLUMNS])
     _write_json(out_dir / "report.json", {**report.to_dict(), "solver": flow.run_metadata()})
     _plot_script(out_dir, "mono", samples_path.name)
     print(f"mono {report.kind}: verdict {'pass' if report.verdict else 'FAIL'} "
-          f"min {report.minimum:.4e} tol {tol:.4e}")
+          f"min {report.minimum:.4e} tol {report.tolerance:.4e}")
     return EXIT_OK if report.verdict else EXIT_FAIL
 
 
@@ -280,7 +274,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:   # --out names a file, or a path through one
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+
     try:
         code = RUNNERS[args.command](cfg, out_dir)
     except (ConfigError, MonotonicityError) as err:

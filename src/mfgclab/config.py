@@ -44,12 +44,14 @@ check runs.  Every gate and the disp_sufficient checker judge the same
 momentum) atoms each, drawn from the experiment's seed: Gaussian states and
 the momenta of alternating affine and clipped-polynomial feedbacks
 (``conditions.make_condition_samples``).  fmon draws that many coupled
-pairs of that size.  A
-propagate run of the anti kind also requires |Vxx| <= lu_xx on the solved
-field.  An invalid kind parameter is a ConfigError before any solve, and
-[monotonicity] lambda is range-checked whatever the kind.  [monotonicity]
-force_gate (true) is a configparser boolean word (1, yes, true, on or 0, no,
-false, off, in any case); any other value is a ConfigError.
+pairs of that size.  A propagate run of the anti kind also requires
+|Vxx| <= lu_xx on the solved field.  An invalid kind parameter is a
+ConfigError before any solve, and [monotonicity] lambda is range-checked
+whatever the kind.  A propagate run's [monotonicity] force_gate (true) is a
+configparser boolean word (1, yes, true, on or 0, no, false, off, in any
+case); any other value is a ConfigError.  A mono run runs no gate: it reads
+neither force_gate nor [check] samples and atoms, so any value of those
+keys, valid or not, leaves it as it is.
 
 The count keys are integers of at most MAX_COUNT (100000): [grid] n_x and
 n_t, [particles] n, [picard] max_iter, [monotonicity] slices and
@@ -324,22 +326,28 @@ class ExperimentConfig:
             raise ConfigError(f"invalid {name} kind: {err}") from err
 
     def propagation(self) -> PropagationConfig:
-        """Settings of a mono or propagate run, whose gate samples and
-        direction battery draw from the config's seed.  The fd_eps key of
-        older configs is ignored: no finite-difference step is taken."""
+        """Settings of a mono or propagate run, whose direction battery and
+        gate samples draw from the config's seed.  A mono run has no gate, so
+        it reads neither [check] samples and atoms nor force_gate.  The
+        fd_eps key of older configs is ignored: no finite-difference step is
+        taken."""
         sec = self.section("monotonicity")
-        gate_samples, gate_atoms = self.check_sizes()
-        force_gate = sec.get("force_gate", "true").strip().lower()
-        if force_gate not in BOOLEANS:
-            raise ConfigError(f"force_gate must be one of {tuple(BOOLEANS)}, got {force_gate!r}")
+        samples, atoms, enforce = 0, 0, False
+        if self.kind == "propagate":
+            samples, atoms = self.check_sizes()
+            force_gate = sec.get("force_gate", "true").strip().lower()
+            if force_gate not in BOOLEANS:
+                raise ConfigError(f"force_gate must be one of {tuple(BOOLEANS)}, "
+                                  f"got {force_gate!r}")
+            enforce = BOOLEANS[force_gate]
         return PropagationConfig(
             kind=self.monotonicity_kind(),
             n_directions=_number(sec, "directions", "12", int, 1),
             tol_c=_number(sec, "tol_c", "0.05", least=0.0),
-            gate_samples=gate_samples,
-            gate_atoms=gate_atoms,
+            gate_samples=samples,
+            gate_atoms=atoms,
             seed=self.seed,
-            enforce_gate=BOOLEANS[force_gate],
+            enforce_gate=enforce,
         )
 
     def validate(self) -> None:

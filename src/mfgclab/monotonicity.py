@@ -5,24 +5,25 @@ the displacement lambda-form, and the anti-monotone form — are evaluated on
 V(t_k, ., mu_k) at sampled grid levels k of the equilibrium flow, where mu_k
 is the solved cloud of that level, for a battery of directions.  The law of
 xi is the uniform cloud of the level's N atoms, and eta = eta(xi) is a 1-D
-array aligned with them; the functionals take a (B, N) stack of directions
-and return one value per direction.
+array aligned with them; the functionals take a stack of directions and
+return one value per direction.
 
 Each functional is a function of the ``Pairings`` of (eta, Vxx eta, D),
 with D the directional measure derivative of the value gradient.  Its kind
 object (``propagation.MONOTONICITY_KINDS``) defines it once, with the kind's
-parameters and verdict sign: ``mon_disp`` applies it at one level,
-``monotonicity_sweep`` over a flow, and the variational traces of
-``propagation`` along the first-variation system.
+parameters and verdict sign: ``mon_disp`` applies it at a stack of levels,
+which is how both ``monotonicity_sweep`` and the terminal gate of
+``propagation`` evaluate it, and the variational traces of ``propagation``
+apply it along the first-variation system.
 
-Access to V is keyed by the level index k alone and answers at that level's
-cloud, whose size is the access's ``n_particles``.  ``field(k)`` returns
-V_xx(t_k, ., mu_k) at the atoms, and ``tangent(k, etas)`` the (B, N)
-directional measure derivatives of the value gradient there for the (B, N)
-stack of directions, each row as if asked alone.  ``solver.ValueAccess``
-provides both for a converged flow, from the exact measure-derivative
-matrix of each level, and a fixed terminal cost at a fixed cloud serves as
-well.
+Access to V is keyed by level indices alone, each answering at that level's
+cloud of N atoms, and every read takes a stack of levels.  ``field(levels)``
+returns V_xx(t_k, ., mu_k) at the atoms, one (N,) row per level, and
+``matrices`` is the (levels, N, N) stack of the levels' measure-derivative
+matrices, which ``calculus.value_measure_gradient`` applies to a (B, L, N)
+stack of directions.  ``solver.ValueAccess`` provides both for a converged
+flow, from the exact measure-derivative matrix of each level, and a fixed
+terminal cost at a fixed cloud serves as well.
 """
 from __future__ import annotations
 
@@ -78,14 +79,15 @@ def pairings(dx: np.ndarray, gamma: np.ndarray, upsilon: np.ndarray) -> Pairings
                     mean(upsilon**2))
 
 
-def mon_disp(access, k: int, etas: np.ndarray, kind) -> np.ndarray:
-    """The functional of a kind at level k, one value per direction of the
-    (B, N) stack etas, from the pairings of (eta, G = Vxx eta, D) with
-    D_i = (1/N) sum_j d_x d_mu V(t_k, x_i, mu_k, x_j) eta_j.  The
-    Lasry-Lions functional reads I alone, so G does not enter its value."""
-    vxx = access.field(k)
-    d_vals = value_measure_gradient(access, k, etas)
-    return kind.functional(pairings(etas, vxx * etas, d_vals))
+def mon_disp(access, levels, etas: np.ndarray, kind) -> np.ndarray:
+    """The functional of a kind at a stack of levels: (B, L) values of the
+    (B, L, N) stack etas, direction b at level levels[l] in etas[b, l], from
+    the pairings of (eta, G = Vxx eta, D) with D_i = (1/N) sum_j d_x d_mu
+    V(t_k, x_i, mu_k, x_j) eta_j.  Each value is bit-identical to a
+    one-level, one-direction call.  The Lasry-Lions functional reads I
+    alone, so G does not enter its value."""
+    d_vals = value_measure_gradient(access, levels, etas)   # checks the stack's shape
+    return kind.functional(pairings(etas, access.field(levels) * etas, d_vals))
 
 
 def direction_battery(xs: np.ndarray, count: int = 12, seed: int = 0) -> list:
@@ -129,28 +131,27 @@ def tolerance_scale(dt: float, dx: float, n_particles: int, c: float) -> float:
     return float(c * (dt + dx**2 + 1.0 / np.sqrt(n_particles)))
 
 
-def monotonicity_sweep(access, kind, slices: int = 5, battery_size: int = 12,
-                       tolerance: float = 1e-6, seed: int = 0) -> MonotonicityReport:
+def monotonicity_sweep(access, config, slices: int) -> MonotonicityReport:
     """Evaluate one kind's functional over time slices x direction battery.
 
-    ``kind`` is a monotonicity kind object (``propagation.MONOTONICITY_KINDS``):
-    it carries its parameters and functional, which ``mon_disp`` evaluates
-    at each level, and judges the values by its sign.  Slice times are grid
-    levels of the access's converged flow, with the flow's own states there
-    as the cloud.
+    ``config`` is the run's ``propagation.PropagationConfig``: its kind
+    carries the parameters and functional, and judges the values by its sign
+    within the run's tolerance (``PropagationConfig.tolerance``); each slice
+    draws its battery of ``n_directions`` on its own cloud from the config's
+    seed.  Slice times are grid levels of the access's converged flow, with
+    the flow's own states there as the cloud, and one ``mon_disp`` call
+    evaluates every slice.
     """
-    flow = access.flow
+    kind, flow = config.kind, access.flow
     grid = flow.grid
-    levels = [int(round(q * grid.n_t / (slices - 1))) for q in range(slices)] \
+    levels = sorted({int(round(q * grid.n_t / (slices - 1))) for q in range(slices)}) \
         if slices > 1 else [0]
-    samples, ts = [], grid.ts
-    for k in sorted(set(levels)):
-        etas = np.array(direction_battery(flow.states[k], battery_size, seed))
-        values = mon_disp(access, k, etas, kind)
-        samples += [{"t": float(ts[k]), "level": k, "direction": d_idx,
-                     "value": float(value)}
-                    for d_idx, value in enumerate(values)]
-    values = np.array([s["value"] for s in samples])
+    etas = np.stack([direction_battery(flow.states[k], config.n_directions, config.seed)
+                     for k in levels], axis=1)
+    values = mon_disp(access, levels, etas, kind)
+    tolerance, ts = config.tolerance(flow), grid.ts
+    samples = [{"t": float(ts[k]), "level": k, "direction": d_idx, "value": float(value)}
+               for k, column in zip(levels, values.T) for d_idx, value in enumerate(column)]
     lvec = kind.lvec
     return MonotonicityReport(
         kind=kind.name,
@@ -163,7 +164,7 @@ def monotonicity_sweep(access, kind, slices: int = 5, battery_size: int = 12,
             "lambda": kind.lam,
             "lambda_vec": None if lvec is None else [lvec.l0, lvec.l1, lvec.l2, lvec.l3],
             "slices": slices,
-            "battery_size": battery_size,
-            "seed": seed,
+            "battery_size": config.n_directions,
+            "seed": config.seed,
         },
     )

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calculus import value_measure_gradient
 from .conditions import (
     check_anti_assumption,
     check_disp_condition,
@@ -103,8 +104,9 @@ def simulate_variational(access: ValueAccess, etas: np.ndarray) -> tuple:
     states are reused as simulated (they already carry the flow's Brownian
     increments); dX follows its linear dynamics with the curvature field G =
     V_xx dX and the measure-derivative field U = M dX, where V_xx at each
-    level's atoms is ``access.fields()`` and M is ``access.matrices``.  The
-    Euler step is linear in dX, dX_{k+1} = T_k dX_k with
+    level's atoms is ``access.field`` of every level and M is
+    ``access.matrices``.  The Euler step is linear in dX, dX_{k+1} = T_k
+    dX_k with
 
         T_k = I + dt [diag(h_xp) + h_prho1 / N
                       + (diag(h_pp) + h_prho2 / N)(diag(V_xx) + M[k])]
@@ -112,9 +114,10 @@ def simulate_variational(access: ValueAccess, etas: np.ndarray) -> tuple:
     at level k, so the (levels - 1, N, N) stack T is built in a few batched
     operations before the pass, and a level is one matrix-vector product
     per direction: each row is bit-identical to its one-direction run, and a
-    negated direction gives the negated trace.  G and U are one product
-    each over all levels.  dX, G and U are (B, levels, N) stacks, row b
-    belonging to direction b; ``table`` is the flow's stacked hat table,
+    negated direction gives the negated trace.  G and U are read for all
+    levels at once, through the readers ``mon_disp`` uses (``access.field``
+    and ``value_measure_gradient``).  dX, G and U are (B, levels, N) stacks,
+    row b belonging to direction b; ``table`` is the flow's stacked hat table,
     level k at index k, from one ``hat_derivative_table`` call on the whole
     flow.  A non-finite update is a ``GateError`` naming the first level
     that produced one.
@@ -126,14 +129,15 @@ def simulate_variational(access: ValueAccess, etas: np.ndarray) -> tuple:
                         f"flow's {flow.n_particles} particles", {})
     n_t, dt, n = flow.grid.n_t, flow.grid.dt, flow.n_particles
     table = hat_derivative_table(access.model, flow.states, flow.momenta)
-    vxx, matrices = access.fields(), access.matrices
+    levels = np.arange(n_t + 1)
+    vxx = access.field(levels)
     diagonal = np.arange(n)
     dx = np.empty((len(delta), n_t + 1, n))
     dx[:, 0] = delta
     # A diverging trace overflows on its way to inf/nan; the check below
     # names its level instead of numpy's floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        curvature = matrices[:-1].copy()   # G + U = (diag(V_xx) + M) dX
+        curvature = access.matrices[:-1].copy()   # G + U = (diag(V_xx) + M) dX
         curvature[:, diagonal, diagonal] += vxx[:-1]
         feedback = table.h_prho2[:-1] / n
         feedback[:, diagonal, diagonal] += table.h_pp[:-1]
@@ -149,9 +153,7 @@ def simulate_variational(access: ValueAccess, etas: np.ndarray) -> tuple:
     if not finite.all():
         level = int(np.argmin(finite))
         raise GateError(f"variational state blew up at level {level}", {"level": level})
-    gamma = vxx * dx
-    upsilon = np.matmul(matrices, dx[..., None])[..., 0]
-    return dx, gamma, upsilon, table
+    return dx, vxx * dx, value_measure_gradient(access, levels, dx), table
 
 
 def evaluate_rhs_formulas(table: HatTable, delta_x: np.ndarray, gamma: np.ndarray,
@@ -225,7 +227,7 @@ class Kind:
     ``name``, ``lam`` (of the ``cd_disp_rhs`` trace column) and ``lvec``.
     The propagation hooks ``formula_pairs`` and ``slope_rule`` read a
     battery's ``PropagationTraces`` record whole, one row per direction.
-    ``monotonicity.mon_disp`` evaluates the functional at one level.  The
+    ``monotonicity.mon_disp`` evaluates the functional at fixed levels.  The
     gates look ``check_*`` up in this module at call time, never stored, so
     that perfbench's layer trace still counts them."""
 
@@ -359,7 +361,8 @@ MONOTONICITY_KINDS = {cls.name: cls for cls in (LasryLions, Displacement, AntiMo
 @dataclass
 class PropagationConfig:
     """Settings of a mono or propagate run; ``ExperimentConfig.propagation``
-    holds every default."""
+    holds every default.  Only a propagate run has a gate: a mono run's
+    settings hold 0 gate samples of 0 atoms and do not enforce it."""
 
     kind: Kind
     n_directions: int
@@ -368,6 +371,11 @@ class PropagationConfig:
     gate_atoms: int
     seed: int
     enforce_gate: bool
+
+    def tolerance(self, flow: EquilibriumFlow) -> float:
+        """The run's discretisation tolerance on the flow's grid and cloud."""
+        grid = flow.grid
+        return tolerance_scale(grid.dt, grid.dx, flow.n_particles, self.tol_c)
 
 
 @dataclass
@@ -407,10 +415,9 @@ def propagation_experiment(access: ValueAccess,
     tolerance) and its formula matches on every direction.
     """
     kind, flow = config.kind, access.flow
-    grid = flow.grid
-    tol = tolerance_scale(grid.dt, grid.dx, flow.n_particles, config.tol_c)
-    terminal = mon_disp(access, grid.n_t, np.array(
-        direction_battery(flow.states[grid.n_t], config.n_directions, config.seed)), kind)
+    n_t, tol = flow.grid.n_t, config.tolerance(flow)
+    battery = np.array(direction_battery(flow.states[n_t], config.n_directions, config.seed))
+    terminal = mon_disp(access, [n_t], battery[:, None], kind)[:, 0]
     details: dict = {"terminal_values": terminal.tolist()}
     if config.enforce_gate and not kind.holds(terminal, tol):
         raise GateError("terminal cost does not carry the required monotonicity", details)

@@ -35,13 +35,13 @@ particles and three in-place updates.  ``np.interp`` is its floor: a
 level interpolates at the states the level before it produced, so the
 levels cannot share one call.
 
-``ValueAccess`` reads V_xx of the solved flow at the cloud of a level k,
-or of every level at once, and gives the measure derivative of the value
-gradient along displacements of that cloud: M[k] eta, where the (levels, N,
-N) stack M is the exact derivative of the discrete equilibrium's u_x at each
-level's atoms with respect to those atoms, built once in one backward pass
-over the levels (``_measure_derivative``), with every coefficient the pass
-does not carry built before it as a stack over the levels.
+``ValueAccess`` reads V_xx of the solved flow at the clouds of a stack of
+levels, and holds the measure derivative of the value gradient along
+displacements of each level's cloud: the (levels, N, N) stack M, M[k] the
+exact derivative of the discrete equilibrium's u_x at level k's atoms with
+respect to those atoms, built once in one backward pass over the levels
+(``_measure_derivative``), with every coefficient the pass does not carry
+built before it as a stack over the levels.
 """
 from __future__ import annotations
 
@@ -142,20 +142,19 @@ class Grid:
         return np.linspace(self.t0, self.t_end, self.n_t + 1)
 
 
-def _d1_rows(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Central first differences along the space axis, one-sided at the edges;
-    written into ``out`` when given."""
-    ux = np.empty_like(u) if out is None else out
+def _d1_rows(u: np.ndarray, dx: float) -> np.ndarray:
+    """Central first differences along the space axis, one-sided at the edges."""
+    ux = np.empty_like(u)
     ux[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
     ux[..., 0] = (u[..., 1] - u[..., 0]) / dx
     ux[..., -1] = (u[..., -1] - u[..., -2]) / dx
     return ux
 
 
-def _d2_rows(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+def _d2_rows(u: np.ndarray, dx: float) -> np.ndarray:
     """Central second differences; zero at the edges (linear-extrapolation
-    ghost); written into ``out`` when given."""
-    uxx = np.empty_like(u) if out is None else out
+    ghost)."""
+    uxx = np.empty_like(u)
     uxx[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dx**2
     uxx[..., 0] = uxx[..., -1] = 0.0
     return uxx
@@ -681,54 +680,47 @@ def _measure_derivative(model: Model, flow: EquilibriumFlow) -> np.ndarray:
     return matrix
 
 
+def level_indices(levels, count: int) -> np.ndarray:
+    """The sequence ``levels`` as an index array into a stack of ``count``
+    levels; a level outside 0..count - 1 is a ``SolverError``, so a negative
+    level is no alias from the end."""
+    levels = np.asarray(levels)
+    outside = levels[(levels < 0) | (levels >= count)]
+    if outside.size:
+        raise SolverError(f"level {outside[0]} is outside the flow's levels 0..{count - 1}")
+    return levels
+
+
 class ValueAccess:
     """V(t_k, ., mu_k) of a converged base flow at the solved cloud mu_k of
     each level k, and the measure derivative of its gradient there.
 
-    The level index k is the only key: mu_k is the uniform cloud of the
-    atoms base.states[k], the only cloud the access answers at, and
-    ``n_particles`` is its size.  ``field(k)`` returns V_xx(t_k, ., mu_k) at
-    those atoms, interpolated from the base flow's value grid.  A level
-    outside 0..n_t is a ``SolverError``; a negative k is no alias from the
-    end.
+    Levels are the only key: mu_k is the uniform cloud of the N atoms
+    base.states[k], the only cloud the access answers at for level k.
+    ``field(levels)`` returns V_xx(t_k, ., mu_k) at those atoms for each
+    level k of a sequence, one row per level, interpolated from the base
+    flow's value grid.  A level outside 0..n_t is a ``SolverError``
+    (``level_indices``); a negative one is no alias from the end.
 
-    The access builds M (``_measure_derivative``) once: M[k], (N, N), is
-    the exact derivative of the discrete equilibrium's u_x at level k's
-    atoms with respect to those atoms, where the equilibrium from level k is
-    the fixed point of the Picard sweep from a displaced cloud with the base
-    flow's Brownian increments.  ``tangent(k, etas)`` is M[k] eta for each
-    row eta, and ``matrices`` is the whole stack, read-only; ``fields()`` is
-    ``field(k)`` of every level k, one row per level.  The access holds M and
-    nothing else beside its model and flow.
+    The access builds M (``_measure_derivative``) once and holds it,
+    read-only, as ``matrices``: M[k], (N, N), is the exact derivative of the
+    discrete equilibrium's u_x at level k's atoms with respect to those
+    atoms, where the equilibrium from level k is the fixed point of the
+    Picard sweep from a displaced cloud with the base flow's Brownian
+    increments.  ``calculus.value_measure_gradient`` reads M eta off it for
+    a stack of levels and directions.  The access holds M and nothing else
+    beside its model and flow.
     """
 
     def __init__(self, model: Model, flow: EquilibriumFlow):
         self.model = model
         self.flow = flow
-        self.n_particles = flow.n_particles
         self.matrices = _measure_derivative(model, flow)
         self.matrices.flags.writeable = False
 
-    def _checked(self, k: int) -> int:
-        n_t = self.flow.grid.n_t
-        if not 0 <= k <= n_t:
-            raise SolverError(f"level {k} is outside the flow's levels 0..{n_t}")
-        return k
-
-    def field(self, k: int) -> np.ndarray:
-        """V_xx(t_k, ., mu_k) at the atoms of level k's cloud."""
+    def field(self, levels) -> np.ndarray:
+        """(L, N): row l is V_xx(t_k, ., mu_k) at the atoms of level k =
+        levels[l]."""
+        levels = level_indices(levels, len(self.matrices))
         vf = self.flow.value_field
-        return _interp_rows(self.flow.states[self._checked(k)], vf.xs, vf.u_xx[k])
-
-    def fields(self) -> np.ndarray:
-        """(levels, N): row k is ``field(k)``, V_xx(t_k, ., mu_k) at the
-        atoms of level k's cloud."""
-        vf = self.flow.value_field
-        return _interp_rows(self.flow.states, vf.xs, vf.u_xx)
-
-    def tangent(self, k: int, etas: np.ndarray) -> np.ndarray:
-        """d/de of the equilibrium's u_x(t_k, x_i) at the cloud x + e eta, at
-        e = 0 and x = base.states[k], one row per direction of the (B, N)
-        stack etas: one matrix-vector product per row, so each row is
-        bit-identical to asking for it alone."""
-        return np.matmul(self.matrices[self._checked(k)], etas[..., None])[..., 0]
+        return _interp_rows(self.flow.states[levels], vf.xs, vf.u_xx[levels])

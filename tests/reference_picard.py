@@ -37,13 +37,10 @@ def backward_value(model, xs, dx, dt, m1, m2, terminal_atoms):
     a0, b0, c, d1, d2 = np.broadcast_arrays(*terms, xs * q)
     u = np.empty(a0.shape)
     u[-1] = model.g(xs, terminal_atoms)
-    ux = np.empty_like(u[0])
-    uxx = np.empty_like(ux)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(u.shape[0] - 2, -1, -1):
             row = u[k + 1]
-            _d1_rows(row, dx, out=ux)
-            _d2_rows(row, dx, out=uxx)
+            ux, uxx = _d1_rows(row, dx), _d2_rows(row, dx)
             a = a0[k + 1] + ux * b0[k + 1]
             ham = -0.5 * a**2 + ux * c[k + 1] + d1[k + 1] + d2[k + 1]
             u[k] = row + dt * (0.5 * uxx + ham)

@@ -1,6 +1,6 @@
 """Reference implementation of the re-solve of a displaced cloud.
 
-``ValueAccess.tangent`` is the derivative of the discrete equilibrium at
+``ValueAccess.matrices`` is the derivative of the discrete equilibrium at
 the base cloud; the package never re-solves a displaced cloud, so the tests
 realise the re-solve here as the oracle of central differences.  The
 re-solve of a cloud x at level k starts from the base flow shifted atom by

@@ -3,8 +3,8 @@ first-variation system stepped level by level, as the package stepped it
 before the transition stack.
 
 Each level reads V_xx at the atoms (``access.field``) and the measure
-derivative of the value gradient (``value_measure_gradient``), and takes one
-explicit Euler step of dX with the velocity ``dx_velocity`` of the level's
+derivative of the value gradient (``value_measure_gradient``) for itself
+alone, and takes one explicit Euler step of dX with the velocity ``dx_velocity`` of the level's
 hat table.
 """
 import numpy as np
@@ -33,8 +33,8 @@ def simulate_variational(access, etas: np.ndarray) -> tuple:
     dx, gamma, upsilon = (np.empty((len(delta), n_t + 1, flow.n_particles))
                           for _ in range(3))
     for k in range(n_t + 1):
-        g_k = access.field(k) * delta
-        u_k = value_measure_gradient(access, k, delta)
+        g_k = access.field([k])[0] * delta
+        u_k = value_measure_gradient(access, [k], delta[:, None])[:, 0]
         dx[:, k], gamma[:, k], upsilon[:, k] = delta, g_k, u_k
         if k < n_t:
             delta = delta + dt * dx_velocity(table[k], delta, g_k + u_k)

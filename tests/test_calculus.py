@@ -47,24 +47,32 @@ def central_difference(model, flow, k, etas, eps):
     return np.array([(ux(x + eps * eta) - ux(x - eps * eta)) / (2.0 * eps) for eta in etas])
 
 
+def at_level(access, k, etas):
+    """The measure derivatives of the (B, N) stack etas at level k alone."""
+    return value_measure_gradient(access, [k], etas[:, None])[:, 0]
+
+
 def relative_gap(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
 class TestValueMeasureGradient:
     def test_matches_central_difference_at_every_level(self, lq_coupled):
+        # Every level in one request, each with its own battery.
         grid, flow, access = lq_coupled
-        for k in range(grid.n_t + 1):
-            etas = np.array(direction_battery(flow.states[k], 4, seed=k))
-            got = value_measure_gradient(access, k, etas)
-            want = central_difference(LQ_COUPLED, flow, k, etas, 1e-3)
-            assert relative_gap(got, want) <= 1e-8, k
+        levels = range(grid.n_t + 1)
+        etas = np.stack([direction_battery(flow.states[k], 4, seed=k) for k in levels], axis=1)
+        got = value_measure_gradient(access, levels, etas)
+        assert got.shape == etas.shape
+        for k in levels:
+            want = central_difference(LQ_COUPLED, flow, k, etas[:, k], 1e-3)
+            assert relative_gap(got[:, k], want) <= 1e-8, k
 
     def test_linear_mean_field(self, lq_coupled):
         # V(T, x, mu) = g has the term xm x E[xi], so D = xm mean(eta) at T.
         grid, flow, access = lq_coupled
         etas = np.random.default_rng(3).normal(size=(3, flow.n_particles))
-        got = value_measure_gradient(access, grid.n_t, etas)
+        got = at_level(access, grid.n_t, etas)
         assert got.shape == (3, flow.n_particles)
         want = LQ_COUPLED.g.xm * etas.mean(axis=1, keepdims=True)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
@@ -72,10 +80,9 @@ class TestValueMeasureGradient:
     def test_no_measure_dependence(self):
         # Uncoupled LQ: nothing depends on the law, so D vanishes exactly.
         grid, flow, access = ll_flow(Model(b0=(1, 0, 0), g=QuadraticTerminalCost(xx=1.0)))
-        etas = np.random.default_rng(4).normal(size=(2, 16))
-        for k in (0, grid.n_t // 2, grid.n_t):
-            got = value_measure_gradient(access, k, etas)
-            assert np.array_equal(got, np.zeros((2, 16)))
+        etas = np.random.default_rng(4).normal(size=(2, 3, 16))
+        got = value_measure_gradient(access, [0, grid.n_t // 2, grid.n_t], etas)
+        assert np.array_equal(got, np.zeros((2, 3, 16)))
 
     def test_quadratic_mean_field(self):
         # Every coefficient nonzero: a mean drift B quadratic in (m1, m2),
@@ -89,7 +96,7 @@ class TestValueMeasureGradient:
         grid, flow, access = ll_flow(model)
         k = grid.n_t // 3
         etas = np.array(direction_battery(flow.states[k], 4))
-        got = value_measure_gradient(access, k, etas)
+        got = at_level(access, k, etas)
         gaps = [relative_gap(got, central_difference(model, flow, k, etas, eps))
                 for eps in (1e-2, 1e-3, 1e-4)]
         assert gaps[0] > gaps[1] > gaps[2], gaps
@@ -99,15 +106,15 @@ class TestValueMeasureGradient:
         grid, flow, access = lq_coupled
         k = grid.n_t // 2
         e1, e2 = np.random.default_rng(12).normal(size=(2, flow.n_particles))
-        g1, g2, g12 = value_measure_gradient(access, k, np.array([e1, e2, 0.5 * e1 - 2.0 * e2]))
+        g1, g2, g12 = at_level(access, k, np.array([e1, e2, 0.5 * e1 - 2.0 * e2]))
         assert np.allclose(g12, 0.5 * g1 - 2.0 * g2, rtol=0.0, atol=1e-12)
 
     def test_sign_pair_and_zero_row_in_one_request(self, lq_coupled):
         grid, flow, access = lq_coupled
         k = grid.n_t // 4
         eta = np.random.default_rng(5).normal(size=flow.n_particles)
-        got = value_measure_gradient(access, k, np.array([eta, -eta, 0.0 * eta]))
-        (single,) = value_measure_gradient(access, k, eta[None, :])
+        got = at_level(access, k, np.array([eta, -eta, 0.0 * eta]))
+        (single,) = at_level(access, k, eta[None, :])
         assert np.array_equal(got[0], single)
         assert np.array_equal(got[1], -single)
         assert np.array_equal(got[2], np.zeros(flow.n_particles))
@@ -115,9 +122,10 @@ class TestValueMeasureGradient:
     def test_direction_stack_must_match_cloud(self, lq_coupled):
         grid, flow, access = lq_coupled
         n = flow.n_particles
-        for bad in (np.ones(n), np.ones((1, n + 1))):
+        # One level asked: no level axis, too many atoms, two levels' rows.
+        for bad in (np.ones((1, n)), np.ones((1, 1, n + 1)), np.ones((1, 2, n))):
             with pytest.raises(CalculusError, match="direction"):
-                value_measure_gradient(access, 0, bad)
+                value_measure_gradient(access, [0], bad)
 
 
 coefficient = st.floats(-1.0, 1.0, allow_nan=False)

@@ -508,7 +508,7 @@ which = matrix1
         ("uniform_mono", "particles", "lo", "nan"),
         ("uniform_mono", "particles", "hi", "-inf"),
         ("propagate", "monotonicity", "force_gate", "maybe"),
-        ("mono", "monotonicity", "force_gate", ""),
+        ("propagate", "monotonicity", "force_gate", ""),
     ])
     def test_bad_runner_key_is_config_error(self, tmp_path, kind, section, key, value):
         cfg = tmp_path / "exp.ini"
@@ -553,6 +553,38 @@ which = matrix1
         for out in outs[1:]:
             for artifact in ("samples.csv", "report.json"):
                 assert (out / artifact).read_bytes() == (outs[0] / artifact).read_bytes()
+
+    def test_mono_reads_no_gate_key(self, tmp_path):
+        # A mono run has no gate: force_gate and [check] samples and atoms,
+        # valid or not, leave its artifacts as they are without them.
+        base = BASE_CONFIGS["mono"].replace("[check]\nsamples = 20\natoms = 12\n", "")
+        variants = [("monotonicity", "force_gate", "maybe"), ("monotonicity", "force_gate", ""),
+                    ("monotonicity", "force_gate", "false"), ("check", "samples", "0"),
+                    ("check", "atoms", "many"), ("check", "samples", "100001")]
+        outs = []
+        for name, text in [("absent", base)] + [
+                (f"{section}-{key}-{value}", with_key(base, section, key, value))
+                for section, key, value in variants]:
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_text(text)
+            outs.append(tmp_path / name)
+            assert main(["mono", "--config", str(cfg), "--out", str(outs[-1])]) == 0, name
+        for out in outs[1:]:
+            for artifact in ("samples.csv", "report.json"):
+                assert (out / artifact).read_bytes() == (outs[0] / artifact).read_bytes()
+
+    @pytest.mark.parametrize("command", ["mono", "check"])
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys, command):
+        # An existing file, or a path through one, is no output directory.
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(BASE_CONFIGS[command])
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        for out in (taken, taken / "o"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and str(out) in err
+        assert taken.read_text() == "keep"
 
     def test_chain_tolerance_is_relative_to_hhat(self, tmp_path):
         # At df0/dm2 = 0.999, Hhat reaches ~6e3 and the central differences

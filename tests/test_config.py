@@ -14,9 +14,12 @@ CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.in
 def test_shipped_config_validates_and_builds_its_model(path):
     cfg = ExperimentConfig.from_ini(path)
     assert isinstance(cfg.model(), Model)
-    if cfg.kind in ("mono", "propagate"):
+    if cfg.kind == "propagate":
         report = model_gate(cfg.model(), cfg.propagation())
         assert report.passed == (path.stem != "ll_negative_control")
+    if cfg.kind == "mono":  # a mono run has no gate
+        prop = cfg.propagation()
+        assert (prop.gate_samples, prop.gate_atoms, prop.enforce_gate) == (0, 0, False)
 
 
 def write_config(tmp_path, particles: str) -> Path:

@@ -12,7 +12,7 @@ from mfgclab.monotonicity import (
     monotonicity_sweep,
     tolerance_scale,
 )
-from mfgclab.propagation import AntiMonotone, Displacement, LasryLions
+from mfgclab.propagation import AntiMonotone, Displacement, LasryLions, PropagationConfig
 from mfgclab.solver import Grid, PicardSettings, ValueAccess, solve_mfgc, terminal_field
 
 
@@ -29,24 +29,28 @@ def anti(lvec):
 
 
 class TerminalAccess:
-    """Access object of one cloud x at every level, with the terminal cost
+    """Access object of one level, 0, at the cloud x, with the terminal cost
     itself as its value slice: its field is g_xx on the grid xs read at the
-    atoms, and its tangent the exact derivative D_i = xm mean(eta) of g_x."""
+    atoms, and its (1, N, N) stack of matrices the exact derivative
+    D_i = xm mean(eta) of g_x, every entry xm / N."""
 
     def __init__(self, terminal: QuadraticTerminalCost, x, xs=None):
         self.terminal = terminal
         self.model = Model(g=terminal)
         self.x = cloud(x)
-        self.n_particles = self.x.size
         self.xs = np.linspace(-8.0, 8.0, 321) if xs is None else xs
+        n = self.x.size
+        self.matrices = np.full((1, n, n), terminal.xm / n)
 
-    def field(self, k):
+    def field(self, levels):
         vf = terminal_field(self.model, self.x, self.xs, 1.0)
-        return np.interp(self.x, vf.xs, vf.u_xx[0])
+        return np.tile(np.interp(self.x, vf.xs, vf.u_xx[0]), (len(levels), 1))
 
-    def tangent(self, k, etas):
-        return np.repeat(self.terminal.xm * etas.mean(axis=-1, keepdims=True), self.n_particles,
-                         axis=-1)
+
+def terminal(access, etas, kind):
+    """The kind's functional of the (B, N) stack etas at the access's one
+    level: one value per direction."""
+    return mon_disp(access, [0], np.asarray(etas)[:, None], kind)[:, 0]
 
 
 class TestMonLLTerminal:
@@ -54,27 +58,27 @@ class TestMonLLTerminal:
         # g = a x^2 / 2 + b x E[xi]: the form equals b * mean(eta)^2.
         mu = cloud([0.4, -0.3, 1.1, 0.2])
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=1.0), mu)
-        assert mon_disp(access, 0, np.ones((1, 4)), LL) == pytest.approx([1.0], abs=1e-6)
+        assert terminal(access, np.ones((1, 4)), LL) == pytest.approx([1.0], abs=1e-6)
 
     def test_mean_free_direction_vanishes(self):
         mu = cloud([0.4, -0.3, 1.1, 0.2])
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=1.0), mu)
         eta = np.array([1.0, -1.0, 0.5, -0.5])
-        value = mon_disp(access, 0, (eta - eta.mean())[None, :], LL)
+        value = terminal(access, (eta - eta.mean())[None, :], LL)
         assert value == pytest.approx([0.0], abs=1e-8)
 
     def test_quadratic_scaling_in_eta(self):
         mu = cloud([0.0, 0.5, -0.5, 1.0])
         access = TerminalAccess(QuadraticTerminalCost(xm=0.7), mu)
         eta = np.array([1.0, 0.4, -0.2, 0.8])
-        base, scaled = mon_disp(access, 0, np.array([eta, 3.0 * eta]), LL)
+        base, scaled = terminal(access, np.array([eta, 3.0 * eta]), LL)
         assert scaled == pytest.approx(9.0 * base, rel=2e-4, abs=2e-6)
 
     def test_direction_mismatch_rejected(self):
         mu = cloud([0.0, 1.0])
         access = TerminalAccess(QuadraticTerminalCost(xm=1.0), mu)
         with pytest.raises(CalculusError, match="direction"):
-            mon_disp(access, 0, np.ones((1, 3)), LL)
+            mon_disp(access, [0], np.ones((1, 1, 3)), LL)
 
 
 class TestMonDispTerminal:
@@ -83,24 +87,24 @@ class TestMonDispTerminal:
         mu = cloud([0.3, -0.2, 0.9, 0.0])
         access = TerminalAccess(QuadraticTerminalCost(xx=-1.0), mu)
         eta = np.array([0.5, -1.0, 0.25, 0.75])
-        (value,) = mon_disp(access, 0, eta[None, :], Displacement(1.0))
+        (value,) = terminal(access, eta[None, :], Displacement(1.0))
         assert value == pytest.approx(0.0, abs=1e-7)
 
     def test_marginal_displacement_monotone(self):
         # a = 1, b = -1, eta = 1, lambda = 0: b mean(eta)^2 + a mean(eta^2) = 0.
         mu = cloud([0.1, 0.6, -0.4, 0.2])
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=-1.0), mu)
-        (value,) = mon_disp(access, 0, np.ones((1, 4)), Displacement(0.0))
+        (value,) = terminal(access, np.ones((1, 4)), Displacement(0.0))
         assert value == pytest.approx(0.0, abs=1e-6)
 
     def test_additive_in_lambda_exactly(self):
         mu = cloud([0.0, 1.0, -1.0, 0.5])
         access = TerminalAccess(QuadraticTerminalCost(xx=0.5, xm=0.2), mu)
         eta = np.array([1.0, -0.5, 0.25, 0.0])
-        (v0,) = mon_disp(access, 0, eta[None, :], Displacement(0.0))
+        (v0,) = terminal(access, eta[None, :], Displacement(0.0))
         for lam in (0.5, 1.0, 2.0):
             expected = v0 + lam * np.mean(eta**2)
-            (value,) = mon_disp(access, 0, eta[None, :], Displacement(lam))
+            (value,) = terminal(access, eta[None, :], Displacement(lam))
             assert value == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative_lambda_required(self):
@@ -115,20 +119,20 @@ class TestMonAntiTerminal:
         mu = cloud([0.2, -0.7, 0.5, 1.0])
         access = TerminalAccess(QuadraticTerminalCost(xx=-0.5), mu)
         eta = np.array([1.0, 0.5, -0.5, 2.0])
-        (value,) = mon_disp(access, 0, eta[None, :], anti(LambdaVec(1, 0, 1, 0)))
+        (value,) = terminal(access, eta[None, :], anti(LambdaVec(1, 0, 1, 0)))
         assert value == pytest.approx(-0.25 * np.mean(eta**2), abs=1e-6)
 
     def test_zero_direction(self):
         mu = cloud([0.0, 1.0, 2.0])
         access = TerminalAccess(QuadraticTerminalCost(xx=-0.5, xm=0.3), mu)
-        (value,) = mon_disp(access, 0, np.zeros((1, 3)), anti(LambdaVec(1, 1, 1, 0)))
+        (value,) = terminal(access, np.zeros((1, 3)), anti(LambdaVec(1, 1, 1, 0)))
         assert value == 0.0
 
     def test_large_l3_dominates(self):
         mu = cloud([0.3, -0.3, 0.8])
         access = TerminalAccess(QuadraticTerminalCost(xx=1.0, xm=0.5), mu)
         eta = np.array([1.0, 1.0, -0.5])
-        (value,) = mon_disp(access, 0, eta[None, :], anti(LambdaVec(1, 1, 1, 50)))
+        (value,) = terminal(access, eta[None, :], anti(LambdaVec(1, 1, 1, 50)))
         assert value < 0.0
 
     def test_lambda_vec_validation(self):
@@ -177,7 +181,7 @@ class TestDifferenceForm:
         eta = np.array([1.0, 0.5, -0.25, 0.75])
         eps = 0.05
         diff = mon_ll_difference_form(access, mu1 + eps * eta)
-        (perturbative,) = mon_disp(access, 0, eta[None, :], LL)
+        (perturbative,) = terminal(access, eta[None, :], LL)
         assert diff == pytest.approx(eps**2 * perturbative, rel=0.2, abs=1e-9)
 
 
@@ -234,9 +238,11 @@ class TestSweepWithSolver:
         pic = PicardSettings(max_iter=150, tol=1e-9, damping=0.6)
         flow = solve_mfgc(model, gaussian_quantile_cloud(16, 0.0, 1.0), grid, pic, seed=7)
         access = ValueAccess(model, flow)
+        config = PropagationConfig(kind=LL, n_directions=6, tol_c=0.2, gate_samples=0,
+                                   gate_atoms=0, seed=0, enforce_gate=False)
+        report = monotonicity_sweep(access, config, slices=3)
         tol = tolerance_scale(grid.dt, grid.dx, 16, c=0.2)
-        report = monotonicity_sweep(access, LL, slices=3, battery_size=6, tolerance=tol,
-                                    seed=0)
+        assert report.tolerance == tol
         assert report.verdict, (report.minimum, tol)
         assert report.minimum >= -tol
         terminal_vals = [s["value"] for s in report.samples if s["level"] == grid.n_t]

@@ -414,23 +414,41 @@ class TestKinds:
         # object; at t0 both see the same cloud and battery.
         access, kind = kind_setup(name)
         etas = np.array(direction_battery(access.flow.states[0], 4))
-        mono = mon_disp(access, 0, etas, kind)
+        mono = mon_disp(access, [0], etas[:, None], kind)[:, 0]
         assert np.array_equal(build_traces(access, etas, kind).series[:, 0], mono)
         assert np.max(np.abs(mono)) > 1e-3  # the comparison is not between zeros
 
-    @pytest.mark.parametrize("name", ["ll", "disp"])
+    @pytest.mark.parametrize("name", ["ll", "disp", "anti"])
     def test_terminal_gate_values_equal_mono_sweep_terminal_samples(self, name):
-        # The terminal gate and the mono sweep read V_xx and the tangent at
-        # level n_t through one access path: same battery, same seed, same bits.
+        # The terminal gate and the mono sweep read V_xx and M eta at level
+        # n_t through one access path, and judge them within one tolerance:
+        # same battery, same seed, same bits.
         access, kind = kind_setup(name)
         config = prop_config(kind, 12, 3)
         result = propagation_experiment(access, config)
-        report = monotonicity_sweep(access, kind, slices=2, battery_size=12, seed=3)
+        report = monotonicity_sweep(access, config, slices=2)
         n_t = access.flow.grid.n_t
         swept = [s["value"] for s in report.samples if s["level"] == n_t]
         assert len(swept) == 12
         assert result.details["terminal_values"] == swept
         assert max(abs(v) for v in swept) > 1e-3  # the comparison is not between zeros
+        assert report.tolerance == result.tolerance
+
+    @pytest.mark.parametrize("name", ["ll", "disp", "anti"])
+    def test_one_call_sweep_equals_one_level_calls(self, name):
+        # The sweep evaluates every slice in one mon_disp call; each value is
+        # that of its level and direction asked alone, bit for bit.
+        access, kind = kind_setup(name)
+        report = monotonicity_sweep(access, prop_config(kind, 12, 3), slices=5)
+        levels = sorted({s["level"] for s in report.samples})
+        assert len(levels) == 5
+        want = []
+        for k in levels:
+            for eta in direction_battery(access.flow.states[k], 12, 3):
+                (value,) = mon_disp(access, [k], eta[None, None, :], kind)[0]
+                want.append(float(value))
+        assert [s["value"] for s in report.samples] == want
+        assert len(set(want)) > len(levels)  # the values differ across directions
 
     def test_anti_kind_rejects_a_missing_vector_and_bad_gamma_bounds(self):
         with pytest.raises(MonotonicityError, match="lambda_vec"):

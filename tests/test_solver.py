@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from reference_picard import anderson_picard, backward_value, forward_push, plain_picard
 from reference_resolve import resolve_field, ux_at
 from scipy.integrate import solve_ivp
-from test_calculus import random_models
+from test_calculus import at_level, random_models
 from test_models import PRESET_FACTORIES
 
 from mfgclab import solver
+from mfgclab.calculus import value_measure_gradient
 from mfgclab.config import ExperimentConfig
 from mfgclab.measures import gaussian_quantile_cloud
 from mfgclab.models import (
@@ -273,7 +274,7 @@ class TestAndersonMixing:
 
 class TestValueAt:
     """V(t, ., mu): the terminal slice, a fresh solve on [t_k, T] and the
-    re-solve whose fixed point ValueAccess.tangent differentiates."""
+    re-solve whose fixed point ValueAccess.matrices differentiates."""
 
     def test_terminal_slice_is_terminal_cost(self):
         model = coupled_model()
@@ -333,24 +334,25 @@ class TestValueAccess:
         x = self.flow.states[-1]
         vf = terminal_field(self.model, x, self.grid.xs, T)
         want = np.interp(x, vf.xs, vf.u_xx[0])
-        assert np.array_equal(self.access.field(self.grid.n_t), want)
+        assert np.array_equal(self.access.field([self.grid.n_t]), want[None, :])
 
     def test_level_outside_the_flow_rejected(self):
         # A negative level is no alias from the end, and one past n_t no bare
-        # IndexError.
-        etas = np.ones((1, self.access.n_particles))
+        # IndexError, for the V_xx reader and the M eta reader alike, also
+        # behind a valid level.
+        etas = np.ones((1, 2, self.flow.n_particles))
         for k in (-1, self.grid.n_t + 1):
-            with pytest.raises(SolverError, match="outside"):
-                self.access.field(k)
-            with pytest.raises(SolverError, match="outside"):
-                self.access.tangent(k, etas)
+            with pytest.raises(SolverError, match=f"level {k} is outside"):
+                self.access.field([0, k])
+            with pytest.raises(SolverError, match=f"level {k} is outside"):
+                value_measure_gradient(self.access, [0, k], etas)
 
 
 def reference_linearisation(model, flow):
     """The tangent coefficients of the re-solve map, one row per level: the
     three-band backward step on the grid and the forward step at the atoms,
-    as ``ValueAccess.tangent`` stepped them level by level before it applied
-    response kernels."""
+    as the value access stepped them level by level before it held the
+    measure-derivative matrices."""
     grid = flow.grid
     xs, dx, dt = grid.xs, grid.dx, grid.dt
     states, momenta = flow.states, flow.momenta
@@ -498,7 +500,7 @@ class TestTangentKernels:
         lin = reference_linearisation(model, flow)
         eye = np.eye(flow.n_particles)
         for k in range(flow.grid.n_t + 1):
-            got = access.tangent(k, eye)
+            got = at_level(access, k, eye)
             want = reference_tangent(model, flow, lin, k, eye)
             gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert gap <= 1e-12, (k, gap)
@@ -507,24 +509,28 @@ class TestTangentKernels:
     def test_answer_does_not_depend_on_request_history(self, model):
         # The terminal level first, as the propagate gate asks, then every
         # level upward, a descending pass and a repeated level: each answer
-        # equals a fresh access's bit for bit, and each row the row asked
-        # alone.  GENERAL_MODEL's b0x != 0 weights the m2 channels by the
-        # base atoms.
+        # equals a fresh access's bit for bit, each row the row asked alone,
+        # and each level its slice of one request for every level.
+        # GENERAL_MODEL's b0x != 0 weights the m2 channels by the base atoms.
         flow = self.solved(model)
         n_t = flow.grid.n_t
         access = ValueAccess(model, flow)
         lin = reference_linearisation(model, flow)
+        batteries = np.stack([direction_battery(flow.states[k], 4, seed=k)[1:]
+                              for k in range(n_t + 1)], axis=1)
+        stacked = value_measure_gradient(access, range(n_t + 1), batteries)
         fresh = {}
         for k in [n_t, *range(n_t + 1), *range(n_t, -1, -1), 7, 7]:
-            etas = np.array(direction_battery(flow.states[k], 4, seed=k))[1:]
-            got = access.tangent(k, etas)
+            etas = batteries[:, k]
+            got = at_level(access, k, etas)
             for row, eta in zip(got, etas):
-                assert np.array_equal(row, access.tangent(k, eta[None, :])[0]), k
+                assert np.array_equal(row, at_level(access, k, eta[None, :])[0]), k
             if k not in fresh:
-                fresh[k] = ValueAccess(model, flow).tangent(k, etas)
+                fresh[k] = at_level(ValueAccess(model, flow), k, etas)
                 want = reference_tangent(model, flow, lin, k, etas)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
             assert np.array_equal(got, fresh[k]), k
+            assert np.array_equal(got, stacked[:, k]), k
 
     def test_access_holds_no_more_than_the_kernel_and_propagator(self):
         # The access holds the (levels, N, N) stack of its matrices and no
@@ -532,8 +538,8 @@ class TestTangentKernels:
         flow = self.solved(GENERAL_MODEL)
         access = ValueAccess(GENERAL_MODEL, flow)
         levels, n = flow.states.shape
-        for k in (flow.grid.n_t, 0, 5):
-            access.tangent(k, np.ones((1, n)))
+        value_measure_gradient(access, [flow.grid.n_t, 0, 5], np.ones((1, 3, n)))
+        access.field([flow.grid.n_t, 0, 5])
         assert held_bytes(access) <= 8 * levels * n * n
 
     @pytest.mark.parametrize("failure", ["singular", "non_finite"])
@@ -669,14 +675,14 @@ class TestLeanSweep:
         small = Grid.with_cfl_steps(-6.0, 6.0, 41, 0.0, T)
         etas = np.ones((1, x0.size))
         fresh = solve_mfgc(model, x0, small, pic, seed=7)
-        fresh_tangent = ValueAccess(model, fresh).tangent(3, etas)
+        fresh_tangent = at_level(ValueAccess(model, fresh), 3, etas)
         other = solve_mfgc(model, x0, Grid.with_cfl_steps(-5.0, 5.0, 61, 0.0, T), pic, seed=7)
-        ValueAccess(model, other).tangent(3, etas)
+        at_level(ValueAccess(model, other), 3, etas)
         again = solve_mfgc(model, x0, small, pic, seed=7)
         for name in ("states", "momenta", "controls"):
             assert np.array_equal(getattr(again, name), getattr(fresh, name)), name
         assert np.array_equal(again.value_field.u, fresh.value_field.u)
-        assert np.array_equal(ValueAccess(model, again).tangent(3, etas), fresh_tangent)
+        assert np.array_equal(at_level(ValueAccess(model, again), 3, etas), fresh_tangent)
 
 
 def best_response_gap(model, flow):
