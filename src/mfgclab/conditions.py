@@ -12,10 +12,11 @@ configured tolerance.
 On one law of N atoms each form is v . M v for a symmetric (3N, 3N) matrix M
 assembled in closed form from the hat table (``form_matrices``), so its
 maximum over unit-RMS v is N times the largest eigenvalue of M.  Every gate
-reads one hat table over all its laws, and the gates and the propagation
-traces build the forms of a stacked table in chunks (``form_chunks``).  The
-gates judge the eigenvalue on each random law, and a failing gate reports
-the eigenvector that attains it.
+reads one hat table over all its laws and builds only the weighted sum of
+forms that it judges, one matrix per law.  The gates judge the eigenvalue on
+each random law, and a failing gate reports the eigenvector that attains it.
+The propagation traces evaluate the same forms at given v as atom sums of
+the hat table, with no matrix (``propagation.evaluate_rhs_formulas``).
 
 Every checker turns one margin per law (or pair, or matrix) into its verdict
 by one rule, ``ConditionReport.judge``: the worst sample is the first
@@ -26,8 +27,6 @@ on failure.  The hypothesis stages of ``check_disp_sufficient`` and
 """
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .models import HatTable, Model, hat_derivative_table
@@ -37,12 +36,6 @@ from .reports import ConditionReport
 PASS_SLACK = 1e-12
 # Relative slack of the eigenvalue tests; the hat derivatives are exact.
 REL_TOL = 1e-8
-# Bytes of the forms of one form_matrices call of ``form_chunks``: 18 laws
-# (or flow levels) of 16 atoms.  A larger buffer saves little time, and once freed it raises glibc's
-# dynamic mmap threshold, after which the process keeps more heap resident:
-# one call over 40 such laws (2.2 MB) raised the propagate benchmark's
-# peak_rss_mb by 1.2 MB.
-FORMS_BYTES = 1 << 20
 
 
 class ConditionError(ValueError):
@@ -52,7 +45,11 @@ class ConditionError(ValueError):
 def make_condition_samples(n_samples: int, n_atoms: int = 16, seed: int = 0) -> tuple:
     """(xi, p): the (n_samples, n_atoms) states and momenta of Gaussian laws
     whose momenta come from alternating affine and clipped-polynomial
-    feedbacks p = phi(xi), polynomial momenta clipped to [-3, 3]."""
+    feedbacks p = phi(xi), polynomial momenta clipped to [-3, 3].  A set of
+    no laws, or of laws of no atoms, is a ``ConditionError``."""
+    if n_samples < 1 or n_atoms < 1:
+        raise ConditionError(f"need at least one law of at least one atom, got "
+                             f"{n_samples} laws of {n_atoms} atoms")
     rng = np.random.default_rng(seed)
     xi = np.empty((n_samples, n_atoms))
     p = np.empty((n_samples, n_atoms))
@@ -68,59 +65,64 @@ def make_condition_samples(n_samples: int, n_atoms: int = 16, seed: int = 0) -> 
     return xi, p
 
 
-def form_matrices(table: HatTable) -> np.ndarray:
-    """The symmetric matrices L, Ibar and DX2, stacked as (3, 3N, 3N), of the
-    quadratic forms over v = (eta, gamma, zeta) on one law of N atoms; a
-    table of a stack of laws gives a (..., 3, 3N, 3N) stack, each law's
-    matrices bit-identical to its own.
+def form_matrices(table: HatTable, weights: tuple) -> np.ndarray:
+    """The symmetric (3N, 3N) matrix of the quadratic form
+    w_L L + w_Ibar Ibar + w_DX2 DX2 over v = (eta, gamma, zeta) on one law of
+    N atoms, for weights = (w_L, w_Ibar, w_DX2); a table of a stack of laws
+    gives a (..., 3N, 3N) stack, each law's matrix bit-identical to its own.
 
     v . L v is the left-hand side of the Lasry-Lions propagation condition;
     v . Ibar v and v . DX2 v are the time derivatives of the curvature pairing
     Ibar = E[G dX] and of the second moment E[dX^2] along the first-variation
-    system at (dX, G, U) = (eta, gamma, zeta).  The displacement lambda form
-    is L + Ibar + lam DX2.  Point terms enter as diagonals over N, and the
-    double sums over atom pairs as the measure tables over N^2, whose [i, j]
-    entry pairs atom i of the row variable (the base point) with atom j of
-    the column variable (the support atom).
+    system at (dX, G, U) = (eta, gamma, zeta).  The Lasry-Lions gate's form
+    has weights (1, 0, 0), the displacement lambda gate's (1, 1, lam).  Point
+    terms enter as diagonals over N, and the double sums over atom pairs as
+    the measure tables over N^2, whose [i, j] entry pairs atom i of the row
+    variable (the base point) with atom j of the column variable (the
+    support atom).
     """
+    w_ll, w_ibar, w_dx2 = weights
     n = table.h_pp.shape[-1]
     lead = table.h_pp.shape[:-1]
-    # forms[..., f, r, :, c, :] is the (r, c) block of form f over (eta |
-    # gamma | zeta), before symmetrising.  The laws lead, so that the
-    # reshapes below are views, and every block is written in place.
-    forms = np.zeros((*lead, 3, 3, n, 3, n))
-    ll, ibar, dx2 = (forms[..., f, :, :, :, :] for f in range(3))
-    flat = forms.reshape(*lead, -1)
+    # blocks[..., r, :, c, :] is the (r, c) block over (eta | gamma | zeta),
+    # before symmetrising.  The laws lead, so that the reshapes below are
+    # views, and every block is written in place.
+    blocks = np.zeros((*lead, 3, n, 3, n))
+    flat = blocks.reshape(*lead, -1)
 
-    def diagonal(f: int, r: int, c: int) -> np.ndarray:
-        """The diagonal of block (r, c) of form f, as a view."""
-        start = (9 * f + 3 * r) * n * n + c * n
+    def diagonal(r: int, c: int) -> np.ndarray:
+        """The diagonal of block (r, c), as a view."""
+        start = 3 * r * n * n + c * n
         return flat[..., start:start + (3 * n + 1) * n:3 * n + 1]
 
-    # L's zeta row is (p1 | p2 | p2) plus pp on its diagonal, its gamma row
-    # is minus that row, and Ibar's gamma row is twice it; gamma and zeta
-    # share every column except the h_pp terms.
-    row = ll[..., 2, :, :, :]
-    np.divide(table.h_prho1, n**2, out=row[..., 0, :])
-    np.divide(table.h_prho2[..., None, :], n**2, out=row[..., 1:, :])
-    np.negative(row, out=ll[..., 1, :, :, :])
-    np.multiply(row, 2.0, out=ibar[..., 1, :, :, :])
-    dx2[..., 0, :, :, :] = row
-    np.divide(table.h_xrho1, -n**2, out=ll[..., 0, :, 0, :])
-    np.divide(table.h_xrho2[..., None, :], -n**2, out=ll[..., 0, :, 1:, :])
+    # The double sums over momenta read the row (p1 | p2 | p2) of h_prho / N^2:
+    # on the eta row in DX2 (twice), on the gamma row in Ibar (twice) and in
+    # L (negated), and on the zeta row in L.  L's eta row also reads
+    # (x1 | x2 | x2) of h_xrho / N^2, negated; it is written first, so that
+    # L alone is built exactly as with no other form.
+    eta = blocks[..., 0, :, :, :]
+    np.multiply(table.h_xrho1 / n**2, -w_ll, out=eta[..., 0, :])
+    np.multiply(table.h_xrho2[..., None, :] / n**2, -w_ll, out=eta[..., 1:, :])
+    p1, p2 = table.h_prho1 / n**2, table.h_prho2[..., None, :] / n**2
+    if w_dx2:
+        eta[..., 0, :] += 2.0 * w_dx2 * p1
+        eta[..., 1:, :] += 2.0 * w_dx2 * p2
+    for r, weight in ((1, 2.0 * w_ibar - w_ll), (2, w_ll)):
+        if weight:
+            np.multiply(p1, weight, out=blocks[..., r, :, 0, :])
+            np.multiply(p2, weight, out=blocks[..., r, :, 1:, :])
     pp = table.h_pp / n
-    for f, r, c, term in ((0, 2, 2, pp), (1, 1, 1, pp), (1, 1, 2, 2.0 * pp),
-                          (2, 0, 0, table.h_xp / n), (2, 0, 1, pp), (2, 0, 2, pp)):
-        view = diagonal(f, r, c)
-        view += term
-    dx2[..., 0, :, :, :] *= 2.0
-    diagonal(1, 0, 0)[...] = -(table.h_xx / n)
-    matrices = forms.reshape(*forms.shape[:-4], 3 * n, 3 * n)
-    # M <- (M + M^T) / 2 in place, one form at a time: numpy copies the
-    # transpose that a form's stack overlaps, a third of the forms.
-    for f in range(3):
-        form = matrices[..., f, :, :]
-        form += np.swapaxes(form, -1, -2)
+    for r, c, weight, term in ((0, 0, 2.0 * w_dx2, table.h_xp / n),
+                               (0, 0, -w_ibar, table.h_xx / n),
+                               (0, 1, 2.0 * w_dx2, pp), (0, 2, 2.0 * w_dx2, pp),
+                               (1, 1, w_ibar, pp), (1, 2, 2.0 * w_ibar, pp),
+                               (2, 2, w_ll, pp)):
+        if weight:
+            view = diagonal(r, c)
+            view += weight * term
+    # M <- (M + M^T) / 2 in place: numpy copies the transpose it overlaps.
+    matrices = blocks.reshape(*lead, 3 * n, 3 * n)
+    matrices += np.swapaxes(matrices, -1, -2)
     matrices *= 0.5
     return matrices
 
@@ -167,29 +169,14 @@ def _eigen_report(condition: str, matrices: np.ndarray, tol: float | None,
         {"max_value": float(np.max(values))} if details is None else details)
 
 
-def form_chunks(table: HatTable, reduce: Callable, out: np.ndarray) -> np.ndarray:
-    """out, with out[chunk] = reduce(forms, chunk) for each chunk of the laws
-    of a stacked table: ``forms`` are the ``form_matrices`` of the laws at
-    the slice ``chunk`` of the table's leading axis, at most FORMS_BYTES of
-    them, and each is freed before the next chunk's are built."""
-    laws, n = table.h_pp.shape
-    step = max(1, FORMS_BYTES // (27 * n * n * 8))
-    for start in range(0, laws, step):
-        chunk = slice(start, start + step)
-        out[chunk] = reduce(form_matrices(table[chunk]), chunk)
-    return out
-
-
 def _gate_matrices(model: Model, xi: np.ndarray, p: np.ndarray,
-                   combine: Callable) -> np.ndarray:
-    """The (laws, 3N, 3N) stack of combine(forms) over the laws (xi, p), from
-    one hat table over all laws, built without floating-point warnings: an
-    overflow gives non-finite forms, which ``_eigen_report`` fails."""
-    n = xi.shape[-1]
+                   weights: tuple) -> np.ndarray:
+    """The (laws, 3N, 3N) stack of the gate's ``form_matrices`` over the laws
+    (xi, p), from one hat table over all laws, built without floating-point
+    warnings: an overflow gives non-finite forms, which ``_eigen_report``
+    fails."""
     with np.errstate(all="ignore"):
-        return form_chunks(hat_derivative_table(model, xi, p),
-                           lambda forms, chunk: combine(forms),
-                           np.empty((len(xi), 3 * n, 3 * n)))
+        return form_matrices(hat_derivative_table(model, xi, p), weights)
 
 
 def check_ll_condition(model: Model, xi: np.ndarray, p: np.ndarray,
@@ -197,7 +184,7 @@ def check_ll_condition(model: Model, xi: np.ndarray, p: np.ndarray,
     """Exact test of the Lasry-Lions quadratic-form condition on each law
     (xi, p): the form's maximum over unit-RMS (eta, gamma, zeta) is <= tol."""
     return _eigen_report("lasry_lions_hamiltonian",
-                         _gate_matrices(model, xi, p, lambda forms: forms[:, 0]), tol)
+                         _gate_matrices(model, xi, p, (1.0, 0.0, 0.0)), tol)
 
 
 def check_disp_condition(model: Model, lam: float, xi: np.ndarray, p: np.ndarray,
@@ -207,17 +194,8 @@ def check_disp_condition(model: Model, lam: float, xi: np.ndarray, p: np.ndarray
     (eta, gamma, zeta) is <= tol."""
     if lam < 0:
         raise ConditionError("lambda must be nonnegative")
-
-    def combine(forms):
-        # L + Ibar + lam DX2 in place, in that order, in the buffer of the forms.
-        ll, ibar, dx2 = np.moveaxis(forms, 1, 0)
-        dx2 *= lam
-        ll += ibar
-        ll += dx2
-        return ll
-
-    return _eigen_report("displacement_hamiltonian", _gate_matrices(model, xi, p, combine),
-                         tol)
+    return _eigen_report("displacement_hamiltonian",
+                         _gate_matrices(model, xi, p, (1.0, 1.0, lam)), tol)
 
 
 def matrix1_assemble(c1: float, c2: float, c3: float, db1_dm1: float,

@@ -25,7 +25,6 @@ from .conditions import (
     check_anti_assumption,
     check_disp_condition,
     check_ll_condition,
-    form_chunks,
     make_condition_samples,
 )
 from .models import HatTable, Model, hat_derivative_table
@@ -160,28 +159,42 @@ def evaluate_rhs_formulas(table: HatTable, delta_x: np.ndarray, gamma: np.ndarra
                           upsilon: np.ndarray, lam: float = 0.0) -> dict:
     """Exact quadratic expressions for the time derivatives of the traces,
     one (B, levels) column per expression: direction b at level k reads the
-    (B, levels, N) first-variation state (dX, G, U) at [b, k] and level k of
-    the stacked hat table.
+    (B, levels, N) first-variation state (eta, gamma, zeta) = (dX, G, U) at
+    [b, k] and level k of the stacked hat table.
 
     Returns the derivative of the Lasry-Lions pairing, of the curvature
     pairing, of the second moment of dX, and the combined displacement-form
-    derivative at the given lambda: v . M v for the ``form_matrices`` L, Ibar
-    and DX2 of the level's table at v = (dX, G, U), and their sum
+    derivative at the given lambda: the ``conditions.form_matrices`` forms L,
+    Ibar and DX2 of the level's table at v = (dX, G, U), and
     L + Ibar + lam DX2.  L and the sum are the gates' forms: the Hamiltonian
-    condition is the time derivative of the functional.  The forms are built
-    in ``form_chunks`` of levels; every column entry is bit-identical to a
-    one-level, one-direction request.
+    condition is the time derivative of the functional.  With the mean-field
+    forcings pi = h_prho1 eta + h_prho2 (gamma + zeta) and
+    chi = h_xrho1 eta + h_xrho2 (gamma + zeta), and sums over the atoms,
+
+        dtI    = sum[(zeta - gamma) pi - eta chi] / N^2 + sum h_pp zeta^2 / N
+        dtIbar = 2 sum gamma pi / N^2 + sum[h_pp gamma (gamma + 2 zeta) - h_xx eta^2] / N
+        dX2    = 2 sum eta pi / N^2 + 2 sum[h_xp eta^2 + h_pp eta (gamma + zeta)] / N
+
+    pi and chi are one matrix-vector product per (direction, level), so every
+    column entry is bit-identical to a one-level, one-direction request.
     """
-    v = np.concatenate([delta_x, gamma, upsilon], axis=-1)
+    n = delta_x.shape[-1]
+    eta, gz = delta_x, gamma + upsilon
 
-    def quadratic(forms, chunk):
-        # (B, levels in chunk, 1, 1, 3N) against the (levels in chunk, 3, 3N, 3N)
-        # forms: one vector-matrix product per (direction, level, form).
-        rows = v[:, chunk, None, None, :]
-        return np.sum((rows @ forms) * rows, axis=-1)[..., 0].swapaxes(0, 1)
+    def forcing(h_eta: np.ndarray, h_gz: np.ndarray) -> np.ndarray:
+        """h_eta eta + h_gz (gamma + zeta) at each (direction, level)."""
+        return (h_eta @ eta[..., None] + h_gz @ gz[..., None])[..., 0]
 
-    values = form_chunks(table, quadratic, np.empty((v.shape[1], len(v), 3)))
-    dt_i, dt_ibar, dt_dx2 = values.T
+    pi = forcing(table.h_prho1, table.h_prho2)
+    chi = forcing(table.h_xrho1, table.h_xrho2)
+    h_pp = table.h_pp
+    dt_i = (np.sum((upsilon - gamma) * pi - eta * chi, axis=-1) / n**2
+            + np.sum(h_pp * upsilon**2, axis=-1) / n)
+    dt_ibar = (2.0 * np.sum(gamma * pi, axis=-1) / n**2
+               + np.sum(h_pp * gamma * (gamma + 2.0 * upsilon) - table.h_xx * eta**2,
+                        axis=-1) / n)
+    dt_dx2 = (2.0 * np.sum(eta * pi, axis=-1) / n**2
+              + 2.0 * np.sum((table.h_xp * eta + h_pp * gz) * eta, axis=-1) / n)
     return {"dtI_rhs": dt_i, "dtIbar_rhs": dt_ibar, "d_deltaX2_rhs": dt_dx2,
             "cd_disp_rhs": dt_i + dt_ibar + lam * dt_dx2}
 

@@ -1,10 +1,12 @@
-"""Reference implementation of the quadratic forms of ``conditions.form_matrices``.
+"""Reference implementation of the quadratic forms L, Ibar, DX2 and the
+displacement form, the oracle of both paths that evaluate them: the gates'
+closed-form matrices (``conditions.form_matrices``) and the traces' atom
+sums (``propagation.evaluate_rhs_formulas``).
 
 Each form is written out as the atom sums of its definition, one direction
-(eta, gamma, zeta) at a time, so the closed-form matrices can be checked
-against it.  Double sums run over all atom pairs (self-pairs included)
-through the weight vectors; [i, j] entries of the derivative tables put the
-base point at atom i and the support atom at j.
+(eta, gamma, zeta) at a time.  Double sums run over all atom pairs
+(self-pairs included) through the weight vectors; [i, j] entries of the
+derivative tables put the base point at atom i and the support atom at j.
 """
 import numpy as np
 

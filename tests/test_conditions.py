@@ -29,7 +29,11 @@ from mfgclab.models import MeanPoly2, Model, hat_derivative_table
 from mfgclab.monotonicity import LambdaVec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-REFERENCE_FORMS = (ll_form, ibar_form, dx2_form)
+LL_WEIGHTS, DISP_WEIGHTS = (1.0, 0.0, 0.0), (1.0, 1.0, 0.5)
+# The weights of form_matrices that give each reference form.
+REFERENCE_FORMS = ((LL_WEIGHTS, ll_form), ((0.0, 1.0, 0.0), ibar_form),
+                   ((0.0, 0.0, 1.0), dx2_form),
+                   (DISP_WEIGHTS, lambda table, *v: disp_form(table, *v, lam=0.5)))
 
 
 def quadratic(matrix, v):
@@ -42,13 +46,14 @@ def law_tables(model, xi, p):
 
 
 def reference_gap(table, rng, n_directions=8):
-    """Largest relative gap between v . M v for the three form matrices and
-    the reference forms, over random directions v = (eta, gamma, zeta)."""
-    matrices = form_matrices(table)
+    """Largest relative gap between v . M v for the form matrices of
+    ``REFERENCE_FORMS`` and their reference forms, over random directions
+    v = (eta, gamma, zeta)."""
+    matrices = [(form_matrices(table, weights), form) for weights, form in REFERENCE_FORMS]
     gap = 0.0
     for _ in range(n_directions):
         v = rng.normal(size=3 * table.h_pp.shape[0])
-        for matrix, form in zip(matrices, REFERENCE_FORMS):
+        for matrix, form in matrices:
             want = form(table, *np.split(v, 3))
             gap = max(gap, abs(quadratic(matrix, v) - want) / max(1.0, abs(want)))
     return gap
@@ -130,6 +135,13 @@ class TestMatrix1:
 
 
 class TestConditionSamples:
+    @pytest.mark.parametrize("laws, atoms", [(0, 16), (40, 0)], ids=["no_laws", "no_atoms"])
+    def test_empty_sample_set_rejected(self, laws, atoms):
+        # The gates would crash untyped on it: eigvalsh of no matrices, or a
+        # mean over no atoms.
+        with pytest.raises(ConditionError, match=f"got {laws} laws of {atoms} atoms"):
+            make_condition_samples(laws, atoms)
+
     def test_each_law_draws_its_feedback_then_its_states(self):
         # Even laws take an affine feedback, odd laws a clipped cubic, from
         # one generator in law order.
@@ -171,37 +183,49 @@ class TestFormMatrices:
     def test_matrices_are_symmetric(self):
         model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
         (table,) = law_tables(model, *make_condition_samples(1, 12, seed=4))
-        matrices = form_matrices(table)
-        assert matrices.shape == (3, 36, 36)
-        assert np.array_equal(matrices, matrices.swapaxes(-1, -2))
+        for weights, _ in REFERENCE_FORMS:
+            matrix = form_matrices(table, weights)
+            assert matrix.shape == (36, 36)
+            assert np.array_equal(matrix, matrix.T), weights
 
-    def test_stacked_laws_equal_each_law(self):
+    @pytest.mark.parametrize("weights", [LL_WEIGHTS, DISP_WEIGHTS], ids=["ll", "disp"])
+    def test_stacked_laws_equal_each_law(self, weights):
         # One call over a stack of laws, as the gates make it: each law's
-        # matrices are bit-identical to its own call's.
+        # matrix is bit-identical to its own call's.
         model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
         xi, p = make_condition_samples(6, 12, seed=8)
-        stacked = form_matrices(hat_derivative_table(model, xi, p))
-        assert stacked.shape == (6, 3, 36, 36)
+        stacked = form_matrices(hat_derivative_table(model, xi, p), weights)
+        assert stacked.shape == (6, 36, 36)
         for k, table in enumerate(law_tables(model, xi, p)):
-            assert np.array_equal(stacked[k], form_matrices(table)), k
+            assert np.array_equal(stacked[k], form_matrices(table, weights)), k
 
-    def test_gate_over_chunks_of_laws_equals_each_law(self):
-        # 40 laws of 16 atoms take three form_matrices calls in a gate; the
-        # largest value is the one each law's own matrix gives.
+    def test_disp_gate_over_40_laws_equals_each_law(self):
+        # The displacement gate's one form over 40 laws of 16 atoms: each
+        # law's matrix is bit-identical to its own call's, so the largest
+        # value is the one each law's own matrix gives; the sum of the three
+        # separate forms, and the reference form, agree at round-off.
         model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
         xi, p = make_condition_samples(40, 16, seed=2)
         report = check_disp_condition(model, 0.5, xi, p, tol=1e9)
-        values = []
-        for table in law_tables(model, xi, p):
-            ll, ibar, dx2 = form_matrices(table)
-            values.append(16 * np.linalg.eigvalsh(ll + ibar + 0.5 * dx2)[-1])
+        stacked = form_matrices(hat_derivative_table(model, xi, p), DISP_WEIGHTS)
+        rng = np.random.default_rng(2)
+        values, summed = [], []
+        for k, table in enumerate(law_tables(model, xi, p)):
+            matrix = form_matrices(table, DISP_WEIGHTS)
+            assert np.array_equal(stacked[k], matrix), k
+            values.append(16 * np.linalg.eigvalsh(matrix)[-1])
+            ll, ibar, dx2 = (form_matrices(table, weights) for weights, _ in REFERENCE_FORMS[:3])
+            summed.append(16 * np.linalg.eigvalsh(ll + ibar + 0.5 * dx2)[-1])
+            assert reference_gap(table, rng, n_directions=2) <= 1e-12
         assert report.details["max_value"] == max(values)
+        assert np.allclose(values, summed, rtol=1e-13, atol=1e-14)
 
     def test_gates_peak_memory_on_40_laws(self):
-        # One hat table over all laws, and the forms in chunks of laws,
-        # assembled and symmetrised in place with temporaries of one block
-        # or one matrix: the gates peak below the 2.97 MB of the 40 per-law
-        # calls they replace.
+        # One hat table over all laws, and only the gate's one form, built
+        # and symmetrised in place with temporaries of one block: 737 KB of
+        # matrices and their symmetrising copy.  Each gate peaks at 2.05 MB
+        # (numpy 2.4); the bound leaves 12 % headroom, below the 2.53 MB of
+        # building all three forms.
         model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
         xi, p = make_condition_samples(40, 16, seed=1)
         check_ll_condition(model, xi, p)
@@ -213,7 +237,7 @@ class TestFormMatrices:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 3_000_000
+            assert peak <= 2_300_000
 
     def test_permuting_atoms_permutes_blocks(self):
         model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
@@ -221,9 +245,10 @@ class TestFormMatrices:
         x, p = rng.normal(size=(2, 10))
         perm = rng.permutation(10)
         index = np.concatenate([perm, perm + 10, perm + 20])
-        matrices = form_matrices(hat_derivative_table(model, x, p))
-        permuted = form_matrices(hat_derivative_table(model, x[perm], p[perm]))
-        assert np.allclose(permuted, matrices[:, index][:, :, index], rtol=0, atol=1e-15)
+        for weights, _ in REFERENCE_FORMS:
+            matrix = form_matrices(hat_derivative_table(model, x, p), weights)
+            permuted = form_matrices(hat_derivative_table(model, x[perm], p[perm]), weights)
+            assert np.allclose(permuted, matrix[index][:, index], rtol=0, atol=1e-15), weights
 
 
 class TestLLCondition:
@@ -245,7 +270,7 @@ class TestLLCondition:
         table = hat_derivative_table(model, xi[0], xi[0])
         zero = np.zeros(8)
         assert ll_form(table, zero, zero, zero) == 0.0
-        assert quadratic(form_matrices(table)[0], np.zeros(24)) == 0.0
+        assert quadratic(form_matrices(table, LL_WEIGHTS), np.zeros(24)) == 0.0
         assert check_ll_condition(model, xi, xi).passed
 
     def test_matrix_pass_implies_form_pass_over_500_samples(self):

@@ -10,6 +10,7 @@ import reference_variational
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_csv import trace_csv
+from reference_forms import disp_form, dx2_form, ibar_form, ll_form
 from reference_traces import slope_rule, split, verdict_lists
 from scipy.integrate import solve_ivp
 from test_calculus import random_models
@@ -52,6 +53,34 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 N = 16
 MU0 = gaussian_quantile_cloud(N, 0.0, 1.0)
 LL = LasryLions()
+
+
+RHS_COLUMNS = ("dtI_rhs", "dtIbar_rhs", "d_deltaX2_rhs", "cd_disp_rhs")
+
+
+def reference_rhs(table, dx, gamma, upsilon, lam):
+    """The ``evaluate_rhs_formulas`` columns from the reference forms, one
+    (direction, level) at a time."""
+    forms = (ll_form, ibar_form, dx2_form, functools.partial(disp_form, lam=lam))
+    out = {name: np.empty(dx.shape[:2]) for name in RHS_COLUMNS}
+    for b, k in np.ndindex(dx.shape[:2]):
+        for name, form in zip(RHS_COLUMNS, forms):
+            out[name][b, k] = form(table[k], dx[b, k], gamma[b, k], upsilon[b, k])
+    return out
+
+
+def assert_matches_reference_forms(table, dx, gamma, upsilon, lam):
+    got = evaluate_rhs_formulas(table, dx, gamma, upsilon, lam=lam)
+    for name, want in reference_rhs(table, dx, gamma, upsilon, lam).items():
+        gap = np.abs(got[name] - want) / np.maximum(1.0, np.abs(want))
+        assert gap.max() <= 1e-12, name
+
+
+def random_table(rng, levels, n):
+    """A hat table of (levels, N) standard normal entries, (levels, N, N) for
+    the measure derivatives."""
+    return HatTable(*(rng.normal(size=(levels, n) if f.name in ("h_p", "h_pp", "h_xx", "h_xp")
+                                 else (levels, n, n)) for f in fields(HatTable)))
 
 
 def anti(lvec, lu_xx=1.0):
@@ -254,23 +283,23 @@ class TestRhsFormulas:
             assert dt_ibar == pytest.approx(-float(np.mean(gamma[:, k]**2)), abs=1e-12)
 
     def test_stacked_levels_equal_one_level_calls(self, shipped_ll_batch):
-        # 113 levels in seven chunks of forms: each level's columns are
-        # bit-identical to a call on that level alone.
+        # 12 directions on 113 levels in one call: each entry is
+        # bit-identical to a call on that direction and level alone.
         dx, gamma, upsilon, table = shipped_ll_batch
         assert dx.shape == (12, 113, N)
         out = evaluate_rhs_formulas(table, dx, gamma, upsilon, lam=0.5)
-        for k in range(113):
-            level = slice(k, k + 1)
-            one = evaluate_rhs_formulas(table[level], dx[:, level], gamma[:, level],
-                                        upsilon[:, level], lam=0.5)
+        for b, k in np.ndindex(12, 113):
+            at = (slice(b, b + 1), slice(k, k + 1))
+            one = evaluate_rhs_formulas(table[at[1]], dx[at], gamma[at], upsilon[at], lam=0.5)
             for name, column in out.items():
                 assert column.shape == (12, 113)
-                assert np.array_equal(column[:, level], one[name]), (name, k)
+                assert np.array_equal(column[at], one[name]), (name, b, k)
 
     def test_peak_memory_at_12_directions_on_113_levels(self, shipped_ll_batch):
-        # The forms of at most FORMS_BYTES of levels at a time: the bound of
-        # the gates' peak-memory test, where one call over all 113 levels
-        # would hold 10 MB of forms.
+        # No form matrix: a few (12, 113, 16) stacks of 174 KB each.  The
+        # call peaks at 1.12 MB (numpy 2.4); the bound leaves 25 % headroom,
+        # below the 2.11 MB of building the forms in 1 MB chunks of levels,
+        # and one call's forms over all 113 levels would hold 10 MB.
         dx, gamma, upsilon, table = shipped_ll_batch
         evaluate_rhs_formulas(table, dx, gamma, upsilon)
         tracemalloc.start()
@@ -279,7 +308,77 @@ class TestRhsFormulas:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3_000_000
+        assert peak <= 1_400_000
+
+    def test_agree_with_reference_forms_on_shipped_batch(self, shipped_ll_batch):
+        # Every (direction, level) of the ll_propagation.ini trace.
+        dx, gamma, upsilon, table = shipped_ll_batch
+        assert_matches_reference_forms(table, dx, gamma, upsilon, lam=0.5)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(model=random_models(), b0x=st.floats(0.1, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_agree_with_reference_forms_on_random_models(self, model, b0x, seed):
+        # b0x != 0 makes the measure tables depend on the support atom,
+        # once the model has a mean coupling.
+        model = replace(model, b0=(model.b0[0], b0x, model.b0[2]))
+        rng = np.random.default_rng(seed)
+        table = hat_derivative_table(model, *rng.normal(size=(2, 3, 9)))
+        assume(np.ptp(table.h_prho2, axis=-1).min() > 0)
+        dx, gamma, upsilon = rng.normal(size=(3, 2, 3, 9))
+        assert_matches_reference_forms(table, dx, gamma, upsilon, lam=0.7)
+
+    @pytest.mark.parametrize("entry, reach", [
+        ("h_p", ()),
+        ("h_pp", ("dtI_rhs", "dtIbar_rhs", "d_deltaX2_rhs")),
+        ("h_xx", ("dtIbar_rhs",)),
+        ("h_xp", ("d_deltaX2_rhs",)),
+        ("h_xrho1", ("dtI_rhs",)),
+        ("h_xrho2", ("dtI_rhs",)),
+        ("h_prho1", ("dtI_rhs", "dtIbar_rhs", "d_deltaX2_rhs")),
+        ("h_prho2", ("dtI_rhs", "dtIbar_rhs", "d_deltaX2_rhs")),
+    ])
+    def test_each_table_entry_moves_exactly_its_columns(self, entry, reach):
+        # Zeroing one hat entry changes the columns whose formula reads it,
+        # and the combined column with them (lam > 0), and leaves every
+        # other column bit-identical.
+        model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
+        rng = np.random.default_rng(6)
+        table = hat_derivative_table(model, *rng.normal(size=(2, 4, 12)))
+        assert all(np.all(getattr(table, f.name) != 0.0) for f in fields(HatTable))
+        state = rng.normal(size=(3, 2, 4, 12))
+        base = evaluate_rhs_formulas(table, *state, lam=0.5)
+        zeroed = replace(table, **{entry: np.zeros_like(getattr(table, entry))})
+        moved = evaluate_rhs_formulas(zeroed, *state, lam=0.5)
+        reach = set(reach) | ({"cd_disp_rhs"} if reach else set())
+        for name in RHS_COLUMNS:
+            assert np.array_equal(moved[name], base[name]) != (name in reach), name
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(*(st.integers(1, 4),) * 2),
+           n=st.integers(1, 10), c=st.floats(0.01, 100.0), lam=st.floats(0.0, 2.0))
+    def test_quadratic_and_exchangeable(self, seed, shape, n, c, lam):
+        # Each column is a quadratic form in (dX, G, U) per (direction,
+        # level): scaling by c scales it by c^2, and a sign flip leaves it
+        # bit-identical.  Relabelling the atoms (the state by P, the tables
+        # as P h P^T) leaves it unchanged up to round-off.
+        rng = np.random.default_rng(seed)
+        directions, levels = shape
+        table = random_table(rng, levels, n)
+        state = rng.normal(size=(3, directions, levels, n))
+        base = evaluate_rhs_formulas(table, *state, lam=lam)
+        flipped = evaluate_rhs_formulas(table, *-state, lam=lam)
+        scaled = evaluate_rhs_formulas(table, *(c * state), lam=lam)
+        perm = rng.permutation(n)
+        relabelled = HatTable(*(getattr(table, f.name)[:, perm][..., perm]
+                                if getattr(table, f.name).ndim == 3
+                                else getattr(table, f.name)[:, perm] for f in fields(HatTable)))
+        permuted = evaluate_rhs_formulas(relabelled, *state[..., perm], lam=lam)
+        for name in RHS_COLUMNS:
+            scale = max(1.0, np.abs(base[name]).max())
+            assert np.array_equal(flipped[name], base[name]), name
+            assert np.allclose(scaled[name], c**2 * base[name], rtol=0,
+                               atol=1e-12 * c**2 * scale), name
+            assert np.allclose(permuted[name], base[name], rtol=0, atol=1e-12 * scale), name
 
     def test_formula_equality_along_coupled_trace(self):
         model, grid, flow, access = ll_setup()
