@@ -23,7 +23,8 @@ by one rule, ``ConditionReport.judge``: the worst sample is the first
 minimum, a NaN margin before any number, so a non-finite sample fails; the
 check passes when that margin is >= -slack; and the witness is built only
 on failure.  The hypothesis stages of ``check_disp_sufficient`` and
-``check_anti_assumption`` report their first failing law instead.
+``check_anti_assumption`` report their first failing law instead.  A
+checker handed no laws, or laws of no atoms, raises ``ConditionError``.
 """
 from __future__ import annotations
 
@@ -40,6 +41,15 @@ REL_TOL = 1e-8
 
 class ConditionError(ValueError):
     pass
+
+
+def _require_laws(*stacks: np.ndarray) -> None:
+    """A stack of laws with no laws, or laws of no atoms, is a
+    ``ConditionError`` naming its shape: no checker has a margin to judge."""
+    for stack in stacks:
+        if np.size(stack) == 0:
+            raise ConditionError(f"need at least one law of at least one atom, got "
+                                 f"laws of shape {np.shape(stack)}")
 
 
 def make_condition_samples(n_samples: int, n_atoms: int = 16, seed: int = 0) -> tuple:
@@ -175,6 +185,7 @@ def _gate_matrices(model: Model, xi: np.ndarray, p: np.ndarray,
     (xi, p), from one hat table over all laws, built without floating-point
     warnings: an overflow gives non-finite forms, which ``_eigen_report``
     fails."""
+    _require_laws(xi, p)
     with np.errstate(all="ignore"):
         return form_matrices(hat_derivative_table(model, xi, p), weights)
 
@@ -277,6 +288,7 @@ def check_disp_sufficient(model: Model, lam: float, c0: float, xi: np.ndarray,
     """
     if c0 < 0:
         raise ConditionError("c0 must be nonnegative")
+    _require_laws(xi, p)
     details: dict = {}
     laws = len(xi)
     # An overflowing model gives non-finite entries: a NaN bound fails its
@@ -394,6 +406,7 @@ def check_anti_assumption(model: Model, lvec: LambdaVec, l0: float,
     """
     if not gamma_hi > gamma_lo > 0:
         raise ConditionError("need gamma_hi > gamma_lo > 0")
+    _require_laws(xi, p)
     slack = 1e-9
     n_samples = len(xi)
 
@@ -465,6 +478,7 @@ def check_f_monotone(model: Model, xi1: np.ndarray, a1: np.ndarray, xi2: np.ndar
     coupled (state, control) atoms of its two laws.  A pair whose cross
     difference is not finite fails the check.
     """
+    _require_laws(xi1, a1, xi2, a2)
     if (model.b0, model.b1_x, model.B.coeffs) != ((-1.0, 0.0, 0.0), (0.0,), (0.0,) * 6):
         return ConditionReport(
             condition="cost_cross_monotonicity", n_samples=len(xi1),

@@ -18,22 +18,28 @@ levels (``models.mean_terms``), and the backward sweep also their
 x-dependent parts on the grid (``models.hamiltonian_terms``) before it
 starts.  ``solve_mfgc`` iterates the map, Anderson-mixed, to tolerance.
 
-The per-level loops (the backward sweep and the forward push) are bound
-by numpy's per-call cost, not by arithmetic, so each level makes a fixed
-handful of calls that write into buffers allocated once per call: the time
-step and the stencils' scales are folded into the Hamiltonian's terms
-before the loop, and stencils and shifted rows are slices and views.  No
-buffer outlives its call.  Both loops write the Hamiltonian in the form
+The per-level loops (the backward sweep, the forward push and the pass
+that builds M) are bound by numpy's per-call cost, not by arithmetic, so a
+level costs a fixed handful of calls and nothing else: the ufuncs are
+bound to local names before the loop and write positionally into buffers
+allocated once per call, and each level's rows, stencils and shifted rows
+are views that the loop iterates together, built once rather than indexed
+at each level.  A per-level coefficient with no x-part enters as a Python
+float, which a ufunc takes at less cost than a one-entry row.  None of
+this changes an operation or its order.  The time step and the stencils'
+scales are folded into the Hamiltonian's terms before the loop.  No buffer
+outlives its call.  Both Picard loops write the Hamiltonian in the form
 that needs the fewest calls per level, which rounds differently from the
-closed forms of ``models``.  The backward sweep expands the square of
-the control, so that its p-free part joins the terms filled in before the
-loop (eleven calls a level).  The push writes the optimal drift as affine
+closed forms of ``models``.  The backward sweep expands the square of the
+control, so that its p-free part joins the terms filled in before the loop
+(eleven ufunc calls a level).  The push writes the optimal drift as affine
 in the momentum, with the level's slope a Python float and its offset
 added to the noise of all levels at once, and forms x-parts only for a
 model that has them, so a level costs the interpolation of u_x at the
-particles and three in-place updates.  ``np.interp`` is its floor: a
-level interpolates at the states the level before it produced, so the
-levels cannot share one call.
+particles and three in-place updates.  ``np.interp`` is its floor, about
+half of it the Python wrapper around the compiled kernel: a level
+interpolates at the states the level before it produced, so the levels
+cannot share one call.
 
 ``ValueAccess`` reads V_xx of the solved flow at the clouds of a stack of
 levels, and holds the measure derivative of the value gradient along
@@ -263,7 +269,10 @@ def _quantile_dist(a: np.ndarray, b: np.ndarray):
     difference of the order statistics; the Picard residual is its maximum
     over levels, for states and for momenta.
     """
-    return np.sqrt(np.mean((np.sort(a, axis=-1) - np.sort(b, axis=-1)) ** 2, axis=-1))
+    d = np.sort(a, axis=-1)
+    d -= np.sort(b, axis=-1)
+    np.multiply(d, d, d)
+    return np.sqrt(np.add.reduce(d, axis=-1) / d.shape[-1])
 
 
 def _moments(states: np.ndarray, controls: np.ndarray) -> tuple:
@@ -326,18 +335,23 @@ def _backward_value(model: Model, xs: np.ndarray, dx: float, dt: float,
         np.einsum("kt,tj->kj", np.column_stack(columns), np.stack(rows), out=u[:-1])
         if a_on_grid:
             u[:-1] -= np.square(a, out=a)
-        for row, out, f_k, g_k in zip(u[:0:-1], u[-2::-1], f[::-1], g[::-1]):
-            np.subtract(row[1:], row[:-1], out=diff)
-            np.add(diff_hi, diff_lo, out=w_inner)
-            np.multiply(diff_ends, 2.0, out=w_ends)
-            np.multiply(w, g_k, out=term)
-            np.subtract(f_k, term, out=term)
-            term *= w
-            np.subtract(diff_hi, diff_lo, out=lap)
-            lap *= kappa
-            out += term
-            out[1:-1] += lap
-            out += row
+        # A term with no x-part enters each level as a Python float.
+        f_rows, g_rows = (t[::-1, 0].tolist() if t.shape[1] == 1 else t[::-1] for t in (f, g))
+        subtract, add, multiply = np.subtract, np.add, np.multiply
+        for row, row_hi, row_lo, out, out_inner, f_k, g_k in zip(
+                u[:0:-1], u[:0:-1, 1:], u[:0:-1, :-1], u[-2::-1], u[-2::-1, 1:-1],
+                f_rows, g_rows):
+            subtract(row_hi, row_lo, diff)
+            add(diff_hi, diff_lo, w_inner)
+            multiply(diff_ends, 2.0, w_ends)
+            multiply(w, g_k, term)
+            subtract(f_k, term, term)
+            multiply(term, w, term)
+            subtract(diff_hi, diff_lo, lap)
+            multiply(lap, kappa, lap)
+            add(out, term, out)
+            add(out_inner, lap, out_inner)
+            add(out, row, out)
     # A non-finite value stays non-finite down the sweep, so the largest
     # level holding one is where the sweep first broke down.  A row holds a
     # nan or an infinity exactly when its maximum or its minimum is not
@@ -395,19 +409,20 @@ def _sweep(model: Model, x0: np.ndarray, xs: np.ndarray, dx: float, dt: float,
         noise += (dt * (c_m + b1_x[0] - a_m * b_m))[:, None]
         lin = dt * (p1 - a_m * b0x - f0x * b_m)
         higher = tuple(dt * h for h in _coeffs((p2 - f0x * b0x, *rest)))
+        interp, add, multiply = np.interp, np.add, np.multiply
         # Row k + 1 of the states is written as step before it is read as xk.
         for xk, step, pk, ux_k, noise_k, slope_k, b_k, lin_k in zip(
                 prop_states, prop_states[1:], prop_momenta, ux, noise,
                 slope.tolist(), b_m.tolist(), lin.tolist()):
-            pk[...] = np.interp(xk, xs, ux_k)
+            pk[...] = interp(xk, xs, ux_k)
             if b0x:
                 slope_k = b_k + b0x * xk
                 slope_k *= -dt * slope_k
-            np.multiply(pk, slope_k, out=step)
-            step += xk
-            step += noise_k
+            multiply(pk, slope_k, step)
+            add(step, xk, step)
+            add(step, noise_k, step)
             if x_parts:
-                step += xk * _poly((lin_k, *higher), xk)
+                add(step, xk * _poly((lin_k, *higher), xk), step)
     # Written as "all inside" so that a non-finite state is caught too.
     inside = (prop_states >= xs[0]) & (prop_states <= xs[-1])
     if not inside.all():
@@ -456,11 +471,11 @@ def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
     rng = np.random.default_rng(seed)
     brownian = rng.standard_normal((grid.n_t, x0.size))
     xs, dx, dt = grid.xs, grid.dx, grid.dt
-    sqrt_dt = np.sqrt(dt)
+    # The uncontrolled walk X_{k+1} = X_k + sqrt(dt) dW_k, summed in order.
     states = np.empty((grid.n_t + 1, x0.size))
     states[0] = x0
-    for k in range(grid.n_t):
-        states[k + 1] = states[k] + sqrt_dt * brownian[k]
+    np.multiply(np.sqrt(dt), brownian, states[1:])
+    np.add.accumulate(states, axis=0, out=states)
     momenta = np.zeros_like(states)
 
     history: list[float] = []
@@ -644,32 +659,47 @@ def _measure_derivative(model: Model, flow: EquilibriumFlow) -> np.ndarray:
     rows = np.zeros((n, xs.size + 2))
     inner, left, right = rows[:, 1:-1], rows[:, :-2], rows[:, 2:]
     step, term = np.empty((n, xs.size)), np.empty((n, xs.size))
-    eye, system = np.eye(n), np.empty((n, n))
+    eye, read_t, product, system = np.eye(n), *np.empty((3, n, n))
+    # r is a column, so that it scales the h_m2 row of every atom at once.
+    r_column = np.empty((n, 1))
+    r = r_column[:, 0]
     np.outer(np.full(n, 1.0 / n), model.g.d_m1(xs, m1[-1]), out=inner)
     matrix[-1] = (inner @ reader[-1]).T
-    r = w_d[-1] + w_u[-1] @ matrix[-1]
+    np.add(w_d[-1], w_u[-1] @ matrix[-1], r)
+    # Looked up at each call, so that a substitute for np.linalg.solve is seen.
+    solve, add, subtract, multiply, matmul = (np.linalg.solve, np.add, np.subtract,
+                                              np.multiply, np.matmul)
+    # G of a level is read_k, the transpose of the buffer step @ reader_k.
+    read_k = read_t.T
+    # Level k steps with the band and partials of level k + 1.
+    levels_down = zip(range(levels - 2, -1, -1), diag[:0:-1], lower[:0:-1], upper[:0:-1],
+                      h_m1[:0:-1], h_m2[:0:-1], reader[-2::-1], coupling[-2::-1],
+                      forward[-2::-1], matrix[-2::-1], w_d[-2::-1], w_u[-2::-1])
     # A divergent pass overflows on its way to inf/nan; the check below
     # reports it, with its level, instead of numpy's floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(levels - 2, -1, -1):
-            np.multiply(inner, diag[k + 1], out=step)
-            np.multiply(left, lower[k + 1], out=term)
-            step += term
-            np.multiply(right, upper[k + 1], out=term)
-            step += term
-            step += h_m1[k + 1]
-            np.multiply(r[:, None], h_m2[k + 1], out=term)
-            step += term
-            read_k = (step @ reader[k]).T
-            np.subtract(eye, coupling[k] @ read_k, out=system)
+        for (k, diag_k, lower_k, upper_k, h_m1_k, h_m2_k, reader_k, coupling_k, forward_k,
+             matrix_k, w_d_k, w_u_k) in levels_down:
+            multiply(inner, diag_k, step)
+            multiply(left, lower_k, term)
+            add(step, term, step)
+            multiply(right, upper_k, term)
+            add(step, term, step)
+            add(step, h_m1_k, step)
+            multiply(r_column, h_m2_k, term)
+            add(step, term, step)
+            matmul(step, reader_k, read_t)
+            matmul(coupling_k, read_k, product)
+            subtract(eye, product, system)
             try:
-                phi = np.linalg.solve(system, forward[k])
+                phi = solve(system, forward_k)
             except np.linalg.LinAlgError as err:
                 raise SolverError(f"the measure derivative's linear system is singular "
                                   f"at level {k}") from err
-            np.matmul(read_k, phi, out=matrix[k])
-            np.matmul(phi.T, step, out=inner)
-            r = w_d[k] + w_u[k] @ matrix[k]
+            matmul(read_k, phi, matrix_k)
+            matmul(phi.T, step, inner)
+            matmul(w_u_k, matrix_k, r)
+            add(w_d_k, r, r)
     # A non-finite entry spreads to every level below it through r, so the
     # largest level holding one is where the pass first broke down.
     finite = np.isfinite(matrix).all(axis=(1, 2))

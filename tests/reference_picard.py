@@ -7,7 +7,9 @@ until the residual reaches the tolerance.  ``anderson_picard`` is the mixed
 iteration with its history kept as lists of the last ANDERSON_DEPTH + 1
 iterates and updates, differenced anew at every sweep.  The accepted flow is
 the final proposal with the terminal momenta refreshed from g, as in
-``solve_mfgc``.
+``solve_mfgc``.  Both build the uncontrolled flow level by level and take
+the residual from ``quantile_dist``: the arithmetic that ``solve_mfgc``
+writes in fewer calls, so a bit-for-bit comparison checks those calls too.
 
 ``backward_value`` and ``forward_push`` are the two halves of ``_sweep`` as
 plain level-by-level recurrences: u_k = u + dt (u_xx / 2 + H(x, u_x)) with
@@ -24,7 +26,6 @@ from mfgclab.solver import (
     SolverError,
     _d1_rows,
     _d2_rows,
-    _quantile_dist,
     _sweep,
 )
 
@@ -68,6 +69,12 @@ def forward_push(model, x0, xs, dx, dt, brownian, m1, m2, u):
     return states, momenta
 
 
+def quantile_dist(a, b):
+    """The W2 distance of ``solver._quantile_dist``: the RMS difference of
+    the sorted rows."""
+    return np.sqrt(np.mean((np.sort(a, axis=-1) - np.sort(b, axis=-1)) ** 2, axis=-1))
+
+
 def uncontrolled_flow(x0, grid, seed):
     """The Brownian increments of a solve and its first flow: the particles
     driven by noise alone, with zero momenta."""
@@ -88,8 +95,8 @@ def anderson_picard(model, x0, grid, picard, seed):
     for _ in range(picard.max_iter):
         prop_states, prop_momenta, u = _sweep(model, x0, xs, dx, dt, brownian,
                                               states, momenta)
-        history.append(float(max(np.max(_quantile_dist(states, prop_states)),
-                                 np.max(_quantile_dist(momenta, prop_momenta)))))
+        history.append(float(max(np.max(quantile_dist(states, prop_states)),
+                                 np.max(quantile_dist(momenta, prop_momenta)))))
         if history[-1] <= picard.tol:
             states, momenta = prop_states, prop_momenta
             break
@@ -118,8 +125,8 @@ def plain_picard(model, x0, grid, picard, seed):
     for _ in range(picard.max_iter):
         prop_states, prop_momenta, u = _sweep(model, x0, xs, dx, dt, brownian,
                                               states, momenta)
-        history.append(float(max(np.max(_quantile_dist(states, prop_states)),
-                                 np.max(_quantile_dist(momenta, prop_momenta)))))
+        history.append(float(max(np.max(quantile_dist(states, prop_states)),
+                                 np.max(quantile_dist(momenta, prop_momenta)))))
         if history[-1] <= picard.tol:
             states, momenta = prop_states, prop_momenta
             break

@@ -142,6 +142,23 @@ class TestConditionSamples:
         with pytest.raises(ConditionError, match=f"got {laws} laws of {atoms} atoms"):
             make_condition_samples(laws, atoms)
 
+    @pytest.mark.parametrize("shape", [(0, 16), (3, 0)], ids=["no_laws", "no_atoms"])
+    @pytest.mark.parametrize("checker", [
+        lambda model, xi, p: check_ll_condition(model, xi, p),
+        lambda model, xi, p: check_disp_condition(model, 0.5, xi, p),
+        lambda model, xi, p: check_disp_sufficient(model, 0.5, 0.2, xi, p),
+        lambda model, xi, p: check_anti_assumption(model, LambdaVec(1, 1, 1, 8), 15.0,
+                                                   0.5, 2.0, 1.0, 1.0, xi, p),
+        lambda model, xi, p: check_f_monotone(model, xi, p, xi, p),
+    ], ids=["ll", "disp", "disp_sufficient", "anti", "f_monotone"])
+    def test_checker_rejects_empty_laws(self, checker, shape):
+        # Handed directly, an empty stack would crash untyped: a reshape or
+        # an argmin of no laws, a mean over no atoms.  The model's drift is
+        # the control, so that check_f_monotone reaches its laws too.
+        model = Model(b0=(-1, 0, 0), q1=1.0)
+        with pytest.raises(ConditionError, match=rf"laws of shape \({shape[0]}, {shape[1]}\)"):
+            checker(model, np.zeros(shape), np.zeros(shape))
+
     def test_each_law_draws_its_feedback_then_its_states(self):
         # Even laws take an affine feedback, odd laws a clipped cubic, from
         # one generator in law order.

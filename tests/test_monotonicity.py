@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfgclab.calculus import CalculusError
 from mfgclab.measures import gaussian_quantile_cloud
@@ -140,6 +142,45 @@ class TestMonAntiTerminal:
             LambdaVec(0.0, 0.0, 1.0, 0.0)
         with pytest.raises(MonotonicityError):
             LambdaVec(1.0, 0.0, 1.0, -1.0)
+
+
+class MatrixAccess:
+    """Access double of a stack of levels that holds a given (levels, N, N)
+    stack of measure-derivative matrices and the (levels, N) rows of V_xx at
+    each level's atoms."""
+
+    def __init__(self, matrices, vxx):
+        self.matrices, self.vxx = matrices, vxx
+
+    def field(self, levels):
+        return self.vxx[levels]
+
+
+class TestMonDispProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(*(st.integers(1, 4),) * 2),
+           n=st.integers(1, 10), c=st.floats(0.01, 100.0), lam=st.floats(0.0, 2.0))
+    def test_quadratic_even_and_exchangeable(self, seed, shape, n, c, lam):
+        # Each kind's functional is a quadratic form in eta per (direction,
+        # level) for any M and V_xx: scaling eta by c scales it by c^2, and a
+        # sign flip leaves it bit-identical.  Relabelling the atoms (eta by
+        # P, M as P M P^T, V_xx by P) leaves it unchanged up to round-off.
+        rng = np.random.default_rng(seed)
+        directions, levels = shape
+        access = MatrixAccess(rng.normal(size=(levels, n, n)), rng.normal(size=(levels, n)))
+        order = rng.permutation(levels)
+        etas = rng.normal(size=(directions, levels, n))
+        perm = rng.permutation(n)
+        relabelled = MatrixAccess(access.matrices[:, perm][..., perm], access.vxx[:, perm])
+        for kind in (LL, Displacement(lam), anti(LambdaVec(1.0, -0.5, 2.0, 0.5))):
+            base = mon_disp(access, order, etas, kind)
+            scale = max(1.0, np.abs(base).max())
+            assert base.shape == shape
+            assert np.array_equal(mon_disp(access, order, -etas, kind), base), kind.name
+            assert np.allclose(mon_disp(access, order, c * etas, kind), c**2 * base,
+                               rtol=0, atol=1e-12 * c**2 * scale), kind.name
+            assert np.allclose(mon_disp(relabelled, order, etas[..., perm], kind), base,
+                               rtol=0, atol=1e-12 * scale), kind.name
 
 
 def mon_ll_difference_form(access, cloud2):

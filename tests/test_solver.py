@@ -564,6 +564,24 @@ class TestTangentKernels:
         with pytest.raises(SolverError, match=f"{message} at level {level}$"):
             ValueAccess(GENERAL_MODEL, flow)
 
+    def test_peak_memory_on_shipped_flow(self):
+        # The ll_propagation.ini flow, 113 levels of 16 atoms on 121 grid
+        # points: the dense 1.75 MB reader, the band and coefficient stacks
+        # and the 231 KB of M, with one row's buffers for the pass.  It
+        # peaks at 4.05 MB (numpy 2.4); the bound leaves 15 % headroom, less
+        # than the 1.7 MB that one (N, n_x) buffer per level would hold.
+        cfg = ExperimentConfig.from_ini(CONFIGS / "ll_propagation.ini")
+        model = cfg.model()
+        flow = solve_mfgc(model, cfg.initial_cloud(), cfg.grid(), cfg.picard(), seed=cfg.seed)
+        solver._measure_derivative(model, flow)
+        tracemalloc.start()
+        try:
+            solver._measure_derivative(model, flow)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_650_000
+
 
 def sweep_inputs(seed):
     """A small grid, per-level moments and a terminal cloud of 8 atoms for
