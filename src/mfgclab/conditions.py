@@ -13,8 +13,12 @@ On one law of N atoms each form is v . M v for a symmetric (3N, 3N) matrix M
 assembled in closed form from the hat table (``form_matrices``), so its
 maximum over unit-RMS v is N times the largest eigenvalue of M.  Every gate
 reads one hat table over all its laws and builds only the weighted sum of
-forms that it judges, one matrix per law.  The gates judge the eigenvalue on
-each random law, and a failing gate reports the eigenvector that attains it.
+forms that it judges, one matrix per distinct law (``_distinct_laws``): when
+every form entry of every law, all table fields but h_p, is bitwise equal to
+law 0's, law 0's matrix and eigenvalue stand for all laws, else each law has
+its own.  A signed zero or a NaN payload counts as a difference.  The gates
+judge the eigenvalue on each random law, and a failing gate reports the
+eigenvector that attains it.
 The propagation traces evaluate the same forms at given v as atom sums of
 the hat table, with no matrix (``propagation.evaluate_rhs_formulas``).
 
@@ -27,6 +31,8 @@ on failure.  The hypothesis stages of ``check_disp_sufficient`` and
 checker handed no laws, or laws of no atoms, raises ``ConditionError``.
 """
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -56,22 +62,36 @@ def make_condition_samples(n_samples: int, n_atoms: int = 16, seed: int = 0) -> 
     """(xi, p): the (n_samples, n_atoms) states and momenta of Gaussian laws
     whose momenta come from alternating affine and clipped-polynomial
     feedbacks p = phi(xi), polynomial momenta clipped to [-3, 3].  A set of
-    no laws, or of laws of no atoms, is a ``ConditionError``."""
+    no laws, or of laws of no atoms, is a ``ConditionError``.
+
+    One generator draws, in law order, each law's feedback coefficients and
+    then its states: an even law's intercept ~ N(0, 0.5^2) and slope
+    ~ N(0, 1), an odd law's four cubic coefficients ~ N(0, 0.5^2), then
+    n_atoms states ~ N(0, 1).  All laws come from one standard-normal draw,
+    each value loc + scale z as the generator's ``normal`` forms it."""
     if n_samples < 1 or n_atoms < 1:
         raise ConditionError(f"need at least one law of at least one atom, got "
                              f"{n_samples} laws of {n_atoms} atoms")
-    rng = np.random.default_rng(seed)
+    # Law k starts at (k // 2) pair + (k % 2) (2 + n_atoms) of the draw.
+    pair = 6 + 2 * n_atoms
+    z = np.random.default_rng(seed).standard_normal(
+        n_samples // 2 * pair + n_samples % 2 * (2 + n_atoms))
+    even = np.arange((n_samples + 1) // 2) * pair
+    odd = even[:n_samples // 2] + 2 + n_atoms
+    atoms = np.arange(n_atoms)
     xi = np.empty((n_samples, n_atoms))
     p = np.empty((n_samples, n_atoms))
-    for k in range(n_samples):
-        if k % 2 == 0:
-            intercept, slope = float(rng.normal(0, 0.5)), float(rng.normal(0, 1.0))
-            xi[k] = rng.normal(0.0, 1.0, n_atoms)
-            p[k] = intercept + slope * xi[k]
-        else:
-            coeffs = rng.normal(0, 0.5, size=4)
-            xi[k] = rng.normal(0.0, 1.0, n_atoms)
-            p[k] = np.clip(np.polynomial.polynomial.polyval(xi[k], coeffs), -3.0, 3.0)
+    xi[0::2] = 0.0 + 1.0 * z[even[:, None] + 2 + atoms]
+    xi[1::2] = 0.0 + 1.0 * z[odd[:, None] + 4 + atoms]
+    intercept, slope = 0.0 + 0.5 * z[even, None], 0.0 + 1.0 * z[even + 1, None]
+    p[0::2] = intercept + slope * xi[0::2]
+    # Horner's rule as np.polynomial.polynomial.polyval runs it, one law a row.
+    coeffs = 0.0 + 0.5 * z[odd[:, None] + np.arange(4)]
+    x = xi[1::2]
+    cubic = coeffs[:, 3:] + x * 0
+    for i in (2, 1, 0):
+        cubic = coeffs[:, i:i + 1] + cubic * x
+    p[1::2] = np.clip(cubic, -3.0, 3.0)
     return xi, p
 
 
@@ -147,23 +167,27 @@ def _eigenvalues(matrices: np.ndarray) -> tuple:
     return np.where(finite[:, None], np.linalg.eigvalsh(matrices), np.nan), finite
 
 
-def _eigen_report(condition: str, matrices: np.ndarray, tol: float | None,
+def _eigen_report(condition: str, matrices: np.ndarray, laws: int, tol: float | None,
                   sign: int = 1, blocks: tuple = ("eta", "gamma", "zeta"),
                   details: dict | None = None) -> ConditionReport:
     """Judge value = N lambda of each law's (len(blocks) N, len(blocks) N)
     form matrix against tol (default REL_TOL max(1, |value|)): with sign = 1
     lambda is the largest eigenvalue, the form's maximum over unit-RMS v,
     and the margin is tol - value; with sign = -1 it is the smallest, the
-    form's minimum, and the margin is value + tol.  A failing report's
-    witness is that unit-RMS eigenvector, split into blocks.  A non-finite
-    matrix has a NaN value and margin, so the first one is the witness of a
-    failing report; the stack's non-finite matrices are zeroed.  details
-    default to the largest value."""
+    form's minimum, and the margin is value + tol.  matrices holds either
+    one matrix per law or, for a law-free table (``_distinct_laws``), one
+    matrix that stands for all laws: either way the report has laws
+    samples, and the worst of equal margins is the first, law 0.  A failing
+    report's witness is that unit-RMS eigenvector, split into blocks.  A
+    non-finite matrix has a NaN value and margin, so the first one is the
+    witness of a failing report; the stack's non-finite matrices are
+    zeroed.  details default to the largest value."""
     n = matrices.shape[-1] // len(blocks)
     column = -1 if sign > 0 else 0
     eigenvalues, finite = _eigenvalues(matrices)
     values = n * eigenvalues[:, column]
     threshold = tol if tol is not None else REL_TOL * np.maximum(1.0, np.abs(values))
+    margins = np.broadcast_to(threshold - sign * values, laws)
 
     def witness(worst: int) -> dict:
         found = {"sample": worst, "value": float(values[worst])}
@@ -174,20 +198,34 @@ def _eigen_report(condition: str, matrices: np.ndarray, tol: float | None,
         return found
 
     return ConditionReport.judge(
-        condition, threshold - sign * values, tol if tol is not None else REL_TOL,
-        witness, PASS_SLACK,
+        condition, margins, tol if tol is not None else REL_TOL, witness, PASS_SLACK,
         {"max_value": float(np.max(values))} if details is None else details)
+
+
+def _distinct_laws(table: HatTable) -> HatTable:
+    """The laws of a (laws, ...) table that the forms must judge: law 0
+    alone when every other law's form entries (every field but h_p, which no
+    form reads) are bitwise equal to law 0's, else every law.  Each field is
+    compared as uint64 bits, one field at a time with no copy of the table,
+    so a signed zero or a NaN payload is a difference."""
+    for field in fields(table):
+        if field.name != "h_p":
+            bits = getattr(table, field.name).view(np.uint64)
+            if not (bits[1:] == bits[:1]).all():
+                return table
+    return table[:1]
 
 
 def _gate_matrices(model: Model, xi: np.ndarray, p: np.ndarray,
                    weights: tuple) -> np.ndarray:
-    """The (laws, 3N, 3N) stack of the gate's ``form_matrices`` over the laws
-    (xi, p), from one hat table over all laws, built without floating-point
-    warnings: an overflow gives non-finite forms, which ``_eigen_report``
-    fails."""
+    """The gate's ``form_matrices`` over the distinct laws of (xi, p): from
+    one hat table over all laws, a (1, 3N, 3N) stack when that table is
+    law-free (``_distinct_laws``), else the (laws, 3N, 3N) stack, built
+    without floating-point warnings: an overflow gives non-finite forms,
+    which ``_eigen_report`` fails."""
     _require_laws(xi, p)
     with np.errstate(all="ignore"):
-        return form_matrices(hat_derivative_table(model, xi, p), weights)
+        return form_matrices(_distinct_laws(hat_derivative_table(model, xi, p)), weights)
 
 
 def check_ll_condition(model: Model, xi: np.ndarray, p: np.ndarray,
@@ -195,7 +233,7 @@ def check_ll_condition(model: Model, xi: np.ndarray, p: np.ndarray,
     """Exact test of the Lasry-Lions quadratic-form condition on each law
     (xi, p): the form's maximum over unit-RMS (eta, gamma, zeta) is <= tol."""
     return _eigen_report("lasry_lions_hamiltonian",
-                         _gate_matrices(model, xi, p, (1.0, 0.0, 0.0)), tol)
+                         _gate_matrices(model, xi, p, (1.0, 0.0, 0.0)), len(xi), tol)
 
 
 def check_disp_condition(model: Model, lam: float, xi: np.ndarray, p: np.ndarray,
@@ -206,7 +244,7 @@ def check_disp_condition(model: Model, lam: float, xi: np.ndarray, p: np.ndarray
     if lam < 0:
         raise ConditionError("lambda must be nonnegative")
     return _eigen_report("displacement_hamiltonian",
-                         _gate_matrices(model, xi, p, (1.0, 1.0, lam)), tol)
+                         _gate_matrices(model, xi, p, (1.0, 1.0, lam)), len(xi), tol)
 
 
 def matrix1_assemble(c1: float, c2: float, c3: float, db1_dm1: float,
@@ -282,7 +320,8 @@ def check_disp_sufficient(model: Model, lam: float, c0: float, xi: np.ndarray,
     the witness, h_prho2 before h_pp.  Then the minimum of the (xi, eta)-only
     form of ``sufficient_matrix`` over unit-RMS eta, N times its smallest
     eigenvalue, must be >= -tol (default REL_TOL max(1, |value|)), judged by
-    ``_eigen_report``.  For a control-coupled model the scalar parameter
+    ``_eigen_report``, both stages over the distinct laws of one hat table
+    (``_distinct_laws``).  For a control-coupled model the scalar parameter
     inequality is evaluated exactly and reported alongside, and it must
     hold too.
     """
@@ -297,8 +336,8 @@ def check_disp_sufficient(model: Model, lam: float, c0: float, xi: np.ndarray,
     with np.errstate(all="ignore"):
         if control_coupling(model) is not None:
             details["scalar_inequality"] = _scalar_disp_inequality(model, c0)
-        table = hat_derivative_table(model, xi, p)
-        prho2 = np.abs(table.h_prho2).reshape(laws, -1).max(axis=1)
+        table = _distinct_laws(hat_derivative_table(model, xi, p))
+        prho2 = np.abs(table.h_prho2).reshape(len(table.h_pp), -1).max(axis=1)
         pp = table.h_pp.max(axis=1)
         over = ~(prho2 <= c0 + 1e-9)
         bad = np.flatnonzero(over | ~(pp < -c0 - 1e-12))
@@ -317,7 +356,7 @@ def check_disp_sufficient(model: Model, lam: float, c0: float, xi: np.ndarray,
         )
     with np.errstate(all="ignore"):
         matrices = sufficient_matrix(table, lam, c0)
-    report = _eigen_report("displacement_sufficient", matrices, tol, sign=-1,
+    report = _eigen_report("displacement_sufficient", matrices, laws, tol, sign=-1,
                            blocks=("eta",), details=details)
     report.passed = report.passed and details.get("scalar_inequality", {}).get("holds", True)
     return report

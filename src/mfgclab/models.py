@@ -100,10 +100,6 @@ class MeanPoly2:
     def zero(cls) -> "MeanPoly2":
         return cls((0.0,))
 
-    @classmethod
-    def linear(cls, const: float = 0.0, m1: float = 0.0, m2: float = 0.0) -> "MeanPoly2":
-        return cls((const, m1, m2))
-
 
 @dataclass(frozen=True)
 class QuadraticTerminalCost:

@@ -1,7 +1,9 @@
 """Reference implementation of the quadratic forms L, Ibar, DX2 and the
 displacement form, the oracle of both paths that evaluate them: the gates'
 closed-form matrices (``conditions.form_matrices``) and the traces' atom
-sums (``propagation.evaluate_rhs_formulas``).
+sums (``propagation.evaluate_rhs_formulas``).  Also the every-law judge of
+the eigen-judged gates, the oracle of the gates' one-law path on law-free
+hat tables.
 
 Each form is written out as the atom sums of its definition, one direction
 (eta, gamma, zeta) at a time.  Double sums run over all atom pairs
@@ -10,7 +12,16 @@ derivative tables put the base point at atom i and the support atom at j.
 """
 import numpy as np
 
+from mfgclab.conditions import (
+    PASS_SLACK,
+    REL_TOL,
+    _scalar_disp_inequality,
+    control_coupling,
+    form_matrices,
+    sufficient_matrix,
+)
 from mfgclab.models import HatTable
+from mfgclab.reports import ConditionReport
 from reference_variational import dx_velocity
 
 
@@ -52,3 +63,72 @@ def disp_form(table: HatTable, eta: np.ndarray, gamma: np.ndarray, zeta: np.ndar
     system.  It depends on gamma and zeta only through gamma + zeta."""
     return (ll_form(table, eta, gamma, zeta) + ibar_form(table, eta, gamma, zeta)
             + lam * dx2_form(table, eta, gamma, zeta))
+
+
+def every_law_eigen_report(condition: str, matrices: np.ndarray, tol: float | None,
+                           sign: int = 1, blocks: tuple = ("eta", "gamma", "zeta"),
+                           details: dict | None = None) -> ConditionReport:
+    """The eigenvalue judge of ``conditions._eigen_report`` with one
+    eigenproblem per law, whatever the laws share: value = N lambda of each
+    law's matrix (the largest eigenvalue for sign = 1, the smallest for
+    sign = -1), a NaN value for a non-finite matrix, and the unit-RMS
+    eigenvector of the worst law as the witness."""
+    n = matrices.shape[-1] // len(blocks)
+    column = -1 if sign > 0 else 0
+    finite = np.isfinite(matrices).all(axis=(-2, -1))
+    matrices = np.where(finite[:, None, None], matrices, 0.0)
+    values = np.where(finite, n * np.linalg.eigvalsh(matrices)[:, column], np.nan)
+    threshold = tol if tol is not None else REL_TOL * np.maximum(1.0, np.abs(values))
+
+    def witness(worst: int) -> dict:
+        found = {"sample": worst, "value": float(values[worst])}
+        if finite[worst]:
+            vector = np.sqrt(n) * np.linalg.eigh(matrices[worst])[1][:, column]
+            found.update((name, part.tolist())
+                         for name, part in zip(blocks, np.split(vector, len(blocks))))
+        return found
+
+    return ConditionReport.judge(
+        condition, threshold - sign * values, tol if tol is not None else REL_TOL,
+        witness, PASS_SLACK,
+        {"max_value": float(np.max(values))} if details is None else details)
+
+
+def every_law_gate(condition: str, table: HatTable, weights: tuple,
+                   tol: float | None = None) -> ConditionReport:
+    """The gate of ``form_matrices`` weights, the ll gate's (1, 0, 0) or the
+    displacement gate's (1, 1, lam), judged on every law of the stacked
+    table."""
+    with np.errstate(all="ignore"):
+        matrices = form_matrices(table, weights)
+    return every_law_eigen_report(condition, matrices, tol)
+
+
+def every_law_sufficient(model, lam: float, c0: float, table: HatTable,
+                         tol: float | None = None) -> ConditionReport:
+    """``conditions.check_disp_sufficient`` judged on every law of the
+    stacked table: the first law that breaks a hypothesis, h_prho2 before
+    h_pp, then the eigenvalue test of every law's ``sufficient_matrix``."""
+    laws = len(table.h_pp)
+    details: dict = {}
+    with np.errstate(all="ignore"):
+        if control_coupling(model) is not None:
+            details["scalar_inequality"] = _scalar_disp_inequality(model, c0)
+        prho2 = np.abs(table.h_prho2).reshape(laws, -1).max(axis=1)
+        pp = table.h_pp.max(axis=1)
+        over = ~(prho2 <= c0 + 1e-9)
+        bad = np.flatnonzero(over | ~(pp < -c0 - 1e-12))
+    if bad.size:
+        idx = int(bad[0])
+        bound, value = ("h_prho2", prho2[idx]) if over[idx] else ("h_pp", pp[idx])
+        return ConditionReport(
+            condition="displacement_sufficient", n_samples=laws, worst_margin=-np.inf,
+            passed=False, tolerance=tol if tol is not None else REL_TOL,
+            witness={"sample": idx, "bound": bound, "value": float(value), "c0": c0},
+            failure_kind="hypothesis", details=details)
+    with np.errstate(all="ignore"):
+        matrices = sufficient_matrix(table, lam, c0)
+    report = every_law_eigen_report("displacement_sufficient", matrices, tol, sign=-1,
+                                    blocks=("eta",), details=details)
+    report.passed = report.passed and details.get("scalar_inequality", {}).get("holds", True)
+    return report

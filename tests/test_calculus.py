@@ -27,7 +27,7 @@ def ll_flow(model):
 
 
 # The ll_example preset with c1 = 0.5, c2 = 0.05, c3 = 0.1: linear-quadratic.
-LQ_COUPLED = Model(b0=(1, 0, 0), f0=(0, 0, 0, 0.5), B=MeanPoly2.linear(m2=0.75),
+LQ_COUPLED = Model(b0=(1, 0, 0), f0=(0, 0, 0, 0.5), B=MeanPoly2((0, 0, 0.75)),
                    q1=0.05, q2=0.1, g=QuadraticTerminalCost(xx=0.5, xm=0.1))
 
 

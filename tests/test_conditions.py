@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -5,13 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_forms import disp_form, dx2_form, ibar_form, ll_form
+from reference_forms import (
+    disp_form,
+    dx2_form,
+    every_law_gate,
+    every_law_sufficient,
+    ibar_form,
+    ll_form,
+)
 from test_calculus import coefficient, random_models
 
 from mfgclab import conditions
 from mfgclab.conditions import (
     ANTI_BOUNDS,
     ConditionError,
+    _distinct_laws,
     anti_theta1,
     check_anti_assumption,
     check_disp_condition,
@@ -159,20 +168,23 @@ class TestConditionSamples:
         with pytest.raises(ConditionError, match=rf"laws of shape \({shape[0]}, {shape[1]}\)"):
             checker(model, np.zeros(shape), np.zeros(shape))
 
-    def test_each_law_draws_its_feedback_then_its_states(self):
+    @pytest.mark.parametrize("laws, atoms", [(4, 6), (5, 6), (1, 6), (4, 1), (41, 16)],
+                             ids=["even", "odd", "one_law", "one_atom", "odd_shipped"])
+    def test_each_law_draws_its_feedback_then_its_states(self, laws, atoms):
         # Even laws take an affine feedback, odd laws a clipped cubic, from
-        # one generator in law order.
-        xi, p = make_condition_samples(4, 6, seed=5)
-        assert xi.shape == p.shape == (4, 6)
+        # one generator in law order, each law drawn by its own calls: the
+        # one-draw sampler is bit-identical to it.
+        xi, p = make_condition_samples(laws, atoms, seed=5)
+        assert xi.shape == p.shape == (laws, atoms)
         rng = np.random.default_rng(5)
-        for k in range(4):
+        for k in range(laws):
             if k % 2 == 0:
                 intercept, slope = rng.normal(0, 0.5), rng.normal(0, 1.0)
-                x = rng.normal(0.0, 1.0, 6)
+                x = rng.normal(0.0, 1.0, atoms)
                 want = intercept + slope * x
             else:
                 coeffs = rng.normal(0, 0.5, size=4)
-                x = rng.normal(0.0, 1.0, 6)
+                x = rng.normal(0.0, 1.0, atoms)
                 want = np.clip(np.polynomial.polynomial.polyval(x, coeffs), -3.0, 3.0)
             assert np.array_equal(xi[k], x) and np.array_equal(p[k], want), k
 
@@ -239,22 +251,27 @@ class TestFormMatrices:
 
     def test_gates_peak_memory_on_40_laws(self):
         # One hat table over all laws, and only the gate's one form, built
-        # and symmetrised in place with temporaries of one block: 737 KB of
-        # matrices and their symmetrising copy.  Each gate peaks at 2.05 MB
-        # (numpy 2.4); the bound leaves 12 % headroom, below the 2.53 MB of
-        # building all three forms.
-        model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
+        # and symmetrised in place with temporaries of one block.  On
+        # chain.ini's law-dependent model that is 737 KB of matrices and
+        # their symmetrising copy: each gate peaks at 2.05 MB (numpy 2.4),
+        # and the bound leaves 12 % headroom, below the 2.53 MB of building
+        # all three forms.  ll_example's table is law-free, so the gates
+        # build one law's form: each peaks at 520 KB, the table itself,
+        # and the bound leaves 15 % headroom, far below the every-law build.
+        chain = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
+        law_free = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2((0, 0, 0.75)))
         xi, p = make_condition_samples(40, 16, seed=1)
-        check_ll_condition(model, xi, p)
-        for gate in (lambda: check_ll_condition(model, xi, p),
-                     lambda: check_disp_condition(model, 0.5, xi, p)):
-            tracemalloc.start()
-            try:
-                gate()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 2_300_000
+        check_ll_condition(law_free, xi, p)
+        for model, bound in ((chain, 2_300_000), (law_free, 600_000)):
+            for gate in (lambda: check_ll_condition(model, xi, p),
+                         lambda: check_disp_condition(model, 0.5, xi, p)):
+                tracemalloc.start()
+                try:
+                    gate()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= bound
 
     def test_permuting_atoms_permutes_blocks(self):
         model = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
@@ -270,19 +287,19 @@ class TestFormMatrices:
 
 class TestLLCondition:
     def test_passing_parameters(self):
-        model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
+        model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2((0, 0, 0.75)))
         report = check_ll_condition(model, *make_condition_samples(40, 16, seed=1))
         assert report.passed
 
     def test_failing_parameters_produce_mean_directed_witness(self):
-        model = ll_example_model(c1=0.5, c2=0.03, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
+        model = ll_example_model(c1=0.5, c2=0.03, c3=0.1, b1=MeanPoly2((0, 0, 0.75)))
         report = check_ll_condition(model, *make_condition_samples(40, 16, seed=1))
         assert not report.passed
         eta = np.asarray(report.witness["eta"])
         assert np.allclose(eta, eta[0])  # all mass on the mean direction
 
     def test_zero_variables_trivially_pass(self):
-        model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
+        model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2((0, 0, 0.75)))
         xi = np.linspace(-1, 1, 8)[None, :]
         table = hat_derivative_table(model, xi[0], xi[0])
         zero = np.zeros(8)
@@ -291,19 +308,19 @@ class TestLLCondition:
         assert check_ll_condition(model, xi, xi).passed
 
     def test_matrix_pass_implies_form_pass_over_500_samples(self):
-        model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
+        model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2((0, 0, 0.75)))
         assert check_matrix1(**PASSING).passed
         samples = make_condition_samples(500, 16, seed=77)
         report = check_ll_condition(model, *samples)
         assert report.passed
         # Converse (form failure when the matrix fails) is empirical; record it.
-        model_bad = ll_example_model(c1=0.5, c2=0.03, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
+        model_bad = ll_example_model(c1=0.5, c2=0.03, c3=0.1, b1=MeanPoly2((0, 0, 0.75)))
         report_bad = check_ll_condition(model_bad, *samples)
         assert not check_matrix1(**FAILING).passed
         assert not report_bad.passed
 
     def test_exchangeability_under_atom_relabeling(self):
-        model = ll_example_model(c1=0.4, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.5))
+        model = ll_example_model(c1=0.4, c2=0.05, c3=0.1, b1=MeanPoly2((0, 0, 0.5)))
         rng = np.random.default_rng(3)
         (xi,), (p,) = make_condition_samples(1, 12, seed=9)
         eta, gamma, zeta = rng.normal(size=(3, 12))
@@ -314,7 +331,7 @@ class TestLLCondition:
                        zeta[perm]) == pytest.approx(value, abs=1e-14)
 
     def test_witness_attains_reported_value(self):
-        model = ll_example_model(c1=0.5, c2=0.03, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
+        model = ll_example_model(c1=0.5, c2=0.03, c3=0.1, b1=MeanPoly2((0, 0, 0.75)))
         xi, p = make_condition_samples(40, 16, seed=1)
         report = check_ll_condition(model, xi, p)
         witness = report.witness
@@ -343,15 +360,118 @@ def test_non_finite_forms_fail_the_gate_on_their_law(gate):
     assert report.witness["sample"] == 3 and np.isnan(report.witness["value"])
 
 
+def non_finite_laws():
+    """Laws whose atom 2 sits at 1e200 on every law."""
+    xi, p = make_condition_samples(40, 16, seed=1)
+    xi[:, 2] = 1e200
+    return xi, p
+
+
+class TestDistinctLaws:
+    """A law-free hat table is judged on law 0 alone, and gives the report
+    of judging every law (``reference_forms.every_law_*``)."""
+
+    # name: (model, lam, c0, laws, law_free)
+    CASES = {
+        "law_free_pass": (disp_example_model(c=0.5, b1=MeanPoly2((0, 0, 0.6)),
+                                             f1_x=(0, 0, 0.25)), 0.5, 0.2, None, True),
+        "law_free_fail": (ll_example_model(c1=0.5, c2=0.03, c3=0.1,
+                                           b1=MeanPoly2((0, 0, 0.75))), 0.5, 0.6, None, True),
+        "chain": (ExperimentConfig.from_ini(CONFIGS / "chain.ini").model(), 0.5, 0.6, None,
+                  False),
+        "meanfield_1d": (Model(b0=(1, 0.3, 0), f0=(0, 0, 0, 0.5)), 0.5, 0.6, None, False),
+        # Only h_xx, through the quartic f1_x, depends on the law.
+        "quartic": (disp_example_model(c=0.5, b1=MeanPoly2((0, 0, 0.6)),
+                                       f1_x=(0, 0, 0.25, 0, 0.05)), 0.5, 0.2, None, False),
+        # Within the sufficient condition's hypotheses: its eigenvalue
+        # stage fails on law 37 alone.
+        "x_dependent": (Model(b0=(1.0, 0.05, 0.0), f0=(0.0, 0.1, 0.0, 0.5),
+                              B=MeanPoly2((0.0, -0.1, 0.5)), f1_x=(0.0, 0.0, 0.25), q2=0.3),
+                        0.5, 0.3, None, False),
+        # -inf in h_pp and h_prho2 on every law, bitwise alike.
+        "non_finite_law_free": (Model(b0=(1e200, 0, 0), f0=(0, 0, 0, 0.5)), 0.5, 0.6, None,
+                                True),
+        "non_finite": (Model(b0=(1.0, 1.0, 0.0), f0=(0.0, 0.0, 0.0, 0.5)), 0.5, 0.6,
+                       non_finite_laws(), False),
+    }
+    GATES = {
+        "ll": (lambda model, lam, c0, xi, p: check_ll_condition(model, xi, p),
+               lambda model, lam, c0, table: every_law_gate(
+                   "lasry_lions_hamiltonian", table, (1.0, 0.0, 0.0))),
+        "disp": (lambda model, lam, c0, xi, p: check_disp_condition(model, lam, xi, p),
+                 lambda model, lam, c0, table: every_law_gate(
+                     "displacement_hamiltonian", table, (1.0, 1.0, lam))),
+        "disp_sufficient": (check_disp_sufficient, every_law_sufficient),
+    }
+
+    @staticmethod
+    def assert_same_report(got, want):
+        # The bytes of report.json: a float equal by value but not by bits,
+        # a signed zero say, differs in its repr.
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+    @pytest.mark.parametrize("gate", sorted(GATES))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_report_equals_every_law_judge(self, case, gate):
+        model, lam, c0, laws, law_free = self.CASES[case]
+        xi, p = laws if laws is not None else make_condition_samples(40, 16, seed=1)
+        with np.errstate(all="ignore"):
+            table = hat_derivative_table(model, xi, p)
+        assert len(_distinct_laws(table).h_pp) == (1 if law_free else 40)
+        judge, reference = self.GATES[gate]
+        report = judge(model, lam, c0, xi, p)
+        self.assert_same_report(report, reference(model, lam, c0, table))
+        assert report.n_samples == 40
+        if case == "law_free_pass":
+            assert report.passed
+        elif case == "law_free_fail":
+            assert not report.passed and report.failure_kind is None
+            assert report.witness["sample"] == 0 and "eta" in report.witness
+        elif case == "x_dependent" and gate != "ll":
+            assert report.witness["sample"] == 37 and report.failure_kind is None
+
+    @pytest.mark.parametrize("gate", sorted(GATES))
+    def test_signed_zero_takes_the_every_law_path(self, gate, monkeypatch):
+        # Law 5's h_xp, zero on every law, is -0.0 at one atom: equal by
+        # value, not by bits, so every law is judged.
+        model, lam, c0, _, _ = self.CASES["law_free_fail"]
+        xi, p = make_condition_samples(40, 16, seed=1)
+        table = hat_derivative_table(model, xi, p)
+        assert np.all(table.h_xp == 0.0) and not np.signbit(table.h_xp[5, 3])
+        table.h_xp[5, 3] = -0.0
+        assert len(_distinct_laws(table).h_pp) == 40
+        monkeypatch.setattr(conditions, "hat_derivative_table", lambda model, xi, p: table)
+        judged, eigenvalues = [], conditions._eigenvalues
+        monkeypatch.setattr(conditions, "_eigenvalues",
+                            lambda matrices: judged.append(len(matrices)) or eigenvalues(matrices))
+        judge, reference = self.GATES[gate]
+        self.assert_same_report(judge(model, lam, c0, xi, p),
+                                reference(model, lam, c0, table))
+        assert judged == [40]
+
+    def test_every_shipped_gate_is_law_free_but_chain(self):
+        # The families that qualify: on every shipped config, whose families
+        # are ll_example, disp_example, anti_example and separable, one law
+        # stands for all; on chain.ini's meanfield_1d model (b0x != 0, a
+        # cubic f1_x and a quadratic mean coupling) no law does.
+        for path in sorted(CONFIGS.glob("*.ini")):
+            cfg = ExperimentConfig.from_ini(path)
+            laws, atoms = cfg.check_sizes()
+            table = hat_derivative_table(cfg.model(),
+                                         *make_condition_samples(laws, atoms, cfg.seed))
+            want = laws if path.name == "chain.ini" else 1
+            assert len(_distinct_laws(table).h_pp) == want, path.name
+
+
 class TestDispCondition:
     def test_quadratic_cost_passes(self):
-        model = disp_example_model(c=0.5, b1=MeanPoly2.linear(m2=0.6), f1_x=(0, 0, 0.25))
+        model = disp_example_model(c=0.5, b1=MeanPoly2((0, 0, 0.6)), f1_x=(0, 0, 0.25))
         report = check_disp_condition(model, 0.0, *make_condition_samples(40, 16, seed=2))
         assert report.passed
 
     def test_strong_negative_state_coupling_fails(self):
         # f1 = (kappa/2) x^2 - K x E[xi] with K > kappa: the mean direction wins.
-        model = disp_example_model(c=0.5, b1=MeanPoly2.linear(m2=0.6),
+        model = disp_example_model(c=0.5, b1=MeanPoly2((0, 0, 0.6)),
                                    f1_x=(0, 0, 0.25), q1=-0.8)
         report = check_disp_condition(model, 0.0, *make_condition_samples(40, 16, seed=2))
         assert not report.passed
@@ -361,7 +481,7 @@ class TestDispCondition:
     def test_semi_monotone_gate_ends_at_lambda_one(self, lam, passed):
         # The semi-monotone model: its exact maximum is 0 up to lambda = 1
         # and +6.7e-2 on every law at lambda = 1.05.
-        model = disp_example_model(c=0.5, b1=MeanPoly2.linear(m2=0.6), f1_x=(0, 0, 0.5))
+        model = disp_example_model(c=0.5, b1=MeanPoly2((0, 0, 0.6)), f1_x=(0, 0, 0.5))
         xi, p = make_condition_samples(40, 16, seed=11)
         report = check_disp_condition(model, lam, xi, p)
         assert report.passed is passed
@@ -376,7 +496,7 @@ class TestDispCondition:
 
 class TestDispSufficient:
     def make_model(self, kappa=0.5, q1=0.0):
-        return disp_example_model(c=0.5, b1=MeanPoly2.linear(m2=0.6),
+        return disp_example_model(c=0.5, b1=MeanPoly2((0, 0, 0.6)),
                                   f1_x=(0, 0, kappa / 2), q1=q1)
 
     def test_passes_with_matching_c0(self):

@@ -100,7 +100,7 @@ class TestHamiltonian:
         rng = np.random.default_rng(21)
         for model in (
             Model(b0=(-1, 0, 0)),
-            ll_model(c1=0.4, c2=0.1, c3=0.2, b1=MeanPoly2.linear(m2=0.5)),
+            ll_model(c1=0.4, c2=0.1, c3=0.2, b1=MeanPoly2((0, 0, 0.5))),
             preset_model(PRESETS["disp_example"]),
             preset_model(FULL_MEANFIELD),
         ):
@@ -126,7 +126,7 @@ class TestMinimizer:
 
     def test_grid_search_oracle_agreement(self):
         rng = np.random.default_rng(5)
-        model = ll_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75))
+        model = ll_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2((0, 0, 0.75)))
         for _ in range(50):
             x, p, m1, m2 = (float(v) for v in rng.normal(size=4))
             closed = float(model.control(x, p, m1, m2))
@@ -222,7 +222,7 @@ class TestHatDerivatives:
     def test_ll_example_constants(self):
         c1, c2, c3 = 0.5, 0.05, 0.1
         db1_dm1, db1_dm2 = 0.2, 0.75
-        model = ll_model(c1=c1, c2=c2, c3=c3, b1=MeanPoly2.linear(m1=db1_dm1, m2=db1_dm2))
+        model = ll_model(c1=c1, c2=c2, c3=c3, b1=MeanPoly2((0, db1_dm1, db1_dm2)))
         table = hat_derivative_table(model, *random_law(np.random.default_rng(23), n=6))
         chat, cbar = c1 / (1 - c1), 1 / (1 - c1)
         assert np.allclose(table.h_pp, -1.0)
@@ -357,7 +357,7 @@ class TestEnvelopeIdentities:
         assert report.details["max_residual"] <= 1e-9
 
     def test_ll_example_within_tolerance(self):
-        model = ll_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2.linear(m2=0.75),
+        model = ll_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2((0, 0, 0.75)),
                          b2_x=(0.0, 0.1), f1_x=(0.0, 0.0, 0.2))
         report = verify_envelope_identities(model, sample_count=50, seed=2)
         assert report.passed

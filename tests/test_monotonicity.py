@@ -271,7 +271,7 @@ class TestBattery:
 class TestSweepWithSolver:
     def test_ll_sweep_on_monotone_terminal(self):
         model = Model(  # the ll_example preset with c1 = 0.5, c2 = 0.05, c3 = 0.1
-            b0=(1, 0, 0), f0=(0, 0, 0, 0.5), B=MeanPoly2.linear(m2=0.75),
+            b0=(1, 0, 0), f0=(0, 0, 0, 0.5), B=MeanPoly2((0, 0, 0.75)),
             f1_x=(0.0, 0.0, 0.125), q1=0.05, q2=0.1,
             g=QuadraticTerminalCost(xx=0.25, xm=0.1),
         )

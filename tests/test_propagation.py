@@ -90,7 +90,7 @@ def anti(lvec, lu_xx=1.0):
 
 
 def disp_example_model():
-    return Model(b0=(1, 0, 0), f0=(0, 0, 0, 0.5), B=MeanPoly2.linear(m2=0.6),
+    return Model(b0=(1, 0, 0), f0=(0, 0, 0, 0.5), B=MeanPoly2((0, 0, 0.6)),
                  f1_x=(0, 0, 0.25), g=QuadraticTerminalCost(xx=1.0))
 
 
@@ -130,7 +130,7 @@ def shipped_ll_batch():
 
 def ll_setup(t_end=0.25, n_x=81, c2=0.05, terminal=None, seed=7):
     terminal = terminal or QuadraticTerminalCost(xx=0.25, xm=0.1)
-    model = Model(b0=(1, 0, 0), f0=(0, 0, 0, 0.5), B=MeanPoly2.linear(m2=0.75),
+    model = Model(b0=(1, 0, 0), f0=(0, 0, 0, 0.5), B=MeanPoly2((0, 0, 0.75)),
                   f1_x=(0.0, 0.0, 0.125), q1=c2, q2=0.1, g=terminal)
     grid = Grid.with_cfl_steps(-6.0, 6.0, n_x, 0.0, t_end)
     pic = PicardSettings(max_iter=200, tol=1e-10, damping=0.6)
