@@ -17,6 +17,13 @@ parts of the Hamiltonian that depend on each level's moments once, for all
 levels (``models.mean_terms``), and the backward sweep also their
 x-dependent parts on the grid (``models.hamiltonian_terms``) before it
 starts.  ``solve_mfgc`` iterates the map, Anderson-mixed, to tolerance.
+The mixing keeps ANDERSON_DEPTH = 8 differences, which holds every
+difference a shipped ll solve forms (they converge within nine sweeps, so
+they store at most seven).  At depth 5 the iterate of sweep 8 is the first
+mixed without the oldest difference, and its residual stalls (2.4e-9, then
+9.7e-10 on ``ll_propagation.ini``) where depth 8 converges at that sweep.
+That cost every shipped ll solve one sweep, and the stiff c1 -> 1 solves of
+``ll_example`` up to a third of theirs (67 sweeps at c1 = 0.998, against 46).
 
 The per-level loops (the backward sweep, the forward push and the pass
 that builds M) are bound by numpy's per-call cost, not by arithmetic, so a
@@ -69,7 +76,7 @@ from .models import (
 from .reports import write_csv
 
 CFL_SAFETY = 0.45
-ANDERSON_DEPTH = 5
+ANDERSON_DEPTH = 8
 
 
 class SolverError(RuntimeError):
@@ -447,14 +454,16 @@ def solve_mfgc(model: Model, x0: np.ndarray, grid: Grid,
     next iterate is omega prop + (1 - omega) x - (dX + omega dF) gamma, where
     gamma is the least-squares solution of dF gamma = f and omega is
     ``picard.damping``.  With one sweep stored it is the plain damped step,
-    so depth 0 would be damped Picard.  The differences are kept, oldest
-    first, in two arrays that each sweep shifts by one row; a residual that
-    is not finite ends the solve with a ``SolverError``.  The returned flow is the accepted
-    Picard proposal: its momenta equal the value gradient interpolated at its
-    own states, and its per-step control laws are the exact fixed point of
-    its (state, momentum) laws.  The stored value grid is the one the final
-    sweep solved against the previous flow; at tolerance the two coincide up
-    to the Picard residual.
+    so depth 0 would be damped Picard.  The depth is 8 so that the ll solves
+    keep every difference they form: depth 5 dropped the first one at sweep
+    8 and cost them a sweep (see the module docstring).  The differences are
+    kept, oldest first, in two arrays that each sweep shifts by one row; a
+    residual that is not finite ends the solve with a ``SolverError``.  The
+    returned flow is the accepted Picard proposal: its momenta equal the
+    value gradient interpolated at its own states, and its per-step control
+    laws are the exact fixed point of its (state, momentum) laws.  The
+    stored value grid is the one the final sweep solved against the previous
+    flow; at tolerance the two coincide up to the Picard residual.
     """
     x0 = np.array(x0, dtype=float)
     if x0.ndim != 1 or x0.size == 0:

@@ -5,11 +5,14 @@ iteration it accelerates, written out on its own: from the uncontrolled
 flow, the next flow is ``omega * prop + (1 - omega) * x`` after every sweep,
 until the residual reaches the tolerance.  ``anderson_picard`` is the mixed
 iteration with its history kept as lists of the last ANDERSON_DEPTH + 1
-iterates and updates, differenced anew at every sweep.  The accepted flow is
-the final proposal with the terminal momenta refreshed from g, as in
-``solve_mfgc``.  Both build the uncontrolled flow level by level and take
-the residual from ``quantile_dist``: the arithmetic that ``solve_mfgc``
-writes in fewer calls, so a bit-for-bit comparison checks those calls too.
+iterates and updates, differenced anew at every sweep.  The depth is the
+solver's, 8, which holds every difference a shipped ll solve forms; depth 5
+dropped the first one at sweep 8 and cost those solves a sweep.  The
+accepted flow is the final proposal with the terminal momenta refreshed
+from g, as in ``solve_mfgc``.  Both build the uncontrolled flow level by
+level and take the residual from ``quantile_dist``: the arithmetic that
+``solve_mfgc`` writes in fewer calls, so a bit-for-bit comparison checks
+those calls too.
 
 ``backward_value`` and ``forward_push`` are the two halves of ``_sweep`` as
 plain level-by-level recurrences: u_k = u + dt (u_xx / 2 + H(x, u_x)) with

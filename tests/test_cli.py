@@ -120,8 +120,8 @@ SHIPPED_VIOLATIONS = {
 # The Picard sweeps of each shipped config's solve at its shipped size.
 SHIPPED_SWEEPS = {
     "anti_propagation": 6, "disp_propagation": 6, "disp_semi_negative_control": 6,
-    "disp_semi_propagation": 6, "ll_mono": 9, "ll_negative_control": 10,
-    "ll_propagation": 9, "lq_solve": 2,
+    "disp_semi_propagation": 6, "ll_mono": 8, "ll_negative_control": 9,
+    "ll_propagation": 8, "lq_solve": 2,
 }
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from reference_picard import anderson_picard, backward_value, forward_push, plain_picard
 from reference_resolve import resolve_field, ux_at
 from scipy.integrate import solve_ivp
-from test_calculus import at_level, random_models
+from test_calculus import at_level, ll_flow, random_models
 from test_models import PRESET_FACTORIES
 
 from mfgclab import solver
@@ -243,10 +244,14 @@ class TestAndersonMixing:
         return got
 
     def test_mixing_is_the_list_reference_on_a_preset(self):
-        # The solve fills the history and rolls it over.
-        _, _, history = self.assert_mixing_is_the_list_reference(
-            *self.CASES["ll_propagation"]())
-        assert len(history) > ANDERSON_DEPTH + 2
+        # A tolerance out of reach runs every sweep: the history fills at
+        # sweep ANDERSON_DEPTH + 1 and rolls over at each of the last three,
+        # and both solves end in the same PicardError.
+        model, x0, grid, pic, seed = self.CASES["ll_propagation"]()
+        pic = PicardSettings(max_iter=ANDERSON_DEPTH + 4, tol=1e-300, damping=pic.damping)
+        error, history = self.assert_mixing_is_the_list_reference(model, x0, grid, pic, seed)
+        assert error is PicardError
+        assert len(history) == ANDERSON_DEPTH + 4
 
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
     @given(model=random_models(), seed=st.integers(0, 2**16))
@@ -256,7 +261,19 @@ class TestAndersonMixing:
         grid = Grid.with_cfl_steps(-4.0, 4.0, 31, 0.0, 0.2)
         self.assert_mixing_is_the_list_reference(
             model, gaussian_quantile_cloud(8, 0.0, 0.5), grid,
-            PicardSettings(max_iter=12, tol=1e-300, damping=0.5), seed)
+            PicardSettings(max_iter=ANDERSON_DEPTH + 4, tol=1e-300, damping=0.5), seed)
+
+    def test_stiff_control_coupling_solves_in_fewer_sweeps_than_depth_five(self, monkeypatch):
+        # At c1 = 0.99, the stiff end of the control-coupling axis, the solve
+        # uses more than five differences: depth 5 drops the oldest of them
+        # and takes four sweeps more to the same tolerance.
+        model = replace(coupled_model(), f0=(0, 0, 0, 0.99))
+        flow = ll_flow(model)[1]
+        monkeypatch.setattr(solver, "ANDERSON_DEPTH", 5)
+        shallow = ll_flow(model)[1]
+        assert flow.picard_iterations < shallow.picard_iterations
+        assert flow.picard_iterations == 20
+        assert np.max(np.abs(flow.states - shallow.states)) <= 1e-9
 
     def test_uncoupled_solve_is_the_plain_step_bit_for_bit(self):
         # The uncoupled map is constant, so one undamped step lands on its
