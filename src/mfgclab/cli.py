@@ -27,10 +27,8 @@ import numpy as np
 from . import __version__
 from .calculus import chain_rule_check
 from .conditions import (
-    ConditionError,
     check_disp_sufficient,
     check_f_monotone,
-    check_matrix1,
     control_coupling,
     make_condition_samples,
 )
@@ -112,15 +110,6 @@ def _plot_script(out_dir: Path, kind: str, csv_name: str) -> None:
     (out_dir / "plot.gp").write_text("\n".join(lines) + "\n")
 
 
-def _coupling(model, checker: str) -> float:
-    """c of a control-coupled model, which the matrix1 and disp_sufficient
-    checkers need; any other model is a config error."""
-    c = control_coupling(model)
-    if c is None:
-        raise ConfigError(f"checker {checker!r} needs b0 = (1, 0, 0) and f0 = (0, 0, 0, c)")
-    return c
-
-
 def run_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     model = cfg.model()
     n_samples, n_atoms = cfg.check_sizes()
@@ -131,15 +120,11 @@ def run_check(cfg: ExperimentConfig, out_dir: Path) -> int:
             reports.append(cfg.monotonicity_kind(name).gate(model, xi, p))
         elif name == "envelope":
             reports.append(verify_envelope_identities(model, sample_count=200, seed=cfg.seed))
-        elif name == "matrix1":
-            bmean = model.B.coeffs
-            try:
-                reports.append(check_matrix1(_coupling(model, name), model.q1, model.q2,
-                                             bmean[1], bmean[2]))
-            except ConditionError as err:
-                raise ConfigError(f"checker {name!r}: {err}") from err
         elif name == "disp_sufficient":
-            c = _coupling(model, name)
+            c = control_coupling(model)
+            if c is None:
+                raise ConfigError("checker 'disp_sufficient' needs b0 = (1, 0, 0) and "
+                                  "f0 = (0, 0, 0, c)")
             c0 = abs((model.B.coeffs[2] - c) / (1.0 - c))
             reports.append(check_disp_sufficient(model, cfg.lam(), c0, xi, p))
         else:  # fmon

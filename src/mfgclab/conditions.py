@@ -247,33 +247,6 @@ def check_disp_condition(model: Model, lam: float, xi: np.ndarray, p: np.ndarray
                          _gate_matrices(model, xi, p, (1.0, 1.0, lam)), len(xi), tol)
 
 
-def matrix1_assemble(c1: float, c2: float, c3: float, db1_dm1: float,
-                     db1_dm2: float) -> np.ndarray:
-    if not 0.0 < c1 < 1.0:
-        raise ConditionError(f"c1 must lie in (0, 1), got {c1}")
-    chat1 = c1 / (1.0 - c1)
-    cbar1 = 1.0 / (1.0 - c1)
-    chat3 = c3 / (1.0 - c1)
-    h_prho2 = cbar1 * db1_dm2 - chat1
-    return np.array([
-        [1.0 - h_prho2, 0.0, 0.5 * (chat3 - db1_dm1)],
-        [0.0, h_prho2, 0.5 * (chat3 + db1_dm1)],
-        [0.5 * (chat3 - db1_dm1), 0.5 * (chat3 + db1_dm1), c2],
-    ])
-
-
-def check_matrix1(c1: float, c2: float, c3: float, db1_dm1: float,
-                  db1_dm2: float) -> ConditionReport:
-    """Exact PSD test of the 3x3 coefficient matrix of the mean-coupled family."""
-    matrix = matrix1_assemble(c1, c2, c3, db1_dm1, db1_dm2)
-    eigenvalues = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
-    smallest = float(eigenvalues[0])
-    return ConditionReport.judge(
-        "coefficient_matrix_psd", [smallest + PASS_SLACK], PASS_SLACK,
-        lambda worst: {"eigenvalue": smallest, "matrix": matrix.tolist()},
-        details={"eigenvalues": eigenvalues.tolist(), "matrix": matrix.tolist()})
-
-
 def control_coupling(model: Model) -> float | None:
     """c when the model has the control-coupled form b0 = (1, 0, 0),
     f0 = (0, 0, 0, c) of the ll/disp/anti presets, else None."""
@@ -362,24 +335,35 @@ def check_disp_sufficient(model: Model, lam: float, c0: float, xi: np.ndarray,
     return report
 
 
+def _curvature_infimum(f1_x: tuple) -> float:
+    """inf over the real line of f1_x'', for the ascending coefficients f1_x:
+    -inf when f1_x'' has odd degree or a negative leading coefficient, else
+    its least value at a critical point.  Every root of f1_x''' enters by
+    its real part, which adds only points where f1_x'' is no smaller."""
+    poly = np.polynomial.polynomial
+    curvature = poly.polytrim(poly.polyder(f1_x, 2))
+    degree = len(curvature) - 1
+    if degree % 2 or curvature[-1] < 0.0:
+        return -np.inf
+    if degree == 0:
+        return float(curvature[0])
+    return float(np.min(poly.polyval(poly.polyroots(poly.polyder(curvature)).real,
+                                     curvature)))
+
+
 def _scalar_disp_inequality(model: Model, c0: float) -> dict:
     """Exact parameter form of the sufficient condition for a control-coupled
     model: curvature of the x-cost must dominate the state coupling plus the
-    normalised square of the momentum couplings."""
+    normalised square of the momentum couplings.  kappa is the infimum of
+    f1_x'' over the real line (``_curvature_infimum``) and d1 the supremum
+    of |dB/dm1| over all means: |B's m1 coefficient| when B has no m1^2 or
+    m1 m2 term, else inf."""
     c = control_coupling(model)
     chat = c / (1.0 - c)
     q1, q2 = model.q1, model.q2
-    bmean = np.asarray(model.B.coeffs)
-    if np.any(bmean[3:] != 0.0):
-        # nonlinear mean coupling: derivative sup over a sampled box
-        grid = np.linspace(-3.0, 3.0, 25)
-        m1g, m2g = np.meshgrid(grid, grid)
-        d1 = np.abs(bmean[1] + 2 * bmean[3] * m1g + bmean[4] * m2g).max()
-    else:
-        d1 = abs(bmean[1])
-    xs = np.linspace(-6.0, 6.0, 121)
-    poly = np.polynomial.polynomial
-    kappa = float(np.min(poly.polyval(xs, poly.polyder(model.f1_x, 2))))
+    bmean = model.B.coeffs
+    d1 = abs(bmean[1]) if bmean[3] == bmean[4] == 0.0 else np.inf
+    kappa = _curvature_infimum(model.f1_x)
     rhs = abs(q1) + (d1 + (1.0 + chat) * abs(q2)) ** 2 / (4.0 * (1.0 - c0)) \
         if c0 < 1.0 else np.inf
     return {

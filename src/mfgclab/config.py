@@ -39,7 +39,11 @@ in ``[check] which``.  ``monotonicity_kind()`` builds the kind object of
 
 ``[check] which`` (envelope by default) may also name the checkers of
 CHECKERS; an empty list or an unknown name is a ConfigError before any
-check runs.  Every gate and the disp_sufficient checker judge the same
+check runs.  Each named checker runs once, in the order first named.
+``matrix1``, the 3x3 coefficient matrix of the ll_example family, is read
+as ``ll`` (ALIASES): the ll gate is that test on that family, and the
+general test on every family.  Only older inputs name it; no shipped
+config does.  Every gate and the disp_sufficient checker judge the same
 ``[check] samples`` (40) random laws of ``[check] atoms`` (16) (state,
 momentum) atoms each, drawn from the experiment's seed: Gaussian states and
 the momenta of alternating affine and clipped-polynomial feedbacks
@@ -78,7 +82,10 @@ KINDS = ("check", "solve", "mono", "propagate", "chain")
 # that every array shape it sets is valid.
 MAX_COUNT = 100_000
 # The [check] which names besides the monotonicity kinds, whose gates it runs.
-CHECKERS = ("envelope", "matrix1", "disp_sufficient", "fmon")
+CHECKERS = ("envelope", "disp_sufficient", "fmon")
+# [check] which names read as another: matrix1, the 3x3 coefficient matrix
+# of the ll_example family, is the ll gate on that family.
+ALIASES = {"matrix1": "ll"}
 # configparser's boolean words, lower case, and their values.
 BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
@@ -286,17 +293,18 @@ class ExperimentConfig:
         return _number(sec, "samples", "40", int, 1), _number(sec, "atoms", "16", int, 2)
 
     def checkers(self) -> list:
-        """The ``[check] which`` names (envelope by default), each a
-        monotonicity kind or one of CHECKERS; an empty list or an unknown
-        name is a ConfigError."""
+        """The checkers of ``[check] which`` (envelope by default), each a
+        monotonicity kind or one of CHECKERS, once each in the order first
+        named, an alias of ALIASES read as the name it stands for; an empty
+        list or an unknown name is a ConfigError."""
         names = self.section("check").get("which", "envelope").split()
         if not names:
             raise ConfigError("[check] which names no checker")
         for name in names:
-            if name not in MONOTONICITY_KINDS and name not in CHECKERS:
+            if name not in MONOTONICITY_KINDS and name not in CHECKERS and name not in ALIASES:
                 raise ConfigError(f"unknown checker {name!r}; expected a monotonicity "
                                   f"kind {tuple(MONOTONICITY_KINDS)} or one of {CHECKERS}")
-        return names
+        return list(dict.fromkeys(ALIASES.get(name, name) for name in names))
 
     def anti_constants(self) -> tuple:
         """(l0, gamma_lo, gamma_hi, l_bar, lu_xx) of the anti-monotone assumption."""

@@ -54,7 +54,9 @@ displacements of each level's cloud: the (levels, N, N) stack M, M[k] the
 exact derivative of the discrete equilibrium's u_x at level k's atoms with
 respect to those atoms, built once in one backward pass over the levels
 (``_measure_derivative``), with every coefficient the pass does not carry
-built before it as a stack over the levels.
+built before it as a stack over the levels.  ``field`` and the pass read
+the one value grid that the solve returned: the pass linearises around it
+and runs no backward sweep of its own.
 """
 from __future__ import annotations
 
@@ -596,10 +598,13 @@ def _measure_derivative(model: Model, flow: EquilibriumFlow) -> np.ndarray:
     differentiates that fixed point at x = base.states[k], not a truncation
     of its iteration.  The coefficients are those of a sweep linearised
     around the base flow: the moments of its fixed point (the flow's
-    controls), one backward sweep of the value grid against them, the
-    partials of H on the grid and at the atoms, and the slope of u_x across
-    each atom's cell.  The time step is folded into every coefficient, and
-    the weight 1/N of a mean into the m1 partials.
+    controls), the flow's value grid (``flow.value_field.u``, the grid that
+    ``ValueAccess.field`` reads), the partials of H on the grid and at the
+    atoms, and the slope of u_x across each atom's cell.  The stored grid
+    was solved against the flow one sweep before the accepted one, so it
+    differs from a backward sweep against the flow's own moments by the
+    order of the Picard residual.  The time step is folded into every
+    coefficient, and the weight 1/N of a mean into the m1 partials.
 
     At the fixed point, the state tangent of level l + 1 is A_l dX_l + R_l
     du_l, where du_l reads the tangent value row of level l at the atoms
@@ -626,7 +631,7 @@ def _measure_derivative(model: Model, flow: EquilibriumFlow) -> np.ndarray:
     states, momenta = flow.states, flow.momenta
     levels, n = states.shape
     m1, m2 = _moments(states, flow.controls)
-    u = _backward_value(model, xs, dx, dt, m1, m2, states[-1])
+    u = flow.value_field.u
     ux = _d1_rows(u, dx)
     on_grid = hamiltonian_partials(model, xs, ux, m1[:, None], m2[:, None])
     at_atoms = hamiltonian_partials(model, states, momenta, m1[:, None], m2[:, None])

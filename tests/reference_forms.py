@@ -3,7 +3,8 @@ displacement form, the oracle of both paths that evaluate them: the gates'
 closed-form matrices (``conditions.form_matrices``) and the traces' atom
 sums (``propagation.evaluate_rhs_formulas``).  Also the every-law judge of
 the eigen-judged gates, the oracle of the gates' one-law path on law-free
-hat tables.
+hat tables, and the closed form of the Lasry-Lions condition on the
+ll_example family, the oracle of the ll gate there.
 
 Each form is written out as the atom sums of its definition, one direction
 (eta, gamma, zeta) at a time.  Double sums run over all atom pairs
@@ -132,3 +133,22 @@ def every_law_sufficient(model, lam: float, c0: float, table: HatTable,
                                     blocks=("eta",), details=details)
     report.passed = report.passed and details.get("scalar_inequality", {}).get("holds", True)
     return report
+
+
+def ll_example_matrix(c1: float, c2: float, c3: float, db1_dm1: float,
+                      db1_dm2: float) -> np.ndarray:
+    """The symmetric 3x3 coefficient matrix of the Lasry-Lions condition on
+    the ll_example family: b0 = (1, 0, 0), f0 = (0, 0, 0, c1) with
+    0 < c1 < 1, q1 = c2, q2 = c3 and a mean coupling B linear in the means,
+    with slopes db1_dm1 and db1_dm2.  The condition holds iff the matrix is
+    positive semidefinite, and the ll gate's value there is
+    max(-lambda_min, 0): the ll form's maximum over unit-RMS directions."""
+    chat1 = c1 / (1.0 - c1)
+    cbar1 = 1.0 / (1.0 - c1)
+    chat3 = c3 / (1.0 - c1)
+    h_prho2 = cbar1 * db1_dm2 - chat1
+    return np.array([
+        [1.0 - h_prho2, 0.0, 0.5 * (chat3 - db1_dm1)],
+        [0.0, h_prho2, 0.5 * (chat3 + db1_dm1)],
+        [0.5 * (chat3 - db1_dm1), 0.5 * (chat3 + db1_dm1), c2],
+    ])

@@ -398,17 +398,18 @@ atoms = 12
         assert (out / "manifest.json").exists()
 
     def test_nan_report_margin_is_the_top_level_worst_margin(self, tmp_path):
-        # matrix1 passes with a finite margin; the envelope check of the
-        # overflowing b2_x has a NaN one, which the run's worst margin shows.
+        # The ll gate passes with a finite margin, for b2_x does not enter
+        # its form; the envelope check of the overflowing b2_x has a NaN
+        # one, which the run's worst margin shows.
         cfg = tmp_path / "exp.ini"
         cfg.write_text(with_key(with_key((CONFIGS / "ll_check.ini").read_text(),
                                          "model", "b2_x", "0 1e308"),
-                                "check", "which", "matrix1 envelope"))
+                                "check", "which", "ll envelope"))
         out = tmp_path / "o"
         assert main(["check", "--config", str(cfg), "--out", str(out)]) == 2
         report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
-        matrix1, envelope = report["reports"]
-        assert matrix1["passed"] and matrix1["worst_margin"] > 0
+        ll, envelope = report["reports"]
+        assert ll["passed"] and ll["worst_margin"] > 0
         assert envelope["worst_margin"] is None
         assert report["worst_margin"] is None and report["all_passed"] is False
 
@@ -441,23 +442,52 @@ atoms = 12
 
     @pytest.mark.parametrize("model_block", [
         "family = separable\nq1 = 0.2\n",          # not control-coupled
-        "family = ll_example\nc1 = 0\nc2 = 0.05\nc3 = 0.1\n",  # c1 outside (0, 1)
+        "family = ll_example\nc1 = 0\nc2 = 0.05\nc3 = 0.1\n",  # c1 = 0
     ])
-    def test_matrix1_on_unsupported_model_is_config_error(self, tmp_path, model_block):
-        cfg = tmp_path / "exp.ini"
-        cfg.write_text(f"""
-[experiment]
-kind = check
-seed = 1
+    def test_matrix1_runs_the_ll_gate_on_any_model(self, tmp_path, model_block):
+        # The matrix1 alias is the ll gate, so it judges every model: the
+        # run writes what naming ll writes, with the same exit code.
+        runs = []
+        for which in ("matrix1", "ll"):
+            cfg = tmp_path / f"{which}.ini"
+            cfg.write_text(f"[experiment]\nkind = check\nseed = 1\n[model]\n{model_block}"
+                           f"[check]\nwhich = {which}\nsamples = 6\natoms = 8\n")
+            out = tmp_path / which
+            runs.append((main(["check", "--config", str(cfg), "--out", str(out)]),
+                         (out / "report.json").read_text()))
+        assert runs[0] == runs[1]
+        (report,) = json.loads(runs[0][1])["reports"]
+        assert report["condition"] == "lasry_lions_hamiltonian"
 
-[model]
-{model_block}
-[check]
-which = matrix1
-""")
+    def test_aliased_and_repeated_checkers_run_once(self, tmp_path):
+        # envelope matrix1 ll names the ll gate twice: it runs once, and the
+        # report is the shipped config's, byte for byte.
+        shipped = CONFIGS / "ll_check.ini"
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_key(shipped.read_text(), "check", "which", "envelope matrix1 ll"))
+        outs = tmp_path / "aliased", tmp_path / "shipped"
+        for path, out in zip((cfg, shipped), outs):
+            assert main(["check", "--config", str(path), "--out", str(out)]) == 0
+        reports = [(out / "report.json").read_text() for out in outs]
+        assert [r["condition"] for r in json.loads(reports[0])["reports"]] == [
+            "envelope_identities", "lasry_lions_hamiltonian"]
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("f1_x", ["0 0 0.25 0 -0.001", "0 0 0.25 0.02"],
+                             ids=["quartic", "cubic"])
+    def test_unbounded_curvature_fails_the_scalar_inequality(self, tmp_path, f1_x):
+        # f1_x'' is unbounded below, so kappa is -inf, written as null.
+        # A curvature sampled on [-6, 6] read 0.068 > 0 for the quartic.
+        text = with_key((CONFIGS / "disp_check.ini").read_text(), "model", "f1_x", f1_x)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_key(text, "check", "which", "disp_sufficient"))
         out = tmp_path / "o"
-        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 1
-        assert (out / "manifest.json").exists()
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        (sufficient,) = report["reports"]
+        scalar = sufficient["details"]["scalar_inequality"]
+        assert scalar["kappa"] is None and scalar["holds"] is False
+        assert not sufficient["passed"] and sufficient["failure_kind"] is None
 
     @pytest.mark.parametrize("kind,section,key,value", [
         ("propagate", "monotonicity", "directions", "0"),
@@ -648,9 +678,11 @@ class TestShippedConfigs:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["all_passed"]
-        names = {r["condition"] for r in report["reports"]}
-        assert names == {"envelope_identities", "coefficient_matrix_psd",
-                         "lasry_lions_hamiltonian"}
+        names = [r["condition"] for r in report["reports"]]
+        assert names == ["envelope_identities", "lasry_lions_hamiltonian"]
+        # The ll gate passes at round-off, so its tolerance is the worst margin.
+        assert report["worst_margin"] == report["reports"][1]["worst_margin"]
+        assert report["worst_margin"] == pytest.approx(1e-8, rel=1e-7)
 
     def test_anti_check_reads_the_check_samples(self, tmp_path):
         # The anti_example tables do not depend on the law, so only the

@@ -12,6 +12,7 @@ from reference_forms import (
     every_law_gate,
     every_law_sufficient,
     ibar_form,
+    ll_example_matrix,
     ll_form,
 )
 from test_calculus import coefficient, random_models
@@ -19,6 +20,8 @@ from test_calculus import coefficient, random_models
 from mfgclab import conditions
 from mfgclab.conditions import (
     ANTI_BOUNDS,
+    PASS_SLACK,
+    REL_TOL,
     ConditionError,
     _distinct_laws,
     anti_theta1,
@@ -27,10 +30,8 @@ from mfgclab.conditions import (
     check_disp_sufficient,
     check_f_monotone,
     check_ll_condition,
-    check_matrix1,
     form_matrices,
     make_condition_samples,
-    matrix1_assemble,
     sufficient_matrix,
 )
 from mfgclab.config import ExperimentConfig, preset_model
@@ -68,9 +69,9 @@ def reference_gap(table, rng, n_directions=8):
     return gap
 
 
-def ll_example_model(c1, c2, c3, b1=None):
+def ll_example_model(c1, c2, c3, b1=None, f1_x=(0.0,)):
     return Model(b0=(1, 0, 0), f0=(0, 0, 0, c1), B=b1 if b1 is not None else MeanPoly2.zero(),
-                 q1=c2, q2=c3)
+                 f1_x=f1_x, q1=c2, q2=c3)
 
 
 def disp_example_model(c, b1, f1_x, q1=0.0):
@@ -78,8 +79,9 @@ def disp_example_model(c, b1, f1_x, q1=0.0):
 
 
 def schur_oracle(c1, c2, c3, db1_dm1, db1_dm2):
-    """Independent PSD test by pivoting on the leading 2x2 block."""
-    m = matrix1_assemble(c1, c2, c3, db1_dm1, db1_dm2)
+    """Independent PSD test of ``ll_example_matrix`` by pivoting on its
+    leading 2x2 block."""
+    m = ll_example_matrix(c1, c2, c3, db1_dm1, db1_dm2)
     d1, d2 = m[0, 0], m[1, 1]
     if d1 < 0 or d2 < 0:
         return False, None
@@ -110,37 +112,64 @@ def concave_quadratic_max(form, n):
 
 PASSING = dict(c1=0.5, c2=0.05, c3=0.1, db1_dm1=0.0, db1_dm2=0.75)
 FAILING = dict(c1=0.5, c2=0.03, c3=0.1, db1_dm1=0.0, db1_dm2=0.75)
+# The laws of the ll gate on the ll_example family, whose hat tables are law-free.
+ORACLE_LAWS = make_condition_samples(4, 8, seed=3)
 
 
-class TestMatrix1:
+def ll_example_gate(c1, c2, c3, db1_dm1, db1_dm2, f1_x=(0.0,), b1_const=0.0):
+    """The ll gate's report on the ll_example model of these parameters."""
+    model = ll_example_model(c1, c2, c3, MeanPoly2((b1_const, db1_dm1, db1_dm2)), f1_x)
+    return check_ll_condition(model, *ORACLE_LAWS)
+
+
+class TestLLClosedForm:
+    """The ll gate on the ll_example family against its 3x3 closed form
+    (``reference_forms.ll_example_matrix``): the gate's value is
+    max(-lambda_min, 0), so the gate fails exactly where the matrix is not
+    positive semidefinite beyond the gate's tolerance."""
+
     def test_passing_pair_matches_schur_oracle(self):
         ok, schur = schur_oracle(**PASSING)
         assert ok and schur == pytest.approx(0.01)
-        report = check_matrix1(**PASSING)
-        assert report.passed
-        assert np.allclose(
-            report.details["matrix"],
-            [[0.5, 0.0, 0.1], [0.0, 0.5, 0.1], [0.1, 0.1, 0.05]],
-        )
+        assert np.allclose(ll_example_matrix(**PASSING),
+                           [[0.5, 0.0, 0.1], [0.0, 0.5, 0.1], [0.1, 0.1, 0.05]])
+        assert ll_example_gate(**PASSING).passed
 
     def test_failing_pair_matches_schur_oracle(self):
         ok, schur = schur_oracle(**FAILING)
         assert not ok and schur == pytest.approx(-0.01)
-        report = check_matrix1(**FAILING)
+        report = ll_example_gate(**FAILING)
         assert not report.passed
-        assert report.witness["eigenvalue"] < 0
+        smallest = np.linalg.eigvalsh(ll_example_matrix(**FAILING))[0]
+        assert report.witness["value"] == pytest.approx(-smallest, rel=1e-12)
 
     def test_diagonal_reduction(self):
         # db1_dm2 = c1 kills the momentum coupling; c3 = 0 leaves diag(1, 0, c2).
-        report = check_matrix1(c1=0.5, c2=0.2, c3=0.0, db1_dm1=0.0, db1_dm2=0.5)
-        assert np.allclose(report.details["matrix"], np.diag([1.0, 0.0, 0.2]))
-        assert report.passed
-        assert not check_matrix1(c1=0.5, c2=-0.2, c3=0.0, db1_dm1=0.0, db1_dm2=0.5).passed
+        reduced = dict(c1=0.5, c3=0.0, db1_dm1=0.0, db1_dm2=0.5)
+        assert np.allclose(ll_example_matrix(c2=0.2, **reduced), np.diag([1.0, 0.0, 0.2]))
+        assert ll_example_gate(c2=0.2, **reduced).passed
+        report = ll_example_gate(c2=-0.2, **reduced)
+        assert not report.passed and report.witness["value"] == pytest.approx(0.2, rel=1e-12)
 
-    def test_c1_outside_open_interval_rejected(self):
-        for c1 in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(ConditionError):
-                check_matrix1(c1, 0.05, 0.1, 0.0, 0.75)
+    @pytest.mark.parametrize("quartic", [False, True], ids=["quadratic", "quartic"])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(c1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           c2=st.floats(-2.0, 2.0), c3=st.floats(-2.0, 2.0),
+           b1=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+           f1=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.01, 1.0)))
+    def test_gate_is_the_closed_form(self, quartic, c1, c2, c3, b1, f1):
+        # Over linear mean couplings, half of the models with a quartic
+        # running cost f1_x, which the ll form does not read.
+        b1_const, db1_dm1, db1_dm2 = b1
+        report = ll_example_gate(c1, c2, c3, db1_dm1, db1_dm2,
+                                 f1_x=(0.0, 0.0, *f1) if quartic else (0.0,),
+                                 b1_const=b1_const)
+        want = max(-np.linalg.eigvalsh(ll_example_matrix(c1, c2, c3, db1_dm1, db1_dm2))[0],
+                   0.0)
+        # The gate's own rule, applied to the closed form's value.
+        assert report.passed == (REL_TOL * max(1.0, want) - want >= -PASS_SLACK)
+        if not report.passed:
+            assert abs(report.details["max_value"] - want) <= 1e-12 * want
 
 
 class TestConditionSamples:
@@ -309,14 +338,14 @@ class TestLLCondition:
 
     def test_matrix_pass_implies_form_pass_over_500_samples(self):
         model = ll_example_model(c1=0.5, c2=0.05, c3=0.1, b1=MeanPoly2((0, 0, 0.75)))
-        assert check_matrix1(**PASSING).passed
+        assert np.linalg.eigvalsh(ll_example_matrix(**PASSING))[0] > 0
         samples = make_condition_samples(500, 16, seed=77)
         report = check_ll_condition(model, *samples)
         assert report.passed
-        # Converse (form failure when the matrix fails) is empirical; record it.
+        # The form fails where the closed form fails.
         model_bad = ll_example_model(c1=0.5, c2=0.03, c3=0.1, b1=MeanPoly2((0, 0, 0.75)))
         report_bad = check_ll_condition(model_bad, *samples)
-        assert not check_matrix1(**FAILING).passed
+        assert np.linalg.eigvalsh(ll_example_matrix(**FAILING))[0] < 0
         assert not report_bad.passed
 
     def test_exchangeability_under_atom_relabeling(self):
@@ -537,6 +566,33 @@ class TestDispSufficient:
         scalar = report.details["scalar_inequality"]
         assert not scalar["holds"]
         assert not report.passed
+
+    @pytest.mark.parametrize("f1_x,kappa", [
+        ((0, 0, 0.25), 0.5),
+        ((0, 0, 0.25, 0.1, 0.05), 0.35),      # f1_x'' = 0.5 + 0.6 x + 0.6 x^2, least at -1/2
+        ((0, 0, 0.25, 0, -0.001), -np.inf),   # negative leading coefficient
+        ((0, 0, 0.25, 0.02), -np.inf),        # odd degree
+        ((0, 1), 0.0),
+    ], ids=["quadratic", "quartic", "quartic_down", "cubic", "linear"])
+    def test_kappa_is_the_infimum_over_the_line(self, f1_x, kappa):
+        model = disp_example_model(c=0.5, b1=MeanPoly2((0, 0, 0.6)), f1_x=f1_x)
+        scalar = conditions._scalar_disp_inequality(model, 0.2)
+        assert scalar["kappa"] == pytest.approx(kappa, rel=1e-14)
+        assert scalar["holds"] is (kappa >= 0.0)
+
+    @pytest.mark.parametrize("b1,d1", [
+        ((0, -0.3, 0.6), 0.3),
+        ((0, -0.3, 0.6, 0, 0, 0.2), 0.3),     # an m2^2 term leaves dB/dm1 alone
+        ((0, -0.3, 0.6, 0.2), np.inf),
+        ((0, -0.3, 0.6, 0, 0.2), np.inf),
+    ], ids=["linear", "m2_squared", "m1_squared", "m1_m2"])
+    def test_d1_is_the_supremum_over_all_means(self, b1, d1):
+        # With q1 = q2 = 0 and c0 = 0, rhs = d1^2 / 4: unbounded for a B
+        # whose m1 slope grows with the means.
+        model = disp_example_model(c=0.5, b1=MeanPoly2(b1), f1_x=(0, 0, 0.25))
+        scalar = conditions._scalar_disp_inequality(model, 0.0)
+        assert scalar["rhs"] == pytest.approx(d1**2 / 4.0)
+        assert scalar["holds"] is (d1 < np.inf)
 
     def test_undersized_c0_is_hypothesis_violation(self):
         report = check_disp_sufficient(self.make_model(), 0.0, 0.05,

@@ -353,6 +353,16 @@ class TestValueAccess:
         want = np.interp(x, vf.xs, vf.u_xx[0])
         assert np.array_equal(self.access.field([self.grid.n_t]), want[None, :])
 
+    def test_measure_derivative_runs_no_backward_sweep(self, monkeypatch):
+        # M linearises around the value grid that the solve returned, the
+        # grid that field reads, not around a sweep of its own.
+        def no_sweep(*args):
+            raise AssertionError("a backward sweep ran")
+
+        monkeypatch.setattr(solver, "_backward_value", no_sweep)
+        access = ValueAccess(self.model, self.flow)
+        assert np.array_equal(access.matrices, self.access.matrices)
+
     def test_level_outside_the_flow_rejected(self):
         # A negative level is no alias from the end, and one past n_t no bare
         # IndexError, for the V_xx reader and the M eta reader alike, also
@@ -369,12 +379,12 @@ def reference_linearisation(model, flow):
     """The tangent coefficients of the re-solve map, one row per level: the
     three-band backward step on the grid and the forward step at the atoms,
     as the value access stepped them level by level before it held the
-    measure-derivative matrices."""
+    measure-derivative matrices, linearised around the flow's value grid."""
     grid = flow.grid
     xs, dx, dt = grid.xs, grid.dx, grid.dt
     states, momenta = flow.states, flow.momenta
     m1, m2 = _moments(states, fixed_point_phi(model, states, momenta))
-    u = _backward_value(model, xs, dx, dt, m1, m2, states[-1])
+    u = flow.value_field.u
     ux = _d1_rows(u, dx)
     m1, m2 = m1[:, None], m2[:, None]
     on_grid = hamiltonian_partials(model, xs, ux, m1, m2)
