@@ -5,7 +5,9 @@ mono (monotonicity sweep), propagate (variational trace + verdict), chain
 (the model's closed-form hat derivatives against central differences of
 H(x, p, Phi(rho)) on random laws, all in one call, relative to the size of
 H there).  Every run writes a manifest with the config echo, package
-version, effective seed and wall time; a solve, mono or propagate report
+version, effective seed, wall time and the artifacts it wrote: a run first
+removes every file name that a run writes (``ARTIFACTS``) from --out, and
+leaves other files there alone and unlisted.  A solve, mono or propagate report
 keeps the solver's record under ``solver``.  Exit codes: 0 pass, 1 config
 error (an --out that names a file, too), 2 condition/verdict failure, 3
 hypothesis or gate violation, 4 solver non-convergence.  Every exit 3 writes
@@ -51,6 +53,11 @@ EXIT_FAIL = 2
 EXIT_HYPOTHESIS = 3
 EXIT_NO_CONVERGENCE = 4
 
+# Every file a run writes to --out; a run first removes them all, so that
+# the manifest, written last, lists only what this run wrote.
+ARTIFACTS = ("chain.csv", "flow.csv", "manifest.json", "plot.gp", "report.json",
+             "samples.csv", "trace.csv")
+
 # The columns of samples.csv and chain.csv, keys of their row dicts.
 SAMPLE_COLUMNS = ("t", "level", "direction", "value")
 CHAIN_COLUMNS = ("law", "entry", "abs_error", "scale")
@@ -76,7 +83,7 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, wall_time: float) -> N
         "seed": cfg.seed,
         "wall_time_s": wall_time,
         "config": cfg.raw,
-        "artifacts": sorted(p.name for p in out_dir.iterdir() if p.name != "manifest.json"),
+        "artifacts": sorted(p.name for p in out_dir.iterdir() if p.name in ARTIFACTS),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
@@ -261,6 +268,9 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        for stale in out_dir.iterdir():
+            if stale.name in ARTIFACTS:
+                stale.unlink()
     except OSError as err:   # --out names a file, or a path through one
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

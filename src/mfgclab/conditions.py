@@ -9,9 +9,15 @@ self-pairs included: the continuum formulas integrate over a measure-zero
 diagonal, and at n >= 16 atoms the O(1/n) diagonal bias is dominated by the
 configured tolerance.
 
-On one law of N atoms each form is v . M v for a symmetric (3N, 3N) matrix M
-assembled in closed form from the hat table (``form_matrices``), so its
-maximum over unit-RMS v is N times the largest eigenvalue of M.  Every gate
+The forms L, Ibar and DX2 are stated once, as the rows of their weighted
+sum at v = (eta, gamma, zeta) with the mean-field ``forcings`` of v
+(``form_rows``), and that one statement is read three ways: at unit
+vectors it fills the symmetric (3N, 3N) matrix M of the form on one law of
+N atoms (``form_matrices``), whose maximum over unit-RMS v is N times the
+largest eigenvalue of M; the sufficient condition's (N, N) matrix is a
+Schur bound of the displacement M (``sufficient_matrix``); and the
+propagation traces take atom sums of v times the rows at the flow's states,
+with no matrix (``propagation.evaluate_rhs_formulas``).  Every gate
 reads one hat table over all its laws and builds only the weighted sum of
 forms that it judges, one matrix per distinct law (``_distinct_laws``): when
 every form entry of every law, all table fields but h_p, is bitwise equal to
@@ -19,8 +25,6 @@ law 0's, law 0's matrix and eigenvalue stand for all laws, else each law has
 its own.  A signed zero or a NaN payload counts as a difference.  The gates
 judge the eigenvalue on each random law, and a failing gate reports the
 eigenvector that attains it.
-The propagation traces evaluate the same forms at given v as atom sums of
-the hat table, with no matrix (``propagation.evaluate_rhs_formulas``).
 
 Every checker turns one margin per law (or pair, or matrix) into its verdict
 by one rule, ``ConditionReport.judge``: the worst sample is the first
@@ -33,6 +37,7 @@ checker handed no laws, or laws of no atoms, raises ``ConditionError``.
 from __future__ import annotations
 
 from dataclasses import fields
+from itertools import chain
 
 import numpy as np
 
@@ -95,61 +100,78 @@ def make_condition_samples(n_samples: int, n_atoms: int = 16, seed: int = 0) -> 
     return xi, p
 
 
-def form_matrices(table: HatTable, weights: tuple) -> np.ndarray:
-    """The symmetric (3N, 3N) matrix of the quadratic form
-    w_L L + w_Ibar Ibar + w_DX2 DX2 over v = (eta, gamma, zeta) on one law of
-    N atoms, for weights = (w_L, w_Ibar, w_DX2); a table of a stack of laws
-    gives a (..., 3N, 3N) stack, each law's matrix bit-identical to its own.
+def forcings(table: HatTable, eta: np.ndarray, gz: np.ndarray) -> tuple:
+    """(pi, chi): the mean-field forcings pi = (h_prho1 eta + h_prho2 gz) / N^2
+    and chi = (h_xrho1 eta + h_xrho2 gz) / N^2 of (..., N) stacks eta and
+    gz = gamma + zeta, a matrix-vector product with the measure tables,
+    whose row i is base atom i.  Each stacked vector is its own product, so
+    each entry is bit-identical to a one-vector request."""
+    n = table.h_pp.shape[-1]
+    return tuple((h_eta @ eta[..., None] + h_gz @ gz[..., None])[..., 0] / n**2
+                 for h_eta, h_gz in ((table.h_prho1, table.h_prho2),
+                                     (table.h_xrho1, table.h_xrho2)))
+
+
+def form_rows(table: HatTable, weights: tuple, eta: np.ndarray, gamma: np.ndarray,
+              zeta: np.ndarray, pi: np.ndarray, chi: np.ndarray) -> tuple:
+    """(K_eta, K_gamma, K_zeta): the rows of the quadratic form
+    w_L L + w_Ibar Ibar + w_DX2 DX2 at v = (eta, gamma, zeta), for
+    weights = (w_L, w_Ibar, w_DX2) and the ``forcings`` (pi, chi) of v, so
+    that the form is sum(eta K_eta + gamma K_gamma + zeta K_zeta) over the
+    atoms.  The one statement of the forms' coefficients: ``form_matrices``
+    reads it at unit vectors, ``sufficient_matrix`` through it, and the
+    traces at the flow's states (``propagation.evaluate_rhs_formulas``).
 
     v . L v is the left-hand side of the Lasry-Lions propagation condition;
     v . Ibar v and v . DX2 v are the time derivatives of the curvature pairing
     Ibar = E[G dX] and of the second moment E[dX^2] along the first-variation
-    system at (dX, G, U) = (eta, gamma, zeta).  The Lasry-Lions gate's form
-    has weights (1, 0, 0), the displacement lambda gate's (1, 1, lam).  Point
-    terms enter as diagonals over N, and the double sums over atom pairs as
-    the measure tables over N^2, whose [i, j] entry pairs atom i of the row
-    variable (the base point) with atom j of the column variable (the
-    support atom).
-    """
+    system at (dX, G, U) = (eta, gamma, zeta):
+
+        L    = sum[(zeta - gamma) pi - eta chi] + sum h_pp zeta^2 / N
+        Ibar = 2 sum gamma pi + sum[h_pp gamma (gamma + 2 zeta) - h_xx eta^2] / N
+        DX2  = 2 sum eta pi + 2 sum[h_xp eta^2 + h_pp eta (gamma + zeta)] / N
+
+    A term of zero weight is not evaluated, and a row with none is 0.0."""
     w_ll, w_ibar, w_dx2 = weights
     n = table.h_pp.shape[-1]
+
+    def row(forcing: tuple, point: tuple):
+        """The sum of weight * forcing over (weight, forcing) and of
+        weight * hat entry / N * state over (weight, entry, state)."""
+        parts = chain((weight * value for weight, value in forcing if weight),
+                      (weight * entry / n * state for weight, entry, state in point if weight))
+        return sum(parts, next(parts, 0.0))   # 0.0 when no part has a weight
+
+    return (row(((-w_ll, chi), (2.0 * w_dx2, pi)),
+                ((2.0 * w_dx2, table.h_xp, eta), (-w_ibar, table.h_xx, eta),
+                 (2.0 * w_dx2, table.h_pp, gamma), (2.0 * w_dx2, table.h_pp, zeta))),
+            row(((2.0 * w_ibar - w_ll, pi),),
+                ((w_ibar, table.h_pp, gamma), (2.0 * w_ibar, table.h_pp, zeta))),
+            row(((w_ll, pi),), ((w_ll, table.h_pp, zeta),)))
+
+
+def form_matrices(table: HatTable, weights: tuple) -> np.ndarray:
+    """The symmetric (3N, 3N) matrix of the quadratic form
+    w_L L + w_Ibar Ibar + w_DX2 DX2 of ``form_rows`` over v = (eta, gamma,
+    zeta) on one law of N atoms; a table of a stack of laws gives a
+    (..., 3N, 3N) stack, each law's matrix bit-identical to its own.  The
+    Lasry-Lions gate's form has weights (1, 0, 0), the displacement lambda
+    gate's (1, 1, lam).
+
+    Row (c, j) of the unsymmetrised matrix is ``form_rows`` at the unit
+    vector of atom j in block c, so that v . M v is the form; the table gains
+    an axis after its laws, along which the N unit vectors of a block stack.
+    """
+    n = table.h_pp.shape[-1]
     lead = table.h_pp.shape[:-1]
-    # blocks[..., r, :, c, :] is the (r, c) block over (eta | gamma | zeta),
-    # before symmetrising.  The laws lead, so that the reshapes below are
-    # views, and every block is written in place.
-    blocks = np.zeros((*lead, 3, n, 3, n))
-    flat = blocks.reshape(*lead, -1)
-
-    def diagonal(r: int, c: int) -> np.ndarray:
-        """The diagonal of block (r, c), as a view."""
-        start = 3 * r * n * n + c * n
-        return flat[..., start:start + (3 * n + 1) * n:3 * n + 1]
-
-    # The double sums over momenta read the row (p1 | p2 | p2) of h_prho / N^2:
-    # on the eta row in DX2 (twice), on the gamma row in Ibar (twice) and in
-    # L (negated), and on the zeta row in L.  L's eta row also reads
-    # (x1 | x2 | x2) of h_xrho / N^2, negated; it is written first, so that
-    # L alone is built exactly as with no other form.
-    eta = blocks[..., 0, :, :, :]
-    np.multiply(table.h_xrho1 / n**2, -w_ll, out=eta[..., 0, :])
-    np.multiply(table.h_xrho2[..., None, :] / n**2, -w_ll, out=eta[..., 1:, :])
-    p1, p2 = table.h_prho1 / n**2, table.h_prho2[..., None, :] / n**2
-    if w_dx2:
-        eta[..., 0, :] += 2.0 * w_dx2 * p1
-        eta[..., 1:, :] += 2.0 * w_dx2 * p2
-    for r, weight in ((1, 2.0 * w_ibar - w_ll), (2, w_ll)):
-        if weight:
-            np.multiply(p1, weight, out=blocks[..., r, :, 0, :])
-            np.multiply(p2, weight, out=blocks[..., r, :, 1:, :])
-    pp = table.h_pp / n
-    for r, c, weight, term in ((0, 0, 2.0 * w_dx2, table.h_xp / n),
-                               (0, 0, -w_ibar, table.h_xx / n),
-                               (0, 1, 2.0 * w_dx2, pp), (0, 2, 2.0 * w_dx2, pp),
-                               (1, 1, w_ibar, pp), (1, 2, 2.0 * w_ibar, pp),
-                               (2, 2, w_ll, pp)):
-        if weight:
-            view = diagonal(r, c)
-            view += weight * term
+    spread = table[(slice(None),) * len(lead) + (None,)]
+    # blocks[..., c, j, r, :] is row r of form_rows at the unit vector of
+    # atom j in block c; v[r] stacks the N unit vectors' part in block r.
+    blocks = np.empty((*lead, 3, n, 3, n))
+    for c, v in enumerate(np.eye(3)[:, :, None, None] * np.eye(n)):
+        for r, row in enumerate(form_rows(spread, weights, *v,
+                                          *forcings(spread, v[0], v[1] + v[2]))):
+            blocks[..., c, :, r, :] = row
     # M <- (M + M^T) / 2 in place: numpy copies the transpose it overlaps.
     matrices = blocks.reshape(*lead, 3 * n, 3 * n)
     matrices += np.swapaxes(matrices, -1, -2)
@@ -255,33 +277,24 @@ def control_coupling(model: Model) -> float | None:
     return None
 
 
-def _diag(values: np.ndarray) -> np.ndarray:
-    """The diagonal matrices of the last axis of values, stacked."""
-    n = values.shape[-1]
-    out = np.zeros((*values.shape, n))
-    out[..., np.arange(n), np.arange(n)] = values
-    return out
-
-
 def sufficient_matrix(table: HatTable, lam: float, c0: float) -> np.ndarray:
     """The symmetric (N, N) matrix S of the (xi, eta)-only sufficient
-    condition on one law: eta . S eta is the curvature terms
-    E[eta (h_xx - 2 lam h_xp) eta] and E[eta (h_xrho1 - 2 lam h_prho1) eta']
-    less a quarter of the mean square of the mixed gz-eta coefficient,
-    normalised by sqrt(-h_pp - c0).  A table of a stack of laws gives the
-    stack of their matrices, each bit-identical to its own."""
+    condition on one law: the Schur bound
+
+        S = -M_eta,eta - N M_gamma,eta^T diag(1 / (-h_pp - c0)) M_gamma,eta
+
+    of the displacement matrix M = ``form_matrices(table, (1, 1, lam))``,
+    whose form reads gamma and zeta only through gamma + zeta.  Under the
+    hypotheses |h_prho2| <= c0 and h_pp < -c0 the form's gamma + zeta block
+    is at most diag(h_pp + c0) / N, so eta . S eta bounds minus its maximum
+    over gamma + zeta.  A table of a stack of laws gives the stack of their
+    matrices, each bit-identical to its own."""
     n = table.h_pp.shape[-1]
-
-    def transpose(a):
-        return np.swapaxes(a, -1, -2)
-
-    # [i, j] coefficient of gz_i eta_j in the displacement form, atom sums over N
-    mixed = ((table.h_prho1 - transpose(table.h_xrho2) + 2.0 * lam * transpose(table.h_prho2))
-             / n + 2.0 * lam * _diag(table.h_pp))
-    s = (_diag(table.h_xx - 2.0 * lam * table.h_xp) / n
-         + (table.h_xrho1 - 2.0 * lam * table.h_prho1) / n**2
-         - 0.25 / n * transpose(mixed) @ (mixed / (-table.h_pp - c0)[..., None]))
-    return 0.5 * (s + transpose(s))
+    matrices = form_matrices(table, (1.0, 1.0, lam))
+    mixed = matrices[..., n:2 * n, :n]
+    s = (-matrices[..., :n, :n] - n * np.swapaxes(mixed, -1, -2)
+         @ (mixed / (-table.h_pp - c0)[..., None]))
+    return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
 def check_disp_sufficient(model: Model, lam: float, c0: float, xi: np.ndarray,
@@ -296,7 +309,9 @@ def check_disp_sufficient(model: Model, lam: float, c0: float, xi: np.ndarray,
     ``_eigen_report``, both stages over the distinct laws of one hat table
     (``_distinct_laws``).  For a control-coupled model the scalar parameter
     inequality is evaluated exactly and reported alongside, and it must
-    hold too.
+    hold too: when it fails, the report's margin is kappa - rhs and its
+    witness names the inequality, unless the eigenvalue stage's worst law
+    has a smaller or NaN margin.
     """
     if c0 < 0:
         raise ConditionError("c0 must be nonnegative")
@@ -331,7 +346,14 @@ def check_disp_sufficient(model: Model, lam: float, c0: float, xi: np.ndarray,
         matrices = sufficient_matrix(table, lam, c0)
     report = _eigen_report("displacement_sufficient", matrices, laws, tol, sign=-1,
                            blocks=("eta",), details=details)
-    report.passed = report.passed and details.get("scalar_inequality", {}).get("holds", True)
+    scalar = details.get("scalar_inequality")
+    if scalar is not None and not scalar["holds"]:
+        # The inequality's margin kappa - rhs, unless a law is worse.
+        margin = scalar["kappa"] - scalar["rhs"]
+        if report.passed or margin < report.worst_margin:
+            report.worst_margin, report.passed = margin, False
+            report.witness = {"inequality": "scalar_inequality", "kappa": scalar["kappa"],
+                              "rhs": scalar["rhs"]}
     return report
 
 

@@ -25,6 +25,8 @@ from .conditions import (
     check_anti_assumption,
     check_disp_condition,
     check_ll_condition,
+    forcings,
+    form_rows,
     make_condition_samples,
 )
 from .models import HatTable, Model, hat_derivative_table
@@ -164,37 +166,23 @@ def evaluate_rhs_formulas(table: HatTable, delta_x: np.ndarray, gamma: np.ndarra
 
     Returns the derivative of the Lasry-Lions pairing, of the curvature
     pairing, of the second moment of dX, and the combined displacement-form
-    derivative at the given lambda: the ``conditions.form_matrices`` forms L,
-    Ibar and DX2 of the level's table at v = (dX, G, U), and
+    derivative at the given lambda: the forms L, Ibar and DX2 of the level's
+    table at v = (dX, G, U), each the atom sum of v times the
+    ``conditions.form_rows`` rows at its unit weights, and
     L + Ibar + lam DX2.  L and the sum are the gates' forms: the Hamiltonian
-    condition is the time derivative of the functional.  With the mean-field
-    forcings pi = h_prho1 eta + h_prho2 (gamma + zeta) and
-    chi = h_xrho1 eta + h_xrho2 (gamma + zeta), and sums over the atoms,
-
-        dtI    = sum[(zeta - gamma) pi - eta chi] / N^2 + sum h_pp zeta^2 / N
-        dtIbar = 2 sum gamma pi / N^2 + sum[h_pp gamma (gamma + 2 zeta) - h_xx eta^2] / N
-        dX2    = 2 sum eta pi / N^2 + 2 sum[h_xp eta^2 + h_pp eta (gamma + zeta)] / N
-
-    pi and chi are one matrix-vector product per (direction, level), so every
-    column entry is bit-identical to a one-level, one-direction request.
+    condition is the time derivative of the functional.  The
+    ``conditions.forcings`` pi and chi are one matrix-vector product per
+    (direction, level), so every column entry is bit-identical to a
+    one-level, one-direction request.
     """
-    n = delta_x.shape[-1]
-    eta, gz = delta_x, gamma + upsilon
-
-    def forcing(h_eta: np.ndarray, h_gz: np.ndarray) -> np.ndarray:
-        """h_eta eta + h_gz (gamma + zeta) at each (direction, level)."""
-        return (h_eta @ eta[..., None] + h_gz @ gz[..., None])[..., 0]
-
-    pi = forcing(table.h_prho1, table.h_prho2)
-    chi = forcing(table.h_xrho1, table.h_xrho2)
-    h_pp = table.h_pp
-    dt_i = (np.sum((upsilon - gamma) * pi - eta * chi, axis=-1) / n**2
-            + np.sum(h_pp * upsilon**2, axis=-1) / n)
-    dt_ibar = (2.0 * np.sum(gamma * pi, axis=-1) / n**2
-               + np.sum(h_pp * gamma * (gamma + 2.0 * upsilon) - table.h_xx * eta**2,
-                        axis=-1) / n)
-    dt_dx2 = (2.0 * np.sum(eta * pi, axis=-1) / n**2
-              + 2.0 * np.sum((table.h_xp * eta + h_pp * gz) * eta, axis=-1) / n)
+    v = (delta_x, gamma, upsilon)
+    pi, chi = forcings(table, delta_x, gamma + upsilon)
+    # One atom sum per row; a row of 0.0 has no term at these weights.
+    dt_i, dt_ibar, dt_dx2 = (
+        sum(np.sum(part * row, axis=-1)
+            for part, row in zip(v, form_rows(table, weights, *v, pi, chi))
+            if isinstance(row, np.ndarray))
+        for weights in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
     return {"dtI_rhs": dt_i, "dtIbar_rhs": dt_ibar, "d_deltaX2_rhs": dt_dx2,
             "cd_disp_rhs": dt_i + dt_ibar + lam * dt_dx2}
 

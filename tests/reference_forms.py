@@ -1,7 +1,9 @@
 """Reference implementation of the quadratic forms L, Ibar, DX2 and the
-displacement form, the oracle of both paths that evaluate them: the gates'
-closed-form matrices (``conditions.form_matrices``) and the traces' atom
-sums (``propagation.evaluate_rhs_formulas``).  Also the every-law judge of
+displacement form, the oracle of ``conditions.form_rows``, the one
+statement of their coefficients, and so of the three ways the package reads
+it: the gates' matrices (``conditions.form_matrices``), the sufficient
+matrix (``conditions.sufficient_matrix``) and the traces' atom sums
+(``propagation.evaluate_rhs_formulas``).  Also the every-law judge of
 the eigen-judged gates, the oracle of the gates' one-law path on law-free
 hat tables, and the closed form of the Lasry-Lions condition on the
 ll_example family, the oracle of the ll gate there.
@@ -109,7 +111,8 @@ def every_law_sufficient(model, lam: float, c0: float, table: HatTable,
                          tol: float | None = None) -> ConditionReport:
     """``conditions.check_disp_sufficient`` judged on every law of the
     stacked table: the first law that breaks a hypothesis, h_prho2 before
-    h_pp, then the eigenvalue test of every law's ``sufficient_matrix``."""
+    h_pp, then the eigenvalue test of every law's ``sufficient_matrix``,
+    then the scalar inequality of a control-coupled model."""
     laws = len(table.h_pp)
     details: dict = {}
     with np.errstate(all="ignore"):
@@ -131,7 +134,15 @@ def every_law_sufficient(model, lam: float, c0: float, table: HatTable,
         matrices = sufficient_matrix(table, lam, c0)
     report = every_law_eigen_report("displacement_sufficient", matrices, tol, sign=-1,
                                     blocks=("eta",), details=details)
-    report.passed = report.passed and details.get("scalar_inequality", {}).get("holds", True)
+    scalar = details.get("scalar_inequality")
+    if scalar is not None and not scalar["holds"]:
+        # A failing scalar inequality is the witness, with margin
+        # kappa - rhs, unless a law's margin is smaller or NaN.
+        margin = scalar["kappa"] - scalar["rhs"]
+        if report.passed or margin < report.worst_margin:
+            report.worst_margin, report.passed = margin, False
+            report.witness = {"inequality": "scalar_inequality", "kappa": scalar["kappa"],
+                              "rhs": scalar["rhs"]}
     return report
 
 

@@ -170,6 +170,25 @@ class TestExitCodes:
         assert "gate" in report
         assert not (out / "trace.csv").exists()  # aborted before any solve
 
+    def test_reused_out_keeps_no_earlier_artifact(self, tmp_path):
+        # A passing propagate run, then a gate failure into the same --out:
+        # the first run's trace.csv and plot.gp go, and the manifest lists
+        # only what the second run wrote.  A file no run writes stays, unlisted.
+        out = tmp_path / "out"
+        assert main(["propagate", "--config", str(CONFIGS / "ll_propagation.ini"),
+                     "--out", str(out)]) == 0
+        assert {"trace.csv", "plot.gp"} <= {p.name for p in out.iterdir()}
+        (out / "notes.txt").write_text("kept")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(with_key((CONFIGS / "ll_negative_control.ini").read_text(),
+                                "monotonicity", "force_gate", "true"))
+        assert main(["propagate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "notes.txt",
+                                                        "report.json"]
+        assert (out / "notes.txt").read_text() == "kept"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["report.json"]
+
     @pytest.mark.parametrize("config,section,key,value,reason,solved", [
         (None, None, None, None, "Hamiltonian condition gate", False),
         ("ll_propagation", "terminal", "gxm", "-0.5", "terminal cost", True),
@@ -475,7 +494,7 @@ atoms = 12
 
     @pytest.mark.parametrize("f1_x", ["0 0 0.25 0 -0.001", "0 0 0.25 0.02"],
                              ids=["quartic", "cubic"])
-    def test_unbounded_curvature_fails_the_scalar_inequality(self, tmp_path, f1_x):
+    def test_unbounded_curvature_fails_the_scalar_inequality(self, tmp_path, capsys, f1_x):
         # f1_x'' is unbounded below, so kappa is -inf, written as null.
         # A curvature sampled on [-6, 6] read 0.068 > 0 for the quartic.
         text = with_key((CONFIGS / "disp_check.ini").read_text(), "model", "f1_x", f1_x)
@@ -488,6 +507,14 @@ atoms = 12
         scalar = sufficient["details"]["scalar_inequality"]
         assert scalar["kappa"] is None and scalar["holds"] is False
         assert not sufficient["passed"] and sufficient["failure_kind"] is None
+        # The margin kappa - rhs is -inf, null in strict JSON, in the report
+        # and at the top level; the witness names the inequality.
+        assert sufficient["worst_margin"] is None and report["worst_margin"] is None
+        assert sufficient["witness"] == {"inequality": "scalar_inequality", "kappa": None,
+                                         "rhs": scalar["rhs"]}
+        assert report["all_passed"] is False
+        assert capsys.readouterr().out == ("check displacement_sufficient: "
+                                           "FAIL(condition) worst margin -inf\n")
 
     @pytest.mark.parametrize("kind,section,key,value", [
         ("propagate", "monotonicity", "directions", "0"),

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,9 @@ from mfgclab.conditions import (
     check_disp_sufficient,
     check_f_monotone,
     check_ll_condition,
+    forcings,
     form_matrices,
+    form_rows,
     make_condition_samples,
     sufficient_matrix,
 )
@@ -218,6 +221,45 @@ class TestConditionSamples:
             assert np.array_equal(xi[k], x) and np.array_equal(p[k], want), k
 
 
+def polar_gap(table, weights, form, v, w):
+    """Relative gap between the symmetric bilinear form of ``form_rows``,
+    (sum w . K(v) + sum v . K(w)) / 2, and the polarised reference form
+    (ref(v + w) - ref(v - w)) / 4."""
+    def rows(u):
+        return form_rows(table, weights, *u, *forcings(table, u[0], u[1] + u[2]))
+
+    got = 0.5 * sum(float(np.sum(a * k)) for x, y in ((w, v), (v, w)) for a, k in zip(x, rows(y)))
+    want = (form(table, *(v + w)) - form(table, *(v - w))) / 4.0
+    return abs(got - want) / max(1.0, abs(want))
+
+
+class TestFormRows:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(model=random_models(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10))
+    def test_polarised_reference_forms_on_random_models(self, model, seed, n):
+        # The rows' bilinear form at random v and w against the reference
+        # form of each REFERENCE_FORMS weight: L, Ibar, DX2 and displacement.
+        rng = np.random.default_rng(seed)
+        table = hat_derivative_table(model, *rng.normal(size=(2, n)))
+        v, w = rng.normal(size=(2, 3, n))
+        for weights, form in REFERENCE_FORMS:
+            assert polar_gap(table, weights, form, v, w) <= 1e-12, weights
+
+    def test_zero_weights_skip_their_terms(self):
+        # A row with no term of nonzero weight is 0.0, and a zero-weight term
+        # reads nothing: a NaN table entry that only such terms read leaves
+        # the rows finite.
+        rng = np.random.default_rng(1)
+        table = hat_derivative_table(ExperimentConfig.from_ini(CONFIGS / "chain.ini").model(),
+                                     *rng.normal(size=(2, 6)))
+        v = rng.normal(size=(3, 6))
+        pi, chi = forcings(table, v[0], v[1] + v[2])
+        assert form_rows(table, (0.0, 0.0, 0.0), *v, pi, chi) == (0.0, 0.0, 0.0)
+        dx2 = form_rows(replace(table, h_xx=np.full(6, np.nan)), (0.0, 0.0, 1.0), *v,
+                        pi, chi * np.nan)
+        assert np.isfinite(dx2[0]).all() and dx2[1:] == (0.0, 0.0)
+
+
 class TestFormMatrices:
     def test_agree_with_reference_forms_on_chain_model(self):
         # Every table entry is nonzero there, and b0x != 0 makes the measure
@@ -279,12 +321,13 @@ class TestFormMatrices:
         assert np.allclose(values, summed, rtol=1e-13, atol=1e-14)
 
     def test_gates_peak_memory_on_40_laws(self):
-        # One hat table over all laws, and only the gate's one form, built
-        # and symmetrised in place with temporaries of one block.  On
+        # One hat table over all laws, and only the gate's one form, filled
+        # one block of unit vectors at a time and symmetrised in place.  On
         # chain.ini's law-dependent model that is 737 KB of matrices and
-        # their symmetrising copy: each gate peaks at 2.05 MB (numpy 2.4),
-        # and the bound leaves 12 % headroom, below the 2.53 MB of building
-        # all three forms.  ll_example's table is law-free, so the gates
+        # their symmetrising copy: each gate peaks at 1.98 MB (numpy 2.4;
+        # 2.05 MB with the blocks written by hand), and the bound leaves
+        # 16 % headroom, below the 2.53 MB of building all three forms.
+        # ll_example's table is law-free, so the gates
         # build one law's form: each peaks at 520 KB, the table itself,
         # and the bound leaves 15 % headroom, far below the every-law build.
         chain = ExperimentConfig.from_ini(CONFIGS / "chain.ini").model()
@@ -565,7 +608,13 @@ class TestDispSufficient:
                                        *make_condition_samples(30, 16, seed=4))
         scalar = report.details["scalar_inequality"]
         assert not scalar["holds"]
-        assert not report.passed
+        assert not report.passed and report.failure_kind is None
+        # The eigenvalue stage passes, so the inequality is the witness, and
+        # its margin kappa - rhs = 0.5 - 0.8 the report's.
+        assert report.worst_margin == scalar["kappa"] - scalar["rhs"] < 0.0
+        assert report.worst_margin == pytest.approx(-0.3, rel=1e-12)
+        assert report.witness == {"inequality": "scalar_inequality",
+                                  "kappa": scalar["kappa"], "rhs": scalar["rhs"]}
 
     @pytest.mark.parametrize("f1_x,kappa", [
         ((0, 0, 0.25), 0.5),

@@ -297,8 +297,9 @@ class TestRhsFormulas:
 
     def test_peak_memory_at_12_directions_on_113_levels(self, shipped_ll_batch):
         # No form matrix: a few (12, 113, 16) stacks of 174 KB each.  The
-        # call peaks at 1.12 MB (numpy 2.4); the bound leaves 25 % headroom,
-        # below the 2.11 MB of building the forms in 1 MB chunks of levels,
+        # call peaks at 1.23 MB (numpy 2.4; 1.12 MB with the forms' atom sums
+        # written out by hand); the bound leaves 14 % headroom, below the
+        # 2.11 MB of building the forms in 1 MB chunks of levels,
         # and one call's forms over all 113 levels would hold 10 MB.
         dx, gamma, upsilon, table = shipped_ll_batch
         evaluate_rhs_formulas(table, dx, gamma, upsilon)

@@ -8,8 +8,10 @@ once per checkout, in a fresh interpreter that imports that checkout's
 ``src`` with BLAS pinned to one thread, from the same working directory.
 For each config the script prints the two exit codes, whether stdout and
 stderr match, and for each artifact either "identical" or the largest move
-of a number relative to the largest magnitude in the PARENT file.  The
-manifest's wall time is left out of the comparison.
+of a number relative to the largest magnitude in the PARENT file, with
+where the move sits: the key path of that number in a JSON file (such as
+``gate.details.max_value`` or ``reports[1].witness.eta[3]``), or its column
+in a CSV file.  The manifest's wall time is left out of the comparison.
 
 The exit status is 1 when an exit code, a stdout or stderr, or the set of
 configs or artifacts differs between the checkouts, 2 on a usage error,
@@ -18,6 +20,8 @@ and 0 otherwise; a moved number is reported, not failed.
 from __future__ import annotations
 
 import configparser
+import csv
+import io
 import json
 import os
 import re
@@ -51,6 +55,48 @@ def without_wall_time(text: str) -> str:
     return json.dumps(manifest, sort_keys=True)
 
 
+def json_numbers(value, path: str = ""):
+    """(key path, number) of every number in a parsed JSON value, in order."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from json_numbers(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from json_numbers(item, f"{path}[{k}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, float(value)
+
+
+def csv_numbers(text: str):
+    """("column NAME", number) of every numeric cell of a CSV text, by row."""
+    header, *rows = csv.reader(io.StringIO(text))
+    for row in rows:
+        for name, cell in zip(header, row):
+            try:
+                yield f"column {name}", float(cell)
+            except ValueError:
+                pass
+
+
+def largest_move_at(name: str, a: str, b: str) -> str | None:
+    """Where the largest move between the texts a and b of a JSON or CSV
+    file sits, or None for another kind of file or unmatched numbers."""
+    suffix = Path(name).suffix
+    if suffix == ".json":
+        numbers = [list(json_numbers(json.loads(text))) for text in (a, b)]
+    elif suffix == ".csv":
+        numbers = [list(csv_numbers(text)) for text in (a, b)]
+    else:
+        return None
+    labels = [[label for label, _ in side] for side in numbers]
+    if labels[0] != labels[1] or not labels[0]:
+        return None
+    x, y = (np.array([value for _, value in side]) for side in numbers)
+    with np.errstate(invalid="ignore"):
+        moves = np.where((x == y) | (np.isnan(x) & np.isnan(y)), 0.0, np.abs(x - y))
+    return labels[0][int(np.argmax(moves))]
+
+
 def compare_file(old: Path, new: Path) -> str:
     """"identical", or the largest relative move of a number in the file."""
     a, b = old.read_text(), new.read_text()
@@ -70,7 +116,9 @@ def compare_file(old: Path, new: Path) -> str:
         return "a non-finite number differs"
     scale = np.max(np.abs(x[finite]), initial=0.0)
     move = np.max(np.abs(x - y)[~same])
-    return f"moved by {move / scale if scale else np.inf:.3g} of its largest entry"
+    where = largest_move_at(old.name, a, b)
+    return (f"moved by {move / scale if scale else np.inf:.3g} of its largest entry"
+            + (f", most at {where}" if where else ""))
 
 
 def main() -> int:
